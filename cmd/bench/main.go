@@ -120,17 +120,19 @@ type Report struct {
 	// combination: how many distinct schedules the same budget explores
 	// with duplicates charged (baseline, paper-faithful) versus free.
 	EffectiveBudget EffectiveBudgetReport `json:"effective_budget"`
-	// PhaseBreakdown splits a full cached MAGMA search's generation into
-	// its ask / fingerprint / simulate / tell phases at workers=1 and at
+	// PhaseBreakdown splits a full cached MAGMA search's generation (the
+	// cmd/serve configuration, bound pruning on as shipped) into its
+	// ask / fingerprint / bound / simulate / tell phases at workers=1 and at
 	// the -workers flag — the evidence that parallel breeding shrinks
 	// the tell phase and incremental fingerprints shrink the fingerprint
 	// phase. The multi-core CI job fails if this section goes missing.
 	PhaseBreakdown PhaseBreakdown `json:"phase_breakdown"`
-	// BoundPruneRate is the fraction of distinct candidates the opt-in
-	// analytical lower bound (Options.Bound) proved unable to reach the
-	// elite set and so never simulated, over a full cached MAGMA search
-	// on the standard mix. Results are bit-identical with pruning on or
-	// off; the CI bench job fails if this field is missing or zero.
+	// BoundPruneRate is the fraction of missed candidates the runner's
+	// analytical lower bound proved unable to reach the elite set and so
+	// never decoded or simulated, over a full MAGMA search with the
+	// library defaults on the standard mix. Results are bit-identical to
+	// the unpruned reference; the CI bench job fails if this field is
+	// missing or zero.
 	BoundPruneRate float64 `json:"bound_prune_rate"`
 	// Bound is the pruned-vs-unpruned comparison behind BoundPruneRate.
 	Bound BoundReport `json:"bound"`
@@ -168,16 +170,18 @@ type SimKernelRow struct {
 	Speedup    float64 `json:"speedup"`
 }
 
-// BoundReport compares one full cached MAGMA search with and without
-// Options.Bound at the same seed and budget. The search is identical
-// either way (same best schedule, same convergence curve); only the
-// simulator traffic and the generation wall-clock change.
+// BoundReport compares one full MAGMA search with the library defaults
+// (bound pruning on) against the unpruned reference — the same search
+// through an optimizer wrapper that hides EliteSelector — at the same
+// seed and budget. The search is identical either way (same best
+// schedule, same convergence curve); only the simulator traffic and the
+// generation wall-clock change.
 type BoundReport struct {
 	Mapper    string `json:"mapper"`
 	GroupSize int    `json:"group_size"`
 	Budget    int    `json:"budget"`
-	// Checked / Pruned count distinct candidates that reached the bound
-	// pass and those it proved hopeless.
+	// Checked / Pruned count candidates tested against an elite floor
+	// and those it proved hopeless.
 	Checked uint64 `json:"checked"`
 	Pruned  uint64 `json:"pruned"`
 	// OffNsPerGen / OnNsPerGen are full-generation wall clocks (ask +
@@ -214,6 +218,7 @@ type PhaseRow struct {
 	Generations         int     `json:"generations"`
 	AskNsPerGen         float64 `json:"ask_ns_per_gen"`
 	FingerprintNsPerGen float64 `json:"fingerprint_ns_per_gen"`
+	BoundNsPerGen       float64 `json:"bound_ns_per_gen"`
 	SimulateNsPerGen    float64 `json:"simulate_ns_per_gen"`
 	TellNsPerGen        float64 `json:"tell_ns_per_gen"`
 	// TellShare is the tell phase's fraction of the generation.
@@ -245,6 +250,11 @@ type EffectiveBudgetReport struct {
 	// times more of the space the mode explores at equal budget.
 	DistinctStretch float64 `json:"distinct_stretch"`
 }
+
+// unpruned exposes only m3e.Optimizer, hiding EliteSelector, so
+// m3e.Run evaluates every genome: the reference the pruned default is
+// checked against.
+type unpruned struct{ m3e.Optimizer }
 
 func measure(name string, f func(b *testing.B)) Measurement {
 	r := testing.Benchmark(f)
@@ -453,12 +463,13 @@ func main() {
 			log.Fatal(err)
 		}
 		ph, gens := res.Phases, float64(res.Phases.Generations)
-		total := float64(ph.AskNs + ph.FingerprintNs + ph.SimulateNs + ph.TellNs)
+		total := float64(ph.AskNs + ph.FingerprintNs + ph.BoundNs + ph.SimulateNs + ph.TellNs)
 		row := PhaseRow{
 			Workers:             w,
 			Generations:         ph.Generations,
 			AskNsPerGen:         float64(ph.AskNs) / gens,
 			FingerprintNsPerGen: float64(ph.FingerprintNs) / gens,
+			BoundNsPerGen:       float64(ph.BoundNs) / gens,
 			SimulateNsPerGen:    float64(ph.SimulateNs) / gens,
 			TellNsPerGen:        float64(ph.TellNs) / gens,
 			FastFPRate:          res.Cache.FastFPRate(),
@@ -542,10 +553,10 @@ func main() {
 		rep.EffectiveBudget.DistinctStretch = float64(eff.Cache.Misses) / float64(base.Cache.Misses)
 	}
 
-	// Analytical pruning: the same cached MAGMA search on the standard
-	// mix with and without Options.Bound. The run is bit-identical either
+	// Analytical pruning: MAGMA with the library defaults on the standard
+	// mix against the unpruned reference. The run is bit-identical either
 	// way — bench verifies that here — so the comparison isolates the
-	// third fast path's effect on simulator traffic and generation time.
+	// pruning pass's effect on simulator traffic and generation time.
 	genNs := func(res m3e.Result) float64 {
 		ph := res.Phases
 		if ph.Generations == 0 {
@@ -553,14 +564,16 @@ func main() {
 		}
 		return float64(ph.AskNs+ph.FingerprintNs+ph.BoundNs+ph.SimulateNs+ph.TellNs) / float64(ph.Generations)
 	}
-	boundOff, err := m3e.Run(prob, optmagma.New(optmagma.Config{}), m3e.Options{
-		Budget: m3e.DefaultBudget, Cache: true,
+	// Serial on both sides: the wrapper also hides the breeding hook, so
+	// only workers=1 compares generation times fairly.
+	boundOff, err := m3e.Run(prob, unpruned{optmagma.New(optmagma.Config{})}, m3e.Options{
+		Budget: m3e.DefaultBudget, Workers: 1,
 	}, 6)
 	if err != nil {
 		log.Fatal(err)
 	}
 	boundOn, err := m3e.Run(prob, optmagma.New(optmagma.Config{}), m3e.Options{
-		Budget: m3e.DefaultBudget, Cache: true, Bound: true,
+		Budget: m3e.DefaultBudget, Workers: 1,
 	}, 6)
 	if err != nil {
 		log.Fatal(err)
@@ -597,7 +610,7 @@ func main() {
 			log.Fatal(err)
 		}
 		res, err := m3e.Run(gsProb, optmagma.New(optmagma.Config{}), m3e.Options{
-			Budget: m3e.DefaultBudget, Cache: true, Bound: true,
+			Budget: m3e.DefaultBudget,
 		}, 6)
 		if err != nil {
 			log.Fatal(err)
@@ -677,7 +690,7 @@ func main() {
 			log.Fatal(err)
 		}
 		ph := res.Phases
-		total := float64(ph.AskNs + ph.FingerprintNs + ph.SimulateNs + ph.TellNs)
+		total := float64(ph.AskNs + ph.FingerprintNs + ph.BoundNs + ph.SimulateNs + ph.TellNs)
 		if ph.Generations == 0 || total == 0 {
 			return 0, 0
 		}
@@ -707,16 +720,16 @@ func main() {
 		fmt.Printf("cache hit rate %-8s %5.1f%%\n", name+":", 100*rep.CacheHitRateByMapper[name])
 	}
 	for _, row := range rep.PhaseBreakdown.Rows {
-		fmt.Printf("phases workers=%-2d (per gen): ask %8.0f ns | fingerprint %8.0f ns (fast %4.1f%%) | simulate %8.0f ns | tell %8.0f ns (%.1f%% of gen)\n",
+		fmt.Printf("phases workers=%-2d (per gen): ask %8.0f ns | fingerprint %8.0f ns (fast %4.1f%%) | bound %8.0f ns | simulate %8.0f ns | tell %8.0f ns (%.1f%% of gen)\n",
 			row.Workers, row.AskNsPerGen, row.FingerprintNsPerGen, 100*row.FastFPRate,
-			row.SimulateNsPerGen, row.TellNsPerGen, 100*row.TellShare)
+			row.BoundNsPerGen, row.SimulateNsPerGen, row.TellNsPerGen, 100*row.TellShare)
 	}
 	fmt.Printf("tell-phase speedup vs serial: %.2fx\n", rep.PhaseBreakdown.TellSpeedup)
 	eb := rep.EffectiveBudget
 	fmt.Printf("effective budget (%s, group %d, budget %d): %d -> %d distinct schedules (%.2fx, %d asked)\n",
 		eb.Mapper, eb.GroupSize, eb.Budget, eb.BaselineDistinct, eb.EffectiveDistinct, eb.DistinctStretch, eb.EffectiveAsked)
 	bd := rep.Bound
-	fmt.Printf("bound pruning (%s, group %d, budget %d): %.1f%% of distinct candidates pruned (%d of %d checked)\n",
+	fmt.Printf("bound pruning (%s, group %d, budget %d): %.1f%% of missed candidates pruned (%d of %d checked)\n",
 		bd.Mapper, bd.GroupSize, bd.Budget, 100*rep.BoundPruneRate, bd.Pruned, bd.Checked)
 	fmt.Printf("bound generation time: %.0f ns off -> %.0f ns on (%.2fx; bound pass %.0f ns/gen)\n",
 		bd.OffNsPerGen, bd.OnNsPerGen, bd.GenSpeedup, bd.BoundNsPerGen)

@@ -38,7 +38,6 @@ func main() {
 		workers    = flag.Int("workers", 0, "parallel evaluation goroutines (0 = all cores; results are seed-reproducible at any worker count)")
 		cache      = flag.Bool("cache", true, "schedule-fingerprint fitness cache (results are bit-identical on or off)")
 		cacheSize  = flag.Int("cachesize", 0, "fitness cache bound in entries (0 = default)")
-		bound      = flag.Bool("bound", false, "skip simulating candidates whose analytical lower bound cannot reach the elite set (requires -cache; results are bit-identical on or off)")
 		gantt      = flag.Bool("gantt", false, "render the found schedule")
 		compare    = flag.Bool("compare", false, "run every Table IV mapper and print a leaderboard")
 		listMap    = flag.Bool("mappers", false, "list mapper names and exit")
@@ -73,7 +72,7 @@ func main() {
 	}
 	opts := magma.Options{
 		Mapper: *mapper, Objective: obj, Budget: *budget, Seed: *seed,
-		Workers: *workers, Cache: *cache, CacheSize: *cacheSize, Bound: *bound,
+		Workers: *workers, Cache: *cache, CacheSize: *cacheSize,
 	}
 
 	fmt.Printf("platform: %s\n", pf)
@@ -128,12 +127,12 @@ func main() {
 	fmt.Printf("throughput: %.1f GFLOP/s\n", sched.ThroughputGFLOPs)
 	fmt.Printf("makespan:   %.4g cycles\n", sched.MakespanCycles)
 	fmt.Printf("energy:     %.4g units\n", sched.EnergyUnits)
-	if st := sched.Cache; st.Hits+st.Deduped+st.Misses > 0 {
-		fmt.Printf("cache:      %.1f%% hit rate (%d hits, %d deduped, %d simulated)\n",
+	if st := sched.Cache; *cache && st.Hits+st.Deduped+st.Misses > 0 {
+		fmt.Printf("cache:      %.1f%% hit rate (%d hits, %d deduped, %d missed)\n",
 			100*st.HitRate(), st.Hits, st.Deduped, st.Misses)
 	}
 	if st := sched.Cache; st.BoundChecked > 0 {
-		fmt.Printf("bound:      %.1f%% of distinct candidates pruned (%d of %d)\n",
+		fmt.Printf("bound:      %.1f%% of missed candidates pruned before decode (%d of %d)\n",
 			100*st.BoundPruneRate(), st.BoundPruned, st.Misses)
 	}
 	if sched.Partial {

@@ -78,7 +78,6 @@ func main() {
 		maxRunning  = flag.Int("maxrunning", 0, "concurrently running async jobs bound; excess submissions get 429 (0 = default 2x GOMAXPROCS, min 4)")
 		snapDir     = flag.String("snapshot-dir", "", "directory for durable warm-state snapshots; empty disables snapshotting")
 		snapEvery   = flag.Duration("snapshot-interval", time.Minute, "period between background snapshots (with -snapshot-dir)")
-		bound       = flag.Bool("bound", false, "skip simulating candidates whose analytical lower bound cannot reach the elite set (bit-identical results; per-request options.bound overrides)")
 		shardSpec   = flag.String("shards", "", "run as a fleet router over this comma-separated shard list (url or name=url); solver flags do not apply")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this side listener (e.g. localhost:6060); empty disables")
 	)
@@ -107,10 +106,9 @@ func main() {
 	srv := &http.Server{
 		Addr: *addr,
 		Handler: logRequests(serve.NewWith(solver, serve.Config{
-			JobTimeout:   *jobTimeout,
-			MaxJobs:      *maxJobs,
-			MaxRunning:   *maxRunning,
-			DefaultBound: *bound,
+			JobTimeout: *jobTimeout,
+			MaxJobs:    *maxJobs,
+			MaxRunning: *maxRunning,
 		}).Handler()),
 		// Searches are CPU-bound and can run long; only bound the header
 		// read so a stuck client cannot pin a connection pre-request.

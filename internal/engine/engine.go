@@ -36,7 +36,6 @@ import (
 	"magma/internal/encoding"
 	"magma/internal/m3e"
 	"magma/internal/platform"
-	"magma/internal/sim"
 	"magma/internal/workload"
 )
 
@@ -142,7 +141,6 @@ type problemState struct {
 	mu     sync.Mutex
 	pools  map[int][]*m3e.Pool // worker count -> free pools
 	caches []*m3e.FitnessCache // free fitness-cache scratch (store-bound)
-	bounds *sim.Bounds         // analytical-bound constants, built on first Bound run
 }
 
 // Engine is the concurrency-safe, long-lived solver core. The zero
@@ -378,19 +376,6 @@ func (h *ProblemHandle) getCache() *m3e.FitnessCache {
 	return m3e.NewFitnessCacheWith(st.prob, st.store)
 }
 
-// getBounds returns the problem's analytical-bound constants, building
-// them once per problem entry and sharing them across runs — a Bounds
-// is immutable, so concurrent bound-pruned searches read one copy.
-func (h *ProblemHandle) getBounds() *sim.Bounds {
-	st := h.st
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.bounds == nil {
-		st.bounds = sim.NewBounds(st.prob.Table)
-	}
-	return st.bounds
-}
-
 // putCache returns cache scratch to the free-list (dropped past the cap).
 func (h *ProblemHandle) putCache(c *m3e.FitnessCache) {
 	st := h.st
@@ -427,9 +412,6 @@ func (h *ProblemHandle) RunCtx(ctx context.Context, opt m3e.Optimizer, o m3e.Opt
 		fc := h.getCache()
 		defer h.putCache(fc)
 		o.Scratch = fc
-	}
-	if o.Bound && o.Bounds == nil {
-		o.Bounds = h.getBounds()
 	}
 	res, err := m3e.Run(h.st.prob, opt, o, seed)
 	h.eng.mu.Lock()

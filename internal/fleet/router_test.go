@@ -70,6 +70,20 @@ func ownersOf(t *testing.T, shards []Shard, body string) []int {
 	return owners
 }
 
+// TestRouterRejectsRemovedBoundOption: the router decodes requests as
+// strictly as a shard, so the removed options.bound field is a 400
+// naming the field before anything is forwarded.
+func TestRouterRejectsRemovedBoundOption(t *testing.T) {
+	_, _, rts := newFleet(t, 2, Config{})
+	resp, raw := postOptimize(t, rts.URL, `{"generate":{"task":"Mix","num_jobs":32,"group_size":16,"seed":1},"options":{"bound":false}}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400 (%s)", resp.StatusCode, raw)
+	}
+	if !bytes.Contains(raw, []byte(`unknown field \"bound\"`)) {
+		t.Errorf("error %q does not name the bound field", raw)
+	}
+}
+
 // TestRouterFanOutBitIdentical: a multi-group request split across
 // shards must merge to exactly the answer one shard gives for the whole
 // request — same schedules, same ordering, same totals. This is the

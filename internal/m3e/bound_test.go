@@ -1,10 +1,10 @@
 package m3e_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 
 	"magma/internal/encoding"
@@ -13,15 +13,36 @@ import (
 	"magma/internal/opt/ga"
 	optmagma "magma/internal/opt/magma"
 	"magma/internal/platform"
+	"magma/internal/rng"
+	"magma/internal/sim"
 	"magma/internal/workload"
 )
 
+// unpruned exposes only m3e.Optimizer, so Run never prunes it: the
+// reference every pruned run is held to.
+type unpruned struct{ m3e.Optimizer }
+
+// checkCounters asserts the counter identities the benchmark's
+// per-layer formulas rely on.
+func checkCounters(t *testing.T, label string, st m3e.CacheStats, asked int) {
+	t.Helper()
+	if st.Hits+st.Deduped+st.Misses+st.Invalid != uint64(asked) {
+		t.Errorf("%s: counters %+v don't add up to %d asked", label, st, asked)
+	}
+	if st.BoundPruned > st.Misses {
+		t.Errorf("%s: BoundPruned %d exceeds Misses %d", label, st.BoundPruned, st.Misses)
+	}
+	if st.BoundPruned > st.BoundChecked {
+		t.Errorf("%s: BoundPruned %d exceeds BoundChecked %d", label, st.BoundPruned, st.BoundChecked)
+	}
+}
+
 // TestRunBoundDeterminism is the analytical-pruning contract: for every
-// elitist mapper, at every worker count, Bound on returns bit-identical
-// Results — best genome, best fitness, convergence curve, samples — to
-// the unpruned serial uncached run. A pruned candidate's assigned bound
-// may differ from its true fitness, but the elite floor guarantees the
-// optimizer never consumes that difference.
+// elitist mapper, at every worker count, with the cache off and on,
+// Run returns bit-identical Results — best genome, best fitness,
+// convergence curve, samples — to the serial unpruned reference, and
+// no pruned value ever enters the store. EffectiveBudget keeps pruning
+// off and matches its own unpruned reference.
 func TestRunBoundDeterminism(t *testing.T) {
 	prob := parallelProblem(t)
 	const budget = 800
@@ -33,83 +54,143 @@ func TestRunBoundDeterminism(t *testing.T) {
 		{"stdGA", func() m3e.Optimizer { return ga.New(ga.Config{}) }},
 		{"CMA", func() m3e.Optimizer { return cmaes.New(cmaes.Config{}) }},
 	}
+	same := func(t *testing.T, label string, got, want m3e.Result) {
+		t.Helper()
+		if got.BestFitness != want.BestFitness {
+			t.Errorf("%s: BestFitness %v != unpruned serial %v", label, got.BestFitness, want.BestFitness)
+		}
+		if !reflect.DeepEqual(got.Best, want.Best) {
+			t.Errorf("%s: Best genome differs from unpruned serial", label)
+		}
+		if !reflect.DeepEqual(got.Curve, want.Curve) {
+			t.Errorf("%s: convergence curve differs from unpruned serial", label)
+		}
+		if got.Samples != want.Samples {
+			t.Errorf("%s: samples %d != %d", label, got.Samples, want.Samples)
+		}
+	}
 	for _, m := range mappers {
 		t.Run(m.name, func(t *testing.T) {
-			base, err := m3e.Run(prob, m.mk(), m3e.Options{Budget: budget, Workers: 1}, 5)
+			base, err := m3e.Run(prob, unpruned{m.mk()}, m3e.Options{Budget: budget, Workers: 1}, 5)
 			if err != nil {
 				t.Fatal(err)
 			}
+			if base.Cache != (m3e.CacheStats{}) {
+				t.Errorf("unpruned uncached reference reports counters %+v", base.Cache)
+			}
+			// The unpruned cached run stores the exact fitness of every
+			// schedule the search ever asks; a pruned run asks the same
+			// genomes, so its store must be a subset with equal values.
+			refStore := m3e.NewCacheStore(0)
+			if _, err := m3e.Run(prob, unpruned{m.mk()}, m3e.Options{Budget: budget, Workers: 1, Store: refStore}, 5); err != nil {
+				t.Fatal(err)
+			}
+			exact := map[encoding.Fingerprint]float64{}
+			for _, e := range refStore.Export() {
+				exact[e.FP] = e.Fitness
+			}
 			var prunedTotal uint64
-			for _, bound := range []bool{false, true} {
+			for _, cache := range []bool{false, true} {
 				for _, workers := range []int{1, 2, 8} {
-					got, err := m3e.Run(prob, m.mk(),
-						m3e.Options{Budget: budget, Workers: workers, Cache: true, Bound: bound}, 5)
+					label := fmt.Sprintf("workers=%d cache=%v", workers, cache)
+					store := m3e.NewCacheStore(0)
+					o := m3e.Options{Budget: budget, Workers: workers}
+					if cache {
+						o.Store = store
+					}
+					got, err := m3e.Run(prob, m.mk(), o, 5)
 					if err != nil {
-						t.Fatalf("workers=%d bound=%v: %v", workers, bound, err)
+						t.Fatalf("%s: %v", label, err)
 					}
-					if got.BestFitness != base.BestFitness {
-						t.Errorf("workers=%d bound=%v: BestFitness %v != unpruned serial %v",
-							workers, bound, got.BestFitness, base.BestFitness)
-					}
-					if !reflect.DeepEqual(got.Best, base.Best) {
-						t.Errorf("workers=%d bound=%v: Best genome differs from unpruned serial", workers, bound)
-					}
-					if !reflect.DeepEqual(got.Curve, base.Curve) {
-						t.Errorf("workers=%d bound=%v: convergence curve differs from unpruned serial", workers, bound)
-					}
-					if got.Samples != base.Samples {
-						t.Errorf("workers=%d bound=%v: samples %d != %d", workers, bound, got.Samples, base.Samples)
-					}
+					same(t, label, got, base)
 					st := got.Cache
-					if st.Hits+st.Deduped+st.Misses+st.Invalid != uint64(got.Samples) {
-						t.Errorf("workers=%d bound=%v: counters %+v don't add up to %d samples",
-							workers, bound, st, got.Samples)
-					}
-					if !bound && (st.BoundChecked != 0 || st.BoundPruned != 0) {
-						t.Errorf("workers=%d: bound off but BoundChecked=%d BoundPruned=%d",
-							workers, st.BoundChecked, st.BoundPruned)
-					}
-					if bound {
-						// The elite floor is built from store hits, so only
-						// mappers that re-ask schedules (MAGMA, stdGA elites)
-						// ever arm it; CMA's continuous sampling never repeats
-						// a schedule and the path stays safely inert.
-						if m.name != "CMA" && st.BoundChecked == 0 {
-							t.Errorf("workers=%d: bound on but no candidate was ever checked", workers)
+					prunedTotal += st.BoundPruned
+					if m.name == "CMA" && !cache {
+						// Not a VariationTracker: no pass runs, so no layer counts.
+						if st != (m3e.CacheStats{}) {
+							t.Errorf("%s: CMA is never pruned, yet reports counters %+v", label, st)
 						}
-						if st.BoundPruned > st.Misses {
-							t.Errorf("workers=%d: BoundPruned %d exceeds Misses %d (pruned candidates are misses)",
-								workers, st.BoundPruned, st.Misses)
+					} else {
+						checkCounters(t, label, st, got.Asked)
+					}
+					if !cache {
+						continue
+					}
+					if got, want := store.Len(), int(st.Misses-st.BoundPruned); got != want {
+						t.Errorf("%s: store holds %d entries, want Misses−BoundPruned = %d", label, got, want)
+					}
+					for _, e := range store.Export() {
+						if want, ok := exact[e.FP]; !ok || e.Fitness != want {
+							t.Fatalf("%s: store entry %v = %v, want exact %v (a bound leaked into the store)",
+								label, e.FP, e.Fitness, want)
 						}
-						prunedTotal += st.BoundPruned
 					}
 				}
 			}
-			t.Logf("%s: %d pruned across bound-on runs", m.name, prunedTotal)
-			if m.name == "MAGMA" && prunedTotal == 0 {
-				t.Error("MAGMA with Bound never pruned a candidate; the fast path is dead")
+			t.Logf("%s: %d pruned across runs", m.name, prunedTotal)
+			if m.name != "CMA" && prunedTotal == 0 {
+				t.Errorf("%s never pruned a candidate; the fast path is dead", m.name)
+			}
+
+			effBase, err := m3e.Run(prob, unpruned{m.mk()},
+				m3e.Options{Budget: budget, Workers: 1, Cache: true, EffectiveBudget: true}, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eff, err := m3e.Run(prob, m.mk(), m3e.Options{Budget: budget, Workers: 2, Cache: true, EffectiveBudget: true}, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same(t, "effective budget", eff, effBase)
+			if eff.Asked != effBase.Asked {
+				t.Errorf("effective budget: asked %d != %d", eff.Asked, effBase.Asked)
+			}
+			if eff.Cache.BoundChecked != 0 {
+				t.Errorf("effective budget: pruning ran (%d checked); it must stay off", eff.Cache.BoundChecked)
 			}
 		})
 	}
 }
 
-// TestRunBoundRequiresCache pins the arming rule: pruning lives inside
-// the fingerprint cache layer, so Bound without a cache is an error
-// rather than a silent no-op.
-func TestRunBoundRequiresCache(t *testing.T) {
-	prob := parallelProblem(t)
-	_, err := m3e.Run(prob, optmagma.New(optmagma.Config{}),
-		m3e.Options{Budget: 100, Bound: true}, 3)
-	if err == nil || !strings.Contains(err.Error(), "Bound requires") {
-		t.Fatalf("Bound without Cache: err = %v, want Bound-requires-cache error", err)
-	}
+// scripted replays fixed batches with explicit provenance: batch 0 has
+// none, and every later batch claims its first `clean` genomes are
+// verbatim re-asks of the previous batch's genomes at the same index.
+type scripted struct {
+	batches [][]encoding.Genome
+	clean   int
+	k       int
+	gen     int
+	told    []float64
 }
 
-// TestFitnessCacheBoundPrunedExcludedFromStore drives the cache directly
-// and pins the snapshot-compatibility invariant: a pruned candidate's
-// assigned bound never enters the backing store, so the store only ever
-// holds exact fitness — Len() == Misses − BoundPruned — and a later
-// evaluation of a pruned schedule re-misses and gets the exact value.
+func (s *scripted) Name() string                            { return "scripted" }
+func (s *scripted) Init(*m3e.Problem, *rng.Stream) error    { return nil }
+func (s *scripted) Tell(_ []encoding.Genome, fit []float64) { s.told = append([]float64(nil), fit...) }
+func (s *scripted) EliteCount(told int) int                 { return s.k }
+
+func (s *scripted) Ask() []encoding.Genome {
+	b := s.batches[s.gen%len(s.batches)]
+	s.gen++
+	return b
+}
+
+func (s *scripted) Variations() []m3e.VariationInfo {
+	if s.gen <= 1 {
+		return nil
+	}
+	prov := make([]m3e.VariationInfo, s.clean)
+	for i := range prov {
+		prov[i].Parent = i
+	}
+	return prov
+}
+
+// TestFitnessCacheBoundPrunedExcludedFromStore pins the store-side
+// invariant of pruning: a pruned genome's assigned bound never enters
+// the backing store, so the store only ever holds exact fitness —
+// Len() == Misses − BoundPruned, checked after every generation — and
+// a later unpruned evaluation of a pruned schedule misses the store and
+// gets the exact value.
 func TestFitnessCacheBoundPrunedExcludedFromStore(t *testing.T) {
 	// Ample bandwidth keeps the problem compute-dominated, so the
 	// serialized pile-up's bound (sum of all latencies on one core) is
@@ -124,23 +205,15 @@ func TestFitnessCacheBoundPrunedExcludedFromStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := m3e.NewFitnessCache(prob, 0)
-	pool := m3e.NewPool(prob, 4)
 	r := rand.New(rand.NewSource(41))
-
-	// Round 1 (bound off): spread random genomes populate the store.
+	// Batch 0: spread random genomes populate the store. Batch 1
+	// re-asks them verbatim (clean, forming the elite floor) and adds
+	// pile-ups that serialize every job on the slowest core, whose
+	// roofline bound cannot reach the floor.
 	good := make([]encoding.Genome, 12)
 	for i := range good {
 		good[i] = encoding.Random(prob.NumJobs(), prob.NumAccels(), r)
 	}
-	fit := make([]float64, len(good))
-	cache.Evaluate(pool, good, fit)
-
-	// Round 2 (bound armed): the re-submitted genomes hit the store and
-	// form the elite floor; pile-ups serialize every job on the slowest
-	// core (S2's LB core), whose roofline bound cannot reach the floor.
-	best := math.Inf(1) // best-so-far far above the floor: floor governs
-	cache.SetBound(pool.Bounds(), &best, func(told int) int { return 2 })
 	pile := make([]encoding.Genome, 4)
 	for i := range pile {
 		pile[i] = encoding.Genome{Accel: make([]int, prob.NumJobs()), Prio: make([]float64, prob.NumJobs())}
@@ -149,33 +222,47 @@ func TestFitnessCacheBoundPrunedExcludedFromStore(t *testing.T) {
 			pile[i].Prio[j] = r.Float64()
 		}
 	}
-	batch := append(append([]encoding.Genome{}, good...), pile...)
-	fit2 := make([]float64, len(batch))
-	cache.Evaluate(pool, batch, fit2)
-
-	st := cache.Stats()
+	second := append(append([]encoding.Genome{}, good...), pile...)
+	opt := &scripted{batches: [][]encoding.Genome{good, second}, clean: len(good), k: 2}
+	store := m3e.NewCacheStore(0)
+	var observed int
+	res, err := m3e.Run(prob, opt, m3e.Options{
+		Budget: len(good) + len(second), Workers: 4, Store: store,
+		Observer: func(p m3e.Progress) {
+			observed++
+			if got, want := store.Len(), int(p.Cache.Misses-p.Cache.BoundPruned); got != want {
+				t.Errorf("generation %d: store holds %d entries, want Misses−BoundPruned = %d", p.Generation, got, want)
+			}
+			checkCounters(t, "progress", p.Cache, p.Asked)
+		},
+	}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if observed != 2 {
+		t.Fatalf("observed %d generations, want 2", observed)
+	}
+	st := res.Cache
 	if st.BoundChecked == 0 {
-		t.Fatal("bound armed with hits present, but nothing was checked")
+		t.Fatal("clean re-asks present, but nothing was checked against a floor")
 	}
-	if st.BoundPruned == 0 {
-		t.Fatal("all-jobs-on-one-core candidates were not pruned against a spread elite floor")
-	}
-	if got, want := cache.Len(), int(st.Misses-st.BoundPruned); got != want {
-		t.Errorf("store holds %d entries, want Misses−BoundPruned = %d (a bound leaked into the store)", got, want)
+	if st.BoundPruned != uint64(len(pile)) {
+		t.Fatalf("pruned %d genomes, want the %d pile-ups", st.BoundPruned, len(pile))
 	}
 	if rate := st.BoundPruneRate(); rate <= 0 || rate > 1 {
 		t.Errorf("BoundPruneRate = %v, want in (0, 1]", rate)
 	}
+	if st.CleanFP != uint64(len(good)) {
+		t.Errorf("CleanFP = %d, want %d: clean re-asks must still take the cache's copy path", st.CleanFP, len(good))
+	}
 
-	// A pruned schedule re-submitted with pruning off must re-miss and
-	// come back exact — the store never serves a bound as fitness.
-	cache.SetBound(nil, nil, nil)
-	missesBefore := st.Misses
+	// A pruned schedule evaluated on the same store without pruning must
+	// miss and come back exact — the store never serves a bound.
+	cache := m3e.NewFitnessCacheWith(prob, store)
 	refit := make([]float64, 1)
-	cache.Evaluate(pool, pile[:1], refit)
-	if st2 := cache.Stats(); st2.Misses != missesBefore+1 {
-		t.Errorf("re-submitted pruned schedule missed %d times, want 1 (was its bound stored?)",
-			st2.Misses-missesBefore)
+	cache.Evaluate(m3e.NewPool(prob, 1), pile[:1], refit)
+	if got := cache.Stats().Misses; got != 1 {
+		t.Errorf("re-submitted pruned schedule missed %d times, want 1 (was its bound stored?)", got)
 	}
 	want, err := prob.Evaluate(pile[0])
 	if err != nil {
@@ -184,7 +271,68 @@ func TestFitnessCacheBoundPrunedExcludedFromStore(t *testing.T) {
 	if refit[0] != want {
 		t.Errorf("re-evaluated pruned schedule scored %v, want exact %v", refit[0], want)
 	}
-	if refit[0] == fit2[len(good)] && fit2[len(good)] < want {
-		t.Error("exact fitness equals the assigned bound; the prune test is vacuous")
+	if assigned := opt.told[len(good)]; assigned == want || assigned < want || math.IsInf(assigned, 0) {
+		t.Errorf("assigned bound %v vs exact %v: want a finite bound strictly above the exact fitness, or the test is vacuous", assigned, want)
+	}
+}
+
+// TestRunPruneCountersUncached pins the uncached meaning of the
+// counters: Hits are the clean elite re-asks answered from the previous
+// batch, Misses every other valid genome, Deduped and the fingerprint
+// counters zero — and the identities hold at every generation.
+func TestRunPruneCountersUncached(t *testing.T) {
+	prob := parallelProblem(t)
+	res, err := m3e.Run(prob, optmagma.New(optmagma.Config{}), m3e.Options{
+		Budget: 600, Workers: 1,
+		Observer: func(p m3e.Progress) { checkCounters(t, "progress", p.Cache, p.Asked) },
+	}, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := res.Cache
+	checkCounters(t, "result", st, res.Asked)
+	if st.Hits == 0 || st.BoundPruned == 0 {
+		t.Errorf("MAGMA uncached: %+v, want clean re-asks answered and genomes pruned", st)
+	}
+	if st.Deduped != 0 || st.FullFP+st.IncrementalFP+st.CleanFP != 0 || st.CrossHits != 0 {
+		t.Errorf("uncached run reports cache-only counters: %+v", st)
+	}
+}
+
+// TestBoundFitnessNeverBeatsSimulation lifts the simulator's bound
+// soundness to the fitness the pruning pass compares: for random
+// genomes, under every objective and both allocation policies, the
+// Problem.Fitness of the genome-order bound is never below the
+// Problem.Fitness of the simulation.
+func TestBoundFitnessNeverBeatsSimulation(t *testing.T) {
+	w, err := workload.Generate(workload.Config{NumJobs: 40, GroupSize: 40, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(17))
+	for _, pf := range []platform.Platform{platform.S2().WithBW(4), platform.S4().WithBW(64)} {
+		for obj := m3e.Throughput; obj <= m3e.EDP; obj++ {
+			prob, err := m3e.NewProblem(w.Groups[0], pf, obj)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := sim.NewBounds(prob.Table)
+			cycles := make([]float64, prob.NumAccels())
+			for trial := 0; trial < 20; trial++ {
+				g := encoding.Random(prob.NumJobs(), prob.NumAccels(), r)
+				bound := prob.Fitness(b.GenomeResult(cycles, g.Accel))
+				m := encoding.Decode(g, prob.NumAccels())
+				for _, pol := range []sim.Policy{sim.Proportional, sim.WaterFill} {
+					res, err := sim.Run(prob.Table, m, sim.Options{Policy: pol})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if exact := prob.Fitness(res); bound < exact {
+						t.Fatalf("%s %s policy %d trial %d: bound fitness %g below simulated %g",
+							pf.Setting, obj, pol, trial, bound, exact)
+					}
+				}
+			}
+		}
 	}
 }

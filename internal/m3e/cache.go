@@ -41,14 +41,19 @@ type CacheStats struct {
 	FullFP        uint64
 	IncrementalFP uint64
 	CleanFP       uint64
-	// BoundChecked counts new representatives whose analytical fitness
-	// upper bound was tested against a generation elite floor
-	// (Options.Bound with a floor available); BoundPruned the subset
-	// whose bound already missed the floor and therefore skipped the
-	// simulator entirely — the third fast path beside the fingerprint
-	// paths. BoundPruned is a subset of Misses: pruned candidates still
-	// charge the budget like any distinct schedule, they just pay the
-	// roofline arithmetic instead of Algorithm 1.
+	// BoundChecked counts genomes whose analytical fitness upper bound
+	// the runner's pruning pass tested against a generation elite floor;
+	// BoundPruned the subset whose bound already missed the floor, so
+	// they were never decoded, fingerprinted or simulated. BoundPruned is
+	// a subset of Misses: a pruned genome counts as a miss, it just pays
+	// the roofline arithmetic instead of Algorithm 1.
+	//
+	// With the cache off, the pruning pass keeps the counters alone:
+	// Hits are clean elite re-asks answered with the previous batch's
+	// exact fitness, Misses every other valid genome (pruned or
+	// simulated), Invalid the genomes that failed validation, and
+	// Deduped and the fingerprint counters stay zero. Either way
+	// Hits+Deduped+Misses+Invalid equals Result.Asked.
 	BoundChecked uint64
 	BoundPruned  uint64
 }
@@ -235,15 +240,6 @@ type FitnessCache struct {
 	tracker VariationTracker // optional; set by Run per run
 	phases  *PhaseTimings    // optional; set by Run per run
 
-	// Analytical-pruning hooks (Options.Bound), set per run via
-	// SetBound: the problem's roofline constants, the run's best-so-far
-	// fitness (read at batch start — a pruned value must also stay below
-	// it so the convergence curve never sees a bound), and the
-	// optimizer's EliteSelector.EliteCount. All nil when pruning is off.
-	bounds  *sim.Bounds
-	bestPtr *float64
-	eliteK  func(told int) int
-
 	// Per-batch scratch, grown once and reused. maps[i] holds the
 	// decoded schedule of batch[i] — the fingerprint pass is the only
 	// decode per genome; representatives are simulated straight from it.
@@ -263,21 +259,6 @@ type FitnessCache struct {
 	reps    []int   // representative slot -> batch index
 	repFit  []float64
 	inBatch map[encoding.Fingerprint]int // fingerprint -> representative slot
-
-	// Bound-path scratch (grown only when pruning is armed). cb/prevCb
-	// double-buffer the per-genome per-core roofline accumulators the
-	// same way coreH double-buffers the lane hashes, so a clean child
-	// copies its parent's accumulators and an incremental child re-sums
-	// only its dirty cores. boundFit caches each genome's fitness upper
-	// bound; topK is the zero-alloc elite-floor selection buffer;
-	// simReps/simSlots list the representatives that survived the prune
-	// scan; prunedSlot marks the slots that did not.
-	cb, prevCb []sim.CoreBounds
-	boundFit   []float64
-	topK       []float64
-	simReps    []int
-	simSlots   []int
-	prunedSlot []bool
 }
 
 // Fingerprint-path markers for mode[].
@@ -286,6 +267,7 @@ const (
 	fpFull
 	fpIncremental
 	fpClean
+	fpResolved // settled by the runner's pruning pass (invalid or pruned)
 )
 
 // NewFitnessCache builds a cache for the problem backed by a private
@@ -318,7 +300,6 @@ func (c *FitnessCache) Rebind() {
 	c.stats = CacheStats{}
 	c.tracker = nil
 	c.phases = nil
-	c.bounds, c.bestPtr, c.eliteK = nil, nil, nil
 	c.prevLen = 0
 }
 
@@ -332,19 +313,6 @@ func (c *FitnessCache) Stats() CacheStats { return c.stats }
 // themselves. The tracker must describe the exact batches this cache
 // evaluates.
 func (c *FitnessCache) SetTracker(vt VariationTracker) { c.tracker = vt }
-
-// SetBound arms (or, with nils, disarms) the analytical-pruning fast
-// path: b prices the makespan lower bound, best points at the caller's
-// best-so-far fitness (read at the start of each Evaluate), and eliteK
-// is the optimizer's EliteSelector.EliteCount. All three must be
-// non-nil for pruning to run — the floor alone keeps selection safe,
-// but only the best-so-far gate keeps the convergence curve
-// bit-identical (a cross-run store hit can push the floor above this
-// run's current best, and a bound value between them would transiently
-// become the best). Run wires this automatically for Options.Bound.
-func (c *FitnessCache) SetBound(b *sim.Bounds, best *float64, eliteK func(told int) int) {
-	c.bounds, c.bestPtr, c.eliteK = b, best, eliteK
-}
 
 // ChargedAt reports whether batch index i of the most recent Evaluate
 // call consumed effective budget: true for schedules that reached the
@@ -372,6 +340,16 @@ func (c *FitnessCache) Len() int { return c.store.Len() }
 //     mappings, then scatter fitness to every class member and insert
 //     the new results into the store (one write-lock for the batch).
 func (c *FitnessCache) Evaluate(pool *Pool, batch []encoding.Genome, fit []float64) {
+	c.evaluate(pool, batch, fit, nil)
+}
+
+// evaluate is Evaluate behind the runner's pruning pass. A nil pre
+// means nothing is known about the batch. Otherwise the pass has
+// validated every genome and pre[i] is its slot state: slots it settled
+// (slotInvalid, slotPruned) keep the fitness it wrote and are neither
+// fingerprinted, counted nor stored — a pruned slot's fitness is a
+// bound, never an exact value — and the rest skip re-validation.
+func (c *FitnessCache) evaluate(pool *Pool, batch []encoding.Genome, fit []float64, pre []uint8) {
 	tFP := time.Now() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
 	// Swap in the previous batch's buffers as parents before growing
 	// this batch's side.
@@ -379,26 +357,26 @@ func (c *FitnessCache) Evaluate(pool *Pool, batch []encoding.Genome, fit []float
 	c.fps, c.prevFps = c.prevFps, c.fps
 	c.ok, c.prevOk = c.prevOk, c.ok
 	c.coreH, c.prevCoreH = c.prevCoreH, c.coreH
-	c.cb, c.prevCb = c.prevCb, c.cb
 	c.grow(len(batch))
 	var prov []VariationInfo
 	if c.tracker != nil && c.prevLen > 0 {
 		prov = c.tracker.Variations()
 	}
-	c.fingerprintBatch(pool, batch, prov)
+	c.fingerprintBatch(pool, batch, prov, pre)
 
 	c.reps = c.reps[:0]
 	clear(c.inBatch)
 	c.store.mu.RLock()
 	for i := range batch {
 		c.class[i] = -1
-		if !c.ok[i] { // failed validation in phase 1
+		c.charge[i] = true // constraint violations always consume budget
+		switch c.mode[i] {
+		case fpResolved:
+			continue
+		case fpInvalid:
 			fit[i] = math.Inf(-1)
 			c.stats.Invalid++
-			c.charge[i] = true // constraint violations always consume budget
 			continue
-		}
-		switch c.mode[i] {
 		case fpFull:
 			c.stats.FullFP++
 		case fpIncremental:
@@ -427,7 +405,6 @@ func (c *FitnessCache) Evaluate(pool *Pool, batch []encoding.Genome, fit []float
 		c.reps = append(c.reps, i)
 		c.class[i] = slot
 		c.stats.Misses++
-		c.charge[i] = true
 	}
 	c.store.mu.RUnlock()
 	c.prevLen = len(batch)
@@ -435,23 +412,8 @@ func (c *FitnessCache) Evaluate(pool *Pool, batch []encoding.Genome, fit []float
 		c.phases.FingerprintNs += time.Since(tFP).Nanoseconds() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
 	}
 
-	// Phase 2b (Options.Bound): price every genome's roofline bound
-	// incrementally, then drop representatives whose fitness upper bound
-	// already misses the batch's elite floor. Pruned slots get their
-	// bound as fitness and never reach the simulator or the store.
-	simReps, simSlots := c.reps, []int(nil)
-	var pruned []bool
-	if c.bounds != nil && c.bestPtr != nil && c.eliteK != nil {
-		tBound := time.Now() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
-		c.boundBatch(pool, batch, prov)
-		simReps, simSlots, pruned = c.pruneScan(fit, len(batch))
-		if c.phases != nil {
-			c.phases.BoundNs += time.Since(tBound).Nanoseconds() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
-		}
-	}
-
 	tSim := time.Now() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
-	pool.evaluateMapped(c.maps, simReps, simSlots, c.repFit[:len(c.reps)])
+	pool.evaluateMapped(c.maps, c.reps, c.repFit[:len(c.reps)])
 
 	for i := range batch {
 		if slot := c.class[i]; slot >= 0 {
@@ -461,12 +423,6 @@ func (c *FitnessCache) Evaluate(pool *Pool, batch []encoding.Genome, fit []float
 	if len(c.reps) > 0 {
 		c.store.mu.Lock()
 		for slot, i := range c.reps {
-			// A pruned slot's repFit is a bound, not an exact fitness —
-			// it must never enter the store, where a later run (or a
-			// restored snapshot) would serve it as exact.
-			if pruned != nil && pruned[slot] {
-				continue
-			}
 			c.store.insertLocked(c.fps[i], c.repFit[slot], c.run)
 		}
 		c.store.mu.Unlock()
@@ -476,118 +432,23 @@ func (c *FitnessCache) Evaluate(pool *Pool, batch []encoding.Genome, fit []float
 	}
 }
 
-// boundBatch updates every decodable genome's per-core roofline
-// accumulators across the pool, routed by the fingerprint pass's mode:
-// a clean elite re-ask copies its parent's accumulators, an incremental
-// child copies the clean cores and re-sums only the dirty ones, and
-// everything else re-sums all cores from its decoded mapping. Sums are
-// per-core and order-stable, so a clean/incremental accumulator is
-// bit-identical to a full recompute. Each genome's fitness upper bound
-// lands in boundFit[i].
-func (c *FitnessCache) boundBatch(pool *Pool, batch []encoding.Genome, prov []VariationInfo) {
-	pool.each(len(batch), func(_ *Evaluator, i int) {
-		if !c.ok[i] {
-			return
-		}
-		switch c.mode[i] {
-		case fpClean:
-			copy(c.cb[i], c.prevCb[prov[i].Parent])
-		case fpIncremental:
-			p, dirty := prov[i].Parent, prov[i].Dirty
-			for a := range c.cb[i] {
-				if dirty[a] {
-					c.cb[i][a] = c.bounds.Core(a, c.maps[i].Queues[a])
-				} else {
-					c.cb[i][a] = c.prevCb[p][a]
-				}
-			}
-		default:
-			c.bounds.CoresInto(c.cb[i], &c.maps[i])
-		}
-		c.boundFit[i] = c.p.Fitness(c.bounds.Result(c.cb[i]))
-	})
-}
-
-// pruneScan computes the batch's elite floor from its known-exact
-// fitness values (store hits) and splits the representatives into the
-// ones to simulate and the ones whose bound already misses the floor.
-// It returns the surviving reps, their slot indices, and the per-slot
-// pruned mask (nil when nothing could be pruned, in which case all
-// representatives simulate).
-//
-// The floor is the k-th best among the batch's store hits, k =
-// EliteCount(told): at least k exact values of this very batch are >=
-// the floor, so a candidate whose fitness upper bound is strictly below
-// it can never enter the optimizer's top-k, whatever its true fitness.
-// The threshold is additionally capped at the run's best-so-far fitness
-// so an assigned bound can never (even transiently) become the best —
-// that keeps Best and the convergence curve bit-identical to the
-// unpruned run. Fewer than k hits means no floor and no pruning.
-func (c *FitnessCache) pruneScan(fit []float64, told int) (simReps, simSlots []int, pruned []bool) {
-	k := c.eliteK(told)
-	if k <= 0 {
-		return c.reps, nil, nil
-	}
-	if cap(c.topK) < k {
-		c.topK = make([]float64, 0, k)
-	}
-	top := c.topK[:0]
-	for i := 0; i < told; i++ {
-		if !c.ok[i] || c.class[i] != -1 {
-			continue // invalid, duplicate or representative: not a hit
-		}
-		v := fit[i]
-		if len(top) < k {
-			top = append(top, v)
-		} else if v > top[k-1] {
-			top[k-1] = v
-		} else {
-			continue
-		}
-		for j := len(top) - 1; j > 0 && top[j] > top[j-1]; j-- {
-			top[j], top[j-1] = top[j-1], top[j]
-		}
-	}
-	if len(top) < k {
-		return c.reps, nil, nil
-	}
-	threshold := top[k-1]
-	if best := *c.bestPtr; best < threshold {
-		threshold = best
-	}
-	if cap(c.prunedSlot) < len(c.reps) {
-		c.prunedSlot = make([]bool, len(c.reps))
-		c.simReps = make([]int, 0, len(c.reps))
-		c.simSlots = make([]int, 0, len(c.reps))
-	}
-	pruned = c.prunedSlot[:len(c.reps)]
-	simReps, simSlots = c.simReps[:0], c.simSlots[:0]
-	c.stats.BoundChecked += uint64(len(c.reps))
-	for slot, i := range c.reps {
-		if c.boundFit[i] < threshold {
-			c.repFit[slot] = c.boundFit[i]
-			pruned[slot] = true
-			c.stats.BoundPruned++
-			continue
-		}
-		pruned[slot] = false
-		simReps = append(simReps, i)
-		simSlots = append(simSlots, slot)
-	}
-	c.simReps, c.simSlots = simReps, simSlots
-	return simReps, simSlots, pruned
-}
-
 // fingerprintBatch is phase 1: validate + decode + fingerprint every
 // genome across the pool, routing each through the cheapest sound path.
 // Every output (maps, coreH, fps, ok, mode) is written at its batch
 // index by exactly one worker, so the result is independent of worker
 // scheduling; parents (prev* slots) are only read, possibly by several
-// workers sharing an elite.
-func (c *FitnessCache) fingerprintBatch(pool *Pool, batch []encoding.Genome, prov []VariationInfo) {
+// workers sharing an elite. Slots pre marks as settled get ok false, so
+// no later child treats them as a parent.
+func (c *FitnessCache) fingerprintBatch(pool *Pool, batch []encoding.Genome, prov []VariationInfo, pre []uint8) {
 	nJobs, nAccels := c.p.NumJobs(), c.p.NumAccels()
 	pool.each(len(batch), func(_ *Evaluator, i int) {
-		if err := batch[i].Validate(nJobs, nAccels); err != nil {
+		if pre != nil {
+			if pre[i] >= slotInvalid {
+				c.ok[i] = false
+				c.mode[i] = fpResolved
+				return
+			}
+		} else if err := batch[i].Validate(nJobs, nAccels); err != nil {
 			c.ok[i] = false
 			c.mode[i] = fpInvalid
 			return
@@ -681,24 +542,4 @@ func (c *FitnessCache) grow(n int) {
 	c.class = c.class[:n]
 	c.charge = c.charge[:n]
 	c.repFit = c.repFit[:n]
-	// Bound scratch only grows while pruning is armed (it has its own
-	// cap check: a leased cache can gain the bound path mid-life).
-	if c.bounds != nil {
-		if cap(c.cb) < n {
-			cb := make([]sim.CoreBounds, n)
-			copy(cb, c.cb) // keep already-grown per-core buffers
-			c.cb = cb
-		}
-		c.cb = c.cb[:n]
-		for i := range c.cb {
-			if cap(c.cb[i]) < nAccels {
-				c.cb[i] = make(sim.CoreBounds, nAccels)
-			}
-			c.cb[i] = c.cb[i][:nAccels]
-		}
-		if cap(c.boundFit) < n {
-			c.boundFit = make([]float64, n)
-		}
-		c.boundFit = c.boundFit[:n]
-	}
 }

@@ -137,14 +137,16 @@ func (p *Problem) Evaluate(g encoding.Genome) (float64, error) {
 // are not safe for concurrent use — the parallel runner gives each
 // worker its own.
 type Evaluator struct {
-	p   *Problem
-	sim *sim.Simulator
-	m   sim.Mapping
+	p      *Problem
+	sim    *sim.Simulator
+	m      sim.Mapping
+	cycles []float64 // per-core scratch of sim.Bounds.GenomeResult
 }
 
 // NewEvaluator builds an evaluator bound to the problem.
 func (p *Problem) NewEvaluator() *Evaluator {
-	return &Evaluator{p: p, sim: sim.NewSimulator(sim.Options{Kernel: p.Kernel})}
+	return &Evaluator{p: p, sim: sim.NewSimulator(sim.Options{Kernel: p.Kernel}),
+		cycles: make([]float64, p.NumAccels())}
 }
 
 // Evaluate decodes and simulates one individual, returning its fitness.
@@ -154,6 +156,11 @@ func (e *Evaluator) Evaluate(g encoding.Genome) (float64, error) {
 	if err := g.Validate(e.p.NumJobs(), e.p.NumAccels()); err != nil {
 		return 0, err
 	}
+	return e.evaluateValid(g)
+}
+
+// evaluateValid is Evaluate for a genome already known to be valid.
+func (e *Evaluator) evaluateValid(g encoding.Genome) (float64, error) {
 	if err := fault.Hit(fault.M3ESimulate); err != nil {
 		return 0, err
 	}
@@ -269,12 +276,13 @@ type VariationTracker interface {
 // top-k ranked candidates: any change to values strictly below the
 // k-th best (that keeps them strictly below it) must leave the
 // optimizer's state bit-identical. EliteCount returns that k for a
-// batch of told evaluated genomes. The contract is what makes
-// bound-based pruning (Options.Bound) selection-safe: a candidate
-// whose fitness upper bound is already below the k-th best known-exact
-// value of the batch can be assigned the bound instead of being
-// simulated without perturbing selection. Optimizers that do not
-// implement the interface are never pruned.
+// batch of told evaluated genomes. The contract is what makes the
+// runner's bound-based pruning selection-safe: a candidate whose
+// fitness upper bound is already below the k-th best known-exact value
+// of the batch can be assigned the bound instead of being simulated
+// without perturbing selection. Run prunes only optimizers that
+// implement both this and VariationTracker (the exact values come from
+// clean elite re-asks); everyone else is evaluated in full.
 type EliteSelector interface {
 	EliteCount(told int) int
 }
@@ -288,7 +296,7 @@ type Result struct {
 	Asked       int         // genomes processed (== Samples unless EffectiveBudget)
 	Curve       []float64   // best-so-far fitness after each consumed sample
 	Explored    [][]float64 // sampled vectors (only when RecordSamples)
-	Cache       CacheStats  // hit/miss counters (zero unless Options.Cache)
+	Cache       CacheStats  // hit/miss and pruning counters (see CacheStats)
 	// Phases breaks the run's wall-clock down per generation phase
 	// (ask / fingerprint / simulate / tell), so callers can see where a
 	// generation's time goes — e.g. whether parallel breeding actually
@@ -311,9 +319,9 @@ type Result struct {
 type PhaseTimings struct {
 	AskNs         int64 `json:"ask_ns"`
 	FingerprintNs int64 `json:"fingerprint_ns"`
-	// BoundNs is the analytical-bound pass (Options.Bound only): the
-	// incremental per-core roofline update plus the elite-floor prune
-	// scan that decides which representatives skip the simulator.
+	// BoundNs is the runner's pruning pass (optimizers it prunes only):
+	// validation, the genome roofline bounds and the elite-floor scan
+	// that decides which genomes skip decode and the simulator.
 	BoundNs    int64 `json:"bound_ns"`
 	SimulateNs int64 `json:"simulate_ns"`
 	TellNs     int64 `json:"tell_ns"`
@@ -344,8 +352,7 @@ type Progress struct {
 	Budget int
 	// BestFitness is the best fitness found so far.
 	BestFitness float64
-	// Cache holds the fitness-cache counters so far (zero when the cache
-	// is off).
+	// Cache holds the fitness-cache and pruning counters so far.
 	Cache CacheStats
 }
 
@@ -399,26 +406,6 @@ type Options struct {
 	// goroutine, so it must be fast and must not block; a slow observer
 	// stalls the search itself.
 	Observer func(Progress)
-	// Bound, with the cache on, arms the analytical-pruning fast path:
-	// after the fingerprint pass each new representative's makespan
-	// lower bound (per-core compute roofline + platform bandwidth
-	// roofline, updated incrementally from the operator dirty-core
-	// masks) is converted to a fitness upper bound, and candidates whose
-	// bound already misses the generation's elite floor — the k-th best
-	// known-exact fitness of the batch, k from the optimizer's
-	// EliteSelector — are assigned the bound instead of being simulated.
-	// Results stay bit-identical to the unpruned run at any worker
-	// count: a pruned candidate can never rank above the elite floor,
-	// never beats the run's best-so-far, and its (non-exact) fitness is
-	// never inserted into the cache store. Optimizers that do not
-	// implement EliteSelector run with pruning inert. An error without
-	// Cache/Store, like EffectiveBudget.
-	Bound bool
-	// Bounds optionally supplies prebuilt analytical-bound constants for
-	// this problem's table (a long-lived engine leases them per problem).
-	// Nil with Bound set means they are taken from the pool's memoized
-	// per-table constants.
-	Bounds *sim.Bounds
 	// EffectiveBudget, with the cache on, charges the sampling budget
 	// only for genomes that actually reach the simulator (cache misses)
 	// or fail validation; cache hits and in-batch duplicates are free.
@@ -429,7 +416,9 @@ type Options struct {
 	// there is nothing to distinguish distinct schedules by. Asked vs
 	// Samples in the Result reports the stretch. To bound runs whose
 	// optimizer collapses onto all-cached batches, a run stops once Asked
-	// reaches EffectiveBudgetStretchCap times the budget.
+	// reaches EffectiveBudgetStretchCap times the budget. It also turns
+	// bound pruning off: a pruned genome is never fingerprinted, so the
+	// run could not tell whether it was distinct.
 	EffectiveBudget bool
 }
 
@@ -475,9 +464,22 @@ func (pl *Pool) Breed(n int, f func(i int)) {
 // Evaluate scores batch[i] into fit[i] for every i. Workers pull batch
 // indices from a shared counter, so load balances even when evaluation
 // cost varies across genomes.
-func (pl *Pool) Evaluate(batch []encoding.Genome, fit []float64) {
+func (pl *Pool) Evaluate(batch []encoding.Genome, fit []float64) { pl.evaluate(batch, nil, fit) }
+
+// evaluate is Evaluate behind the pruning pass: with slot states, only
+// the genomes it left open are scored, and without re-validation.
+func (pl *Pool) evaluate(batch []encoding.Genome, state []uint8, fit []float64) {
 	pl.each(len(batch), func(ev *Evaluator, i int) {
-		f, err := ev.Evaluate(batch[i])
+		var f float64
+		var err error
+		switch {
+		case state == nil:
+			f, err = ev.Evaluate(batch[i])
+		case state[i] == slotOpen:
+			f, err = ev.evaluateValid(batch[i])
+		default:
+			return
+		}
 		if err != nil {
 			f = math.Inf(-1)
 		}
@@ -485,32 +487,17 @@ func (pl *Pool) Evaluate(batch []encoding.Genome, fit []float64) {
 	})
 }
 
-// Bounds returns the analytical-bound constants for the pool's problem,
-// memoized on the first worker's simulator next to the other per-table
-// constants. The result is immutable and shared; leased pools carry it
-// warm across runs.
-func (pl *Pool) Bounds() *sim.Bounds {
-	ev := pl.evs[0]
-	return ev.sim.Bounds(ev.p.Table)
-}
-
 // evaluateMapped simulates the representatives reps (indices into maps)
-// across the pool, writing the score of maps[reps[k]] into
-// fit[slots[k]] (fit[k] when slots is nil). The mappings are read-only
-// during the call; each slot is touched by exactly one worker. The
-// slots indirection exists for the bound-pruning path, which simulates
-// only a subset of a batch's representative slots.
-func (pl *Pool) evaluateMapped(maps []sim.Mapping, reps, slots []int, fit []float64) {
+// across the pool, writing the score of maps[reps[k]] into fit[k]. The
+// mappings are read-only during the call; each slot is touched by
+// exactly one worker.
+func (pl *Pool) evaluateMapped(maps []sim.Mapping, reps []int, fit []float64) {
 	pl.each(len(reps), func(ev *Evaluator, k int) {
 		f, err := ev.EvaluateMapping(&maps[reps[k]])
 		if err != nil {
 			f = math.Inf(-1)
 		}
-		if slots != nil {
-			fit[slots[k]] = f
-		} else {
-			fit[k] = f
-		}
+		fit[k] = f
 	})
 }
 
@@ -586,6 +573,14 @@ const DefaultBudget = 10000
 // fingerprint FitnessCache, which preserves the same contract: cached
 // and deduplicated fitness values are the ones the pool would have
 // recomputed, so cache on/off is also bit-identical.
+//
+// For optimizers that implement both EliteSelector and VariationTracker
+// a pruning pass runs ahead of evaluation (see pruner): clean elite
+// re-asks reuse the previous batch's exact fitness, and genomes whose
+// roofline fitness bound already misses the elite floor get the bound
+// instead of being decoded and simulated. That too is bit-identical: a
+// value below both the floor and the best so far can move neither
+// selection nor the convergence curve.
 func Run(p *Problem, opt Optimizer, o Options, seed int64) (Result, error) {
 	if o.Budget <= 0 {
 		o.Budget = DefaultBudget
@@ -619,26 +614,11 @@ func Run(p *Problem, opt Optimizer, o Options, seed int64) (Result, error) {
 	if o.EffectiveBudget && cache == nil {
 		return Result{}, fmt.Errorf("m3e: EffectiveBudget requires the fitness cache (set Cache or Store)")
 	}
-	if o.Bound && cache == nil {
-		return Result{}, fmt.Errorf("m3e: Bound requires the fitness cache (set Cache or Store)")
-	}
 	res := Result{Method: opt.Name(), BestFitness: math.Inf(-1)}
 	res.Curve = make([]float64, 0, o.Budget)
 	if cache != nil {
 		if vt, ok := opt.(VariationTracker); ok {
 			cache.SetTracker(vt)
-		}
-		if o.Bound {
-			// Pruning is armed only for optimizers that certify (via
-			// EliteSelector) that sub-floor fitness values cannot perturb
-			// selection; anyone else runs with the bound path inert.
-			if es, ok := opt.(EliteSelector); ok {
-				b := o.Bounds
-				if b == nil {
-					b = pool.Bounds()
-				}
-				cache.SetBound(b, &res.BestFitness, es.EliteCount)
-			}
 		}
 		cache.phases = &res.Phases
 		// Drop the per-run hooks on every exit path (including error
@@ -647,9 +627,26 @@ func Run(p *Problem, opt Optimizer, o Options, seed int64) (Result, error) {
 		// finished run's optimizer and Result (curve, samples) in memory.
 		defer func() {
 			cache.SetTracker(nil)
-			cache.SetBound(nil, nil, nil)
 			cache.phases = nil
 		}()
+	}
+	var pn *pruner
+	es, isES := opt.(EliteSelector)
+	vt, isVT := opt.(VariationTracker)
+	if isES && isVT && !o.EffectiveBudget {
+		// The bound constants are memoized on the first worker's simulator,
+		// so a leased pool carries them warm across runs.
+		pn = &pruner{p: p, bounds: pool.evs[0].sim.Bounds(p.Table), es: es, vt: vt, cached: cache != nil}
+	}
+	stats := func() CacheStats {
+		var st CacheStats
+		if cache != nil {
+			st = cache.Stats()
+		}
+		if pn != nil {
+			st.Add(pn.stats)
+		}
+		return st
 	}
 	var fit []float64 // reused across batches
 	generation := 0
@@ -694,12 +691,21 @@ func Run(p *Problem, opt Optimizer, o Options, seed int64) (Result, error) {
 		}
 		fit = fit[:len(batch)]
 		if err := guard(opt.Name(), "Evaluate", func() error {
+			var pre []uint8 // slot states from the pruning pass, nil without one
+			if pn != nil {
+				tBound := time.Now() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
+				pre = pn.prune(pool, batch, fit, res.BestFitness)
+				res.Phases.BoundNs += time.Since(tBound).Nanoseconds() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
+			}
 			if cache != nil {
-				cache.Evaluate(pool, batch, fit) // splits fingerprint/simulate into res.Phases itself
+				cache.evaluate(pool, batch, fit, pre) // splits fingerprint/simulate into res.Phases itself
 			} else {
 				tSim := time.Now() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
-				pool.Evaluate(batch, fit)
+				pool.evaluate(batch, pre, fit)
 				res.Phases.SimulateNs += time.Since(tSim).Nanoseconds() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
+			}
+			if pn != nil {
+				pn.commit(fit)
 			}
 			return nil
 		}); err != nil {
@@ -742,16 +748,12 @@ func Run(p *Problem, opt Optimizer, o Options, seed int64) (Result, error) {
 				Asked:       res.Asked,
 				Budget:      o.Budget,
 				BestFitness: res.BestFitness,
-			}
-			if cache != nil {
-				pr.Cache = cache.Stats()
+				Cache:       stats(),
 			}
 			o.Observer(pr)
 		}
 	}
-	if cache != nil {
-		res.Cache = cache.Stats()
-	}
+	res.Cache = stats()
 	return res, nil
 }
 

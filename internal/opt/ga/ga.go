@@ -38,13 +38,17 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Optimizer is the stdGA search state.
+// Optimizer is the stdGA search state. It implements m3e.Optimizer,
+// m3e.EliteSelector and m3e.VariationTracker.
 type Optimizer struct {
 	cfg     Config
 	nJobs   int
 	nAccels int
 	rng     *rng.Stream
 	pop     []encoding.Genome
+	// prov[i] is pop[i]'s provenance relative to the last told batch;
+	// nil before the first Tell.
+	prov []m3e.VariationInfo
 }
 
 // New builds a stdGA optimizer.
@@ -57,6 +61,7 @@ func (o *Optimizer) Name() string { return "stdGA" }
 func (o *Optimizer) Init(p *m3e.Problem, rng *rng.Stream) error {
 	o.nJobs, o.nAccels = p.NumJobs(), p.NumAccels()
 	o.rng = rng
+	o.prov = nil
 	o.pop = make([]encoding.Genome, o.cfg.Population)
 	for i := range o.pop {
 		o.pop[i] = encoding.Random(o.nJobs, o.nAccels, rng)
@@ -93,8 +98,10 @@ func (o *Optimizer) Tell(genomes []encoding.Genome, fitness []float64) {
 		elites[i] = genomes[idx[i]].Clone()
 	}
 	next := make([]encoding.Genome, 0, o.cfg.Population)
-	for _, e := range elites {
+	o.prov = o.prov[:0]
+	for i, e := range elites {
 		next = append(next, e.Clone())
+		o.prov = append(o.prov, m3e.VariationInfo{Parent: idx[i]}) // verbatim re-ask
 	}
 	for len(next) < o.cfg.Population {
 		child := elites[o.rng.Intn(nElite)].Clone()
@@ -104,9 +111,16 @@ func (o *Optimizer) Tell(genomes []encoding.Genome, fitness []float64) {
 		}
 		o.mutate(child)
 		next = append(next, child)
+		o.prov = append(o.prov, m3e.VariationInfo{Parent: -1})
 	}
 	o.pop = next
 }
+
+// Variations implements m3e.VariationTracker: the elites stdGA re-asks
+// verbatim name their rank's index in the told batch and carry a nil
+// Dirty mask; bred children are marked unknown (Parent -1), since the
+// structure-oblivious operators do not track which cores they touch.
+func (o *Optimizer) Variations() []m3e.VariationInfo { return o.prov }
 
 // EliteCount implements m3e.EliteSelector: Tell is purely elitist —
 // fitness only picks the top-nElite parents, so values strictly below
@@ -150,6 +164,7 @@ func (o *Optimizer) mutate(g encoding.Genome) {
 }
 
 var (
-	_ m3e.Optimizer     = (*Optimizer)(nil)
-	_ m3e.EliteSelector = (*Optimizer)(nil)
+	_ m3e.Optimizer        = (*Optimizer)(nil)
+	_ m3e.EliteSelector    = (*Optimizer)(nil)
+	_ m3e.VariationTracker = (*Optimizer)(nil)
 )

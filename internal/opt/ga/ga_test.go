@@ -2,6 +2,8 @@ package ga
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"magma/internal/encoding"
@@ -75,5 +77,61 @@ func TestMutationBounds(t *testing.T) {
 		if err := g.Validate(15, 4); err != nil {
 			t.Fatalf("mutated genome invalid: %v", err)
 		}
+	}
+}
+
+// TestVariationProvenance pins stdGA's m3e.VariationTracker contract,
+// which the runner's pruning pass relies on to reuse exact fitness:
+// no provenance before the first Tell; afterwards the first nElite
+// genomes are the top-ranked told genomes re-asked verbatim (Parent =
+// their index in the told batch, Dirty nil) and every bred child is
+// marked unknown (Parent -1).
+func TestVariationProvenance(t *testing.T) {
+	prob := opttest.Problem(t, models.Mix, 20, platform.S2())
+	o := New(Config{Population: 30})
+	if err := o.Init(prob, rng.New(4)); err != nil {
+		t.Fatal(err)
+	}
+	if o.Variations() != nil {
+		t.Fatal("initial population claims provenance")
+	}
+	r := rand.New(rand.NewSource(8))
+	nElite := o.EliteCount(30)
+	var told []encoding.Genome
+	var fit []float64
+	for gen := 0; gen < 5; gen++ {
+		pop := o.Ask()
+		if gen > 0 {
+			prov := o.Variations()
+			if len(prov) != len(pop) {
+				t.Fatalf("gen %d: %d provenance entries for %d genomes", gen, len(prov), len(pop))
+			}
+			ranked := make([]int, len(told))
+			for i := range ranked {
+				ranked[i] = i
+			}
+			sort.SliceStable(ranked, func(a, b int) bool { return fit[ranked[a]] > fit[ranked[b]] })
+			for i, v := range prov {
+				if i >= nElite {
+					if v.Parent != -1 {
+						t.Fatalf("gen %d slot %d: bred child claims parent %d", gen, i, v.Parent)
+					}
+					continue
+				}
+				if v.Parent != ranked[i] || v.Dirty != nil {
+					t.Fatalf("gen %d slot %d: elite provenance %+v, want parent %d with nil Dirty", gen, i, v, ranked[i])
+				}
+				if !reflect.DeepEqual(pop[i], told[v.Parent]) {
+					t.Fatalf("gen %d slot %d: claimed clean but differs from its parent", gen, i)
+				}
+			}
+		}
+		told = make([]encoding.Genome, len(pop))
+		fit = make([]float64, len(pop))
+		for i, g := range pop {
+			told[i] = g.Clone()
+			fit[i] = r.Float64()
+		}
+		o.Tell(pop, fit)
 	}
 }

@@ -65,11 +65,6 @@ type RequestOptions struct {
 	WarmStart       bool   `json:"warm_start,omitempty"`
 	SharedWarm      bool   `json:"shared_warm,omitempty"`
 	EffectiveBudget bool   `json:"effective_budget,omitempty"` // charge budget only for distinct schedules
-	// Bound skips simulating candidates whose analytical lower bound
-	// proves they cannot reach the elite set (bit-identical results; see
-	// magma.Options.Bound). Unset defers to the server default
-	// (cmd/serve -bound).
-	Bound *bool `json:"bound,omitempty"`
 }
 
 // OptimizeRequest is the POST /optimize and POST /jobs body. Exactly
@@ -117,10 +112,14 @@ type CacheJSON struct {
 	FPIncremental uint64  `json:"fp_incremental"`
 	FPClean       uint64  `json:"fp_clean"`
 	FastFPRate    float64 `json:"fast_fp_rate"`
-	// Analytical-pruning counters (zero unless the request ran with
-	// bound): candidates tested against the elite floor, the subset whose
-	// simulation was replaced by their roofline bound, and the prune rate
-	// over distinct candidates (see m3e.CacheStats).
+	// Analytical-pruning counters: genomes tested against the elite
+	// floor, the subset whose decode and simulation were replaced by
+	// their roofline bound, and the prune rate over misses. A pruned
+	// genome counts as a miss, so misses − bound_pruned is the number
+	// simulated; hits+deduped+misses+invalid is every genome asked. With
+	// cache false the pruning pass keeps the counters alone: hits are
+	// clean elite re-asks answered from the previous batch, misses every
+	// other valid genome (see m3e.CacheStats).
 	BoundChecked   uint64  `json:"bound_checked"`
 	BoundPruned    uint64  `json:"bound_pruned"`
 	BoundPruneRate float64 `json:"bound_prune_rate"`
@@ -223,11 +222,6 @@ type Config struct {
 	// could starve the whole server. Submissions past the cap get HTTP
 	// 429. 0 means max(4, 2×GOMAXPROCS).
 	MaxRunning int
-	// DefaultBound runs searches with analytical pruning unless the
-	// request says otherwise (options.bound overrides per request).
-	// Results are bit-identical either way; only wall-clock and the
-	// cache counters change.
-	DefaultBound bool
 }
 
 // Server is the HTTP facade over one shared Solver.
@@ -421,10 +415,6 @@ func (s *Server) parseRequest(body io.Reader) (*runSpec, error) {
 	if req.Options.Cache != nil {
 		cache = *req.Options.Cache
 	}
-	bound := s.cfg.DefaultBound && cache
-	if req.Options.Bound != nil {
-		bound = *req.Options.Bound
-	}
 	spec := &runSpec{
 		wl: wl,
 		pf: pf,
@@ -438,7 +428,6 @@ func (s *Server) parseRequest(body io.Reader) (*runSpec, error) {
 			WarmStart:       req.Options.WarmStart,
 			SharedWarm:      req.Options.SharedWarm,
 			EffectiveBudget: req.Options.EffectiveBudget,
-			Bound:           bound,
 		},
 		timeout: s.cfg.JobTimeout,
 	}

@@ -218,6 +218,21 @@ func TestServeBadRequests(t *testing.T) {
 	}
 }
 
+// TestServeRejectsRemovedBoundOption: pruning is always on, so the
+// request field that once toggled it is gone from the wire. A client
+// still sending options.bound gets a 400 naming the field instead of a
+// silently ignored knob.
+func TestServeRejectsRemovedBoundOption(t *testing.T) {
+	ts, _ := newTestServer(t)
+	resp, _, raw := post(t, ts.URL, `{"generate":{"task":"Mix","num_jobs":16,"group_size":16,"seed":1},"options":{"bound":true}}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400 (%s)", resp.StatusCode, raw)
+	}
+	if !strings.Contains(raw, `unknown field \"bound\"`) {
+		t.Errorf("error %q does not name the bound field", raw)
+	}
+}
+
 // TestServeMapperPanicReturns500 pins the panic-isolation contract at
 // the HTTP surface: an injected mapper panic fails its own request with
 // a 500, the server keeps serving, and the next identical request

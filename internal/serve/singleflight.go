@@ -58,10 +58,6 @@ func keyFor(spec *runSpec) flightKey {
 	b(spec.opts.Cache)
 	b(spec.opts.WarmStart)
 	b(spec.opts.EffectiveBudget)
-	// Bound never changes schedules, but it changes the response's cache
-	// counters — coalescing across it would hand one caller the other's
-	// prune statistics.
-	b(spec.opts.Bound)
 	u64(uint64(spec.timeout)) // different deadlines → different partials
 	var k flightKey
 	h.Sum(k[:0])

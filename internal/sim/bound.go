@@ -89,10 +89,10 @@ type CoreBound struct {
 	Energy  float64
 }
 
-// CoreBounds is the per-core accumulator vector of one mapping, updated
-// incrementally from operator dirty-core masks exactly like
-// encoding.CoreHashes: copy the parent's value for clean cores, re-sum
-// only the dirty ones.
+// CoreBounds is the per-core accumulator vector of one mapping. Since
+// each core sums independently, a child whose queues changed on a few
+// cores can copy its parent's values for the others and re-sum only
+// the changed ones, bit-identically.
 type CoreBounds []CoreBound
 
 // Core sums the roofline constants of queue q on accelerator a.
@@ -125,6 +125,12 @@ func (b *Bounds) LowerBound(cb CoreBounds) float64 {
 		}
 		bytes += cb[i].Traffic
 	}
+	return b.lowerBound(compute, bytes)
+}
+
+// lowerBound folds the compute roofline (the busiest core's cycles)
+// and the group's DRAM bytes into the slack-adjusted makespan bound.
+func (b *Bounds) lowerBound(compute, bytes float64) float64 {
 	lb := compute
 	if bw := bytes / b.sysBW; bw > lb {
 		lb = bw
@@ -142,22 +148,52 @@ func (b *Bounds) LowerBound(cb CoreBounds) float64 {
 // the leakage term uses the bound cycles. For every objective the
 // framework optimizes — throughput, latency, energy, EDP — the fitness
 // of this Result upper-bounds the fitness of the true simulation, which
-// is what lets the cache layer discard candidates whose bound fitness
+// is what lets the search runner discard candidates whose bound fitness
 // already misses the elite floor.
 func (b *Bounds) Result(cb CoreBounds) Result {
-	var res Result
-	res.TotalCycles = b.LowerBound(cb)
-	res.Seconds = res.TotalCycles / platform.ClockHz
+	var jobEnergy float64
+	for i := range cb {
+		jobEnergy += cb[i].Energy
+	}
+	return b.result(b.LowerBound(cb), jobEnergy)
+}
+
+// GenomeResult is Result priced straight from a genome's accel genes
+// (accel[j] is the core job j runs on), with no decode: both rooflines
+// are per-core sums, so the priority genes cannot move them. Only the
+// compute roofline needs per-core state, kept in cycles (length
+// NumAccels, overwritten); traffic and energy are plain totals. The
+// sums run in job order rather than queue order, so the result agrees
+// with Result over CoresInto up to rounding — far inside the bound's
+// slack — rather than bit for bit. It allocates nothing.
+func (b *Bounds) GenomeResult(cycles []float64, accel []int) Result {
+	clear(cycles)
+	var bytes, jobEnergy float64
+	for j, a := range accel {
+		i := j*b.nAccels + a
+		cycles[a] += b.cycles[i]
+		bytes += b.traffic[i]
+		jobEnergy += b.energy[i]
+	}
+	var compute float64
+	for _, c := range cycles {
+		if c > compute {
+			compute = c
+		}
+	}
+	return b.result(b.lowerBound(compute, bytes), jobEnergy)
+}
+
+// result is the optimistic Result for makespan bound lb and exact job
+// energy jobEnergy.
+func (b *Bounds) result(lb, jobEnergy float64) Result {
+	res := Result{TotalCycles: lb, Seconds: lb / platform.ClockHz}
 	if res.Seconds > 0 {
 		res.ThroughputGFLOPs = b.totalFLOPs / res.Seconds / 1e9
 	} else {
 		// A zero bound carries no information; an infinite throughput
 		// keeps the fitness bound trivially un-prunable.
 		res.ThroughputGFLOPs = math.Inf(1)
-	}
-	var jobEnergy float64
-	for i := range cb {
-		jobEnergy += cb[i].Energy
 	}
 	res.Energy = jobEnergy + b.leakPEs*res.TotalCycles
 	return res

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -26,8 +27,12 @@ func twoCoreHetero() platform.Platform {
 // over randomized schedules spanning 4–128 jobs, 2–16 heterogeneous
 // cores and both allocator policies, the analytical lower bound never
 // exceeds the simulated makespan — and the optimistic Result dominates
-// the simulated one in every objective direction (throughput/latency/
-// energy), which is what makes the derived fitness an upper bound.
+// the simulated one in every objective direction (throughput, latency,
+// energy, energy-delay product), which is what makes the derived
+// fitness an upper bound. Both accumulators are covered: the per-core
+// one over a decoded mapping (CoresInto) and the genome-order one the
+// search runner prices before decoding (GenomeResult), and the two
+// agree to within 1e-12 relative.
 func TestQuickBoundNeverBeatsSimulation(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -47,32 +52,62 @@ func TestQuickBoundNeverBeatsSimulation(t *testing.T) {
 				t.Fatalf("NumAccels = %d, want %d", b.NumAccels(), tc.p.NumAccels())
 			}
 			cb := make(CoreBounds, tc.p.NumAccels())
+			cycles := make([]float64, tc.p.NumAccels())
+			accel := make([]int, tc.nJobs)
 			r := rand.New(rand.NewSource(int64(tc.nJobs)))
 			for trial := 0; trial < 12; trial++ {
 				m := randomMapping(tc.nJobs, tc.p.NumAccels(), r)
+				for a, q := range m.Queues {
+					for _, j := range q {
+						accel[j] = a
+					}
+				}
+				b.CoresInto(cb, &m)
+				opt := b.Result(cb)
+				gen := b.GenomeResult(cycles, accel)
+				for _, f := range []struct {
+					name      string
+					got, want float64
+				}{
+					{"cycles", gen.TotalCycles, opt.TotalCycles},
+					{"energy", gen.Energy, opt.Energy},
+					{"throughput", gen.ThroughputGFLOPs, opt.ThroughputGFLOPs},
+				} {
+					if math.Abs(f.got-f.want) > 1e-12*math.Abs(f.want) {
+						t.Fatalf("trial %d: genome-order %s %g != per-core %g beyond 1e-12 relative",
+							trial, f.name, f.got, f.want)
+					}
+				}
 				for _, pol := range []Policy{Proportional, WaterFill} {
 					res, err := Run(tab, m, Options{Policy: pol})
 					if err != nil {
 						t.Fatal(err)
 					}
-					b.CoresInto(cb, &m)
-					lb := b.LowerBound(cb)
-					if lb > res.TotalCycles {
+					if lb := b.LowerBound(cb); lb > res.TotalCycles {
 						t.Fatalf("trial %d policy %d: bound %g exceeds simulated makespan %g",
 							trial, pol, lb, res.TotalCycles)
 					}
-					opt := b.Result(cb)
-					if opt.Seconds > res.Seconds {
-						t.Fatalf("trial %d policy %d: bound seconds %g > simulated %g",
-							trial, pol, opt.Seconds, res.Seconds)
-					}
-					if opt.ThroughputGFLOPs < res.ThroughputGFLOPs {
-						t.Fatalf("trial %d policy %d: bound throughput %g below simulated %g",
-							trial, pol, opt.ThroughputGFLOPs, res.ThroughputGFLOPs)
-					}
-					if opt.Energy > res.Energy {
-						t.Fatalf("trial %d policy %d: bound energy %g > simulated %g",
-							trial, pol, opt.Energy, res.Energy)
+					for _, bound := range []struct {
+						name string
+						res  Result
+					}{{"per-core", opt}, {"genome", gen}} {
+						o := bound.res
+						if o.Seconds > res.Seconds {
+							t.Fatalf("trial %d policy %d %s: bound seconds %g > simulated %g",
+								trial, pol, bound.name, o.Seconds, res.Seconds)
+						}
+						if o.ThroughputGFLOPs < res.ThroughputGFLOPs {
+							t.Fatalf("trial %d policy %d %s: bound throughput %g below simulated %g",
+								trial, pol, bound.name, o.ThroughputGFLOPs, res.ThroughputGFLOPs)
+						}
+						if o.Energy > res.Energy {
+							t.Fatalf("trial %d policy %d %s: bound energy %g > simulated %g",
+								trial, pol, bound.name, o.Energy, res.Energy)
+						}
+						if o.Energy*o.Seconds > res.Energy*res.Seconds {
+							t.Fatalf("trial %d policy %d %s: bound EDP %g > simulated %g",
+								trial, pol, bound.name, o.Energy*o.Seconds, res.Energy*res.Seconds)
+						}
 					}
 				}
 			}
@@ -80,9 +115,9 @@ func TestQuickBoundNeverBeatsSimulation(t *testing.T) {
 	}
 }
 
-// TestBoundIncrementalMatchesFull pins the property the cache's
-// incremental path relies on: re-summing only the cores whose queues
-// changed (copying the parent's accumulators for clean cores) yields
+// TestBoundIncrementalMatchesFull pins the per-core accumulator's
+// order stability: re-summing only the cores whose queues changed
+// (copying the parent's accumulators for clean cores) yields
 // bit-identical accumulators — and hence a bit-identical bound — to a
 // full recompute, because per-core sums run in queue order either way.
 func TestBoundIncrementalMatchesFull(t *testing.T) {
@@ -140,6 +175,27 @@ func TestBoundUpdateZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("incremental bound update allocates %v times per run, want 0", allocs)
+	}
+}
+
+// TestGenomeBoundZeroAlloc pins the pruning pass's per-genome cost:
+// with the per-core scratch preallocated, pricing a genome's bound
+// allocates nothing.
+func TestGenomeBoundZeroAlloc(t *testing.T) {
+	p := platform.S2().WithBW(8)
+	tab := buildTable(t, models.Mix, 24, p)
+	b := NewBounds(tab)
+	r := rand.New(rand.NewSource(5))
+	accel := make([]int, 24)
+	for j := range accel {
+		accel[j] = r.Intn(p.NumAccels())
+	}
+	cycles := make([]float64, p.NumAccels())
+	allocs := testing.AllocsPerRun(100, func() {
+		_ = b.GenomeResult(cycles, accel)
+	})
+	if allocs != 0 {
+		t.Errorf("genome bound allocates %v times per run, want 0", allocs)
 	}
 }
 

@@ -149,17 +149,6 @@ type Options struct {
 	// Nil means a private single-use Solver — the historical facade
 	// behavior.
 	Solver *Solver
-	// Bound, with Cache on, arms analytical pruning: each distinct
-	// candidate's roofline makespan lower bound (per-core compute +
-	// platform bandwidth) is converted to a fitness upper bound, and
-	// candidates whose bound already misses the generation's elite floor
-	// skip the simulator entirely. The best schedule and convergence
-	// curve are bit-identical to the unpruned run at any worker count —
-	// only wall-clock changes. Applies to mappers that certify
-	// elitist selection (MAGMA, stdGA, CMA); others run unpruned. Off by
-	// default; an error without Cache. Schedule.Cache.BoundPruned /
-	// BoundChecked report the payoff.
-	Bound bool
 	// EffectiveBudget, with Cache on, charges the sampling budget only
 	// for distinct schedules: cache hits and in-batch duplicates are
 	// free, so redundant optimizers explore several times more of the
@@ -210,8 +199,8 @@ type Schedule struct {
 	Curve []float64
 	// Mapper names the algorithm that produced the schedule.
 	Mapper string
-	// Cache holds the fitness-cache counters of the search (zero unless
-	// Options.Cache was set; always zero for the manual heuristics).
+	// Cache holds the fitness-cache and bound-pruning counters of the
+	// search (see CacheStats; always zero for the manual heuristics).
 	Cache CacheStats
 	// Samples is the sampling budget actually consumed; Asked is the
 	// number of genomes processed. They differ only under

@@ -131,8 +131,10 @@ func TestCacheReproducible(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Optimize uncached: %v", err)
 	}
-	if base.Cache != (CacheStats{}) {
-		t.Errorf("uncached schedule reports cache counters: %+v", base.Cache)
+	// Uncached, only the pruning pass counts: no dedup, no fingerprints.
+	if st := base.Cache; st.Deduped != 0 || st.FullFP+st.IncrementalFP+st.CleanFP != 0 ||
+		st.Hits+st.Misses+st.Invalid != uint64(base.Asked) {
+		t.Errorf("uncached schedule reports cache counters: %+v", st)
 	}
 	for _, workers := range []int{1, 4} {
 		s, err := Optimize(g, PlatformS2(), Options{Budget: 150, Seed: 6, Workers: workers, Cache: true})

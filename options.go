@@ -22,7 +22,7 @@ func (o Options) validateFor(mappers []string) error {
 	if o.Budget < 0 {
 		problems = append(problems, fmt.Sprintf("negative Budget %d (0 means the default %d)", o.Budget, DefaultBudget))
 	}
-	problems = append(problems, sharedProblems(o.Objective, o.Workers, o.CacheSize, o.Cache, o.Solver != nil, o.EffectiveBudget, o.Bound)...)
+	problems = append(problems, sharedProblems(o.Objective, o.Workers, o.CacheSize, o.Cache, o.Solver != nil, o.EffectiveBudget)...)
 	return joinProblems("Options", problems)
 }
 
@@ -33,7 +33,7 @@ func (o StreamOptions) Validate() error {
 	if o.BudgetPerGroup < 0 {
 		problems = append(problems, fmt.Sprintf("negative BudgetPerGroup %d (0 means the default split)", o.BudgetPerGroup))
 	}
-	problems = append(problems, sharedProblems(o.Objective, o.Workers, o.CacheSize, o.Cache, o.Solver != nil, o.EffectiveBudget, o.Bound)...)
+	problems = append(problems, sharedProblems(o.Objective, o.Workers, o.CacheSize, o.Cache, o.Solver != nil, o.EffectiveBudget)...)
 	if o.SharedWarm && !o.WarmStart {
 		problems = append(problems, "SharedWarm set without WarmStart: the shared store would never be read or written")
 	}
@@ -54,7 +54,7 @@ func mapperProblems(mappers []string) []string {
 
 // sharedProblems holds the checks Options and StreamOptions have in
 // common, so a new rule lands in both entry points at once.
-func sharedProblems(obj Objective, workers, cacheSize int, cache, hasSolver, effective, bound bool) []string {
+func sharedProblems(obj Objective, workers, cacheSize int, cache, hasSolver, effective bool) []string {
 	var problems []string
 	if obj > EDP {
 		problems = append(problems, fmt.Sprintf("unknown Objective %d (want Throughput, Latency, Energy or EDP)", obj))
@@ -70,9 +70,6 @@ func sharedProblems(obj Objective, workers, cacheSize int, cache, hasSolver, eff
 	}
 	if effective && !cache {
 		problems = append(problems, "EffectiveBudget requires Cache: without the fingerprint cache there is no notion of a distinct schedule")
-	}
-	if bound && !cache {
-		problems = append(problems, "Bound requires Cache: analytical pruning is a fast path inside the fingerprint cache layer")
 	}
 	return problems
 }

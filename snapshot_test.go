@@ -86,28 +86,26 @@ func TestSolverSnapshotWriterRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotExcludesBoundAssignedFitness: candidates the bound path
-// prunes get their analytical lower bound as fitness, never a
-// simulation — so those values must not be persisted as exact. The
-// snapshot carries only simulated entries (Misses − BoundPruned), and a
-// restored Solver answers bound-off requests bit-identically to a cold
-// unpruned run, proving no bound ever comes back as a store hit.
+// TestSnapshotExcludesBoundAssignedFitness: genomes the pruning pass
+// settles get their analytical bound as fitness, never a simulation —
+// so those values must not be persisted as exact. The snapshot carries
+// only simulated entries (Misses − BoundPruned), and a restored Solver
+// answers the same request bit-identically to a cold run, proving no
+// bound ever comes back as a store hit.
 func TestSnapshotExcludesBoundAssignedFitness(t *testing.T) {
 	wl := testWorkload(t, Mix, 16, 16, 35)
 	// Compute-dominated bandwidth: the per-core roofline discriminates
-	// placements, so the bound path actually prunes (see internal/m3e).
+	// placements, so the pass actually prunes (see internal/m3e).
 	pf := PlatformS2().WithBW(1e4)
-	off := Options{Budget: 800, Seed: 7, Workers: 1, Cache: true}
-	on := off
-	on.Bound = true
+	opts := Options{Budget: 800, Seed: 7, Workers: 1, Cache: true}
 
 	a := NewSolver(SolverOptions{})
-	pruned, err := a.Optimize(wl.Groups[0], pf, on)
+	pruned, err := a.Optimize(wl.Groups[0], pf, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pruned.Cache.BoundPruned == 0 {
-		t.Fatal("bound-on run pruned nothing; the test needs a pruning workload")
+		t.Fatal("the run pruned nothing; the test needs a pruning workload")
 	}
 
 	var buf bytes.Buffer
@@ -124,24 +122,25 @@ func TestSnapshotExcludesBoundAssignedFitness(t *testing.T) {
 			st.EntriesRestored, want, pruned.Cache.Misses, pruned.Cache.BoundPruned)
 	}
 
-	cold, err := NewSolver(SolverOptions{}).Optimize(wl.Groups[0], pf, off)
+	cold, err := NewSolver(SolverOptions{}).Optimize(wl.Groups[0], pf, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := b.Optimize(wl.Groups[0], pf, off)
+	restored, err := b.Optimize(wl.Groups[0], pf, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sameSchedules(restored, cold) {
-		t.Error("bound-off run on the restored Solver diverged from a cold unpruned run")
+		t.Error("the run on the restored Solver diverged from a cold run")
+	}
+	if sims := restored.Cache.Misses - restored.Cache.BoundPruned; sims != 0 {
+		t.Errorf("the restored Solver re-simulated %d schedules; every simulated one was snapshotted", sims)
 	}
 	if restored.Cache.CrossHits == 0 {
 		t.Error("restored Solver answered with zero cross-request hits")
 	}
-	// And the pruned run itself found the same schedule: pruning is a
-	// fast path, not a different search.
 	if !sameSchedules(pruned, cold) {
-		t.Error("bound-on run diverged from the unpruned run")
+		t.Error("the snapshotted run diverged from a cold run")
 	}
 }
 

@@ -148,7 +148,6 @@ func (s *Solver) optimizeHandle(ctx context.Context, h *engine.ProblemHandle, g 
 		Cache:           opts.Cache,
 		CacheSize:       opts.CacheSize,
 		EffectiveBudget: opts.EffectiveBudget,
-		Bound:           opts.Bound,
 		Observer:        opts.Progress,
 	}, opts.Seed)
 	if err != nil {
@@ -320,7 +319,6 @@ func (s *Solver) OptimizeStreamCtx(ctx context.Context, wl Workload, p Platform,
 			Cache:           opts.Cache,
 			CacheSize:       opts.CacheSize,
 			EffectiveBudget: opts.EffectiveBudget,
-			Bound:           opts.Bound,
 		}
 		if opts.Progress != nil {
 			gi := gi

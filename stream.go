@@ -43,10 +43,6 @@ type StreamOptions struct {
 	// EffectiveBudget charges each group's budget only for distinct
 	// schedules (see Options.EffectiveBudget; requires Cache).
 	EffectiveBudget bool
-	// Bound skips simulating candidates whose analytical lower bound
-	// proves they cannot reach a group search's elite set (see
-	// Options.Bound; requires Cache). Results stay bit-identical.
-	Bound bool
 	// Progress, when non-nil, is called after every generation of every
 	// group search with the group index and the live snapshot. Same
 	// contract as Options.Progress: synchronous, keep it fast.
