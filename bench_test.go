@@ -256,7 +256,6 @@ func BenchmarkMAGMAGenerationCached(b *testing.B) {
 			pool := m3e.NewPool(prob, workers)
 			opt.SetBreeder(pool)
 			cache := m3e.NewFitnessCache(prob, 0)
-			cache.SetTracker(opt) // provenance-driven incremental fingerprints
 			fit := make([]float64, 100)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -280,44 +279,6 @@ func BenchmarkFingerprint(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.FingerprintInto(8, &m)
-	}
-}
-
-// BenchmarkFingerprintUpdate measures the incremental fingerprint path
-// against a full decode: "clean" is an untouched elite re-ask (queue +
-// hash copy, no decode), "1-core" a small mutation dirtying two cores.
-func BenchmarkFingerprintUpdate(b *testing.B) {
-	parent := encoding.Random(100, 8, newRand(3))
-	var parentMap sim.Mapping
-	parentCH := make(encoding.CoreHashes, 8)
-	parent.FingerprintCoresInto(8, &parentMap, parentCH)
-	cases := []struct {
-		name  string
-		child encoding.Genome
-		dirty []bool
-	}{
-		{"clean", parent.Clone(), make([]bool, 8)},
-	}
-	mutated := parent.Clone()
-	mutDirty := make([]bool, 8)
-	mutated.Prio[7] = mutated.Prio[7] / 2 // priority-only: dirties exactly one core
-	mutDirty[mutated.Accel[7]] = true
-	cases = append(cases, struct {
-		name  string
-		child encoding.Genome
-		dirty []bool
-	}{"1-core", mutated, mutDirty})
-	for _, tc := range cases {
-		b.Run(tc.name, func(b *testing.B) {
-			var scratch sim.Mapping
-			ch := make(encoding.CoreHashes, 8)
-			encoding.FingerprintUpdate(tc.child, 8, tc.dirty, &parentMap, parentCH, &scratch, ch) // warm up
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				encoding.FingerprintUpdate(tc.child, 8, tc.dirty, &parentMap, parentCH, &scratch, ch)
-			}
-		})
 	}
 }
 

@@ -124,8 +124,9 @@ type Report struct {
 	// cmd/serve configuration, bound pruning on as shipped) into its
 	// ask / fingerprint / bound / simulate / tell phases at workers=1 and at
 	// the -workers flag — the evidence that parallel breeding shrinks
-	// the tell phase and incremental fingerprints shrink the fingerprint
-	// phase. The multi-core CI job fails if this section goes missing.
+	// the tell phase and that the runner settles elite re-asks before
+	// the fingerprint phase. The multi-core CI job fails if this section
+	// goes missing.
 	PhaseBreakdown PhaseBreakdown `json:"phase_breakdown"`
 	// BoundPruneRate is the fraction of missed candidates the runner's
 	// analytical lower bound proved unable to reach the elite set and so
@@ -223,13 +224,13 @@ type PhaseRow struct {
 	TellNsPerGen        float64 `json:"tell_ns_per_gen"`
 	// TellShare is the tell phase's fraction of the generation.
 	TellShare float64 `json:"tell_share"`
-	// FastFPRate is the fraction of fingerprints resolved without a
-	// full decode (clean elite copies + incremental dirty-core rebuilds).
-	FastFPRate float64 `json:"fast_fp_rate"`
-	// FPFull / FPIncremental / FPClean are the fingerprint-path counters.
-	FPFull        uint64 `json:"fp_full"`
-	FPIncremental uint64 `json:"fp_incremental"`
-	FPClean       uint64 `json:"fp_clean"`
+	// FPFull counts the genomes the cache fingerprinted (full decode
+	// and hash, its only route).
+	FPFull uint64 `json:"fp_full"`
+	// Reasks counts the verbatim elite re-asks the runner settled from
+	// the previous batch's fitness, never fingerprinted:
+	// Asked − FPFull − BoundPruned − Invalid.
+	Reasks uint64 `json:"reasks"`
 }
 
 // EffectiveBudgetReport compares one cached search with and without
@@ -391,7 +392,6 @@ func main() {
 			pool := m3e.NewPool(prob, workers)
 			opt.SetBreeder(pool)
 			cache := m3e.NewFitnessCache(prob, 0)
-			cache.SetTracker(opt)
 			fit := make([]float64, groupSize)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -409,37 +409,13 @@ func main() {
 		rep.CachedSpeedup = serial / serialCached
 	}
 
-	// Fingerprint paths: the full decode+hash versus the incremental
-	// rebuild (one dirty core) versus the clean elite copy.
-	fpParent := encoding.Random(groupSize, prob.NumAccels(), newRand(4))
-	var fpParentMap sim.Mapping
+	// The cache's one fingerprint route: a full decode and hash.
+	fpGenome := encoding.Random(groupSize, prob.NumAccels(), newRand(4))
 	nAccels := prob.NumAccels()
-	fpParentCH := make(encoding.CoreHashes, nAccels)
-	fpParent.FingerprintCoresInto(nAccels, &fpParentMap, fpParentCH)
 	rep.Measurements = append(rep.Measurements, measure("FingerprintInto", func(b *testing.B) {
 		var m sim.Mapping
-		ch := make(encoding.CoreHashes, nAccels)
 		for i := 0; i < b.N; i++ {
-			fpParent.FingerprintCoresInto(nAccels, &m, ch)
-		}
-	}))
-	fpChild := fpParent.Clone()
-	fpDirty := make([]bool, nAccels)
-	fpChild.Prio[0] = fpChild.Prio[0] / 2 // priority-only: dirties exactly one core
-	fpDirty[fpChild.Accel[0]] = true
-	rep.Measurements = append(rep.Measurements, measure("FingerprintUpdate/1-core", func(b *testing.B) {
-		var m sim.Mapping
-		ch := make(encoding.CoreHashes, nAccels)
-		for i := 0; i < b.N; i++ {
-			encoding.FingerprintUpdate(fpChild, nAccels, fpDirty, &fpParentMap, fpParentCH, &m, ch)
-		}
-	}))
-	fpClean := make([]bool, nAccels)
-	rep.Measurements = append(rep.Measurements, measure("FingerprintUpdate/clean", func(b *testing.B) {
-		var m sim.Mapping
-		ch := make(encoding.CoreHashes, nAccels)
-		for i := 0; i < b.N; i++ {
-			encoding.FingerprintUpdate(fpParent, nAccels, fpClean, &fpParentMap, fpParentCH, &m, ch)
+			fpGenome.FingerprintInto(nAccels, &m)
 		}
 	}))
 
@@ -472,10 +448,8 @@ func main() {
 			BoundNsPerGen:       float64(ph.BoundNs) / gens,
 			SimulateNsPerGen:    float64(ph.SimulateNs) / gens,
 			TellNsPerGen:        float64(ph.TellNs) / gens,
-			FastFPRate:          res.Cache.FastFPRate(),
 			FPFull:              res.Cache.FullFP,
-			FPIncremental:       res.Cache.IncrementalFP,
-			FPClean:             res.Cache.CleanFP,
+			Reasks:              uint64(res.Asked) - res.Cache.FullFP - res.Cache.BoundPruned - res.Cache.Invalid,
 		}
 		if total > 0 {
 			row.TellShare = float64(ph.TellNs) / total
@@ -720,8 +694,8 @@ func main() {
 		fmt.Printf("cache hit rate %-8s %5.1f%%\n", name+":", 100*rep.CacheHitRateByMapper[name])
 	}
 	for _, row := range rep.PhaseBreakdown.Rows {
-		fmt.Printf("phases workers=%-2d (per gen): ask %8.0f ns | fingerprint %8.0f ns (fast %4.1f%%) | bound %8.0f ns | simulate %8.0f ns | tell %8.0f ns (%.1f%% of gen)\n",
-			row.Workers, row.AskNsPerGen, row.FingerprintNsPerGen, 100*row.FastFPRate,
+		fmt.Printf("phases workers=%-2d (per gen): ask %8.0f ns | fingerprint %8.0f ns (%d re-asks settled) | bound %8.0f ns | simulate %8.0f ns | tell %8.0f ns (%.1f%% of gen)\n",
+			row.Workers, row.AskNsPerGen, row.FingerprintNsPerGen, row.Reasks,
 			row.BoundNsPerGen, row.SimulateNsPerGen, row.TellNsPerGen, 100*row.TellShare)
 	}
 	fmt.Printf("tell-phase speedup vs serial: %.2fx\n", rep.PhaseBreakdown.TellSpeedup)

@@ -10,14 +10,12 @@ import "magma/internal/sim"
 // nothing and is directly usable as a map key, so it is the identity
 // the evaluation engine's fitness cache runs on.
 //
-// Layout (v2, incremental-friendly): each core's queue is hashed
-// independently into a per-core lane pair (hashQueue), and the per-core
-// hashes are chain-combined in core order (CombineCoreHashes). The
-// schedule fingerprint is therefore a function of the per-core hashes
-// alone — so when an operator dirties only some cores, the fingerprint
-// can be rebuilt from the parent's cached per-core hashes plus a
-// re-hash of just the dirty cores (FingerprintUpdate), skipping the
-// full decode.
+// Layout (v2): each core's queue is hashed independently into a
+// per-core lane pair (hashQueue), and the per-core hashes are
+// chain-combined in core order (CombineCoreHashes). The schedule
+// fingerprint is therefore a function of the per-core hashes alone:
+// FingerprintInto folds them on the fly, FingerprintCoresInto also
+// records them, and both return the same value.
 //
 // Fingerprints are identities only comparable within one problem (same
 // group and platform): the hash covers the queue contents, not the
@@ -47,9 +45,8 @@ const (
 )
 
 // CoreHashes holds one schedule's per-core lane hashes (index =
-// sub-accelerator ID, length = nAccels). Together with the decoded
-// mapping it is the cached state FingerprintUpdate rebuilds incremental
-// fingerprints against.
+// sub-accelerator ID, length = nAccels), as FingerprintCoresInto
+// records them.
 type CoreHashes []Fingerprint
 
 // hashQueue hashes one core's ordered queue into its lane pair. The
@@ -104,8 +101,8 @@ func (g Genome) FingerprintInto(nAccels int, scratch *sim.Mapping) Fingerprint {
 }
 
 // FingerprintCoresInto is FingerprintInto recording each core's lane
-// hash into ch (which must have length nAccels): the full-decode form
-// that seeds the incremental path. Steady-state allocation-free.
+// hash into ch (which must have length nAccels); it returns the same
+// fingerprint. Steady-state allocation-free.
 func (g Genome) FingerprintCoresInto(nAccels int, scratch *sim.Mapping, ch CoreHashes) Fingerprint {
 	DecodeInto(g, nAccels, scratch)
 	for a, q := range scratch.Queues {
@@ -117,41 +114,4 @@ func (g Genome) FingerprintCoresInto(nAccels int, scratch *sim.Mapping, ch CoreH
 // Fingerprint is the allocating convenience form of FingerprintInto.
 func (g Genome) Fingerprint(nAccels int) Fingerprint {
 	return FingerprintMapping(Decode(g, nAccels))
-}
-
-// FingerprintUpdate fingerprints child against an already-fingerprinted
-// parent when the caller knows which cores the variation operators
-// dirtied: clean cores' queues and lane hashes are copied verbatim from
-// the parent, and only dirty cores are re-bucketed, re-sorted and
-// re-hashed. The resulting scratch mapping and ch (length nAccels) are
-// exactly what FingerprintCoresInto would have produced from a full
-// decode — provided dirty[] marks every core whose final queue
-// (membership or order) may differ from parent's, the contract the
-// MAGMA operators maintain and the quick-check property test pins.
-//
-// parent must be the decoded mapping of the genome child was derived
-// from, with parentCH its per-core hashes; parent and scratch must not
-// alias. Steady-state allocation-free.
-func FingerprintUpdate(child Genome, nAccels int, dirty []bool, parent *sim.Mapping, parentCH CoreHashes, scratch *sim.Mapping, ch CoreHashes) Fingerprint {
-	sizeQueues(scratch, nAccels)
-	for a := 0; a < nAccels; a++ {
-		if dirty[a] {
-			scratch.Queues[a] = scratch.Queues[a][:0]
-		} else {
-			scratch.Queues[a] = append(scratch.Queues[a][:0], parent.Queues[a]...)
-			ch[a] = parentCH[a]
-		}
-	}
-	for j, a := range child.Accel {
-		if dirty[a] {
-			scratch.Queues[a] = append(scratch.Queues[a], j)
-		}
-	}
-	for a := 0; a < nAccels; a++ {
-		if dirty[a] {
-			sortQueue(scratch.Queues[a], child.Prio)
-			ch[a] = hashQueue(scratch.Queues[a])
-		}
-	}
-	return CombineCoreHashes(ch)
 }

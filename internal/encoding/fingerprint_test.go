@@ -101,6 +101,47 @@ func TestFingerprintIntoMatchesAllocatingForm(t *testing.T) {
 	}
 }
 
+// Property: FingerprintInto folds exactly the per-core lane hashes
+// FingerprintCoresInto records, so the two forms agree on every genome
+// (and CombineCoreHashes of the recorded hashes reproduces both).
+func TestQuickFingerprintIntoMatchesCores(t *testing.T) {
+	var scratch, coresScratch sim.Mapping
+	f := func(seed int64, nJobsRaw, nAccelsRaw uint8) bool {
+		nJobs := 1 + int(nJobsRaw)%120
+		nAccels := 1 + int(nAccelsRaw)%16
+		g := Random(nJobs, nAccels, rand.New(rand.NewSource(seed)))
+		ch := make(CoreHashes, nAccels)
+		got := g.FingerprintInto(nAccels, &scratch)
+		want := g.FingerprintCoresInto(nAccels, &coresScratch, ch)
+		return got == want && CombineCoreHashes(ch) == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestFingerprintStable pins one golden schedule fingerprint. Solver
+// snapshots persist these hashes under FingerprintLayout, so the value
+// must not move without a deliberate layout bump (update the golden and
+// FingerprintLayout together). The genome occupies all four cores and
+// includes a priority tie (jobs 2 and 7 on core 1).
+func TestFingerprintStable(t *testing.T) {
+	g := Genome{
+		Accel: []int{0, 2, 1, 0, 2, 2, 3, 1},
+		Prio:  []float64{0.5, 0.25, 0.75, 0.125, 0.875, 0.625, 0.375, 0.75},
+	}
+	var scratch sim.Mapping
+	got := g.FingerprintInto(4, &scratch)
+	want := Fingerprint{A: 0xb052428cc7a81423, B: 0x8e7e9cb8c941e78b}
+	if got != want {
+		t.Fatalf("golden fingerprint moved: got %#x/%#x, want %#x/%#x — only acceptable with a FingerprintLayout bump",
+			got.A, got.B, want.A, want.B)
+	}
+	if FingerprintLayout != 2 {
+		t.Fatalf("FingerprintLayout = %d: re-derive the golden fingerprint for the new layout", FingerprintLayout)
+	}
+}
+
 // The fingerprint pass runs once per sampled genome; it must not
 // allocate once the decode scratch is warm.
 func TestFingerprintIntoZeroAlloc(t *testing.T) {

@@ -79,8 +79,8 @@ type Stats struct {
 	PoolsReused uint64
 	// CachesBuilt / CachesReused count fitness-cache scratch
 	// constructions versus free-list checkouts. A reused cache keeps its
-	// grown batch scratch — decoded mappings and per-core lane hashes —
-	// warm across runs (it is Rebound to a fresh run id each checkout).
+	// grown batch scratch (the decoded mappings) warm across runs (it is
+	// Rebound to a fresh run id each checkout).
 	CachesBuilt  uint64
 	CachesReused uint64
 	// Cache aggregates the per-run fitness-cache counters of every
@@ -355,8 +355,8 @@ func (h *ProblemHandle) putPool(p *m3e.Pool) {
 
 // getCache checks fitness-cache scratch out of the free-list, or builds
 // a cache bound to the problem's shared store. Either way the cache is
-// Rebound: fresh run id and counters, warm decoded-mapping and
-// per-core-hash buffers when reused.
+// Rebound: fresh run id and counters, warm decoded-mapping buffers
+// when reused.
 func (h *ProblemHandle) getCache() *m3e.FitnessCache {
 	st := h.st
 	st.mu.Lock()
@@ -407,8 +407,8 @@ func (h *ProblemHandle) RunCtx(ctx context.Context, opt m3e.Optimizer, o m3e.Opt
 	o.Context = ctx
 	if o.Cache {
 		// Lease rebindable cache scratch on top of the shared store: the
-		// run gets warm decoded-mapping and per-core-hash buffers, the
-		// store keeps flowing fitness entries across runs as before.
+		// run gets warm decoded-mapping buffers, and the store keeps
+		// flowing fitness entries across runs as before.
 		fc := h.getCache()
 		defer h.putCache(fc)
 		o.Scratch = fc

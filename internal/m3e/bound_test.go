@@ -37,6 +37,47 @@ func checkCounters(t *testing.T, label string, st m3e.CacheStats, asked int) {
 	}
 }
 
+// checkSettled asserts the one-route fingerprint contract on a cached
+// run: the retired incremental and clean-copy counters stay 0, and no
+// genome the pruning pass settled is fingerprinted, so every asked
+// genome is exactly one of fingerprinted, pruned, invalid or a settled
+// re-ask: FullFP+BoundPruned+Invalid+reasks == asked.
+func checkSettled(t *testing.T, label string, st m3e.CacheStats, asked, reasks int) {
+	t.Helper()
+	if st.IncrementalFP != 0 || st.CleanFP != 0 {
+		t.Errorf("%s: retired fingerprint routes fired: IncrementalFP %d, CleanFP %d", label, st.IncrementalFP, st.CleanFP)
+	}
+	if got := st.FullFP + st.BoundPruned + st.Invalid + uint64(reasks); got != uint64(asked) {
+		t.Errorf("%s: FullFP %d + BoundPruned %d + Invalid %d + re-asks %d = %d, want %d asked",
+			label, st.FullFP, st.BoundPruned, st.Invalid, reasks, got, asked)
+	}
+}
+
+// prunable is an optimizer the runner prunes.
+type prunable interface {
+	m3e.Optimizer
+	m3e.EliteSelector
+	m3e.ReaskTracker
+}
+
+// reaskCounter forwards a prunable optimizer and counts the verbatim
+// re-asks it names within each told (possibly budget-truncated) batch.
+// Elitist optimizers only re-ask exact-scored elites, so this is the
+// number of genomes the runner settles from the previous batch.
+type reaskCounter struct {
+	prunable
+	reasks int
+}
+
+func (c *reaskCounter) Tell(g []encoding.Genome, fit []float64) {
+	for i, p := range c.Reasks() {
+		if i < len(g) && p >= 0 {
+			c.reasks++
+		}
+	}
+	c.prunable.Tell(g, fit)
+}
+
 // TestRunBoundDeterminism is the analytical-pruning contract: for every
 // elitist mapper, at every worker count, with the cache off and on,
 // Run returns bit-identical Results — best genome, best fitness,
@@ -106,7 +147,7 @@ func TestRunBoundDeterminism(t *testing.T) {
 					st := got.Cache
 					prunedTotal += st.BoundPruned
 					if m.name == "CMA" && !cache {
-						// Not a VariationTracker: no pass runs, so no layer counts.
+						// Not a ReaskTracker: no pass runs, so no layer counts.
 						if st != (m3e.CacheStats{}) {
 							t.Errorf("%s: CMA is never pruned, yet reports counters %+v", label, st)
 						}
@@ -152,7 +193,7 @@ func TestRunBoundDeterminism(t *testing.T) {
 	}
 }
 
-// scripted replays fixed batches with explicit provenance: batch 0 has
+// scripted replays fixed batches with explicit re-asks: batch 0 has
 // none, and every later batch claims its first `clean` genomes are
 // verbatim re-asks of the previous batch's genomes at the same index.
 type scripted struct {
@@ -174,15 +215,15 @@ func (s *scripted) Ask() []encoding.Genome {
 	return b
 }
 
-func (s *scripted) Variations() []m3e.VariationInfo {
+func (s *scripted) Reasks() []int {
 	if s.gen <= 1 {
 		return nil
 	}
-	prov := make([]m3e.VariationInfo, s.clean)
-	for i := range prov {
-		prov[i].Parent = i
+	reasks := make([]int, s.clean)
+	for i := range reasks {
+		reasks[i] = i
 	}
-	return prov
+	return reasks
 }
 
 // TestFitnessCacheBoundPrunedExcludedFromStore pins the store-side
@@ -252,9 +293,8 @@ func TestFitnessCacheBoundPrunedExcludedFromStore(t *testing.T) {
 	if rate := st.BoundPruneRate(); rate <= 0 || rate > 1 {
 		t.Errorf("BoundPruneRate = %v, want in (0, 1]", rate)
 	}
-	if st.CleanFP != uint64(len(good)) {
-		t.Errorf("CleanFP = %d, want %d: clean re-asks must still take the cache's copy path", st.CleanFP, len(good))
-	}
+	// The re-asks are settled by the runner, never fingerprinted.
+	checkSettled(t, "result", st, res.Asked, len(good))
 
 	// A pruned schedule evaluated on the same store without pruning must
 	// miss and come back exact — the store never serves a bound.

@@ -15,9 +15,14 @@ import (
 // problem) stay at a few MB instead of growing without limit.
 const DefaultCacheSize = 1 << 16
 
-// CacheStats counts how the fitness cache resolved evaluations.
+// CacheStats counts how the fitness cache and the runner's pruning pass
+// resolved evaluations.
 type CacheStats struct {
-	// Hits are evaluations answered by the cross-generation cache.
+	// Hits are evaluations answered with an already-known exact fitness
+	// instead of a simulation: store hits, plus the verbatim re-asks the
+	// runner's pruning pass settled from the previous batch (optimizers
+	// implementing ReaskTracker, cache on or off). Re-asks never reach
+	// the store, so they are never CrossHits.
 	Hits uint64
 	// CrossHits is the subset of Hits answered by an entry inserted by a
 	// *different* run sharing the same CacheStore — the cross-group /
@@ -32,12 +37,10 @@ type CacheStats struct {
 	// Invalid are genomes that failed validation (scored -Inf without
 	// being decoded or dispatched).
 	Invalid uint64
-	// FullFP / IncrementalFP / CleanFP break the fingerprint pass down
-	// by how each decodable genome's schedule fingerprint was computed:
-	// a full decode+hash, an incremental dirty-core rebuild against its
-	// parent's cached per-core hashes, or a verbatim copy of the
-	// parent's fingerprint (a clean elite re-ask). Incremental and clean
-	// require an optimizer implementing VariationTracker.
+	// FullFP counts the genomes the cache fingerprinted: a full decode
+	// and hash (Genome.FingerprintInto), its only fingerprint route.
+	// IncrementalFP and CleanFP counted two retired fast routes and
+	// always read 0; they stay for wire and benchmark compatibility.
 	FullFP        uint64
 	IncrementalFP uint64
 	CleanFP       uint64
@@ -49,11 +52,12 @@ type CacheStats struct {
 	// the roofline arithmetic instead of Algorithm 1.
 	//
 	// With the cache off, the pruning pass keeps the counters alone:
-	// Hits are clean elite re-asks answered with the previous batch's
-	// exact fitness, Misses every other valid genome (pruned or
-	// simulated), Invalid the genomes that failed validation, and
-	// Deduped and the fingerprint counters stay zero. Either way
-	// Hits+Deduped+Misses+Invalid equals Result.Asked.
+	// Hits are the re-asks it settled, Misses every other valid genome
+	// (pruned or simulated), Invalid the genomes that failed validation,
+	// and Deduped and the fingerprint counters stay zero. Either way
+	// Hits+Deduped+Misses+Invalid equals Result.Asked, and with the
+	// cache on no settled genome is fingerprinted:
+	// FullFP+BoundPruned+Invalid+(settled re-asks) equals Result.Asked.
 	BoundChecked uint64
 	BoundPruned  uint64
 }
@@ -81,6 +85,8 @@ func (s CacheStats) CrossHitRate() float64 {
 
 // FastFPRate is the fraction of fingerprints that skipped the full
 // decode+hash: (IncrementalFP+CleanFP) / (FullFP+IncrementalFP+CleanFP).
+// Always 0 now that the cache has one fingerprint route; kept for wire
+// and benchmark compatibility.
 func (s CacheStats) FastFPRate() float64 {
 	total := s.FullFP + s.IncrementalFP + s.CleanFP
 	if total == 0 {
@@ -214,12 +220,11 @@ func (s *CacheStore) insertLocked(fp encoding.Fingerprint, v float64, run uint64
 // float64 equals a recomputed one, and fitness is still written at its
 // batch index.
 //
-// When the optimizer implements VariationTracker, the fingerprint pass
-// itself goes incremental: the cache double-buffers the previous
-// batch's decoded mappings and per-core lane hashes, so an elite
-// re-ask copies its parent's fingerprint outright and a lightly-mutated
-// child re-hashes only the cores its operators dirtied
-// (encoding.FingerprintUpdate) instead of paying a full decode.
+// Behind the runner's pruning pass (optimizers implementing both
+// EliteSelector and ReaskTracker) the cache sees only the slots the pass
+// left open: verbatim re-asks already carry their parent's exact
+// fitness and pruned genomes their bound. Every slot it does see is
+// fingerprinted the one way, by a full decode and hash.
 //
 // A FitnessCache belongs to one run at a time (its batch scratch is
 // reused across Evaluate calls); like an Evaluator it must not be
@@ -236,24 +241,16 @@ type FitnessCache struct {
 	store *CacheStore
 	run   uint64 // this run's id within the store
 
-	stats   CacheStats
-	tracker VariationTracker // optional; set by Run per run
-	phases  *PhaseTimings    // optional; set by Run per run
+	stats  CacheStats
+	phases *PhaseTimings // optional; set by Run per run
 
 	// Per-batch scratch, grown once and reused. maps[i] holds the
 	// decoded schedule of batch[i] — the fingerprint pass is the only
 	// decode per genome; representatives are simulated straight from it.
-	// The prev* buffers double-buffer the last evaluated batch so the
-	// incremental fingerprint path can source clean queues and per-core
-	// hashes from each genome's parent; prevLen is the length of that
-	// batch (0 = no usable previous generation).
-	maps, prevMaps   []sim.Mapping
-	fps, prevFps     []encoding.Fingerprint
-	ok, prevOk       []bool
-	coreH, prevCoreH []encoding.CoreHashes
-	prevLen          int
+	maps []sim.Mapping
+	fps  []encoding.Fingerprint
 
-	mode    []uint8 // batch index -> fingerprint path (fp* constants)
+	mode    []uint8 // batch index -> fingerprint outcome (fp* constants)
 	class   []int   // batch index -> representative slot, or -1 if resolved
 	charge  []bool  // batch index -> consumes effective budget (miss/invalid)
 	reps    []int   // representative slot -> batch index
@@ -261,13 +258,11 @@ type FitnessCache struct {
 	inBatch map[encoding.Fingerprint]int // fingerprint -> representative slot
 }
 
-// Fingerprint-path markers for mode[].
+// Fingerprint outcomes for mode[].
 const (
 	fpInvalid = iota
 	fpFull
-	fpIncremental
-	fpClean
-	fpResolved // settled by the runner's pruning pass (invalid or pruned)
+	fpSettled // settled by the runner's pruning pass (re-ask, invalid or pruned)
 )
 
 // NewFitnessCache builds a cache for the problem backed by a private
@@ -290,29 +285,18 @@ func NewFitnessCacheWith(p *Problem, store *CacheStore) *FitnessCache {
 }
 
 // Rebind prepares a cache for a fresh run on the same problem and
-// store: it allocates a new run id and clears the counters, provenance
-// buffers and per-run hooks, while keeping every grown scratch buffer
-// (decoded mappings, per-core hashes). A long-lived engine Rebinds
-// free-listed caches instead of rebuilding them, so the scratch stays
-// warm across requests.
+// store: it allocates a new run id and clears the counters and per-run
+// hook, while keeping every grown scratch buffer (decoded mappings). A
+// long-lived engine Rebinds free-listed caches instead of rebuilding
+// them, so the scratch stays warm across requests.
 func (c *FitnessCache) Rebind() {
 	c.run = c.store.beginRun()
 	c.stats = CacheStats{}
-	c.tracker = nil
 	c.phases = nil
-	c.prevLen = 0
 }
 
 // Stats returns the counters accumulated so far.
 func (c *FitnessCache) Stats() CacheStats { return c.stats }
-
-// SetTracker wires an optimizer's variation provenance into the
-// fingerprint pass, enabling the clean/incremental fast paths. Run does
-// this automatically for optimizers implementing VariationTracker;
-// callers driving Evaluate directly (tests, benchmarks) may set it
-// themselves. The tracker must describe the exact batches this cache
-// evaluates.
-func (c *FitnessCache) SetTracker(vt VariationTracker) { c.tracker = vt }
 
 // ChargedAt reports whether batch index i of the most recent Evaluate
 // call consumed effective budget: true for schedules that reached the
@@ -329,11 +313,8 @@ func (c *FitnessCache) Len() int { return c.store.Len() }
 // and none for schedules already cached. Three phases:
 //
 //  1. parallel: validate + fingerprint every genome (index-addressed,
-//     so deterministic at any worker count). With tracker provenance a
-//     genome's fingerprint comes from its parent's cached state (clean
-//     copy or dirty-core incremental rebuild); otherwise from a full
-//     decode+hash. Either way maps[i] ends up holding the decoded
-//     schedule;
+//     so deterministic at any worker count) by a full decode and hash,
+//     leaving maps[i] holding the decoded schedule;
 //  2. serial: group by fingerprint — cache hit, in-batch duplicate, or
 //     new representative (one store read-lock spans the whole scan);
 //  3. parallel: simulate the representatives from their already-decoded
@@ -345,24 +326,15 @@ func (c *FitnessCache) Evaluate(pool *Pool, batch []encoding.Genome, fit []float
 
 // evaluate is Evaluate behind the runner's pruning pass. A nil pre
 // means nothing is known about the batch. Otherwise the pass has
-// validated every genome and pre[i] is its slot state: slots it settled
-// (slotInvalid, slotPruned) keep the fitness it wrote and are neither
-// fingerprinted, counted nor stored — a pruned slot's fitness is a
-// bound, never an exact value — and the rest skip re-validation.
+// validated every genome and pre[i] is its slot state: every slot it
+// did not leave open (re-asks, invalid and pruned genomes) keeps the
+// fitness the pass wrote and is neither fingerprinted, counted nor
+// stored — a pruned slot's fitness is a bound, never an exact value —
+// and the open slots skip re-validation.
 func (c *FitnessCache) evaluate(pool *Pool, batch []encoding.Genome, fit []float64, pre []uint8) {
 	tFP := time.Now() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
-	// Swap in the previous batch's buffers as parents before growing
-	// this batch's side.
-	c.maps, c.prevMaps = c.prevMaps, c.maps
-	c.fps, c.prevFps = c.prevFps, c.fps
-	c.ok, c.prevOk = c.prevOk, c.ok
-	c.coreH, c.prevCoreH = c.prevCoreH, c.coreH
 	c.grow(len(batch))
-	var prov []VariationInfo
-	if c.tracker != nil && c.prevLen > 0 {
-		prov = c.tracker.Variations()
-	}
-	c.fingerprintBatch(pool, batch, prov, pre)
+	c.fingerprintBatch(pool, batch, pre)
 
 	c.reps = c.reps[:0]
 	clear(c.inBatch)
@@ -371,19 +343,14 @@ func (c *FitnessCache) evaluate(pool *Pool, batch []encoding.Genome, fit []float
 		c.class[i] = -1
 		c.charge[i] = true // constraint violations always consume budget
 		switch c.mode[i] {
-		case fpResolved:
+		case fpSettled:
 			continue
 		case fpInvalid:
 			fit[i] = math.Inf(-1)
 			c.stats.Invalid++
 			continue
-		case fpFull:
-			c.stats.FullFP++
-		case fpIncremental:
-			c.stats.IncrementalFP++
-		case fpClean:
-			c.stats.CleanFP++
 		}
+		c.stats.FullFP++
 		fp := c.fps[i]
 		if e, ok := c.store.entries[fp]; ok {
 			fit[i] = e.fit
@@ -407,7 +374,6 @@ func (c *FitnessCache) evaluate(pool *Pool, batch []encoding.Genome, fit []float
 		c.stats.Misses++
 	}
 	c.store.mu.RUnlock()
-	c.prevLen = len(batch)
 	if c.phases != nil {
 		c.phases.FingerprintNs += time.Since(tFP).Nanoseconds() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
 	}
@@ -432,96 +398,34 @@ func (c *FitnessCache) evaluate(pool *Pool, batch []encoding.Genome, fit []float
 	}
 }
 
-// fingerprintBatch is phase 1: validate + decode + fingerprint every
-// genome across the pool, routing each through the cheapest sound path.
-// Every output (maps, coreH, fps, ok, mode) is written at its batch
-// index by exactly one worker, so the result is independent of worker
-// scheduling; parents (prev* slots) are only read, possibly by several
-// workers sharing an elite. Slots pre marks as settled get ok false, so
-// no later child treats them as a parent.
-func (c *FitnessCache) fingerprintBatch(pool *Pool, batch []encoding.Genome, prov []VariationInfo, pre []uint8) {
+// fingerprintBatch is phase 1: validate, decode and fingerprint every
+// genome across the pool. Every output (maps, fps, mode) is written at
+// its batch index by exactly one worker, so the result is independent
+// of worker scheduling.
+func (c *FitnessCache) fingerprintBatch(pool *Pool, batch []encoding.Genome, pre []uint8) {
 	nJobs, nAccels := c.p.NumJobs(), c.p.NumAccels()
 	pool.each(len(batch), func(_ *Evaluator, i int) {
 		if pre != nil {
-			if pre[i] >= slotInvalid {
-				c.ok[i] = false
-				c.mode[i] = fpResolved
+			if pre[i] != slotOpen {
+				c.mode[i] = fpSettled
 				return
 			}
 		} else if err := batch[i].Validate(nJobs, nAccels); err != nil {
-			c.ok[i] = false
 			c.mode[i] = fpInvalid
 			return
 		}
-		c.ok[i] = true
-		if i < len(prov) {
-			if p := prov[i].Parent; p >= 0 && p < c.prevLen && c.prevOk[p] {
-				if prov[i].Dirty == nil {
-					// Bit-identical to its parent (elite re-ask): copy the
-					// parent's decoded state outright.
-					copyMapping(&c.maps[i], &c.prevMaps[p])
-					copy(c.coreH[i], c.prevCoreH[p])
-					c.fps[i] = c.prevFps[p]
-					c.mode[i] = fpClean
-					return
-				}
-				// Incremental pays off exactly when some core is clean
-				// (its queue is copied instead of re-sorted, its hash
-				// reused). An all-dirty child — crossover-gen routinely
-				// produces one on few-core platforms — has nothing to
-				// reuse, so the plain decode is cheaper.
-				clean := 0
-				for _, d := range prov[i].Dirty {
-					if !d {
-						clean++
-					}
-				}
-				if clean > 0 {
-					c.fps[i] = encoding.FingerprintUpdate(batch[i], nAccels, prov[i].Dirty,
-						&c.prevMaps[p], c.prevCoreH[p], &c.maps[i], c.coreH[i])
-					c.mode[i] = fpIncremental
-					return
-				}
-			}
-		}
-		c.fps[i] = batch[i].FingerprintCoresInto(nAccels, &c.maps[i], c.coreH[i])
+		c.fps[i] = batch[i].FingerprintInto(nAccels, &c.maps[i])
 		c.mode[i] = fpFull
 	})
 }
 
-// copyMapping copies src's queues into dst, reusing dst's grown
-// per-core buffers.
-func copyMapping(dst, src *sim.Mapping) {
-	if cap(dst.Queues) >= len(src.Queues) {
-		dst.Queues = dst.Queues[:len(src.Queues)]
-	} else {
-		q := make([][]int, len(src.Queues))
-		copy(q, dst.Queues)
-		dst.Queues = q
-	}
-	for a := range src.Queues {
-		dst.Queues[a] = append(dst.Queues[a][:0], src.Queues[a]...)
-	}
-}
-
-// grow sizes the current-batch scratch for n genomes (the prev* side is
-// grown on its own turn — buffers swap roles every Evaluate).
+// grow sizes the batch scratch for n genomes.
 func (c *FitnessCache) grow(n int) {
 	if cap(c.maps) < n {
 		maps := make([]sim.Mapping, n)
 		copy(maps, c.maps) // keep already-grown queue buffers
 		c.maps = maps
-		fps := make([]encoding.Fingerprint, n)
-		copy(fps, c.fps)
-		c.fps = fps
-		ok := make([]bool, n)
-		copy(ok, c.ok)
-		c.ok = ok
-		coreH := make([]encoding.CoreHashes, n)
-		copy(coreH, c.coreH)
-		c.coreH = coreH
-	}
-	if cap(c.mode) < n {
+		c.fps = make([]encoding.Fingerprint, n)
 		c.mode = make([]uint8, n)
 		c.class = make([]int, n)
 		c.charge = make([]bool, n)
@@ -529,15 +433,6 @@ func (c *FitnessCache) grow(n int) {
 	}
 	c.maps = c.maps[:n]
 	c.fps = c.fps[:n]
-	c.ok = c.ok[:n]
-	c.coreH = c.coreH[:n]
-	nAccels := c.p.NumAccels()
-	for i := range c.coreH {
-		if cap(c.coreH[i]) < nAccels {
-			c.coreH[i] = make(encoding.CoreHashes, nAccels)
-		}
-		c.coreH[i] = c.coreH[i][:nAccels]
-	}
 	c.mode = c.mode[:n]
 	c.class = c.class[:n]
 	c.charge = c.charge[:n]

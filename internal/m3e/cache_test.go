@@ -1,6 +1,7 @@
 package m3e_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -17,7 +18,10 @@ import (
 // TestRunCacheDeterminism is the fitness cache's contract: for a fixed
 // seed, cache on and cache off return bit-identical Results at every
 // worker count — a cached fitness is the float64 the pool would have
-// recomputed.
+// recomputed. It also pins the cache's single fingerprint route: the
+// retired incremental and clean-copy counters stay 0, and every genome
+// is fingerprinted exactly once unless the runner's pruning pass
+// settled it (re-ask, pruned or invalid).
 func TestRunCacheDeterminism(t *testing.T) {
 	prob := parallelProblem(t)
 	const budget = 200
@@ -37,7 +41,13 @@ func TestRunCacheDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 2, 8} {
-				got, err := m3e.Run(prob, m.mk(), m3e.Options{Budget: budget, Workers: workers, Cache: true}, 5)
+				opt := m.mk()
+				var counter *reaskCounter
+				if p, ok := opt.(prunable); ok {
+					counter = &reaskCounter{prunable: p}
+					opt = counter
+				}
+				got, err := m3e.Run(prob, opt, m3e.Options{Budget: budget, Workers: workers, Cache: true}, 5)
 				if err != nil {
 					t.Fatalf("workers=%d cache=on: %v", workers, err)
 				}
@@ -62,11 +72,13 @@ func TestRunCacheDeterminism(t *testing.T) {
 				if m.name == "MAGMA" && st.Hits == 0 {
 					t.Error("MAGMA re-Asks its elites every generation; expected cache hits > 0")
 				}
-				if m.name == "MAGMA" && st.CleanFP+st.IncrementalFP == 0 {
-					t.Error("MAGMA provides variation provenance; expected clean/incremental fingerprints > 0")
-				}
-				if m.name == "CMA" && st.CleanFP+st.IncrementalFP != 0 {
-					t.Error("CMA has no provenance; expected only full fingerprints")
+				if counter != nil {
+					if counter.reasks == 0 {
+						t.Errorf("workers=%d: %s re-asks its elites every generation; counted none", workers, m.name)
+					}
+					checkSettled(t, fmt.Sprintf("workers=%d", workers), st, got.Asked, counter.reasks)
+				} else {
+					checkSettled(t, fmt.Sprintf("workers=%d", workers), st, got.Asked, 0)
 				}
 			}
 		})

@@ -244,31 +244,15 @@ type PoolBreeder interface {
 	SetBreeder(b Breeder)
 }
 
-// VariationInfo describes how one genome of the current Ask batch was
-// derived from the previous Ask batch — the provenance the fitness
-// cache's incremental fingerprint path consumes.
-type VariationInfo struct {
-	// Parent is the index in the previous Ask batch of the genome this
-	// one was bred from (for MAGMA: the elite it was copied from before
-	// the operators ran). Negative or out-of-range means unknown, which
-	// forces a full fingerprint.
-	Parent int
-	// Dirty is the per-core dirtied mask: Dirty[a] is true when the
-	// variation operators may have changed core a's decoded queue
-	// (membership or order) relative to the parent. A nil Dirty means
-	// the genome is bit-identical to its parent (an elite re-ask). The
-	// mask may be conservative (extra true entries cost a re-hash, never
-	// correctness) but must never miss a changed core.
-	Dirty []bool
-}
-
-// VariationTracker is implemented by optimizers that remember, for
-// every genome of the current Ask batch, which cores their operators
-// dirtied. Variations is re-read after each Ask; it returns nil when
-// provenance is unknown (the first generation). Entries beyond the
-// evaluated prefix of the previous batch are ignored.
-type VariationTracker interface {
-	Variations() []VariationInfo
+// ReaskTracker is implemented by optimizers that re-ask genomes of
+// the previous batch verbatim (MAGMA and stdGA re-submit their elites
+// every generation). Reasks is re-read after each Ask: entry i is the
+// index in the previously told batch of the genome slot i re-asks
+// bit-identically, or -1 for a bred child. It returns nil before the
+// first Tell. Indices beyond the evaluated prefix of the previous batch
+// are ignored.
+type ReaskTracker interface {
+	Reasks() []int
 }
 
 // EliteSelector is implemented by optimizers whose Tell consumes the
@@ -281,8 +265,8 @@ type VariationTracker interface {
 // fitness upper bound is already below the k-th best known-exact value
 // of the batch can be assigned the bound instead of being simulated
 // without perturbing selection. Run prunes only optimizers that
-// implement both this and VariationTracker (the exact values come from
-// clean elite re-asks); everyone else is evaluated in full.
+// implement both this and ReaskTracker (the exact values come from
+// verbatim elite re-asks); everyone else is evaluated in full.
 type EliteSelector interface {
 	EliteCount(told int) int
 }
@@ -389,10 +373,10 @@ type Options struct {
 	// one run at a time.
 	Pool *Pool
 	// Scratch optionally supplies a leased FitnessCache whose grown
-	// batch scratch — decoded mappings, per-core lane hashes — is reused
-	// across runs (the engine free-lists them like pools). The cache
-	// must be bound to this problem and its shared store; Run rebinds it
-	// (fresh run id, cleared counters and provenance) before use.
+	// batch scratch — the decoded mappings the simulator reads — is
+	// reused across runs (the engine free-lists them like pools). The
+	// cache must be bound to this problem and its shared store; Run
+	// rebinds it (fresh run id, cleared counters) before use.
 	// Implies the cache path; takes precedence over Store/Cache.
 	Scratch *FitnessCache
 	// Context, when non-nil, makes the run cancellable: the loop checks
@@ -574,11 +558,11 @@ const DefaultBudget = 10000
 // and deduplicated fitness values are the ones the pool would have
 // recomputed, so cache on/off is also bit-identical.
 //
-// For optimizers that implement both EliteSelector and VariationTracker
-// a pruning pass runs ahead of evaluation (see pruner): clean elite
-// re-asks reuse the previous batch's exact fitness, and genomes whose
-// roofline fitness bound already misses the elite floor get the bound
-// instead of being decoded and simulated. That too is bit-identical: a
+// For optimizers that implement both EliteSelector and ReaskTracker a
+// pruning pass runs ahead of evaluation (see pruner): verbatim elite
+// re-asks reuse the previous batch's exact fitness, with or without the
+// cache, and genomes whose roofline fitness bound already misses the
+// elite floor get the bound instead of being decoded and simulated. That too is bit-identical: a
 // value below both the floor and the best so far can move neither
 // selection nor the convergence curve.
 func Run(p *Problem, opt Optimizer, o Options, seed int64) (Result, error) {
@@ -617,26 +601,20 @@ func Run(p *Problem, opt Optimizer, o Options, seed int64) (Result, error) {
 	res := Result{Method: opt.Name(), BestFitness: math.Inf(-1)}
 	res.Curve = make([]float64, 0, o.Budget)
 	if cache != nil {
-		if vt, ok := opt.(VariationTracker); ok {
-			cache.SetTracker(vt)
-		}
 		cache.phases = &res.Phases
-		// Drop the per-run hooks on every exit path (including error
+		// Drop the per-run hook on every exit path (including error
 		// returns): a leased cache may sit on the engine's free-list
-		// indefinitely, and these pointers would otherwise pin the
-		// finished run's optimizer and Result (curve, samples) in memory.
-		defer func() {
-			cache.SetTracker(nil)
-			cache.phases = nil
-		}()
+		// indefinitely, and the pointer would otherwise pin the finished
+		// run's Result (curve, samples) in memory.
+		defer func() { cache.phases = nil }()
 	}
 	var pn *pruner
 	es, isES := opt.(EliteSelector)
-	vt, isVT := opt.(VariationTracker)
-	if isES && isVT && !o.EffectiveBudget {
+	rt, isRT := opt.(ReaskTracker)
+	if isES && isRT && !o.EffectiveBudget {
 		// The bound constants are memoized on the first worker's simulator,
 		// so a leased pool carries them warm across runs.
-		pn = &pruner{p: p, bounds: pool.evs[0].sim.Bounds(p.Table), es: es, vt: vt, cached: cache != nil}
+		pn = &pruner{p: p, bounds: pool.evs[0].sim.Bounds(p.Table), es: es, rt: rt, cached: cache != nil}
 	}
 	stats := func() CacheStats {
 		var st CacheStats

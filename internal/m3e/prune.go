@@ -11,15 +11,15 @@ import (
 // Slot states the pruning pass assigns to the genomes of a batch.
 const (
 	slotOpen    uint8 = iota // valid, left for evaluation
-	slotClean                // clean elite re-ask: the parent's exact fitness is reused
+	slotReask                // verbatim re-ask: the parent's exact fitness is reused
 	slotInvalid              // failed validation: scored -Inf
 	slotPruned               // bound fitness below the elite floor: scored the bound
 )
 
 // pruner is the analytical-pruning pass Run puts ahead of decode for
-// optimizers implementing EliteSelector and VariationTracker (DESIGN.md
+// optimizers implementing EliteSelector and ReaskTracker (DESIGN.md
 // "Analytical pruning"). Per batch it validates every genome, answers
-// each clean elite re-ask with its parent's exact fitness, sets the
+// each verbatim re-ask with its parent's exact fitness, sets the
 // floor to the k-th best of those values (k = EliteCount) capped at the
 // best so far, and gives every other genome whose roofline fitness
 // bound falls below the floor that bound instead of a simulation.
@@ -34,12 +34,12 @@ type pruner struct {
 	p      *Problem
 	bounds *sim.Bounds
 	es     EliteSelector
-	vt     VariationTracker
-	cached bool // a FitnessCache evaluates the survivors and counts clean re-asks itself
+	rt     ReaskTracker
+	cached bool // a FitnessCache evaluates the open slots and counts their Misses itself
 
-	// stats holds the counts the cache does not keep: Invalid, pruned
-	// Misses and the bound counters, plus clean Hits and every Miss when
-	// uncached.
+	// stats holds the counts the cache does not keep: Invalid, the
+	// re-ask Hits, pruned Misses and the bound counters, plus every Miss
+	// when uncached.
 	stats CacheStats
 
 	state    []uint8   // batch index -> slot state
@@ -57,22 +57,22 @@ func (pr *pruner) prune(pool *Pool, batch []encoding.Genome, fit []float64, best
 		pr.state, pr.boundFit = make([]uint8, n), make([]float64, n)
 	}
 	pr.state, pr.boundFit = pr.state[:n], pr.boundFit[:n]
-	prov := pr.vt.Variations()
-	clean := 0
+	reasks := pr.rt.Reasks()
+	reasked := 0
 	for i := range batch {
 		pr.state[i] = slotOpen
-		if i < len(prov) && prov[i].Dirty == nil {
-			if p := prov[i].Parent; p >= 0 && p < len(pr.prevFit) && !math.IsNaN(pr.prevFit[p]) {
-				pr.state[i] = slotClean
+		if i < len(reasks) {
+			if p := reasks[i]; p >= 0 && p < len(pr.prevFit) && !math.IsNaN(pr.prevFit[p]) {
+				pr.state[i] = slotReask
 				fit[i] = pr.prevFit[p]
-				clean++
+				reasked++
 			}
 		}
 	}
-	// Bounds are worth pricing only when enough clean re-asks exist to
-	// set a floor.
+	// Bounds are worth pricing only when enough re-asks exist to set a
+	// floor.
 	k := pr.es.EliteCount(n)
-	priced := k > 0 && clean >= k
+	priced := k > 0 && reasked >= k
 	nJobs, nAccels := pr.p.NumJobs(), pr.p.NumAccels()
 	pool.each(n, func(ev *Evaluator, i int) {
 		if batch[i].Validate(nJobs, nAccels) != nil {
@@ -84,7 +84,7 @@ func (pr *pruner) prune(pool *Pool, batch []encoding.Genome, fit []float64, best
 
 	pr.top = pr.top[:0]
 	for i, s := range pr.state {
-		if s == slotClean {
+		if s == slotReask {
 			pr.top = append(pr.top, fit[i])
 		}
 	}
@@ -98,10 +98,8 @@ func (pr *pruner) prune(pool *Pool, batch []encoding.Genome, fit []float64, best
 		case s == slotInvalid:
 			fit[i] = math.Inf(-1)
 			pr.stats.Invalid++
-		case s == slotClean:
-			if !pr.cached {
-				pr.stats.Hits++
-			}
+		case s == slotReask:
+			pr.stats.Hits++
 		case !math.IsInf(floor, -1):
 			pr.stats.BoundChecked++
 			if pr.boundFit[i] < floor {
@@ -122,7 +120,7 @@ func (pr *pruner) prune(pool *Pool, batch []encoding.Genome, fit []float64, best
 }
 
 // commit records the evaluated batch's fitness as the next batch's
-// parents: exact for clean and evaluated slots, NaN for pruned and
+// parents: exact for re-asked and evaluated slots, NaN for pruned and
 // invalid ones.
 func (pr *pruner) commit(fit []float64) {
 	pr.prevFit = append(pr.prevFit[:0], fit...)

@@ -39,16 +39,16 @@ func (c Config) withDefaults() Config {
 }
 
 // Optimizer is the stdGA search state. It implements m3e.Optimizer,
-// m3e.EliteSelector and m3e.VariationTracker.
+// m3e.EliteSelector and m3e.ReaskTracker.
 type Optimizer struct {
 	cfg     Config
 	nJobs   int
 	nAccels int
 	rng     *rng.Stream
 	pop     []encoding.Genome
-	// prov[i] is pop[i]'s provenance relative to the last told batch;
-	// nil before the first Tell.
-	prov []m3e.VariationInfo
+	// reasks[i] is the index in the last told batch of the elite pop[i]
+	// re-asks verbatim, or -1 for a bred child; nil before the first Tell.
+	reasks []int
 }
 
 // New builds a stdGA optimizer.
@@ -61,7 +61,7 @@ func (o *Optimizer) Name() string { return "stdGA" }
 func (o *Optimizer) Init(p *m3e.Problem, rng *rng.Stream) error {
 	o.nJobs, o.nAccels = p.NumJobs(), p.NumAccels()
 	o.rng = rng
-	o.prov = nil
+	o.reasks = nil
 	o.pop = make([]encoding.Genome, o.cfg.Population)
 	for i := range o.pop {
 		o.pop[i] = encoding.Random(o.nJobs, o.nAccels, rng)
@@ -98,10 +98,10 @@ func (o *Optimizer) Tell(genomes []encoding.Genome, fitness []float64) {
 		elites[i] = genomes[idx[i]].Clone()
 	}
 	next := make([]encoding.Genome, 0, o.cfg.Population)
-	o.prov = o.prov[:0]
+	o.reasks = o.reasks[:0]
 	for i, e := range elites {
 		next = append(next, e.Clone())
-		o.prov = append(o.prov, m3e.VariationInfo{Parent: idx[i]}) // verbatim re-ask
+		o.reasks = append(o.reasks, idx[i]) // verbatim re-ask
 	}
 	for len(next) < o.cfg.Population {
 		child := elites[o.rng.Intn(nElite)].Clone()
@@ -111,16 +111,14 @@ func (o *Optimizer) Tell(genomes []encoding.Genome, fitness []float64) {
 		}
 		o.mutate(child)
 		next = append(next, child)
-		o.prov = append(o.prov, m3e.VariationInfo{Parent: -1})
+		o.reasks = append(o.reasks, -1)
 	}
 	o.pop = next
 }
 
-// Variations implements m3e.VariationTracker: the elites stdGA re-asks
-// verbatim name their rank's index in the told batch and carry a nil
-// Dirty mask; bred children are marked unknown (Parent -1), since the
-// structure-oblivious operators do not track which cores they touch.
-func (o *Optimizer) Variations() []m3e.VariationInfo { return o.prov }
+// Reasks implements m3e.ReaskTracker: the elites stdGA re-asks verbatim
+// name their rank's index in the told batch; bred children are -1.
+func (o *Optimizer) Reasks() []int { return o.reasks }
 
 // EliteCount implements m3e.EliteSelector: Tell is purely elitist —
 // fitness only picks the top-nElite parents, so values strictly below
@@ -164,7 +162,7 @@ func (o *Optimizer) mutate(g encoding.Genome) {
 }
 
 var (
-	_ m3e.Optimizer        = (*Optimizer)(nil)
-	_ m3e.EliteSelector    = (*Optimizer)(nil)
-	_ m3e.VariationTracker = (*Optimizer)(nil)
+	_ m3e.Optimizer     = (*Optimizer)(nil)
+	_ m3e.EliteSelector = (*Optimizer)(nil)
+	_ m3e.ReaskTracker  = (*Optimizer)(nil)
 )

@@ -80,20 +80,19 @@ func TestMutationBounds(t *testing.T) {
 	}
 }
 
-// TestVariationProvenance pins stdGA's m3e.VariationTracker contract,
-// which the runner's pruning pass relies on to reuse exact fitness:
-// no provenance before the first Tell; afterwards the first nElite
-// genomes are the top-ranked told genomes re-asked verbatim (Parent =
-// their index in the told batch, Dirty nil) and every bred child is
-// marked unknown (Parent -1).
+// TestVariationProvenance pins stdGA's m3e.ReaskTracker contract, which
+// the runner's pruning pass relies on to reuse exact fitness: Reasks is
+// nil before the first Tell; afterwards the first nElite slots name the
+// top-ranked told genomes, each bit-identical to the genome it names,
+// and every bred child is -1.
 func TestVariationProvenance(t *testing.T) {
 	prob := opttest.Problem(t, models.Mix, 20, platform.S2())
 	o := New(Config{Population: 30})
 	if err := o.Init(prob, rng.New(4)); err != nil {
 		t.Fatal(err)
 	}
-	if o.Variations() != nil {
-		t.Fatal("initial population claims provenance")
+	if o.Reasks() != nil {
+		t.Fatal("initial population claims re-asks")
 	}
 	r := rand.New(rand.NewSource(8))
 	nElite := o.EliteCount(30)
@@ -102,27 +101,27 @@ func TestVariationProvenance(t *testing.T) {
 	for gen := 0; gen < 5; gen++ {
 		pop := o.Ask()
 		if gen > 0 {
-			prov := o.Variations()
-			if len(prov) != len(pop) {
-				t.Fatalf("gen %d: %d provenance entries for %d genomes", gen, len(prov), len(pop))
+			reasks := o.Reasks()
+			if len(reasks) != len(pop) {
+				t.Fatalf("gen %d: %d re-ask entries for %d genomes", gen, len(reasks), len(pop))
 			}
 			ranked := make([]int, len(told))
 			for i := range ranked {
 				ranked[i] = i
 			}
 			sort.SliceStable(ranked, func(a, b int) bool { return fit[ranked[a]] > fit[ranked[b]] })
-			for i, v := range prov {
+			for i, p := range reasks {
 				if i >= nElite {
-					if v.Parent != -1 {
-						t.Fatalf("gen %d slot %d: bred child claims parent %d", gen, i, v.Parent)
+					if p != -1 {
+						t.Fatalf("gen %d slot %d: bred child claims to re-ask %d", gen, i, p)
 					}
 					continue
 				}
-				if v.Parent != ranked[i] || v.Dirty != nil {
-					t.Fatalf("gen %d slot %d: elite provenance %+v, want parent %d with nil Dirty", gen, i, v, ranked[i])
+				if p != ranked[i] {
+					t.Fatalf("gen %d slot %d: re-asks %d, want elite %d", gen, i, p, ranked[i])
 				}
-				if !reflect.DeepEqual(pop[i], told[v.Parent]) {
-					t.Fatalf("gen %d slot %d: claimed clean but differs from its parent", gen, i)
+				if !reflect.DeepEqual(pop[i], told[p]) {
+					t.Fatalf("gen %d slot %d: claimed re-ask differs from previous-batch genome %d", gen, i, p)
 				}
 			}
 		}

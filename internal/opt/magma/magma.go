@@ -22,11 +22,10 @@
 // Breeding is order-free: every child derives its own RNG stream from
 // the run root keyed by (generation, slot), so Tell can fan the
 // operator pipeline across the evaluation pool's workers (m3e.Breeder)
-// with populations bit-identical at any worker count. The operators
-// additionally record which sub-accelerator queues they dirtied
-// relative to the child's elite parent; the fitness cache reads that
-// provenance (m3e.VariationTracker) to fingerprint elites and small
-// mutations incrementally instead of re-decoding every genome.
+// with populations bit-identical at any worker count. Tell also records
+// which slots re-ask an elite verbatim (m3e.ReaskTracker), so the
+// runner answers those from the previous batch's exact fitness and
+// prunes the bred children against them.
 //
 // The package also houses the warm-start engine of §V-C.
 package magma
@@ -83,7 +82,7 @@ func (c Config) withDefaults(groupSize int) Config {
 }
 
 // Optimizer is the MAGMA search state. It implements m3e.Optimizer,
-// m3e.Seeder, m3e.PoolBreeder and m3e.VariationTracker.
+// m3e.Seeder, m3e.PoolBreeder, m3e.ReaskTracker and m3e.EliteSelector.
 type Optimizer struct {
 	cfg     Config
 	nJobs   int
@@ -98,22 +97,19 @@ type Optimizer struct {
 
 	// Generation scratch, reused across Tell calls so breeding performs
 	// no steady-state allocations: ranked is the sort buffer, elites the
-	// cloned parents (with eliteIdx their batch indices for provenance),
-	// spare the retired population whose gene arrays the next generation
-	// is written into (see Tell for the aliasing rules).
-	ranked   []scored
-	elites   []encoding.Genome
-	eliteIdx []int
-	spare    []encoding.Genome
-	// Per-slot variation state. prov[i] describes pop[i] relative to the
-	// previously told batch; dirty[i] backs prov[i].Dirty (per-core,
-	// length nAccels); fromMom[i] is slot i's crossoverAccel transplant
-	// marker (per-job). Per-slot ownership is what makes concurrent
-	// breeding race-free.
-	prov     []m3e.VariationInfo
-	dirty    [][]bool
-	fromMom  [][]bool
-	haveProv bool
+	// cloned parents, spare the retired population whose gene arrays the
+	// next generation is written into (see Tell for the aliasing rules).
+	ranked []scored
+	elites []encoding.Genome
+	spare  []encoding.Genome
+	// Per-slot variation state. reasks[i] is the index in the previously
+	// told batch of the elite pop[i] re-asks verbatim, or -1 for a bred
+	// child; fromMom[i] is slot i's crossoverAccel transplant marker
+	// (per-job). Per-slot ownership is what makes concurrent breeding
+	// race-free.
+	reasks     []int
+	fromMom    [][]bool
+	haveReasks bool
 }
 
 // scored pairs an individual with its fitness and batch index for elite
@@ -151,14 +147,15 @@ func (o *Optimizer) Seed(genomes []encoding.Genome) {
 // (generation, slot) stream.
 func (o *Optimizer) SetBreeder(b m3e.Breeder) { o.breeder = b }
 
-// Variations implements m3e.VariationTracker: the provenance of the
-// current population relative to the previously told batch. Nil before
-// the first Tell (the initial population has no parents).
-func (o *Optimizer) Variations() []m3e.VariationInfo {
-	if !o.haveProv {
+// Reasks implements m3e.ReaskTracker: for each slot of the current
+// population, the index in the previously told batch of the elite it
+// re-asks verbatim, or -1 for a bred child. Nil before the first Tell
+// (the initial population has no parents).
+func (o *Optimizer) Reasks() []int {
+	if !o.haveReasks {
 		return nil
 	}
-	return o.prov
+	return o.reasks
 }
 
 // EliteCount implements m3e.EliteSelector: Tell consumes the reported
@@ -183,7 +180,7 @@ func (o *Optimizer) Init(p *m3e.Problem, rng *rng.Stream) error {
 	o.cfg = o.cfg.withDefaults(o.nJobs)
 	o.root = *rng
 	o.gen = 0
-	o.haveProv = false
+	o.haveReasks = false
 	o.pop = make([]encoding.Genome, o.cfg.Population)
 	for i := range o.pop {
 		if i < len(o.seeds) && len(o.seeds[i].Accel) == o.nJobs {
@@ -221,7 +218,7 @@ func (o *Optimizer) Ask() []encoding.Genome { return o.pop }
 //
 // Breeding runs per child slot on the breeder (the evaluation pool's
 // workers) when one is set: each child reads only the shared elites and
-// writes only its own slot's genome, dirty mask and scratch, drawing
+// writes only its own slot's genome and scratch, drawing
 // from its own (generation, slot) RNG stream — so the population is
 // bit-identical in any breeding order, at any worker count.
 func (o *Optimizer) Tell(genomes []encoding.Genome, fitness []float64) {
@@ -239,13 +236,8 @@ func (o *Optimizer) Tell(genomes []encoding.Genome, fitness []float64) {
 		nElite = len(o.ranked)
 	}
 	o.elites = growGenomes(o.elites, nElite, o.nJobs)
-	if cap(o.eliteIdx) < nElite {
-		o.eliteIdx = make([]int, nElite)
-	}
-	o.eliteIdx = o.eliteIdx[:nElite]
 	for i := 0; i < nElite; i++ {
 		copyGenome(&o.elites[i], o.ranked[i].g)
-		o.eliteIdx[i] = o.ranked[i].idx
 	}
 
 	next := growGenomes(o.spare, o.cfg.Population, o.nJobs)
@@ -253,8 +245,7 @@ func (o *Optimizer) Tell(genomes []encoding.Genome, fitness []float64) {
 	o.gen++
 	for i := 0; i < nElite; i++ {
 		copyGenome(&next[i], o.elites[i])
-		// Verbatim elite re-ask: clean relative to its parent.
-		o.prov[i] = m3e.VariationInfo{Parent: o.eliteIdx[i], Dirty: nil}
+		o.reasks[i] = o.ranked[i].idx // verbatim elite re-ask
 	}
 	breedSlot := func(k int) {
 		slot := nElite + k
@@ -262,12 +253,8 @@ func (o *Optimizer) Tell(genomes []encoding.Genome, fitness []float64) {
 		dad := st.Intn(nElite)
 		mom := st.Intn(nElite)
 		copyGenome(&next[slot], o.elites[dad])
-		dirty := o.dirty[slot]
-		for a := range dirty {
-			dirty[a] = false
-		}
-		o.cross(next[slot], o.elites[mom], &st, dirty, o.fromMom[slot])
-		o.prov[slot] = m3e.VariationInfo{Parent: o.eliteIdx[dad], Dirty: dirty}
+		o.cross(next[slot], o.elites[mom], &st, o.fromMom[slot])
+		o.reasks[slot] = -1
 	}
 	if n := len(next) - nElite; o.breeder != nil {
 		o.breeder.Breed(n, breedSlot)
@@ -276,32 +263,22 @@ func (o *Optimizer) Tell(genomes []encoding.Genome, fitness []float64) {
 			breedSlot(k)
 		}
 	}
-	o.haveProv = true
+	o.haveReasks = true
 	o.spare = o.pop
 	o.pop = next
 }
 
 // growSlots sizes the per-slot variation state for n individuals.
 func (o *Optimizer) growSlots(n int) {
-	if cap(o.prov) < n {
-		prov := make([]m3e.VariationInfo, n)
-		copy(prov, o.prov)
-		o.prov = prov
-		dirty := make([][]bool, n)
-		copy(dirty, o.dirty)
-		o.dirty = dirty
+	if cap(o.reasks) < n {
+		o.reasks = make([]int, n)
 		fromMom := make([][]bool, n)
 		copy(fromMom, o.fromMom)
 		o.fromMom = fromMom
 	}
-	o.prov = o.prov[:n]
-	o.dirty = o.dirty[:n]
+	o.reasks = o.reasks[:n]
 	o.fromMom = o.fromMom[:n]
 	for i := 0; i < n; i++ {
-		if cap(o.dirty[i]) < o.nAccels {
-			o.dirty[i] = make([]bool, o.nAccels)
-		}
-		o.dirty[i] = o.dirty[i][:o.nAccels]
 		if cap(o.fromMom[i]) < o.nJobs {
 			o.fromMom[i] = make([]bool, o.nJobs)
 		}
@@ -344,147 +321,93 @@ func (o *Optimizer) breed(dad, mom encoding.Genome) encoding.Genome {
 	o.breeds++
 	st := o.root.At(^uint64(0), o.breeds) // off-schedule label: never collides with Tell's generations
 	child := dad.Clone()
-	dirty := make([]bool, o.nAccels)
-	fromMom := make([]bool, o.nJobs)
-	o.cross(child, mom, &st, dirty, fromMom)
+	o.cross(child, mom, &st, make([]bool, o.nJobs))
 	return child
 }
 
 // cross applies the operator pipeline of Fig. 6 to child in place: the
 // crossovers each fire at their own rate, then mutation always applies.
-// Every draw comes from st (the child's own stream); dirty accumulates
-// the cores whose decoded queues may differ from child's pre-pipeline
-// state (the elite parent it was copied from).
-func (o *Optimizer) cross(child, mom encoding.Genome, st *rng.Stream, dirty, fromMom []bool) {
+// Every draw comes from st (the child's own stream).
+func (o *Optimizer) cross(child, mom encoding.Genome, st *rng.Stream, fromMom []bool) {
 	if !o.cfg.DisableCrossoverGen && st.Float64() < o.cfg.CrossoverGenRate {
-		o.crossoverGen(child, mom, st, dirty)
+		o.crossoverGen(child, mom, st)
 	}
 	if !o.cfg.DisableCrossoverRG && st.Float64() < o.cfg.CrossoverRGRate {
-		o.crossoverRG(child, mom, st, dirty)
+		o.crossoverRG(child, mom, st)
 	}
 	if !o.cfg.DisableCrossoverAccel && st.Float64() < o.cfg.CrossoverAccelRate {
-		o.crossoverAccel(child, mom, st, dirty, fromMom)
+		o.crossoverAccel(child, mom, st, fromMom)
 	}
-	o.mutate(child, st, dirty)
+	o.mutate(child, st)
 }
 
 // mutate re-rolls each gene independently with probability MutationRate.
-func (o *Optimizer) mutate(g encoding.Genome, st *rng.Stream, dirty []bool) {
+func (o *Optimizer) mutate(g encoding.Genome, st *rng.Stream) {
 	for i := range g.Accel {
 		if st.Float64() < o.cfg.MutationRate {
-			a := st.Intn(o.nAccels)
-			if a != g.Accel[i] {
-				dirty[g.Accel[i]] = true
-				dirty[a] = true
-				g.Accel[i] = a
-			}
+			g.Accel[i] = st.Intn(o.nAccels)
 		}
 	}
 	for i := range g.Prio {
 		if st.Float64() < o.cfg.MutationRate {
-			p := st.Float64()
-			if p != g.Prio[i] {
-				dirty[g.Accel[i]] = true
-				g.Prio[i] = p
-			}
+			g.Prio[i] = st.Float64()
 		}
 	}
 }
 
 // crossoverGen exchanges one genome's segment on one side of a random
 // pivot, leaving the other genome untouched (Fig. 5c). Either side is
-// an equally valid genome-wise crossover; copying the smaller one
-// touches fewer genes and so dirties fewer cores, which keeps more
-// children on the incremental fingerprint (and incremental bound) fast
-// paths. The pivot and genome-choice draws are unchanged — only which
-// side of the pivot is treated as the exchanged tail.
-func (o *Optimizer) crossoverGen(child, mom encoding.Genome, st *rng.Stream, dirty []bool) {
+// an equally valid genome-wise crossover; this one copies the smaller.
+// The side is part of every seed's result: the pivot and genome-choice
+// draws are the same either way, but the child is not, so switching
+// sides would change every search's outcome for a given seed.
+func (o *Optimizer) crossoverGen(child, mom encoding.Genome, st *rng.Stream) {
 	pivot := st.Intn(o.nJobs + 1)
 	lo, hi := pivot, o.nJobs
 	if pivot < o.nJobs-pivot {
 		lo, hi = 0, pivot
 	}
 	if st.Intn(2) == 0 {
-		for j := lo; j < hi; j++ {
-			if child.Accel[j] != mom.Accel[j] {
-				dirty[child.Accel[j]] = true
-				dirty[mom.Accel[j]] = true
-				child.Accel[j] = mom.Accel[j]
-			}
-		}
+		copy(child.Accel[lo:hi], mom.Accel[lo:hi])
 	} else {
-		for j := lo; j < hi; j++ {
-			if child.Prio[j] != mom.Prio[j] {
-				dirty[child.Accel[j]] = true
-				child.Prio[j] = mom.Prio[j]
-			}
-		}
+		copy(child.Prio[lo:hi], mom.Prio[lo:hi])
 	}
 }
 
 // crossoverRG swaps a random range across both genomes simultaneously,
 // preserving each job's (placement, priority) pairing (Fig. 5d).
-func (o *Optimizer) crossoverRG(child, mom encoding.Genome, st *rng.Stream, dirty []bool) {
+func (o *Optimizer) crossoverRG(child, mom encoding.Genome, st *rng.Stream) {
 	lo := st.Intn(o.nJobs)
 	hi := lo + 1 + st.Intn(o.nJobs-lo)
-	for j := lo; j < hi; j++ {
-		if child.Accel[j] != mom.Accel[j] {
-			dirty[child.Accel[j]] = true
-			dirty[mom.Accel[j]] = true
-			child.Accel[j] = mom.Accel[j]
-			if child.Prio[j] != mom.Prio[j] {
-				child.Prio[j] = mom.Prio[j]
-			}
-		} else if child.Prio[j] != mom.Prio[j] {
-			dirty[child.Accel[j]] = true
-			child.Prio[j] = mom.Prio[j]
-		}
-	}
+	copy(child.Accel[lo:hi], mom.Accel[lo:hi])
+	copy(child.Prio[lo:hi], mom.Prio[lo:hi])
 }
 
 // crossoverAccel transplants Mom's entire job set for one random core
 // into the child (Fig. 5e). Jobs the child previously placed on that
 // core — and that Mom does not — are randomly re-assigned to keep the
 // load balanced.
-func (o *Optimizer) crossoverAccel(child, mom encoding.Genome, st *rng.Stream, dirty, fromMom []bool) {
+func (o *Optimizer) crossoverAccel(child, mom encoding.Genome, st *rng.Stream, fromMom []bool) {
 	a := st.Intn(o.nAccels)
-	for j := range fromMom {
-		fromMom[j] = false
-	}
 	for j := 0; j < o.nJobs; j++ {
-		if mom.Accel[j] == a {
-			fromMom[j] = true
-			if child.Accel[j] != a {
-				dirty[child.Accel[j]] = true
-				dirty[a] = true
-				child.Accel[j] = a
-			}
-			if child.Prio[j] != mom.Prio[j] {
-				dirty[a] = true
-				child.Prio[j] = mom.Prio[j]
-			}
+		fromMom[j] = mom.Accel[j] == a
+		if fromMom[j] {
+			child.Accel[j] = a
+			child.Prio[j] = mom.Prio[j]
 		}
 	}
 	for j := 0; j < o.nJobs; j++ {
 		if child.Accel[j] == a && !fromMom[j] {
-			na := st.Intn(o.nAccels)
-			np := st.Float64()
-			if na != a {
-				dirty[a] = true
-				dirty[na] = true
-			} else if np != child.Prio[j] {
-				dirty[a] = true
-			}
-			child.Accel[j] = na
-			child.Prio[j] = np
+			child.Accel[j] = st.Intn(o.nAccels)
+			child.Prio[j] = st.Float64()
 		}
 	}
 }
 
 var (
-	_ m3e.Optimizer        = (*Optimizer)(nil)
-	_ m3e.Seeder           = (*Optimizer)(nil)
-	_ m3e.PoolBreeder      = (*Optimizer)(nil)
-	_ m3e.VariationTracker = (*Optimizer)(nil)
-	_ m3e.EliteSelector    = (*Optimizer)(nil)
+	_ m3e.Optimizer     = (*Optimizer)(nil)
+	_ m3e.Seeder        = (*Optimizer)(nil)
+	_ m3e.PoolBreeder   = (*Optimizer)(nil)
+	_ m3e.ReaskTracker  = (*Optimizer)(nil)
+	_ m3e.EliteSelector = (*Optimizer)(nil)
 )

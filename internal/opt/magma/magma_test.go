@@ -2,6 +2,8 @@ package magma
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -12,7 +14,6 @@ import (
 	"magma/internal/models"
 	"magma/internal/opt/opttest"
 	"magma/internal/platform"
-	"magma/internal/sim"
 )
 
 func TestBattery(t *testing.T) {
@@ -95,7 +96,7 @@ func TestCrossoverGenTouchesOneGenome(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		child := dad.Clone()
 		st := o.root.At(1000, uint64(trial))
-		o.crossoverGen(child, mom, &st, make([]bool, o.nAccels))
+		o.crossoverGen(child, mom, &st)
 		accelChanged, prioChanged := false, false
 		for j := 0; j < 30; j++ {
 			if child.Accel[j] != dad.Accel[j] {
@@ -117,13 +118,10 @@ func TestCrossoverGenTouchesOneGenome(t *testing.T) {
 	}
 }
 
-// TestCrossoverGenCopiesSmallerSide pins the variation-locality
-// optimization: of the two equally valid sides of the pivot, the
-// exchanged segment is always the smaller one — a contiguous prefix or
-// suffix covering at most half the jobs — so crossover-gen dirties as
-// few cores as possible and more children stay on the incremental
-// fingerprint/bound fast paths. The dirty mask must cover exactly the
-// cores the copied genes touch.
+// TestCrossoverGenCopiesSmallerSide pins which side of the pivot
+// crossover-gen exchanges: of the two equally valid sides, always the
+// smaller one — a contiguous prefix or suffix covering at most half the
+// jobs. The side is part of every seed's result, so it must not drift.
 func TestCrossoverGenCopiesSmallerSide(t *testing.T) {
 	const nJobs = 30
 	o, dad, mom := operatorHarness(t, nJobs)
@@ -136,19 +134,13 @@ func TestCrossoverGenCopiesSmallerSide(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		child := dad.Clone()
 		st := o.root.At(1005, uint64(trial))
-		dirty := make([]bool, o.nAccels)
-		o.crossoverGen(child, mom, &st, dirty)
+		o.crossoverGen(child, mom, &st)
 		changed := make([]bool, nJobs)
 		n := 0
-		wantDirty := make([]bool, o.nAccels)
 		for j := 0; j < nJobs; j++ {
 			if child.Accel[j] != dad.Accel[j] || child.Prio[j] != dad.Prio[j] {
 				changed[j] = true
 				n++
-				// Either genome's exchange dirties the job's placement
-				// core(s): old and new for accel genes, current for prio.
-				wantDirty[dad.Accel[j]] = true
-				wantDirty[child.Accel[j]] = true
 			}
 		}
 		if n == 0 {
@@ -179,11 +171,6 @@ func TestCrossoverGenCopiesSmallerSide(t *testing.T) {
 		default:
 			t.Fatalf("trial %d: exchanged run [%d,%d] anchored at neither end", trial, first, last)
 		}
-		for a := range dirty {
-			if wantDirty[a] && !dirty[a] {
-				t.Fatalf("trial %d: core %d touched but not dirtied", trial, a)
-			}
-		}
 	}
 	if !sawPrefix || !sawSuffix {
 		t.Errorf("trials covered prefix=%v suffix=%v, want both sides exercised", sawPrefix, sawSuffix)
@@ -195,7 +182,7 @@ func TestCrossoverRGPreservesPairs(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		child := dad.Clone()
 		st := o.root.At(1001, uint64(trial))
-		o.crossoverRG(child, mom, &st, make([]bool, o.nAccels))
+		o.crossoverRG(child, mom, &st)
 		for j := 0; j < 30; j++ {
 			fromDad := child.Accel[j] == dad.Accel[j] && child.Prio[j] == dad.Prio[j]
 			fromMom := child.Accel[j] == mom.Accel[j] && child.Prio[j] == mom.Prio[j]
@@ -216,7 +203,7 @@ func TestCrossoverRGSwapsContiguousRange(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		child := dad.Clone()
 		st := o.root.At(1002, uint64(trial))
-		o.crossoverRG(child, mom, &st, make([]bool, o.nAccels))
+		o.crossoverRG(child, mom, &st)
 		// Mom-genes must form one contiguous range.
 		first, last := -1, -1
 		for j := 0; j < 30; j++ {
@@ -243,7 +230,7 @@ func TestCrossoverAccelTransplantsCore(t *testing.T) {
 	for trial := 0; trial < 80; trial++ {
 		child := dad.Clone()
 		st := o.root.At(1003, uint64(trial))
-		o.crossoverAccel(child, mom, &st, make([]bool, o.nAccels), make([]bool, o.nJobs))
+		o.crossoverAccel(child, mom, &st, make([]bool, o.nJobs))
 		// Find which core was transplanted: every mom-job of that core
 		// must appear in the child with mom's priority.
 		for a := 0; a < o.nAccels; a++ {
@@ -271,7 +258,7 @@ func TestMutationRespectsBounds(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		g := encoding.Random(25, o.nAccels, r)
 		st := o.root.At(1004, uint64(trial))
-		o.mutate(g, &st, make([]bool, o.nAccels))
+		o.mutate(g, &st)
 		if err := g.Validate(25, o.nAccels); err != nil {
 			t.Fatalf("mutated genome invalid: %v", err)
 		}
@@ -481,69 +468,62 @@ func TestBreederOrderIndependence(t *testing.T) {
 	}
 }
 
-// TestVariationProvenance pins the m3e.VariationTracker contract the
-// fitness cache's incremental fingerprints rely on: after every Tell,
-// prov[i].Parent names the previous-batch genome child i was bred from,
-// and FingerprintUpdate against that parent with prov[i].Dirty equals a
-// full decode of the child — across several generations of the real
-// operator pipeline (all crossovers + mutation at default rates).
+// TestVariationProvenance pins the m3e.ReaskTracker contract the
+// runner's pruning pass relies on to reuse exact fitness, across several
+// generations of the real operator pipeline (all crossovers + mutation
+// at default rates): Reasks is nil before the first Tell; afterwards
+// every slot it names is bit-identical to the previous-batch genome it
+// names, the first nElite slots name the told batch's ranked elites, and
+// every bred child is -1.
 func TestVariationProvenance(t *testing.T) {
 	prob := opttest.Problem(t, models.Mix, 30, platform.S2())
-	nAccels := prob.NumAccels()
 	o := New(Config{Population: 20})
 	if err := o.Init(prob, rng.New(11)); err != nil {
 		t.Fatal(err)
 	}
-	if o.Variations() != nil {
-		t.Fatal("initial population claims provenance")
+	if o.Reasks() != nil {
+		t.Fatal("initial population claims re-asks")
 	}
+	nElite := o.EliteCount(20)
 	r := rand.New(rand.NewSource(13))
-	prev := []encoding.Genome(nil)
+	var prev []encoding.Genome
+	var prevFit []float64
 	for gen := 0; gen < 6; gen++ {
 		pop := o.Ask()
-		cur := make([]encoding.Genome, len(pop))
-		for i, g := range pop {
-			cur[i] = g.Clone()
-		}
-		if prov := o.Variations(); gen == 0 {
-			if prov != nil {
-				t.Fatal("generation 0 claims provenance")
+		if reasks := o.Reasks(); gen == 0 {
+			if reasks != nil {
+				t.Fatal("generation 0 claims re-asks")
 			}
 		} else {
-			if len(prov) != len(cur) {
-				t.Fatalf("gen %d: %d provenance entries for %d genomes", gen, len(prov), len(cur))
+			if len(reasks) != len(pop) {
+				t.Fatalf("gen %d: %d re-ask entries for %d genomes", gen, len(reasks), len(pop))
 			}
-			for i, v := range prov {
-				if v.Parent < 0 || v.Parent >= len(prev) {
-					t.Fatalf("gen %d slot %d: parent %d out of range", gen, i, v.Parent)
-				}
-				parent := prev[v.Parent]
-				var parentMap, scratch, ref sim.Mapping
-				parentCH := make(encoding.CoreHashes, nAccels)
-				parent.FingerprintCoresInto(nAccels, &parentMap, parentCH)
-				refCH := make(encoding.CoreHashes, nAccels)
-				want := cur[i].FingerprintCoresInto(nAccels, &ref, refCH)
-				if v.Dirty == nil {
-					// Clean claim: the genome must be bit-identical to its parent.
-					for j := range parent.Accel {
-						if cur[i].Accel[j] != parent.Accel[j] || cur[i].Prio[j] != parent.Prio[j] {
-							t.Fatalf("gen %d slot %d: claimed clean but differs from parent at job %d", gen, i, j)
-						}
+			ranked := make([]int, len(prev))
+			for i := range ranked {
+				ranked[i] = i
+			}
+			sort.SliceStable(ranked, func(a, b int) bool { return prevFit[ranked[a]] > prevFit[ranked[b]] })
+			for i, p := range reasks {
+				if i >= nElite {
+					if p != -1 {
+						t.Fatalf("gen %d slot %d: bred child claims to re-ask %d", gen, i, p)
 					}
 					continue
 				}
-				ch := make(encoding.CoreHashes, nAccels)
-				got := encoding.FingerprintUpdate(cur[i], nAccels, v.Dirty, &parentMap, parentCH, &scratch, ch)
-				if got != want {
-					t.Fatalf("gen %d slot %d: incremental fingerprint %v != full %v (dirty %v)", gen, i, got, want, v.Dirty)
+				if p != ranked[i] {
+					t.Fatalf("gen %d slot %d: re-asks %d, want elite %d", gen, i, p, ranked[i])
+				}
+				if !reflect.DeepEqual(pop[i], prev[p]) {
+					t.Fatalf("gen %d slot %d: claimed re-ask differs from previous-batch genome %d", gen, i, p)
 				}
 			}
 		}
-		fit := make([]float64, len(pop))
-		for i := range fit {
-			fit[i] = r.Float64()
+		prev = make([]encoding.Genome, len(pop))
+		prevFit = make([]float64, len(pop))
+		for i, g := range pop {
+			prev[i] = g.Clone()
+			prevFit[i] = r.Float64()
 		}
-		o.Tell(pop, fit)
-		prev = cur
+		o.Tell(pop, prevFit)
 	}
 }

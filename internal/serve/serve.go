@@ -97,7 +97,9 @@ type GroupSchedule struct {
 	Queues           [][]int `json:"queues"`
 }
 
-// CacheJSON is the wire form of m3e.CacheStats.
+// CacheJSON is the wire form of m3e.CacheStats. Hits include the
+// verbatim elite re-asks the runner settled from the previous batch's
+// fitness; those are never cross hits.
 type CacheJSON struct {
 	Hits         uint64  `json:"hits"`
 	CrossHits    uint64  `json:"cross_hits"`
@@ -106,8 +108,10 @@ type CacheJSON struct {
 	Invalid      uint64  `json:"invalid"`
 	HitRate      float64 `json:"hit_rate"`
 	CrossHitRate float64 `json:"cross_hit_rate"`
-	// Fingerprint-path counters: full decodes vs incremental dirty-core
-	// rebuilds vs clean parent copies (see m3e.CacheStats).
+	// FPFull counts the genomes fingerprinted by a full decode and
+	// hash, the cache's only route. fp_incremental, fp_clean and
+	// fast_fp_rate always read 0: they counted two retired fast routes
+	// and stay for wire and benchmark compatibility.
 	FPFull        uint64  `json:"fp_full"`
 	FPIncremental uint64  `json:"fp_incremental"`
 	FPClean       uint64  `json:"fp_clean"`
@@ -118,8 +122,8 @@ type CacheJSON struct {
 	// genome counts as a miss, so misses − bound_pruned is the number
 	// simulated; hits+deduped+misses+invalid is every genome asked. With
 	// cache false the pruning pass keeps the counters alone: hits are
-	// clean elite re-asks answered from the previous batch, misses every
-	// other valid genome (see m3e.CacheStats).
+	// verbatim elite re-asks answered from the previous batch, misses
+	// every other valid genome (see m3e.CacheStats).
 	BoundChecked   uint64  `json:"bound_checked"`
 	BoundPruned    uint64  `json:"bound_pruned"`
 	BoundPruneRate float64 `json:"bound_prune_rate"`
@@ -145,7 +149,8 @@ func cacheJSON(s m3e.CacheStats) CacheJSON {
 // EngineJSON is the wire form of magma.SolverStats: the shared engine's
 // lifetime counters. CrossRequestHitRate is the headline — the fraction
 // of all decodable evaluations answered by an entry a *different*
-// search inserted.
+// search inserted. Re-asks the runner settles never reach the store, so
+// they count in the denominator but never as cross hits.
 type EngineJSON struct {
 	Searches            uint64    `json:"searches"`
 	Problems            int       `json:"problems"`
