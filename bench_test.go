@@ -96,33 +96,6 @@ func benchProblem(b *testing.B, task models.Task, n int, p platform.Platform) *m
 	return prob
 }
 
-// BenchmarkAblationAllocator compares the paper-literal Proportional
-// bandwidth rule against work-conserving WaterFill on the same mapping:
-// the throughput ratio it reports (metric "prop/waterfill") quantifies
-// how much the Algorithm 1 coupling punishes naive co-scheduling.
-func BenchmarkAblationAllocator(b *testing.B) {
-	prob := benchProblem(b, models.Mix, 48, platform.S2().WithBW(8))
-	m := sim.Mapping{Queues: make([][]int, prob.NumAccels())}
-	for j := 0; j < prob.NumJobs(); j++ {
-		a := j % prob.NumAccels()
-		m.Queues[a] = append(m.Queues[a], j)
-	}
-	var prop, wf sim.Result
-	var err error
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		prop, err = sim.Run(prob.Table, m, sim.Options{Policy: sim.Proportional})
-		if err != nil {
-			b.Fatal(err)
-		}
-		wf, err = sim.Run(prob.Table, m, sim.Options{Policy: sim.WaterFill})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(prop.ThroughputGFLOPs/wf.ThroughputGFLOPs, "prop/waterfill")
-}
-
 // BenchmarkAblationPopulation sweeps MAGMA's population size around the
 // paper's population = group-size rule.
 func BenchmarkAblationPopulation(b *testing.B) {

@@ -137,38 +137,6 @@ type Report struct {
 	BoundPruneRate float64 `json:"bound_prune_rate"`
 	// Bound is the pruned-vs-unpruned comparison behind BoundPruneRate.
 	Bound BoundReport `json:"bound"`
-	// SimKernel compares the v2 event-driven simulator kernel against
-	// the kernel-v1 frame loop it replaced. The CI bench-smoke job gates
-	// SimKernel.SpeedupAtGroup100 at >= 1.2.
-	SimKernel SimKernelReport `json:"sim_kernel"`
-}
-
-// SimKernelReport is the evidence behind DESIGN.md's "Simulator kernel
-// v2" section. Rows are pure simulator runs (no decode, no cache) over
-// one fixed mapping per problem size across the Table III core-count
-// ladder; the share fields come from full cached MAGMA searches at
-// workers=1 on the standard problem, one per kernel, and locate the
-// simulate phase inside a generation — the share shrinks when the
-// kernel gets faster and nothing else moves.
-type SimKernelReport struct {
-	Rows []SimKernelRow `json:"rows"`
-	// SpeedupAtGroup100 is V1NsPerRun / V2NsPerRun on the group-100 row.
-	SpeedupAtGroup100  float64 `json:"speedup_at_group_100"`
-	V1SimulateNsPerGen float64 `json:"v1_simulate_ns_per_gen"`
-	V1SimulateShare    float64 `json:"v1_simulate_share"`
-	V2SimulateNsPerGen float64 `json:"v2_simulate_ns_per_gen"`
-	V2SimulateShare    float64 `json:"v2_simulate_share"`
-}
-
-// SimKernelRow is one problem size: jobs × sub-accelerator cores on the
-// named Table III platform.
-type SimKernelRow struct {
-	Jobs       int     `json:"jobs"`
-	Accels     int     `json:"accels"`
-	Platform   string  `json:"platform"`
-	V1NsPerRun float64 `json:"v1_ns_per_run"`
-	V2NsPerRun float64 `json:"v2_ns_per_run"`
-	Speedup    float64 `json:"speedup"`
 }
 
 // BoundReport compares one full MAGMA search with the library defaults
@@ -592,87 +560,6 @@ func main() {
 		rep.Bound.PruneRateByGroupSize[fmt.Sprint(gs)] = res.Cache.BoundPruneRate()
 	}
 
-	// Simulator kernel v2 vs the kernel-v1 frame loop, pure simulate
-	// ns/run on one decoded mapping per problem size, climbing the Table
-	// III core-count ladder (S2 4 cores, S4 8, S6 16) — the event heap's
-	// O(J·log A) should pull away from the frame loop's O(J·A) as the
-	// core count grows. The group-100 row is the headline CI gates.
-	for _, sz := range []struct {
-		jobs int
-		pf   platform.Platform
-	}{
-		{16, platform.S2()},
-		{48, platform.S4()},
-		{100, platform.S6()},
-	} {
-		wk, err := workload.Generate(workload.Config{Task: models.Mix, NumJobs: sz.jobs, GroupSize: sz.jobs, Seed: 53})
-		if err != nil {
-			log.Fatal(err)
-		}
-		kp, err := m3e.NewProblem(wk.Groups[0], sz.pf, m3e.Throughput)
-		if err != nil {
-			log.Fatal(err)
-		}
-		nAcc := sz.pf.NumAccels()
-		var km sim.Mapping
-		encoding.DecodeInto(encoding.Random(sz.jobs, nAcc, newRand(6)), nAcc, &km)
-		row := SimKernelRow{Jobs: sz.jobs, Accels: nAcc, Platform: sz.pf.Setting}
-		for _, kc := range []struct {
-			label  string
-			kernel sim.Kernel
-			ns     *float64
-		}{
-			{"v1", sim.KernelV1, &row.V1NsPerRun},
-			{"v2", sim.KernelV2, &row.V2NsPerRun},
-		} {
-			s := sim.NewSimulator(sim.Options{Kernel: kc.kernel})
-			if _, err := s.Run(kp.Table, km); err != nil {
-				log.Fatal(err)
-			}
-			m := measure(fmt.Sprintf("SimKernel/%s/%djx%da", kc.label, sz.jobs, nAcc), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := s.Run(kp.Table, km); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			rep.Measurements = append(rep.Measurements, m)
-			*kc.ns = m.NsPerOp
-		}
-		if row.V2NsPerRun > 0 {
-			row.Speedup = row.V1NsPerRun / row.V2NsPerRun
-		}
-		rep.SimKernel.Rows = append(rep.SimKernel.Rows, row)
-		if sz.jobs == groupSize {
-			rep.SimKernel.SpeedupAtGroup100 = row.Speedup
-		}
-	}
-
-	// The evaluator pipeline's view of the same win: the simulate phase
-	// of a full cached MAGMA generation at workers=1 on the standard
-	// problem, under each kernel.
-	simShare := func(k sim.Kernel) (nsPerGen, shareOfGen float64) {
-		sp, err := m3e.NewProblem(w.Groups[0], platform.S2().WithBW(16), m3e.Throughput)
-		if err != nil {
-			log.Fatal(err)
-		}
-		sp.Kernel = k
-		res, err := m3e.Run(sp, optmagma.New(optmagma.Config{}), m3e.Options{
-			Budget: m3e.DefaultBudget, Workers: 1, Cache: true,
-		}, 6)
-		if err != nil {
-			log.Fatal(err)
-		}
-		ph := res.Phases
-		total := float64(ph.AskNs + ph.FingerprintNs + ph.BoundNs + ph.SimulateNs + ph.TellNs)
-		if ph.Generations == 0 || total == 0 {
-			return 0, 0
-		}
-		return float64(ph.SimulateNs) / float64(ph.Generations), float64(ph.SimulateNs) / total
-	}
-	rep.SimKernel.V1SimulateNsPerGen, rep.SimKernel.V1SimulateShare = simShare(sim.KernelV1)
-	rep.SimKernel.V2SimulateNsPerGen, rep.SimKernel.V2SimulateShare = simShare(sim.KernelV2)
-
 	f, err := os.Create(*out)
 	if err != nil {
 		log.Fatal(err)
@@ -710,13 +597,6 @@ func main() {
 	for _, gs := range []string{"16", "48", "100"} {
 		fmt.Printf("bound prune rate group %-4s %5.1f%%\n", gs+":", 100*bd.PruneRateByGroupSize[gs])
 	}
-	for _, row := range rep.SimKernel.Rows {
-		fmt.Printf("sim kernel %3dj x %2da (%s): v1 %8.0f ns/run -> v2 %8.0f ns/run (%.2fx)\n",
-			row.Jobs, row.Accels, row.Platform, row.V1NsPerRun, row.V2NsPerRun, row.Speedup)
-	}
-	sk := rep.SimKernel
-	fmt.Printf("sim kernel simulate phase (workers=1): v1 %.0f ns/gen (%.1f%% of gen) -> v2 %.0f ns/gen (%.1f%%)\n",
-		sk.V1SimulateNsPerGen, 100*sk.V1SimulateShare, sk.V2SimulateNsPerGen, 100*sk.V2SimulateShare)
 	fmt.Printf("wrote %s\n", *out)
 }
 
@@ -836,7 +716,7 @@ type ChaosReport struct {
 	// DelayedSimulations counts evaluation batches slowed by the armed
 	// delay hook.
 	DelayedSimulations uint64 `json:"delayed_simulations"`
-	// KernelRuns counts passes through the v2 simulator kernel's
+	// KernelRuns counts passes through the simulator kernel's
 	// sim.kernel fault point while armed; KernelStalls the ones its
 	// delay hook slowed — proof the point is live on the serving path.
 	KernelRuns   uint64 `json:"kernel_runs"`
@@ -885,7 +765,7 @@ func serveLoadTest(out string, requests, clients int, chaos bool) error {
 			time.Sleep(2 * time.Millisecond)
 			return nil
 		}))
-		// The v2 simulator kernel's entry point, stalled at a lower
+		// The simulator kernel's entry point, stalled at a lower
 		// cadence (an error here fails the whole search rather than one
 		// candidate, so the chaos mix exercises the point as a delay,
 		// like M3ESimulate, and counts the passes).

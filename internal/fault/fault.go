@@ -47,10 +47,11 @@ const (
 	// Returned errors are ignored — simulation has no error path per
 	// batch — so use it for delays and panics only.
 	M3ESimulate = "m3e.simulate"
-	// SimKernel fires at the entry of the v2 event-driven simulator
-	// kernel, once per simulation; an error fails that Run (and hence
-	// the evaluation), a sleeping hook models a slow simulator pass.
-	// Kernel v1 (the reference implementation) does not pass through it.
+	// SimKernel fires at the entry of sim.Simulator.Run, the
+	// event-driven simulator kernel, once per simulation; an error
+	// fails that Run (and hence the evaluation), a sleeping hook models
+	// a slow simulator pass. The kernel-v1 oracle in the simulator's
+	// tests does not pass through it.
 	SimKernel = "sim.kernel"
 	// FleetForward fires in the fleet router before every forwarded
 	// sub-request; a sleeping hook models a slow shard (the forward

@@ -341,9 +341,10 @@ func TestRunPruneCountersUncached(t *testing.T) {
 
 // TestBoundFitnessNeverBeatsSimulation lifts the simulator's bound
 // soundness to the fitness the pruning pass compares: for random
-// genomes, under every objective and both allocation policies, the
-// Problem.Fitness of the genome-order bound is never below the
-// Problem.Fitness of the simulation.
+// genomes and under every objective, the Problem.Fitness of the
+// genome-order bound is never below the Problem.Fitness of the shipped
+// simulator. The v1 oracle is test-local to internal/sim, where
+// TestQuickBoundNeverBeatsSimulation checks the bound against it.
 func TestBoundFitnessNeverBeatsSimulation(t *testing.T) {
 	w, err := workload.Generate(workload.Config{NumJobs: 40, GroupSize: 40, Seed: 3})
 	if err != nil {
@@ -362,15 +363,13 @@ func TestBoundFitnessNeverBeatsSimulation(t *testing.T) {
 				g := encoding.Random(prob.NumJobs(), prob.NumAccels(), r)
 				bound := prob.Fitness(b.GenomeResult(cycles, g.Accel))
 				m := encoding.Decode(g, prob.NumAccels())
-				for _, pol := range []sim.Policy{sim.Proportional, sim.WaterFill} {
-					res, err := sim.Run(prob.Table, m, sim.Options{Policy: pol})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if exact := prob.Fitness(res); bound < exact {
-						t.Fatalf("%s %s policy %d trial %d: bound fitness %g below simulated %g",
-							pf.Setting, obj, pol, trial, bound, exact)
-					}
+				res, err := sim.Run(prob.Table, m, sim.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if exact := prob.Fitness(res); bound < exact {
+					t.Fatalf("%s %s trial %d: bound fitness %g below simulated %g",
+						pf.Setting, obj, trial, bound, exact)
 				}
 			}
 		}

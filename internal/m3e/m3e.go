@@ -67,14 +67,6 @@ type Problem struct {
 	Group     workload.Group
 	Platform  platform.Platform
 	Task      fmt.Stringer // informative; used by the warm-start engine
-
-	// Kernel selects the simulator implementation every evaluator built
-	// for this problem uses. The zero value is the default (v2) kernel;
-	// KernelV1 pins the reference frame loop — the ablation/benchmark
-	// baseline. The two kernels agree only within the simulator's
-	// retirement tolerances, so cached fitness must never be shared
-	// across kernels (the persist layer versions snapshots by kernel).
-	Kernel sim.Kernel
 }
 
 // NewProblem builds the analysis table and wraps it as a Problem.
@@ -127,7 +119,7 @@ func (p *Problem) Fitness(res sim.Result) float64 {
 // Evaluate decodes and simulates one individual, returning its fitness.
 // It allocates fresh scratch per call; hot loops use an Evaluator.
 func (p *Problem) Evaluate(g encoding.Genome) (float64, error) {
-	ev := Evaluator{p: p, sim: sim.NewSimulator(sim.Options{Kernel: p.Kernel})}
+	ev := Evaluator{p: p, sim: sim.NewSimulator(sim.Options{})}
 	return ev.Evaluate(g)
 }
 
@@ -145,7 +137,7 @@ type Evaluator struct {
 
 // NewEvaluator builds an evaluator bound to the problem.
 func (p *Problem) NewEvaluator() *Evaluator {
-	return &Evaluator{p: p, sim: sim.NewSimulator(sim.Options{Kernel: p.Kernel}),
+	return &Evaluator{p: p, sim: sim.NewSimulator(sim.Options{}),
 		cycles: make([]float64, p.NumAccels())}
 }
 
@@ -190,7 +182,7 @@ func (e *Evaluator) EvaluateMapping(m *sim.Mapping) (float64, error) {
 // EvaluateMapping scores an already-decoded mapping (used for the
 // manual-heuristic baselines, which bypass the encoding).
 func (p *Problem) EvaluateMapping(m sim.Mapping) (float64, sim.Result, error) {
-	res, err := sim.Run(p.Table, m, sim.Options{Kernel: p.Kernel})
+	res, err := sim.Run(p.Table, m, sim.Options{})
 	if err != nil {
 		return 0, sim.Result{}, err
 	}

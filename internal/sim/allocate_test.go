@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,7 +10,7 @@ import (
 func mkState(reqs []float64) []live {
 	st := make([]live, len(reqs))
 	for i, r := range reqs {
-		st[i] = live{job: i, req: r, work: 100 * r, active: r >= 0}
+		st[i] = live{job: i, req: r, active: r >= 0}
 		if r < 0 { // sentinel: inactive core
 			st[i] = live{job: -1}
 		}
@@ -22,12 +21,10 @@ func mkState(reqs []float64) []live {
 func TestAllocateUnderSubscribed(t *testing.T) {
 	st := mkState([]float64{1, 2, 3})
 	alloc := make([]float64, 3)
-	for _, p := range []Policy{Proportional, WaterFill} {
-		allocate(st, alloc, 10, p)
-		for i, want := range []float64{1, 2, 3} {
-			if alloc[i] != want {
-				t.Errorf("policy %d: alloc[%d] = %g, want full req %g", p, i, alloc[i], want)
-			}
+	allocate(st, alloc, 10)
+	for i, want := range []float64{1, 2, 3} {
+		if alloc[i] != want {
+			t.Errorf("alloc[%d] = %g, want full req %g", i, alloc[i], want)
 		}
 	}
 }
@@ -35,44 +32,16 @@ func TestAllocateUnderSubscribed(t *testing.T) {
 func TestAllocateProportional(t *testing.T) {
 	st := mkState([]float64{2, 6})
 	alloc := make([]float64, 2)
-	allocate(st, alloc, 4, Proportional)
+	allocate(st, alloc, 4)
 	if math.Abs(alloc[0]-1) > 1e-12 || math.Abs(alloc[1]-3) > 1e-12 {
 		t.Errorf("proportional alloc = %v, want [1 3]", alloc)
-	}
-}
-
-func TestAllocateWaterFill(t *testing.T) {
-	// reqs [1, 10, 10], sys 9: the small job gets its full 1; the hungry
-	// pair split the remaining 8 evenly.
-	st := mkState([]float64{1, 10, 10})
-	alloc := make([]float64, 3)
-	allocate(st, alloc, 9, WaterFill)
-	if alloc[0] != 1 {
-		t.Errorf("small job alloc = %g, want full 1", alloc[0])
-	}
-	if math.Abs(alloc[1]-4) > 1e-12 || math.Abs(alloc[2]-4) > 1e-12 {
-		t.Errorf("hungry allocs = %g,%g, want 4,4", alloc[1], alloc[2])
-	}
-}
-
-func TestAllocateWaterFillCascade(t *testing.T) {
-	// reqs [2, 3, 20], sys 12: fair=4 grants 2 and 3; remainder 7 goes
-	// to the big one.
-	st := mkState([]float64{2, 3, 20})
-	alloc := make([]float64, 3)
-	allocate(st, alloc, 12, WaterFill)
-	if alloc[0] != 2 || alloc[1] != 3 {
-		t.Errorf("small allocs = %v", alloc[:2])
-	}
-	if math.Abs(alloc[2]-7) > 1e-12 {
-		t.Errorf("big alloc = %g, want 7", alloc[2])
 	}
 }
 
 func TestAllocateSkipsIdleCores(t *testing.T) {
 	st := mkState([]float64{5, -1, 5})
 	alloc := make([]float64, 3)
-	allocate(st, alloc, 4, WaterFill)
+	allocate(st, alloc, 4)
 	if alloc[1] != 0 {
 		t.Errorf("idle core received %g", alloc[1])
 	}
@@ -81,9 +50,9 @@ func TestAllocateSkipsIdleCores(t *testing.T) {
 	}
 }
 
-// Property: both policies never exceed the system bandwidth, never
-// allocate beyond a job's requirement more than WaterFill's cap allows,
-// and are work-conserving when over-subscribed.
+// Property: the allocator never exceeds the system bandwidth, never
+// grants a job more than its requirement, and is work-conserving when
+// over-subscribed.
 func TestQuickAllocateInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -97,89 +66,26 @@ func TestQuickAllocateInvariants(t *testing.T) {
 		sys := rng.Float64() * 150
 		st := mkState(reqs)
 		alloc := make([]float64, n)
-		for _, p := range []Policy{Proportional, WaterFill} {
-			allocate(st, alloc, sys, p)
-			var total float64
-			for i, a := range alloc {
-				if a < -1e-12 || a > reqs[i]+1e-9 {
-					return false // over-allocation to one job
-				}
-				total += a
+		allocate(st, alloc, sys)
+		var total float64
+		for i, a := range alloc {
+			if a < -1e-12 || a > reqs[i]+1e-9 {
+				return false // over-allocation to one job
 			}
-			if total > sys*(1+1e-9) && total > sum*(1+1e-9) {
-				return false
-			}
-			if sum > sys && math.Abs(total-sys) > 1e-6*sys {
-				return false // saturated: must use all bandwidth
-			}
-			if sum <= sys && math.Abs(total-sum) > 1e-6*(1+sum) {
-				return false // unsaturated: everyone gets their ask
-			}
+			total += a
+		}
+		if total > sys*(1+1e-9) && total > sum*(1+1e-9) {
+			return false
+		}
+		if sum > sys && math.Abs(total-sys) > 1e-6*sys {
+			return false // saturated: must use all bandwidth
+		}
+		if sum <= sys && math.Abs(total-sum) > 1e-6*(1+sum) {
+			return false // unsaturated: everyone gets their ask
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-// BenchmarkAllocateProportional times the Algorithm 1 inner-loop
-// allocation under saturation — the per-frame cost the branch-reduced
-// Proportional path optimizes (before/after numbers in DESIGN.md).
-func BenchmarkAllocateProportional(b *testing.B) {
-	for _, n := range []int{4, 8, 16} {
-		b.Run(fmt.Sprintf("accels=%d", n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(7))
-			reqs := make([]float64, n)
-			var sum float64
-			for i := range reqs {
-				reqs[i] = rng.Float64() * 100
-				sum += reqs[i]
-			}
-			st := mkState(reqs)
-			st[n/2] = live{job: -1} // one idle core, as mid-group frames have
-			alloc := make([]float64, n)
-			sys := sum / 2 // saturated: the Proportional branch runs
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				allocate(st, alloc, sys, Proportional)
-			}
-		})
-	}
-}
-
-// BenchmarkAllocateUndersubscribed times the common unsaturated frame
-// (every job gets its full requirement), shared by both policies.
-func BenchmarkAllocateUndersubscribed(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	const n = 8
-	reqs := make([]float64, n)
-	var sum float64
-	for i := range reqs {
-		reqs[i] = rng.Float64()
-		sum += reqs[i]
-	}
-	st := mkState(reqs)
-	alloc := make([]float64, n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		allocate(st, alloc, sum*2, Proportional)
-	}
-}
-
-func TestPolicyAffectsComputeBoundJobs(t *testing.T) {
-	// The design-choice ablation in miniature: a compute-bound job
-	// co-scheduled with a hungry one is stretched under Proportional but
-	// unharmed under WaterFill.
-	st := mkState([]float64{0.1, 50})
-	alloc := make([]float64, 2)
-	allocate(st, alloc, 10, Proportional)
-	propSmall := alloc[0]
-	allocate(st, alloc, 10, WaterFill)
-	wfSmall := alloc[0]
-	if !(propSmall < 0.1 && wfSmall == 0.1) {
-		t.Errorf("proportional small=%g (want <0.1), waterfill small=%g (want 0.1)", propSmall, wfSmall)
 	}
 }

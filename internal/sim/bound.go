@@ -16,8 +16,8 @@ import (
 //   - bandwidth roofline: the group moves a fixed number of DRAM bytes
 //     (each job's no-stall latency × required bytes/cycle on its
 //     assigned core), and the allocator never grants more than the
-//     system bandwidth per cycle in either policy, so the makespan is
-//     at least total-traffic / system-BW cycles.
+//     system bandwidth per cycle, so the makespan is at least
+//     total-traffic / system-BW cycles.
 //
 // The true simulated makespan is max(compute, bandwidth) or worse, up
 // to the simulator's retirement tolerances (see Result). All per-(job,
@@ -45,7 +45,7 @@ const (
 	boundSlackAbs = 1e-3
 )
 
-// NewBounds flattens the table's roofline constants. Mirrors launch's
+// NewBounds flattens the table's roofline constants. Mirrors Run's
 // BW-free threshold: jobs with BWPerCycle <= 1e-12 move no bytes.
 func NewBounds(t *analyzer.Table) *Bounds {
 	nJobs, nAccels := t.NumJobs(), t.NumAccels()
@@ -81,8 +81,7 @@ func (b *Bounds) NumAccels() int { return b.nAccels }
 
 // CoreBound is one core's roofline accumulator: the sum of its queued
 // jobs' no-stall cycles, DRAM traffic and job energy. Sums are in queue
-// order, so two identical queues produce bit-identical accumulators —
-// the property that makes parent-copy and incremental updates exact.
+// order, so two identical queues produce bit-identical accumulators.
 type CoreBound struct {
 	Cycles  float64
 	Traffic float64

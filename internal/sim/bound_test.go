@@ -24,12 +24,12 @@ func twoCoreHetero() platform.Platform {
 }
 
 // TestQuickBoundNeverBeatsSimulation is the bound's soundness contract:
-// over randomized schedules spanning 4–128 jobs, 2–16 heterogeneous
-// cores and both allocator policies, the analytical lower bound never
-// exceeds the simulated makespan — and the optimistic Result dominates
-// the simulated one in every objective direction (throughput, latency,
-// energy, energy-delay product), which is what makes the derived
-// fitness an upper bound. Both accumulators are covered: the per-core
+// over randomized schedules spanning 4–128 jobs and 2–16 heterogeneous
+// cores, under the shipped kernel and the v1 oracle, the analytical
+// lower bound never exceeds the simulated makespan — and the
+// optimistic Result dominates the simulated one in every objective
+// direction (throughput, latency, energy, energy-delay product), which
+// is what makes the derived fitness an upper bound. Both accumulators are covered: the per-core
 // one over a decoded mapping (CoresInto) and the genome-order one the
 // search runner prices before decoding (GenomeResult), and the two
 // agree to within 1e-12 relative.
@@ -78,14 +78,14 @@ func TestQuickBoundNeverBeatsSimulation(t *testing.T) {
 							trial, f.name, f.got, f.want)
 					}
 				}
-				for _, pol := range []Policy{Proportional, WaterFill} {
-					res, err := Run(tab, m, Options{Policy: pol})
+				for _, k := range kernels {
+					res, err := k.run(tab, m)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if lb := b.LowerBound(cb); lb > res.TotalCycles {
-						t.Fatalf("trial %d policy %d: bound %g exceeds simulated makespan %g",
-							trial, pol, lb, res.TotalCycles)
+						t.Fatalf("trial %d %s: bound %g exceeds simulated makespan %g",
+							trial, k.name, lb, res.TotalCycles)
 					}
 					for _, bound := range []struct {
 						name string
@@ -93,20 +93,20 @@ func TestQuickBoundNeverBeatsSimulation(t *testing.T) {
 					}{{"per-core", opt}, {"genome", gen}} {
 						o := bound.res
 						if o.Seconds > res.Seconds {
-							t.Fatalf("trial %d policy %d %s: bound seconds %g > simulated %g",
-								trial, pol, bound.name, o.Seconds, res.Seconds)
+							t.Fatalf("trial %d %s %s: bound seconds %g > simulated %g",
+								trial, k.name, bound.name, o.Seconds, res.Seconds)
 						}
 						if o.ThroughputGFLOPs < res.ThroughputGFLOPs {
-							t.Fatalf("trial %d policy %d %s: bound throughput %g below simulated %g",
-								trial, pol, bound.name, o.ThroughputGFLOPs, res.ThroughputGFLOPs)
+							t.Fatalf("trial %d %s %s: bound throughput %g below simulated %g",
+								trial, k.name, bound.name, o.ThroughputGFLOPs, res.ThroughputGFLOPs)
 						}
 						if o.Energy > res.Energy {
-							t.Fatalf("trial %d policy %d %s: bound energy %g > simulated %g",
-								trial, pol, bound.name, o.Energy, res.Energy)
+							t.Fatalf("trial %d %s %s: bound energy %g > simulated %g",
+								trial, k.name, bound.name, o.Energy, res.Energy)
 						}
 						if o.Energy*o.Seconds > res.Energy*res.Seconds {
-							t.Fatalf("trial %d policy %d %s: bound EDP %g > simulated %g",
-								trial, pol, bound.name, o.Energy*o.Seconds, res.Energy*res.Seconds)
+							t.Fatalf("trial %d %s %s: bound EDP %g > simulated %g",
+								trial, k.name, bound.name, o.Energy*o.Seconds, res.Energy*res.Seconds)
 						}
 					}
 				}

@@ -14,12 +14,12 @@ import (
 	"magma/internal/platform"
 )
 
-// kernelTol is the v2≡v1 comparison tolerance. The two kernels share
-// the retirement tolerances (work ≤ 1e-6·req, noBW ≤ 1e-9 cycles) but
-// order their floating-point arithmetic differently — v1 decrements
-// work per frame, v2 computes one completion key per launch — so
-// completion instants agree to roughly the retirement window, not to
-// the bit.
+// kernelTol is the v2≡v1 comparison tolerance. The shipped kernel and
+// the v1 oracle share the retirement tolerances (work ≤ 1e-6·req, noBW
+// ≤ 1e-9 cycles) but order their floating-point arithmetic differently
+// — v1 decrements work per frame, v2 computes one completion key per
+// launch — so completion instants agree to roughly the retirement
+// window, not to the bit.
 func kernelTol(ref float64) float64 {
 	return 1e-6 * (1 + math.Abs(ref))
 }
@@ -28,7 +28,7 @@ func kernelTol(ref float64) float64 {
 // nAccels cores sliced from the S6 big-little platform at a random
 // system bandwidth, each (job, accel) cell drawn with a random no-stall
 // latency and a bandwidth requirement that is BW-hungry, exactly zero,
-// or sub-threshold tiny (≤1e-12, the launch BW-free cutoff) — the three
+// or sub-threshold tiny (≤1e-12, the BW-free launch cutoff) — the three
 // req regimes the kernels must agree on.
 func randomTable(r *rand.Rand, nJobs, nAccels int) *analyzer.Table {
 	p := platform.S6()
@@ -57,45 +57,55 @@ func randomTable(r *rand.Rand, nJobs, nAccels int) *analyzer.Table {
 	return t
 }
 
-// checkKernelsAgree runs one mapping under both kernels and asserts the
-// v2 result matches v1 within the retirement tolerance: identical
-// JobRuns completion order and retirement set (same JobID/AccelID
-// sequence), per-run Start/End and makespan within kernelTol, and the
-// derived metrics consistent.
-func checkKernelsAgree(t *testing.T, tab *analyzer.Table, m Mapping, policy Policy) {
+// kernels are the shipped Run and the v1 oracle, for the checks both
+// must pass.
+var kernels = []struct {
+	name string
+	run  func(*analyzer.Table, Mapping) (Result, error)
+}{
+	{"shipped", func(t *analyzer.Table, m Mapping) (Result, error) { return Run(t, m, Options{}) }},
+	{"v1 oracle", runOracle},
+}
+
+// checkKernelsAgree runs one mapping through the shipped kernel and the
+// v1 oracle and asserts they match within the retirement tolerance:
+// identical JobRuns completion order and retirement set (same
+// JobID/AccelID sequence), per-run Start/End and makespan within
+// kernelTol, and the derived metrics consistent.
+func checkKernelsAgree(t *testing.T, tab *analyzer.Table, m Mapping) {
 	t.Helper()
-	v1, err := Run(tab, m, Options{Policy: policy, Kernel: KernelV1})
+	v1, err := runOracle(tab, m)
 	if err != nil {
 		t.Fatalf("kernel v1: %v", err)
 	}
-	v2, err := Run(tab, m, Options{Policy: policy, Kernel: KernelV2})
+	v2, err := Run(tab, m, Options{})
 	if err != nil {
 		t.Fatalf("kernel v2: %v", err)
 	}
 	if len(v1.JobRuns) != len(v2.JobRuns) {
-		t.Fatalf("policy %d: v1 retired %d jobs, v2 %d", policy, len(v1.JobRuns), len(v2.JobRuns))
+		t.Fatalf("v1 retired %d jobs, v2 %d", len(v1.JobRuns), len(v2.JobRuns))
 	}
 	for i := range v1.JobRuns {
 		r1, r2 := v1.JobRuns[i], v2.JobRuns[i]
 		if r1.JobID != r2.JobID || r1.AccelID != r2.AccelID {
-			t.Fatalf("policy %d: completion order diverges at %d: v1 job %d on %d, v2 job %d on %d",
-				policy, i, r1.JobID, r1.AccelID, r2.JobID, r2.AccelID)
+			t.Fatalf("completion order diverges at %d: v1 job %d on %d, v2 job %d on %d",
+				i, r1.JobID, r1.AccelID, r2.JobID, r2.AccelID)
 		}
 		if math.Abs(r1.Start-r2.Start) > kernelTol(r1.Start) || math.Abs(r1.End-r2.End) > kernelTol(r1.End) {
-			t.Fatalf("policy %d: job %d window v1 [%g,%g] vs v2 [%g,%g]",
-				policy, r1.JobID, r1.Start, r1.End, r2.Start, r2.End)
+			t.Fatalf("job %d window v1 [%g,%g] vs v2 [%g,%g]",
+				r1.JobID, r1.Start, r1.End, r2.Start, r2.End)
 		}
 	}
 	if math.Abs(v1.TotalCycles-v2.TotalCycles) > kernelTol(v1.TotalCycles) {
-		t.Fatalf("policy %d: makespan v1 %g vs v2 %g", policy, v1.TotalCycles, v2.TotalCycles)
+		t.Fatalf("makespan v1 %g vs v2 %g", v1.TotalCycles, v2.TotalCycles)
 	}
 	if math.Abs(v1.Energy-v2.Energy) > kernelTol(v1.Energy) {
-		t.Fatalf("policy %d: energy v1 %g vs v2 %g", policy, v1.Energy, v2.Energy)
+		t.Fatalf("energy v1 %g vs v2 %g", v1.Energy, v2.Energy)
 	}
 }
 
 // TestKernelV2MatchesV1Property is the v2≡v1 contract over random
-// tables: 4–128 jobs × 2–16 heterogeneous cores × both policies.
+// tables: 4–128 jobs × 2–16 heterogeneous cores.
 func TestKernelV2MatchesV1Property(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 60; trial++ {
@@ -103,9 +113,7 @@ func TestKernelV2MatchesV1Property(t *testing.T) {
 		nAccels := 2 + r.Intn(15) // 2..16
 		tab := randomTable(r, nJobs, nAccels)
 		m := randomMapping(nJobs, nAccels, r)
-		for _, policy := range []Policy{Proportional, WaterFill} {
-			checkKernelsAgree(t, tab, m, policy)
-		}
+		checkKernelsAgree(t, tab, m)
 	}
 }
 
@@ -115,10 +123,7 @@ func TestKernelV2MatchesV1RealTable(t *testing.T) {
 	tab := buildTable(t, models.Mix, 40, platform.S2().WithBW(4))
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
-		m := randomMapping(40, 4, r)
-		for _, policy := range []Policy{Proportional, WaterFill} {
-			checkKernelsAgree(t, tab, m, policy)
-		}
+		checkKernelsAgree(t, tab, randomMapping(40, 4, r))
 	}
 }
 
@@ -129,46 +134,40 @@ func TestKernelV2Deterministic(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	tab := randomTable(r, 60, 8)
 	m := randomMapping(60, 8, r)
-	for _, policy := range []Policy{Proportional, WaterFill} {
-		s := NewSimulator(Options{Policy: policy})
-		first, err := s.Run(tab, m)
+	s := NewSimulator(Options{})
+	first, err := s.Run(tab, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Deep-copy: the Result aliases the Simulator's scratch.
+	want := first
+	want.JobRuns = append([]JobRun(nil), first.JobRuns...)
+	want.BusyCycles = append([]float64(nil), first.BusyCycles...)
+	for i := 0; i < 5; i++ {
+		got, err := s.Run(tab, m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Deep-copy: the Result aliases the Simulator's scratch.
-		want := first
-		want.JobRuns = append([]JobRun(nil), first.JobRuns...)
-		want.BusyCycles = append([]float64(nil), first.BusyCycles...)
-		for i := 0; i < 5; i++ {
-			got, err := s.Run(tab, m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got.JobRuns, want.JobRuns) || got.TotalCycles != want.TotalCycles ||
-				got.Energy != want.Energy || !reflect.DeepEqual(got.BusyCycles, want.BusyCycles) {
-				t.Fatalf("policy %d: rerun %d diverged", policy, i)
-			}
+		if !reflect.DeepEqual(got.JobRuns, want.JobRuns) || got.TotalCycles != want.TotalCycles ||
+			got.Energy != want.Energy || !reflect.DeepEqual(got.BusyCycles, want.BusyCycles) {
+			t.Fatalf("rerun %d diverged", i)
 		}
-		fresh, err := Run(tab, m, Options{Policy: policy})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(fresh.JobRuns, want.JobRuns) || fresh.TotalCycles != want.TotalCycles {
-			t.Fatalf("policy %d: fresh simulator diverged from reused one", policy)
-		}
+	}
+	fresh, err := Run(tab, m, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fresh.JobRuns, want.JobRuns) || fresh.TotalCycles != want.TotalCycles {
+		t.Fatal("fresh simulator diverged from reused one")
 	}
 }
 
-// TestKernelV2ZeroAlloc asserts the v2 kernels (event heap and dense
-// live set) and the SoA table memo allocate nothing in steady state.
+// TestKernelV2ZeroAlloc asserts the event kernel and the SoA table
+// memo allocate nothing in steady state.
 func TestKernelV2ZeroAlloc(t *testing.T) {
 	tab := buildTable(t, models.Mix, 40, platform.S2().WithBW(4))
 	m := roundRobin(40, 4)
-	for _, opt := range []Options{
-		{},                  // Proportional → event kernel
-		{Policy: WaterFill}, // dense-live-set frame loop
-		{CaptureFrames: true},
-	} {
+	for _, opt := range []Options{{}, {CaptureFrames: true}} {
 		s := NewSimulator(opt)
 		if _, err := s.Run(tab, m); err != nil { // warm up scratch + SoA memo
 			t.Fatal(err)
@@ -185,7 +184,7 @@ func TestKernelV2ZeroAlloc(t *testing.T) {
 }
 
 // TestKernelV2BoundsSound re-verifies the analytical lower bound
-// against the v2 kernel (and v1, while we are at it): for random
+// against the shipped kernel and the v1 oracle: for random
 // mappings over random tables, bound ≤ simulated makespan and the
 // bound Result's fitness upper-bounds the simulated fitness.
 func TestKernelV2BoundsSound(t *testing.T) {
@@ -199,25 +198,25 @@ func TestKernelV2BoundsSound(t *testing.T) {
 		cb := make(CoreBounds, nAccels)
 		b.CoresInto(cb, &m)
 		lb := b.LowerBound(cb)
-		for _, k := range []Kernel{KernelV2, KernelV1} {
-			res, err := Run(tab, m, Options{Kernel: k})
+		for _, k := range kernels {
+			res, err := k.run(tab, m)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if res.TotalCycles < lb {
-				t.Fatalf("trial %d kernel %d: bound %g beats simulated makespan %g", trial, k, lb, res.TotalCycles)
+				t.Fatalf("trial %d %s: bound %g beats simulated makespan %g", trial, k.name, lb, res.TotalCycles)
 			}
 			opt := b.Result(cb)
 			if opt.Energy > res.Energy {
-				t.Fatalf("trial %d kernel %d: bound energy %g exceeds simulated %g", trial, k, opt.Energy, res.Energy)
+				t.Fatalf("trial %d %s: bound energy %g exceeds simulated %g", trial, k.name, opt.Energy, res.Energy)
 			}
 		}
 	}
 }
 
 // TestKernelFaultPoint pins the sim.kernel chaos point: an armed error
-// hook fails v2 runs (the injected error surfaces from Run) while the
-// v1 reference path never passes through it.
+// hook fails the shipped Run (the injected error surfaces from it)
+// while the v1 oracle never passes through it.
 func TestKernelFaultPoint(t *testing.T) {
 	defer fault.Reset()
 	tab := buildTable(t, models.Vision, 12, platform.S1())
@@ -225,16 +224,13 @@ func TestKernelFaultPoint(t *testing.T) {
 	boom := errors.New("boom")
 	fault.Enable(fault.SimKernel, func() error { return boom })
 	if _, err := Run(tab, m, Options{}); !errors.Is(err, boom) {
-		t.Fatalf("v2 Run with armed sim.kernel point: err = %v, want %v", err, boom)
+		t.Fatalf("Run with armed sim.kernel point: err = %v, want %v", err, boom)
 	}
-	if _, err := Run(tab, m, Options{Policy: WaterFill}); !errors.Is(err, boom) {
-		t.Fatalf("v2 WaterFill Run with armed point: err = %v, want %v", err, boom)
+	if _, err := runOracle(tab, m); err != nil {
+		t.Fatalf("v1 oracle must not pass the sim.kernel point: %v", err)
 	}
-	if _, err := Run(tab, m, Options{Kernel: KernelV1}); err != nil {
-		t.Fatalf("v1 Run must not pass the sim.kernel point: %v", err)
-	}
-	if got := fault.Hits(fault.SimKernel); got != 2 {
-		t.Fatalf("sim.kernel hits = %d, want 2", got)
+	if got := fault.Hits(fault.SimKernel); got != 1 {
+		t.Fatalf("sim.kernel hits = %d, want 1", got)
 	}
 	fault.Disable(fault.SimKernel)
 	res, err := Run(tab, m, Options{})
@@ -284,9 +280,10 @@ func TestValidatorMatchesValidate(t *testing.T) {
 	}
 }
 
-// BenchmarkKernel compares v1 and v2 ns/run across problem sizes — the
-// complexity claim (O(J·A) → O(J·log A)) should show as a widening gap
-// with the core count.
+// BenchmarkKernel compares the v1 oracle and the shipped kernel ns/run
+// across problem sizes — the complexity claim (O(J·A) → O(J·log A))
+// should show as a widening gap with the core count. CI gates the
+// jobs=100/accels=16 ratio v1oracle/shipped at ≥ 1.2.
 func BenchmarkKernel(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	for _, size := range []struct{ jobs, accels int }{
@@ -295,14 +292,13 @@ func BenchmarkKernel(b *testing.B) {
 		tab := randomTable(r, size.jobs, size.accels)
 		m := randomMapping(size.jobs, size.accels, r)
 		for _, k := range []struct {
-			name   string
-			kernel Kernel
-		}{{"v1", KernelV1}, {"v2", KernelV2}} {
+			name string
+			run  func(*analyzer.Table, Mapping) (Result, error)
+		}{{"v1oracle", newOracle(Options{}).Run}, {"shipped", NewSimulator(Options{}).Run}} {
 			b.Run(fmt.Sprintf("jobs=%d/accels=%d/%s", size.jobs, size.accels, k.name), func(b *testing.B) {
-				s := NewSimulator(Options{Kernel: k.kernel})
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := s.Run(tab, m); err != nil {
+					if _, err := k.run(tab, m); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -120,183 +120,14 @@ func (r Result) CoreUtilization() []float64 {
 // group completes.
 const leakagePerPEPerCycle = 0.05
 
-// live is the in-flight job state of one sub-accelerator.
+// live is the in-flight job state of one sub-accelerator. An idle
+// slot carries the sentinel live{job: -1}, so its req is always 0.
 type live struct {
 	job    int
-	work   float64 // outstanding demand: remaining latency × reqBW
 	req    float64 // required bytes/cycle
-	noBW   float64 // remaining cycles for jobs with ~zero BW demand
 	start  float64
 	active bool
 }
-
-// allocate divides the system bandwidth among the live jobs according
-// to the policy, writing per-core grants into alloc.
-func allocate(state []live, alloc []float64, sysBW float64, policy Policy) {
-	allocateScratch(state, alloc, sysBW, policy, nil)
-}
-
-// allocateScratch is allocate with a caller-owned scratch slice for the
-// WaterFill worklist (Proportional never needs it). It returns the
-// possibly-grown scratch so the caller can keep it for the next frame.
-func allocateScratch(state []live, alloc []float64, sysBW float64, policy Policy, scratch []int) []int {
-	// Invariant: an inactive slot always carries req == 0 (launch installs
-	// the idle sentinel live{job: -1}), so summing and scaling can run
-	// branch-free over every slot — inactive cores contribute 0 to the sum
-	// and receive 0*scale. Adding 0.0 and multiplying 0.0 are exact, so
-	// the result is bit-identical to the branchy per-slot active checks.
-	var sumReq float64
-	for a := range state {
-		sumReq += state[a].req
-	}
-	if sumReq <= sysBW || policy == Proportional {
-		// Unsaturated frames grant every requirement (scale 1, exact);
-		// saturated Proportional frames scale uniformly by sysBW/Σreq —
-		// one multiply per slot, no branches in the loop.
-		scale := 1.0
-		if sumReq > sysBW {
-			scale = sysBW / sumReq
-		}
-		for a := range state {
-			alloc[a] = state[a].req * scale
-		}
-		return scratch
-	}
-	for a := range state {
-		alloc[a] = 0
-	}
-	// Max-min water-filling capped at each job's requirement: repeatedly
-	// grant jobs whose requirement fits under the fair share of the
-	// remaining bandwidth; split the rest evenly among the still-hungry.
-	remaining := sysBW
-	if cap(scratch) < len(state) {
-		scratch = make([]int, 0, len(state))
-	}
-	unsat := scratch[:0]
-	for a := range state {
-		if state[a].active && state[a].req > 1e-12 {
-			unsat = append(unsat, a)
-		}
-	}
-	for len(unsat) > 0 {
-		fair := remaining / float64(len(unsat))
-		progressed := false
-		keep := unsat[:0]
-		for _, a := range unsat {
-			if state[a].req <= fair {
-				alloc[a] = state[a].req
-				remaining -= state[a].req
-				progressed = true
-			} else {
-				keep = append(keep, a)
-			}
-		}
-		unsat = keep
-		if !progressed {
-			fair = remaining / float64(len(unsat))
-			for _, a := range unsat {
-				alloc[a] = fair
-			}
-			return scratch
-		}
-	}
-	return scratch
-}
-
-// allocateLive is the WaterFill allocator over a dense live set: the
-// same max-min water-filling as allocateScratch, but summing and
-// granting only the accels in liveIdx instead of sweeping every slot.
-// Iteration runs in live-set order (swap-remove scrambles it), so the
-// float sums can differ from the accel-order sweep in low-order bits —
-// the v2 kernel's documented tolerance-level divergence from v1.
-func allocateLive(state []live, liveIdx []int, alloc []float64, sysBW float64, scratch []int) []int {
-	var sumReq float64
-	for _, a := range liveIdx {
-		sumReq += state[a].req
-	}
-	if sumReq <= sysBW {
-		for _, a := range liveIdx {
-			alloc[a] = state[a].req
-		}
-		return scratch
-	}
-	for _, a := range liveIdx {
-		alloc[a] = 0
-	}
-	remaining := sysBW
-	if cap(scratch) < len(liveIdx) {
-		scratch = make([]int, 0, len(liveIdx))
-	}
-	unsat := scratch[:0]
-	for _, a := range liveIdx {
-		if state[a].req > 1e-12 {
-			unsat = append(unsat, a)
-		}
-	}
-	for len(unsat) > 0 {
-		fair := remaining / float64(len(unsat))
-		progressed := false
-		keep := unsat[:0]
-		for _, a := range unsat {
-			if state[a].req <= fair {
-				alloc[a] = state[a].req
-				remaining -= state[a].req
-				progressed = true
-			} else {
-				keep = append(keep, a)
-			}
-		}
-		unsat = keep
-		if !progressed {
-			fair = remaining / float64(len(unsat))
-			for _, a := range unsat {
-				alloc[a] = fair
-			}
-			return scratch
-		}
-	}
-	return scratch
-}
-
-// Policy selects how the allocator divides the system bandwidth when
-// the live jobs' requirements exceed it.
-type Policy uint8
-
-const (
-	// Proportional (default) is the literal Algorithm 1 rule:
-	// allocations scale by req_i/Σreq, so under saturation every live
-	// job — including compute-bound ones that asked for almost nothing —
-	// stretches by the same Σreq/BWsys factor. This coupling is the
-	// mechanism the mapper exploits: staggering BW-hungry jobs across
-	// time keeps Σreq under BWsys so nothing stalls (the Fig. 15
-	// behaviour), while naive mappings co-schedule hungry and
-	// compute-bound jobs and stall everything.
-	Proportional Policy = iota
-	// WaterFill is max-min fairness capped at each job's requirement:
-	// compute-bound jobs always run at no-stall speed and only
-	// BW-hungry jobs stall. A work-conserving alternative kept for the
-	// allocator-policy ablation (BenchmarkAblationAllocator).
-	WaterFill
-)
-
-// Kernel selects the Run implementation. Both kernels execute the same
-// Algorithm 1 semantics; they differ in arithmetic order, so results
-// agree only within the retirement tolerances (see DESIGN.md
-// "Simulator kernel v2"), and each kernel is individually
-// deterministic: equal inputs give bit-identical Results.
-type Kernel uint8
-
-const (
-	// KernelV2 (default) is the event-driven kernel: under Proportional
-	// it replaces the per-completion O(accels) rescan with min-heaps of
-	// completion keys on a global virtual clock (O(log accels) per
-	// completion); under WaterFill it keeps the exact frame loop but
-	// sweeps a dense live set instead of every slot.
-	KernelV2 Kernel = iota
-	// KernelV1 is the original frame loop, kept bit-identical as the
-	// reference implementation the v2≡v1 property tests compare against.
-	KernelV1
-)
 
 // KernelVersion is the simulator's numeric-behaviour version. The v2
 // kernel reorders floating-point arithmetic, so fitness values differ
@@ -308,9 +139,7 @@ const KernelVersion = 2
 
 // Options tunes the simulator.
 type Options struct {
-	CaptureFrames bool   // record per-frame BW allocations (Fig. 15)
-	Policy        Policy // bandwidth division rule under saturation
-	Kernel        Kernel // Run implementation (default KernelV2)
+	CaptureFrames bool // record per-frame BW allocations (Fig. 15)
 }
 
 // Run executes the mapping against the job analysis table. It is a

@@ -9,12 +9,12 @@ import (
 	"magma/internal/platform"
 )
 
-// Simulator is a reusable executor of the Algorithm 1 time-frame loop.
-// All working storage — live-job state, bandwidth grants, queue cursors,
-// the JobRuns/BusyCycles/Frames of the Result — lives in scratch buffers
-// owned by the Simulator, so Run performs zero heap allocations once the
-// buffers have grown to the problem size. That makes one Simulator per
-// worker the unit of parallel fitness evaluation.
+// Simulator is a reusable executor of Algorithm 1. All working storage
+// — live-job state, bandwidth grants, queue cursors, completion heaps,
+// the JobRuns/BusyCycles/Frames of the Result — lives in scratch
+// buffers owned by the Simulator, so Run performs zero heap allocations
+// once the buffers have grown to the problem size. That makes one
+// Simulator per worker the unit of parallel fitness evaluation.
 //
 // Ownership rule: the slices inside a returned Result alias the
 // Simulator's scratch and are only valid until the next Run call on the
@@ -29,17 +29,14 @@ type Simulator struct {
 	state   []live
 	alloc   []float64
 	next    []int     // per-accel cursor into its queue
-	unsat   []int     // WaterFill worklist scratch
 	seen    []bool    // Validate scratch
 	jobRuns []JobRun  // Result.JobRuns backing
 	busy    []float64 // Result.BusyCycles backing
 	frames  []Frame   // Result.Frames backing (CaptureFrames only)
 
-	bwHeap  []event // v2 events: pending BW-job completions, virtual time
-	nbHeap  []event // v2 events: pending BW-free completions, wall time
-	retire  []int   // v2: per-event/per-frame retirement batch
-	liveIdx []int   // v2 WaterFill: dense set of active accels
-	livePos []int   // v2 WaterFill: accel's index in liveIdx (-1 if idle)
+	bwHeap []event // pending BW-job completions, virtual time
+	nbHeap []event // pending BW-free completions, wall time
+	retire []int   // per-event retirement batch
 
 	// Per-table constants, memoized on first Run against a table: the
 	// group's total work and the platform's PE count are invariants of
@@ -54,11 +51,10 @@ type Simulator struct {
 }
 
 // soaTable is a flattened structure-of-arrays copy of the analyzer
-// table, indexed j*nAccels+a: launch and the energy epilogue walk
+// table, indexed j*nAccels+a: launches and the energy epilogue walk
 // contiguous float64 arrays instead of pointer-chasing t.At through
-// Entries[j][a]. work precomputes launch's outstanding-demand product
-// with the identical float64(Cycles)×BWPerCycle expression, so kernel
-// v1 routed through the SoA stays bit-identical to reading the table.
+// Entries[j][a]. work precomputes a launch's outstanding-demand product
+// float64(Cycles)×BWPerCycle once per table.
 type soaTable struct {
 	nAccels int
 	cycles  []float64 // no-stall latency, cycles
@@ -187,7 +183,7 @@ func grow[T any](s []T, n int) []T {
 }
 
 // prepare validates the mapping, refreshes the per-table memos (SoA
-// included) and resets the scratch shared by every kernel.
+// included) and resets the queue cursors and Result backing.
 func (s *Simulator) prepare(t *analyzer.Table, m Mapping) (nJobs, nAccels int, sysBW float64, err error) {
 	nJobs, nAccels = t.NumJobs(), t.NumAccels()
 	s.seen = grow(s.seen, nJobs)
@@ -213,25 +209,6 @@ func (s *Simulator) prepare(t *analyzer.Table, m Mapping) (nJobs, nAccels int, s
 	return nJobs, nAccels, sysBW, nil
 }
 
-// launch advances accel a's queue cursor and installs its next job as
-// the live job at time now (idle sentinel when the queue is drained).
-func (s *Simulator) launch(m Mapping, a int, now float64) {
-	if s.next[a] < len(m.Queues[a]) {
-		j := m.Queues[a][s.next[a]]
-		s.next[a]++
-		i := j*s.soa.nAccels + a
-		st := live{job: j, start: now, active: true, req: s.soa.req[i]}
-		if st.req <= 1e-12 {
-			st.noBW = s.soa.cycles[i]
-		} else {
-			st.work = s.soa.work[i]
-		}
-		s.state[a] = st
-		return
-	}
-	s.state[a] = live{job: -1}
-}
-
 // captureFrame appends one frame to the scratch-backed frame list,
 // reusing the per-frame slices left over from earlier Runs.
 func (s *Simulator) captureFrame(start, end float64, nAccels int) {
@@ -254,9 +231,9 @@ func (s *Simulator) captureFrame(start, end float64, nAccels int) {
 	s.frames = append(s.frames[:len(s.frames)], f)
 }
 
-// finish assembles the Result shared by every kernel: per-core busy
-// time and job energy folded from the JobRuns (energy via the SoA
-// memo), plus the table-level throughput and leakage terms.
+// finish assembles the Result: per-core busy time and job energy
+// folded from the JobRuns (energy via the SoA memo), plus the
+// table-level throughput and leakage terms.
 func (s *Simulator) finish(now float64, nAccels int) Result {
 	s.busy = grow(s.busy, nAccels)
 	for a := range s.busy {
@@ -280,35 +257,25 @@ func (s *Simulator) finish(now float64, nAccels int) Result {
 	return res
 }
 
-// Run executes the mapping against the job analysis table with the
-// configured kernel. See the Simulator doc comment for the Result
-// ownership rule.
-func (s *Simulator) Run(t *analyzer.Table, m Mapping) (Result, error) {
-	if s.opt.Kernel == KernelV1 {
-		return s.runV1(t, m)
-	}
-	if err := fault.Hit(fault.SimKernel); err != nil {
-		return Result{}, fmt.Errorf("sim: kernel: %w", err)
-	}
-	if s.opt.Policy == WaterFill {
-		return s.runFrames(t, m)
-	}
-	return s.runEvents(t, m)
-}
-
-// runEvents is the Proportional-policy v2 kernel. Derivation: with
-// alloc_a = req_a·scale and scale = min(1, sysBW/Σreq), define a
-// global virtual clock V with dV = scale·dt. Every live BW job's
-// normalized remaining demand work/req then decreases at rate exactly
-// 1 in virtual time — regardless of later launches and retirements —
-// so its completion instant is the single key kv = V_launch + work/req
-// computed at launch. No per-frame bandwidth re-division, no O(accels)
+// Run executes the mapping against the job analysis table. See the
+// Simulator doc comment for the Result ownership rule.
+//
+// Derivation: with alloc_a = req_a·scale and scale = min(1, sysBW/Σreq)
+// (the Algorithm 1 rule), define a global virtual clock V with
+// dV = scale·dt. Every live BW job's normalized remaining demand
+// work/req then decreases at rate exactly 1 in virtual time —
+// regardless of later launches and retirements — so its completion
+// instant is the single key kv = V_launch + work/req computed at
+// launch. No per-frame bandwidth re-division, no O(accels)
 // work-decrement sweep. BW-free jobs progress in wall time and live on
 // a second heap keyed kw = now_launch + cycles. Each of the nJobs
 // completions costs O(log nAccels) heap work, so a run is
 // O(nJobs·log nAccels) after the O(nAccels) setup (plus O(nAccels) per
 // event when capturing frames, which hot paths never do).
-func (s *Simulator) runEvents(t *analyzer.Table, m Mapping) (Result, error) {
+func (s *Simulator) Run(t *analyzer.Table, m Mapping) (Result, error) {
+	if err := fault.Hit(fault.SimKernel); err != nil {
+		return Result{}, fmt.Errorf("sim: kernel: %w", err)
+	}
 	nJobs, nAccels, sysBW, err := s.prepare(t, m)
 	if err != nil {
 		return Result{}, err
@@ -319,7 +286,7 @@ func (s *Simulator) runEvents(t *analyzer.Table, m Mapping) (Result, error) {
 	now, V := 0.0, 0.0
 	// Σreq over every installed job, maintained incrementally (+req at
 	// launch, −req at retirement). BW-free jobs contribute their raw
-	// (≤1e-12) requirement exactly as in v1's branch-free slot sum.
+	// (≤1e-12) requirement, as in a sum over every live slot.
 	var sumReq float64
 	for a := 0; a < nAccels; a++ {
 		sumReq += s.launchEvent(m, a, now, V)
@@ -364,9 +331,9 @@ func (s *Simulator) runEvents(t *analyzer.Table, m Mapping) (Result, error) {
 			V += (tNext - now) * scale
 		}
 		now = tNext
-		// Retire everything inside the tolerance window, mirroring v1's
-		// frame-boundary checks: work ≤ 1e-6·req ⇔ kv − V ≤ 1e-6, and
-		// noBW ≤ 1e-9 ⇔ kw − now ≤ 1e-9.
+		// Retire everything inside the tolerance window of the literal
+		// frame loop (the reference in oracle_test.go):
+		// work ≤ 1e-6·req ⇔ kv − V ≤ 1e-6, and noBW ≤ 1e-9 ⇔ kw − now ≤ 1e-9.
 		s.retire = s.retire[:0]
 		for len(s.bwHeap) > 0 && s.bwHeap[0].key <= V+1e-6 {
 			s.retire = append(s.retire, s.bwHeap[0].accel)
@@ -376,9 +343,9 @@ func (s *Simulator) runEvents(t *analyzer.Table, m Mapping) (Result, error) {
 			s.retire = append(s.retire, s.nbHeap[0].accel)
 			s.nbHeap = heapPop(s.nbHeap)
 		}
-		// v1 retires simultaneous completions in its accel-order sweep;
-		// sort the batch (almost always length 1) so the JobRuns order
-		// is identical under both kernels.
+		// Retire simultaneous completions in accel order, the frame
+		// loop's sweep order, so JobRuns match the reference exactly;
+		// the batch is almost always length 1.
 		insertionSortInts(s.retire)
 		for _, a := range s.retire {
 			st := &s.state[a]
@@ -412,153 +379,4 @@ func (s *Simulator) launchEvent(m Mapping, a int, now, V float64) float64 {
 		s.bwHeap = heapPush(s.bwHeap, event{key: V + s.soa.work[i]/req, accel: a})
 	}
 	return req
-}
-
-// runFrames is the WaterFill-policy v2 kernel. Water-filling reprices
-// every live job's grant at each frame boundary (each cap depends on
-// the whole live profile), so no launch-time completion key exists and
-// the exact frame loop is kept; the win here is the dense live set —
-// allocation, the min-runtime scan and the progress sweep walk only
-// the live accels, so drained or narrow mappings stop paying
-// O(nAccels) per frame. Live-set iteration order differs from v1's
-// accel-order sweep, which reorders float sums: results agree with v1
-// within the retirement tolerances, not bit-for-bit.
-func (s *Simulator) runFrames(t *analyzer.Table, m Mapping) (Result, error) {
-	nJobs, nAccels, sysBW, err := s.prepare(t, m)
-	if err != nil {
-		return Result{}, err
-	}
-	s.liveIdx = s.liveIdx[:0]
-	s.livePos = grow(s.livePos, nAccels)
-	now := 0.0
-	for a := 0; a < nAccels; a++ {
-		s.livePos[a] = -1
-		s.launch(m, a, now)
-		if s.state[a].active {
-			s.livePos[a] = len(s.liveIdx)
-			s.liveIdx = append(s.liveIdx, a)
-		}
-	}
-	remaining := nJobs
-	for remaining > 0 {
-		s.unsat = allocateLive(s.state, s.liveIdx, s.alloc, sysBW, s.unsat)
-		minRuntime := math.Inf(1)
-		for _, a := range s.liveIdx {
-			st := &s.state[a]
-			var runtime float64
-			if st.req <= 1e-12 {
-				runtime = st.noBW
-			} else {
-				runtime = st.work / s.alloc[a]
-			}
-			if runtime < minRuntime {
-				minRuntime = runtime
-			}
-		}
-		if math.IsInf(minRuntime, 1) {
-			return Result{}, fmt.Errorf("sim: no live jobs but %d remaining", remaining)
-		}
-		if s.opt.CaptureFrames {
-			s.captureFrame(now, now+minRuntime, nAccels)
-		}
-		now += minRuntime
-		// Progress every live job; collect the finished ones, then
-		// retire them in accel order (v1's sweep order) so simultaneous
-		// completions append to JobRuns identically under both kernels.
-		s.retire = s.retire[:0]
-		for _, a := range s.liveIdx {
-			st := &s.state[a]
-			var done bool
-			if st.req <= 1e-12 {
-				st.noBW -= minRuntime
-				done = st.noBW <= 1e-9
-			} else {
-				st.work -= minRuntime * s.alloc[a]
-				done = st.work <= 1e-6*st.req // tolerance in work units
-			}
-			if done {
-				s.retire = append(s.retire, a)
-			}
-		}
-		insertionSortInts(s.retire)
-		for _, a := range s.retire {
-			st := &s.state[a]
-			s.jobRuns = append(s.jobRuns, JobRun{JobID: st.job, AccelID: a, Start: st.start, End: now})
-			remaining--
-			s.launch(m, a, now)
-			if !s.state[a].active {
-				p, last := s.livePos[a], len(s.liveIdx)-1
-				moved := s.liveIdx[last]
-				s.liveIdx[p] = moved
-				s.livePos[moved] = p
-				s.liveIdx = s.liveIdx[:last]
-				s.livePos[a] = -1
-			}
-		}
-	}
-	return s.finish(now, nAccels), nil
-}
-
-// runV1 is the original Algorithm 1 frame loop, kept bit-identical as
-// the reference implementation: every frame re-divides the bandwidth
-// over all slots, rescans for the earliest completion and decrements
-// every live job's remaining work — O(nJobs·nAccels) per run.
-func (s *Simulator) runV1(t *analyzer.Table, m Mapping) (Result, error) {
-	nJobs, nAccels, sysBW, err := s.prepare(t, m)
-	if err != nil {
-		return Result{}, err
-	}
-	now := 0.0
-	for a := 0; a < nAccels; a++ {
-		s.launch(m, a, now)
-	}
-	remaining := nJobs
-	for remaining > 0 {
-		s.unsat = allocateScratch(s.state, s.alloc, sysBW, s.opt.Policy, s.unsat)
-		// Find the earliest completion among live jobs.
-		minRuntime := math.Inf(1)
-		for a := range s.state {
-			st := &s.state[a]
-			if !st.active {
-				continue
-			}
-			var runtime float64
-			if st.req <= 1e-12 {
-				runtime = st.noBW
-			} else {
-				runtime = st.work / s.alloc[a]
-			}
-			if runtime < minRuntime {
-				minRuntime = runtime
-			}
-		}
-		if math.IsInf(minRuntime, 1) {
-			return Result{}, fmt.Errorf("sim: no live jobs but %d remaining", remaining)
-		}
-		if s.opt.CaptureFrames {
-			s.captureFrame(now, now+minRuntime, nAccels)
-		}
-		now += minRuntime
-		// Progress every live job; retire the finished ones.
-		for a := range s.state {
-			st := &s.state[a]
-			if !st.active {
-				continue
-			}
-			var done bool
-			if st.req <= 1e-12 {
-				st.noBW -= minRuntime
-				done = st.noBW <= 1e-9
-			} else {
-				st.work -= minRuntime * s.alloc[a]
-				done = st.work <= 1e-6*st.req // tolerance in work units
-			}
-			if done {
-				s.jobRuns = append(s.jobRuns, JobRun{JobID: st.job, AccelID: a, Start: st.start, End: now})
-				remaining--
-				s.launch(m, a, now)
-			}
-		}
-	}
-	return s.finish(now, nAccels), nil
 }

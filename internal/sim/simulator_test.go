@@ -25,12 +25,7 @@ func randomMapping(nJobs, nAccels int, r *rand.Rand) Mapping {
 func TestSimulatorMatchesRun(t *testing.T) {
 	tab := buildTable(t, models.Mix, 30, platform.S2().WithBW(4))
 	r := rand.New(rand.NewSource(9))
-	for _, opt := range []Options{
-		{},
-		{Policy: WaterFill},
-		{CaptureFrames: true},
-		{CaptureFrames: true, Policy: WaterFill},
-	} {
+	for _, opt := range []Options{{}, {CaptureFrames: true}} {
 		s := NewSimulator(opt)
 		for i := 0; i < 20; i++ {
 			m := randomMapping(30, 4, r)
@@ -76,18 +71,16 @@ func TestSimulatorRecoversAfterError(t *testing.T) {
 func TestSimulatorZeroAlloc(t *testing.T) {
 	tab := buildTable(t, models.Mix, 40, platform.S2().WithBW(4))
 	m := roundRobin(40, 4)
-	for _, opt := range []Options{{}, {Policy: WaterFill}} {
-		s := NewSimulator(opt)
-		if _, err := s.Run(tab, m); err != nil { // warm up scratch
+	s := NewSimulator(Options{})
+	if _, err := s.Run(tab, m); err != nil { // warm up scratch
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := s.Run(tab, m); err != nil {
 			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(50, func() {
-			if _, err := s.Run(tab, m); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs > 0 {
-			t.Errorf("opt %+v: steady-state Run allocates %.1f times, want 0", opt, allocs)
-		}
+	})
+	if allocs > 0 {
+		t.Errorf("steady-state Run allocates %.1f times, want 0", allocs)
 	}
 }
