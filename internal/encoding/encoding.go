@@ -41,12 +41,31 @@ func (g Genome) Validate(nJobs, nAccels int) error {
 		}
 	}
 	for i, p := range g.Prio {
-		if math.IsNaN(p) || p < 0 || p >= 1 {
+		if !validPrio(p) {
 			return fmt.Errorf("encoding: gene %d priority %f outside [0,1)", i, p)
 		}
 	}
 	return nil
 }
+
+// ValidPrio reports whether the priority section passes Validate: nJobs
+// genes, each in [0,1). It is Validate without the accel section, for a
+// caller that checks the accel genes in a walk of its own (the search
+// runner's pruning pass range-checks them while pricing their bound).
+func (g Genome) ValidPrio(nJobs int) bool {
+	if len(g.Prio) != nJobs {
+		return false
+	}
+	for _, p := range g.Prio {
+		if !validPrio(p) {
+			return false
+		}
+	}
+	return true
+}
+
+// validPrio reports whether p is a priority gene in [0,1); NaN is not.
+func validPrio(p float64) bool { return p >= 0 && p < 1 }
 
 // Clone deep-copies the genome.
 func (g Genome) Clone() Genome {
@@ -77,6 +96,12 @@ func Random(nJobs, nAccels int, r Rand) Genome {
 // Decode turns the genome into per-core ordered queues: jobs selecting a
 // core are sorted by ascending priority gene (ties by job ID, making the
 // decoding deterministic).
+//
+// Decode, DecodeInto and the fingerprints built on them require a genome
+// that passes Validate. For any priority bits (NaN, negative, ≥ 1) with
+// accel genes in range they still return without panicking, and each
+// core's queue is a permutation of the jobs selecting it, but the order
+// within a queue is then unspecified.
 func Decode(g Genome, nAccels int) sim.Mapping {
 	var m sim.Mapping
 	DecodeInto(g, nAccels, &m)
@@ -88,16 +113,31 @@ func Decode(g Genome, nAccels int) sim.Mapping {
 // the queues have grown to the genome's per-core occupancy — it performs
 // zero heap allocations, which makes it the decode step of the parallel
 // evaluation engine (one scratch Mapping per worker).
+//
+// The decode sorts all jobs once (sortJobs) and deals them out to their
+// cores in that order, so each queue comes out sorted. Queue 0 holds at
+// most len(g.Accel) jobs, so the capacity behind that many slots of its
+// buffer is free: it is grown to three times the group size and the
+// sort keeps its scratch there.
 func DecodeInto(g Genome, nAccels int, m *sim.Mapping) {
 	sizeQueues(m, nAccels)
 	for a := range m.Queues {
 		m.Queues[a] = m.Queues[a][:0]
 	}
-	for j, a := range g.Accel {
-		m.Queues[a] = append(m.Queues[a], j)
+	n := len(g.Accel)
+	if n == 0 {
+		return
 	}
-	for _, q := range m.Queues {
-		sortQueue(q, g.Prio)
+	if cap(m.Queues[0]) < 3*n {
+		m.Queues[0] = make([]int, 0, 3*n)
+	}
+	scratch := m.Queues[0][n : 3*n]
+	order := scratch[:n]
+	sortJobs(order, scratch[n:], g.Prio)
+	queues, accel := m.Queues, g.Accel
+	for _, j := range order {
+		a := accel[j]
+		queues[a] = append(queues[a], j)
 	}
 }
 
@@ -114,26 +154,60 @@ func sizeQueues(m *sim.Mapping, nAccels int) {
 	m.Queues = q
 }
 
-// sortQueue orders one core's queue by ascending priority gene, ties by
-// job ID. Queues are filled in ascending job ID, so a stable insertion
-// sort reproduces Decode's historical sort.SliceStable order without
-// its closure/interface allocations; queues are short (group size /
-// cores), so O(n²) insertion beats the general sort.
-func sortQueue(q []int, prio []float64) {
-	for i := 1; i < len(q); i++ {
-		j := q[i]
+// sortJobs writes the jobs 0..n-1 into order (length n) by ascending
+// priority gene, ties by job ID, in time linear in n when the
+// priorities are spread over [0,1); start (length n) is scratch for the
+// bucket offsets. It counts the jobs into n buckets (bucket), scatters
+// them stably in job order, and runs one insertion pass over that nearly
+// sorted order. Since bucket is monotone in the priority, the insertion
+// pass only reorders jobs within a bucket, and equal priorities keep
+// the job order the scatter gave them; with every priority in one
+// bucket it degrades to a plain insertion sort.
+func sortJobs(order, start []int, prio []float64) {
+	n := len(order)
+	clear(start)
+	for _, p := range prio {
+		start[bucket(p, n)]++
+	}
+	sum := 0
+	for b, c := range start {
+		start[b] = sum
+		sum += c
+	}
+	for j, p := range prio {
+		b := bucket(p, n)
+		order[start[b]] = j
+		start[b]++
+	}
+	top := prio[order[0]] // the highest priority placed so far
+	for i := 1; i < n; i++ {
+		j := order[i]
 		pj := prio[j]
+		if pj >= top {
+			top = pj
+			continue
+		}
 		k := i - 1
-		for k >= 0 {
-			pk := prio[q[k]]
-			if pk < pj || (pk == pj && q[k] < j) {
-				break
-			}
-			q[k+1] = q[k]
+		for k >= 0 && prio[order[k]] > pj {
+			order[k+1] = order[k]
 			k--
 		}
-		q[k+1] = j
+		order[k+1] = j
 	}
+}
+
+// bucket is priority p's bucket among n, ⌊p·n⌋ clamped into [0, n);
+// NaN lands in bucket 0. It is monotone in p, so a job in a lower
+// bucket always has a strictly lower priority.
+func bucket(p float64, n int) int {
+	x := p * float64(n)
+	if b := int(x); uint(b) < uint(n) {
+		return b
+	}
+	if x >= float64(n) {
+		return n - 1
+	}
+	return 0
 }
 
 // ToVector flattens the genome into a continuous vector of length

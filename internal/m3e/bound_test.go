@@ -361,13 +361,17 @@ func TestBoundFitnessNeverBeatsSimulation(t *testing.T) {
 			cycles := make([]float64, prob.NumAccels())
 			for trial := 0; trial < 20; trial++ {
 				g := encoding.Random(prob.NumJobs(), prob.NumAccels(), r)
-				bound := prob.Fitness(b.GenomeResult(cycles, g.Accel))
+				res, ok := b.GenomeResult(cycles, g.Accel)
+				if !ok {
+					t.Fatalf("GenomeResult rejected a valid genome")
+				}
+				bound := prob.Fitness(res)
 				m := encoding.Decode(g, prob.NumAccels())
-				res, err := sim.Run(prob.Table, m, sim.Options{})
+				sres, err := sim.Run(prob.Table, m, sim.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if exact := prob.Fitness(res); bound < exact {
+				if exact := prob.Fitness(sres); bound < exact {
 					t.Fatalf("%s %s trial %d: bound fitness %g below simulated %g",
 						pf.Setting, obj, trial, bound, exact)
 				}

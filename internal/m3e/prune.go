@@ -75,11 +75,21 @@ func (pr *pruner) prune(pool *Pool, batch []encoding.Genome, fit []float64, best
 	priced := k > 0 && reasked >= k
 	nJobs, nAccels := pr.p.NumJobs(), pr.p.NumAccels()
 	pool.each(n, func(ev *Evaluator, i int) {
-		if batch[i].Validate(nJobs, nAccels) != nil {
-			pr.state[i] = slotInvalid
-		} else if priced && pr.state[i] == slotOpen {
-			pr.boundFit[i] = pr.p.Fitness(pr.bounds.GenomeResult(ev.cycles, batch[i].Accel))
+		g := batch[i]
+		if !priced || pr.state[i] != slotOpen {
+			if g.Validate(nJobs, nAccels) != nil {
+				pr.state[i] = slotInvalid
+			}
+			return
 		}
+		// One walk over the accel genes both range-checks them and sums
+		// the bound, so a priced genome is validated without a second.
+		res, ok := pr.bounds.GenomeResult(ev.cycles, g.Accel)
+		if !ok || !g.ValidPrio(nJobs) {
+			pr.state[i] = slotInvalid
+			return
+		}
+		pr.boundFit[i] = pr.p.Fitness(res)
 	})
 
 	pr.top = pr.top[:0]

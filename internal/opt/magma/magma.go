@@ -161,8 +161,8 @@ func (o *Optimizer) Reasks() []int {
 // EliteCount implements m3e.EliteSelector: Tell consumes the reported
 // fitness only through the top-nElite ranked candidates (the elites it
 // clones and breeds from), so values strictly below the nElite-th best
-// can never influence the next population. The formula replicates
-// Tell's nElite exactly.
+// can never influence the next population. Tell takes its nElite from
+// here, so the two cannot drift apart.
 func (o *Optimizer) EliteCount(told int) int {
 	nElite := int(float64(o.cfg.Population) * o.cfg.EliteRatio)
 	if nElite < 2 {
@@ -228,13 +228,7 @@ func (o *Optimizer) Tell(genomes []encoding.Genome, fitness []float64) {
 	}
 	sort.Stable(byFitness(o.ranked))
 
-	nElite := int(float64(o.cfg.Population) * o.cfg.EliteRatio)
-	if nElite < 2 {
-		nElite = 2
-	}
-	if nElite > len(o.ranked) {
-		nElite = len(o.ranked)
-	}
+	nElite := o.EliteCount(len(o.ranked))
 	o.elites = growGenomes(o.elites, nElite, o.nJobs)
 	for i := 0; i < nElite; i++ {
 		copyGenome(&o.elites[i], o.ranked[i].g)

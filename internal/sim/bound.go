@@ -25,6 +25,7 @@ import (
 // cache-friendly; a Bounds is immutable after construction and safe to
 // share across goroutines.
 type Bounds struct {
+	nJobs   int
 	nAccels int
 	cycles  []float64 // [j*nAccels+a] no-stall latency, cycles
 	traffic []float64 // [j*nAccels+a] DRAM traffic, bytes (0 when BW-free)
@@ -50,6 +51,7 @@ const (
 func NewBounds(t *analyzer.Table) *Bounds {
 	nJobs, nAccels := t.NumJobs(), t.NumAccels()
 	b := &Bounds{
+		nJobs:   nJobs,
 		nAccels: nAccels,
 		cycles:  make([]float64, nJobs*nAccels),
 		traffic: make([]float64, nJobs*nAccels),
@@ -165,10 +167,21 @@ func (b *Bounds) Result(cb CoreBounds) Result {
 // sums run in job order rather than queue order, so the result agrees
 // with Result over CoresInto up to rounding — far inside the bound's
 // slack — rather than bit for bit. It allocates nothing.
-func (b *Bounds) GenomeResult(cycles []float64, accel []int) Result {
+//
+// The same walk checks the genes: ok is false, and the Result zero,
+// unless accel holds one gene per job of the table, each naming a core
+// in [0, NumAccels()). A caller that must validate the accel genes
+// anyway (the search runner's pruning pass) needs no second walk.
+func (b *Bounds) GenomeResult(cycles []float64, accel []int) (res Result, ok bool) {
+	if len(accel) != b.nJobs {
+		return Result{}, false
+	}
 	clear(cycles)
 	var bytes, jobEnergy float64
 	for j, a := range accel {
+		if uint(a) >= uint(b.nAccels) {
+			return Result{}, false
+		}
 		i := j*b.nAccels + a
 		cycles[a] += b.cycles[i]
 		bytes += b.traffic[i]
@@ -180,7 +193,7 @@ func (b *Bounds) GenomeResult(cycles []float64, accel []int) Result {
 			compute = c
 		}
 	}
-	return b.result(b.lowerBound(compute, bytes), jobEnergy)
+	return b.result(b.lowerBound(compute, bytes), jobEnergy), true
 }
 
 // result is the optimistic Result for makespan bound lb and exact job

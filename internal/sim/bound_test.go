@@ -64,7 +64,10 @@ func TestQuickBoundNeverBeatsSimulation(t *testing.T) {
 				}
 				b.CoresInto(cb, &m)
 				opt := b.Result(cb)
-				gen := b.GenomeResult(cycles, accel)
+				gen, ok := b.GenomeResult(cycles, accel)
+				if !ok {
+					t.Fatalf("trial %d: GenomeResult rejected in-range genes %v", trial, accel)
+				}
 				for _, f := range []struct {
 					name      string
 					got, want float64
@@ -192,10 +195,34 @@ func TestGenomeBoundZeroAlloc(t *testing.T) {
 	}
 	cycles := make([]float64, p.NumAccels())
 	allocs := testing.AllocsPerRun(100, func() {
-		_ = b.GenomeResult(cycles, accel)
+		_, _ = b.GenomeResult(cycles, accel)
 	})
 	if allocs != 0 {
 		t.Errorf("genome bound allocates %v times per run, want 0", allocs)
+	}
+}
+
+// TestGenomeResultChecksGenes pins the walk's validation half: a gene
+// outside [0, NumAccels()) anywhere in the genome, or a genome of the
+// wrong length, is refused with a zero Result instead of being priced.
+func TestGenomeResultChecksGenes(t *testing.T) {
+	p := platform.S2().WithBW(8)
+	tab := buildTable(t, models.Mix, 6, p)
+	b := NewBounds(tab)
+	cycles := make([]float64, p.NumAccels())
+	for _, accel := range [][]int{
+		{0, 1, 0, 1, 0, p.NumAccels()},
+		{-1, 1, 0, 1, 0, 1},
+		{0, 1, 0, 1, 0},
+		{0, 1, 0, 1, 0, 1, 0},
+		nil,
+	} {
+		if res, ok := b.GenomeResult(cycles, accel); ok || res.TotalCycles != 0 || res.Energy != 0 {
+			t.Errorf("GenomeResult(%v) = %+v, %v; want a zero Result and false", accel, res, ok)
+		}
+	}
+	if _, ok := b.GenomeResult(cycles, []int{0, 1, 0, 1, 0, 1}); !ok {
+		t.Error("GenomeResult refused in-range genes")
 	}
 }
 
