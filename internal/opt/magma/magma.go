@@ -32,12 +32,22 @@ package magma
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"magma/internal/encoding"
 	"magma/internal/m3e"
 	"magma/internal/rng"
 )
+
+// DrawLayout is the version of the order in which MAGMA's operators
+// consume each child's random stream (v2: mutation draws the gaps
+// between mutated genes, then each new value, instead of one Bernoulli
+// draw per gene). The per-gene law is unchanged, but every seed's search
+// differs between layouts, so bump it, with a note in DESIGN.md,
+// whenever an operator's draws change; TestDrawLayoutGolden pins one
+// bred child to it.
+const DrawLayout = 2
 
 // Config holds MAGMA's hyper-parameters (§V-B2, §V-B3). Zero values are
 // replaced by the paper's defaults.
@@ -94,6 +104,7 @@ type Optimizer struct {
 	seeds   []encoding.Genome
 	inited  bool
 	breeds  uint64 // off-schedule breed() calls (tests, one-off callers)
+	mutGaps geometric
 
 	// Generation scratch, reused across Tell calls so breeding performs
 	// no steady-state allocations: ranked is the sort buffer, elites the
@@ -178,6 +189,7 @@ func (o *Optimizer) EliteCount(told int) int {
 func (o *Optimizer) Init(p *m3e.Problem, rng *rng.Stream) error {
 	o.nJobs, o.nAccels = p.NumJobs(), p.NumAccels()
 	o.cfg = o.cfg.withDefaults(o.nJobs)
+	o.mutGaps = newGeometric(o.cfg.MutationRate)
 	o.root = *rng
 	o.gen = 0
 	o.haveReasks = false
@@ -335,18 +347,45 @@ func (o *Optimizer) cross(child, mom encoding.Genome, st *rng.Stream, fromMom []
 	o.mutate(child, st)
 }
 
-// mutate re-rolls each gene independently with probability MutationRate.
+// mutate re-rolls each gene independently with probability
+// MutationRate. Rather than one Bernoulli draw per gene, it walks the
+// 2·J gene indices — the accel section, then the priority section —
+// drawing the gap to each next re-rolled gene (geometric.skip): the same
+// per-gene law from about 2·J·p+1 draws instead of 2·J.
 func (o *Optimizer) mutate(g encoding.Genome, st *rng.Stream) {
-	for i := range g.Accel {
-		if st.Float64() < o.cfg.MutationRate {
+	n := len(g.Accel)
+	for i := o.mutGaps.skip(st, 2*n); i < 2*n; i += 1 + o.mutGaps.skip(st, 2*n-i-1) {
+		if i < n {
 			g.Accel[i] = st.Intn(o.nAccels)
+		} else {
+			g.Prio[i-n] = st.Float64()
 		}
 	}
-	for i := range g.Prio {
-		if st.Float64() < o.cfg.MutationRate {
-			g.Prio[i] = st.Float64()
-		}
+}
+
+// geometric draws the number of failures before the next success in a
+// run of independent Bernoulli(p) trials: Geometric(p), by inversion.
+// scale is 1/ln(1−p), or 0 when p ≥ 1 and every trial succeeds.
+type geometric struct{ scale float64 }
+
+func newGeometric(p float64) geometric {
+	if p >= 1 {
+		return geometric{}
 	}
+	return geometric{scale: 1 / math.Log1p(-p)}
+}
+
+// skip draws ⌊ln(1−U)·scale⌋ from one uniform U, returning limit for any
+// count of limit or more (the trials that remain). It draws nothing when
+// limit is 0 or every trial succeeds.
+func (g geometric) skip(st *rng.Stream, limit int) int {
+	if limit <= 0 || g.scale == 0 {
+		return 0
+	}
+	if x := math.Log(1-st.Float64()) * g.scale; x < float64(limit) {
+		return int(x)
+	}
+	return limit
 }
 
 // crossoverGen exchanges one genome's segment on one side of a random
