@@ -98,10 +98,11 @@ func Random(nJobs, nAccels int, r Rand) Genome {
 // decoding deterministic).
 //
 // Decode, DecodeInto and the fingerprints built on them require a genome
-// that passes Validate. For any priority bits (NaN, negative, ≥ 1) with
-// accel genes in range they still return without panicking, and each
-// core's queue is a permutation of the jobs selecting it, but the order
-// within a queue is then unspecified.
+// that passes Validate. Given two sections of equal length and accel
+// genes in range, they still return without panicking for any priority
+// bits (NaN, negative, ≥ 1), and each core's queue is a permutation of
+// the jobs selecting it, but the order within a queue is then
+// unspecified.
 func Decode(g Genome, nAccels int) sim.Mapping {
 	var m sim.Mapping
 	DecodeInto(g, nAccels, &m)

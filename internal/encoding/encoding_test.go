@@ -40,6 +40,29 @@ func TestValidateErrors(t *testing.T) {
 	}
 }
 
+// TestValidPrio pins the priority section's rule, [0,1) with -0 allowed
+// and NaN not, and checks ValidPrio agrees with Validate on it.
+func TestValidPrio(t *testing.T) {
+	for _, c := range []struct {
+		p     float64
+		valid bool
+	}{
+		{0, true}, {math.Copysign(0, -1), true}, {0.5, true}, {math.Nextafter(1, 0), true},
+		{1, false}, {1.5, false}, {-1e-300, false}, {math.NaN(), false}, {math.Inf(1), false}, {math.Inf(-1), false},
+	} {
+		g := Genome{Accel: []int{0, 1}, Prio: []float64{0.25, c.p}}
+		if got := g.ValidPrio(2); got != c.valid {
+			t.Errorf("ValidPrio with priority %g = %v, want %v", c.p, got, c.valid)
+		}
+		if got := g.Validate(2, 2) == nil; got != c.valid {
+			t.Errorf("Validate with priority %g accepts = %v, want %v", c.p, got, c.valid)
+		}
+	}
+	if (Genome{Prio: []float64{0.5}}).ValidPrio(2) {
+		t.Error("ValidPrio accepted a short priority section")
+	}
+}
+
 func TestDecodePaperExample(t *testing.T) {
 	// Fig. 5(a): accel = [1,2,2,1,2], prio = [0.1,0.8,0.4,0.7,0.3]
 	// with 1-indexed accels in the paper -> 0-indexed here.

@@ -13,18 +13,27 @@ import (
 )
 
 // oracleDecode is the decode the bucketed DecodeInto replaced, kept as
-// the reference it is compared against: jobs are appended to their
-// core's queue in ascending job ID and each queue is insertion-sorted
-// by (priority, job ID), O(n²) per queue.
+// the reference it is compared against.
 func oracleDecode(g Genome, nAccels int) sim.Mapping {
-	m := sim.Mapping{Queues: make([][]int, nAccels)}
+	var m sim.Mapping
+	oracleDecodeInto(g, nAccels, &m)
+	return m
+}
+
+// oracleDecodeInto appends the jobs to their core's queue in ascending
+// job ID and insertion-sorts each queue by (priority, job ID), O(n²)
+// per queue, reusing m's queue buffers.
+func oracleDecodeInto(g Genome, nAccels int, m *sim.Mapping) {
+	sizeQueues(m, nAccels)
+	for a := range m.Queues {
+		m.Queues[a] = m.Queues[a][:0]
+	}
 	for j, a := range g.Accel {
 		m.Queues[a] = append(m.Queues[a], j)
 	}
 	for _, q := range m.Queues {
 		oracleSortQueue(q, g.Prio)
 	}
-	return m
 }
 
 // oracleSortQueue is the stable insertion sort by ascending priority
@@ -47,13 +56,16 @@ func oracleSortQueue(q []int, prio []float64) {
 }
 
 // Priority generators for the oracle comparison: uniform, tie-heavy
-// (five levels) and clustered (every gene in one bucket, [0, 1/J²)).
+// (five levels), ties among inversions inside one bucket (five levels,
+// each split three ways by 1e-12), and clustered (every gene in one
+// bucket, [0, 1/J²)).
 var prioShapes = []struct {
 	name string
 	draw func(r *rand.Rand, nJobs int) float64
 }{
 	{"uniform", func(r *rand.Rand, _ int) float64 { return r.Float64() }},
 	{"ties", func(r *rand.Rand, _ int) float64 { return float64(r.Intn(5)) / 5 }},
+	{"near-ties", func(r *rand.Rand, _ int) float64 { return float64(r.Intn(5))/5 + float64(r.Intn(3))*1e-12 }},
 	{"clustered", func(r *rand.Rand, nJobs int) float64 { return r.Float64() / float64(nJobs*nJobs) }},
 }
 
@@ -170,7 +182,7 @@ func BenchmarkDecodeInto(b *testing.B) {
 	cases := []struct {
 		nJobs int
 		shape int // index into prioShapes
-	}{{16, 0}, {100, 0}, {100, 2}}
+	}{{16, 0}, {100, 0}, {100, 3}}
 	for _, c := range cases {
 		g := shapedGenome(rand.New(rand.NewSource(3)), c.nJobs, nAccels, prioShapes[c.shape].draw)
 		name := fmt.Sprintf("jobs=%d/accels=%d/%s", c.nJobs, nAccels, prioShapes[c.shape].name)
@@ -187,15 +199,7 @@ func BenchmarkDecodeInto(b *testing.B) {
 			m := oracleDecode(g, nAccels)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for a := range m.Queues {
-					m.Queues[a] = m.Queues[a][:0]
-				}
-				for j, a := range g.Accel {
-					m.Queues[a] = append(m.Queues[a], j)
-				}
-				for _, q := range m.Queues {
-					oracleSortQueue(q, g.Prio)
-				}
+				oracleDecodeInto(g, nAccels, &m)
 			}
 		})
 	}

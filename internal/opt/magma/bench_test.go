@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"magma/internal/encoding"
 	"magma/internal/models"
 	"magma/internal/opt/opttest"
 	"magma/internal/platform"
@@ -45,11 +44,10 @@ func BenchmarkTell(b *testing.B) {
 	for i := range fit {
 		fit[i] = r.Float64()
 	}
-	var pop []encoding.Genome
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pop = o.Ask()
+		pop := o.Ask()
 		o.Tell(pop, fit[:len(pop)])
 	}
 }

@@ -157,22 +157,24 @@ func TestMutationTinyGenome(t *testing.T) {
 	}
 }
 
-// TestDrawLayoutGolden pins one child bred through the full operator
-// pipeline from fixed parents and a fixed stream. It moves exactly when
-// some operator's draws change, which changes every seed's search: bump
-// DrawLayout and re-derive the golden together.
+// TestDrawLayoutGolden pins eight children bred through the full
+// operator pipeline from fixed parents and a fixed stream. They move
+// exactly when some operator's draws change, which changes every seed's
+// search: bump DrawLayout and re-derive the golden together.
 func TestDrawLayoutGolden(t *testing.T) {
 	o := newInited(t, Config{}, 40)
 	pop := o.Ask()
-	child := o.breed(pop[0], pop[1])
 	h := fnv.New64a()
-	for j := range child.Accel {
-		h.Write(binary.LittleEndian.AppendUint64(nil, uint64(child.Accel[j])))
-		h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(child.Prio[j])))
+	for c := 0; c < 8; c++ {
+		child := o.breed(pop[c], pop[c+1])
+		for j := range child.Accel {
+			h.Write(binary.LittleEndian.AppendUint64(nil, uint64(child.Accel[j])))
+			h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(child.Prio[j])))
+		}
 	}
-	const want = 0xbbce3ede2f85cc0d
+	const want = 0xee8e424808f83c15
 	if got := h.Sum64(); got != want || DrawLayout != 2 {
-		t.Fatalf("bred child hash %#x under DrawLayout %d, want %#x under 2 — only acceptable with a DrawLayout bump",
+		t.Fatalf("bred children hash %#x under DrawLayout %d, want %#x under 2 — only acceptable with a DrawLayout bump",
 			got, DrawLayout, uint64(want))
 	}
 }
