@@ -116,10 +116,11 @@ func Decode(g Genome, nAccels int) sim.Mapping {
 // evaluation engine (one scratch Mapping per worker).
 //
 // The decode sorts all jobs once (sortJobs) and deals them out to their
-// cores in that order, so each queue comes out sorted. Queue 0 holds at
-// most len(g.Accel) jobs, so the capacity behind that many slots of its
-// buffer is free: it is grown to three times the group size and the
-// sort keeps its scratch there.
+// cores in that order, so each queue comes out sorted. The sort's
+// scratch lives in queue 0's buffer, grown to three times the group
+// size J: each job's bucket in the first J slots, which hold no job
+// until the jobs are dealt out, and the sorted order and the bucket
+// offsets behind them, which queue 0, never longer than J, cannot reach.
 func DecodeInto(g Genome, nAccels int, m *sim.Mapping) {
 	sizeQueues(m, nAccels)
 	for a := range m.Queues {
@@ -132,9 +133,9 @@ func DecodeInto(g Genome, nAccels int, m *sim.Mapping) {
 	if cap(m.Queues[0]) < 3*n {
 		m.Queues[0] = make([]int, 0, 3*n)
 	}
-	scratch := m.Queues[0][n : 3*n]
-	order := scratch[:n]
-	sortJobs(order, scratch[n:], g.Prio)
+	buf := m.Queues[0][:3*n]
+	order := buf[n : 2*n]
+	sortJobs(order, buf[2*n:], buf[:n], g.Prio)
 	queues, accel := m.Queues, g.Accel
 	for _, j := range order {
 		a := accel[j]
@@ -157,26 +158,28 @@ func sizeQueues(m *sim.Mapping, nAccels int) {
 
 // sortJobs writes the jobs 0..n-1 into order (length n) by ascending
 // priority gene, ties by job ID, in time linear in n when the
-// priorities are spread over [0,1); start (length n) is scratch for the
-// bucket offsets. It counts the jobs into n buckets (bucket), scatters
-// them stably in job order, and runs one insertion pass over that nearly
-// sorted order. Since bucket is monotone in the priority, the insertion
-// pass only reorders jobs within a bucket, and equal priorities keep
-// the job order the scatter gave them; with every priority in one
-// bucket it degrades to a plain insertion sort.
-func sortJobs(order, start []int, prio []float64) {
+// priorities are spread over [0,1); start and bkt (length n each) are
+// scratch for the bucket offsets and each job's bucket. It counts the
+// jobs into n buckets (bucket), scatters them stably in job order, and
+// runs one insertion pass over that nearly sorted order. Since bucket is
+// monotone in the priority, the insertion pass only reorders jobs
+// within a bucket, and equal priorities keep the job order the scatter
+// gave them; with every priority in one bucket it degrades to a plain
+// insertion sort.
+func sortJobs(order, start, bkt []int, prio []float64) {
 	n := len(order)
 	clear(start)
-	for _, p := range prio {
-		start[bucket(p, n)]++
+	for j, p := range prio {
+		b := bucket(p, n)
+		bkt[j] = b
+		start[b]++
 	}
 	sum := 0
 	for b, c := range start {
 		start[b] = sum
 		sum += c
 	}
-	for j, p := range prio {
-		b := bucket(p, n)
+	for j, b := range bkt {
 		order[start[b]] = j
 		start[b]++
 	}
