@@ -1,8 +1,9 @@
 // Benchmark harness: one benchmark per table and figure of the paper's
 // evaluation (§VI), each regenerating the artifact through the
 // internal/experiments harness at a CI-friendly scale, plus ablation
-// benches for the design choices called out in DESIGN.md and
-// micro-benchmarks of the hot paths.
+// benches for the design choices called out in DESIGN.md. The hot-path
+// micro-benchmarks live in the packages they measure; cmd/bench
+// collects them.
 //
 // Regenerate everything at paper scale with:
 //
@@ -19,13 +20,11 @@ import (
 	"os"
 	"testing"
 
-	"magma/internal/encoding"
 	"magma/internal/experiments"
 	"magma/internal/m3e"
 	"magma/internal/models"
 	optmagma "magma/internal/opt/magma"
 	"magma/internal/platform"
-	"magma/internal/sim"
 	"magma/internal/workload"
 )
 
@@ -129,151 +128,5 @@ func BenchmarkAblationObjective(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// --- Micro-benchmarks of the hot paths ---
-
-// BenchmarkEvaluate measures single-mapping fitness evaluation — the
-// unit of the 10K-sample budget — on the steady-state hot path: one
-// reused Evaluator, as each worker of the parallel engine runs it.
-// Target: 0 allocs/op (see DESIGN.md "Hot path").
-func BenchmarkEvaluate(b *testing.B) {
-	prob := benchProblem(b, models.Mix, 100, platform.S2().WithBW(16))
-	g := encoding.Random(100, prob.NumAccels(), newRand(1))
-	ev := prob.NewEvaluator()
-	if _, err := ev.Evaluate(g); err != nil { // warm up scratch
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ev.Evaluate(g); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEvaluateFresh measures the same evaluation through the
-// allocating convenience path (fresh scratch per call) — the before
-// side of the zero-allocation rework.
-func BenchmarkEvaluateFresh(b *testing.B) {
-	prob := benchProblem(b, models.Mix, 100, platform.S2().WithBW(16))
-	g := encoding.Random(100, prob.NumAccels(), newRand(1))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := prob.Evaluate(g); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAnalyzerBuild measures job-analysis-table construction (the
-// pre-process step of §IV-E).
-func BenchmarkAnalyzerBuild(b *testing.B) {
-	w, err := workload.Generate(workload.Config{Task: models.Mix, NumJobs: 100, GroupSize: 100, Seed: 52})
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := platform.S4()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m3e.NewProblem(w.Groups[0], p, m3e.Throughput); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMAGMAGeneration measures one full MAGMA generation
-// (evaluate population + breed) at the paper's group size, across
-// worker-pool widths. workers=1 is the serial baseline; the speedup at
-// workers=N is the parallel evaluation engine's payoff (bounded by the
-// machine's core count — see DESIGN.md for measured numbers).
-func BenchmarkMAGMAGeneration(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			prob := benchProblem(b, models.Mix, 100, platform.S2().WithBW(16))
-			opt := optmagma.New(optmagma.Config{})
-			if err := opt.Init(prob, newRand(2)); err != nil {
-				b.Fatal(err)
-			}
-			pool := m3e.NewPool(prob, workers)
-			opt.SetBreeder(pool) // Tell breeds on the same worker set
-			fit := make([]float64, 100)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				pop := opt.Ask()
-				pool.Evaluate(pop, fit[:len(pop)])
-				opt.Tell(pop, fit[:len(pop)])
-			}
-		})
-	}
-}
-
-// BenchmarkMAGMAGenerationCached runs the same generation loop through
-// the schedule-fingerprint fitness cache: duplicate elites and
-// schedule-equivalent offspring skip the simulator, with bit-identical
-// fitness (see internal/m3e.FitnessCache). The cache hit rate is
-// reported as the hit_pct metric.
-func BenchmarkMAGMAGenerationCached(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			prob := benchProblem(b, models.Mix, 100, platform.S2().WithBW(16))
-			opt := optmagma.New(optmagma.Config{})
-			if err := opt.Init(prob, newRand(2)); err != nil {
-				b.Fatal(err)
-			}
-			pool := m3e.NewPool(prob, workers)
-			opt.SetBreeder(pool)
-			cache := m3e.NewFitnessCache(prob, 0)
-			fit := make([]float64, 100)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				pop := opt.Ask()
-				cache.Evaluate(pool, pop, fit[:len(pop)])
-				opt.Tell(pop, fit[:len(pop)])
-			}
-			b.ReportMetric(100*cache.Stats().HitRate(), "hit_pct")
-		})
-	}
-}
-
-// BenchmarkFingerprint measures the schedule-fingerprint pass the cache
-// runs per genome (decode into scratch + hash of the per-core queues).
-func BenchmarkFingerprint(b *testing.B) {
-	g := encoding.Random(100, 8, newRand(3))
-	var m sim.Mapping
-	g.FingerprintInto(8, &m) // warm up
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.FingerprintInto(8, &m)
-	}
-}
-
-// BenchmarkDecode measures genome decoding (allocating form).
-func BenchmarkDecode(b *testing.B) {
-	g := encoding.Random(100, 8, newRand(3))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		encoding.Decode(g, 8)
-	}
-}
-
-// BenchmarkDecodeInto measures the scratch-reusing decode the parallel
-// engine runs per evaluation.
-func BenchmarkDecodeInto(b *testing.B) {
-	g := encoding.Random(100, 8, newRand(3))
-	var m sim.Mapping
-	encoding.DecodeInto(g, 8, &m) // warm up
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		encoding.DecodeInto(g, 8, &m)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"magma/internal/rng"
 	"magma/internal/sim"
 )
 
@@ -185,5 +186,19 @@ func TestKeySafeBeyond16BitJobIDs(t *testing.T) {
 	// Sanity: a genome with IDs beyond 16 bits is self-consistent.
 	if g1.Key(2) != mk(true).Key(2) {
 		t.Error("equal schedules got different keys")
+	}
+}
+
+// BenchmarkFingerprint measures the schedule-fingerprint pass the cache
+// runs per genome: a decode into scratch and a hash of the per-core
+// queues, at 100 jobs on 8 cores.
+func BenchmarkFingerprint(b *testing.B) {
+	g := Random(100, 8, rng.New(3))
+	var m sim.Mapping
+	g.FingerprintInto(8, &m) // warm up
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.FingerprintInto(8, &m)
 	}
 }

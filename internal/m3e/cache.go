@@ -321,7 +321,7 @@ func (c *FitnessCache) Len() int { return c.store.Len() }
 //     mappings, then scatter fitness to every class member and insert
 //     the new results into the store (one write-lock for the batch).
 func (c *FitnessCache) Evaluate(pool *Pool, batch []encoding.Genome, fit []float64) {
-	c.evaluate(pool, batch, fit, nil)
+	c.evaluate(pool, batch, fit, nil, len(batch))
 }
 
 // evaluate is Evaluate behind the runner's pruning pass. A nil pre
@@ -331,17 +331,29 @@ func (c *FitnessCache) Evaluate(pool *Pool, batch []encoding.Genome, fit []float
 // fitness the pass wrote and is neither fingerprinted, counted nor
 // stored — a pruned slot's fitness is a bound, never an exact value —
 // and the open slots skip re-validation.
-func (c *FitnessCache) evaluate(pool *Pool, batch []encoding.Genome, fit []float64, pre []uint8) {
+//
+// The grouping scan stops once budget genomes have been charged (see
+// ChargedAt): it resolves only the shortest prefix of the batch holding
+// that many, and evaluate returns its length. Genomes past the cut were
+// fingerprinted but are neither counted, simulated nor stored. A budget
+// of len(batch) or more never cuts.
+func (c *FitnessCache) evaluate(pool *Pool, batch []encoding.Genome, fit []float64, pre []uint8, budget int) int {
 	tFP := time.Now() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
 	c.grow(len(batch))
 	c.fingerprintBatch(pool, batch, pre)
 
 	c.reps = c.reps[:0]
 	clear(c.inBatch)
+	n, charged := len(batch), 0
 	c.store.mu.RLock()
 	for i := range batch {
+		if charged == budget {
+			n = i
+			break
+		}
 		c.class[i] = -1
 		c.charge[i] = true // constraint violations always consume budget
+		charged++
 		switch c.mode[i] {
 		case fpSettled:
 			continue
@@ -359,12 +371,14 @@ func (c *FitnessCache) evaluate(pool *Pool, batch []encoding.Genome, fit []float
 				c.stats.CrossHits++
 			}
 			c.charge[i] = false
+			charged--
 			continue
 		}
 		if slot, ok := c.inBatch[fp]; ok {
 			c.class[i] = slot
 			c.stats.Deduped++
 			c.charge[i] = false
+			charged--
 			continue
 		}
 		slot := len(c.reps)
@@ -381,7 +395,7 @@ func (c *FitnessCache) evaluate(pool *Pool, batch []encoding.Genome, fit []float
 	tSim := time.Now() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
 	pool.evaluateMapped(c.maps, c.reps, c.repFit[:len(c.reps)])
 
-	for i := range batch {
+	for i := range batch[:n] {
 		if slot := c.class[i]; slot >= 0 {
 			fit[i] = c.repFit[slot]
 		}
@@ -396,6 +410,7 @@ func (c *FitnessCache) evaluate(pool *Pool, batch []encoding.Genome, fit []float
 	if c.phases != nil {
 		c.phases.SimulateNs += time.Since(tSim).Nanoseconds() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
 	}
+	return n
 }
 
 // fingerprintBatch is phase 1: validate, decode and fingerprint every

@@ -274,9 +274,9 @@ type Result struct {
 	Explored    [][]float64 // sampled vectors (only when RecordSamples)
 	Cache       CacheStats  // hit/miss and pruning counters (see CacheStats)
 	// Phases breaks the run's wall-clock down per generation phase
-	// (ask / fingerprint / simulate / tell), so callers can see where a
-	// generation's time goes — e.g. whether parallel breeding actually
-	// shrank the tell phase. Always recorded; the cost is a handful of
+	// (ask / bound / fingerprint / simulate / tell), so callers can see
+	// where a generation's time goes — e.g. whether parallel breeding
+	// actually shrank the tell phase. Always recorded; the cost is a handful of
 	// clock reads per generation.
 	Phases PhaseTimings
 	// Aborted reports that the run's context was cancelled (deadline or
@@ -288,10 +288,11 @@ type Result struct {
 }
 
 // PhaseTimings accumulates wall-clock per runner phase across a run.
-// Ask is candidate generation, Fingerprint the cache's parallel
-// validate+decode+hash pass plus its serial dedup scan (zero when the
-// cache is off), Simulate the worker-pool evaluation of the batch (or
-// of the deduped representatives), and Tell selection plus breeding.
+// Ask is candidate generation, Bound the runner's pruning pass (see
+// BoundNs), Fingerprint the cache's parallel validate+decode+hash pass
+// plus its serial dedup scan (zero when the cache is off), Simulate the
+// worker-pool evaluation of the batch (or of the deduped
+// representatives), and Tell selection plus breeding.
 type PhaseTimings struct {
 	AskNs         int64 `json:"ask_ns"`
 	FingerprintNs int64 `json:"fingerprint_ns"`
@@ -390,7 +391,10 @@ type Options struct {
 	// space for the same budget. Off by default — the paper charges every
 	// sample — and an error without Cache/Store, since without a cache
 	// there is nothing to distinguish distinct schedules by. Asked vs
-	// Samples in the Result reports the stretch. To bound runs whose
+	// Samples in the Result reports the stretch. Each batch is cut, after
+	// its fingerprint pass, at the shortest prefix holding the charged
+	// genomes the budget has left, so Samples ends exactly at Budget
+	// unless the stretch cap stops the run first. To bound runs whose
 	// optimizer collapses onto all-cached batches, a run stops once Asked
 	// reaches EffectiveBudgetStretchCap times the budget. It also turns
 	// bound pruning off: a pruned genome is never fingerprinted, so the
@@ -650,10 +654,12 @@ func Run(p *Problem, opt Optimizer, o Options, seed int64) (Result, error) {
 		if len(batch) == 0 {
 			return Result{}, fmt.Errorf("m3e: %s returned an empty batch", opt.Name())
 		}
-		// Truncate to the remaining budget. Under EffectiveBudget the
-		// charge per genome is at most one, so the truncated batch still
-		// can never overshoot the budget.
-		if left := o.Budget - res.Samples; len(batch) > left {
+		// Truncate to the remaining budget. Under EffectiveBudget only
+		// the cache knows which genomes it will charge, so it cuts the
+		// batch itself, after fingerprinting: a cut by position could
+		// keep only free elite re-asks and stall the budget.
+		left := o.Budget - res.Samples
+		if !o.EffectiveBudget && len(batch) > left {
 			batch = batch[:left]
 		}
 		if cap(fit) < len(batch) {
@@ -668,7 +674,8 @@ func Run(p *Problem, opt Optimizer, o Options, seed int64) (Result, error) {
 				res.Phases.BoundNs += time.Since(tBound).Nanoseconds() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
 			}
 			if cache != nil {
-				cache.evaluate(pool, batch, fit, pre) // splits fingerprint/simulate into res.Phases itself
+				n := cache.evaluate(pool, batch, fit, pre, left) // splits fingerprint/simulate into res.Phases itself
+				batch, fit = batch[:n], fit[:n]
 			} else {
 				tSim := time.Now() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
 				pool.evaluate(batch, pre, fit)

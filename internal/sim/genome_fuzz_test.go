@@ -1,0 +1,82 @@
+package sim_test
+
+import (
+	"encoding/binary"
+	"math"
+	"testing"
+
+	"magma/internal/analyzer"
+	"magma/internal/encoding"
+	"magma/internal/models"
+	"magma/internal/platform"
+	"magma/internal/sim"
+	"magma/internal/workload"
+)
+
+// fuzzGenome turns arbitrary bytes into a genome: accel byte b becomes
+// gene b%8−1 (in range on four cores for half the byte values, and
+// negative or too large otherwise, over any genome length), and each
+// priority gene takes the next 8 bytes of prioBits as float64 bits,
+// zero-padded, so priorities reach NaN, ±Inf, negatives and values ≥ 1.
+func fuzzGenome(accelBytes, prioBits []byte) encoding.Genome {
+	g := encoding.Genome{Accel: make([]int, len(accelBytes)), Prio: make([]float64, len(accelBytes))}
+	var word [8]byte
+	for j, b := range accelBytes {
+		g.Accel[j] = int(b%8) - 1
+		clear(word[:])
+		if off := 8 * j; off < len(prioBits) {
+			copy(word[:], prioBits[off:])
+		}
+		g.Prio[j] = math.Float64frombits(binary.LittleEndian.Uint64(word[:]))
+	}
+	return g
+}
+
+// FuzzGenomeBound checks the law the search runner's pruning pass
+// rests on, over a 6-job Mix group on the four cores of S2: for any
+// accel and priority bits, Bounds.GenomeResult never panics, refuses
+// exactly the genomes whose accel genes fail Genome.Validate (so with
+// ValidPrio it accepts exactly the genomes Validate accepts), and when
+// it accepts one, its makespan bound is at most the simulated makespan
+// of the genome's decoded schedule. Explore beyond the seed corpus with
+//
+//	go test -run=NONE -fuzz=FuzzGenomeBound -fuzztime=10s ./internal/sim/
+func FuzzGenomeBound(f *testing.F) {
+	const nJobs = 6
+	p := platform.S2().WithBW(8)
+	nAccels := p.NumAccels()
+	w, err := workload.Generate(workload.Config{Task: models.Mix, NumJobs: nJobs, GroupSize: nJobs, Seed: 17})
+	if err != nil {
+		f.Fatal(err)
+	}
+	tab, err := analyzer.Build(w.Groups[0], p)
+	if err != nil {
+		f.Fatal(err)
+	}
+	b := sim.NewBounds(tab)
+	f.Fuzz(func(t *testing.T, accelBytes, prioBits []byte) {
+		g := fuzzGenome(accelBytes, prioBits)
+		cycles := make([]float64, nAccels)
+		res, ok := b.GenomeResult(cycles, g.Accel)
+		accelOK := encoding.Genome{Accel: g.Accel, Prio: make([]float64, len(g.Accel))}.Validate(nJobs, nAccels) == nil
+		if ok != accelOK {
+			t.Fatalf("GenomeResult ok=%v on accel genes %v, Validate says %v", ok, g.Accel, accelOK)
+		}
+		if valid := g.Validate(nJobs, nAccels) == nil; (ok && g.ValidPrio(nJobs)) != valid {
+			t.Fatalf("GenomeResult and ValidPrio accept %v, Validate says %v", !valid, valid)
+		}
+		if !ok {
+			if res.TotalCycles != 0 || res.Energy != 0 {
+				t.Fatalf("refused genome priced at %+v", res)
+			}
+			return
+		}
+		got, err := sim.Run(tab, encoding.Decode(g, nAccels), sim.Options{})
+		if err != nil {
+			t.Fatalf("accepted genome decodes to an invalid mapping: %v", err)
+		}
+		if res.TotalCycles > got.TotalCycles {
+			t.Fatalf("bound %g exceeds the simulated makespan %g", res.TotalCycles, got.TotalCycles)
+		}
+	})
+}

@@ -178,8 +178,9 @@ type CacheStats = m3e.CacheStats
 type MapperPanicError = m3e.MapperPanicError
 
 // PhaseTimings breaks a search's wall-clock down per generation phase:
-// candidate generation (ask), the cache's fingerprint pass, simulation,
-// and selection+breeding (tell). See Schedule.Phases.
+// candidate generation (ask), the runner's pruning pass (bound), the
+// cache's fingerprint pass, simulation, and selection+breeding (tell).
+// See Schedule.Phases.
 type PhaseTimings = m3e.PhaseTimings
 
 // Schedule is a found global mapping together with its evaluation.
@@ -208,7 +209,7 @@ type Schedule struct {
 	Samples int
 	Asked   int
 	// Phases is the search's per-phase wall-clock breakdown (ask /
-	// fingerprint / simulate / tell across all generations) — the
+	// bound / fingerprint / simulate / tell across all generations) — the
 	// observability behind cmd/bench's phase report. Zero for the manual
 	// heuristics, which have no generations.
 	Phases PhaseTimings
