@@ -58,9 +58,12 @@ var gates = []gate{
 	{report: "serve", when: "chaos", path: "chaos.snapshot_restore_ok", op: "true"},
 	{report: "serve", when: "fleet", path: "latency_ms.p99", op: ">", bound: 0},
 	{report: "serve", when: "fleet", path: "fleet.ownership_disjoint", op: "true"},
-	// Sharding must not cost reuse: every shard holds the single-node
-	// cross-request hit rate measured in the same run.
-	{report: "serve", when: "fleet", path: "fleet.per_shard.*.cross_request_hit_rate", op: ">=", bound: 1,
+	// Sharding must not cost reuse: the fleet's aggregate cross-request
+	// hit rate holds the same-run single-node baseline's. Sound only when
+	// both legs replay one request sequence, so run it with -clients 1.
+	// Each shard's own rate is a share of that aggregate, so one sits
+	// below it unless all are equal; those are reported, not gated.
+	{report: "serve", when: "fleet", path: "cross_request_hit_rate", op: ">=", bound: 1,
 		ref: "fleet.single_node_baseline.cross_request_hit_rate", slack: -1e-9},
 }
 

@@ -7,12 +7,14 @@
 // and writes BENCH_serve.json; -chaos arms fault injection (mapper
 // panics, delayed simulations, snapshot write errors) and writes
 // BENCH_serve_chaos.json; -fleet N drives the mix through a single
-// node and then a router over N shards and writes BENCH_fleet.json.
+// node and then a router over N shards and writes BENCH_fleet.json
+// (its hit-rate gate assumes one client, so both legs replay one
+// request sequence).
 //
 //	bench -benchtime 200ms
 //	bench -serve -requests 48 -clients 8
 //	bench -serve -chaos
-//	bench -serve -fleet 3
+//	bench -serve -fleet 3 -clients 1
 //
 // Every run ends by checking the gates for its report against the
 // JSON it just wrote; bench exits non-zero and names each failed gate.

@@ -143,6 +143,49 @@ func DecodeInto(g Genome, nAccels int, m *sim.Mapping) {
 	}
 }
 
+// SameSchedule reports whether a and b decode to the same mapping,
+// without decoding either: the accel sections must be equal, and every
+// core must order its jobs the same way by (priority gene, job ID),
+// Decode's tie rule. It compares the accel sections first, returning at
+// the first difference, and then checks order only for the pairs of
+// jobs sharing a core in which at least one priority gene differs; a
+// pair whose genes both match keeps its order. For genomes that pass
+// Validate it agrees with comparing the decoded mappings; it never
+// panics, and a NaN priority gene never matches.
+func SameSchedule(a, b Genome) bool {
+	n := len(a.Accel)
+	if len(b.Accel) != n || len(a.Prio) != n || len(b.Prio) != n {
+		return false
+	}
+	for j, x := range a.Accel {
+		if b.Accel[j] != x {
+			return false
+		}
+	}
+	for j, p := range a.Prio {
+		q := b.Prio[j]
+		if p == q {
+			continue
+		}
+		if math.IsNaN(p) || math.IsNaN(q) {
+			return false
+		}
+		c := a.Accel[j]
+		for k, ck := range a.Accel {
+			if ck == c && k != j && runsFirst(a.Prio, j, k) != runsFirst(b.Prio, j, k) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// runsFirst reports whether job j precedes job k on a shared core:
+// a lower priority gene first, ties by job ID.
+func runsFirst(prio []float64, j, k int) bool {
+	return prio[j] < prio[k] || (prio[j] == prio[k] && j < k)
+}
+
 // sizeQueues resizes m to nAccels queues, keeping already-grown
 // per-core buffers. Queue contents are left as-is; callers truncate or
 // overwrite per core.

@@ -82,8 +82,10 @@ func (c *reaskCounter) Tell(g []encoding.Genome, fit []float64) {
 // elitist mapper, at every worker count, with the cache off and on,
 // Run returns bit-identical Results — best genome, best fitness,
 // convergence curve, samples — to the serial unpruned reference, and
-// no pruned value ever enters the store. EffectiveBudget keeps pruning
-// off and matches its own unpruned reference.
+// no pruned value ever enters the store. MAGMA's hits exceed what its
+// elites alone can earn, so its settled repeat children are exercised.
+// EffectiveBudget keeps pruning off and matches its own unpruned
+// reference.
 func TestRunBoundDeterminism(t *testing.T) {
 	prob := parallelProblem(t)
 	const budget = 800
@@ -139,13 +141,24 @@ func TestRunBoundDeterminism(t *testing.T) {
 					if cache {
 						o.Store = store
 					}
-					got, err := m3e.Run(prob, m.mk(), o, 5)
+					opt := m.mk()
+					got, err := m3e.Run(prob, opt, o, 5)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
 					same(t, label, got, base)
 					st := got.Cache
 					prunedTotal += st.BoundPruned
+					if m.name == "MAGMA" {
+						// Elites alone are settled at most nElite times per
+						// generation; more hits mean bred children that repeat
+						// a parent's schedule were settled too.
+						nElite := opt.(m3e.EliteSelector).EliteCount(prob.NumJobs())
+						if gens := got.Phases.Generations; st.Hits <= uint64(gens*nElite) {
+							t.Errorf("%s: %d hits over %d generations of %d elites: no repeated child was settled",
+								label, st.Hits, gens, nElite)
+						}
+					}
 					if m.name == "CMA" && !cache {
 						// Not a ReaskTracker: no pass runs, so no layer counts.
 						if st != (m3e.CacheStats{}) {

@@ -19,7 +19,7 @@ const DefaultCacheSize = 1 << 16
 // resolved evaluations.
 type CacheStats struct {
 	// Hits are evaluations answered with an already-known exact fitness
-	// instead of a simulation: store hits, plus the verbatim re-asks the
+	// instead of a simulation: store hits, plus the re-asks the
 	// runner's pruning pass settled from the previous batch (optimizers
 	// implementing ReaskTracker, cache on or off). Re-asks never reach
 	// the store, so they are never CrossHits.
@@ -222,7 +222,7 @@ func (s *CacheStore) insertLocked(fp encoding.Fingerprint, v float64, run uint64
 //
 // Behind the runner's pruning pass (optimizers implementing both
 // EliteSelector and ReaskTracker) the cache sees only the slots the pass
-// left open: verbatim re-asks already carry their parent's exact
+// left open: re-asks already carry their parent's exact
 // fitness and pruned genomes their bound. Every slot it does see is
 // fingerprinted the one way, by a full decode and hash.
 //

@@ -236,13 +236,17 @@ type PoolBreeder interface {
 	SetBreeder(b Breeder)
 }
 
-// ReaskTracker is implemented by optimizers that re-ask genomes of
-// the previous batch verbatim (MAGMA and stdGA re-submit their elites
-// every generation). Reasks is re-read after each Ask: entry i is the
-// index in the previously told batch of the genome slot i re-asks
-// bit-identically, or -1 for a bred child. It returns nil before the
-// first Tell. Indices beyond the evaluated prefix of the previous batch
-// are ignored.
+// ReaskTracker is implemented by optimizers that re-ask schedules of
+// the previous batch (MAGMA and stdGA re-submit their elites every
+// generation, and MAGMA names the bred children that repeat a parent's
+// schedule). Reasks is re-read after each Ask: entry i is the index in
+// the previously told batch of a genome that slot i decodes to the
+// identical schedule as (encoding.SameSchedule; a bit-identical copy
+// qualifies), or -1 when the optimizer claims no such genome. Fitness
+// is a pure function of the decoded schedule, so the runner reuses that
+// genome's exact fitness for the slot without changing any result. It
+// returns nil before the first Tell. Indices beyond the evaluated
+// prefix of the previous batch are ignored.
 type ReaskTracker interface {
 	Reasks() []int
 }
@@ -258,7 +262,7 @@ type ReaskTracker interface {
 // of the batch can be assigned the bound instead of being simulated
 // without perturbing selection. Run prunes only optimizers that
 // implement both this and ReaskTracker (the exact values come from
-// verbatim elite re-asks); everyone else is evaluated in full.
+// elite re-asks); everyone else is evaluated in full.
 type EliteSelector interface {
 	EliteCount(told int) int
 }
@@ -436,8 +440,15 @@ func (pl *Pool) Workers() int { return len(pl.evs) }
 // the pool's workers (order unspecified, one call per index). The
 // evaluators themselves are untouched — the pool only lends its worker
 // fan-out, so optimizers can parallelize variation on the same worker
-// set that evaluates their batches.
+// set that evaluates their batches. When each would run serially, f
+// runs inline, so a one-worker pool breeds without allocating.
 func (pl *Pool) Breed(n int, f func(i int)) {
+	if len(pl.evs) <= 1 || n <= 1 {
+		for i := 0; i < n; i++ {
+			f(i)
+		}
+		return
+	}
 	pl.each(n, func(_ *Evaluator, i int) { f(i) })
 }
 
@@ -555,8 +566,8 @@ const DefaultBudget = 10000
 // recomputed, so cache on/off is also bit-identical.
 //
 // For optimizers that implement both EliteSelector and ReaskTracker a
-// pruning pass runs ahead of evaluation (see pruner): verbatim elite
-// re-asks reuse the previous batch's exact fitness, with or without the
+// pruning pass runs ahead of evaluation (see pruner): elite re-asks
+// reuse the previous batch's exact fitness, with or without the
 // cache, and genomes whose roofline fitness bound already misses the
 // elite floor get the bound instead of being decoded and simulated. That too is bit-identical: a
 // value below both the floor and the best so far can move neither

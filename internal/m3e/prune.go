@@ -11,7 +11,7 @@ import (
 // Slot states the pruning pass assigns to the genomes of a batch.
 const (
 	slotOpen    uint8 = iota // valid, left for evaluation
-	slotReask                // verbatim re-ask: the parent's exact fitness is reused
+	slotReask                // re-ask of a parent's schedule: its exact fitness is reused
 	slotInvalid              // failed validation: scored -Inf
 	slotPruned               // bound fitness below the elite floor: scored the bound
 )
@@ -19,7 +19,7 @@ const (
 // pruner is the analytical-pruning pass Run puts ahead of decode for
 // optimizers implementing EliteSelector and ReaskTracker (DESIGN.md
 // "Analytical pruning"). Per batch it validates every genome, answers
-// each verbatim re-ask with its parent's exact fitness, sets the
+// each re-ask with its parent's exact fitness, sets the
 // floor to the k-th best of those values (k = EliteCount) capped at the
 // best so far, and gives every other genome whose roofline fitness
 // bound falls below the floor that bound instead of a simulation.

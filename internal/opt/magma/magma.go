@@ -23,9 +23,11 @@
 // the run root keyed by (generation, slot), so Tell can fan the
 // operator pipeline across the evaluation pool's workers (m3e.Breeder)
 // with populations bit-identical at any worker count. Tell also records
-// which slots re-ask an elite verbatim (m3e.ReaskTracker), so the
-// runner answers those from the previous batch's exact fitness and
-// prunes the bred children against them.
+// which slots re-ask an elite's schedule (m3e.ReaskTracker): the elites
+// it carries over verbatim, and every bred child that decodes to its
+// dad's or its mom's schedule (encoding.SameSchedule). The runner
+// answers those from the previous batch's exact fitness and prunes the
+// other children against them.
 //
 // The package also houses the warm-start engine of §V-C.
 package magma
@@ -33,7 +35,6 @@ package magma
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"magma/internal/encoding"
 	"magma/internal/m3e"
@@ -107,36 +108,26 @@ type Optimizer struct {
 	mutGaps geometric
 
 	// Generation scratch, reused across Tell calls so breeding performs
-	// no steady-state allocations: ranked is the sort buffer, elites the
-	// cloned parents, spare the retired population whose gene arrays the
-	// next generation is written into (see Tell for the aliasing rules).
-	ranked []scored
-	elites []encoding.Genome
-	spare  []encoding.Genome
+	// no steady-state allocations: top holds the told indices of the
+	// elites, best first, elites the cloned parents, spare the retired
+	// population whose gene arrays the next generation is written into
+	// (see Tell for the aliasing rules), next the population being bred
+	// (set only during Tell), and breedFn the breeding callback handed to
+	// the breeder, bound once.
+	top     []int
+	elites  []encoding.Genome
+	spare   []encoding.Genome
+	next    []encoding.Genome
+	breedFn func(k int)
 	// Per-slot variation state. reasks[i] is the index in the previously
-	// told batch of the elite pop[i] re-asks verbatim, or -1 for a bred
-	// child; fromMom[i] is slot i's crossoverAccel transplant marker
+	// told batch of the elite whose schedule pop[i] re-asks, or -1 (see
+	// Reasks); fromMom[i] is slot i's crossoverAccel transplant marker
 	// (per-job). Per-slot ownership is what makes concurrent breeding
 	// race-free.
 	reasks     []int
 	fromMom    [][]bool
 	haveReasks bool
 }
-
-// scored pairs an individual with its fitness and batch index for elite
-// selection.
-type scored struct {
-	g   encoding.Genome
-	f   float64
-	idx int
-}
-
-// byFitness stable-sorts scored individuals best-first.
-type byFitness []scored
-
-func (s byFitness) Len() int           { return len(s) }
-func (s byFitness) Less(i, j int) bool { return s[i].f > s[j].f }
-func (s byFitness) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
 
 // New builds a MAGMA optimizer with the given configuration.
 func New(cfg Config) *Optimizer { return &Optimizer{cfg: cfg} }
@@ -159,9 +150,12 @@ func (o *Optimizer) Seed(genomes []encoding.Genome) {
 func (o *Optimizer) SetBreeder(b m3e.Breeder) { o.breeder = b }
 
 // Reasks implements m3e.ReaskTracker: for each slot of the current
-// population, the index in the previously told batch of the elite it
-// re-asks verbatim, or -1 for a bred child. Nil before the first Tell
-// (the initial population has no parents).
+// population, the index in the previously told batch of the elite
+// whose schedule it re-asks, or -1 for a bred child with a schedule of
+// its own. The first nElite slots are the elites, copied verbatim; a
+// bred child names its dad, or else its mom, when it decodes to that
+// parent's schedule. Nil before the first Tell (the initial population
+// has no parents).
 func (o *Optimizer) Reasks() []int {
 	if !o.haveReasks {
 		return nil
@@ -220,13 +214,14 @@ func (o *Optimizer) Ask() []encoding.Genome { return o.pop }
 // Tell implements m3e.Optimizer: it selects elites and breeds the next
 // generation with the MAGMA operators.
 //
-// Memory discipline: the told genomes are ranked in place (headers
-// only), the elites are deep-copied exactly once into reused scratch,
-// and the children are written into the gene arrays of the population
-// retired two generations ago (`spare`). That retired buffer is safe to
-// overwrite — the runner clones anything it keeps (Result.Best) before
-// Tell returns, and the current batch being told is a different slice.
-// Steady-state, a whole generation breeds without heap allocation.
+// Memory discipline: the elites are picked by a top-nElite selection
+// into a reused index slice (topK), deep-copied exactly once into
+// reused scratch, and the children are written into the gene arrays of
+// the population retired two generations ago (`spare`). That retired
+// buffer is safe to overwrite — the runner clones anything it keeps
+// (Result.Best) before Tell returns, and the current batch being told
+// is a different slice. Steady-state, a whole generation breeds without
+// heap allocation, serially or on a one-worker pool.
 //
 // Breeding runs per child slot on the breeder (the evaluation pool's
 // workers) when one is set: each child reads only the shared elites and
@@ -234,44 +229,83 @@ func (o *Optimizer) Ask() []encoding.Genome { return o.pop }
 // from its own (generation, slot) RNG stream — so the population is
 // bit-identical in any breeding order, at any worker count.
 func (o *Optimizer) Tell(genomes []encoding.Genome, fitness []float64) {
-	o.ranked = o.ranked[:0]
-	for i := range genomes {
-		o.ranked = append(o.ranked, scored{genomes[i], fitness[i], i})
-	}
-	sort.Stable(byFitness(o.ranked))
-
-	nElite := o.EliteCount(len(o.ranked))
+	nElite := o.EliteCount(len(genomes))
+	o.top = topK(o.top, fitness[:len(genomes)], nElite)
 	o.elites = growGenomes(o.elites, nElite, o.nJobs)
-	for i := 0; i < nElite; i++ {
-		copyGenome(&o.elites[i], o.ranked[i].g)
+	for i, idx := range o.top {
+		copyGenome(&o.elites[i], genomes[idx])
 	}
 
-	next := growGenomes(o.spare, o.cfg.Population, o.nJobs)
-	o.growSlots(len(next))
+	o.next = growGenomes(o.spare, o.cfg.Population, o.nJobs)
+	o.growSlots(len(o.next))
 	o.gen++
-	for i := 0; i < nElite; i++ {
-		copyGenome(&next[i], o.elites[i])
-		o.reasks[i] = o.ranked[i].idx // verbatim elite re-ask
+	for i, idx := range o.top {
+		copyGenome(&o.next[i], o.elites[i])
+		o.reasks[i] = idx // verbatim elite re-ask
 	}
-	breedSlot := func(k int) {
-		slot := nElite + k
-		st := o.root.At(o.gen, uint64(slot))
-		dad := st.Intn(nElite)
-		mom := st.Intn(nElite)
-		copyGenome(&next[slot], o.elites[dad])
-		o.cross(next[slot], o.elites[mom], &st, o.fromMom[slot])
-		o.reasks[slot] = -1
+	if o.breedFn == nil {
+		o.breedFn = o.breedSlot // one closure per optimizer, not per generation
 	}
-	if n := len(next) - nElite; o.breeder != nil {
-		o.breeder.Breed(n, breedSlot)
+	if n := len(o.next) - nElite; o.breeder != nil {
+		o.breeder.Breed(n, o.breedFn)
 	} else {
 		for k := 0; k < n; k++ {
-			breedSlot(k)
+			o.breedSlot(k)
 		}
 	}
 	o.haveReasks = true
 	o.spare = o.pop
-	o.pop = next
+	o.pop, o.next = o.next, nil
+}
+
+// breedSlot breeds the k-th child of the generation Tell is building
+// into slot len(top)+k of next. A child that decodes to its dad's or
+// its mom's schedule is recorded as a re-ask of that elite, so the
+// runner settles it with the elite's exact fitness instead of
+// simulating it again.
+func (o *Optimizer) breedSlot(k int) {
+	nElite := len(o.top)
+	slot := nElite + k
+	st := o.root.At(o.gen, uint64(slot))
+	dad := st.Intn(nElite)
+	mom := st.Intn(nElite)
+	child := o.next[slot]
+	copyGenome(&child, o.elites[dad])
+	o.cross(child, o.elites[mom], &st, o.fromMom[slot])
+	switch {
+	case encoding.SameSchedule(child, o.elites[dad]):
+		o.reasks[slot] = o.top[dad]
+	case mom != dad && encoding.SameSchedule(child, o.elites[mom]):
+		o.reasks[slot] = o.top[mom]
+	default:
+		o.reasks[slot] = -1
+	}
+}
+
+// topK writes into top (reusing its array) the batch indices of the k
+// best fitness values, best first, ties in batch order: exactly the
+// first k of a stable sort by descending fitness, in O(n·k) time and
+// without the sort. Fitness values are never NaN (invalid genomes score
+// -Inf).
+func topK(top []int, fitness []float64, k int) []int {
+	top = top[:0]
+	if k <= 0 {
+		return top
+	}
+	for i, f := range fitness {
+		if len(top) < k {
+			top = append(top, i)
+		} else if !(f > fitness[top[k-1]]) {
+			continue // ties stay behind the earlier index
+		}
+		p := len(top) - 1
+		for p > 0 && fitness[top[p-1]] < f {
+			top[p] = top[p-1]
+			p--
+		}
+		top[p] = i
+	}
+	return top
 }
 
 // growSlots sizes the per-slot variation state for n individuals.

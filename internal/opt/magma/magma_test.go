@@ -1,8 +1,10 @@
 package magma
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -373,25 +375,60 @@ func TestTellScratchReuse(t *testing.T) {
 	}
 }
 
-// TestTellSteadyStateAllocs pins the satellite optimization: after the
-// scratch buffers are warm, a whole selection+breeding step allocates
-// only O(1) bookkeeping (the sort.Stable interface header), not O(pop)
-// genome clones.
+// TestTellSteadyStateAllocs pins that, once the scratch buffers are
+// warm, a whole selection and breeding step allocates nothing, breeding
+// serially (nil breeder) or through a one-worker pool.
 func TestTellSteadyStateAllocs(t *testing.T) {
-	o := newInited(t, Config{Population: 24}, 20)
-	r := rand.New(rand.NewSource(29))
-	fit := make([]float64, 24)
-	for warm := 0; warm < 3; warm++ { // grow ranked/elites/spare
-		for i := range fit {
-			fit[i] = r.Float64()
+	for _, pooled := range []bool{false, true} {
+		o := newInited(t, Config{Population: 24}, 20)
+		if pooled {
+			o.SetBreeder(m3e.NewPool(opttest.Problem(t, models.Mix, 20, platform.S2()), 1))
 		}
-		o.Tell(o.Ask(), fit)
+		r := rand.New(rand.NewSource(29))
+		fit := make([]float64, 24)
+		for warm := 0; warm < 3; warm++ { // grow top/elites/spare
+			for i := range fit {
+				fit[i] = r.Float64()
+			}
+			o.Tell(o.Ask(), fit)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			o.Tell(o.Ask(), fit)
+		})
+		if allocs != 0 {
+			t.Errorf("pooled=%v: steady-state Tell allocates %.1f times, want 0", pooled, allocs)
+		}
 	}
-	allocs := testing.AllocsPerRun(20, func() {
-		o.Tell(o.Ask(), fit)
-	})
-	if allocs > 2 {
-		t.Errorf("steady-state Tell allocates %.1f times, want <= 2", allocs)
+}
+
+// TestTopKMatchesStableSort checks the elite selection against the
+// first k of a stable sort by descending fitness, on values drawn from
+// a few levels (so ties are common) plus +Inf and -Inf, the score of an
+// invalid genome.
+func TestTopKMatchesStableSort(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	levels := []float64{math.Inf(-1), math.Inf(1), 0, 0.25, 0.5, 1}
+	var top []int
+	for iter := 0; iter < 2000; iter++ {
+		n := 1 + r.Intn(40)
+		fit := make([]float64, n)
+		for i := range fit {
+			if r.Intn(2) == 0 {
+				fit[i] = levels[r.Intn(len(levels))]
+			} else {
+				fit[i] = r.Float64()
+			}
+		}
+		ranked := make([]int, n)
+		for i := range ranked {
+			ranked[i] = i
+		}
+		sort.SliceStable(ranked, func(a, b int) bool { return fit[ranked[a]] > fit[ranked[b]] })
+		k := r.Intn(n + 1)
+		top = topK(top, fit, k)
+		if !slices.Equal(top, ranked[:k]) {
+			t.Fatalf("fitness %v, k=%d: topK %v, stable sort %v", fit, k, top, ranked[:k])
+		}
 	}
 }
 
@@ -472,58 +509,71 @@ func TestBreederOrderIndependence(t *testing.T) {
 // runner's pruning pass relies on to reuse exact fitness, across several
 // generations of the real operator pipeline (all crossovers + mutation
 // at default rates): Reasks is nil before the first Tell; afterwards
-// every slot it names is bit-identical to the previous-batch genome it
-// names, the first nElite slots name the told batch's ranked elites, and
-// every bred child is -1.
+// the first nElite slots are bit-identical copies of the told batch's
+// ranked elites, and every other slot it names decodes to the schedule
+// of the genome it names. At 16 jobs, where offspring often repeat a
+// parent, some bred child must be named.
 func TestVariationProvenance(t *testing.T) {
-	prob := opttest.Problem(t, models.Mix, 30, platform.S2())
-	o := New(Config{Population: 20})
-	if err := o.Init(prob, rng.New(11)); err != nil {
-		t.Fatal(err)
-	}
-	if o.Reasks() != nil {
-		t.Fatal("initial population claims re-asks")
-	}
-	nElite := o.EliteCount(20)
-	r := rand.New(rand.NewSource(13))
-	var prev []encoding.Genome
-	var prevFit []float64
-	for gen := 0; gen < 6; gen++ {
-		pop := o.Ask()
-		if reasks := o.Reasks(); gen == 0 {
-			if reasks != nil {
-				t.Fatal("generation 0 claims re-asks")
-			}
-		} else {
-			if len(reasks) != len(pop) {
-				t.Fatalf("gen %d: %d re-ask entries for %d genomes", gen, len(reasks), len(pop))
-			}
-			ranked := make([]int, len(prev))
-			for i := range ranked {
-				ranked[i] = i
-			}
-			sort.SliceStable(ranked, func(a, b int) bool { return prevFit[ranked[a]] > prevFit[ranked[b]] })
-			for i, p := range reasks {
-				if i >= nElite {
-					if p != -1 {
-						t.Fatalf("gen %d slot %d: bred child claims to re-ask %d", gen, i, p)
+	for _, nJobs := range []int{16, 30} {
+		prob := opttest.Problem(t, models.Mix, nJobs, platform.S2())
+		nAccels := prob.NumAccels()
+		o := New(Config{})
+		if err := o.Init(prob, rng.New(11)); err != nil {
+			t.Fatal(err)
+		}
+		if o.Reasks() != nil {
+			t.Fatal("initial population claims re-asks")
+		}
+		nElite := o.EliteCount(nJobs)
+		r := rand.New(rand.NewSource(13))
+		var prev []encoding.Genome
+		var prevFit []float64
+		named := 0
+		for gen := 0; gen < 6; gen++ {
+			pop := o.Ask()
+			if reasks := o.Reasks(); gen == 0 {
+				if reasks != nil {
+					t.Fatal("generation 0 claims re-asks")
+				}
+			} else {
+				if len(reasks) != len(pop) {
+					t.Fatalf("J=%d gen %d: %d re-ask entries for %d genomes", nJobs, gen, len(reasks), len(pop))
+				}
+				ranked := make([]int, len(prev))
+				for i := range ranked {
+					ranked[i] = i
+				}
+				sort.SliceStable(ranked, func(a, b int) bool { return prevFit[ranked[a]] > prevFit[ranked[b]] })
+				for i, p := range reasks {
+					switch {
+					case i < nElite:
+						if p != ranked[i] {
+							t.Fatalf("J=%d gen %d slot %d: re-asks %d, want elite %d", nJobs, gen, i, p, ranked[i])
+						}
+						if !reflect.DeepEqual(pop[i], prev[p]) {
+							t.Fatalf("J=%d gen %d slot %d: elite differs from previous-batch genome %d", nJobs, gen, i, p)
+						}
+					case p == -1:
+					case !slices.Contains(ranked[:nElite], p):
+						t.Fatalf("J=%d gen %d slot %d: bred child names %d, not an elite", nJobs, gen, i, p)
+					case !reflect.DeepEqual(encoding.Decode(pop[i], nAccels), encoding.Decode(prev[p], nAccels)):
+						t.Fatalf("J=%d gen %d slot %d: bred child does not decode to the schedule of %d", nJobs, gen, i, p)
+					default:
+						named++
 					}
-					continue
-				}
-				if p != ranked[i] {
-					t.Fatalf("gen %d slot %d: re-asks %d, want elite %d", gen, i, p, ranked[i])
-				}
-				if !reflect.DeepEqual(pop[i], prev[p]) {
-					t.Fatalf("gen %d slot %d: claimed re-ask differs from previous-batch genome %d", gen, i, p)
 				}
 			}
+			prev = make([]encoding.Genome, len(pop))
+			prevFit = make([]float64, len(pop))
+			for i, g := range pop {
+				prev[i] = g.Clone()
+				prevFit[i] = r.Float64()
+			}
+			o.Tell(pop, prevFit)
 		}
-		prev = make([]encoding.Genome, len(pop))
-		prevFit = make([]float64, len(pop))
-		for i, g := range pop {
-			prev[i] = g.Clone()
-			prevFit[i] = r.Float64()
+		t.Logf("J=%d: %d bred children named a parent", nJobs, named)
+		if nJobs == 16 && named == 0 {
+			t.Errorf("J=16: no bred child named a parent; the repeat path is dead")
 		}
-		o.Tell(pop, prevFit)
 	}
 }
