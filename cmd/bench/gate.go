@@ -37,6 +37,11 @@ var gates = []gate{
 	// The shipped event kernel against the v1 oracle at 100 jobs on 16
 	// cores (measured 2.2–3.5×; 1.2 is the floor of the O(J·log A) claim).
 	{report: "eval", path: "kernel_speedup", op: ">=", bound: 1.2},
+	// Pricing a schedule's virtual-time makespan against simulating it,
+	// at 100 jobs on 4 cores (measured 2.2–3.5×). The pruning pass prices
+	// every genome that passes the roofline, so the stage pays only while
+	// pricing stays well below a simulation.
+	{report: "eval", path: "virtual_speedup", op: ">=", bound: 2},
 	{report: "eval", path: "phase_breakdown.rows.*.reasks", op: ">", bound: 0},
 	{report: "eval", path: "phase_breakdown.rows.*.generations", op: ">", bound: 0},
 	// Pruned generations are no slower than unpruned ones (1.05 absorbs

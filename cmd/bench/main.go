@@ -145,6 +145,10 @@ type Report struct {
 	// KernelSpeedup is BenchmarkKernel's v1 oracle time over the shipped
 	// kernel's at 100 jobs on 16 cores.
 	KernelSpeedup float64 `json:"kernel_speedup"`
+	// VirtualSpeedup is BenchmarkVirtualMakespan's Run time over the
+	// virtual-time makespan's at 100 jobs on 4 cores: what pricing a
+	// schedule saves the pruning pass against simulating it.
+	VirtualSpeedup float64 `json:"virtual_speedup"`
 	// CacheHitRateByMapper is the fitness cache's hit rate over one full
 	// cached search per optimizer (DESIGN.md's "Redundancy in the search
 	// stream"); CacheHitRate is MAGMA's.
@@ -216,8 +220,9 @@ type PhaseRow struct {
 	TellNsPerGen        float64 `json:"tell_ns_per_gen"`
 	TellShare           float64 `json:"tell_share"` // tell's fraction of the generation
 	FPFull              uint64  `json:"fp_full"`    // genomes the cache fingerprinted
-	// Reasks counts the verbatim elite re-asks the runner settled,
-	// never fingerprinted: Asked − FPFull − BoundPruned − Invalid.
+	// Reasks counts the re-asks the runner settled, never fingerprinted:
+	// Asked − FPFull − (BoundPruned − VirtualPruned) − Invalid (the
+	// virtual-time stage settles genomes after their fingerprint).
 	Reasks uint64 `json:"reasks"`
 }
 
@@ -278,6 +283,9 @@ func evalReport(benchtime string) (*Report, error) {
 	}
 	if shipped := ns["magma/internal/sim.Kernel/jobs=100/accels=16/shipped"]; shipped > 0 {
 		rep.KernelSpeedup = ns["magma/internal/sim.Kernel/jobs=100/accels=16/v1oracle"] / shipped
+	}
+	if virtual := ns["magma/internal/sim.VirtualMakespan/jobs=100/accels=4/virtual"]; virtual > 0 {
+		rep.VirtualSpeedup = ns["magma/internal/sim.VirtualMakespan/jobs=100/accels=4/run"] / virtual
 	}
 	best := math.Inf(1) // the fastest parallel width
 	for _, w := range []int{2, 4, 8} {
@@ -424,7 +432,7 @@ func (ss *searches) run(prob *m3e.Problem, opt m3e.Optimizer, o m3e.Options, see
 		TellNsPerGen:        float64(ph.TellNs) / gens,
 		TellShare:           float64(ph.TellNs) / float64(total),
 		FPFull:              res.Cache.FullFP,
-		Reasks:              uint64(res.Asked) - res.Cache.FullFP - res.Cache.BoundPruned - res.Cache.Invalid,
+		Reasks:              uint64(res.Asked) - res.Cache.FullFP - (res.Cache.BoundPruned - res.Cache.VirtualPruned) - res.Cache.Invalid,
 	}
 	return res, row
 }

@@ -100,6 +100,7 @@ func passing(t *testing.T) map[string]map[string]any {
 		CachedSpeedup:        0.8,
 		SpeedupVsSerial:      2,
 		KernelSpeedup:        2.3,
+		VirtualSpeedup:       3,
 		EffectiveBudget:      EffectiveBudgetReport{DistinctStretch: 3},
 		PhaseBreakdown: PhaseBreakdown{TellSpeedup: 1.9, Rows: []PhaseRow{
 			{Workers: 1, Generations: 100, Reasks: 990},

@@ -1,7 +1,7 @@
 // Command experiments regenerates the paper's evaluation artifacts
 // (Figs. 7–17 and Table V). Each experiment prints the rows/series of
-// the corresponding figure or table; EXPERIMENTS.md records a captured
-// run next to the paper's reported numbers.
+// the corresponding figure or table, followed by a "note: paper shape:"
+// line stating the paper's qualitative claim to read it against.
 //
 // Usage:
 //

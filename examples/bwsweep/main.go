@@ -22,8 +22,8 @@ func main() {
 
 	// Sweep through the regime where the mapping decision binds. (Below
 	// ~8 GB/s this cost model's jobs are all memory-bound and every
-	// schedule converges to the compulsory-traffic floor — see
-	// EXPERIMENTS.md on the bandwidth-scale offset vs the paper.)
+	// schedule converges to the compulsory-traffic floor, so this sweep
+	// starts higher on the bandwidth axis than the paper's.)
 	fmt.Printf("%8s  %14s  %14s  %8s\n", "BW GB/s", "Herald GFLOP/s", "MAGMA GFLOP/s", "MAGMA/H")
 	for _, bw := range []float64{64, 32, 16, 8} {
 		pf := magma.PlatformS2().WithBW(bw)

@@ -39,17 +39,22 @@ func checkCounters(t *testing.T, label string, st m3e.CacheStats, asked int) {
 
 // checkSettled asserts the one-route fingerprint contract on a cached
 // run: the retired incremental and clean-copy counters stay 0, and no
-// genome the pruning pass settled is fingerprinted, so every asked
-// genome is exactly one of fingerprinted, pruned, invalid or a settled
-// re-ask: FullFP+BoundPruned+Invalid+reasks == asked.
+// genome the pruning pass settled before the cache is fingerprinted, so
+// every asked genome is exactly one of fingerprinted, roofline-pruned,
+// invalid or a settled re-ask:
+// FullFP+(BoundPruned−VirtualPruned)+Invalid+reasks == asked. (The
+// virtual-time stage settles genomes after their fingerprint.)
 func checkSettled(t *testing.T, label string, st m3e.CacheStats, asked, reasks int) {
 	t.Helper()
 	if st.IncrementalFP != 0 || st.CleanFP != 0 {
 		t.Errorf("%s: retired fingerprint routes fired: IncrementalFP %d, CleanFP %d", label, st.IncrementalFP, st.CleanFP)
 	}
-	if got := st.FullFP + st.BoundPruned + st.Invalid + uint64(reasks); got != uint64(asked) {
-		t.Errorf("%s: FullFP %d + BoundPruned %d + Invalid %d + re-asks %d = %d, want %d asked",
-			label, st.FullFP, st.BoundPruned, st.Invalid, reasks, got, asked)
+	if st.VirtualPruned > st.BoundPruned {
+		t.Fatalf("%s: VirtualPruned %d exceeds BoundPruned %d", label, st.VirtualPruned, st.BoundPruned)
+	}
+	if got := st.FullFP + st.BoundPruned - st.VirtualPruned + st.Invalid + uint64(reasks); got != uint64(asked) {
+		t.Errorf("%s: FullFP %d + BoundPruned %d − VirtualPruned %d + Invalid %d + re-asks %d = %d, want %d asked",
+			label, st.FullFP, st.BoundPruned, st.VirtualPruned, st.Invalid, reasks, got, asked)
 	}
 }
 
@@ -170,8 +175,8 @@ func TestRunBoundDeterminism(t *testing.T) {
 					if !cache {
 						continue
 					}
-					if got, want := store.Len(), int(st.Misses-st.BoundPruned); got != want {
-						t.Errorf("%s: store holds %d entries, want Misses−BoundPruned = %d", label, got, want)
+					if got, want := len(store.Export()), int(st.Misses-st.BoundPruned); got != want {
+						t.Errorf("%s: store holds %d exact entries, want Misses−BoundPruned = %d", label, got, want)
 					}
 					for _, e := range store.Export() {
 						if want, ok := exact[e.FP]; !ok || e.Fitness != want {

@@ -19,10 +19,11 @@ const DefaultCacheSize = 1 << 16
 // resolved evaluations.
 type CacheStats struct {
 	// Hits are evaluations answered with an already-known exact fitness
-	// instead of a simulation: store hits, plus the re-asks the
+	// instead of a simulation: exact store hits, plus the re-asks the
 	// runner's pruning pass settled from the previous batch (optimizers
 	// implementing ReaskTracker, cache on or off). Re-asks never reach
-	// the store, so they are never CrossHits.
+	// the store, so they are never CrossHits. A store entry holding only
+	// an upper bound (see CacheStore) is never a hit.
 	Hits uint64
 	// CrossHits is the subset of Hits answered by an entry inserted by a
 	// *different* run sharing the same CacheStore — the cross-group /
@@ -46,10 +47,12 @@ type CacheStats struct {
 	CleanFP       uint64
 	// BoundChecked counts genomes whose analytical fitness upper bound
 	// the runner's pruning pass tested against a generation elite floor;
-	// BoundPruned the subset whose bound already missed the floor, so
-	// they were never decoded, fingerprinted or simulated. BoundPruned is
-	// a subset of Misses: a pruned genome counts as a miss, it just pays
-	// the roofline arithmetic instead of Algorithm 1.
+	// BoundPruned the subset it settled with a bound instead of a
+	// simulation. BoundPruned is a subset of Misses: a pruned genome
+	// counts as a miss, it just pays the bound's arithmetic instead of
+	// Algorithm 1, so Misses − BoundPruned is the number of simulations.
+	// A genome the roofline stage prunes is never decoded, fingerprinted
+	// or simulated.
 	//
 	// With the cache off, the pruning pass keeps the counters alone:
 	// Hits are the re-asks it settled, Misses every other valid genome
@@ -57,9 +60,19 @@ type CacheStats struct {
 	// and Deduped and the fingerprint counters stay zero. Either way
 	// Hits+Deduped+Misses+Invalid equals Result.Asked, and with the
 	// cache on no settled genome is fingerprinted:
-	// FullFP+BoundPruned+Invalid+(settled re-asks) equals Result.Asked.
+	// FullFP+BoundPruned−VirtualPruned+Invalid+(settled re-asks) equals
+	// Result.Asked.
 	BoundChecked uint64
 	BoundPruned  uint64
+	// VirtualPriced counts the virtual-time makespans the pruning pass
+	// priced: genomes that survived the roofline stage and that no store
+	// entry answered (with the cache on, one per in-batch duplicate
+	// class). VirtualPruned is the subset of BoundPruned the virtual-time
+	// stage settled, by a freshly priced bracket or by a store entry
+	// holding a bracket top. Those genomes were decoded (and, with the
+	// cache on, fingerprinted) but never simulated.
+	VirtualPriced uint64
+	VirtualPruned uint64
 }
 
 // HitRate is the fraction of decodable evaluations avoided:
@@ -118,14 +131,25 @@ func (s *CacheStats) Add(o CacheStats) {
 	s.CleanFP += o.CleanFP
 	s.BoundChecked += o.BoundChecked
 	s.BoundPruned += o.BoundPruned
+	s.VirtualPriced += o.VirtualPriced
+	s.VirtualPruned += o.VirtualPruned
 }
 
 // storeEntry is one memoized fitness plus the id of the run that
-// inserted it (for cross-run hit accounting).
+// inserted it (for cross-run hit accounting). An upper-bound entry
+// holds only an upper bound on the fitness — the top of a virtual-time
+// bracket the pruning pass settled a genome with — and carries
+// upperBound in its run field, which keeps an entry at 16 bytes (run
+// ids are allocated from 1 upward and never reach that bit).
 type storeEntry struct {
 	fit float64
 	run uint64
 }
+
+const upperBound = 1 << 63
+
+// upper reports whether the entry holds only an upper bound.
+func (e storeEntry) upper() bool { return e.run&upperBound != 0 }
 
 // CacheStore is the sharable storage behind FitnessCache: a bounded
 // fingerprint→fitness map that may outlive any single run and be shared
@@ -137,6 +161,13 @@ type storeEntry struct {
 // fingerprint does not cover the dimensions, and fitness depends on the
 // table and objective (internal/engine keys stores by table identity ×
 // objective for exactly this reason).
+//
+// Besides exact values a store holds upper-bound entries: the bracket
+// top the pruning pass settled a genome with (see pruner). A later
+// batch of a pruned run settles that schedule again, without pricing
+// it, when the top is below its floor, and otherwise simulates it and
+// makes the entry exact. An upper-bound entry is never a hit, never
+// answers a run that does not prune, and is never exported.
 //
 // All methods are safe for concurrent use. Eviction is FIFO over
 // insertion order; under concurrency the interleaving of inserts can
@@ -186,20 +217,36 @@ func (s *CacheStore) beginRun() uint64 {
 	return s.runs
 }
 
-// insertLocked stores one fingerprint, evicting FIFO at capacity. The
-// caller holds s.mu. A fingerprint already present keeps its original
-// slot in the ring (the incoming value is bit-identical by purity).
+// insertLocked stores the exact fitness of one fingerprint; the
+// caller holds s.mu.
 func (s *CacheStore) insertLocked(fp encoding.Fingerprint, v float64, run uint64) {
-	if _, ok := s.entries[fp]; ok {
+	s.putLocked(fp, storeEntry{fit: v, run: run})
+}
+
+// insertUpperLocked stores an upper bound on the fitness of one
+// fingerprint; the caller holds s.mu.
+func (s *CacheStore) insertUpperLocked(fp encoding.Fingerprint, v float64, run uint64) {
+	s.putLocked(fp, storeEntry{fit: v, run: run | upperBound})
+}
+
+// putLocked stores one entry, evicting FIFO at capacity. A fingerprint
+// already present keeps its original slot in the ring: an exact value
+// replaces an upper bound, and anything else leaves the entry as it is
+// (an exact value is bit-identical by purity). The caller holds s.mu.
+func (s *CacheStore) putLocked(fp encoding.Fingerprint, e storeEntry) {
+	if old, ok := s.entries[fp]; ok {
+		if old.upper() && !e.upper() {
+			s.entries[fp] = e
+		}
 		return
 	}
 	if len(s.fifo) < s.capacity {
-		s.entries[fp] = storeEntry{fit: v, run: run}
+		s.entries[fp] = e
 		s.fifo = append(s.fifo, fp)
 		return
 	}
 	delete(s.entries, s.fifo[s.next])
-	s.entries[fp] = storeEntry{fit: v, run: run}
+	s.entries[fp] = e
 	s.fifo[s.next] = fp
 	s.next++
 	if s.next == len(s.fifo) {
@@ -224,7 +271,9 @@ func (s *CacheStore) insertLocked(fp encoding.Fingerprint, v float64, run uint64
 // EliteSelector and ReaskTracker) the cache sees only the slots the pass
 // left open: re-asks already carry their parent's exact
 // fitness and pruned genomes their bound. Every slot it does see is
-// fingerprinted the one way, by a full decode and hash.
+// fingerprinted the one way, by a full decode and hash, and looked up
+// before the pass's virtual-time stage prices what the store does not
+// answer exactly (see settle).
 //
 // A FitnessCache belongs to one run at a time (its batch scratch is
 // reused across Evaluate calls); like an Evaluator it must not be
@@ -250,12 +299,15 @@ type FitnessCache struct {
 	maps []sim.Mapping
 	fps  []encoding.Fingerprint
 
-	mode    []uint8 // batch index -> fingerprint outcome (fp* constants)
-	class   []int   // batch index -> representative slot, or -1 if resolved
-	charge  []bool  // batch index -> consumes effective budget (miss/invalid)
-	reps    []int   // representative slot -> batch index
-	repFit  []float64
+	mode    []uint8                      // batch index -> fingerprint outcome (fp* constants)
+	class   []int                        // batch index -> representative slot, or -1 if resolved
+	charge  []bool                       // batch index -> consumes effective budget (miss/invalid)
+	reps    []int                        // representative slot -> batch index
 	inBatch map[encoding.Fingerprint]int // fingerprint -> representative slot
+
+	settled []bool // representative slot -> settled by the virtual-time stage
+	upper   []int  // batch indices answered by an upper-bound entry (see settle)
+	todo    []int  // batch indices to simulate
 }
 
 // Fingerprint outcomes for mode[].
@@ -263,6 +315,7 @@ const (
 	fpInvalid = iota
 	fpFull
 	fpSettled // settled by the runner's pruning pass (re-ask, invalid or pruned)
+	fpUpper   // an upper-bound store entry answered it; settle decides the rest
 )
 
 // NewFitnessCache builds a cache for the problem backed by a private
@@ -321,28 +374,31 @@ func (c *FitnessCache) Len() int { return c.store.Len() }
 //     mappings, then scatter fitness to every class member and insert
 //     the new results into the store (one write-lock for the batch).
 func (c *FitnessCache) Evaluate(pool *Pool, batch []encoding.Genome, fit []float64) {
-	c.evaluate(pool, batch, fit, nil, len(batch))
+	c.evaluate(pool, batch, fit, nil, len(batch), nil)
 }
 
-// evaluate is Evaluate behind the runner's pruning pass. A nil pre
-// means nothing is known about the batch. Otherwise the pass has
-// validated every genome and pre[i] is its slot state: every slot it
-// did not leave open (re-asks, invalid and pruned genomes) keeps the
-// fitness the pass wrote and is neither fingerprinted, counted nor
-// stored — a pruned slot's fitness is a bound, never an exact value —
-// and the open slots skip re-validation.
+// evaluate is Evaluate behind the runner's pruning pass pn (nil
+// without one). A nil pre means nothing is known about the batch.
+// Otherwise the pass has validated every genome and pre[i] is its slot
+// state: every slot it did not leave open (re-asks, invalid and pruned
+// genomes) keeps the fitness the pass wrote and is neither
+// fingerprinted, counted nor stored, and the open slots skip
+// re-validation. When the pass runs its virtual-time stage, every
+// genome no exact store entry answers goes through settle before any is
+// simulated.
 //
 // The grouping scan stops once budget genomes have been charged (see
 // ChargedAt): it resolves only the shortest prefix of the batch holding
 // that many, and evaluate returns its length. Genomes past the cut were
 // fingerprinted but are neither counted, simulated nor stored. A budget
 // of len(batch) or more never cuts.
-func (c *FitnessCache) evaluate(pool *Pool, batch []encoding.Genome, fit []float64, pre []uint8, budget int) int {
+func (c *FitnessCache) evaluate(pool *Pool, batch []encoding.Genome, fit []float64, pre []uint8, budget int, pn *pruner) int {
 	tFP := time.Now() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
 	c.grow(len(batch))
 	c.fingerprintBatch(pool, batch, pre)
 
-	c.reps = c.reps[:0]
+	staged := pn != nil && pn.virtual
+	c.reps, c.upper = c.reps[:0], c.upper[:0]
 	clear(c.inBatch)
 	n, charged := len(batch), 0
 	c.store.mu.RLock()
@@ -364,7 +420,9 @@ func (c *FitnessCache) evaluate(pool *Pool, batch []encoding.Genome, fit []float
 		}
 		c.stats.FullFP++
 		fp := c.fps[i]
-		if e, ok := c.store.entries[fp]; ok {
+		e, stored := c.store.entries[fp]
+		switch {
+		case stored && !e.upper():
 			fit[i] = e.fit
 			c.stats.Hits++
 			if e.run != c.run {
@@ -372,6 +430,12 @@ func (c *FitnessCache) evaluate(pool *Pool, batch []encoding.Genome, fit []float
 			}
 			c.charge[i] = false
 			charged--
+			continue
+		case stored && staged:
+			c.mode[i] = fpUpper
+			c.upper = append(c.upper, i)
+			pn.lo[i], pn.hi[i] = math.Inf(-1), e.fit
+			c.stats.Misses++
 			continue
 		}
 		if slot, ok := c.inBatch[fp]; ok {
@@ -385,6 +449,7 @@ func (c *FitnessCache) evaluate(pool *Pool, batch []encoding.Genome, fit []float
 		c.inBatch[fp] = slot
 		c.reps = append(c.reps, i)
 		c.class[i] = slot
+		c.settled[slot] = false
 		c.stats.Misses++
 	}
 	c.store.mu.RUnlock()
@@ -392,18 +457,47 @@ func (c *FitnessCache) evaluate(pool *Pool, batch []encoding.Genome, fit []float
 		c.phases.FingerprintNs += time.Since(tFP).Nanoseconds() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
 	}
 
-	tSim := time.Now() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
-	pool.evaluateMapped(c.maps, c.reps, c.repFit[:len(c.reps)])
-
-	for i := range batch[:n] {
-		if slot := c.class[i]; slot >= 0 {
-			fit[i] = c.repFit[slot]
+	c.todo = c.todo[:0]
+	if staged {
+		tBound := time.Now() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
+		c.settle(pool, fit[:n], pn)
+		if c.phases != nil {
+			c.phases.BoundNs += time.Since(tBound).Nanoseconds() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
 		}
 	}
-	if len(c.reps) > 0 {
+
+	tSim := time.Now() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
+	for slot, i := range c.reps {
+		if !c.settled[slot] {
+			c.todo = append(c.todo, i)
+		}
+	}
+	if len(c.todo) > 0 {
+		pool.simulate(c.maps, c.todo, fit)
+	}
+	for i := range batch[:n] {
+		slot := c.class[i]
+		if slot < 0 {
+			continue
+		}
+		r := c.reps[slot]
+		fit[i] = fit[r]
+		if staged {
+			pn.lo[i], pn.hi[i] = pn.lo[r], pn.hi[r]
+			if c.settled[slot] {
+				pn.state[i] = slotFiltered
+			}
+		}
+	}
+	if len(c.todo) > 0 || len(c.reps) > 0 {
 		c.store.mu.Lock()
+		for _, i := range c.todo {
+			c.store.insertLocked(c.fps[i], fit[i], c.run)
+		}
 		for slot, i := range c.reps {
-			c.store.insertLocked(c.fps[i], c.repFit[slot], c.run)
+			if c.settled[slot] {
+				c.store.insertUpperLocked(c.fps[i], fit[i], c.run)
+			}
 		}
 		c.store.mu.Unlock()
 	}
@@ -411,6 +505,56 @@ func (c *FitnessCache) evaluate(pool *Pool, batch []encoding.Genome, fit []float
 		c.phases.SimulateNs += time.Since(tSim).Nanoseconds() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
 	}
 	return n
+}
+
+// settle is the pruning pass's virtual-time stage on the cache path
+// (see pruner), run after the store lookup so no exact hit is priced.
+// It prices the bracket of every representative, sets the floor to the
+// k-th best of the re-asks' values, the exact store hits and the lower
+// ends of the brackets, per batch slot, capped at the best so far, and
+// settles each representative whose bracket top falls below it with
+// that top. A genome an upper-bound entry answered is settled with the
+// stored bound the same way; otherwise it joins the simulated genomes
+// with (-Inf, bound] as its bracket, and its entry becomes exact. Those
+// are not deduplicated: two copies in one batch that both miss the
+// floor are both simulated, to the same value.
+func (c *FitnessCache) settle(pool *Pool, fit []float64, pn *pruner) {
+	if len(c.reps) > 0 {
+		pool.each(len(c.reps), func(ev *Evaluator, slot int) {
+			i := c.reps[slot]
+			pn.lo[i], pn.hi[i] = pn.bracket(ev, &c.maps[i])
+		})
+		c.stats.VirtualPriced += uint64(len(c.reps))
+	}
+	for i := range fit {
+		if c.mode[i] != fpFull {
+			continue
+		}
+		if slot := c.class[i]; slot < 0 {
+			pn.top = append(pn.top, fit[i]) // exact store hit
+		} else {
+			pn.top = append(pn.top, pn.lo[c.reps[slot]])
+		}
+	}
+	floor := pn.floor()
+	for slot, i := range c.reps {
+		if pn.hi[i] < floor {
+			c.settled[slot] = true
+			fit[i] = pn.hi[i]
+			c.stats.BoundPruned++
+			c.stats.VirtualPruned++
+		}
+	}
+	for _, i := range c.upper {
+		if pn.hi[i] < floor {
+			fit[i] = pn.hi[i]
+			pn.state[i] = slotFiltered
+			c.stats.BoundPruned++
+			c.stats.VirtualPruned++
+		} else {
+			c.todo = append(c.todo, i)
+		}
+	}
 }
 
 // fingerprintBatch is phase 1: validate, decode and fingerprint every
@@ -444,12 +588,12 @@ func (c *FitnessCache) grow(n int) {
 		c.mode = make([]uint8, n)
 		c.class = make([]int, n)
 		c.charge = make([]bool, n)
-		c.repFit = make([]float64, n)
+		c.settled = make([]bool, n)
 	}
 	c.maps = c.maps[:n]
 	c.fps = c.fps[:n]
 	c.mode = c.mode[:n]
 	c.class = c.class[:n]
 	c.charge = c.charge[:n]
-	c.repFit = c.repFit[:n]
+	c.settled = c.settled[:n]
 }

@@ -129,10 +129,11 @@ func (p *Problem) Evaluate(g encoding.Genome) (float64, error) {
 // are not safe for concurrent use — the parallel runner gives each
 // worker its own.
 type Evaluator struct {
-	p      *Problem
-	sim    *sim.Simulator
-	m      sim.Mapping
-	cycles []float64 // per-core scratch of sim.Bounds.GenomeResult
+	p       *Problem
+	sim     *sim.Simulator
+	m       sim.Mapping
+	cycles  []float64          // per-core scratch of sim.Bounds.GenomeResult
+	virtual sim.VirtualScratch // scratch of sim.Bounds.Virtual
 }
 
 // NewEvaluator builds an evaluator bound to the problem.
@@ -148,26 +149,14 @@ func (e *Evaluator) Evaluate(g encoding.Genome) (float64, error) {
 	if err := g.Validate(e.p.NumJobs(), e.p.NumAccels()); err != nil {
 		return 0, err
 	}
-	return e.evaluateValid(g)
-}
-
-// evaluateValid is Evaluate for a genome already known to be valid.
-func (e *Evaluator) evaluateValid(g encoding.Genome) (float64, error) {
-	if err := fault.Hit(fault.M3ESimulate); err != nil {
-		return 0, err
-	}
 	encoding.DecodeInto(g, e.p.NumAccels(), &e.m)
-	res, err := e.sim.Run(e.p.Table, e.m)
-	if err != nil {
-		return 0, err
-	}
-	return e.p.Fitness(res), nil
+	return e.EvaluateMapping(&e.m)
 }
 
 // EvaluateMapping scores an already-decoded mapping without re-decoding
-// or re-validating a genome. The fitness cache uses it to simulate each
-// representative straight from the mapping its fingerprint pass decoded,
-// so a cache miss still pays for exactly one decode.
+// or re-validating a genome. The pruning pass and the fitness cache use
+// it to simulate each genome straight from the mapping they decoded, so
+// a simulated genome still pays for exactly one decode.
 func (e *Evaluator) EvaluateMapping(m *sim.Mapping) (float64, error) {
 	if err := fault.Hit(fault.M3ESimulate); err != nil {
 		return 0, err
@@ -301,8 +290,10 @@ type PhaseTimings struct {
 	AskNs         int64 `json:"ask_ns"`
 	FingerprintNs int64 `json:"fingerprint_ns"`
 	// BoundNs is the runner's pruning pass (optimizers it prunes only):
-	// validation, the genome roofline bounds and the elite-floor scan
-	// that decides which genomes skip decode and the simulator.
+	// validation, the genome roofline bounds, the decode and
+	// virtual-time pricing of the survivors (uncached; with the cache
+	// the decode is in FingerprintNs) and the elite-floor scans that
+	// decide which genomes skip decode and the simulator.
 	BoundNs    int64 `json:"bound_ns"`
 	SimulateNs int64 `json:"simulate_ns"`
 	TellNs     int64 `json:"tell_ns"`
@@ -404,6 +395,10 @@ type Options struct {
 	// bound pruning off: a pruned genome is never fingerprinted, so the
 	// run could not tell whether it was distinct.
 	EffectiveBudget bool
+
+	// narrow replaces every virtual-time bracket the pruning pass prices
+	// (tests only; see pruner.narrow).
+	narrow func(lo, hi float64) (float64, float64)
 }
 
 // EffectiveBudgetStretchCap bounds an EffectiveBudget run: at most this
@@ -455,22 +450,9 @@ func (pl *Pool) Breed(n int, f func(i int)) {
 // Evaluate scores batch[i] into fit[i] for every i. Workers pull batch
 // indices from a shared counter, so load balances even when evaluation
 // cost varies across genomes.
-func (pl *Pool) Evaluate(batch []encoding.Genome, fit []float64) { pl.evaluate(batch, nil, fit) }
-
-// evaluate is Evaluate behind the pruning pass: with slot states, only
-// the genomes it left open are scored, and without re-validation.
-func (pl *Pool) evaluate(batch []encoding.Genome, state []uint8, fit []float64) {
+func (pl *Pool) Evaluate(batch []encoding.Genome, fit []float64) {
 	pl.each(len(batch), func(ev *Evaluator, i int) {
-		var f float64
-		var err error
-		switch {
-		case state == nil:
-			f, err = ev.Evaluate(batch[i])
-		case state[i] == slotOpen:
-			f, err = ev.evaluateValid(batch[i])
-		default:
-			return
-		}
+		f, err := ev.Evaluate(batch[i])
 		if err != nil {
 			f = math.Inf(-1)
 		}
@@ -478,17 +460,17 @@ func (pl *Pool) evaluate(batch []encoding.Genome, state []uint8, fit []float64) 
 	})
 }
 
-// evaluateMapped simulates the representatives reps (indices into maps)
-// across the pool, writing the score of maps[reps[k]] into fit[k]. The
-// mappings are read-only during the call; each slot is touched by
-// exactly one worker.
-func (pl *Pool) evaluateMapped(maps []sim.Mapping, reps []int, fit []float64) {
-	pl.each(len(reps), func(ev *Evaluator, k int) {
-		f, err := ev.EvaluateMapping(&maps[reps[k]])
+// simulate scores the decoded schedule maps[i] into fit[i] for every
+// batch index i in idx. The mappings are read-only during the call;
+// each index is touched by exactly one worker.
+func (pl *Pool) simulate(maps []sim.Mapping, idx []int, fit []float64) {
+	pl.each(len(idx), func(ev *Evaluator, k int) {
+		i := idx[k]
+		f, err := ev.EvaluateMapping(&maps[i])
 		if err != nil {
 			f = math.Inf(-1)
 		}
-		fit[k] = f
+		fit[i] = f
 	})
 }
 
@@ -568,10 +550,15 @@ const DefaultBudget = 10000
 // For optimizers that implement both EliteSelector and ReaskTracker a
 // pruning pass runs ahead of evaluation (see pruner): elite re-asks
 // reuse the previous batch's exact fitness, with or without the
-// cache, and genomes whose roofline fitness bound already misses the
-// elite floor get the bound instead of being decoded and simulated. That too is bit-identical: a
-// value below both the floor and the best so far can move neither
-// selection nor the convergence curve.
+// cache; genomes whose roofline fitness bound already misses the elite
+// floor get the bound instead of being decoded and simulated; and the
+// survivors whose virtual-time bracket top misses the floor it then
+// raises get that top instead of being simulated. That too is
+// bit-identical: a value below both the floor and the best so far can
+// move neither selection nor the convergence curve. Every simulated
+// genome the pass priced is checked to score inside its bracket; a
+// miss ends the run with an error naming the generation and the batch
+// index.
 func Run(p *Problem, opt Optimizer, o Options, seed int64) (Result, error) {
 	if o.Budget <= 0 {
 		o.Budget = DefaultBudget
@@ -621,7 +608,7 @@ func Run(p *Problem, opt Optimizer, o Options, seed int64) (Result, error) {
 	if isES && isRT && !o.EffectiveBudget {
 		// The bound constants are memoized on the first worker's simulator,
 		// so a leased pool carries them warm across runs.
-		pn = &pruner{p: p, bounds: pool.evs[0].sim.Bounds(p.Table), es: es, rt: rt, cached: cache != nil}
+		pn = &pruner{p: p, bounds: pool.evs[0].sim.Bounds(p.Table), es: es, rt: rt, cached: cache != nil, narrow: o.narrow}
 	}
 	stats := func() CacheStats {
 		var st CacheStats
@@ -684,15 +671,23 @@ func Run(p *Problem, opt Optimizer, o Options, seed int64) (Result, error) {
 				pre = pn.prune(pool, batch, fit, res.BestFitness)
 				res.Phases.BoundNs += time.Since(tBound).Nanoseconds() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
 			}
-			if cache != nil {
-				n := cache.evaluate(pool, batch, fit, pre, left) // splits fingerprint/simulate into res.Phases itself
+			tSim := time.Now() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
+			switch {
+			case cache != nil:
+				n := cache.evaluate(pool, batch, fit, pre, left, pn) // splits its time into res.Phases itself
 				batch, fit = batch[:n], fit[:n]
-			} else {
-				tSim := time.Now() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
-				pool.evaluate(batch, pre, fit)
+			case pn != nil:
+				pool.simulate(pn.maps, pn.open, fit)
+			default:
+				pool.Evaluate(batch, fit)
+			}
+			if cache == nil {
 				res.Phases.SimulateNs += time.Since(tSim).Nanoseconds() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
 			}
 			if pn != nil {
+				if err := pn.check(fit); err != nil {
+					return fmt.Errorf("m3e: generation %d: %w", generation+1, err)
+				}
 				pn.commit(fit)
 			}
 			return nil

@@ -81,8 +81,10 @@ func TestPruneScoresInvalidGenomes(t *testing.T) {
 
 // BenchmarkPrune times one pruning pass over a paper-scale generation:
 // 100 genomes of a 100-job Mix group on S2, ten of them re-asked
-// elites, so the pass validates every genome and prices the bound of
-// the other ninety.
+// elites, so the pass validates every genome and prices the roofline
+// bound of the other ninety. The re-asks' floor (0) prunes none of
+// them, so all ninety are also decoded and bracketed in virtual time:
+// the pass's most expensive case.
 func BenchmarkPrune(b *testing.B) {
 	const n, k = 100, 10
 	prob := testProblem(b, models.Mix, n, platform.S2().WithBW(16), Throughput)

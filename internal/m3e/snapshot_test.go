@@ -169,3 +169,34 @@ func TestExportDuringConcurrentMutation(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestStoreUpperBoundEntriesStayPrivate pins how upper-bound entries
+// sit in the ring: an exact value replaces one in place, an upper bound
+// never replaces an exact value, and Export skips the ones left, so the
+// snapshot format carries exact values only.
+func TestStoreUpperBoundEntriesStayPrivate(t *testing.T) {
+	s := NewCacheStore(8)
+	s.mu.Lock()
+	s.insertLocked(fp(0), 0, 1)
+	s.insertUpperLocked(fp(1), 10, 1)
+	s.insertUpperLocked(fp(2), 20, 1)
+	s.insertUpperLocked(fp(0), 99, 2) // an exact entry stays
+	s.insertLocked(fp(1), 1, 2)       // exact replaces the upper bound, in place
+	s.insertLocked(fp(3), 3, 2)
+	s.mu.Unlock()
+	if s.Len() != 4 {
+		t.Fatalf("Len = %d, want 4 entries", s.Len())
+	}
+	want := []ExportedEntry{{fp(0), 0}, {fp(1), 1}, {fp(3), 3}}
+	if got := s.Export(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Export = %+v, want %+v", got, want)
+	}
+	if e := s.entries[fp(1)]; e.upper() || e.run != 2 {
+		t.Errorf("fp(1) = %+v, want the exact entry of run 2", e)
+	}
+	dst := NewCacheStore(8)
+	dst.Import(s.Export())
+	if got := dst.Export(); !reflect.DeepEqual(got, want) {
+		t.Errorf("round trip = %+v, want %+v", got, want)
+	}
+}

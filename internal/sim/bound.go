@@ -30,8 +30,14 @@ type Bounds struct {
 	cycles  []float64 // [j*nAccels+a] no-stall latency, cycles
 	traffic []float64 // [j*nAccels+a] DRAM traffic, bytes (0 when BW-free)
 	energy  []float64 // [j*nAccels+a] job energy
+	// req is [j*nAccels+a] required bytes/cycle, nil when some entry is
+	// bandwidth-free (≤ 1e-12): the virtual-time makespan is then
+	// unavailable (see Virtual).
+	req []float64
 
 	sysBW      float64 // bytes/cycle
+	invBW      float64 // 1 / sysBW
+	spanSlack  float64 // absolute slack of Virtual's makespan bracket, cycles
 	totalFLOPs float64
 	leakPEs    float64 // leakagePerPEPerCycle × total PEs
 }
@@ -56,19 +62,33 @@ func NewBounds(t *analyzer.Table) *Bounds {
 		cycles:  make([]float64, nJobs*nAccels),
 		traffic: make([]float64, nJobs*nAccels),
 		energy:  make([]float64, nJobs*nAccels),
+		req:     make([]float64, nJobs*nAccels),
 		sysBW:   t.Platform.SystemBWBytesPerCycle(),
 	}
-	for j := 0; j < nJobs; j++ {
-		for a := 0; a < nAccels; a++ {
+	b.invBW = 1 / b.sysBW
+	var peakReq float64 // Σ_a max_j req(j, a)
+	bwFree := false
+	for a := 0; a < nAccels; a++ {
+		var most float64
+		for j := 0; j < nJobs; j++ {
 			e := t.At(j, a)
 			i := j*nAccels + a
 			b.cycles[i] = float64(e.Cycles)
 			if e.BWPerCycle > 1e-12 {
 				b.traffic[i] = float64(e.Cycles) * e.BWPerCycle
+			} else {
+				bwFree = true
 			}
+			b.req[i] = e.BWPerCycle
+			most = max(most, e.BWPerCycle)
 			b.energy[i] = e.Energy
 		}
+		peakReq += most
 	}
+	if bwFree {
+		b.req = nil
+	}
+	b.spanSlack = float64(nJobs) * virtualWindow * max(1, peakReq*b.invBW)
 	b.totalFLOPs = float64(t.Group.TotalFLOPs())
 	var pes float64
 	for _, sa := range t.Platform.SubAccels {
@@ -80,6 +100,10 @@ func NewBounds(t *analyzer.Table) *Bounds {
 
 // NumAccels returns the accelerator count the bounds were built for.
 func (b *Bounds) NumAccels() int { return b.nAccels }
+
+// HasVirtual reports whether Virtual is available: the table has no
+// bandwidth-free entry.
+func (b *Bounds) HasVirtual() bool { return b.req != nil }
 
 // CoreBound is one core's roofline accumulator: the sum of its queued
 // jobs' no-stall cycles, DRAM traffic and job energy. Sums are in queue
@@ -209,4 +233,111 @@ func (b *Bounds) result(lb, jobEnergy float64) Result {
 	}
 	res.Energy = jobEnergy + b.leakPEs*res.TotalCycles
 	return res
+}
+
+// Slack of the virtual-time bracket (see Virtual). virtualWindow is
+// Run's virtual retirement window: a BW job retires once its key is
+// within 1e-6 of the virtual clock.
+const (
+	virtualWindow   = 1e-6
+	virtualSlackRel = 1e-9
+)
+
+// VirtualScratch is the working storage of Virtual: one slot per core
+// with a running job. The zero value is ready; it grows on first use
+// and is then reused without allocating. Like a Simulator, one
+// VirtualScratch must not be shared between goroutines.
+type VirtualScratch struct {
+	end  []float64 // virtual instant the slot's running job ends
+	req  []float64 // the running job's bandwidth requirement
+	core []int     // the slot's core
+	next []int     // cursor into the slot's core queue
+}
+
+// Virtual brackets the Result Run would return for the valid mapping m
+// (Mapping.Validate) without simulating it. Run's allocator slows every
+// live job by one common factor, scale = min(1, sysBW/R) with R the
+// summed requirement of the live jobs, so in the virtual time V of
+// Run's derivation (dV = scale·dt) every job lasts exactly its no-stall
+// cycles: core a's job boundaries are the prefix sums of its queue's
+// cycles, and the wall-clock makespan is the integral
+//
+//	T = ∫ max(1, R(V)/sysBW) dV
+//
+// over the merged boundaries of every core — one pass over the jobs,
+// with no event heap, no division and no JobRuns. lo is the optimistic
+// Result (shortest makespan, least energy) and hi the pessimistic one,
+// both built by Run's epilogue formulas, so for every objective the
+// framework optimizes the fitness of hi is at most, and the fitness of
+// lo at least, the fitness of Run's Result. ok is false, and both
+// Results zero, when the table has a bandwidth-free entry: such a job
+// runs in wall time, off the virtual clock.
+//
+// The makespan slack is per table: Run retires a job up to 1e-6 of
+// virtual time early, and each such shift moves the wall clock by at
+// most 1e-6 × max(1, Σ_a max_j req(j, a) / sysBW), so nJobs of them
+// bound the absolute term; a relative 1e-9 covers the rounding of both
+// integrations, which measure within 1e-15 of each other. Run sums job
+// energy in retirement order and Virtual in launch order, so the job
+// energy carries the same relative slack.
+func (b *Bounds) Virtual(s *VirtualScratch, m *Mapping) (lo, hi Result, ok bool) {
+	if b.req == nil {
+		return Result{}, Result{}, false
+	}
+	span, jobEnergy := b.virtual(s, m)
+	lo = b.result(max(0, span*(1-virtualSlackRel)-b.spanSlack), jobEnergy*(1-virtualSlackRel))
+	hi = b.result(span*(1+virtualSlackRel)+b.spanSlack, jobEnergy*(1+virtualSlackRel))
+	return lo, hi, true
+}
+
+// virtual integrates the virtual-time makespan of m and sums its job
+// energy. It merges the cores' job boundaries by scanning the slots of
+// the cores still running for the earliest end; ties retire one after
+// the other with a zero-length step in between. A core that drains
+// gives its slot to the last one.
+func (b *Bounds) virtual(s *VirtualScratch, m *Mapping) (span, jobEnergy float64) {
+	nA := b.nAccels
+	s.end, s.req = grow(s.end, nA), grow(s.req, nA)
+	s.core, s.next = grow(s.core, nA), grow(s.next, nA)
+	end, req, core, next := s.end, s.req, s.core, s.next
+	n := 0           // running slots
+	var need float64 // R: summed requirement of the running jobs
+	for a, q := range m.Queues {
+		if len(q) == 0 {
+			continue
+		}
+		i := q[0]*nA + a
+		end[n], req[n], core[n], next[n] = b.cycles[i], b.req[i], a, 1
+		need += b.req[i]
+		jobEnergy += b.energy[i]
+		n++
+	}
+	var v float64
+	for n > 0 {
+		k := 0
+		for x := 1; x < n; x++ {
+			if end[x] < end[k] {
+				k = x
+			}
+		}
+		e := end[k]
+		if w := need * b.invBW; w > 1 {
+			span += (e - v) * w
+		} else {
+			span += e - v
+		}
+		v = e
+		need -= req[k]
+		a := core[k]
+		if q, c := m.Queues[a], next[k]; c < len(q) {
+			i := q[c]*nA + a
+			end[k], req[k], next[k] = e+b.cycles[i], b.req[i], c+1
+			need += b.req[i]
+			jobEnergy += b.energy[i]
+			continue
+		}
+		n--
+		end[k], req[k], core[k], next[k] = end[n], req[n], core[n], next[n]
+	}
+	return span, jobEnergy
 }

@@ -2,7 +2,8 @@ package magma
 
 // End-to-end reproduction checks: each test asserts one of the paper's
 // qualitative claims through the public API at a small scale. These are
-// the "shape" guarantees EXPERIMENTS.md reports at full scale.
+// the "shape" claims cmd/experiments prints at full scale as its
+// "note: paper shape:" lines.
 
 import (
 	"testing"
