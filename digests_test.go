@@ -12,14 +12,13 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
 
 var (
 	updateDigests  = flag.Bool("update", false, "regenerate testdata/digests.json from the current code")
-	digestWorkers  = flag.String("digest.workers", "1,4", "comma-separated worker counts every TestResultDigests cell runs at")
+	digestWorkers  = []int{1, 2, 8}
 	digestsPath    = filepath.Join("testdata", "digests.json")
 	digestMappers  = []string{"MAGMA", "stdGA"}
 	digestJobs     = []int{16, 30}
@@ -64,9 +63,9 @@ func resultDigest(s Schedule) string {
 // stdGA) bit for bit: every objective, two group sizes and two
 // platforms, each cell run without a store and with one Solver's store
 // shared across the cell's runs (so later runs read entries earlier
-// ones wrote), at every worker count in -digest.workers. All runs of a
-// cell must reproduce the one committed digest. A change that means to
-// move results regenerates the file with
+// ones wrote), at workers 1, 2 and 8. All runs of a cell must
+// reproduce the one committed digest. A change that means to move
+// results regenerates the file with
 //
 //	go test -run TestResultDigests -update .
 //
@@ -75,14 +74,6 @@ func resultDigest(s Schedule) string {
 func TestResultDigests(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("result digests are defined on amd64; this is %s", runtime.GOARCH)
-	}
-	var workers []int
-	for _, f := range strings.Split(*digestWorkers, ",") {
-		w, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || w < 1 {
-			t.Fatalf("-digest.workers: bad worker count %q", f)
-		}
-		workers = append(workers, w)
 	}
 	want := map[string]string{}
 	if !*updateDigests {
@@ -104,7 +95,7 @@ func TestResultDigests(t *testing.T) {
 					cell := fmt.Sprintf("%s/%s/J%d/%s", mapper, obj, n, st.name)
 					solver := NewSolver(SolverOptions{})
 					for _, store := range []bool{false, true} {
-						for _, w := range workers {
+						for _, w := range digestWorkers {
 							opts := Options{Mapper: mapper, Objective: obj, Budget: digestBudget, Seed: 7, Workers: w}
 							if store {
 								opts.Cache, opts.Solver = true, solver

@@ -22,8 +22,7 @@ type CacheStats struct {
 	// instead of a simulation: exact store hits, plus the re-asks the
 	// runner's pruning pass settled from the previous batch (optimizers
 	// implementing ReaskTracker, cache on or off). Re-asks never reach
-	// the store, so they are never CrossHits. A store entry holding only
-	// an upper bound (see CacheStore) is never a hit.
+	// the store, so they are never CrossHits.
 	Hits uint64
 	// CrossHits is the subset of Hits answered by an entry inserted by a
 	// *different* run sharing the same CacheStore — the cross-group /
@@ -65,11 +64,11 @@ type CacheStats struct {
 	BoundChecked uint64
 	BoundPruned  uint64
 	// VirtualPriced counts the virtual-time makespans the pruning pass
-	// priced: genomes that survived the roofline stage and that no store
-	// entry answered (with the cache on, one per in-batch duplicate
-	// class). VirtualPruned is the subset of BoundPruned the virtual-time
-	// stage settled, by a freshly priced bracket or by a store entry
-	// holding a bracket top. Those genomes were decoded (and, with the
+	// priced: genomes that survived the roofline stage and for which the
+	// store held neither a fitness nor a bracket top (with the cache on,
+	// one per in-batch duplicate class). VirtualPruned is the subset of
+	// BoundPruned the virtual-time stage settled with a bracket top,
+	// freshly priced or stored. Those genomes were decoded (and, with the
 	// cache on, fingerprinted) but never simulated.
 	VirtualPriced uint64
 	VirtualPruned uint64
@@ -136,20 +135,16 @@ func (s *CacheStats) Add(o CacheStats) {
 }
 
 // storeEntry is one memoized fitness plus the id of the run that
-// inserted it (for cross-run hit accounting). An upper-bound entry
-// holds only an upper bound on the fitness — the top of a virtual-time
-// bracket the pruning pass settled a genome with — and carries
-// upperBound in its run field, which keeps an entry at 16 bytes (run
-// ids are allocated from 1 upward and never reach that bit).
+// inserted it (for cross-run hit accounting), or a bracket top, whose
+// run is topRun.
 type storeEntry struct {
 	fit float64
 	run uint64
 }
 
-const upperBound = 1 << 63
-
-// upper reports whether the entry holds only an upper bound.
-func (e storeEntry) upper() bool { return e.run&upperBound != 0 }
+// topRun marks a bracket top. beginRun counts up from 1 and never
+// reaches it.
+const topRun = math.MaxUint64
 
 // CacheStore is the sharable storage behind FitnessCache: a bounded
 // fingerprint→fitness map that may outlive any single run and be shared
@@ -162,12 +157,15 @@ func (e storeEntry) upper() bool { return e.run&upperBound != 0 }
 // table and objective (internal/engine keys stores by table identity ×
 // objective for exactly this reason).
 //
-// Besides exact values a store holds upper-bound entries: the bracket
-// top the pruning pass settled a genome with (see pruner). A later
-// batch of a pruned run settles that schedule again, without pricing
-// it, when the top is below its floor, and otherwise simulates it and
-// makes the entry exact. An upper-bound entry is never a hit, never
-// answers a run that does not prune, and is never exported.
+// Beside the exact values a store keeps bracket tops: for a schedule
+// the pruning pass settled by its virtual-time bracket, the top, an
+// upper bound on its fitness (see pruner). A later pruned batch that
+// meets the schedule again uses the top instead of pricing it. Tops
+// share the map, so one lookup finds either kind, but have their own
+// ring of the same capacity, so they never evict an exact value. An
+// exact value replaces a top in place; a top never replaces an exact
+// value. Tops are never hits, never answer an unpruned run, and neither
+// Len nor Export sees them.
 //
 // All methods are safe for concurrent use. Eviction is FIFO over
 // insertion order; under concurrency the interleaving of inserts can
@@ -178,16 +176,24 @@ type CacheStore struct {
 	mu       sync.RWMutex
 	capacity int
 	entries  map[encoding.Fingerprint]storeEntry
-	// fifo is the eviction ring: once len(entries) reaches capacity the
-	// oldest insertion is dropped. FIFO keeps eviction deterministic
-	// (map iteration order never leaks into behavior) and O(1).
+	// fifo is the eviction ring of the exact entries: once it holds
+	// capacity of them the oldest insertion is dropped. FIFO keeps
+	// eviction deterministic (map iteration order never leaks into
+	// behavior) and O(1).
 	fifo []encoding.Fingerprint
 	next int
 	runs uint64 // run-id allocator for cross-run hit accounting
+
+	// topFIFO is the eviction ring of the bracket tops, of which
+	// entries holds nTops. A slot whose top an exact value replaced
+	// evicts nothing.
+	topFIFO []encoding.Fingerprint
+	topNext int
+	nTops   int
 }
 
-// NewCacheStore builds a store bounded to capacity entries (<= 0 means
-// DefaultCacheSize).
+// NewCacheStore builds a store bounded to capacity entries, and as many
+// bracket tops (<= 0 means DefaultCacheSize).
 func NewCacheStore(capacity int) *CacheStore {
 	if capacity <= 0 {
 		capacity = DefaultCacheSize
@@ -201,11 +207,12 @@ func NewCacheStore(capacity int) *CacheStore {
 	}
 }
 
-// Len returns the number of cached fingerprints (bounded by capacity).
+// Len returns the number of cached fitness values (bounded by
+// capacity).
 func (s *CacheStore) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.entries)
+	return len(s.entries) - s.nTops
 }
 
 // beginRun allocates a run id, distinguishing this run's insertions
@@ -217,41 +224,54 @@ func (s *CacheStore) beginRun() uint64 {
 	return s.runs
 }
 
-// insertLocked stores the exact fitness of one fingerprint; the
-// caller holds s.mu.
+// insertLocked stores the fitness of one fingerprint, evicting FIFO at
+// capacity. The caller holds s.mu. A fingerprint whose fitness is
+// already present keeps its original slot in the ring (the incoming
+// value is bit-identical by purity).
 func (s *CacheStore) insertLocked(fp encoding.Fingerprint, v float64, run uint64) {
-	s.putLocked(fp, storeEntry{fit: v, run: run})
-}
-
-// insertUpperLocked stores an upper bound on the fitness of one
-// fingerprint; the caller holds s.mu.
-func (s *CacheStore) insertUpperLocked(fp encoding.Fingerprint, v float64, run uint64) {
-	s.putLocked(fp, storeEntry{fit: v, run: run | upperBound})
-}
-
-// putLocked stores one entry, evicting FIFO at capacity. A fingerprint
-// already present keeps its original slot in the ring: an exact value
-// replaces an upper bound, and anything else leaves the entry as it is
-// (an exact value is bit-identical by purity). The caller holds s.mu.
-func (s *CacheStore) putLocked(fp encoding.Fingerprint, e storeEntry) {
-	if old, ok := s.entries[fp]; ok {
-		if old.upper() && !e.upper() {
-			s.entries[fp] = e
+	if e, ok := s.entries[fp]; ok {
+		if e.run != topRun {
+			return
 		}
+		s.nTops--
+	}
+	if old, full := s.push(&s.fifo, &s.next, fp); full {
+		delete(s.entries, old)
+	}
+	s.entries[fp] = storeEntry{fit: v, run: run}
+}
+
+// insertTopLocked stores the bracket top of a fingerprint with no entry,
+// evicting the oldest top at capacity. The caller holds s.mu.
+func (s *CacheStore) insertTopLocked(fp encoding.Fingerprint, top float64) {
+	if _, ok := s.entries[fp]; ok {
 		return
 	}
-	if len(s.fifo) < s.capacity {
-		s.entries[fp] = e
-		s.fifo = append(s.fifo, fp)
-		return
+	if old, full := s.push(&s.topFIFO, &s.topNext, fp); full {
+		if e, ok := s.entries[old]; ok && e.run == topRun {
+			delete(s.entries, old)
+			s.nTops--
+		}
 	}
-	delete(s.entries, s.fifo[s.next])
-	s.entries[fp] = e
-	s.fifo[s.next] = fp
-	s.next++
-	if s.next == len(s.fifo) {
-		s.next = 0
+	s.entries[fp] = storeEntry{fit: top, run: topRun}
+	s.nTops++
+}
+
+// push records fp in a FIFO ring of at most capacity fingerprints whose
+// oldest sits at *next once it is full. It returns the fingerprint it
+// overwrote, and whether it overwrote one.
+func (s *CacheStore) push(ring *[]encoding.Fingerprint, next *int, fp encoding.Fingerprint) (encoding.Fingerprint, bool) {
+	if len(*ring) < s.capacity {
+		*ring = append(*ring, fp)
+		return encoding.Fingerprint{}, false
 	}
+	old := (*ring)[*next]
+	(*ring)[*next] = fp
+	*next++
+	if *next == len(*ring) {
+		*next = 0
+	}
+	return old, true
 }
 
 // FitnessCache memoizes genome fitness by schedule fingerprint and
@@ -273,7 +293,7 @@ func (s *CacheStore) putLocked(fp encoding.Fingerprint, e storeEntry) {
 // fitness and pruned genomes their bound. Every slot it does see is
 // fingerprinted the one way, by a full decode and hash, and looked up
 // before the pass's virtual-time stage prices what the store does not
-// answer exactly (see settle).
+// answer (see settle).
 //
 // A FitnessCache belongs to one run at a time (its batch scratch is
 // reused across Evaluate calls); like an Evaluator it must not be
@@ -305,9 +325,10 @@ type FitnessCache struct {
 	reps    []int                        // representative slot -> batch index
 	inBatch map[encoding.Fingerprint]int // fingerprint -> representative slot
 
-	settled []bool // representative slot -> settled by the virtual-time stage
-	upper   []int  // batch indices answered by an upper-bound entry (see settle)
-	todo    []int  // batch indices to simulate
+	hits    []int // batch indices answered by the store
+	priced  []int // representatives the virtual-time stage prices
+	members []int // batch indices of the representatives' class members
+	todo    []int // batch indices to simulate
 }
 
 // Fingerprint outcomes for mode[].
@@ -315,7 +336,6 @@ const (
 	fpInvalid = iota
 	fpFull
 	fpSettled // settled by the runner's pruning pass (re-ask, invalid or pruned)
-	fpUpper   // an upper-bound store entry answered it; settle decides the rest
 )
 
 // NewFitnessCache builds a cache for the problem backed by a private
@@ -384,7 +404,7 @@ func (c *FitnessCache) Evaluate(pool *Pool, batch []encoding.Genome, fit []float
 // genomes) keeps the fitness the pass wrote and is neither
 // fingerprinted, counted nor stored, and the open slots skip
 // re-validation. When the pass runs its virtual-time stage, every
-// genome no exact store entry answers goes through settle before any is
+// genome the store does not answer goes through settle before any is
 // simulated.
 //
 // The grouping scan stops once budget genomes have been charged (see
@@ -398,7 +418,7 @@ func (c *FitnessCache) evaluate(pool *Pool, batch []encoding.Genome, fit []float
 	c.fingerprintBatch(pool, batch, pre)
 
 	staged := pn != nil && pn.virtual
-	c.reps, c.upper = c.reps[:0], c.upper[:0]
+	c.reps, c.hits = c.reps[:0], c.hits[:0]
 	clear(c.inBatch)
 	n, charged := len(batch), 0
 	c.store.mu.RLock()
@@ -421,54 +441,52 @@ func (c *FitnessCache) evaluate(pool *Pool, batch []encoding.Genome, fit []float
 		c.stats.FullFP++
 		fp := c.fps[i]
 		e, stored := c.store.entries[fp]
-		switch {
-		case stored && !e.upper():
+		if stored && e.run != topRun {
 			fit[i] = e.fit
 			c.stats.Hits++
 			if e.run != c.run {
 				c.stats.CrossHits++
 			}
+			c.hits = append(c.hits, i)
 			c.charge[i] = false
 			charged--
 			continue
-		case stored && staged:
-			c.mode[i] = fpUpper
-			c.upper = append(c.upper, i)
+		}
+		if stored && staged {
+			// A schedule with a stored top skips the in-batch dedup: its
+			// copies are rare, and the map costs a repeated search more.
 			pn.lo[i], pn.hi[i] = math.Inf(-1), e.fit
-			c.stats.Misses++
-			continue
+		} else {
+			if slot, ok := c.inBatch[fp]; ok {
+				c.class[i] = slot
+				c.stats.Deduped++
+				c.charge[i] = false
+				charged--
+				continue
+			}
+			c.inBatch[fp] = len(c.reps)
 		}
-		if slot, ok := c.inBatch[fp]; ok {
-			c.class[i] = slot
-			c.stats.Deduped++
-			c.charge[i] = false
-			charged--
-			continue
-		}
-		slot := len(c.reps)
-		c.inBatch[fp] = slot
+		c.class[i] = len(c.reps)
 		c.reps = append(c.reps, i)
-		c.class[i] = slot
-		c.settled[slot] = false
 		c.stats.Misses++
 	}
 	c.store.mu.RUnlock()
+	tBound := time.Now() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
 	if c.phases != nil {
-		c.phases.FingerprintNs += time.Since(tFP).Nanoseconds() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
+		c.phases.FingerprintNs += tBound.Sub(tFP).Nanoseconds()
 	}
 
-	c.todo = c.todo[:0]
+	c.todo, c.priced = c.todo[:0], c.priced[:0]
 	if staged {
-		tBound := time.Now() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
 		c.settle(pool, fit[:n], pn)
-		if c.phases != nil {
-			c.phases.BoundNs += time.Since(tBound).Nanoseconds() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
-		}
 	}
 
 	tSim := time.Now() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
-	for slot, i := range c.reps {
-		if !c.settled[slot] {
+	if staged && c.phases != nil {
+		c.phases.BoundNs += tSim.Sub(tBound).Nanoseconds()
+	}
+	for _, i := range c.reps {
+		if !staged || pn.state[i] == slotOpen {
 			c.todo = append(c.todo, i)
 		}
 	}
@@ -476,27 +494,18 @@ func (c *FitnessCache) evaluate(pool *Pool, batch []encoding.Genome, fit []float
 		pool.simulate(c.maps, c.todo, fit)
 	}
 	for i := range batch[:n] {
-		slot := c.class[i]
-		if slot < 0 {
-			continue
-		}
-		r := c.reps[slot]
-		fit[i] = fit[r]
-		if staged {
-			pn.lo[i], pn.hi[i] = pn.lo[r], pn.hi[r]
-			if c.settled[slot] {
-				pn.state[i] = slotFiltered
-			}
+		if slot := c.class[i]; slot >= 0 {
+			fit[i] = fit[c.reps[slot]]
 		}
 	}
-	if len(c.todo) > 0 || len(c.reps) > 0 {
+	if len(c.todo) > 0 || len(c.priced) > 0 {
 		c.store.mu.Lock()
 		for _, i := range c.todo {
 			c.store.insertLocked(c.fps[i], fit[i], c.run)
 		}
-		for slot, i := range c.reps {
-			if c.settled[slot] {
-				c.store.insertUpperLocked(c.fps[i], fit[i], c.run)
+		for _, i := range c.priced {
+			if pn.state[i] == slotFiltered {
+				c.store.insertTopLocked(c.fps[i], fit[i])
 			}
 		}
 		c.store.mu.Unlock()
@@ -507,52 +516,39 @@ func (c *FitnessCache) evaluate(pool *Pool, batch []encoding.Genome, fit []float
 	return n
 }
 
-// settle is the pruning pass's virtual-time stage on the cache path
-// (see pruner), run after the store lookup so no exact hit is priced.
-// It prices the bracket of every representative, sets the floor to the
-// k-th best of the re-asks' values, the exact store hits and the lower
-// ends of the brackets, per batch slot, capped at the best so far, and
-// settles each representative whose bracket top falls below it with
-// that top. A genome an upper-bound entry answered is settled with the
-// stored bound the same way; otherwise it joins the simulated genomes
-// with (-Inf, bound] as its bracket, and its entry becomes exact. Those
-// are not deduplicated: two copies in one batch that both miss the
-// floor are both simulated, to the same value.
+// settle is the pruning pass's virtual-time stage on the cache path,
+// run after the store lookup so no store hit is priced. It prices the
+// bracket of every representative the store holds no top for (one with
+// a top gets (-Inf, top] as its bracket), hands each bracket to every
+// member of its class, and applies the raised floor over the class
+// members with the store hits as exact values (pruner.settle), so the
+// floor counts each batch slot as the uncached stage does.
 func (c *FitnessCache) settle(pool *Pool, fit []float64, pn *pruner) {
-	if len(c.reps) > 0 {
-		pool.each(len(c.reps), func(ev *Evaluator, slot int) {
-			i := c.reps[slot]
+	for _, i := range c.reps {
+		if math.IsNaN(pn.hi[i]) {
+			c.priced = append(c.priced, i)
+		}
+	}
+	if len(c.priced) > 0 {
+		pool.each(len(c.priced), func(ev *Evaluator, k int) {
+			i := c.priced[k]
 			pn.lo[i], pn.hi[i] = pn.bracket(ev, &c.maps[i])
 		})
-		c.stats.VirtualPriced += uint64(len(c.reps))
+		c.stats.VirtualPriced += uint64(len(c.priced))
 	}
+	c.members = c.members[:0]
 	for i := range fit {
-		if c.mode[i] != fpFull {
-			continue
-		}
-		if slot := c.class[i]; slot < 0 {
-			pn.top = append(pn.top, fit[i]) // exact store hit
-		} else {
-			pn.top = append(pn.top, pn.lo[c.reps[slot]])
+		if slot := c.class[i]; slot >= 0 {
+			r := c.reps[slot]
+			pn.lo[i], pn.hi[i] = pn.lo[r], pn.hi[r]
+			c.members = append(c.members, i)
 		}
 	}
-	floor := pn.floor()
-	for slot, i := range c.reps {
-		if pn.hi[i] < floor {
-			c.settled[slot] = true
-			fit[i] = pn.hi[i]
+	pn.settle(fit, c.members, c.hits)
+	for _, i := range c.reps {
+		if pn.state[i] == slotFiltered {
 			c.stats.BoundPruned++
 			c.stats.VirtualPruned++
-		}
-	}
-	for _, i := range c.upper {
-		if pn.hi[i] < floor {
-			fit[i] = pn.hi[i]
-			pn.state[i] = slotFiltered
-			c.stats.BoundPruned++
-			c.stats.VirtualPruned++
-		} else {
-			c.todo = append(c.todo, i)
 		}
 	}
 }
@@ -588,12 +584,10 @@ func (c *FitnessCache) grow(n int) {
 		c.mode = make([]uint8, n)
 		c.class = make([]int, n)
 		c.charge = make([]bool, n)
-		c.settled = make([]bool, n)
 	}
 	c.maps = c.maps[:n]
 	c.fps = c.fps[:n]
 	c.mode = c.mode[:n]
 	c.class = c.class[:n]
 	c.charge = c.charge[:n]
-	c.settled = c.settled[:n]
 }

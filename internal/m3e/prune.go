@@ -42,14 +42,14 @@ const (
 // selection and the convergence curve are bit-identical to the
 // unpruned run. A settled value is not a fitness, so it is never reused
 // as a parent's exact value; a bracket top enters a CacheStore only as
-// an upper-bound entry (see FitnessCache).
+// a top, apart from the fitness values (see CacheStore).
 //
 // The second stage runs only when the first set a floor and the table
 // has a virtual-time makespan (no bandwidth-free entry). Without a
-// cache the pass runs it itself, and decodes every survivor into maps
+// cache the pass prices every survivor itself, decoding it into maps
 // for the simulator; with one, the cache fingerprints and looks up the
-// survivors first and runs the stage on what the store does not answer
-// (FitnessCache.settle).
+// survivors first and prices only those the store holds neither a
+// fitness nor a top for. Either way settle applies the raised floor.
 type pruner struct {
 	p      *Problem
 	bounds *sim.Bounds
@@ -171,35 +171,54 @@ func (pr *pruner) prune(pool *Pool, batch []encoding.Genome, fit []float64, best
 	if pr.cached {
 		return pr.state
 	}
-	if pr.virtual {
-		pr.settle(fit)
-	}
 	pr.open = pr.open[:0]
 	for i, s := range pr.state {
 		if s == slotOpen {
 			pr.open = append(pr.open, i)
 		}
 	}
+	if pr.virtual {
+		pr.stats.VirtualPriced += uint64(len(pr.open))
+		pr.settle(fit, pr.open, nil)
+		open := pr.open[:0]
+		for _, i := range pr.open {
+			if pr.state[i] == slotFiltered {
+				pr.stats.BoundPruned++
+				pr.stats.VirtualPruned++
+			} else {
+				open = append(open, i)
+			}
+		}
+		pr.open = open
+	}
 	return pr.state
 }
 
-// settle is the uncached virtual-time stage: it raises the floor with
-// the lower ends of the priced brackets and settles every open slot
-// whose top falls below it.
-func (pr *pruner) settle(fit []float64) {
-	for i, s := range pr.state {
-		if s == slotOpen {
-			pr.top = append(pr.top, pr.lo[i])
-			pr.stats.VirtualPriced++
+// settle is the virtual-time stage, for both the uncached path and
+// FitnessCache. cands are the batch indices whose brackets lo and hi
+// are priced, one per batch slot (in-batch duplicates included); exact
+// are the batch indices whose fit holds an exact value the re-asks did
+// not supply (store hits). The floor rises to the k-th best of the
+// re-asks, the exact values and the candidates' lower ends, capped at
+// the best so far, and every candidate whose bracket top falls below it
+// is marked slotFiltered and scored that top.
+func (pr *pruner) settle(fit []float64, cands, exact []int) {
+	for _, i := range exact {
+		pr.top = append(pr.top, fit[i])
+	}
+	for _, i := range cands {
+		// Skipping a -Inf lower end (a stored top's bracket) leaves the
+		// floor as it is: the k-th best is above it, or -Inf, which
+		// floor returns anyway when fewer than k values remain.
+		if lo := pr.lo[i]; !math.IsInf(lo, -1) {
+			pr.top = append(pr.top, lo)
 		}
 	}
 	floor := pr.floor()
-	for i, s := range pr.state {
-		if s == slotOpen && pr.hi[i] < floor {
+	for _, i := range cands {
+		if pr.hi[i] < floor {
 			pr.state[i] = slotFiltered
 			fit[i] = pr.hi[i]
-			pr.stats.BoundPruned++
-			pr.stats.VirtualPruned++
 		}
 	}
 }

@@ -11,10 +11,9 @@ type ExportedEntry struct {
 	Fitness float64
 }
 
-// Export returns the store's exact entries in FIFO insertion order,
-// oldest first — the order that, replayed through Import, reproduces
-// the store's eviction behavior. Upper-bound entries are skipped: they
-// are not fitness values, so they never leave the process. Safe for concurrent use: the snapshot is
+// Export returns the store's entries in FIFO insertion order, oldest
+// first — the order that, replayed through Import, reproduces the
+// store's eviction behavior. Safe for concurrent use: the snapshot is
 // taken under the store's read lock, so it is a consistent cut even
 // while runs keep inserting (entries landing after the cut simply
 // belong to the next snapshot).
@@ -23,7 +22,7 @@ func (s *CacheStore) Export() []ExportedEntry {
 	defer s.mu.RUnlock()
 	out := make([]ExportedEntry, 0, len(s.entries))
 	emit := func(fp encoding.Fingerprint) {
-		if e, ok := s.entries[fp]; ok && !e.upper() {
+		if e, ok := s.entries[fp]; ok {
 			out = append(out, ExportedEntry{FP: fp, Fitness: e.fit})
 		}
 	}

@@ -170,33 +170,36 @@ func TestExportDuringConcurrentMutation(t *testing.T) {
 	wg.Wait()
 }
 
-// TestStoreUpperBoundEntriesStayPrivate pins how upper-bound entries
-// sit in the ring: an exact value replaces one in place, an upper bound
-// never replaces an exact value, and Export skips the ones left, so the
-// snapshot format carries exact values only.
-func TestStoreUpperBoundEntriesStayPrivate(t *testing.T) {
-	s := NewCacheStore(8)
+// TestStoreTopsKeepTheirOwnRing pins how bracket tops share the map but
+// not the ring: tops never evict a fitness value, an exact value
+// replaces a top in place and a top never replaces one, a top's stale
+// ring slot evicts nothing, and neither Len nor Export sees a top.
+func TestStoreTopsKeepTheirOwnRing(t *testing.T) {
+	s := NewCacheStore(2)
 	s.mu.Lock()
 	s.insertLocked(fp(0), 0, 1)
-	s.insertUpperLocked(fp(1), 10, 1)
-	s.insertUpperLocked(fp(2), 20, 1)
-	s.insertUpperLocked(fp(0), 99, 2) // an exact entry stays
-	s.insertLocked(fp(1), 1, 2)       // exact replaces the upper bound, in place
-	s.insertLocked(fp(3), 3, 2)
+	s.insertLocked(fp(1), 1, 1)
+	for i := 2; i < 5; i++ {
+		s.insertTopLocked(fp(i), float64(10*i)) // fp(2) leaves the tops ring
+	}
+	s.insertTopLocked(fp(1), 99) // a fitness value stays
+	s.insertLocked(fp(3), 3, 2)  // replaces the top; fp(0) leaves the ring
+	s.insertTopLocked(fp(5), 50) // takes fp(3)'s stale slot, evicting nothing
 	s.mu.Unlock()
-	if s.Len() != 4 {
-		t.Fatalf("Len = %d, want 4 entries", s.Len())
+	if got := s.Len(); got != 2 {
+		t.Errorf("Len = %d, want 2 fitness values", got)
 	}
-	want := []ExportedEntry{{fp(0), 0}, {fp(1), 1}, {fp(3), 3}}
+	want := []ExportedEntry{{fp(1), 1}, {fp(3), 3}}
 	if got := s.Export(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Export = %+v, want %+v", got, want)
+		t.Errorf("Export = %+v, want %+v", got, want)
 	}
-	if e := s.entries[fp(1)]; e.upper() || e.run != 2 {
-		t.Errorf("fp(1) = %+v, want the exact entry of run 2", e)
+	tops := map[encoding.Fingerprint]float64{}
+	for k, e := range s.entries {
+		if e.run == topRun {
+			tops[k] = e.fit
+		}
 	}
-	dst := NewCacheStore(8)
-	dst.Import(s.Export())
-	if got := dst.Export(); !reflect.DeepEqual(got, want) {
-		t.Errorf("round trip = %+v, want %+v", got, want)
+	if wantTops := map[encoding.Fingerprint]float64{fp(4): 40, fp(5): 50}; !reflect.DeepEqual(tops, wantTops) || s.nTops != 2 {
+		t.Errorf("tops = %v (nTops %d), want %v", tops, s.nTops, wantTops)
 	}
 }

@@ -111,14 +111,23 @@ func TestBracketMissFailsLoudly(t *testing.T) {
 	}
 }
 
-// TestStoreUpperBoundEntries pins the store side of the virtual-time
-// stage. A pruned run leaves upper-bound entries beside its exact ones;
-// Export skips them, so the snapshot holds exact values only. A repeat
-// run on the same store returns the identical result without pricing or
-// simulating anything: each genome the roofline stage lets through is
-// an exact hit or settles from its upper-bound entry, and upper-bound
-// entries never count as hits.
-func TestStoreUpperBoundEntries(t *testing.T) {
+// TestStoreBracketTops pins the store side of the virtual-time stage.
+// A pruned run stores the exact fitness of every genome it simulates,
+// and the bracket top of every genome the stage settles in a separate
+// ring that Len and Export never see. A repeat run then returns the
+// identical result and simulates nothing, on three stores:
+//
+//   - the warm store: every settled genome finds its top, so nothing
+//     is priced, and no top counts as a hit;
+//   - a store whose exact ring the first run filled to capacity: the
+//     tops overflow their own ring, never the exact one;
+//   - a store restored from the snapshot, which holds no tops: the
+//     settled genomes are priced again and all settle again, because
+//     the exact hits only raise the floor that settled them.
+//
+// Loosened tops change nothing but the work done, and a run with
+// another seed on the warm store matches its unpruned run.
+func TestStoreBracketTops(t *testing.T) {
 	prob := parallelProblem(t)
 	const budget = 1000
 	for _, mk := range []func() prunable{
@@ -140,45 +149,96 @@ func TestStoreUpperBoundEntries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		sims := int(first.Cache.Misses - first.Cache.BoundPruned)
+		if first.Cache.VirtualPruned == 0 {
+			t.Fatalf("%s: the virtual stage settled nothing", name)
+		}
+		if store.Len() != sims {
+			t.Errorf("%s: store holds %d entries, want Misses−BoundPruned = %d", name, store.Len(), sims)
+		}
 		exported := store.Export()
-		if first.Cache.VirtualPruned == 0 || store.Len() <= len(exported) {
-			t.Fatalf("%s: %d settled by the virtual stage, %d entries of which %d exact: no upper-bound entry to test",
-				name, first.Cache.VirtualPruned, store.Len(), len(exported))
-		}
-		if got, want := len(exported), int(first.Cache.Misses-first.Cache.BoundPruned); got != want {
-			t.Errorf("%s: %d exact entries, want Misses−BoundPruned = %d", name, got, want)
-		}
 		for _, e := range exported {
 			if want, ok := exact[e.FP]; !ok || e.Fitness != want {
-				t.Fatalf("%s: exported entry %v = %v, want exact %v (an upper bound leaked)", name, e.FP, e.Fitness, want)
+				t.Fatalf("%s: exported entry %v = %v, want exact %v", name, e.FP, e.Fitness, want)
 			}
+		}
+
+		full := m3e.NewCacheStore(sims)
+		if _, err := m3e.Run(prob, mk(), m3e.Options{Budget: budget, Workers: 1, Store: full}, 11); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(full.Export(), exported) {
+			t.Fatalf("%s: a store at capacity %d lost exact entries to the first run's tops", name, sims)
 		}
 		restored := m3e.NewCacheStore(0)
 		restored.Import(exported)
-		if !reflect.DeepEqual(restored.Export(), exported) {
-			t.Errorf("%s: snapshot round trip changed the exact entries", name)
+
+		for _, c := range []struct {
+			label string
+			store *m3e.CacheStore
+		}{{"warm", store}, {"full", full}, {"restored", restored}} {
+			label := name + " repeat on the " + c.label + " store"
+			counter := &reaskCounter{prunable: mk()}
+			again, err := m3e.Run(prob, counter, m3e.Options{Budget: budget, Workers: 4, Store: c.store}, 11)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again.BestFitness != first.BestFitness || !reflect.DeepEqual(again.Curve, first.Curve) || !reflect.DeepEqual(again.Best, first.Best) {
+				t.Fatalf("%s: result differs from the first run", label)
+			}
+			st := again.Cache
+			checkCounters(t, label, st, again.Asked)
+			checkSettled(t, label, st, again.Asked, counter.reasks)
+			if st.Misses != st.BoundPruned {
+				t.Errorf("%s: simulated %d genomes, want none", label, st.Misses-st.BoundPruned)
+			}
+			if st.VirtualPruned == 0 || st.VirtualPriced > st.VirtualPruned {
+				t.Errorf("%s: priced %d genomes and settled %d, want every priced genome settled", label, st.VirtualPriced, st.VirtualPruned)
+			}
+			if c.store == store && st.VirtualPriced != 0 {
+				t.Errorf("%s: priced %d genomes, want none: every settled genome has a top", label, st.VirtualPriced)
+			}
+			if c.store == restored && st.VirtualPriced == 0 {
+				t.Errorf("%s: priced nothing, but a snapshot carries no tops", label)
+			}
+			if st.CrossHits != st.Hits-uint64(counter.reasks) {
+				t.Errorf("%s: CrossHits %d, want every store hit (%d hits − %d re-asks): a top counted as a hit?", label, st.CrossHits, st.Hits, counter.reasks)
+			}
+			if !reflect.DeepEqual(c.store.Export(), exported) {
+				t.Errorf("%s: the exact entries changed", label)
+			}
 		}
 
-		counter := &reaskCounter{prunable: mk()}
-		again, err := m3e.Run(prob, counter, m3e.Options{Budget: budget, Workers: 4, Store: store}, 11)
+		// A top is only an upper bound: loosened to +Inf, none settles
+		// its genome, and those genomes are simulated instead.
+		loose := m3e.NewCacheStore(0)
+		if _, err := m3e.Run(prob, mk(), m3e.Options{Budget: budget, Workers: 1, Store: loose}, 11); err != nil {
+			t.Fatal(err)
+		}
+		m3e.MapTops(loose, func(float64) float64 { return math.Inf(1) })
+		again, err := m3e.Run(prob, mk(), m3e.Options{Budget: budget, Workers: 2, Store: loose}, 11)
+		if err != nil {
+			t.Fatalf("%s repeat on loosened tops: %v", name, err)
+		}
+		if again.BestFitness != first.BestFitness || !reflect.DeepEqual(again.Curve, first.Curve) {
+			t.Errorf("%s repeat on loosened tops: result differs from the first run", name)
+		}
+		if st := again.Cache; st.VirtualPriced != 0 || st.Misses == st.BoundPruned {
+			t.Errorf("%s repeat on loosened tops: priced %d and simulated %d genomes, want none priced and some simulated",
+				name, st.VirtualPriced, st.Misses-st.BoundPruned)
+		}
+
+		// Another seed meets tops it did not price.
+		want, err := m3e.Run(prob, unpruned{mk()}, m3e.Options{Budget: budget, Workers: 1}, 12)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if again.BestFitness != first.BestFitness || !reflect.DeepEqual(again.Curve, first.Curve) || !reflect.DeepEqual(again.Best, first.Best) {
-			t.Fatalf("%s: repeat run on the warm store differs from the first", name)
+		other, err := m3e.Run(prob, mk(), m3e.Options{Budget: budget, Workers: 2, Store: store}, 12)
+		if err != nil {
+			t.Fatalf("%s seed 12 on the warm store: %v", name, err)
 		}
-		st := again.Cache
-		checkCounters(t, name+" repeat", st, again.Asked)
-		checkSettled(t, name+" repeat", st, again.Asked, counter.reasks)
-		if st.VirtualPriced != 0 || st.Misses != st.BoundPruned {
-			t.Errorf("%s repeat: priced %d and simulated %d genomes, want none", name, st.VirtualPriced, st.Misses-st.BoundPruned)
-		}
-		if st.VirtualPruned == 0 {
-			t.Errorf("%s repeat: no genome settled from an upper-bound entry", name)
-		}
-		if st.CrossHits != st.Hits-uint64(counter.reasks) {
-			t.Errorf("%s repeat: CrossHits %d, want every store hit (%d hits − %d re-asks): an upper-bound entry counted as a hit?",
-				name, st.CrossHits, st.Hits, counter.reasks)
+		if other.BestFitness != want.BestFitness || !reflect.DeepEqual(other.Curve, want.Curve) {
+			t.Errorf("%s seed 12 on the warm store: result differs from the unpruned run", name)
 		}
 	}
 }

@@ -265,13 +265,13 @@ type VirtualScratch struct {
 //	T = ∫ max(1, R(V)/sysBW) dV
 //
 // over the merged boundaries of every core — one pass over the jobs,
-// with no event heap, no division and no JobRuns. lo is the optimistic
-// Result (shortest makespan, least energy) and hi the pessimistic one,
-// both built by Run's epilogue formulas, so for every objective the
-// framework optimizes the fitness of hi is at most, and the fitness of
-// lo at least, the fitness of Run's Result. ok is false, and both
-// Results zero, when the table has a bandwidth-free entry: such a job
-// runs in wall time, off the virtual clock.
+// with no event heap, no division and no JobRuns. best is the
+// optimistic Result (shortest makespan, least energy) and worst the
+// pessimistic one, both built by Run's epilogue formulas, so for every
+// objective the framework optimizes the fitness of worst is at most,
+// and the fitness of best at least, the fitness of Run's Result. ok is
+// false, and both Results zero, when the table has a bandwidth-free
+// entry: such a job runs in wall time, off the virtual clock.
 //
 // The makespan slack is per table: Run retires a job up to 1e-6 of
 // virtual time early, and each such shift moves the wall clock by at
@@ -280,14 +280,14 @@ type VirtualScratch struct {
 // integrations, which measure within 1e-15 of each other. Run sums job
 // energy in retirement order and Virtual in launch order, so the job
 // energy carries the same relative slack.
-func (b *Bounds) Virtual(s *VirtualScratch, m *Mapping) (lo, hi Result, ok bool) {
+func (b *Bounds) Virtual(s *VirtualScratch, m *Mapping) (best, worst Result, ok bool) {
 	if b.req == nil {
 		return Result{}, Result{}, false
 	}
 	span, jobEnergy := b.virtual(s, m)
-	lo = b.result(max(0, span*(1-virtualSlackRel)-b.spanSlack), jobEnergy*(1-virtualSlackRel))
-	hi = b.result(span*(1+virtualSlackRel)+b.spanSlack, jobEnergy*(1+virtualSlackRel))
-	return lo, hi, true
+	best = b.result(max(0, span*(1-virtualSlackRel)-b.spanSlack), jobEnergy*(1-virtualSlackRel))
+	worst = b.result(span*(1+virtualSlackRel)+b.spanSlack, jobEnergy*(1+virtualSlackRel))
+	return best, worst, true
 }
 
 // virtual integrates the virtual-time makespan of m and sums its job

@@ -42,18 +42,18 @@ func checkVirtual(t *testing.T, label string, b *Bounds, s *VirtualScratch, tab 
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	lo, hi, ok := b.Virtual(s, &m)
+	best, worst, ok := b.Virtual(s, &m)
 	if !ok {
 		t.Fatalf("%s: Virtual unavailable on a bandwidth-only table", label)
 	}
-	if !(lo.TotalCycles <= run.TotalCycles && run.TotalCycles <= hi.TotalCycles) {
-		t.Fatalf("%s: makespan %v outside the bracket [%v, %v]", label, run.TotalCycles, lo.TotalCycles, hi.TotalCycles)
+	if !(best.TotalCycles <= run.TotalCycles && run.TotalCycles <= worst.TotalCycles) {
+		t.Fatalf("%s: makespan %v outside the bracket [%v, %v]", label, run.TotalCycles, best.TotalCycles, worst.TotalCycles)
 	}
-	if !(lo.Energy <= run.Energy && run.Energy <= hi.Energy) {
-		t.Fatalf("%s: energy %v outside the bracket [%v, %v]", label, run.Energy, lo.Energy, hi.Energy)
+	if !(best.Energy <= run.Energy && run.Energy <= worst.Energy) {
+		t.Fatalf("%s: energy %v outside the bracket [%v, %v]", label, run.Energy, best.Energy, worst.Energy)
 	}
-	if !(hi.ThroughputGFLOPs <= run.ThroughputGFLOPs && run.ThroughputGFLOPs <= lo.ThroughputGFLOPs) {
-		t.Fatalf("%s: throughput %v outside the bracket [%v, %v]", label, run.ThroughputGFLOPs, hi.ThroughputGFLOPs, lo.ThroughputGFLOPs)
+	if !(worst.ThroughputGFLOPs <= run.ThroughputGFLOPs && run.ThroughputGFLOPs <= best.ThroughputGFLOPs) {
+		t.Fatalf("%s: throughput %v outside the bracket [%v, %v]", label, run.ThroughputGFLOPs, worst.ThroughputGFLOPs, best.ThroughputGFLOPs)
 	}
 	span, _ := b.virtual(s, &m)
 	gap := math.Abs(span-run.TotalCycles) / run.TotalCycles
@@ -129,8 +129,8 @@ func TestVirtualUnavailableWithBandwidthFreeEntry(t *testing.T) {
 		if b.HasVirtual() {
 			t.Errorf("req %g: HasVirtual true", req)
 		}
-		if lo, hi, ok := b.Virtual(&VirtualScratch{}, &m); ok || lo.TotalCycles != 0 || hi.TotalCycles != 0 || lo.Energy != 0 || hi.Energy != 0 {
-			t.Errorf("req %g: Virtual = %+v, %+v, %v; want zero Results, false", req, lo, hi, ok)
+		if best, worst, ok := b.Virtual(&VirtualScratch{}, &m); ok || best.TotalCycles != 0 || worst.TotalCycles != 0 || best.Energy != 0 || worst.Energy != 0 {
+			t.Errorf("req %g: Virtual = %+v, %+v, %v; want zero Results, false", req, best, worst, ok)
 		}
 	}
 	// randomTable mixes compute-bound and sub-threshold entries in.
