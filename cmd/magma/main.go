@@ -132,7 +132,7 @@ func main() {
 			100*st.HitRate(), st.Hits, st.Deduped, st.Misses)
 	}
 	if st := sched.Cache; st.BoundChecked > 0 {
-		fmt.Printf("bound:      %.1f%% of missed candidates settled by a bound (%d of %d; %d of them after a virtual-time pricing)\n",
+		fmt.Printf("bound:      %.1f%% of missed candidates settled by a bound (%d of %d; %d of them in the virtual-time stage)\n",
 			100*st.BoundPruneRate(), st.BoundPruned, st.Misses, st.VirtualPruned)
 	}
 	if sched.Partial {

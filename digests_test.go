@@ -61,10 +61,10 @@ func resultDigest(s Schedule) string {
 
 // TestResultDigests pins the result of the pruned mappers (MAGMA and
 // stdGA) bit for bit: every objective, two group sizes and two
-// platforms, each cell run without a store and with one Solver's store
-// shared across the cell's runs (so later runs read entries earlier
-// ones wrote), at workers 1, 2 and 8. All runs of a cell must
-// reproduce the one committed digest. A change that means to move
+// platforms, each cell run uncached, with a cache of its own (no
+// store), and with one Solver's store shared across the cell's runs (so
+// later runs read entries earlier ones wrote), at workers 1, 2 and 8.
+// All runs of a cell must reproduce the one committed digest. A change that means to move
 // results regenerates the file with
 //
 //	go test -run TestResultDigests -update .
@@ -94,10 +94,13 @@ func TestResultDigests(t *testing.T) {
 				for _, mapper := range digestMappers {
 					cell := fmt.Sprintf("%s/%s/J%d/%s", mapper, obj, n, st.name)
 					solver := NewSolver(SolverOptions{})
-					for _, store := range []bool{false, true} {
+					for _, cache := range []string{"off", "own", "store"} {
 						for _, w := range digestWorkers {
 							opts := Options{Mapper: mapper, Objective: obj, Budget: digestBudget, Seed: 7, Workers: w}
-							if store {
+							switch cache {
+							case "own":
+								opts.Cache = true
+							case "store":
 								opts.Cache, opts.Solver = true, solver
 							}
 							s, err := Optimize(g, pf, opts)
@@ -105,7 +108,7 @@ func TestResultDigests(t *testing.T) {
 								t.Fatalf("%s: %v", cell, err)
 							}
 							d := resultDigest(s)
-							run := fmt.Sprintf("%s (store=%v workers=%d)", cell, store, w)
+							run := fmt.Sprintf("%s (cache=%s workers=%d)", cell, cache, w)
 							if prev, ok := got[cell]; ok && prev != d {
 								t.Errorf("%s: digest %s differs from the cell's first run %s", run, d, prev)
 								continue

@@ -48,22 +48,6 @@ func (g Genome) Validate(nJobs, nAccels int) error {
 	return nil
 }
 
-// ValidPrio reports whether the priority section passes Validate: nJobs
-// genes, each in [0,1). It is Validate without the accel section, for a
-// caller that checks the accel genes in a walk of its own (the search
-// runner's pruning pass range-checks them while pricing their bound).
-func (g Genome) ValidPrio(nJobs int) bool {
-	if len(g.Prio) != nJobs {
-		return false
-	}
-	for _, p := range g.Prio {
-		if !validPrio(p) {
-			return false
-		}
-	}
-	return true
-}
-
 // validPrio reports whether p is a priority gene in [0,1); NaN is not.
 func validPrio(p float64) bool { return p >= 0 && p < 1 }
 

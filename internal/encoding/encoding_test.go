@@ -40,8 +40,10 @@ func TestValidateErrors(t *testing.T) {
 	}
 }
 
-// TestValidPrio pins the priority section's rule, [0,1) with -0 allowed
-// and NaN not, and checks ValidPrio agrees with Validate on it.
+// TestValidPrio pins Validate's rule for the priority section: nJobs
+// genes, each in [0,1), with -0 allowed and NaN not. (sim.Bounds.
+// GenomeRoofline applies the same rule; FuzzGenomeBound holds the two to
+// one verdict.)
 func TestValidPrio(t *testing.T) {
 	for _, c := range []struct {
 		p     float64
@@ -51,15 +53,12 @@ func TestValidPrio(t *testing.T) {
 		{1, false}, {1.5, false}, {-1e-300, false}, {math.NaN(), false}, {math.Inf(1), false}, {math.Inf(-1), false},
 	} {
 		g := Genome{Accel: []int{0, 1}, Prio: []float64{0.25, c.p}}
-		if got := g.ValidPrio(2); got != c.valid {
-			t.Errorf("ValidPrio with priority %g = %v, want %v", c.p, got, c.valid)
-		}
 		if got := g.Validate(2, 2) == nil; got != c.valid {
 			t.Errorf("Validate with priority %g accepts = %v, want %v", c.p, got, c.valid)
 		}
 	}
-	if (Genome{Prio: []float64{0.5}}).ValidPrio(2) {
-		t.Error("ValidPrio accepted a short priority section")
+	if (Genome{Accel: []int{0, 1}, Prio: []float64{0.5}}).Validate(2, 2) == nil {
+		t.Error("Validate accepted a short priority section")
 	}
 }
 

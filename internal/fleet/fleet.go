@@ -20,6 +20,7 @@ package fleet
 
 import (
 	"fmt"
+	"net/url"
 	"strings"
 
 	"magma/internal/encoding"
@@ -93,7 +94,8 @@ func Owner(shards []Shard, key encoding.TableKey) int {
 // Each element is either a bare URL ("http://host:port", the URL doubles
 // as the stable hash name) or "name=url" when the URL may change across
 // restarts but the shard's identity — and therefore its slice of the
-// key space and its snapshot — must not.
+// key space and its snapshot — must not. Every URL must be http or
+// https with a host.
 func ParseShards(spec string) ([]Shard, error) {
 	var shards []Shard
 	seen := map[string]bool{}
@@ -111,6 +113,9 @@ func ParseShards(spec string) ([]Shard, error) {
 		}
 		if !strings.HasPrefix(sh.URL, "http://") && !strings.HasPrefix(sh.URL, "https://") {
 			return nil, fmt.Errorf("fleet: shard %q: URL must start with http:// or https://", part)
+		}
+		if u, err := url.Parse(sh.URL); err != nil || u.Host == "" {
+			return nil, fmt.Errorf("fleet: shard %q: URL %q has no valid host", part, sh.URL)
 		}
 		if seen[sh.Name] {
 			return nil, fmt.Errorf("fleet: duplicate shard name %q", sh.Name)

@@ -152,7 +152,7 @@ func TestParseShards(t *testing.T) {
 			t.Errorf("shard %d: got %+v, want %+v", i, shards[i], want[i])
 		}
 	}
-	for _, bad := range []string{"", " , ", "ftp://x", "=http://x", "http://a,http://a"} {
+	for _, bad := range []string{"", " , ", "ftp://x", "=http://x", "http://a,http://a", "http://", "http://a b"} {
 		if _, err := ParseShards(bad); err == nil {
 			t.Errorf("ParseShards(%q): expected error", bad)
 		}

@@ -334,6 +334,49 @@ func TestFitnessCacheBoundPrunedExcludedFromStore(t *testing.T) {
 	}
 }
 
+// TestPruneCountersIndependentOfWorkers: the virtual-time stage runs
+// serially in a fixed order, so under every objective, cache off and
+// on, a pruned MAGMA run at workers 2 and 8 returns the result and
+// every counter of the run at workers 1, the result that of the
+// unpruned run.
+func TestPruneCountersIndependentOfWorkers(t *testing.T) {
+	w, err := workload.Generate(workload.Config{NumJobs: 30, GroupSize: 30, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for obj := m3e.Throughput; obj <= m3e.EDP; obj++ {
+		prob, err := m3e.NewProblem(w.Groups[0], platform.S2().WithBW(16), obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := m3e.Run(prob, unpruned{optmagma.New(optmagma.Config{})}, m3e.Options{Budget: 1500, Workers: 1}, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cache := range []bool{false, true} {
+			var first m3e.CacheStats
+			for _, workers := range []int{1, 2, 8} {
+				label := fmt.Sprintf("%s cache=%v workers=%d", obj, cache, workers)
+				got, err := m3e.Run(prob, optmagma.New(optmagma.Config{}), m3e.Options{Budget: 1500, Workers: workers, Cache: cache}, 6)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if got.BestFitness != base.BestFitness || !reflect.DeepEqual(got.Curve, base.Curve) || !reflect.DeepEqual(got.Best, base.Best) {
+					t.Errorf("%s: result differs from the unpruned run", label)
+				}
+				if workers == 1 {
+					first = got.Cache
+					if first.VirtualPruned == 0 {
+						t.Errorf("%s: the virtual-time stage settled nothing: %+v", label, first)
+					}
+				} else if got.Cache != first {
+					t.Errorf("%s: counters %+v, at workers 1 %+v", label, got.Cache, first)
+				}
+			}
+		}
+	}
+}
+
 // TestRunPruneCountersUncached pins the uncached meaning of the
 // counters: Hits are the clean elite re-asks answered from the previous
 // batch, Misses every other valid genome, Deduped and the fingerprint
@@ -379,11 +422,12 @@ func TestBoundFitnessNeverBeatsSimulation(t *testing.T) {
 			cycles := make([]float64, prob.NumAccels())
 			for trial := 0; trial < 20; trial++ {
 				g := encoding.Random(prob.NumJobs(), prob.NumAccels(), r)
-				res, ok := b.GenomeResult(cycles, g.Accel)
+				energy := obj == m3e.Energy || obj == m3e.EDP
+				roof, ok := b.GenomeRoofline(cycles, g.Accel, g.Prio, energy)
 				if !ok {
-					t.Fatalf("GenomeResult rejected a valid genome")
+					t.Fatalf("GenomeRoofline rejected a valid genome")
 				}
-				bound := prob.Fitness(res)
+				bound := prob.Fitness(b.RooflineResult(roof))
 				m := encoding.Decode(g, prob.NumAccels())
 				sres, err := sim.Run(prob.Table, m, sim.Options{})
 				if err != nil {

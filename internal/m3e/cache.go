@@ -63,13 +63,16 @@ type CacheStats struct {
 	// Result.Asked.
 	BoundChecked uint64
 	BoundPruned  uint64
-	// VirtualPriced counts the virtual-time makespans the pruning pass
-	// priced: genomes that survived the roofline stage and for which the
-	// store held neither a fitness nor a bracket top (with the cache on,
-	// one per in-batch duplicate class). VirtualPruned is the subset of
-	// BoundPruned the virtual-time stage settled with a bracket top,
-	// freshly priced or stored. Those genomes were decoded (and, with the
-	// cache on, fingerprinted) but never simulated.
+	// VirtualPriced counts the virtual-time walks the pruning pass
+	// started, finished or stopped at their cut: one per genome that
+	// survived the roofline stage, whose roofline bound still reached the
+	// running floor when its turn came, and for which the store held
+	// neither a fitness nor a bracket top (with the cache on, one per
+	// in-batch duplicate class). VirtualPruned is the subset of
+	// BoundPruned the virtual-time stage settled, on its roofline bound, a
+	// stopped walk's partial top, a finished bracket's top or a stored
+	// top. Those genomes were never simulated; with the cache on they
+	// were fingerprinted first.
 	VirtualPriced uint64
 	VirtualPruned uint64
 }
@@ -158,9 +161,10 @@ const topRun = math.MaxUint64
 // objective for exactly this reason).
 //
 // Beside the exact values a store keeps bracket tops: for a schedule
-// the pruning pass settled by its virtual-time bracket, the top, an
-// upper bound on its fitness (see pruner). A later pruned batch that
-// meets the schedule again uses the top instead of pricing it. Tops
+// the pruning pass's virtual-time stage settled, the value it was told,
+// an upper bound on its fitness (its roofline bound, a stopped walk's
+// partial top or its bracket's top; see pruner). A later pruned batch
+// that meets the schedule again uses the top instead of pricing it. Tops
 // share the map, so one lookup finds either kind, but have their own
 // ring of the same capacity, so they never evict an exact value. An
 // exact value replaces a top in place; a top never replaces an exact
@@ -292,7 +296,7 @@ func (s *CacheStore) push(ring *[]encoding.Fingerprint, next *int, fp encoding.F
 // left open: re-asks already carry their parent's exact
 // fitness and pruned genomes their bound. Every slot it does see is
 // fingerprinted the one way, by a full decode and hash, and looked up
-// before the pass's virtual-time stage prices what the store does not
+// before the pass's virtual-time stage settles what the store does not
 // answer (see settle).
 //
 // A FitnessCache belongs to one run at a time (its batch scratch is
@@ -325,10 +329,11 @@ type FitnessCache struct {
 	reps    []int                        // representative slot -> batch index
 	inBatch map[encoding.Fingerprint]int // fingerprint -> representative slot
 
-	hits    []int // batch indices answered by the store
-	priced  []int // representatives the virtual-time stage prices
-	members []int // batch indices of the representatives' class members
-	todo    []int // batch indices to simulate
+	hits   []int // batch indices answered by the store
+	fresh  []int // representatives the store holds no top for (settle walks them)
+	topped []int // representatives with a stored top
+	weight []int // representative's batch index -> batch slots in its class
+	todo   []int // batch indices to simulate
 }
 
 // Fingerprint outcomes for mode[].
@@ -394,7 +399,7 @@ func (c *FitnessCache) Len() int { return c.store.Len() }
 //     mappings, then scatter fitness to every class member and insert
 //     the new results into the store (one write-lock for the batch).
 func (c *FitnessCache) Evaluate(pool *Pool, batch []encoding.Genome, fit []float64) {
-	c.evaluate(pool, batch, fit, nil, len(batch), nil)
+	c.evaluate(pool, batch, fit, nil, len(batch), nil, time.Time{})
 }
 
 // evaluate is Evaluate behind the runner's pruning pass pn (nil
@@ -412,13 +417,19 @@ func (c *FitnessCache) Evaluate(pool *Pool, batch []encoding.Genome, fit []float
 // that many, and evaluate returns its length. Genomes past the cut were
 // fingerprinted but are neither counted, simulated nor stored. A budget
 // of len(batch) or more never cuts.
-func (c *FitnessCache) evaluate(pool *Pool, batch []encoding.Genome, fit []float64, pre []uint8, budget int, pn *pruner) int {
-	tFP := time.Now() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
+//
+// With a phases hook set (Run's), start is the instant the call began:
+// evaluate reads the clock when the lookup ends and, when it settles,
+// again when the virtual-time stage ends, adds the fingerprint and bound
+// time to the hook, and returns the instant simulation began, so the
+// caller's next clock read closes the simulate phase.
+func (c *FitnessCache) evaluate(pool *Pool, batch []encoding.Genome, fit []float64, pre []uint8, budget int, pn *pruner, start time.Time) (int, time.Time) {
 	c.grow(len(batch))
 	c.fingerprintBatch(pool, batch, pre)
 
 	staged := pn != nil && pn.virtual
 	c.reps, c.hits = c.reps[:0], c.hits[:0]
+	c.fresh, c.topped = c.fresh[:0], c.topped[:0]
 	clear(c.inBatch)
 	n, charged := len(batch), 0
 	c.store.mu.RLock()
@@ -456,95 +467,89 @@ func (c *FitnessCache) evaluate(pool *Pool, batch []encoding.Genome, fit []float
 			// A schedule with a stored top skips the in-batch dedup: its
 			// copies are rare, and the map costs a repeated search more.
 			pn.lo[i], pn.hi[i] = math.Inf(-1), e.fit
+			c.topped = append(c.topped, i)
 		} else {
 			if slot, ok := c.inBatch[fp]; ok {
 				c.class[i] = slot
+				c.weight[c.reps[slot]]++
 				c.stats.Deduped++
 				c.charge[i] = false
 				charged--
 				continue
 			}
 			c.inBatch[fp] = len(c.reps)
+			c.weight[i] = 1
+			c.fresh = append(c.fresh, i)
 		}
 		c.class[i] = len(c.reps)
 		c.reps = append(c.reps, i)
 		c.stats.Misses++
 	}
 	c.store.mu.RUnlock()
-	tBound := time.Now() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
+	tSim := start
 	if c.phases != nil {
-		c.phases.FingerprintNs += tBound.Sub(tFP).Nanoseconds()
+		tSim = time.Now() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
+		c.phases.FingerprintNs += tSim.Sub(start).Nanoseconds()
 	}
 
-	c.todo, c.priced = c.todo[:0], c.priced[:0]
+	c.todo = c.todo[:0]
 	if staged {
 		c.settle(pool, fit[:n], pn)
+		if c.phases != nil {
+			tBound := tSim
+			tSim = time.Now() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
+			c.phases.BoundNs += tSim.Sub(tBound).Nanoseconds()
+		}
 	}
 
-	tSim := time.Now() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
-	if staged && c.phases != nil {
-		c.phases.BoundNs += tSim.Sub(tBound).Nanoseconds()
-	}
 	for _, i := range c.reps {
 		if !staged || pn.state[i] == slotOpen {
 			c.todo = append(c.todo, i)
 		}
 	}
 	if len(c.todo) > 0 {
-		pool.simulate(c.maps, c.todo, fit)
+		pool.simulate(c.todo, fit, func(_ *Evaluator, k int) *sim.Mapping { return &c.maps[c.todo[k]] })
 	}
 	for i := range batch[:n] {
 		if slot := c.class[i]; slot >= 0 {
-			fit[i] = fit[c.reps[slot]]
+			r := c.reps[slot]
+			fit[i] = fit[r]
+			if staged {
+				pn.state[i], pn.lo[i], pn.hi[i] = pn.state[r], pn.lo[r], pn.hi[r]
+			}
 		}
 	}
-	if len(c.todo) > 0 || len(c.priced) > 0 {
+	if len(c.todo) > 0 || (staged && len(c.fresh) > 0) {
 		c.store.mu.Lock()
 		for _, i := range c.todo {
 			c.store.insertLocked(c.fps[i], fit[i], c.run)
 		}
-		for _, i := range c.priced {
-			if pn.state[i] == slotFiltered {
+		for _, i := range c.fresh {
+			if staged && pn.state[i] == slotFiltered {
 				c.store.insertTopLocked(c.fps[i], fit[i])
 			}
 		}
 		c.store.mu.Unlock()
 	}
-	if c.phases != nil {
-		c.phases.SimulateNs += time.Since(tSim).Nanoseconds() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
-	}
-	return n
+	return n, tSim
 }
 
 // settle is the pruning pass's virtual-time stage on the cache path,
-// run after the store lookup so no store hit is priced. It prices the
-// bracket of every representative the store holds no top for (one with
-// a top gets (-Inf, top] as its bracket), hands each bracket to every
-// member of its class, and applies the raised floor over the class
-// members with the store hits as exact values (pruner.settle), so the
-// floor counts each batch slot as the uncached stage does.
+// run after the store lookup so no store hit is priced. It hands the
+// representatives the store holds nothing for to pruner.settle, each
+// weighted by its class size so the floor counts batch slots as the
+// uncached stage does, with the store hits as exact values; then it
+// settles every representative whose stored top falls below the final
+// floor on that top. evaluate hands each representative's state and
+// bracket to the rest of its class.
 func (c *FitnessCache) settle(pool *Pool, fit []float64, pn *pruner) {
-	for _, i := range c.reps {
-		if math.IsNaN(pn.hi[i]) {
-			c.priced = append(c.priced, i)
+	c.stats.VirtualPriced += uint64(pn.settle(pool.evs[0], nil, fit, c.fresh, c.weight, c.hits, c.maps))
+	floor := pn.floor()
+	for _, i := range c.topped {
+		if pn.hi[i] < floor {
+			pn.state[i], fit[i] = slotFiltered, pn.hi[i]
 		}
 	}
-	if len(c.priced) > 0 {
-		pool.each(len(c.priced), func(ev *Evaluator, k int) {
-			i := c.priced[k]
-			pn.lo[i], pn.hi[i] = pn.bracket(ev, &c.maps[i])
-		})
-		c.stats.VirtualPriced += uint64(len(c.priced))
-	}
-	c.members = c.members[:0]
-	for i := range fit {
-		if slot := c.class[i]; slot >= 0 {
-			r := c.reps[slot]
-			pn.lo[i], pn.hi[i] = pn.lo[r], pn.hi[r]
-			c.members = append(c.members, i)
-		}
-	}
-	pn.settle(fit, c.members, c.hits)
 	for _, i := range c.reps {
 		if pn.state[i] == slotFiltered {
 			c.stats.BoundPruned++
@@ -584,10 +589,12 @@ func (c *FitnessCache) grow(n int) {
 		c.mode = make([]uint8, n)
 		c.class = make([]int, n)
 		c.charge = make([]bool, n)
+		c.weight = make([]int, n)
 	}
 	c.maps = c.maps[:n]
 	c.fps = c.fps[:n]
 	c.mode = c.mode[:n]
 	c.class = c.class[:n]
 	c.charge = c.charge[:n]
+	c.weight = c.weight[:n]
 }

@@ -131,8 +131,8 @@ func (p *Problem) Evaluate(g encoding.Genome) (float64, error) {
 type Evaluator struct {
 	p       *Problem
 	sim     *sim.Simulator
-	m       sim.Mapping
-	cycles  []float64          // per-core scratch of sim.Bounds.GenomeResult
+	m       sim.Mapping        // decode scratch, also of the pruning pass's serial loop
+	cycles  []float64          // per-core scratch of sim.Bounds.GenomeRoofline
 	virtual sim.VirtualScratch // scratch of sim.Bounds.Virtual
 }
 
@@ -269,8 +269,8 @@ type Result struct {
 	// Phases breaks the run's wall-clock down per generation phase
 	// (ask / bound / fingerprint / simulate / tell), so callers can see
 	// where a generation's time goes — e.g. whether parallel breeding
-	// actually shrank the tell phase. Always recorded; the cost is a handful of
-	// clock reads per generation.
+	// actually shrank the tell phase. Always recorded; the cost is one
+	// clock read per phase boundary.
 	Phases PhaseTimings
 	// Aborted reports that the run's context was cancelled (deadline or
 	// explicit cancel) before the budget was exhausted. The Result is
@@ -281,19 +281,26 @@ type Result struct {
 }
 
 // PhaseTimings accumulates wall-clock per runner phase across a run.
-// Ask is candidate generation, Bound the runner's pruning pass (see
+// The runner reads the clock once at each phase boundary, and each
+// generation's phases follow one another with no gap, from the end of
+// the previous generation, so the phases tile the run's loop: their sum
+// never exceeds the run's wall time. Ask is candidate generation (with
+// the generation-boundary checks), Bound the runner's pruning pass (see
 // BoundNs), Fingerprint the cache's parallel validate+decode+hash pass
 // plus its serial dedup scan (zero when the cache is off), Simulate the
 // worker-pool evaluation of the batch (or of the deduped
-// representatives), and Tell selection plus breeding.
+// representatives) with the bracket check, and Tell the runner's
+// best-so-far bookkeeping, the optimizer's selection and breeding, and
+// the Observer call.
 type PhaseTimings struct {
 	AskNs         int64 `json:"ask_ns"`
 	FingerprintNs int64 `json:"fingerprint_ns"`
 	// BoundNs is the runner's pruning pass (optimizers it prunes only):
-	// validation, the genome roofline bounds, the decode and
-	// virtual-time pricing of the survivors (uncached; with the cache
-	// the decode is in FingerprintNs) and the elite-floor scans that
-	// decide which genomes skip decode and the simulator.
+	// validation, the genome roofline bounds, and the virtual-time loop
+	// that settles or walks the survivors, with the decode of each one it
+	// walks (uncached; with the cache the decode is in FingerprintNs).
+	// When that loop does not run (no floor, or a bandwidth-free table),
+	// the survivors are decoded in SimulateNs.
 	BoundNs    int64 `json:"bound_ns"`
 	SimulateNs int64 `json:"simulate_ns"`
 	TellNs     int64 `json:"tell_ns"`
@@ -460,13 +467,13 @@ func (pl *Pool) Evaluate(batch []encoding.Genome, fit []float64) {
 	})
 }
 
-// simulate scores the decoded schedule maps[i] into fit[i] for every
-// batch index i in idx. The mappings are read-only during the call;
-// each index is touched by exactly one worker.
-func (pl *Pool) simulate(maps []sim.Mapping, idx []int, fit []float64) {
+// simulate scores the decoded schedule of batch index idx[k], which
+// mapping(ev, k) returns on the worker running ev, into fit[idx[k]] for
+// every k. Each k is touched by exactly one worker.
+func (pl *Pool) simulate(idx []int, fit []float64, mapping func(ev *Evaluator, k int) *sim.Mapping) {
 	pl.each(len(idx), func(ev *Evaluator, k int) {
 		i := idx[k]
-		f, err := ev.EvaluateMapping(&maps[i])
+		f, err := ev.EvaluateMapping(mapping(ev, k))
 		if err != nil {
 			f = math.Inf(-1)
 		}
@@ -552,8 +559,9 @@ const DefaultBudget = 10000
 // reuse the previous batch's exact fitness, with or without the
 // cache; genomes whose roofline fitness bound already misses the elite
 // floor get the bound instead of being decoded and simulated; and the
-// survivors whose virtual-time bracket top misses the floor it then
-// raises get that top instead of being simulated. That too is
+// survivors that a best-first virtual-time loop proves below the floor
+// it raises as it goes get their proven top instead of being
+// simulated. That too is
 // bit-identical: a value below both the floor and the best so far can
 // move neither selection nor the convergence curve. Every simulated
 // genome the pass priced is checked to score inside its bracket; a
@@ -608,7 +616,8 @@ func Run(p *Problem, opt Optimizer, o Options, seed int64) (Result, error) {
 	if isES && isRT && !o.EffectiveBudget {
 		// The bound constants are memoized on the first worker's simulator,
 		// so a leased pool carries them warm across runs.
-		pn = &pruner{p: p, bounds: pool.evs[0].sim.Bounds(p.Table), es: es, rt: rt, cached: cache != nil, narrow: o.narrow}
+		pn = newPruner(p, pool.evs[0].sim.Bounds(p.Table), es, rt, cache != nil)
+		pn.narrow = o.narrow
 	}
 	stats := func() CacheStats {
 		var st CacheStats
@@ -622,6 +631,15 @@ func Run(p *Problem, opt Optimizer, o Options, seed int64) (Result, error) {
 	}
 	var fit []float64 // reused across batches
 	generation := 0
+	// The clock is read once per phase boundary, and the end of one
+	// generation's tell phase is the start of the next one's ask phase,
+	// so the phases tile the loop.
+	now := time.Now() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
+	lap := func(ns *int64) {
+		t := time.Now() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
+		*ns += t.Sub(now).Nanoseconds()
+		now = t
+	}
 	for res.Samples < o.Budget {
 		// Cancellation is observed only here, at a generation boundary, so
 		// an aborted run's best-so-far state equals the prefix of a full
@@ -634,7 +652,6 @@ func Run(p *Problem, opt Optimizer, o Options, seed int64) (Result, error) {
 		if o.EffectiveBudget && res.Asked >= EffectiveBudgetStretchCap*o.Budget {
 			break
 		}
-		tAsk := time.Now() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
 		var batch []encoding.Genome
 		if err := guard(opt.Name(), "Ask", func() error {
 			// The injectable failure point fires inside the guard, so a
@@ -648,7 +665,7 @@ func Run(p *Problem, opt Optimizer, o Options, seed int64) (Result, error) {
 		}); err != nil {
 			return res, err
 		}
-		res.Phases.AskNs += time.Since(tAsk).Nanoseconds() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
+		lap(&res.Phases.AskNs)
 		if len(batch) == 0 {
 			return Result{}, fmt.Errorf("m3e: %s returned an empty batch", opt.Name())
 		}
@@ -667,23 +684,23 @@ func Run(p *Problem, opt Optimizer, o Options, seed int64) (Result, error) {
 		if err := guard(opt.Name(), "Evaluate", func() error {
 			var pre []uint8 // slot states from the pruning pass, nil without one
 			if pn != nil {
-				tBound := time.Now() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
 				pre = pn.prune(pool, batch, fit, res.BestFitness)
-				res.Phases.BoundNs += time.Since(tBound).Nanoseconds() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
+				lap(&res.Phases.BoundNs)
 			}
-			tSim := time.Now() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
 			switch {
 			case cache != nil:
-				n := cache.evaluate(pool, batch, fit, pre, left, pn) // splits its time into res.Phases itself
+				// The cache adds its fingerprint and bound time to
+				// res.Phases itself and returns the instant it began
+				// simulating.
+				var n int
+				n, now = cache.evaluate(pool, batch, fit, pre, left, pn, now)
 				batch, fit = batch[:n], fit[:n]
 			case pn != nil:
-				pool.simulate(pn.maps, pn.open, fit)
+				pn.simulate(pool, batch, fit)
 			default:
 				pool.Evaluate(batch, fit)
 			}
-			if cache == nil {
-				res.Phases.SimulateNs += time.Since(tSim).Nanoseconds() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
-			}
+			lap(&res.Phases.SimulateNs)
 			if pn != nil {
 				if err := pn.check(fit); err != nil {
 					return fmt.Errorf("m3e: generation %d: %w", generation+1, err)
@@ -714,14 +731,12 @@ func Run(p *Problem, opt Optimizer, o Options, seed int64) (Result, error) {
 				res.Explored = append(res.Explored, g.ToVector(p.NumAccels()))
 			}
 		}
-		tTell := time.Now() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
 		if err := guard(opt.Name(), "Tell", func() error {
 			opt.Tell(batch, fit)
 			return nil
 		}); err != nil {
 			return res, err
 		}
-		res.Phases.TellNs += time.Since(tTell).Nanoseconds() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
 		generation++
 		res.Phases.Generations = generation
 		if o.Observer != nil {
@@ -735,6 +750,7 @@ func Run(p *Problem, opt Optimizer, o Options, seed int64) (Result, error) {
 			}
 			o.Observer(pr)
 		}
+		lap(&res.Phases.TellNs)
 	}
 	res.Cache = stats()
 	return res, nil

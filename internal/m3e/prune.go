@@ -1,11 +1,13 @@
 package m3e
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
 
 	"magma/internal/encoding"
+	"magma/internal/platform"
 	"magma/internal/sim"
 )
 
@@ -15,7 +17,7 @@ const (
 	slotReask                 // re-ask of a parent's schedule: its exact fitness is reused
 	slotInvalid               // failed validation: scored -Inf
 	slotPruned                // roofline fitness bound below the elite floor: scored the bound
-	slotFiltered              // virtual-time bracket top below the elite floor: scored the top
+	slotFiltered              // settled by the virtual-time stage below its floor: scored the upper bound that did it
 )
 
 // pruner is the analytical-pruning pass Run puts ahead of evaluation
@@ -27,37 +29,49 @@ const (
 //  1. Roofline. The floor is the k-th best re-ask value (k =
 //     EliteCount) capped at the best so far; every other genome whose
 //     roofline fitness bound falls below it gets that bound, undecoded.
-//  2. Virtual time. Each survivor is decoded once and its fitness
-//     bracketed from its virtual-time makespan (sim.Bounds.Virtual).
-//     The floor rises to the k-th best of the re-ask values, the exact
-//     store hits and the brackets' lower ends, capped at the best so
-//     far; every survivor whose bracket top falls below it gets the top.
+//  2. Virtual time (settle). One serial loop visits the survivors in
+//     descending roofline bound against a running floor: the k-th best
+//     of the re-ask values, the exact store hits and the lower ends of
+//     the brackets finished so far, capped at the best so far. A
+//     survivor whose roofline bound is already below it gets the bound;
+//     any other is walked in virtual time (sim.Bounds.VirtualCut), and
+//     the walk stops once its optimistic fitness falls below the floor,
+//     which settles the survivor on that partial top. A walk that
+//     finishes brackets the fitness, and its lower end joins the floor.
+//     After the loop every bracket whose top falls below the final
+//     floor is settled on that top.
 //
 // Every value that sets a floor ends as an exact told value at or above
 // it: a re-ask or store hit is exact, and a genome whose lower end
-// reaches the floor has its top there too, so it is simulated, and its
-// exact fitness is checked to lie inside its bracket (check). A settled
-// genome's true fitness never exceeds its value, which is below the
-// floor, so it can reach neither the top k nor the best so far:
-// selection and the convergence curve are bit-identical to the
-// unpruned run. A settled value is not a fitness, so it is never reused
-// as a parent's exact value; a bracket top enters a CacheStore only as
-// a top, apart from the fitness values (see CacheStore).
+// reaches the final floor has its top there too, so it is simulated,
+// and its exact fitness is checked to lie inside its bracket (check). A
+// settled genome's true fitness never exceeds its value, which is below
+// a running floor that never exceeds the final one, so it can reach
+// neither the top k nor the best so far: selection and the convergence
+// curve are bit-identical to the unpruned run. A value below the
+// running floor could not have raised it, so the final floor is the one
+// pricing every survivor in full would reach. A settled value is not a
+// fitness, so it is never reused as a parent's exact value; it enters a
+// CacheStore only as a top, apart from the fitness values (see
+// CacheStore).
 //
 // The second stage runs only when the first set a floor and the table
 // has a virtual-time makespan (no bandwidth-free entry). Without a
-// cache the pass prices every survivor itself, decoding it into maps
-// for the simulator; with one, the cache fingerprints and looks up the
-// survivors first and prices only those the store holds neither a
-// fitness nor a top for. Either way settle applies the raised floor.
+// cache the loop decodes each survivor it walks into the walking
+// evaluator's scratch mapping and keeps only the schedules still above
+// the floor when their walk ends; with one, the cache fingerprints and
+// looks up the survivors first, hands settle the representatives the
+// store holds nothing for, and holds those with a stored top against
+// the final floor itself.
 type pruner struct {
 	p      *Problem
 	bounds *sim.Bounds
 	es     EliteSelector
 	rt     ReaskTracker
 	cached bool // a FitnessCache evaluates the open slots and counts their Misses itself
+	flops  float64
 
-	// narrow, when set, replaces every priced bracket (tests only: it
+	// narrow, when set, replaces every finished bracket (tests only: it
 	// feeds the bracket check a deliberately wrong bracket).
 	narrow func(lo, hi float64) (float64, float64)
 
@@ -66,12 +80,15 @@ type pruner struct {
 	// when uncached.
 	stats CacheStats
 
-	state  []uint8       // batch index -> slot state
-	lo, hi []float64     // batch index -> virtual-time fitness bracket, NaN where unpriced
-	maps   []sim.Mapping // batch index -> decoded schedule of an open slot (uncached)
-	open   []int         // batch indices left for the simulator (uncached)
+	state  []uint8        // batch index -> slot state
+	roof   []sim.Roofline // batch index -> roofline sums of a survivor
+	bound  []float64      // batch index -> roofline fitness bound of a survivor
+	lo, hi []float64      // batch index -> virtual-time fitness bracket, NaN where unpriced
+	order  []int          // settle's candidates, best-first
+	open   []int          // batch indices left for the simulator (uncached)
+	maps   []sim.Mapping  // maps[k] is the decoded schedule of open[k] (uncached, virtual stage)
 
-	top     []float64 // values for the floor
+	elite   []float64 // min-heap of the k best values offered for the floor
 	prevFit []float64 // previous batch's fitness, NaN where it was not exact
 
 	// Set by prune for the batch: the elite count, the best so far, and
@@ -81,15 +98,22 @@ type pruner struct {
 	virtual bool
 }
 
+// newPruner builds the pass for problem p over the bound constants b.
+func newPruner(p *Problem, b *sim.Bounds, es EliteSelector, rt ReaskTracker, cached bool) *pruner {
+	return &pruner{p: p, bounds: b, es: es, rt: rt, cached: cached, flops: float64(p.Group.TotalFLOPs())}
+}
+
 // prune runs the pass over batch, writing the fitness of every genome
 // it settles into fit, and returns the slot states. best is the run's
-// best fitness before this batch.
+// best fitness before this batch. Uncached, the genomes left open are
+// those in pr.open, for simulate.
 func (pr *pruner) prune(pool *Pool, batch []encoding.Genome, fit []float64, best float64) []uint8 {
 	n := len(batch)
 	pr.grow(n)
 	nJobs, nAccels := pr.p.NumJobs(), pr.p.NumAccels()
 	reasks := pr.rt.Reasks()
-	pr.top = pr.top[:0]
+	pr.k, pr.best = pr.es.EliteCount(n), best
+	pr.elite = pr.elite[:0]
 	for i, g := range batch {
 		pr.state[i] = slotOpen
 		pr.lo[i], pr.hi[i] = math.NaN(), math.NaN()
@@ -105,15 +129,15 @@ func (pr *pruner) prune(pool *Pool, batch []encoding.Genome, fit []float64, best
 			}
 			pr.state[i] = slotReask
 			fit[i] = pr.prevFit[p]
-			pr.top = append(pr.top, fit[i])
+			pr.offer(fit[i], 1)
 		}
 	}
-	pr.k, pr.best = pr.es.EliteCount(n), best
 	// The roofline floor depends only on the re-asks, so it is known
 	// before any bound is priced.
 	floor := pr.floor()
 	priced := !math.IsInf(floor, -1)
 	pr.virtual = priced && pr.bounds.HasVirtual()
+	energy := pr.p.Objective == Energy || pr.p.Objective == EDP
 	pool.each(n, func(ev *Evaluator, i int) {
 		if pr.state[i] != slotOpen {
 			return
@@ -122,32 +146,26 @@ func (pr *pruner) prune(pool *Pool, batch []encoding.Genome, fit []float64, best
 		if !priced {
 			if g.Validate(nJobs, nAccels) != nil {
 				pr.state[i] = slotInvalid
-			} else if !pr.cached {
-				encoding.DecodeInto(g, nAccels, &pr.maps[i])
 			}
 			return
 		}
-		// One walk over the accel genes both range-checks them and sums
-		// the bound, so a priced genome is validated without a second.
-		res, ok := pr.bounds.GenomeResult(ev.cycles, g.Accel)
-		if !ok || !g.ValidPrio(nJobs) {
+		// One walk over the genes both validates them and sums the
+		// roofline, so a priced genome is never walked twice.
+		r, ok := pr.bounds.GenomeRoofline(ev.cycles, g.Accel, g.Prio, energy)
+		if !ok {
 			pr.state[i] = slotInvalid
 			return
 		}
-		if bf := pr.p.Fitness(res); bf < floor {
+		bf := pr.p.Fitness(pr.bounds.RooflineResult(r))
+		if bf < floor {
 			pr.state[i] = slotPruned
 			fit[i] = bf
 			return
 		}
-		if pr.cached {
-			return
-		}
-		encoding.DecodeInto(g, nAccels, &pr.maps[i])
-		if pr.virtual {
-			pr.lo[i], pr.hi[i] = pr.bracket(ev, &pr.maps[i])
-		}
+		pr.roof[i], pr.bound[i] = r, bf
 	})
 
+	pr.open = pr.open[:0]
 	for i, s := range pr.state {
 		switch s {
 		case slotInvalid:
@@ -165,86 +183,222 @@ func (pr *pruner) prune(pool *Pool, batch []encoding.Genome, fit []float64, best
 			}
 			if !pr.cached {
 				pr.stats.Misses++
+				pr.open = append(pr.open, i)
 			}
 		}
 	}
-	if pr.cached {
+	if pr.cached || !pr.virtual {
 		return pr.state
 	}
+	pr.stats.VirtualPriced += uint64(pr.settle(pool.evs[0], batch, fit, pr.open, nil, nil, nil))
+	for _, i := range pr.order {
+		if pr.state[i] == slotFiltered {
+			pr.stats.BoundPruned++
+			pr.stats.VirtualPruned++
+		}
+	}
+	return pr.state
+}
+
+// simulate scores the genomes prune left open (uncached): from the
+// schedules the virtual-time stage kept, or decoded afresh by each
+// worker when the stage did not run.
+func (pr *pruner) simulate(pool *Pool, batch []encoding.Genome, fit []float64) {
+	if pr.virtual {
+		pool.simulate(pr.open, fit, func(_ *Evaluator, k int) *sim.Mapping { return &pr.maps[k] })
+		return
+	}
+	nAccels := pr.p.NumAccels()
+	pool.simulate(pr.open, fit, func(ev *Evaluator, k int) *sim.Mapping {
+		encoding.DecodeInto(batch[pr.open[k]], nAccels, &ev.m)
+		return &ev.m
+	})
+}
+
+// settle is the virtual-time stage, for both the uncached pass and
+// FitnessCache, run serially on ev. cands are the batch indices left to
+// settle, none priced yet, each standing for weight[i] batch slots (1
+// each when weight is nil: the cache's in-batch duplicates share their
+// representative's bracket); exact are the batch indices whose fit holds
+// an exact value the re-asks did not supply (store hits). The floor the
+// loop ends at stays in pr.elite (floor) for the caller.
+//
+// maps holds the candidates' decoded schedules by batch index (the
+// cache decoded them); when it is nil settle decodes each walked genome
+// from batch into ev's scratch mapping, and a walk that finishes with
+// its top at or above the floor swaps that mapping into pr.maps, so at
+// the end pr.maps[k] is the schedule of pr.open[k], the candidates left
+// open, in the order visited. settle returns the number of walks.
+func (pr *pruner) settle(ev *Evaluator, batch []encoding.Genome, fit []float64, cands, weight, exact []int, maps []sim.Mapping) (walks int) {
+	for _, i := range exact {
+		pr.offer(fit[i], 1)
+	}
+	pr.order = append(pr.order[:0], cands...)
+	slices.SortFunc(pr.order, func(a, b int) int {
+		if c := cmp.Compare(pr.bound[b], pr.bound[a]); c != 0 {
+			return c
+		}
+		return a - b
+	})
+	nAccels := pr.p.NumAccels()
 	pr.open = pr.open[:0]
-	for i, s := range pr.state {
-		if s == slotOpen {
+	floor := pr.floor()
+	for _, i := range pr.order {
+		if pr.bound[i] < floor {
+			pr.state[i], fit[i] = slotFiltered, pr.bound[i]
+			continue
+		}
+		m := &ev.m
+		if maps != nil {
+			m = &maps[i]
+		} else {
+			encoding.DecodeInto(batch[i], nAccels, m)
+		}
+		walks++
+		lo, hi := pr.walk(ev, m, pr.roof[i], floor)
+		if hi < floor {
+			pr.state[i], fit[i] = slotFiltered, hi
+			continue
+		}
+		pr.lo[i], pr.hi[i] = lo, hi
+		w := 1
+		if weight != nil {
+			w = weight[i]
+		}
+		pr.offer(lo, w)
+		floor = pr.floor()
+		if k := len(pr.open); maps == nil {
+			if k == len(pr.maps) {
+				pr.maps = append(pr.maps, sim.Mapping{})
+			}
+			pr.maps[k], ev.m = ev.m, pr.maps[k]
 			pr.open = append(pr.open, i)
 		}
 	}
-	if pr.virtual {
-		pr.stats.VirtualPriced += uint64(len(pr.open))
-		pr.settle(fit, pr.open, nil)
+	for _, i := range pr.order {
+		if pr.state[i] == slotOpen && pr.hi[i] < floor {
+			pr.state[i], fit[i] = slotFiltered, pr.hi[i]
+		}
+	}
+	if maps == nil {
 		open := pr.open[:0]
-		for _, i := range pr.open {
-			if pr.state[i] == slotFiltered {
-				pr.stats.BoundPruned++
-				pr.stats.VirtualPruned++
-			} else {
+		for k, i := range pr.open {
+			if pr.state[i] == slotOpen {
+				pr.maps[len(open)], pr.maps[k] = pr.maps[k], pr.maps[len(open)]
 				open = append(open, i)
 			}
 		}
 		pr.open = open
 	}
-	return pr.state
+	return walks
 }
 
-// settle is the virtual-time stage, for both the uncached path and
-// FitnessCache. cands are the batch indices whose brackets lo and hi
-// are priced, one per batch slot (in-batch duplicates included); exact
-// are the batch indices whose fit holds an exact value the re-asks did
-// not supply (store hits). The floor rises to the k-th best of the
-// re-asks, the exact values and the candidates' lower ends, capped at
-// the best so far, and every candidate whose bracket top falls below it
-// is marked slotFiltered and scored that top.
-func (pr *pruner) settle(fit []float64, cands, exact []int) {
-	for _, i := range exact {
-		pr.top = append(pr.top, fit[i])
+// walk prices the fitness bracket of decoded schedule m, whose roofline
+// is r, walking it in virtual time only while its optimistic fitness
+// can still reach floor. A walk that stops returns -Inf and the
+// optimistic fitness at the stop, below floor; one that finishes
+// returns the fitness of VirtualCut's pessimistic Result as the low end
+// and of its optimistic one as the high end. Every objective's fitness
+// falls as the makespan and the energy grow, so the bracket holds the
+// exact fitness. A stopped walk whose top rounding kept at the floor
+// returns (-Inf, top]: still a bracket, like a stored top's.
+func (pr *pruner) walk(ev *Evaluator, m *sim.Mapping, r sim.Roofline, floor float64) (lo, hi float64) {
+	best, worst, stopped := pr.bounds.VirtualCut(&ev.virtual, m, r, pr.cutSpan(floor, r))
+	if hi = pr.p.Fitness(best); stopped {
+		return math.Inf(-1), hi
 	}
-	for _, i := range cands {
-		// Skipping a -Inf lower end (a stored top's bracket) leaves the
-		// floor as it is: the k-th best is above it, or -Inf, which
-		// floor returns anyway when fewer than k values remain.
-		if lo := pr.lo[i]; !math.IsInf(lo, -1) {
-			pr.top = append(pr.top, lo)
-		}
-	}
-	floor := pr.floor()
-	for _, i := range cands {
-		if pr.hi[i] < floor {
-			pr.state[i] = slotFiltered
-			fit[i] = pr.hi[i]
-		}
-	}
-}
-
-// floor returns the k-th best of the values in top capped at the best
-// so far, or -Inf (nothing is below it: no pruning) when there are
-// fewer than k. It reorders top.
-func (pr *pruner) floor() float64 {
-	if pr.k <= 0 || len(pr.top) < pr.k {
-		return math.Inf(-1)
-	}
-	slices.Sort(pr.top)
-	return math.Min(pr.top[len(pr.top)-pr.k], pr.best)
-}
-
-// bracket prices the fitness bracket of decoded schedule m: the
-// fitness of Virtual's pessimistic Result is the low end, of its
-// optimistic one the high end. Every objective's fitness falls as the
-// makespan and the energy grow, so the bracket holds the exact fitness.
-func (pr *pruner) bracket(ev *Evaluator, m *sim.Mapping) (lo, hi float64) {
-	best, worst, _ := pr.bounds.Virtual(&ev.virtual, m)
-	lo, hi = pr.p.Fitness(worst), pr.p.Fitness(best)
+	lo = pr.p.Fitness(worst)
 	if pr.narrow != nil {
 		lo, hi = pr.narrow(lo, hi)
 	}
 	return lo, hi
+}
+
+// cutSpan returns the optimistic makespan, in cycles, past which a
+// schedule with roofline r scores below floor: Fitness of VirtualCut's
+// optimistic Result inverted at a floor lowered by 1e-12 of its
+// magnitude, so that rounding cannot stop a walk whose top still
+// reaches floor. It is +Inf when no makespan is past it.
+func (pr *pruner) cutSpan(floor float64, r sim.Roofline) float64 {
+	f := floor - math.Abs(floor)*1e-12
+	switch pr.p.Objective {
+	case Latency:
+		return -f
+	case Energy:
+		// -(base + perCycle·x) < f
+		if base, perCycle := pr.bounds.EnergyLine(r); perCycle > 0 {
+			return (-f - base) / perCycle
+		}
+	case EDP:
+		// (base + perCycle·x)·x / ClockHz > -f
+		base, perCycle := pr.bounds.EnergyLine(r)
+		if d := -f * platform.ClockHz; d > 0 {
+			if perCycle > 0 {
+				return (math.Sqrt(base*base+4*perCycle*d) - base) / (2 * perCycle)
+			}
+			if base > 0 {
+				return d / base
+			}
+		}
+	default:
+		// flops / (x / ClockHz) / 1e9 < f
+		if f > 0 {
+			return pr.flops * platform.ClockHz / (f * 1e9)
+		}
+	}
+	return math.Inf(1)
+}
+
+// offer adds value v, w times, to the values the floor is the k-th best
+// of, keeping only the k best in a min-heap.
+func (pr *pruner) offer(v float64, w int) {
+	if pr.k <= 0 || math.IsInf(v, -1) {
+		return
+	}
+	h := pr.elite
+	for ; w > 0; w-- {
+		if len(h) < pr.k {
+			h = append(h, v)
+			for c := len(h) - 1; c > 0; {
+				p := (c - 1) / 2
+				if !(h[c] < h[p]) {
+					break
+				}
+				h[c], h[p] = h[p], h[c]
+				c = p
+			}
+			continue
+		}
+		if !(v > h[0]) {
+			break
+		}
+		h[0] = v
+		for p := 0; ; {
+			c := 2*p + 1
+			if c >= len(h) {
+				break
+			}
+			if c+1 < len(h) && h[c+1] < h[c] {
+				c++
+			}
+			if !(h[c] < h[p]) {
+				break
+			}
+			h[c], h[p] = h[p], h[c]
+			p = c
+		}
+	}
+	pr.elite = h
+}
+
+// floor returns the k-th best of the values offered capped at the best
+// so far, or -Inf (nothing is below it: no pruning) when fewer than k
+// were offered.
+func (pr *pruner) floor() float64 {
+	if pr.k <= 0 || len(pr.elite) < pr.k {
+		return math.Inf(-1)
+	}
+	return math.Min(pr.elite[0], pr.best)
 }
 
 // check confirms that every simulated slot priced in this batch scored
@@ -275,20 +429,14 @@ func (pr *pruner) commit(fit []float64) {
 	}
 }
 
-// grow sizes the per-batch scratch for n genomes, keeping the decoded
-// mappings' grown queues.
+// grow sizes the per-batch scratch for n genomes.
 func (pr *pruner) grow(n int) {
 	if cap(pr.state) < n {
 		pr.state = make([]uint8, n)
+		pr.roof = make([]sim.Roofline, n)
+		pr.bound = make([]float64, n)
 		pr.lo, pr.hi = make([]float64, n), make([]float64, n)
-		if !pr.cached {
-			maps := make([]sim.Mapping, n)
-			copy(maps, pr.maps)
-			pr.maps = maps
-		}
 	}
-	pr.state, pr.lo, pr.hi = pr.state[:n], pr.lo[:n], pr.hi[:n]
-	if !pr.cached {
-		pr.maps = pr.maps[:n]
-	}
+	pr.state, pr.roof, pr.bound = pr.state[:n], pr.roof[:n], pr.bound[:n]
+	pr.lo, pr.hi = pr.lo[:n], pr.hi[:n]
 }

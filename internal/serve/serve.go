@@ -441,6 +441,12 @@ func (s *Server) parseRequest(body io.Reader) (*runSpec, error) {
 	if err := spec.opts.Validate(); err != nil {
 		return nil, err
 	}
+	// Results never depend on the worker count, but every worker is an
+	// evaluator the engine builds, and it keeps pools per width, so a
+	// request gets at most the workers the process can run at once.
+	if limit := runtime.GOMAXPROCS(0); spec.opts.Workers > limit {
+		spec.opts.Workers = limit
+	}
 	if req.TimeoutMS < 0 {
 		return nil, fmt.Errorf("options: negative timeout_ms %d", req.TimeoutMS)
 	}

@@ -20,26 +20,33 @@ import (
 //     total-traffic / system-BW cycles.
 //
 // The true simulated makespan is max(compute, bandwidth) or worse, up
-// to the simulator's retirement tolerances (see Result). All per-(job,
-// accel) constants are flattened at construction so per-core sums are
-// cache-friendly; a Bounds is immutable after construction and safe to
-// share across goroutines.
+// to the simulator's retirement tolerances (see Result). The per-(job,
+// accel) constants are copied at construction into one array of
+// structs, so every walk over a schedule loads one row per job; a
+// Bounds is immutable after construction and safe to share across
+// goroutines.
 type Bounds struct {
 	nJobs   int
 	nAccels int
-	cycles  []float64 // [j*nAccels+a] no-stall latency, cycles
-	traffic []float64 // [j*nAccels+a] DRAM traffic, bytes (0 when BW-free)
-	energy  []float64 // [j*nAccels+a] job energy
-	// req is [j*nAccels+a] required bytes/cycle, nil when some entry is
-	// bandwidth-free (≤ 1e-12): the virtual-time makespan is then
-	// unavailable (see Virtual).
-	req []float64
+	rows    []boundRow // [j*nAccels+a]
+	// virtualOK is false when some entry is bandwidth-free (req ≤
+	// 1e-12): the virtual-time makespan is then unavailable (see
+	// Virtual).
+	virtualOK bool
 
 	sysBW      float64 // bytes/cycle
 	invBW      float64 // 1 / sysBW
 	spanSlack  float64 // absolute slack of Virtual's makespan bracket, cycles
 	totalFLOPs float64
 	leakPEs    float64 // leakagePerPEPerCycle × total PEs
+}
+
+// boundRow is one (job, accel) entry's constants.
+type boundRow struct {
+	cycles  float64 // no-stall latency, cycles
+	traffic float64 // DRAM traffic, bytes (0 when bandwidth-free)
+	req     float64 // required bytes/cycle
+	energy  float64 // job energy
 }
 
 // Simulator retirement tolerances (noBW <= 1e-9 cycles; work <=
@@ -52,41 +59,33 @@ const (
 	boundSlackAbs = 1e-3
 )
 
-// NewBounds flattens the table's roofline constants. Mirrors Run's
-// BW-free threshold: jobs with BWPerCycle <= 1e-12 move no bytes.
+// NewBounds copies the table's roofline constants. Mirrors Run's
+// bandwidth-free threshold: jobs with BWPerCycle <= 1e-12 move no bytes.
 func NewBounds(t *analyzer.Table) *Bounds {
 	nJobs, nAccels := t.NumJobs(), t.NumAccels()
 	b := &Bounds{
-		nJobs:   nJobs,
-		nAccels: nAccels,
-		cycles:  make([]float64, nJobs*nAccels),
-		traffic: make([]float64, nJobs*nAccels),
-		energy:  make([]float64, nJobs*nAccels),
-		req:     make([]float64, nJobs*nAccels),
-		sysBW:   t.Platform.SystemBWBytesPerCycle(),
+		nJobs:     nJobs,
+		nAccels:   nAccels,
+		rows:      make([]boundRow, nJobs*nAccels),
+		virtualOK: true,
+		sysBW:     t.Platform.SystemBWBytesPerCycle(),
 	}
 	b.invBW = 1 / b.sysBW
 	var peakReq float64 // Σ_a max_j req(j, a)
-	bwFree := false
 	for a := 0; a < nAccels; a++ {
 		var most float64
 		for j := 0; j < nJobs; j++ {
 			e := t.At(j, a)
-			i := j*nAccels + a
-			b.cycles[i] = float64(e.Cycles)
+			r := &b.rows[j*nAccels+a]
+			r.cycles, r.req, r.energy = float64(e.Cycles), e.BWPerCycle, e.Energy
 			if e.BWPerCycle > 1e-12 {
-				b.traffic[i] = float64(e.Cycles) * e.BWPerCycle
+				r.traffic = float64(e.Cycles) * e.BWPerCycle
 			} else {
-				bwFree = true
+				b.virtualOK = false
 			}
-			b.req[i] = e.BWPerCycle
 			most = max(most, e.BWPerCycle)
-			b.energy[i] = e.Energy
 		}
 		peakReq += most
-	}
-	if bwFree {
-		b.req = nil
 	}
 	b.spanSlack = float64(nJobs) * virtualWindow * max(1, peakReq*b.invBW)
 	b.totalFLOPs = float64(t.Group.TotalFLOPs())
@@ -103,7 +102,7 @@ func (b *Bounds) NumAccels() int { return b.nAccels }
 
 // HasVirtual reports whether Virtual is available: the table has no
 // bandwidth-free entry.
-func (b *Bounds) HasVirtual() bool { return b.req != nil }
+func (b *Bounds) HasVirtual() bool { return b.virtualOK }
 
 // CoreBound is one core's roofline accumulator: the sum of its queued
 // jobs' no-stall cycles, DRAM traffic and job energy. Sums are in queue
@@ -124,10 +123,10 @@ type CoreBounds []CoreBound
 func (b *Bounds) Core(a int, q []int) CoreBound {
 	var cb CoreBound
 	for _, j := range q {
-		i := j*b.nAccels + a
-		cb.Cycles += b.cycles[i]
-		cb.Traffic += b.traffic[i]
-		cb.Energy += b.energy[i]
+		r := &b.rows[j*b.nAccels+a]
+		cb.Cycles += r.cycles
+		cb.Traffic += r.traffic
+		cb.Energy += r.energy
 	}
 	return cb
 }
@@ -183,41 +182,73 @@ func (b *Bounds) Result(cb CoreBounds) Result {
 	return b.result(b.LowerBound(cb), jobEnergy)
 }
 
-// GenomeResult is Result priced straight from a genome's accel genes
-// (accel[j] is the core job j runs on), with no decode: both rooflines
-// are per-core sums, so the priority genes cannot move them. Only the
-// compute roofline needs per-core state, kept in cycles (length
-// NumAccels, overwritten); traffic and energy are plain totals. The
+// Roofline is one schedule's roofline sums: the busiest core's no-stall
+// cycles, the group's DRAM bytes and its job energy (zero when not
+// asked for). RooflineResult turns it into the optimistic Result, and
+// VirtualCut reads it to bound the rest of a walk it stops.
+type Roofline struct {
+	Compute float64
+	Bytes   float64
+	Energy  float64
+}
+
+// GenomeRoofline prices a genome's roofline straight from its genes,
+// with no decode: accel[j] is the core job j runs on and prio[j] its
+// priority gene. Both rooflines are per-core sums, so the priorities
+// cannot move them. The walk sums job energy only when energy is set
+// (only the energy objectives read it). Only the compute roofline needs
+// per-core state, kept in cycles (length NumAccels, overwritten). The
 // sums run in job order rather than queue order, so the result agrees
-// with Result over CoresInto up to rounding — far inside the bound's
-// slack — rather than bit for bit. It allocates nothing.
+// with CoresInto up to rounding — far inside the bound's slack — rather
+// than bit for bit. It allocates nothing.
 //
-// The same walk checks the genes: ok is false, and the Result zero,
-// unless accel holds one gene per job of the table, each naming a core
-// in [0, NumAccels()). A caller that must validate the accel genes
-// anyway (the search runner's pruning pass) needs no second walk.
-func (b *Bounds) GenomeResult(cycles []float64, accel []int) (res Result, ok bool) {
-	if len(accel) != b.nJobs {
-		return Result{}, false
+// The same walk checks the genes: ok is false, and the Roofline zero,
+// unless accel and prio hold one gene per job of the table, each accel
+// gene naming a core in [0, NumAccels()) and each priority in [0, 1)
+// (NaN is not) — exactly the genomes encoding.Genome.Validate accepts.
+// A caller that must validate the genome anyway (the search runner's
+// pruning pass) needs no second walk.
+func (b *Bounds) GenomeRoofline(cycles []float64, accel []int, prio []float64, energy bool) (r Roofline, ok bool) {
+	if len(accel) != b.nJobs || len(prio) != b.nJobs {
+		return Roofline{}, false
 	}
 	clear(cycles)
-	var bytes, jobEnergy float64
 	for j, a := range accel {
-		if uint(a) >= uint(b.nAccels) {
-			return Result{}, false
+		if p := prio[j]; uint(a) >= uint(b.nAccels) || !(p >= 0 && p < 1) {
+			return Roofline{}, false
 		}
-		i := j*b.nAccels + a
-		cycles[a] += b.cycles[i]
-		bytes += b.traffic[i]
-		jobEnergy += b.energy[i]
+		row := &b.rows[j*b.nAccels+a]
+		cycles[a] += row.cycles
+		r.Bytes += row.traffic
+		if energy {
+			r.Energy += row.energy
+		}
 	}
-	var compute float64
 	for _, c := range cycles {
-		if c > compute {
-			compute = c
+		if c > r.Compute {
+			r.Compute = c
 		}
 	}
-	return b.result(b.lowerBound(compute, bytes), jobEnergy), true
+	return r, true
+}
+
+// RooflineResult is the optimistic Result of roofline r: Result's
+// makespan bound and formulas, with r's job energy.
+func (b *Bounds) RooflineResult(r Roofline) Result {
+	return b.result(b.lowerBound(r.Compute, r.Bytes), r.Energy)
+}
+
+// roofline sums the roofline of decoded schedule m, each core in queue
+// order, with its job energy.
+func (b *Bounds) roofline(m *Mapping) Roofline {
+	var r Roofline
+	for a, q := range m.Queues {
+		cb := b.Core(a, q)
+		r.Compute = max(r.Compute, cb.Cycles)
+		r.Bytes += cb.Traffic
+		r.Energy += cb.Energy
+	}
+	return r
 }
 
 // result is the optimistic Result for makespan bound lb and exact job
@@ -278,24 +309,63 @@ type VirtualScratch struct {
 // most 1e-6 × max(1, Σ_a max_j req(j, a) / sysBW), so nJobs of them
 // bound the absolute term; a relative 1e-9 covers the rounding of both
 // integrations, which measure within 1e-15 of each other. Run sums job
-// energy in retirement order and Virtual in launch order, so the job
-// energy carries the same relative slack.
+// energy in retirement order and Virtual per core in queue order, so
+// the job energy carries the same relative slack.
 func (b *Bounds) Virtual(s *VirtualScratch, m *Mapping) (best, worst Result, ok bool) {
-	if b.req == nil {
+	if !b.virtualOK {
 		return Result{}, Result{}, false
 	}
-	span, jobEnergy := b.virtual(s, m)
-	best = b.result(max(0, span*(1-virtualSlackRel)-b.spanSlack), jobEnergy*(1-virtualSlackRel))
-	worst = b.result(span*(1+virtualSlackRel)+b.spanSlack, jobEnergy*(1+virtualSlackRel))
+	best, worst, _ = b.VirtualCut(s, m, b.roofline(m), math.Inf(1))
 	return best, worst, true
 }
 
-// virtual integrates the virtual-time makespan of m and sums its job
-// energy. It merges the cores' job boundaries by scanning the slots of
-// the cores still running for the earliest end; ties retire one after
-// the other with a zero-length step in between. A core that drains
-// gives its slot to the last one.
-func (b *Bounds) virtual(s *VirtualScratch, m *Mapping) (span, jobEnergy float64) {
+// VirtualCut is Virtual for a caller that already holds m's roofline r
+// (its Energy may be zero, or summed in another order: it only feeds
+// the Results' energy) and needs the bracket only while the optimistic
+// makespan can stay at or below cut. It requires HasVirtual.
+//
+// At every job boundary before the last, at virtual instant v, the
+// makespan is at least the span integrated so far plus
+// max(r.Compute − v, unmoved bytes / sysBW): the busiest core still has
+// r.Compute − v of virtual time to run, and wall time passes no slower
+// than virtual time; the bytes not yet moved need at least their
+// transfer time at the full system bandwidth. The bound never falls
+// along the walk. Slacked like best's makespan, once it exceeds cut the
+// walk stops: stopped is true, best is the optimistic Result at that
+// bound — at most the full walk's makespan and above cut — and worst is
+// zero. A walk that never exceeds cut returns exactly what the uncut
+// walk (cut +Inf, as Virtual runs it) returns for the same r.
+func (b *Bounds) VirtualCut(s *VirtualScratch, m *Mapping, r Roofline, cut float64) (best, worst Result, stopped bool) {
+	span, stopped := b.virtual(s, m, r, cut)
+	best = b.result(b.bestSpan(span), r.Energy*(1-virtualSlackRel))
+	if stopped {
+		return best, Result{}, true
+	}
+	worst = b.result(span*(1+virtualSlackRel)+b.spanSlack, r.Energy*(1+virtualSlackRel))
+	return best, worst, false
+}
+
+// bestSpan slacks a virtual-time makespan (or lower bound on one) into
+// the optimistic makespan of best.
+func (b *Bounds) bestSpan(span float64) float64 {
+	return max(0, span*(1-virtualSlackRel)-b.spanSlack)
+}
+
+// EnergyLine returns the terms of the optimistic Result's energy for a
+// schedule with roofline r: VirtualCut's best has Energy = base +
+// perCycle × TotalCycles. A caller inverting an energy objective for a
+// cut needs them.
+func (b *Bounds) EnergyLine(r Roofline) (base, perCycle float64) {
+	return r.Energy * (1 - virtualSlackRel), b.leakPEs
+}
+
+// virtual integrates the virtual-time makespan of m. It merges the
+// cores' job boundaries by scanning the slots of the cores still
+// running for the earliest end; ties retire one after the other with a
+// zero-length step in between. A core that drains gives its slot to the
+// last one. When the slacked lower bound of VirtualCut exceeds cut at a
+// boundary before the last, it returns that bound and true instead.
+func (b *Bounds) virtual(s *VirtualScratch, m *Mapping, r Roofline, cut float64) (span float64, stopped bool) {
 	nA := b.nAccels
 	s.end, s.req = grow(s.end, nA), grow(s.req, nA)
 	s.core, s.next = grow(s.core, nA), grow(s.next, nA)
@@ -306,13 +376,18 @@ func (b *Bounds) virtual(s *VirtualScratch, m *Mapping) (span, jobEnergy float64
 		if len(q) == 0 {
 			continue
 		}
-		i := q[0]*nA + a
-		end[n], req[n], core[n], next[n] = b.cycles[i], b.req[i], a, 1
-		need += b.req[i]
-		jobEnergy += b.energy[i]
+		row := &b.rows[q[0]*nA+a]
+		end[n], req[n], core[n], next[n] = row.cycles, row.req, a, 1
+		need += row.req
 		n++
 	}
-	var v float64
+	// left is all of the schedule's bytes over sysBW and moved the part
+	// moved so far, so left − moved is the least time the rest can take.
+	var v, moved float64
+	left := r.Bytes * b.invBW
+	// A bound past rawCut is (up to rounding, which the second test
+	// settles) one whose slacked value is past cut.
+	rawCut := (cut + b.spanSlack) / (1 - virtualSlackRel)
 	for n > 0 {
 		k := 0
 		for x := 1; x < n; x++ {
@@ -321,23 +396,30 @@ func (b *Bounds) virtual(s *VirtualScratch, m *Mapping) (span, jobEnergy float64
 			}
 		}
 		e := end[k]
-		if w := need * b.invBW; w > 1 {
+		w := need * b.invBW
+		if w > 1 {
 			span += (e - v) * w
 		} else {
 			span += e - v
 		}
+		moved += (e - v) * w
 		v = e
 		need -= req[k]
 		a := core[k]
 		if q, c := m.Queues[a], next[k]; c < len(q) {
-			i := q[c]*nA + a
-			end[k], req[k], next[k] = e+b.cycles[i], b.req[i], c+1
-			need += b.req[i]
-			jobEnergy += b.energy[i]
-			continue
+			row := &b.rows[q[c]*nA+a]
+			end[k], req[k], next[k] = e+row.cycles, row.req, c+1
+			need += row.req
+		} else {
+			n--
+			end[k], req[k], core[k], next[k] = end[n], req[n], core[n], next[n]
+			if n == 0 {
+				break
+			}
 		}
-		n--
-		end[k], req[k], core[k], next[k] = end[n], req[n], core[n], next[n]
+		if lb := span + max(r.Compute-v, left-moved); lb > rawCut && b.bestSpan(lb) > cut {
+			return lb, true
+		}
 	}
-	return span, jobEnergy
+	return span, false
 }

@@ -31,8 +31,8 @@ func twoCoreHetero() platform.Platform {
 // direction (throughput, latency, energy, energy-delay product), which
 // is what makes the derived fitness an upper bound. Both accumulators are covered: the per-core
 // one over a decoded mapping (CoresInto) and the genome-order one the
-// search runner prices before decoding (GenomeResult), and the two
-// agree to within 1e-12 relative.
+// search runner prices before decoding (GenomeRoofline, with job
+// energy), and the two agree to within 1e-12 relative.
 func TestQuickBoundNeverBeatsSimulation(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -54,6 +54,7 @@ func TestQuickBoundNeverBeatsSimulation(t *testing.T) {
 			cb := make(CoreBounds, tc.p.NumAccels())
 			cycles := make([]float64, tc.p.NumAccels())
 			accel := make([]int, tc.nJobs)
+			prio := make([]float64, tc.nJobs)
 			r := rand.New(rand.NewSource(int64(tc.nJobs)))
 			for trial := 0; trial < 12; trial++ {
 				m := randomMapping(tc.nJobs, tc.p.NumAccels(), r)
@@ -64,10 +65,11 @@ func TestQuickBoundNeverBeatsSimulation(t *testing.T) {
 				}
 				b.CoresInto(cb, &m)
 				opt := b.Result(cb)
-				gen, ok := b.GenomeResult(cycles, accel)
+				roof, ok := b.GenomeRoofline(cycles, accel, prio, true)
 				if !ok {
-					t.Fatalf("trial %d: GenomeResult rejected in-range genes %v", trial, accel)
+					t.Fatalf("trial %d: GenomeRoofline rejected in-range genes %v", trial, accel)
 				}
+				gen := b.RooflineResult(roof)
 				for _, f := range []struct {
 					name      string
 					got, want float64
@@ -189,40 +191,49 @@ func TestGenomeBoundZeroAlloc(t *testing.T) {
 	tab := buildTable(t, models.Mix, 24, p)
 	b := NewBounds(tab)
 	r := rand.New(rand.NewSource(5))
-	accel := make([]int, 24)
+	accel, prio := make([]int, 24), make([]float64, 24)
 	for j := range accel {
-		accel[j] = r.Intn(p.NumAccels())
+		accel[j], prio[j] = r.Intn(p.NumAccels()), r.Float64()
 	}
 	cycles := make([]float64, p.NumAccels())
 	allocs := testing.AllocsPerRun(100, func() {
-		_, _ = b.GenomeResult(cycles, accel)
+		_, _ = b.GenomeRoofline(cycles, accel, prio, true)
 	})
 	if allocs != 0 {
 		t.Errorf("genome bound allocates %v times per run, want 0", allocs)
 	}
 }
 
-// TestGenomeResultChecksGenes pins the walk's validation half: a gene
-// outside [0, NumAccels()) anywhere in the genome, or a genome of the
-// wrong length, is refused with a zero Result instead of being priced.
+// TestGenomeResultChecksGenes pins the validation half of the genome
+// roofline walk: an accel gene outside [0, NumAccels()), a priority
+// outside [0, 1) or NaN, or a section of the wrong length is refused
+// with a zero Roofline instead of being priced; -0 is a valid priority.
 func TestGenomeResultChecksGenes(t *testing.T) {
 	p := platform.S2().WithBW(8)
 	tab := buildTable(t, models.Mix, 6, p)
 	b := NewBounds(tab)
 	cycles := make([]float64, p.NumAccels())
-	for _, accel := range [][]int{
-		{0, 1, 0, 1, 0, p.NumAccels()},
-		{-1, 1, 0, 1, 0, 1},
-		{0, 1, 0, 1, 0},
-		{0, 1, 0, 1, 0, 1, 0},
-		nil,
+	prio := []float64{0, 0.5, 0.25, 0.75, 0.125, 0.999}
+	for _, c := range []struct {
+		accel []int
+		prio  []float64
+	}{
+		{[]int{0, 1, 0, 1, 0, p.NumAccels()}, prio},
+		{[]int{-1, 1, 0, 1, 0, 1}, prio},
+		{[]int{0, 1, 0, 1, 0}, prio},
+		{[]int{0, 1, 0, 1, 0, 1, 0}, prio},
+		{nil, prio},
+		{[]int{0, 1, 0, 1, 0, 1}, prio[:5]},
+		{[]int{0, 1, 0, 1, 0, 1}, []float64{0, 0.5, 1, 0.75, 0.125, 0.999}},
+		{[]int{0, 1, 0, 1, 0, 1}, []float64{0, 0.5, -0.25, 0.75, 0.125, 0.999}},
+		{[]int{0, 1, 0, 1, 0, 1}, []float64{0, 0.5, math.NaN(), 0.75, 0.125, 0.999}},
 	} {
-		if res, ok := b.GenomeResult(cycles, accel); ok || res.TotalCycles != 0 || res.Energy != 0 {
-			t.Errorf("GenomeResult(%v) = %+v, %v; want a zero Result and false", accel, res, ok)
+		if r, ok := b.GenomeRoofline(cycles, c.accel, c.prio, true); ok || r != (Roofline{}) {
+			t.Errorf("GenomeRoofline(%v, %v) = %+v, %v; want a zero Roofline and false", c.accel, c.prio, r, ok)
 		}
 	}
-	if _, ok := b.GenomeResult(cycles, []int{0, 1, 0, 1, 0, 1}); !ok {
-		t.Error("GenomeResult refused in-range genes")
+	if _, ok := b.GenomeRoofline(cycles, []int{0, 1, 0, 1, 0, 1}, []float64{math.Copysign(0, -1), 0.5, 0.25, 0.75, 0.125, 0.999}, true); !ok {
+		t.Error("GenomeRoofline refused in-range genes")
 	}
 }
 

@@ -34,11 +34,10 @@ func fuzzGenome(accelBytes, prioBits []byte) encoding.Genome {
 
 // FuzzGenomeBound checks the law the search runner's pruning pass
 // rests on, over a 6-job Mix group on the four cores of S2: for any
-// accel and priority bits, Bounds.GenomeResult never panics, refuses
-// exactly the genomes whose accel genes fail Genome.Validate (so with
-// ValidPrio it accepts exactly the genomes Validate accepts), and when
-// it accepts one, its makespan bound is at most the simulated makespan
-// of the genome's decoded schedule. Explore beyond the seed corpus with
+// accel and priority bits, Bounds.GenomeRoofline never panics, accepts
+// exactly the genomes Genome.Validate accepts, and when it accepts one,
+// its makespan bound is at most the simulated makespan of the genome's
+// decoded schedule. Explore beyond the seed corpus with
 //
 //	go test -run=NONE -fuzz=FuzzGenomeBound -fuzztime=10s ./internal/sim/
 func FuzzGenomeBound(f *testing.F) {
@@ -57,20 +56,17 @@ func FuzzGenomeBound(f *testing.F) {
 	f.Fuzz(func(t *testing.T, accelBytes, prioBits []byte) {
 		g := fuzzGenome(accelBytes, prioBits)
 		cycles := make([]float64, nAccels)
-		res, ok := b.GenomeResult(cycles, g.Accel)
-		accelOK := encoding.Genome{Accel: g.Accel, Prio: make([]float64, len(g.Accel))}.Validate(nJobs, nAccels) == nil
-		if ok != accelOK {
-			t.Fatalf("GenomeResult ok=%v on accel genes %v, Validate says %v", ok, g.Accel, accelOK)
-		}
-		if valid := g.Validate(nJobs, nAccels) == nil; (ok && g.ValidPrio(nJobs)) != valid {
-			t.Fatalf("GenomeResult and ValidPrio accept %v, Validate says %v", !valid, valid)
+		roof, ok := b.GenomeRoofline(cycles, g.Accel, g.Prio, true)
+		if valid := g.Validate(nJobs, nAccels) == nil; ok != valid {
+			t.Fatalf("GenomeRoofline ok=%v on genome %v, Validate says %v", ok, g, valid)
 		}
 		if !ok {
-			if res.TotalCycles != 0 || res.Energy != 0 {
-				t.Fatalf("refused genome priced at %+v", res)
+			if roof != (sim.Roofline{}) {
+				t.Fatalf("refused genome priced at %+v", roof)
 			}
 			return
 		}
+		res := b.RooflineResult(roof)
 		got, err := sim.Run(tab, encoding.Decode(g, nAccels), sim.Options{})
 		if err != nil {
 			t.Fatalf("accepted genome decodes to an invalid mapping: %v", err)

@@ -55,7 +55,7 @@ func checkVirtual(t *testing.T, label string, b *Bounds, s *VirtualScratch, tab 
 	if !(worst.ThroughputGFLOPs <= run.ThroughputGFLOPs && run.ThroughputGFLOPs <= best.ThroughputGFLOPs) {
 		t.Fatalf("%s: throughput %v outside the bracket [%v, %v]", label, run.ThroughputGFLOPs, worst.ThroughputGFLOPs, best.ThroughputGFLOPs)
 	}
-	span, _ := b.virtual(s, &m)
+	span, _ := b.virtual(s, &m, b.roofline(&m), math.Inf(1))
 	gap := math.Abs(span-run.TotalCycles) / run.TotalCycles
 	if gap > 1e-12 {
 		t.Fatalf("%s: virtual makespan %v vs Run %v: relative gap %g", label, span, run.TotalCycles, gap)
@@ -170,6 +170,63 @@ func FuzzVirtualMakespan(f *testing.F) {
 		}
 		checkVirtual(t, "fuzz", NewBounds(tab), &VirtualScratch{}, tab, m)
 	})
+}
+
+// FuzzVirtualCut feeds FuzzVirtualMakespan's mappings and tables to
+// VirtualCut with a cut at frac times the full walk's makespan. A walk
+// that stops returns an optimistic makespan above the cut and at most
+// the full walk's makespan (so at most Run's), with a zero worst; a
+// walk that never stops returns bit for bit what the uncut walk
+// returns. Explore beyond the seed corpus with
+//
+//	go test -run=NONE -fuzz=FuzzVirtualCut -fuzztime=10s ./internal/sim/
+func FuzzVirtualCut(f *testing.F) {
+	const nJobs, nAccels = 6, 3
+	f.Fuzz(func(t *testing.T, seed int64, data []byte, frac float64) {
+		tab := bandwidthTable(rand.New(rand.NewSource(seed)), nJobs, nAccels, seed%2 != 0)
+		m := fuzzMapping(data)
+		if m.Validate(nJobs, nAccels) != nil {
+			return
+		}
+		b, s := NewBounds(tab), &VirtualScratch{}
+		roof := b.roofline(&m)
+		full, _ := b.virtual(s, &m, roof, math.Inf(1))
+		wantBest, wantWorst, _ := b.Virtual(s, &m)
+		cut := frac * full
+		best, worst, stopped := b.VirtualCut(s, &m, roof, cut)
+		if !stopped {
+			for _, c := range []struct{ got, want Result }{{best, wantBest}, {worst, wantWorst}} {
+				if !sameResult(c.got, c.want) {
+					t.Fatalf("cut %v never reached, but the walk returned %+v, the uncut walk %+v", cut, c.got, c.want)
+				}
+			}
+			return
+		}
+		if !(best.TotalCycles > cut) {
+			t.Fatalf("walk stopped at optimistic makespan %v, not above its cut %v", best.TotalCycles, cut)
+		}
+		if best.TotalCycles > full {
+			t.Fatalf("walk stopped at optimistic makespan %v, above the full walk's %v", best.TotalCycles, full)
+		}
+		run, err := Run(tab, m, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if best.TotalCycles > run.TotalCycles {
+			t.Fatalf("walk stopped at optimistic makespan %v, above Run's %v", best.TotalCycles, run.TotalCycles)
+		}
+		if !sameResult(worst, Result{}) {
+			t.Fatalf("stopped walk returned worst %+v, want zero", worst)
+		}
+	})
+}
+
+// sameResult reports whether two bound Results agree bit for bit in
+// every scalar field.
+func sameResult(a, b Result) bool {
+	bits := math.Float64bits
+	return bits(a.TotalCycles) == bits(b.TotalCycles) && bits(a.Seconds) == bits(b.Seconds) &&
+		bits(a.ThroughputGFLOPs) == bits(b.ThroughputGFLOPs) && bits(a.Energy) == bits(b.Energy)
 }
 
 // BenchmarkVirtualMakespan brackets random schedules on a random
