@@ -31,7 +31,6 @@ var gates = []gate{
 	{report: "eval", path: "cache_hit_rate", op: ">=", bound: 0},
 	{report: "eval", path: "cache_hit_rate_by_mapper.*", op: ">=", bound: 0},
 	{report: "eval", path: "cached_speedup", op: ">", bound: 0},
-	{report: "eval", path: "effective_budget.distinct_stretch", op: ">=", bound: 1},
 	{report: "eval", path: "bound_prune_rate", op: ">", bound: 0},
 	{report: "eval", path: "bound.pruned", op: ">", bound: 0},
 	// The shipped event kernel against the v1 oracle at 100 jobs on 16

@@ -158,10 +158,6 @@ type Report struct {
 	// over the cached one (phase_breakdown's workers=1 row): what the
 	// cache buys inside one search.
 	CachedSpeedup float64 `json:"cached_speedup"`
-	// EffectiveBudget measures Options.EffectiveBudget where it pays
-	// most: distinct schedules explored with duplicates charged versus
-	// free.
-	EffectiveBudget EffectiveBudgetReport `json:"effective_budget"`
 	// PhaseBreakdown times the phases of a full cached MAGMA search as
 	// cmd/serve ships it, at workers=1 and at GOMAXPROCS.
 	PhaseBreakdown PhaseBreakdown `json:"phase_breakdown"`
@@ -224,23 +220,6 @@ type PhaseRow struct {
 	// Asked − FPFull − (BoundPruned − VirtualPruned) − Invalid (the
 	// virtual-time stage settles genomes after their fingerprint).
 	Reasks uint64 `json:"reasks"`
-}
-
-// EffectiveBudgetReport compares one cached search with and without
-// Options.EffectiveBudget at the same sampling budget.
-type EffectiveBudgetReport struct {
-	Mapper    string `json:"mapper"`
-	GroupSize int    `json:"group_size"`
-	Budget    int    `json:"budget"`
-	// Baseline* charges every sample (the paper), Effective* only the
-	// distinct ones: Distinct counts cache misses, Asked the genomes
-	// processed, and DistinctStretch is EffectiveDistinct over
-	// BaselineDistinct.
-	BaselineDistinct  int     `json:"baseline_distinct"`
-	BaselineAsked     int     `json:"baseline_asked"`
-	EffectiveDistinct int     `json:"effective_distinct"`
-	EffectiveAsked    int     `json:"effective_asked"`
-	DistinctStretch   float64 `json:"distinct_stretch"`
 }
 
 // benchPackages are the packages whose benchmarks the eval report
@@ -332,26 +311,6 @@ func evalReport(benchtime string) (*Report, error) {
 		rep.CacheHitRateByMapper[m.name] = res.Cache.HitRate()
 	}
 	rep.CacheHitRate = rep.CacheHitRateByMapper["MAGMA"]
-
-	// Effective budget where it pays most: MAGMA at group 16 asks ~70%
-	// duplicates at full budget, and freeing them multiplies the
-	// distinct schedules the budget explores.
-	const ebGroup = 16
-	ebProb := ss.problem(ebGroup, 52)
-	base, _ := ss.run(ebProb, newMAGMA(), m3e.Options{Cache: true}, 4)
-	eff, _ := ss.run(ebProb, newMAGMA(), m3e.Options{Cache: true, EffectiveBudget: true}, 4)
-	rep.EffectiveBudget = EffectiveBudgetReport{
-		Mapper:            "MAGMA",
-		GroupSize:         ebGroup,
-		Budget:            m3e.DefaultBudget,
-		BaselineDistinct:  int(base.Cache.Misses),
-		BaselineAsked:     base.Asked,
-		EffectiveDistinct: int(eff.Cache.Misses),
-		EffectiveAsked:    eff.Asked,
-	}
-	if base.Cache.Misses > 0 {
-		rep.EffectiveBudget.DistinctStretch = float64(eff.Cache.Misses) / float64(base.Cache.Misses)
-	}
 
 	// Analytical pruning against the unpruned reference, both serial
 	// (the wrapper also hides the breeding hook); the searches must be

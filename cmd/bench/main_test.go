@@ -101,7 +101,6 @@ func passing(t *testing.T) map[string]map[string]any {
 		SpeedupVsSerial:      2,
 		KernelSpeedup:        2.3,
 		VirtualSpeedup:       3,
-		EffectiveBudget:      EffectiveBudgetReport{DistinctStretch: 3},
 		PhaseBreakdown: PhaseBreakdown{TellSpeedup: 1.9, Rows: []PhaseRow{
 			{Workers: 1, Generations: 100, Reasks: 990},
 			{Workers: 4, Generations: 100, Reasks: 990},

@@ -291,7 +291,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative workers", Options{Workers: -1}, []string{"Workers -1"}},
 		{"negative cachesize", Options{CacheSize: -2}, []string{"CacheSize -2"}},
 		{"cachesize without cache", Options{CacheSize: 64}, []string{"CacheSize set without Cache"}},
-		{"effective budget without cache", Options{EffectiveBudget: true}, []string{"EffectiveBudget requires Cache"}},
 		{"everything at once", Options{Mapper: "nope", Budget: -1, Workers: -1},
 			[]string{"nope", "Budget -1", "Workers -1"}},
 	}
@@ -312,48 +311,10 @@ func TestOptionsValidate(t *testing.T) {
 	if err := (Options{}).Validate(); err != nil {
 		t.Errorf("zero Options invalid: %v", err)
 	}
-	if err := (Options{Cache: true, CacheSize: 64, EffectiveBudget: true}).Validate(); err != nil {
+	if err := (Options{Cache: true, CacheSize: 64}).Validate(); err != nil {
 		t.Errorf("cache options invalid: %v", err)
 	}
 	if err := (StreamOptions{BudgetPerGroup: -3}).Validate(); err == nil {
 		t.Error("negative BudgetPerGroup accepted")
-	}
-}
-
-// --- effective budget -------------------------------------------------
-
-func TestEffectiveBudgetExploresMoreAndStaysDeterministic(t *testing.T) {
-	g := testGroup(t, Mix, 16)
-	pf := PlatformS2()
-	base, err := Optimize(g, pf, Options{Mapper: "MAGMA", Budget: 600, Seed: 2, Cache: true})
-	if err != nil {
-		t.Fatalf("baseline: %v", err)
-	}
-	eff, err := Optimize(g, pf, Options{Mapper: "MAGMA", Budget: 600, Seed: 2, Cache: true, EffectiveBudget: true})
-	if err != nil {
-		t.Fatalf("effective: %v", err)
-	}
-	if base.Asked != base.Samples {
-		t.Errorf("baseline Asked %d != Samples %d", base.Asked, base.Samples)
-	}
-	if eff.Asked <= eff.Samples {
-		t.Errorf("effective mode should process more genomes than it charges: asked %d, samples %d", eff.Asked, eff.Samples)
-	}
-	if eff.Cache.Misses <= base.Cache.Misses {
-		t.Errorf("effective mode explored %d distinct schedules, baseline %d — expected more", eff.Cache.Misses, base.Cache.Misses)
-	}
-	if eff.Fitness < base.Fitness {
-		t.Errorf("effective mode fitness %v worse than baseline %v", eff.Fitness, base.Fitness)
-	}
-	// Deterministic across worker counts.
-	for _, workers := range []int{2, 8} {
-		again, err := Optimize(g, pf, Options{Mapper: "MAGMA", Budget: 600, Seed: 2, Cache: true, EffectiveBudget: true, Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if again.Fitness != eff.Fitness || again.Samples != eff.Samples || again.Asked != eff.Asked {
-			t.Errorf("workers=%d: fitness/samples/asked %v/%d/%d != serial %v/%d/%d",
-				workers, again.Fitness, again.Samples, again.Asked, eff.Fitness, eff.Samples, eff.Asked)
-		}
 	}
 }

@@ -17,11 +17,15 @@ import (
 )
 
 var (
-	updateDigests  = flag.Bool("update", false, "regenerate testdata/digests.json from the current code")
-	digestWorkers  = []int{1, 2, 8}
-	digestsPath    = filepath.Join("testdata", "digests.json")
-	digestMappers  = []string{"MAGMA", "stdGA"}
-	digestJobs     = []int{16, 30}
+	updateDigests = flag.Bool("update", false, "regenerate testdata/digests.json from the current code")
+	digestWorkers = []int{1, 2, 8}
+	digestsPath   = filepath.Join("testdata", "digests.json")
+	digestMappers = []string{"MAGMA", "stdGA"}
+	digestJobs    = []int{16, 30}
+	// digestOthers are the remaining registered mappers, pinned on one
+	// cell each (Throughput, J16, S2@16). The RL mappers are left out:
+	// at this budget one search takes 19 s (A2C) and 63 s (PPO2).
+	digestOthers   = []string{"DE", "CMA", "TBPSA", "PSO", "Random", "Herald-like", "AI-MT-like"}
 	digestBudget   = 3000
 	digestSettings = []struct {
 		name string
@@ -60,12 +64,13 @@ func resultDigest(s Schedule) string {
 }
 
 // TestResultDigests pins the result of the pruned mappers (MAGMA and
-// stdGA) bit for bit: every objective, two group sizes and two
-// platforms, each cell run uncached, with a cache of its own (no
+// stdGA) bit for bit on every objective, two group sizes and two
+// platforms, and of every other registered mapper on Throughput at J16
+// on S2@16. Each cell runs uncached, with a cache of its own (no
 // store), and with one Solver's store shared across the cell's runs (so
 // later runs read entries earlier ones wrote), at workers 1, 2 and 8.
-// All runs of a cell must reproduce the one committed digest. A change that means to move
-// results regenerates the file with
+// All runs of a cell must reproduce the one committed digest. A change
+// that means to move results regenerates the file with
 //
 //	go test -run TestResultDigests -update .
 //
@@ -86,42 +91,47 @@ func TestResultDigests(t *testing.T) {
 		}
 	}
 	got := map[string]string{}
-	for _, n := range digestJobs {
-		g := testGroup(t, Mix, n)
-		for _, st := range digestSettings {
-			pf := st.pf()
-			for _, obj := range []Objective{Throughput, Latency, Energy, EDP} {
-				for _, mapper := range digestMappers {
-					cell := fmt.Sprintf("%s/%s/J%d/%s", mapper, obj, n, st.name)
-					solver := NewSolver(SolverOptions{})
-					for _, cache := range []string{"off", "own", "store"} {
-						for _, w := range digestWorkers {
-							opts := Options{Mapper: mapper, Objective: obj, Budget: digestBudget, Seed: 7, Workers: w}
-							switch cache {
-							case "own":
-								opts.Cache = true
-							case "store":
-								opts.Cache, opts.Solver = true, solver
-							}
-							s, err := Optimize(g, pf, opts)
-							if err != nil {
-								t.Fatalf("%s: %v", cell, err)
-							}
-							d := resultDigest(s)
-							run := fmt.Sprintf("%s (cache=%s workers=%d)", cell, cache, w)
-							if prev, ok := got[cell]; ok && prev != d {
-								t.Errorf("%s: digest %s differs from the cell's first run %s", run, d, prev)
-								continue
-							}
-							got[cell] = d
-							if !*updateDigests && want[cell] != d {
-								t.Errorf("%s: digest %s, committed %q", run, d, want[cell])
-							}
-						}
-					}
+	runCell := func(g Group, pf Platform, setting, mapper string, obj Objective) {
+		cell := fmt.Sprintf("%s/%s/J%d/%s", mapper, obj, len(g.Jobs), setting)
+		solver := NewSolver(SolverOptions{})
+		for _, cache := range []string{"off", "own", "store"} {
+			for _, w := range digestWorkers {
+				opts := Options{Mapper: mapper, Objective: obj, Budget: digestBudget, Seed: 7, Workers: w}
+				switch cache {
+				case "own":
+					opts.Cache = true
+				case "store":
+					opts.Cache, opts.Solver = true, solver
+				}
+				s, err := Optimize(g, pf, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", cell, err)
+				}
+				d := resultDigest(s)
+				run := fmt.Sprintf("%s (cache=%s workers=%d)", cell, cache, w)
+				if prev, ok := got[cell]; ok && prev != d {
+					t.Errorf("%s: digest %s differs from the cell's first run %s", run, d, prev)
+					continue
+				}
+				got[cell] = d
+				if !*updateDigests && want[cell] != d {
+					t.Errorf("%s: digest %s, committed %q", run, d, want[cell])
 				}
 			}
 		}
+	}
+	for _, n := range digestJobs {
+		g := testGroup(t, Mix, n)
+		for _, st := range digestSettings {
+			for _, obj := range []Objective{Throughput, Latency, Energy, EDP} {
+				for _, mapper := range digestMappers {
+					runCell(g, st.pf(), st.name, mapper, obj)
+				}
+			}
+		}
+	}
+	for _, mapper := range digestOthers {
+		runCell(testGroup(t, Mix, 16), digestSettings[0].pf(), digestSettings[0].name, mapper, Throughput)
 	}
 	if !*updateDigests {
 		if len(want) != len(got) {

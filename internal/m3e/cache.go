@@ -325,7 +325,6 @@ type FitnessCache struct {
 
 	mode    []uint8                      // batch index -> fingerprint outcome (fp* constants)
 	class   []int                        // batch index -> representative slot, or -1 if resolved
-	charge  []bool                       // batch index -> consumes effective budget (miss/invalid)
 	reps    []int                        // representative slot -> batch index
 	inBatch map[encoding.Fingerprint]int // fingerprint -> representative slot
 
@@ -376,13 +375,6 @@ func (c *FitnessCache) Rebind() {
 // Stats returns the counters accumulated so far.
 func (c *FitnessCache) Stats() CacheStats { return c.stats }
 
-// ChargedAt reports whether batch index i of the most recent Evaluate
-// call consumed effective budget: true for schedules that reached the
-// simulator (distinct, uncached) and for invalid genomes; false for
-// cache hits and in-batch duplicates. The runner's EffectiveBudget mode
-// reads this to charge the budget only for distinct schedules.
-func (c *FitnessCache) ChargedAt(i int) bool { return c.charge[i] }
-
 // Len returns the number of fingerprints in the backing store.
 func (c *FitnessCache) Len() int { return c.store.Len() }
 
@@ -399,7 +391,7 @@ func (c *FitnessCache) Len() int { return c.store.Len() }
 //     mappings, then scatter fitness to every class member and insert
 //     the new results into the store (one write-lock for the batch).
 func (c *FitnessCache) Evaluate(pool *Pool, batch []encoding.Genome, fit []float64) {
-	c.evaluate(pool, batch, fit, nil, len(batch), nil, time.Time{})
+	c.evaluate(pool, batch, fit, nil, nil, time.Time{})
 }
 
 // evaluate is Evaluate behind the runner's pruning pass pn (nil
@@ -412,35 +404,69 @@ func (c *FitnessCache) Evaluate(pool *Pool, batch []encoding.Genome, fit []float
 // genome the store does not answer goes through settle before any is
 // simulated.
 //
-// The grouping scan stops once budget genomes have been charged (see
-// ChargedAt): it resolves only the shortest prefix of the batch holding
-// that many, and evaluate returns its length. Genomes past the cut were
-// fingerprinted but are neither counted, simulated nor stored. A budget
-// of len(batch) or more never cuts.
-//
 // With a phases hook set (Run's), start is the instant the call began:
 // evaluate reads the clock when the lookup ends and, when it settles,
 // again when the virtual-time stage ends, adds the fingerprint and bound
 // time to the hook, and returns the instant simulation began, so the
 // caller's next clock read closes the simulate phase.
-func (c *FitnessCache) evaluate(pool *Pool, batch []encoding.Genome, fit []float64, pre []uint8, budget int, pn *pruner, start time.Time) (int, time.Time) {
+func (c *FitnessCache) evaluate(pool *Pool, batch []encoding.Genome, fit []float64, pre []uint8, pn *pruner, start time.Time) time.Time {
 	c.grow(len(batch))
 	c.fingerprintBatch(pool, batch, pre)
 
 	staged := pn != nil && pn.virtual
+	c.lookup(fit, staged, pn)
+	tSim := start
+	if c.phases != nil {
+		tSim = time.Now() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
+		c.phases.FingerprintNs += tSim.Sub(start).Nanoseconds()
+	}
+
+	c.todo = c.todo[:0]
+	if staged {
+		c.settle(pool, fit, pn)
+		if c.phases != nil {
+			tBound := tSim
+			tSim = time.Now() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
+			c.phases.BoundNs += tSim.Sub(tBound).Nanoseconds()
+		}
+	}
+
+	for _, i := range c.reps {
+		if !staged || pn.state[i] == slotOpen {
+			c.todo = append(c.todo, i)
+		}
+	}
+	if len(c.todo) > 0 {
+		pool.simulate(c.todo, fit, func(_ *Evaluator, k int) *sim.Mapping { return &c.maps[c.todo[k]] })
+	}
+	for i := range batch {
+		if slot := c.class[i]; slot >= 0 {
+			r := c.reps[slot]
+			fit[i] = fit[r]
+			if staged {
+				pn.state[i], pn.lo[i], pn.hi[i] = pn.state[r], pn.lo[r], pn.hi[r]
+			}
+		}
+	}
+	if len(c.todo) > 0 || (staged && len(c.fresh) > 0) {
+		c.insert(fit, staged, pn)
+	}
+	return tSim
+}
+
+// lookup is phase 2: the serial grouping scan of the batch under one
+// store read lock. Each fingerprinted genome becomes a store hit, an
+// in-batch duplicate of an earlier representative, or a new
+// representative (fresh, or topped when the store holds its bracket top
+// and the pruning pass is staged).
+func (c *FitnessCache) lookup(fit []float64, staged bool, pn *pruner) {
 	c.reps, c.hits = c.reps[:0], c.hits[:0]
 	c.fresh, c.topped = c.fresh[:0], c.topped[:0]
 	clear(c.inBatch)
-	n, charged := len(batch), 0
 	c.store.mu.RLock()
-	for i := range batch {
-		if charged == budget {
-			n = i
-			break
-		}
+	defer c.store.mu.RUnlock()
+	for i := range c.mode {
 		c.class[i] = -1
-		c.charge[i] = true // constraint violations always consume budget
-		charged++
 		switch c.mode[i] {
 		case fpSettled:
 			continue
@@ -459,8 +485,6 @@ func (c *FitnessCache) evaluate(pool *Pool, batch []encoding.Genome, fit []float
 				c.stats.CrossHits++
 			}
 			c.hits = append(c.hits, i)
-			c.charge[i] = false
-			charged--
 			continue
 		}
 		if stored && staged {
@@ -473,8 +497,6 @@ func (c *FitnessCache) evaluate(pool *Pool, batch []encoding.Genome, fit []float
 				c.class[i] = slot
 				c.weight[c.reps[slot]]++
 				c.stats.Deduped++
-				c.charge[i] = false
-				charged--
 				continue
 			}
 			c.inBatch[fp] = len(c.reps)
@@ -485,53 +507,22 @@ func (c *FitnessCache) evaluate(pool *Pool, batch []encoding.Genome, fit []float
 		c.reps = append(c.reps, i)
 		c.stats.Misses++
 	}
-	c.store.mu.RUnlock()
-	tSim := start
-	if c.phases != nil {
-		tSim = time.Now() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
-		c.phases.FingerprintNs += tSim.Sub(start).Nanoseconds()
-	}
+}
 
-	c.todo = c.todo[:0]
-	if staged {
-		c.settle(pool, fit[:n], pn)
-		if c.phases != nil {
-			tBound := tSim
-			tSim = time.Now() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
-			c.phases.BoundNs += tSim.Sub(tBound).Nanoseconds()
+// insert stores, under one store write lock, the fitness of every
+// simulated representative and, when the pruning pass is staged, the
+// bracket top of every fresh representative it settled.
+func (c *FitnessCache) insert(fit []float64, staged bool, pn *pruner) {
+	c.store.mu.Lock()
+	defer c.store.mu.Unlock()
+	for _, i := range c.todo {
+		c.store.insertLocked(c.fps[i], fit[i], c.run)
+	}
+	for _, i := range c.fresh {
+		if staged && pn.state[i] == slotFiltered {
+			c.store.insertTopLocked(c.fps[i], fit[i])
 		}
 	}
-
-	for _, i := range c.reps {
-		if !staged || pn.state[i] == slotOpen {
-			c.todo = append(c.todo, i)
-		}
-	}
-	if len(c.todo) > 0 {
-		pool.simulate(c.todo, fit, func(_ *Evaluator, k int) *sim.Mapping { return &c.maps[c.todo[k]] })
-	}
-	for i := range batch[:n] {
-		if slot := c.class[i]; slot >= 0 {
-			r := c.reps[slot]
-			fit[i] = fit[r]
-			if staged {
-				pn.state[i], pn.lo[i], pn.hi[i] = pn.state[r], pn.lo[r], pn.hi[r]
-			}
-		}
-	}
-	if len(c.todo) > 0 || (staged && len(c.fresh) > 0) {
-		c.store.mu.Lock()
-		for _, i := range c.todo {
-			c.store.insertLocked(c.fps[i], fit[i], c.run)
-		}
-		for _, i := range c.fresh {
-			if staged && pn.state[i] == slotFiltered {
-				c.store.insertTopLocked(c.fps[i], fit[i])
-			}
-		}
-		c.store.mu.Unlock()
-	}
-	return n, tSim
 }
 
 // settle is the pruning pass's virtual-time stage on the cache path,
@@ -588,13 +579,11 @@ func (c *FitnessCache) grow(n int) {
 		c.fps = make([]encoding.Fingerprint, n)
 		c.mode = make([]uint8, n)
 		c.class = make([]int, n)
-		c.charge = make([]bool, n)
 		c.weight = make([]int, n)
 	}
 	c.maps = c.maps[:n]
 	c.fps = c.fps[:n]
 	c.mode = c.mode[:n]
 	c.class = c.class[:n]
-	c.charge = c.charge[:n]
 	c.weight = c.weight[:n]
 }

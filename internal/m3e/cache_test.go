@@ -213,52 +213,3 @@ func TestRunCachedBatchBufferReuse(t *testing.T) {
 		t.Errorf("hit rate = %v, want > 0 (elites repeat across generations)", res.Cache.HitRate())
 	}
 }
-
-// TestRunEffectiveBudgetFillsBudget runs MAGMA and stdGA at group 16
-// with duplicates free: each must spend its whole budget on distinct
-// schedules and stop far below the stretch cap, with one curve entry
-// per charged sample, counters that add up to Asked, and bit-identical
-// results at every worker count. Each batch is cut after the
-// fingerprint pass, at the shortest prefix holding the charged genomes
-// still left; a cut by position alone kept only the free elite
-// re-asks at the head of the batch, so Samples stalled below Budget.
-func TestRunEffectiveBudgetFillsBudget(t *testing.T) {
-	prob := parallelProblem(t)
-	const budget = 2000
-	for _, m := range []struct {
-		name string
-		mk   func() m3e.Optimizer
-	}{
-		{"MAGMA", func() m3e.Optimizer { return optmagma.New(optmagma.Config{}) }},
-		{"stdGA", func() m3e.Optimizer { return ga.New(ga.Config{}) }},
-	} {
-		t.Run(m.name, func(t *testing.T) {
-			var ref m3e.Result
-			for _, workers := range []int{1, 2, 8} {
-				res, err := m3e.Run(prob, m.mk(), m3e.Options{Budget: budget, Workers: workers, Cache: true, EffectiveBudget: true}, 4)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Samples != budget || len(res.Curve) != budget {
-					t.Fatalf("workers=%d: %d samples, %d curve entries, want %d", workers, res.Samples, len(res.Curve), budget)
-				}
-				if res.Asked >= m3e.EffectiveBudgetStretchCap*budget {
-					t.Fatalf("workers=%d: ran into the stretch cap (%d asked)", workers, res.Asked)
-				}
-				st := res.Cache
-				if st.Hits+st.Deduped+st.Misses+st.Invalid != uint64(res.Asked) {
-					t.Errorf("workers=%d: counters %+v don't add up to %d asked", workers, st, res.Asked)
-				}
-				if st.Misses+st.Invalid != uint64(res.Samples) {
-					t.Errorf("workers=%d: %d misses + %d invalid charged, want %d samples", workers, st.Misses, st.Invalid, res.Samples)
-				}
-				res.Phases = m3e.PhaseTimings{}
-				if workers == 1 {
-					ref = res
-				} else if !reflect.DeepEqual(res, ref) {
-					t.Errorf("workers=%d: result differs from workers=1", workers)
-				}
-			}
-		})
-	}
-}

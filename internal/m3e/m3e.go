@@ -261,8 +261,8 @@ type Result struct {
 	Method      string
 	Best        encoding.Genome
 	BestFitness float64
-	Samples     int         // budget units consumed (see Options.EffectiveBudget)
-	Asked       int         // genomes processed (== Samples unless EffectiveBudget)
+	Samples     int         // budget units consumed: one per genome processed
+	Asked       int         // genomes processed (always == Samples)
 	Curve       []float64   // best-so-far fitness after each consumed sample
 	Explored    [][]float64 // sampled vectors (only when RecordSamples)
 	Cache       CacheStats  // hit/miss and pruning counters (see CacheStats)
@@ -324,8 +324,8 @@ type Progress struct {
 	Generation int
 	// Samples is the budget consumed so far, out of Budget.
 	Samples int
-	// Asked is the number of genomes processed so far (== Samples unless
-	// Options.EffectiveBudget charges only distinct schedules).
+	// Asked is the number of genomes processed so far; every genome is
+	// one sample, so it always equals Samples.
 	Asked int
 	// Budget is the run's total sampling budget.
 	Budget int
@@ -385,33 +385,10 @@ type Options struct {
 	// goroutine, so it must be fast and must not block; a slow observer
 	// stalls the search itself.
 	Observer func(Progress)
-	// EffectiveBudget, with the cache on, charges the sampling budget
-	// only for genomes that actually reach the simulator (cache misses)
-	// or fail validation; cache hits and in-batch duplicates are free.
-	// Highly redundant optimizers (CMA-ES re-asks up to 80% duplicate
-	// schedules at small groups) then explore several times more of the
-	// space for the same budget. Off by default — the paper charges every
-	// sample — and an error without Cache/Store, since without a cache
-	// there is nothing to distinguish distinct schedules by. Asked vs
-	// Samples in the Result reports the stretch. Each batch is cut, after
-	// its fingerprint pass, at the shortest prefix holding the charged
-	// genomes the budget has left, so Samples ends exactly at Budget
-	// unless the stretch cap stops the run first. To bound runs whose
-	// optimizer collapses onto all-cached batches, a run stops once Asked
-	// reaches EffectiveBudgetStretchCap times the budget. It also turns
-	// bound pruning off: a pruned genome is never fingerprinted, so the
-	// run could not tell whether it was distinct.
-	EffectiveBudget bool
-
 	// narrow replaces every virtual-time bracket the pruning pass prices
 	// (tests only; see pruner.narrow).
 	narrow func(lo, hi float64) (float64, float64)
 }
-
-// EffectiveBudgetStretchCap bounds an EffectiveBudget run: at most this
-// many genomes are processed per unit of budget, so an optimizer that
-// degenerates to asking only already-cached schedules still terminates.
-const EffectiveBudgetStretchCap = 100
 
 // Pool evaluates batches of genomes across a fixed set of workers, each
 // owning its own Evaluator (simulator + decode scratch). Fitness is
@@ -597,9 +574,6 @@ func Run(p *Problem, opt Optimizer, o Options, seed int64) (Result, error) {
 	case o.Cache:
 		cache = NewFitnessCache(p, o.CacheSize)
 	}
-	if o.EffectiveBudget && cache == nil {
-		return Result{}, fmt.Errorf("m3e: EffectiveBudget requires the fitness cache (set Cache or Store)")
-	}
 	res := Result{Method: opt.Name(), BestFitness: math.Inf(-1)}
 	res.Curve = make([]float64, 0, o.Budget)
 	if cache != nil {
@@ -613,7 +587,7 @@ func Run(p *Problem, opt Optimizer, o Options, seed int64) (Result, error) {
 	var pn *pruner
 	es, isES := opt.(EliteSelector)
 	rt, isRT := opt.(ReaskTracker)
-	if isES && isRT && !o.EffectiveBudget {
+	if isES && isRT {
 		// The bound constants are memoized on the first worker's simulator,
 		// so a leased pool carries them warm across runs.
 		pn = newPruner(p, pool.evs[0].sim.Bounds(p.Table), es, rt, cache != nil)
@@ -649,9 +623,6 @@ func Run(p *Problem, opt Optimizer, o Options, seed int64) (Result, error) {
 			res.Aborted = true
 			break
 		}
-		if o.EffectiveBudget && res.Asked >= EffectiveBudgetStretchCap*o.Budget {
-			break
-		}
 		var batch []encoding.Genome
 		if err := guard(opt.Name(), "Ask", func() error {
 			// The injectable failure point fires inside the guard, so a
@@ -669,12 +640,7 @@ func Run(p *Problem, opt Optimizer, o Options, seed int64) (Result, error) {
 		if len(batch) == 0 {
 			return Result{}, fmt.Errorf("m3e: %s returned an empty batch", opt.Name())
 		}
-		// Truncate to the remaining budget. Under EffectiveBudget only
-		// the cache knows which genomes it will charge, so it cuts the
-		// batch itself, after fingerprinting: a cut by position could
-		// keep only free elite re-asks and stall the budget.
-		left := o.Budget - res.Samples
-		if !o.EffectiveBudget && len(batch) > left {
+		if left := o.Budget - res.Samples; len(batch) > left {
 			batch = batch[:left]
 		}
 		if cap(fit) < len(batch) {
@@ -692,9 +658,7 @@ func Run(p *Problem, opt Optimizer, o Options, seed int64) (Result, error) {
 				// The cache adds its fingerprint and bound time to
 				// res.Phases itself and returns the instant it began
 				// simulating.
-				var n int
-				n, now = cache.evaluate(pool, batch, fit, pre, left, pn, now)
-				batch, fit = batch[:n], fit[:n]
+				now = cache.evaluate(pool, batch, fit, pre, pn, now)
 			case pn != nil:
 				pn.simulate(pool, batch, fit)
 			default:
@@ -712,21 +676,13 @@ func Run(p *Problem, opt Optimizer, o Options, seed int64) (Result, error) {
 			return res, err
 		}
 		for i, g := range batch {
+			res.Samples++
 			res.Asked++
-			charged := true
-			if o.EffectiveBudget {
-				charged = cache.ChargedAt(i)
-			}
-			if charged {
-				res.Samples++
-			}
 			if fit[i] > res.BestFitness {
 				res.BestFitness = fit[i]
 				res.Best = g.Clone()
 			}
-			if charged {
-				res.Curve = append(res.Curve, res.BestFitness)
-			}
+			res.Curve = append(res.Curve, res.BestFitness)
 			if o.RecordSamples {
 				res.Explored = append(res.Explored, g.ToVector(p.NumAccels()))
 			}

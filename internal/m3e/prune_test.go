@@ -112,7 +112,7 @@ func TestCachedDuplicatesShareSettlement(t *testing.T) {
 	cache := NewFitnessCache(prob, 0)
 	fit := make([]float64, len(batch))
 	state := pr.prune(pool, batch, fit, math.Inf(1))
-	cache.evaluate(pool, batch, fit, state, len(batch), pr, time.Time{})
+	cache.evaluate(pool, batch, fit, state, pr, time.Time{})
 	pr.commit(fit)
 	var settled, open int
 	for i := 2; i < len(batch); i += 2 {

@@ -2,53 +2,11 @@ package m3e
 
 import (
 	"context"
-	"magma/internal/rng"
 	"testing"
 
-	"magma/internal/encoding"
 	"magma/internal/models"
 	"magma/internal/platform"
 )
-
-func TestRunEffectiveBudgetRequiresCache(t *testing.T) {
-	prob := testProblem(t, models.Mix, 16, platform.S2(), Throughput)
-	_, err := Run(prob, &stubOpt{}, Options{Budget: 50, EffectiveBudget: true}, 1)
-	if err == nil {
-		t.Fatal("EffectiveBudget without Cache accepted")
-	}
-}
-
-// repeatOpt asks the same genome forever — the degenerate all-cached
-// stream the effective-budget stretch cap exists for.
-type repeatOpt struct {
-	g encoding.Genome
-}
-
-func (r *repeatOpt) Name() string { return "repeat" }
-func (r *repeatOpt) Init(p *Problem, rng *rng.Stream) error {
-	r.g = encoding.Random(p.NumJobs(), p.NumAccels(), rng)
-	return nil
-}
-func (r *repeatOpt) Ask() []encoding.Genome            { return []encoding.Genome{r.g} }
-func (r *repeatOpt) Tell([]encoding.Genome, []float64) {}
-
-func TestRunEffectiveBudgetStretchCap(t *testing.T) {
-	prob := testProblem(t, models.Mix, 16, platform.S2(), Throughput)
-	budget := 3
-	res, err := Run(prob, &repeatOpt{}, Options{Budget: budget, Cache: true, EffectiveBudget: true}, 1)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if res.Samples >= budget {
-		t.Fatalf("all-duplicate stream filled the budget: %d samples", res.Samples)
-	}
-	if res.Asked < EffectiveBudgetStretchCap*budget {
-		t.Fatalf("stopped at %d asked, cap is %d", res.Asked, EffectiveBudgetStretchCap*budget)
-	}
-	if res.Aborted {
-		t.Fatal("stretch-cap stop must not be reported as a context abort")
-	}
-}
 
 func TestRunObserverSeesEveryGeneration(t *testing.T) {
 	prob := testProblem(t, models.Mix, 16, platform.S2(), Throughput)

@@ -57,8 +57,12 @@ var magic = [8]byte{'M', 'A', 'G', 'M', 'A', 'S', 'N', 'P'}
 
 // Sanity bounds on deserialized counts: a corrupted length field must
 // fail fast instead of allocating gigabytes before the checksum check
-// has a chance to reject the file.
+// has a chance to reject the file. Read also never preallocates more
+// than preallocCap elements on a count's word alone: past that a slice
+// grows only as its elements are actually read, so a short file with a
+// huge count fails at its end instead of allocating the whole count.
 const (
+	preallocCap      = 1 << 12
 	maxProblems      = 1 << 20
 	maxEntries       = 1 << 26
 	maxWarmTasks     = 1 << 16
@@ -209,7 +213,9 @@ func (x *hashReader) u64() (uint64, error) {
 	return v, nil
 }
 
-// checksum reads the trailing (unhashed) checksum.
+// checksum reads the trailing (unhashed) checksum, which must end the
+// input: bytes after it are covered by no checksum, so a snapshot
+// followed by anything is rejected.
 func (x *hashReader) checksum() (uint64, error) {
 	sum := x.h.Sum64() // capture before the raw read
 	b := x.buf[:8]
@@ -226,7 +232,14 @@ func (x *hashReader) checksum() (uint64, error) {
 	if v != sum {
 		return 0, fmt.Errorf("%w: checksum mismatch (file %#x, computed %#x)", ErrCorrupt, v, sum)
 	}
-	return v, nil
+	switch _, err := io.ReadFull(x.r, b[:1]); err {
+	case io.EOF:
+		return v, nil
+	case nil:
+		return 0, fmt.Errorf("%w: trailing data after the checksum", ErrCorrupt)
+	default:
+		return 0, fmt.Errorf("%w: reading past the checksum (%v)", ErrCorrupt, err)
+	}
 }
 
 // Write serializes the snapshot: header (magic + four version fields),
@@ -275,8 +288,9 @@ func Write(w io.Writer, s *Snapshot) error {
 	return nil
 }
 
-// Read deserializes and validates a snapshot. Any structural problem —
-// wrong magic, truncation, checksum failure, implausible counts —
+// Read deserializes and validates a snapshot, which must span the whole
+// input. Any structural problem — wrong magic, truncation, checksum
+// failure, implausible counts, trailing bytes —
 // returns an error wrapping ErrCorrupt; an incompatible version field
 // returns a *VersionError. Either way the caller should boot cold.
 func Read(r io.Reader) (*Snapshot, error) {
@@ -337,9 +351,9 @@ func Read(r io.Reader) (*Snapshot, error) {
 		if nEntries > maxEntries {
 			return nil, fmt.Errorf("%w: %d entries", ErrCorrupt, nEntries)
 		}
-		p.Entries = make([]Entry, nEntries)
-		for ei := range p.Entries {
-			e := &p.Entries[ei]
+		p.Entries = make([]Entry, 0, min(nEntries, preallocCap))
+		for range nEntries {
+			var e Entry
 			if e.FP.A, err = x.u64(); err != nil {
 				return nil, err
 			}
@@ -351,6 +365,7 @@ func Read(r io.Reader) (*Snapshot, error) {
 				return nil, err
 			}
 			e.Fitness = math.Float64frombits(bits)
+			p.Entries = append(p.Entries, e)
 		}
 		s.Problems = append(s.Problems, p)
 	}
@@ -387,20 +402,21 @@ func Read(r io.Reader) (*Snapshot, error) {
 			if nGenes > maxGenesPerSeed {
 				return nil, fmt.Errorf("%w: %d genes", ErrCorrupt, nGenes)
 			}
-			g := encoding.Genome{Accel: make([]int, nGenes), Prio: make([]float64, nGenes)}
-			for i := range g.Accel {
+			n := min(nGenes, preallocCap)
+			g := encoding.Genome{Accel: make([]int, 0, n), Prio: make([]float64, 0, n)}
+			for range nGenes {
 				a, err := x.u32()
 				if err != nil {
 					return nil, err
 				}
-				g.Accel[i] = int(a)
+				g.Accel = append(g.Accel, int(a))
 			}
-			for i := range g.Prio {
+			for range nGenes {
 				bits, err := x.u64()
 				if err != nil {
 					return nil, err
 				}
-				g.Prio[i] = math.Float64frombits(bits)
+				g.Prio = append(g.Prio, math.Float64frombits(bits))
 			}
 			wt.Seeds = append(wt.Seeds, g)
 		}

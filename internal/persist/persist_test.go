@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"magma/internal/encoding"
@@ -148,6 +149,37 @@ func TestV1SnapshotRejected(t *testing.T) {
 	}
 	if ve.Field != "format" || ve.Got != 1 || ve.Want != FormatVersion {
 		t.Fatalf("v1 snapshot rejected with %+v, want format 1 vs %d", ve, FormatVersion)
+	}
+}
+
+// TestHugeCountAllocatesLittle declares the largest entry and gene
+// counts Read accepts in a file that ends right after them: Read must
+// fail as truncated without first allocating the declared slices (1.5
+// GiB of entries, 16 MiB of genes).
+func TestHugeCountAllocatesLittle(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Write(&buf, &Snapshot{}); err != nil {
+		t.Fatal(err)
+	}
+	header := buf.Bytes()[:8+4*4]
+	le := binary.LittleEndian
+	entries := le.AppendUint32(append([]byte(nil), header...), 1)
+	entries = append(entries, make([]byte, 8+8+4)...) // table key, objective
+	entries = le.AppendUint32(entries, maxEntries)
+	genes := le.AppendUint32(append([]byte(nil), header...), 0)
+	genes = le.AppendUint32(le.AppendUint32(genes, 1), 0) // one warm task
+	genes = le.AppendUint32(le.AppendUint32(genes, 1), maxGenesPerSeed)
+	for name, data := range map[string][]byte{"entries": entries, "genes": genes} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Read(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: error %v, want ErrCorrupt", name, err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+			t.Errorf("%s: Read allocated %d bytes for a %d-byte file", name, n, len(data))
+		}
 	}
 }
 

@@ -1,0 +1,49 @@
+package serve
+
+import (
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"magma"
+)
+
+// FuzzParseRequest feeds parseRequest arbitrary /optimize and /jobs
+// bodies. Every error it returns is one the handlers answer with 400, so
+// the property is that it never panics and returns either an error or a
+// runSpec a search can start from: options that validate, a worker count
+// within GOMAXPROCS, and a timeout that is never negative and, under a
+// server-wide cap, within it. Seed corpus:
+// internal/serve/testdata/fuzz/FuzzParseRequest. Explore beyond it with
+//
+//	go test -run=NONE -fuzz=FuzzParseRequest -fuzztime=10s ./internal/serve/
+func FuzzParseRequest(f *testing.F) {
+	solver := magma.NewSolver(magma.SolverOptions{})
+	const jobCap = time.Minute
+	servers := []*Server{New(solver), NewWith(solver, Config{JobTimeout: jobCap})}
+	f.Fuzz(func(t *testing.T, body string) {
+		for _, s := range servers {
+			spec, err := s.parseRequest(strings.NewReader(body))
+			if err != nil {
+				if spec != nil {
+					t.Fatalf("parseRequest(%q) returned a spec with error %v", body, err)
+				}
+				continue
+			}
+			if spec == nil {
+				t.Fatalf("parseRequest(%q) returned neither a spec nor an error", body)
+			}
+			if err := spec.opts.Validate(); err != nil {
+				t.Fatalf("parseRequest(%q) accepted invalid options: %v", body, err)
+			}
+			if w := spec.opts.Workers; w < 0 || w > runtime.GOMAXPROCS(0) {
+				t.Fatalf("parseRequest(%q) kept %d workers", body, w)
+			}
+			if spec.timeout < 0 || (s.cfg.JobTimeout > 0 && (spec.timeout == 0 || spec.timeout > s.cfg.JobTimeout)) {
+				t.Fatalf("parseRequest(%q) set timeout %v under a server cap of %v", body, spec.timeout, s.cfg.JobTimeout)
+			}
+			keyFor(spec)
+		}
+	})
+}

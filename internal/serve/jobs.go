@@ -39,7 +39,7 @@ type JobProgress struct {
 	Group       int       `json:"group"`        // group currently searching
 	Generation  int       `json:"generation"`   // generation within that group
 	Samples     int       `json:"samples"`      // budget consumed in that group
-	Asked       int       `json:"asked"`        // genomes processed in that group
+	Asked       int       `json:"asked"`        // genomes processed in that group (== samples)
 	Budget      int       `json:"budget"`       // that group's budget
 	BestFitness float64   `json:"best_fitness"` // best fitness in that group
 	Cache       CacheJSON `json:"cache"`        // counters of that group so far

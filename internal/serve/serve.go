@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"runtime"
 	"strings"
@@ -45,6 +46,12 @@ import (
 // 16 MB leaves room for very large inline workloads).
 const maxBody = 16 << 20
 
+// maxGenerateJobs bounds a generate spec's num_jobs, about what the
+// largest inline body could carry: the generator allocates every job
+// before any group is searched, so an unbounded count lets a 60-byte
+// body claim gigabytes.
+const maxGenerateJobs = 1 << 16
+
 // GenerateSpec asks the server to build a benchmark workload (§VI-A2)
 // instead of shipping one inline.
 type GenerateSpec struct {
@@ -56,15 +63,14 @@ type GenerateSpec struct {
 
 // RequestOptions mirrors magma.StreamOptions for the wire.
 type RequestOptions struct {
-	Mapper          string `json:"mapper,omitempty"`    // default MAGMA; any magma.Register name works
-	Objective       string `json:"objective,omitempty"` // throughput | latency | energy | edp
-	BudgetPerGroup  int    `json:"budget_per_group,omitempty"`
-	Seed            int64  `json:"seed,omitempty"`
-	Workers         int    `json:"workers,omitempty"`
-	Cache           *bool  `json:"cache,omitempty"` // default true: the shared cache is the point of the server
-	WarmStart       bool   `json:"warm_start,omitempty"`
-	SharedWarm      bool   `json:"shared_warm,omitempty"`
-	EffectiveBudget bool   `json:"effective_budget,omitempty"` // charge budget only for distinct schedules
+	Mapper         string `json:"mapper,omitempty"`    // default MAGMA; any magma.Register name works
+	Objective      string `json:"objective,omitempty"` // throughput | latency | energy | edp
+	BudgetPerGroup int    `json:"budget_per_group,omitempty"`
+	Seed           int64  `json:"seed,omitempty"`
+	Workers        int    `json:"workers,omitempty"`
+	Cache          *bool  `json:"cache,omitempty"` // default true: the shared cache is the point of the server
+	WarmStart      bool   `json:"warm_start,omitempty"`
+	SharedWarm     bool   `json:"shared_warm,omitempty"`
 }
 
 // OptimizeRequest is the POST /optimize and POST /jobs body. Exactly
@@ -353,6 +359,9 @@ func workloadFor(req *OptimizeRequest) (magma.Workload, error) {
 	case len(req.Workload) > 0:
 		return magma.ReadWorkloadJSON(bytes.NewReader(req.Workload))
 	case req.Generate != nil:
+		if n := req.Generate.NumJobs; n > maxGenerateJobs {
+			return magma.Workload{}, fmt.Errorf("num_jobs %d exceeds the limit of %d", n, maxGenerateJobs)
+		}
 		task, err := parseTask(req.Generate.Task)
 		if err != nil {
 			return magma.Workload{}, err
@@ -424,20 +433,19 @@ func (s *Server) parseRequest(body io.Reader) (*runSpec, error) {
 		wl: wl,
 		pf: pf,
 		opts: magma.StreamOptions{
-			Mapper:          req.Options.Mapper,
-			Objective:       obj,
-			BudgetPerGroup:  req.Options.BudgetPerGroup,
-			Seed:            req.Options.Seed,
-			Workers:         req.Options.Workers,
-			Cache:           cache,
-			WarmStart:       req.Options.WarmStart,
-			SharedWarm:      req.Options.SharedWarm,
-			EffectiveBudget: req.Options.EffectiveBudget,
+			Mapper:         req.Options.Mapper,
+			Objective:      obj,
+			BudgetPerGroup: req.Options.BudgetPerGroup,
+			Seed:           req.Options.Seed,
+			Workers:        req.Options.Workers,
+			Cache:          cache,
+			WarmStart:      req.Options.WarmStart,
+			SharedWarm:     req.Options.SharedWarm,
 		},
 		timeout: s.cfg.JobTimeout,
 	}
 	// Up-front validation turns deep-stack failures into immediate 400s
-	// (unknown mapper, negative budget, effective budget without cache).
+	// (unknown mapper, negative budget, warm sharing without warm start).
 	if err := spec.opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -451,7 +459,9 @@ func (s *Server) parseRequest(body io.Reader) (*runSpec, error) {
 		return nil, fmt.Errorf("options: negative timeout_ms %d", req.TimeoutMS)
 	}
 	if req.TimeoutMS > 0 {
-		t := time.Duration(req.TimeoutMS) * time.Millisecond
+		// Saturate instead of overflowing into a negative duration, which
+		// would expire the search before its first generation.
+		t := time.Duration(min(req.TimeoutMS, math.MaxInt64/int64(time.Millisecond))) * time.Millisecond
 		if spec.timeout == 0 || t < spec.timeout {
 			spec.timeout = t
 		}

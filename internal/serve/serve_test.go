@@ -203,7 +203,9 @@ func TestServeBadRequests(t *testing.T) {
 		// budget) is rejected before any search state is built.
 		{"unknown mapper", `{"generate":{"task":"Mix","num_jobs":16,"group_size":16,"seed":1},"options":{"mapper":"bogus","budget_per_group":32}}`, http.StatusBadRequest},
 		{"negative timeout", `{"generate":{"task":"Mix","num_jobs":16,"group_size":16,"seed":1},"timeout_ms":-5}`, http.StatusBadRequest},
-		{"effective budget without cache", `{"generate":{"task":"Mix","num_jobs":16,"group_size":16,"seed":1},"options":{"cache":false,"effective_budget":true}}`, http.StatusBadRequest},
+		// effective_budget was a wire option; its field is gone, so
+		// DisallowUnknownFields rejects it like any other unknown name.
+		{"effective_budget is an unknown field", `{"generate":{"task":"Mix","num_jobs":16,"group_size":16,"seed":1},"options":{"effective_budget":true}}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -57,7 +57,6 @@ func keyFor(spec *runSpec) flightKey {
 	u64(uint64(spec.opts.CacheSize))
 	b(spec.opts.Cache)
 	b(spec.opts.WarmStart)
-	b(spec.opts.EffectiveBudget)
 	u64(uint64(spec.timeout)) // different deadlines → different partials
 	var k flightKey
 	h.Sum(k[:0])

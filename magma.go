@@ -149,13 +149,6 @@ type Options struct {
 	// Nil means a private single-use Solver — the historical facade
 	// behavior.
 	Solver *Solver
-	// EffectiveBudget, with Cache on, charges the sampling budget only
-	// for distinct schedules: cache hits and in-batch duplicates are
-	// free, so redundant optimizers explore several times more of the
-	// space at the same budget. Off by default (the paper charges every
-	// sample); an error without Cache. Schedule.Samples versus
-	// Schedule.Asked reports the stretch.
-	EffectiveBudget bool
 	// Progress, when non-nil, is called after every search generation
 	// with a live snapshot (samples consumed, best fitness, cache
 	// counters). It runs synchronously on the search goroutine: keep it
@@ -204,8 +197,8 @@ type Schedule struct {
 	// search (see CacheStats; always zero for the manual heuristics).
 	Cache CacheStats
 	// Samples is the sampling budget actually consumed; Asked is the
-	// number of genomes processed. They differ only under
-	// Options.EffectiveBudget, where cached duplicates are free.
+	// number of genomes processed. Every processed genome is one sample
+	// (§VI-B), so the two are always equal.
 	Samples int
 	Asked   int
 	// Phases is the search's per-phase wall-clock breakdown (ask /

@@ -143,20 +143,18 @@ func (s *Solver) optimizeHandle(ctx context.Context, h *engine.ProblemHandle, g 
 		}
 	}
 	res, err := h.RunCtx(ctx, opt, m3e.Options{
-		Budget:          opts.Budget,
-		Workers:         opts.Workers,
-		Cache:           opts.Cache,
-		CacheSize:       opts.CacheSize,
-		EffectiveBudget: opts.EffectiveBudget,
-		Observer:        opts.Progress,
+		Budget:    opts.Budget,
+		Workers:   opts.Workers,
+		Cache:     opts.Cache,
+		CacheSize: opts.CacheSize,
+		Observer:  opts.Progress,
 	}, opts.Seed)
 	if err != nil {
 		return Schedule{}, err
 	}
 	if res.Aborted && res.Asked == 0 {
 		// Dead before the first generation: there is no best-so-far
-		// schedule to return. (Asked, not Samples — under EffectiveBudget
-		// an all-cache-hit prefix has Samples 0 but a real best.)
+		// schedule to return.
 		return Schedule{}, ctx.Err()
 	}
 	sched, err := finishSchedule(prob, res.BestMapping(prob.NumAccels()), res.Best, res.Curve, res.Method, opts.Objective)
@@ -311,14 +309,13 @@ func (s *Solver) OptimizeStreamCtx(ctx context.Context, wl Workload, p Platform,
 			budget = floor
 		}
 		o := Options{
-			Mapper:          opts.Mapper,
-			Objective:       opts.Objective,
-			Budget:          budget,
-			Seed:            opts.Seed + int64(gi),
-			Workers:         opts.Workers,
-			Cache:           opts.Cache,
-			CacheSize:       opts.CacheSize,
-			EffectiveBudget: opts.EffectiveBudget,
+			Mapper:    opts.Mapper,
+			Objective: opts.Objective,
+			Budget:    budget,
+			Seed:      opts.Seed + int64(gi),
+			Workers:   opts.Workers,
+			Cache:     opts.Cache,
+			CacheSize: opts.CacheSize,
 		}
 		if opts.Progress != nil {
 			gi := gi

@@ -40,9 +40,6 @@ type StreamOptions struct {
 	// Solver, when non-nil, runs every group against a long-lived
 	// Solver (see Options.Solver). Nil means a private single-use one.
 	Solver *Solver
-	// EffectiveBudget charges each group's budget only for distinct
-	// schedules (see Options.EffectiveBudget; requires Cache).
-	EffectiveBudget bool
 	// Progress, when non-nil, is called after every generation of every
 	// group search with the group index and the live snapshot. Same
 	// contract as Options.Progress: synchronous, keep it fast.
