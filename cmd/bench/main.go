@@ -286,7 +286,7 @@ func evalReport(benchtime string) (*Report, error) {
 		workers = append(workers, n)
 	}
 	for _, w := range workers {
-		_, row := ss.run(prob, newMAGMA(), m3e.Options{Workers: w, Cache: true}, 6)
+		_, row := ss.run(prob, newMAGMA(), m3e.Options{Workers: w, Store: m3e.NewCacheStore(0)}, 6)
 		pb.Rows = append(pb.Rows, row)
 	}
 	if last := pb.Rows[len(pb.Rows)-1]; len(pb.Rows) > 1 && last.TellNsPerGen > 0 {
@@ -307,7 +307,7 @@ func evalReport(benchtime string) (*Report, error) {
 		{"PSO", pso.New(pso.Config{})},
 		{"Random", random.New(0)},
 	} {
-		res, _ := ss.run(prob, m.opt, m3e.Options{Cache: true}, 3)
+		res, _ := ss.run(prob, m.opt, m3e.Options{Store: m3e.NewCacheStore(0)}, 3)
 		rep.CacheHitRateByMapper[m.name] = res.Cache.HitRate()
 	}
 	rep.CacheHitRate = rep.CacheHitRateByMapper["MAGMA"]

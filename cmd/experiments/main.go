@@ -34,7 +34,6 @@ func main() {
 		hidden  = flag.Int("rl-hidden", 0, "override RL MLP width")
 		seed    = flag.Int64("seed", 0, "override base seed")
 		workers = flag.Int("workers", 0, "parallel evaluation goroutines (0 = all cores; results are seed-reproducible at any worker count)")
-		cache   = flag.Bool("cache", true, "schedule-fingerprint fitness cache (results are bit-identical on or off)")
 	)
 	flag.Parse()
 
@@ -64,7 +63,6 @@ func main() {
 	if *workers > 0 {
 		cfg.Workers = *workers
 	}
-	cfg.Cache = *cache
 
 	// Ctrl-C cancels the suite's context: the in-flight search stops at
 	// its next generation boundary and the runner exits cleanly, keeping

@@ -11,9 +11,11 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
-	"strings"
 	"testing"
+
+	optmagma "magma/internal/opt/magma"
+	"magma/internal/rng"
+	"magma/internal/sim"
 )
 
 var (
@@ -63,14 +65,37 @@ func resultDigest(s Schedule) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// digestFile is testdata/digests.json: one digest per cell, and the
+// version constants of the code that recorded them.
+type digestFile struct {
+	Constants map[string]int    `json:"constants"`
+	Cells     map[string]string `json:"cells"`
+}
+
+// digestConstants are the version constants a change that means to move
+// results bumps: the seed→stream layout, MAGMA's draw order and the
+// simulator's arithmetic.
+func digestConstants() map[string]int {
+	return map[string]int{
+		"rng.Layout":          rng.Layout,
+		"optmagma.DrawLayout": optmagma.DrawLayout,
+		"sim.KernelVersion":   sim.KernelVersion,
+	}
+}
+
 // TestResultDigests pins the result of the pruned mappers (MAGMA and
 // stdGA) bit for bit on every objective, two group sizes and two
 // platforms, and of every other registered mapper on Throughput at J16
 // on S2@16. Each cell runs uncached, with a cache of its own (no
 // store), and with one Solver's store shared across the cell's runs (so
 // later runs read entries earlier ones wrote), at workers 1, 2 and 8.
-// All runs of a cell must reproduce the one committed digest. A change
-// that means to move results regenerates the file with
+// All runs of a cell must reproduce the one committed digest.
+//
+// The file also records digestConstants. A constant that moved is a
+// declared break: the test fails until the file is regenerated. A digest
+// that moved while every constant holds is a break nobody declared, and
+// its failure says so. A change that means to move results bumps the
+// constant behind it, regenerates the file with
 //
 //	go test -run TestResultDigests -update .
 //
@@ -80,7 +105,8 @@ func TestResultDigests(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("result digests are defined on amd64; this is %s", runtime.GOARCH)
 	}
-	want := map[string]string{}
+	var want digestFile
+	undeclared := "no break was declared: the recorded rng.Layout, optmagma.DrawLayout and sim.KernelVersion equal the code's"
 	if !*updateDigests {
 		raw, err := os.ReadFile(digestsPath)
 		if err != nil {
@@ -88,6 +114,15 @@ func TestResultDigests(t *testing.T) {
 		}
 		if err := json.Unmarshal(raw, &want); err != nil {
 			t.Fatalf("%s: %v", digestsPath, err)
+		}
+		for name, v := range digestConstants() {
+			if rec, ok := want.Constants[name]; !ok || rec != v {
+				t.Errorf("%s is %d, %s records %d: a declared break; regenerate the file with -update", name, v, digestsPath, rec)
+				undeclared = "a break was declared (see the constants above)"
+			}
+		}
+		if len(want.Constants) != len(digestConstants()) {
+			t.Errorf("%s records constants %v, want exactly %v", digestsPath, want.Constants, digestConstants())
 		}
 	}
 	got := map[string]string{}
@@ -114,8 +149,8 @@ func TestResultDigests(t *testing.T) {
 					continue
 				}
 				got[cell] = d
-				if !*updateDigests && want[cell] != d {
-					t.Errorf("%s: digest %s, committed %q", run, d, want[cell])
+				if !*updateDigests && want.Cells[cell] != d {
+					t.Errorf("%s: digest %s, committed %q; %s", run, d, want.Cells[cell], undeclared)
 				}
 			}
 		}
@@ -134,30 +169,19 @@ func TestResultDigests(t *testing.T) {
 		runCell(testGroup(t, Mix, 16), digestSettings[0].pf(), digestSettings[0].name, mapper, Throughput)
 	}
 	if !*updateDigests {
-		if len(want) != len(got) {
-			t.Errorf("%s holds %d cells, the test runs %d", digestsPath, len(want), len(got))
+		if len(want.Cells) != len(got) {
+			t.Errorf("%s holds %d cells, the test runs %d", digestsPath, len(want.Cells), len(got))
 		}
 		return
 	}
-	keys := make([]string, 0, len(got))
-	for k := range got {
-		keys = append(keys, k)
+	raw, err := json.MarshalIndent(digestFile{Constants: digestConstants(), Cells: got}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
 	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString("{\n")
-	for i, k := range keys {
-		fmt.Fprintf(&b, "  %q: %q", k, got[k])
-		if i < len(keys)-1 {
-			b.WriteString(",")
-		}
-		b.WriteString("\n")
-	}
-	b.WriteString("}\n")
 	if err := os.MkdirAll(filepath.Dir(digestsPath), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(digestsPath, []byte(b.String()), 0o644); err != nil {
+	if err := os.WriteFile(digestsPath, append(raw, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }

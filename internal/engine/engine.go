@@ -19,7 +19,7 @@
 //     bit-identical to a cold run because fitness is a pure function of
 //     the decoded schedule;
 //   - evaluation pools are checked out per run and returned, keeping
-//     their grown simulator scratch warm.
+//     their grown simulator and fitness-cache scratch warm.
 //
 // Memory is bounded: the problem map is FIFO-bounded (Config.
 // MaxProblems), every fitness store is capacity-bounded, and pool
@@ -57,9 +57,9 @@ type Config struct {
 	// objective) problems; 0 means DefaultMaxProblems. Oldest-created
 	// entries are evicted first.
 	MaxProblems int
-	// CacheSize bounds each problem's shared fingerprint→fitness store
+	// StoreSize bounds each problem's shared fingerprint→fitness store
 	// in entries; 0 means m3e.DefaultCacheSize.
-	CacheSize int
+	StoreSize int
 }
 
 // Stats reports what the engine reused versus rebuilt. Counters only
@@ -74,15 +74,11 @@ type Stats struct {
 	// ProblemsEvicted counts FIFO evictions from the problem cache.
 	ProblemsEvicted uint64
 	// PoolsBuilt / PoolsReused count evaluation-pool constructions
-	// versus free-list checkouts.
+	// versus free-list checkouts. A reused pool keeps its evaluators'
+	// grown scratch and its fitness cache's batch scratch (the decoded
+	// mappings) warm across runs.
 	PoolsBuilt  uint64
 	PoolsReused uint64
-	// CachesBuilt / CachesReused count fitness-cache scratch
-	// constructions versus free-list checkouts. A reused cache keeps its
-	// grown batch scratch (the decoded mappings) warm across runs (it is
-	// Rebound to a fresh run id each checkout).
-	CachesBuilt  uint64
-	CachesReused uint64
 	// Cache aggregates the per-run fitness-cache counters of every
 	// completed run; Cache.CrossHits is the shared-across-runs payoff
 	// (hits on entries a different run inserted).
@@ -99,9 +95,9 @@ type Stats struct {
 	EntriesRestored  uint64
 	// MapperPanics counts runs failed by a panic recovered from a mapper
 	// callback (m3e.MapperPanicError). The engine itself stays
-	// consistent — leased pools and cache scratch are returned on the
-	// panic path — so the counter growing while Searches also grows is
-	// the expected shape of a misbehaving registered mapper.
+	// consistent — leased pools are returned on the panic path — so
+	// the counter growing while Searches also grows is the expected
+	// shape of a misbehaving registered mapper.
 	MapperPanics uint64
 	// Problems is the live problem count (cached table × objective
 	// entries) at snapshot time. In a sharded fleet the per-shard counts
@@ -138,9 +134,8 @@ type problemState struct {
 	err   error
 	store *m3e.CacheStore
 
-	mu     sync.Mutex
-	pools  map[int][]*m3e.Pool // worker count -> free pools
-	caches []*m3e.FitnessCache // free fitness-cache scratch (store-bound)
+	mu    sync.Mutex
+	pools map[int][]*m3e.Pool // worker count -> free pools
 }
 
 // Engine is the concurrency-safe, long-lived solver core. The zero
@@ -220,7 +215,7 @@ func (e *Engine) Problem(g workload.Group, pf platform.Platform, obj m3e.Objecti
 			e.tables[key.table] = ts
 		}
 		ts.refs++
-		store := m3e.NewCacheStore(e.cfg.CacheSize)
+		store := m3e.NewCacheStore(e.cfg.StoreSize)
 		if rs, restored := e.restored[key]; restored {
 			// Adopt the snapshot-loaded store: this problem's first run
 			// starts with the previous process's memoized fitness entries.
@@ -353,45 +348,13 @@ func (h *ProblemHandle) putPool(p *m3e.Pool) {
 	}
 }
 
-// getCache checks fitness-cache scratch out of the free-list, or builds
-// a cache bound to the problem's shared store. Either way the cache is
-// Rebound: fresh run id and counters, warm decoded-mapping buffers
-// when reused.
-func (h *ProblemHandle) getCache() *m3e.FitnessCache {
-	st := h.st
-	st.mu.Lock()
-	if l := st.caches; len(l) > 0 {
-		c := l[len(l)-1]
-		st.caches = l[:len(l)-1]
-		st.mu.Unlock()
-		h.eng.mu.Lock()
-		h.eng.stats.CachesReused++
-		h.eng.mu.Unlock()
-		return c
-	}
-	st.mu.Unlock()
-	h.eng.mu.Lock()
-	h.eng.stats.CachesBuilt++
-	h.eng.mu.Unlock()
-	return m3e.NewFitnessCacheWith(st.prob, st.store)
-}
-
-// putCache returns cache scratch to the free-list (dropped past the cap).
-func (h *ProblemHandle) putCache(c *m3e.FitnessCache) {
-	st := h.st
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if len(st.caches) < maxPooledPerWidth {
-		st.caches = append(st.caches, c)
-	}
-}
-
-// Run executes one search over the cached problem, wiring in a pooled
-// evaluator set and — when o.Cache is set — the problem's shared
-// cross-run fitness store. Results are bit-identical to an uncached,
-// un-pooled m3e.Run with the same options and seed: pools and stores
-// change wall-clock, never values. Safe for concurrent use; each call
-// leases its own pool, and the store is concurrency-safe.
+// Run executes one search over the cached problem on a pooled evaluator
+// set. The run is cached when o.Store is set, which callers do by
+// passing the problem's shared cross-run store (Store). Results are
+// bit-identical to an uncached, un-pooled m3e.Run with the same options
+// and seed: pools and stores change wall-clock, never values. Safe for
+// concurrent use; each call leases its own pool, and the store is
+// concurrency-safe.
 func (h *ProblemHandle) Run(opt m3e.Optimizer, o m3e.Options, seed int64) (m3e.Result, error) {
 	return h.RunCtx(context.Background(), opt, o, seed)
 }
@@ -405,14 +368,6 @@ func (h *ProblemHandle) RunCtx(ctx context.Context, opt m3e.Optimizer, o m3e.Opt
 	defer h.putPool(pool)
 	o.Pool = pool
 	o.Context = ctx
-	if o.Cache {
-		// Lease rebindable cache scratch on top of the shared store: the
-		// run gets warm decoded-mapping buffers, and the store keeps
-		// flowing fitness entries across runs as before.
-		fc := h.getCache()
-		defer h.putCache(fc)
-		o.Scratch = fc
-	}
 	res, err := m3e.Run(h.st.prob, opt, o, seed)
 	h.eng.mu.Lock()
 	if err == nil {

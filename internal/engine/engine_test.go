@@ -78,7 +78,7 @@ func TestEngineRunMatchesPlainRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	for rep := 0; rep < 2; rep++ {
-		res, err := h.Run(optmagma.New(optmagma.Config{}), m3e.Options{Budget: 200, Workers: 1, Cache: true}, 3)
+		res, err := h.Run(optmagma.New(optmagma.Config{}), m3e.Options{Budget: 200, Workers: 1, Store: h.Store()}, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +215,7 @@ func TestEngineConcurrentAcquire(t *testing.T) {
 				return
 			}
 			results[c], errs[c] = h.Run(optmagma.New(optmagma.Config{}),
-				m3e.Options{Budget: 120, Workers: 1, Cache: true}, 4)
+				m3e.Options{Budget: 120, Workers: 1, Store: h.Store()}, 4)
 		}(c)
 	}
 	wg.Wait()
@@ -233,9 +233,10 @@ func TestEngineConcurrentAcquire(t *testing.T) {
 }
 
 // TestEngineCacheScratchReuse: sequential cached runs on one problem
-// lease fitness-cache scratch from the free-list instead of rebuilding
-// it, with results bit-identical to a plain cached run (the lease is
-// Rebound per run, so counters and provenance never leak across runs).
+// lease the same evaluation pool, and with it the pool's fitness-cache
+// scratch, instead of rebuilding it, with results bit-identical to the
+// first run (the pool rebinds the scratch per run, so counters and
+// provenance never leak across runs).
 func TestEngineCacheScratchReuse(t *testing.T) {
 	e := engine.New(engine.Config{})
 	g, pf := engGroup(t, 5), platform.S2()
@@ -243,7 +244,7 @@ func TestEngineCacheScratchReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := m3e.Options{Budget: 150, Workers: 1, Cache: true}
+	opts := m3e.Options{Budget: 150, Workers: 1, Store: h.Store()}
 	first, err := h.Run(optmagma.New(optmagma.Config{}), opts, 9)
 	if err != nil {
 		t.Fatal(err)
@@ -253,8 +254,8 @@ func TestEngineCacheScratchReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := e.Stats()
-	if st.CachesBuilt != 1 || st.CachesReused != 1 {
-		t.Errorf("caches built/reused = %d/%d, want 1/1", st.CachesBuilt, st.CachesReused)
+	if st.PoolsBuilt != 1 || st.PoolsReused != 1 {
+		t.Errorf("pools built/reused = %d/%d, want 1/1", st.PoolsBuilt, st.PoolsReused)
 	}
 	if first.BestFitness != second.BestFitness || !reflect.DeepEqual(first.Curve, second.Curve) {
 		t.Error("reused cache scratch changed results")

@@ -81,7 +81,7 @@ func (e *Engine) Export() []persist.Problem {
 func (e *Engine) Restore(problems []persist.Problem) {
 	for _, p := range problems {
 		key := problemKey{table: p.Table, obj: m3e.Objective(p.Objective)}
-		store := m3e.NewCacheStore(e.cfg.CacheSize)
+		store := m3e.NewCacheStore(e.cfg.StoreSize)
 		entries := make([]m3e.ExportedEntry, len(p.Entries))
 		for i, en := range p.Entries {
 			entries[i] = m3e.ExportedEntry{FP: en.FP, Fitness: en.Fitness}

@@ -33,7 +33,6 @@ type Config struct {
 	RLHidden  int   // MLP width for the RL mappers (paper: 128)
 	Seed      int64 // base RNG seed
 	Workers   int   // parallel evaluation goroutines (0 = all cores)
-	Cache     bool  // schedule-fingerprint fitness cache (bit-identical results)
 	// Context, when non-nil, makes every search of the suite
 	// cancellable: cmd/experiments wires SIGINT to it, so Ctrl-C stops
 	// the in-flight search at a generation boundary instead of killing
@@ -42,31 +41,18 @@ type Config struct {
 }
 
 // runOpts returns the m3e runner options for one search at the given
-// budget. Worker count and the fitness cache change wall-clock only,
-// never results, so the artifacts are reproducible at any parallelism
-// with caching on or off.
-func (c Config) runOpts(budget int) m3e.Options {
-	return m3e.Options{Budget: budget, Workers: c.Workers, Cache: c.Cache, Context: c.Context}
+// budget, cached on store. Experiments that search the *same problem*
+// repeatedly — a mapper comparison, an operator ablation, a repetition
+// sweep — pass one store per problem, so later runs answer schedules
+// earlier runs evaluated; every other search gets a store of its own
+// (newStore). Worker count and the fitness cache change wall-clock
+// only, never results (fitness is a pure function of the decoded
+// schedule), so the artifacts are reproducible at any parallelism.
+func (c Config) runOpts(budget int, store *m3e.CacheStore) m3e.Options {
+	return m3e.Options{Budget: budget, Workers: c.Workers, Store: store, Context: c.Context}
 }
 
-// runOptsShared is runOpts backed by a shared cross-run fitness store.
-// Experiments that search the *same problem* repeatedly — a mapper
-// comparison, an operator ablation, a repetition sweep — pass one store
-// per problem so later runs answer schedules earlier runs evaluated.
-// Results stay bit-identical (fitness is a pure function of the decoded
-// schedule); only simulator traffic drops. Store sharing respects
-// c.Cache so -cache=false still disables all caching.
-func (c Config) runOptsShared(budget int, store *m3e.CacheStore) m3e.Options {
-	o := c.runOpts(budget)
-	if o.Cache {
-		o.Store = store
-	}
-	return o
-}
-
-// newStore builds a fitness store for one problem's searches. An unused
-// store is a few hundred bytes, so figure loops allocate one
-// unconditionally; runOptsShared wires it in only when c.Cache is set.
+// newStore builds a fitness store for one problem's searches.
 func newStore() *m3e.CacheStore { return m3e.NewCacheStore(0) }
 
 // runSearch is m3e.Run with the suite's cancellation contract: an
@@ -87,15 +73,14 @@ func runSearch(prob *m3e.Problem, opt m3e.Optimizer, opts m3e.Options, seed int6
 	return res, nil
 }
 
-// Quick returns the fast-suite configuration (CI-friendly). The fitness
-// cache is on: it only skips provably redundant simulations.
+// Quick returns the fast-suite configuration (CI-friendly).
 func Quick() Config {
-	return Config{Budget: 600, GroupSize: 30, RLHidden: 24, Seed: 7, Cache: true}
+	return Config{Budget: 600, GroupSize: 30, RLHidden: 24, Seed: 7}
 }
 
 // Full returns the paper-scale configuration (§VI-B).
 func Full() Config {
-	return Config{Budget: m3e.DefaultBudget, GroupSize: workload.DefaultGroupSize, RLHidden: 128, Seed: 7, Cache: true}
+	return Config{Budget: m3e.DefaultBudget, GroupSize: workload.DefaultGroupSize, RLHidden: 128, Seed: 7}
 }
 
 func (c Config) withDefaults() Config {

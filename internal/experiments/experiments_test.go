@@ -100,7 +100,7 @@ func TestRunMethodHeuristicVsSearch(t *testing.T) {
 	}
 	ms := Methods(cfg)
 	// Heuristic: no curve, no budget consumption.
-	fit, curve, err := RunMethod(prob, ms[0], cfg.runOpts(cfg.Budget), 1)
+	fit, curve, err := RunMethod(prob, ms[0], cfg.runOpts(cfg.Budget, newStore()), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestRunMethodHeuristicVsSearch(t *testing.T) {
 		t.Errorf("heuristic fit=%g curve=%v", fit, curve)
 	}
 	// Search: curve length equals budget.
-	fit, curve, err = RunMethod(prob, ms[len(ms)-1], cfg.runOpts(cfg.Budget), 1)
+	fit, curve, err = RunMethod(prob, ms[len(ms)-1], cfg.runOpts(cfg.Budget, newStore()), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

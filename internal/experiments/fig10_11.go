@@ -50,7 +50,7 @@ func runFig10(c Config, w io.Writer) error {
 	}
 	var runs []explored
 	for mi, m := range methods {
-		opts := c.runOpts(c.Budget)
+		opts := c.runOpts(c.Budget, newStore())
 		opts.RecordSamples = true
 		res, err := runSearch(prob, m.NewOpt(), opts, c.Seed+int64(mi))
 		if err != nil {
@@ -61,7 +61,7 @@ func runFig10(c Config, w io.Writer) error {
 	// The "exhaustively sampled" best-effort reference: a larger random
 	// sweep (the paper used ~1M samples over two days; we scale it to
 	// 10x the method budget).
-	randRes, err := runSearch(prob, random.New(256), c.runOpts(10*c.Budget), c.Seed+99)
+	randRes, err := runSearch(prob, random.New(256), c.runOpts(10*c.Budget, newStore()), c.Seed+99)
 	if err != nil {
 		return err
 	}
@@ -149,7 +149,7 @@ func runFig11(c Config, w io.Writer) error {
 			if m.Heuristic != nil {
 				continue // heuristics have no convergence curve
 			}
-			_, curve, err := RunMethod(prob, m, c.runOpts(budget), c.Seed+int64(ci*100+mi))
+			_, curve, err := RunMethod(prob, m, c.runOpts(budget, newStore()), c.Seed+int64(ci*100+mi))
 			if err != nil {
 				return err
 			}

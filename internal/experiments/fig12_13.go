@@ -58,7 +58,7 @@ func runFig12(c Config, w io.Writer) error {
 			// One store per (group, BW) problem, shared by the mapper loop.
 			store := newStore()
 			for mi, m := range fig12Methods {
-				fit, _, err := RunMethod(prob, m, c.runOptsShared(c.Budget, store), c.Seed+int64(mi))
+				fit, _, err := RunMethod(prob, m, c.runOpts(c.Budget, store), c.Seed+int64(mi))
 				if err != nil {
 					return err
 				}
@@ -143,7 +143,7 @@ func runFig13(c Config, w io.Writer) error {
 			if err != nil {
 				return err
 			}
-			res, err := runSearch(prob, optmagma.New(optmagma.Config{}), c.runOpts(c.Budget), c.Seed)
+			res, err := runSearch(prob, optmagma.New(optmagma.Config{}), c.runOpts(c.Budget, newStore()), c.Seed)
 			if err != nil {
 				return err
 			}

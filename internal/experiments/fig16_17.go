@@ -66,7 +66,7 @@ func runFig16(c Config, w io.Writer) error {
 		for _, v := range variants {
 			sum := make([]float64, len(checkFracs))
 			for rep := 0; rep < repeats; rep++ {
-				res, err := runSearch(prob, optmagma.New(v.cfg), c.runOptsShared(c.Budget, store), c.Seed+int64(rep))
+				res, err := runSearch(prob, optmagma.New(v.cfg), c.runOpts(c.Budget, store), c.Seed+int64(rep))
 				if err != nil {
 					return err
 				}
@@ -142,7 +142,7 @@ func runFig17(c Config, w io.Writer) error {
 			if err != nil {
 				return err
 			}
-			res, err := runSearch(prob, optmagma.New(optmagma.Config{}), c.runOpts(budgetPer), c.Seed)
+			res, err := runSearch(prob, optmagma.New(optmagma.Config{}), c.runOpts(budgetPer, newStore()), c.Seed)
 			if err != nil {
 				return err
 			}

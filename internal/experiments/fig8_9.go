@@ -33,7 +33,7 @@ func methodComparison(c Config, task models.Task, p platform.Platform, seedOffse
 	// lets every method after the first reuse evaluated schedules.
 	store := newStore()
 	for mi, m := range Methods(c) {
-		fit, _, err := RunMethod(prob, m, c.runOptsShared(c.Budget, store), c.Seed+int64(mi))
+		fit, _, err := RunMethod(prob, m, c.runOpts(c.Budget, store), c.Seed+int64(mi))
 		if err != nil {
 			return nil, err
 		}

@@ -34,7 +34,7 @@ func warmCheckpoints(prob *m3e.Problem, seeds []encoding.Genome, seed int64, c C
 	if len(seeds) > 0 {
 		opt.Seed(seeds)
 	}
-	res, err := runSearch(prob, opt, c.runOpts(budget), seed)
+	res, err := runSearch(prob, opt, c.runOpts(budget, newStore()), seed)
 	if err != nil {
 		return nil, encoding.Genome{}, err
 	}

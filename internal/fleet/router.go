@@ -465,8 +465,6 @@ func aggregateEngine(views []serve.EngineJSON) serve.EngineJSON {
 		agg.ProblemsEvicted += v.ProblemsEvicted
 		agg.PoolsBuilt += v.PoolsBuilt
 		agg.PoolsReused += v.PoolsReused
-		agg.CachesBuilt += v.CachesBuilt
-		agg.CachesReused += v.CachesReused
 		agg.SnapshotsTaken += v.SnapshotsTaken
 		agg.ProblemsRestored += v.ProblemsRestored
 		agg.EntriesRestored += v.EntriesRestored

@@ -297,10 +297,8 @@ func TestFitnessCacheBoundPrunedExcludedFromStore(t *testing.T) {
 
 	// A pruned schedule evaluated on the same store without pruning must
 	// miss and come back exact — the store never serves a bound.
-	cache := m3e.NewFitnessCacheWith(prob, store)
 	refit := make([]float64, 1)
-	cache.Evaluate(m3e.NewPool(prob, 1), pile[:1], refit)
-	if got := cache.Stats().Misses; got != 1 {
+	if got := m3e.CachedEval(m3e.NewPool(prob, 1), prob, store)(pile[:1], refit).Misses; got != 1 {
 		t.Errorf("re-submitted pruned schedule missed %d times, want 1 (was its bound stored?)", got)
 	}
 	want, err := prob.Evaluate(pile[0])
@@ -338,7 +336,7 @@ func TestPruneCountersIndependentOfWorkers(t *testing.T) {
 			var first m3e.CacheStats
 			for _, workers := range []int{1, 2, 8} {
 				label := fmt.Sprintf("%s cache=%v workers=%d", obj, cache, workers)
-				got, err := m3e.Run(prob, optmagma.New(optmagma.Config{}), m3e.Options{Budget: 1500, Workers: workers, Cache: cache}, 6)
+				got, err := m3e.Run(prob, optmagma.New(optmagma.Config{}), m3e.Options{Budget: 1500, Workers: workers, Store: storeIf(cache)}, 6)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}

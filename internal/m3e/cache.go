@@ -9,10 +9,10 @@ import (
 	"magma/internal/sim"
 )
 
-// DefaultCacheSize bounds the fitness cache when Options.CacheSize is
-// zero. At the paper's 10K-sample budget the cache never evicts; the
-// bound exists so long-lived streams (OptimizeStream, servers reusing a
-// problem) stay at a few MB instead of growing without limit.
+// DefaultCacheSize bounds a CacheStore built with capacity <= 0. At the
+// paper's 10K-sample budget the cache never evicts; the bound exists so
+// long-lived streams (OptimizeStream, servers reusing a problem) stay at
+// a few MB instead of growing without limit.
 const DefaultCacheSize = 1 << 16
 
 // CacheStats counts how the fitness cache and the runner's pruning pass
@@ -149,7 +149,7 @@ type storeEntry struct {
 // reaches it.
 const topRun = math.MaxUint64
 
-// CacheStore is the sharable storage behind FitnessCache: a bounded
+// CacheStore is the sharable storage behind the fitness cache: a bounded
 // fingerprint→fitness map that may outlive any single run and be shared
 // by several concurrent ones. Fitness is a pure function of the decoded
 // schedule, so a stored float64 equals a recomputed one no matter which
@@ -278,7 +278,7 @@ func (s *CacheStore) push(ring *[]encoding.Fingerprint, next *int, fp encoding.F
 	return old, true
 }
 
-// FitnessCache memoizes genome fitness by schedule fingerprint and
+// fitnessCache memoizes genome fitness by schedule fingerprint and
 // dedups Ask batches before they reach the worker pool. It exploits the
 // two redundancies of the search stream: optimizers re-Ask schedules
 // they already evaluated (MAGMA re-submits its elites verbatim every
@@ -299,17 +299,12 @@ func (s *CacheStore) push(ring *[]encoding.Fingerprint, next *int, fp encoding.F
 // before the pass's virtual-time stage settles what the store does not
 // answer (see settle).
 //
-// A FitnessCache belongs to one run at a time (its batch scratch is
-// reused across Evaluate calls); like an Evaluator it must not be
-// shared between goroutines. Its backing CacheStore, however, *is*
-// concurrency-safe and may be shared: bind several runs' caches to one
-// store with NewFitnessCacheWith and entries flow between them. The
-// cache is bound to one Problem — fitness depends on the group,
-// platform and objective, so never reuse a cache (or share a store)
-// across distinct problems. To carry a cache's grown scratch across
-// sequential runs of the same problem, Rebind it between runs (the
-// engine's scratch free-list does exactly this).
-type FitnessCache struct {
+// The cache is the run-local view of a CacheStore: its counters and
+// batch scratch are private, its entries are the store's. Each Pool owns
+// one and rebinds it to every cached run it serves (see cacheFor), so
+// the grown scratch outlives the run while counters and provenance never
+// do. Like an Evaluator it must not be shared between goroutines.
+type fitnessCache struct {
 	p     *Problem
 	store *CacheStore
 	run   uint64 // this run's id within the store
@@ -342,60 +337,35 @@ const (
 	fpSettled // settled by the runner's pruning pass (re-ask, invalid or pruned)
 )
 
-// NewFitnessCache builds a cache for the problem backed by a private
-// store. capacity <= 0 means DefaultCacheSize.
-func NewFitnessCache(p *Problem, capacity int) *FitnessCache {
-	return NewFitnessCacheWith(p, NewCacheStore(capacity))
-}
-
-// NewFitnessCacheWith builds a run-local cache view over a shared
-// store. The store must be dedicated to this problem's identity (group
-// content × platform × objective); the run-local scratch and counters
-// stay private while entries are shared.
-func NewFitnessCacheWith(p *Problem, store *CacheStore) *FitnessCache {
-	return &FitnessCache{
-		p:       p,
-		store:   store,
-		run:     store.beginRun(),
-		inBatch: make(map[encoding.Fingerprint]int),
+// cacheFor binds the pool's fitness cache to store for a fresh run on
+// p: a new run id and cleared counters, while every batch buffer an
+// earlier run grew (the decoded mappings) is kept. The first cached run
+// on the pool builds the cache, so a pool a long-lived engine leases
+// keeps it warm across requests.
+func (pl *Pool) cacheFor(p *Problem, store *CacheStore) *fitnessCache {
+	if pl.cache == nil {
+		pl.cache = &fitnessCache{inBatch: make(map[encoding.Fingerprint]int)}
 	}
+	c := pl.cache
+	c.p, c.store, c.run, c.stats = p, store, store.beginRun(), CacheStats{}
+	return c
 }
 
-// Rebind prepares a cache for a fresh run on the same problem and
-// store: it allocates a new run id and clears the counters and per-run
-// hook, while keeping every grown scratch buffer (decoded mappings). A
-// long-lived engine Rebinds free-listed caches instead of rebuilding
-// them, so the scratch stays warm across requests.
-func (c *FitnessCache) Rebind() {
-	c.run = c.store.beginRun()
-	c.stats = CacheStats{}
-	c.phases = nil
-}
-
-// Stats returns the counters accumulated so far.
-func (c *FitnessCache) Stats() CacheStats { return c.stats }
-
-// Len returns the number of fingerprints in the backing store.
-func (c *FitnessCache) Len() int { return c.store.Len() }
-
-// Evaluate scores batch[i] into fit[i] for every i, like Pool.Evaluate,
+// evaluate scores batch[i] into fit[i] for every i, like Pool.Evaluate,
 // but dispatches only one representative per schedule-equivalence class
-// and none for schedules already cached. Three phases:
+// and none for schedules already stored. Three phases:
 //
 //  1. parallel: validate + fingerprint every genome (index-addressed,
 //     so deterministic at any worker count) by a full decode and hash,
 //     leaving maps[i] holding the decoded schedule;
-//  2. serial: group by fingerprint — cache hit, in-batch duplicate, or
+//  2. serial: group by fingerprint — store hit, in-batch duplicate, or
 //     new representative (one store read-lock spans the whole scan);
 //  3. parallel: simulate the representatives from their already-decoded
 //     mappings, then scatter fitness to every class member and insert
 //     the new results into the store (one write-lock for the batch).
-func (c *FitnessCache) Evaluate(pool *Pool, batch []encoding.Genome, fit []float64) {
-	c.evaluate(pool, batch, fit, nil, nil, time.Time{})
-}
-
-// evaluate is Evaluate behind the runner's pruning pass pn (nil
-// without one). A nil pre means nothing is known about the batch.
+//
+// pn is the runner's pruning pass (nil without one). A nil pre means
+// nothing is known about the batch.
 // Otherwise the pass has validated every genome and pre[i] is its slot
 // state: every slot it did not leave open (re-asks, invalid and pruned
 // genomes) keeps the fitness the pass wrote and is neither
@@ -409,7 +379,7 @@ func (c *FitnessCache) Evaluate(pool *Pool, batch []encoding.Genome, fit []float
 // again when the virtual-time stage ends, adds the fingerprint and bound
 // time to the hook, and returns the instant simulation began, so the
 // caller's next clock read closes the simulate phase.
-func (c *FitnessCache) evaluate(pool *Pool, batch []encoding.Genome, fit []float64, pre []uint8, pn *pruner, start time.Time) time.Time {
+func (c *fitnessCache) evaluate(pool *Pool, batch []encoding.Genome, fit []float64, pre []uint8, pn *pruner, start time.Time) time.Time {
 	c.grow(len(batch))
 	c.fingerprintBatch(pool, batch, pre)
 
@@ -459,7 +429,7 @@ func (c *FitnessCache) evaluate(pool *Pool, batch []encoding.Genome, fit []float
 // in-batch duplicate of an earlier representative, or a new
 // representative (fresh, or topped when the store holds its bracket top
 // and the pruning pass is staged).
-func (c *FitnessCache) lookup(fit []float64, staged bool, pn *pruner) {
+func (c *fitnessCache) lookup(fit []float64, staged bool, pn *pruner) {
 	c.reps, c.hits = c.reps[:0], c.hits[:0]
 	c.fresh, c.topped = c.fresh[:0], c.topped[:0]
 	clear(c.inBatch)
@@ -512,7 +482,7 @@ func (c *FitnessCache) lookup(fit []float64, staged bool, pn *pruner) {
 // insert stores, under one store write lock, the fitness of every
 // simulated representative and, when the pruning pass is staged, the
 // bracket top of every fresh representative it settled.
-func (c *FitnessCache) insert(fit []float64, staged bool, pn *pruner) {
+func (c *fitnessCache) insert(fit []float64, staged bool, pn *pruner) {
 	c.store.mu.Lock()
 	defer c.store.mu.Unlock()
 	for _, i := range c.todo {
@@ -533,7 +503,7 @@ func (c *FitnessCache) insert(fit []float64, staged bool, pn *pruner) {
 // settles every representative whose stored top falls below the final
 // floor on that top. evaluate hands each representative's state and
 // bracket to the rest of its class.
-func (c *FitnessCache) settle(pool *Pool, fit []float64, pn *pruner) {
+func (c *fitnessCache) settle(pool *Pool, fit []float64, pn *pruner) {
 	c.stats.VirtualPriced += uint64(pn.settle(pool.evs[0], nil, fit, c.fresh, c.weight, c.hits, c.maps))
 	floor := pn.floor()
 	for _, i := range c.topped {
@@ -553,7 +523,7 @@ func (c *FitnessCache) settle(pool *Pool, fit []float64, pn *pruner) {
 // genome across the pool. Every output (maps, fps, mode) is written at
 // its batch index by exactly one worker, so the result is independent
 // of worker scheduling.
-func (c *FitnessCache) fingerprintBatch(pool *Pool, batch []encoding.Genome, pre []uint8) {
+func (c *fitnessCache) fingerprintBatch(pool *Pool, batch []encoding.Genome, pre []uint8) {
 	nJobs, nAccels := c.p.NumJobs(), c.p.NumAccels()
 	pool.each(len(batch), func(_ *Evaluator, i int) {
 		if pre != nil {
@@ -571,7 +541,7 @@ func (c *FitnessCache) fingerprintBatch(pool *Pool, batch []encoding.Genome, pre
 }
 
 // grow sizes the batch scratch for n genomes.
-func (c *FitnessCache) grow(n int) {
+func (c *fitnessCache) grow(n int) {
 	if cap(c.maps) < n {
 		maps := make([]sim.Mapping, n)
 		copy(maps, c.maps) // keep already-grown queue buffers

@@ -343,37 +343,25 @@ type Options struct {
 	// 0 means GOMAXPROCS; 1 runs strictly serial. Results are
 	// bit-identical for every worker count (see Run).
 	Workers int
-	// Cache enables the schedule-fingerprint fitness cache: each Ask
-	// batch is deduplicated by decoded-schedule fingerprint and genomes
-	// whose schedule was already evaluated this run are answered from
-	// the cache. Results stay bit-identical to the uncached path —
-	// evaluation is pure, so a cached fitness equals a recomputed one —
-	// while redundant samples (re-Asked elites, equivalent offspring)
-	// skip the simulator. Result.Cache reports the hit/miss counters.
-	Cache bool
-	// CacheSize bounds the cache (entries). 0 means DefaultCacheSize.
-	CacheSize int
-	// Store optionally supplies a shared cross-run fingerprint→fitness
-	// store (implies Cache; CacheSize is then the store's concern, not
-	// the run's). The store must be dedicated to this problem's identity
-	// — same group content, platform and objective — and may be shared
-	// across sequential or concurrent runs: entries inserted by one run
-	// answer lookups of another (Result.Cache.CrossHits counts these),
-	// with results still bit-identical to a cold run.
+	// Store, when non-nil, makes the run cached: each Ask batch is
+	// deduplicated by decoded-schedule fingerprint, and genomes whose
+	// schedule is in the store are answered from it instead of the
+	// simulator. Results stay bit-identical to an uncached run —
+	// evaluation is pure, so a stored fitness equals a recomputed one —
+	// and Result.Cache reports the hit/miss counters. The store must be
+	// dedicated to this problem's identity (same group content, platform
+	// and objective) and may be shared across sequential or concurrent
+	// runs: entries inserted by one run answer lookups of another
+	// (Result.Cache.CrossHits counts these). A run of its own gets a
+	// fresh NewCacheStore(0).
 	Store *CacheStore
 	// Pool optionally supplies a prebuilt evaluation pool bound to this
 	// problem (Workers is then ignored). A pool's evaluators keep their
 	// grown scratch across runs, so a long-lived engine reuses pools
-	// instead of re-growing simulator buffers per request. A Pool serves
-	// one run at a time.
+	// instead of re-growing simulator buffers per request; the pool also
+	// keeps the fitness cache's batch scratch for its cached runs. A Pool
+	// serves one run at a time.
 	Pool *Pool
-	// Scratch optionally supplies a leased FitnessCache whose grown
-	// batch scratch — the decoded mappings the simulator reads — is
-	// reused across runs (the engine free-lists them like pools). The
-	// cache must be bound to this problem and its shared store; Run
-	// rebinds it (fresh run id, cleared counters) before use.
-	// Implies the cache path; takes precedence over Store/Cache.
-	Scratch *FitnessCache
 	// Context, when non-nil, makes the run cancellable: the loop checks
 	// it once per generation (between Tell and the next Ask), so a
 	// deadline or cancel aborts within one generation's evaluation cost
@@ -396,7 +384,8 @@ type Options struct {
 // scheduling; invalid genomes score -Inf, mirroring constraint-violating
 // samples.
 type Pool struct {
-	evs []*Evaluator
+	evs   []*Evaluator
+	cache *fitnessCache // built by the pool's first cached run (see cacheFor)
 }
 
 // NewPool builds a pool of `workers` evaluators for the problem
@@ -526,10 +515,10 @@ const DefaultBudget = 10000
 // best/curve bookkeeping below replays the batch strictly in Ask order —
 // exactly the sequence the serial loop would have produced.
 //
-// Options.Cache additionally routes batches through the schedule-
-// fingerprint FitnessCache, which preserves the same contract: cached
-// and deduplicated fitness values are the ones the pool would have
-// recomputed, so cache on/off is also bit-identical.
+// A run handed an Options.Store additionally routes batches through the
+// schedule-fingerprint fitness cache, which preserves the same contract:
+// cached and deduplicated fitness values are the ones the pool would
+// have recomputed, so cache on/off is also bit-identical.
 //
 // For optimizers that implement both EliteSelector and ReaskTracker a
 // pruning pass runs ahead of evaluation (see pruner): elite re-asks
@@ -564,23 +553,15 @@ func Run(p *Problem, opt Optimizer, o Options, seed int64) (Result, error) {
 	if pb, ok := opt.(PoolBreeder); ok {
 		pb.SetBreeder(pool)
 	}
-	var cache *FitnessCache
-	switch {
-	case o.Scratch != nil:
-		cache = o.Scratch
-		cache.Rebind()
-	case o.Store != nil:
-		cache = NewFitnessCacheWith(p, o.Store)
-	case o.Cache:
-		cache = NewFitnessCache(p, o.CacheSize)
-	}
+	var cache *fitnessCache
 	res := Result{Method: opt.Name(), BestFitness: math.Inf(-1)}
 	res.Curve = make([]float64, 0, o.Budget)
-	if cache != nil {
+	if o.Store != nil {
+		cache = pool.cacheFor(p, o.Store)
 		cache.phases = &res.Phases
 		// Drop the per-run hook on every exit path (including error
-		// returns): a leased cache may sit on the engine's free-list
-		// indefinitely, and the pointer would otherwise pin the finished
+		// returns): a leased pool may sit on the engine's free-list
+		// indefinitely, and its cache would otherwise pin the finished
 		// run's Result (curve, samples) in memory.
 		defer func() { cache.phases = nil }()
 	}
@@ -596,7 +577,7 @@ func Run(p *Problem, opt Optimizer, o Options, seed int64) (Result, error) {
 	stats := func() CacheStats {
 		var st CacheStats
 		if cache != nil {
-			st = cache.Stats()
+			st = cache.stats
 		}
 		if pn != nil {
 			st.Add(pn.stats)

@@ -161,21 +161,6 @@ func TestRunRecordsSamples(t *testing.T) {
 	}
 }
 
-func TestRunDeterministic(t *testing.T) {
-	prob := testProblem(t, models.Mix, 14, platform.S2(), Throughput)
-	a, err := Run(prob, &stubOpt{}, Options{Budget: 40}, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(prob, &stubOpt{}, Options{Budget: 40}, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.BestFitness != b.BestFitness {
-		t.Errorf("same seed, different best: %g vs %g", a.BestFitness, b.BestFitness)
-	}
-}
-
 func TestEvaluateMapping(t *testing.T) {
 	prob := testProblem(t, models.Vision, 12, platform.S1(), Throughput)
 	m := sim.Mapping{Queues: make([][]int, 4)}

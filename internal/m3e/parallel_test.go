@@ -2,15 +2,10 @@ package m3e_test
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"magma/internal/encoding"
 	"magma/internal/m3e"
-	"magma/internal/opt/cmaes"
-	"magma/internal/opt/ga"
-	optmagma "magma/internal/opt/magma"
-	"magma/internal/opt/random"
 	"magma/internal/platform"
 	"magma/internal/workload"
 )
@@ -26,50 +21,6 @@ func parallelProblem(t testing.TB) *m3e.Problem {
 		t.Fatal(err)
 	}
 	return prob
-}
-
-// TestRunParallelDeterminism is the contract of the parallel evaluation
-// engine: for a fixed seed, Run returns bit-identical results at any
-// worker count — the whole point of writing fitness by batch index and
-// replaying best/curve updates in Ask order.
-func TestRunParallelDeterminism(t *testing.T) {
-	prob := parallelProblem(t)
-	const budget = 200
-	mappers := []struct {
-		name string
-		mk   func() m3e.Optimizer
-	}{
-		{"MAGMA", func() m3e.Optimizer { return optmagma.New(optmagma.Config{}) }},
-		{"stdGA", func() m3e.Optimizer { return ga.New(ga.Config{}) }},
-		{"CMA", func() m3e.Optimizer { return cmaes.New(cmaes.Config{}) }},
-		{"Random", func() m3e.Optimizer { return random.New(32) }},
-	}
-	for _, m := range mappers {
-		t.Run(m.name, func(t *testing.T) {
-			base, err := m3e.Run(prob, m.mk(), m3e.Options{Budget: budget, Workers: 1}, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if base.Samples != budget {
-				t.Fatalf("consumed %d samples, want %d", base.Samples, budget)
-			}
-			for _, workers := range []int{2, 8} {
-				got, err := m3e.Run(prob, m.mk(), m3e.Options{Budget: budget, Workers: workers}, 5)
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
-				}
-				if got.BestFitness != base.BestFitness {
-					t.Errorf("workers=%d: BestFitness %v != serial %v", workers, got.BestFitness, base.BestFitness)
-				}
-				if !reflect.DeepEqual(got.Best, base.Best) {
-					t.Errorf("workers=%d: Best genome differs from serial", workers)
-				}
-				if !reflect.DeepEqual(got.Curve, base.Curve) {
-					t.Errorf("workers=%d: convergence curve differs from serial", workers)
-				}
-			}
-		})
-	}
 }
 
 // TestPoolScoresInvalidGenomes checks the pool mirrors the serial rule:

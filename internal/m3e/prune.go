@@ -68,7 +68,7 @@ type pruner struct {
 	bounds *sim.Bounds
 	es     EliteSelector
 	rt     ReaskTracker
-	cached bool // a FitnessCache evaluates the open slots and counts their Misses itself
+	cached bool // a fitnessCache evaluates the open slots and counts their Misses itself
 	flops  float64
 
 	// narrow, when set, replaces every finished bracket (tests only: it
@@ -215,8 +215,8 @@ func (pr *pruner) simulate(pool *Pool, batch []encoding.Genome, fit []float64) {
 	})
 }
 
-// settle is the virtual-time stage, for both the uncached pass and
-// FitnessCache, run serially on ev. cands are the batch indices left to
+// settle is the virtual-time stage, for both the uncached pass and the
+// fitness cache, run serially on ev. cands are the batch indices left to
 // settle, none priced yet, each standing for weight[i] batch slots (1
 // each when weight is nil: the cache's in-batch duplicates share their
 // representative's bracket); exact are the batch indices whose fit holds

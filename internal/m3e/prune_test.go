@@ -109,7 +109,7 @@ func TestCachedDuplicatesShareSettlement(t *testing.T) {
 	sel := fixedSelection{k: 2, reasks: []int{0, 1}}
 	pr := newPruner(prob, pool.evs[0].sim.Bounds(prob.Table), sel, sel, true)
 	pr.prevFit = []float64{median, median}
-	cache := NewFitnessCache(prob, 0)
+	cache := pool.cacheFor(prob, NewCacheStore(0))
 	fit := make([]float64, len(batch))
 	state := pr.prune(pool, batch, fit, math.Inf(1))
 	cache.evaluate(pool, batch, fit, state, pr, time.Time{})

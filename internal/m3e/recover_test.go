@@ -199,8 +199,8 @@ func TestPanicUnderStoreLockReleasesIt(t *testing.T) {
 	}{
 		// Assigning to the nil dedup map panics inside the lookup scan.
 		{"lookup", func(store *CacheStore, o *Options) {
-			o.Scratch = NewFitnessCacheWith(prob, store)
-			o.Scratch.inBatch = nil
+			o.Pool = NewPool(prob, 1)
+			o.Pool.cacheFor(prob, store).inBatch = nil
 		}},
 		// Reading a nil map is fine, so the scan passes and inserting
 		// the first simulated fitness panics.

@@ -58,6 +58,60 @@ func TestCacheStoreCrossRun(t *testing.T) {
 	}
 }
 
+// TestPoolScratchRebindsToEachStore runs one Pool on store A, then on
+// store B, then on A again. The pool keeps one fitness cache for all
+// three runs, and each returns the result of an un-pooled run. B's run
+// starts from cleared counters and finds none of A's entries: its
+// counters equal those of a run on a fresh pool and store, CrossHits 0
+// included. Back on A the run has a new run id, so A's entries answer
+// it as CrossHits.
+func TestPoolScratchRebindsToEachStore(t *testing.T) {
+	prob := parallelProblem(t)
+	const budget = 300
+	run := func(o m3e.Options) m3e.Result {
+		t.Helper()
+		o.Budget = budget
+		res, err := m3e.Run(prob, optmagma.New(optmagma.Config{}), o, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	fresh := run(m3e.Options{Workers: 2, Store: m3e.NewCacheStore(0)})
+	pool := m3e.NewPool(prob, 2)
+	a, b := m3e.NewCacheStore(0), m3e.NewCacheStore(0)
+	onA := run(m3e.Options{Pool: pool, Store: a})
+	scratch := m3e.PoolScratch(pool)
+	if scratch == nil {
+		t.Fatal("a cached run left the pool without cache scratch")
+	}
+	onB := run(m3e.Options{Pool: pool, Store: b})
+	again := run(m3e.Options{Pool: pool, Store: a})
+	if m3e.PoolScratch(pool) != scratch {
+		t.Error("the pool rebuilt its cache scratch instead of rebinding it")
+	}
+	for _, r := range []struct {
+		name string
+		res  m3e.Result
+	}{{"A", onA}, {"B", onB}, {"A again", again}} {
+		if r.res.BestFitness != fresh.BestFitness || !reflect.DeepEqual(r.res.Best, fresh.Best) || !reflect.DeepEqual(r.res.Curve, fresh.Curve) {
+			t.Errorf("run on %s: result differs from the un-pooled run", r.name)
+		}
+	}
+	if onA.Cache != fresh.Cache {
+		t.Errorf("run on A counted %+v, the un-pooled run %+v", onA.Cache, fresh.Cache)
+	}
+	if onB.Cache != fresh.Cache {
+		t.Errorf("run on B counted %+v, want the un-pooled run's %+v (stale counters or A's entries)", onB.Cache, fresh.Cache)
+	}
+	if a.Len() != b.Len() {
+		t.Errorf("store A holds %d entries, store B %d; the same search fills both alike", a.Len(), b.Len())
+	}
+	if again.Cache.CrossHits == 0 {
+		t.Error("the second run on A found no entries of the first: its run id was not renewed")
+	}
+}
+
 // TestCacheStoreConcurrentRuns drives several concurrent runs (distinct
 // seeds) through one shared store and checks each matches its private
 // cold run — the cmd/serve usage pattern, exercised under -race in CI.

@@ -66,7 +66,7 @@ func TestVirtualStageSettles(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cache := range []bool{false, true} {
-		got, err := m3e.Run(prob, optmagma.New(optmagma.Config{}), m3e.Options{Budget: budget, Workers: 2, Cache: cache}, 3)
+		got, err := m3e.Run(prob, optmagma.New(optmagma.Config{}), m3e.Options{Budget: budget, Workers: 2, Store: storeIf(cache)}, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func TestBracketMissFailsLoudly(t *testing.T) {
 		return v, v
 	}
 	for _, cache := range []bool{false, true} {
-		o := m3e.WithBrackets(m3e.Options{Budget: 1000, Workers: 2, Cache: cache}, above)
+		o := m3e.WithBrackets(m3e.Options{Budget: 1000, Workers: 2, Store: storeIf(cache)}, above)
 		_, err := m3e.Run(prob, optmagma.New(optmagma.Config{}), o, 3)
 		if err == nil || !strings.Contains(err.Error(), "batch index") || !strings.Contains(err.Error(), "bracket") {
 			t.Errorf("cache=%v: narrowed bracket gave error %v, want a bracket miss naming the batch index", cache, err)

@@ -12,9 +12,10 @@ import (
 // FuzzParseRequest feeds parseRequest arbitrary /optimize and /jobs
 // bodies. Every error it returns is one the handlers answer with 400, so
 // the property is that it never panics and returns either an error or a
-// runSpec a search can start from: options that validate, a worker count
-// within GOMAXPROCS, and a timeout that is never negative and, under a
-// server-wide cap, within it. Seed corpus:
+// runSpec a search can start from: options that validate and are cached
+// on the shard's store, a worker count within GOMAXPROCS, and a timeout
+// that is never negative and, under a server-wide cap, within it. Seed
+// corpus:
 // internal/serve/testdata/fuzz/FuzzParseRequest. Explore beyond it with
 //
 //	go test -run=NONE -fuzz=FuzzParseRequest -fuzztime=10s ./internal/serve/
@@ -36,6 +37,9 @@ func FuzzParseRequest(f *testing.F) {
 			}
 			if err := spec.opts.Validate(); err != nil {
 				t.Fatalf("parseRequest(%q) accepted invalid options: %v", body, err)
+			}
+			if !spec.opts.Cache {
+				t.Fatalf("parseRequest(%q) built an uncached search; every served search runs on the shard's store", body)
 			}
 			if w := spec.opts.Workers; w < 0 || w > runtime.GOMAXPROCS(0) {
 				t.Fatalf("parseRequest(%q) kept %d workers", body, w)

@@ -68,7 +68,6 @@ type RequestOptions struct {
 	BudgetPerGroup int    `json:"budget_per_group,omitempty"`
 	Seed           int64  `json:"seed,omitempty"`
 	Workers        int    `json:"workers,omitempty"`
-	Cache          *bool  `json:"cache,omitempty"` // default true: the shared cache is the point of the server
 	WarmStart      bool   `json:"warm_start,omitempty"`
 	SharedWarm     bool   `json:"shared_warm,omitempty"`
 }
@@ -165,8 +164,6 @@ type EngineJSON struct {
 	ProblemsEvicted     uint64    `json:"problems_evicted"`
 	PoolsBuilt          uint64    `json:"pools_built"`
 	PoolsReused         uint64    `json:"pools_reused"`
-	CachesBuilt         uint64    `json:"caches_built"`
-	CachesReused        uint64    `json:"caches_reused"`
 	Cache               CacheJSON `json:"cache"`
 	CrossRequestHitRate float64   `json:"cross_request_hit_rate"`
 	// Crash-safety and robustness counters: durable snapshots written,
@@ -185,7 +182,6 @@ func engineJSON(s magma.SolverStats) EngineJSON {
 		Searches: s.Searches, Problems: s.Problems,
 		TablesBuilt: s.TablesBuilt, TablesReused: s.TablesReused,
 		ProblemsEvicted: s.ProblemsEvicted, PoolsBuilt: s.PoolsBuilt, PoolsReused: s.PoolsReused,
-		CachesBuilt: s.CachesBuilt, CachesReused: s.CachesReused,
 		Cache:               cacheJSON(s.Cache),
 		CrossRequestHitRate: s.Cache.CrossHitRate(),
 		SnapshotsTaken:      s.SnapshotsTaken,
@@ -425,10 +421,6 @@ func (s *Server) parseRequest(body io.Reader) (*runSpec, error) {
 	if err != nil {
 		return nil, fmt.Errorf("options: %w", err)
 	}
-	cache := true
-	if req.Options.Cache != nil {
-		cache = *req.Options.Cache
-	}
 	spec := &runSpec{
 		wl: wl,
 		pf: pf,
@@ -438,7 +430,7 @@ func (s *Server) parseRequest(body io.Reader) (*runSpec, error) {
 			BudgetPerGroup: req.Options.BudgetPerGroup,
 			Seed:           req.Options.Seed,
 			Workers:        req.Options.Workers,
-			Cache:          cache,
+			Cache:          true, // every search runs on the shard's store
 			WarmStart:      req.Options.WarmStart,
 			SharedWarm:     req.Options.SharedWarm,
 		},

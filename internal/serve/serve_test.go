@@ -206,6 +206,9 @@ func TestServeBadRequests(t *testing.T) {
 		// effective_budget was a wire option; its field is gone, so
 		// DisallowUnknownFields rejects it like any other unknown name.
 		{"effective_budget is an unknown field", `{"generate":{"task":"Mix","num_jobs":16,"group_size":16,"seed":1},"options":{"effective_budget":true}}`, http.StatusBadRequest},
+		// Every served search runs on the shard's store, so the request
+		// option that once switched the cache is gone too.
+		{"cache is an unknown field", `{"generate":{"task":"Mix","num_jobs":16,"group_size":16,"seed":1},"options":{"cache":true}}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

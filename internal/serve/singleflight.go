@@ -54,8 +54,6 @@ func keyFor(spec *runSpec) flightKey {
 	u64(uint64(spec.opts.Objective))
 	u64(uint64(spec.opts.BudgetPerGroup))
 	u64(uint64(spec.opts.Seed))
-	u64(uint64(spec.opts.CacheSize))
-	b(spec.opts.Cache)
 	b(spec.opts.WarmStart)
 	u64(uint64(spec.timeout)) // different deadlines → different partials
 	var k flightKey

@@ -133,12 +133,15 @@ type Options struct {
 	// worker count, so parallelism never costs reproducibility. Compare
 	// uses the same bound to run mappers concurrently.
 	Workers int
-	// Cache enables the schedule-fingerprint fitness cache: duplicate
-	// and schedule-equivalent genomes inside and across generations are
+	// Cache runs the search on the Solver's fitness store for the
+	// problem (a private Solver's when Solver is nil): duplicate and
+	// schedule-equivalent genomes inside and across generations are
 	// answered without re-simulating. Results are bit-identical with the
 	// cache on or off; Schedule.Cache reports the hit/miss counters.
 	Cache bool
-	// CacheSize bounds the cache in entries (0 = implementation default).
+	// CacheSize bounds the private Solver's store in entries (0 =
+	// implementation default). An explicit Solver keeps its own
+	// SolverOptions.CacheSize.
 	CacheSize int
 	// WarmStart seeds MAGMA's initial population with previously found
 	// schedules of the same group size (§V-C). Ignored by other mappers.

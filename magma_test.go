@@ -86,25 +86,12 @@ func TestCompareSortsByFitness(t *testing.T) {
 	}
 }
 
-// TestWorkersReproducible pins the facade-level determinism contract:
-// Optimize and Compare return identical schedules at any worker count.
+// TestWorkersReproducible pins the facade-level determinism contract of
+// Compare: it returns identical leaderboards at any worker count. That
+// Optimize does is TestResultDigests' (every cell runs at workers 1, 2
+// and 8).
 func TestWorkersReproducible(t *testing.T) {
 	g := testGroup(t, Mix, 16)
-	base, err := Optimize(g, PlatformS2(), Options{Budget: 150, Seed: 6, Workers: 1})
-	if err != nil {
-		t.Fatalf("Optimize serial: %v", err)
-	}
-	for _, workers := range []int{2, 8} {
-		s, err := Optimize(g, PlatformS2(), Options{Budget: 150, Seed: 6, Workers: workers})
-		if err != nil {
-			t.Fatalf("Optimize workers=%d: %v", workers, err)
-		}
-		if s.Fitness != base.Fitness || s.MakespanCycles != base.MakespanCycles {
-			t.Errorf("workers=%d: schedule differs from serial (fitness %v vs %v)",
-				workers, s.Fitness, base.Fitness)
-		}
-	}
-
 	mappers := []string{"Herald-like", "MAGMA", "stdGA", "Random"}
 	serial, err := Compare(g, PlatformS2(), mappers, Options{Budget: 100, Seed: 6, Workers: 1})
 	if err != nil {
@@ -122,9 +109,11 @@ func TestWorkersReproducible(t *testing.T) {
 	}
 }
 
-// TestCacheReproducible pins the facade-level contract of the fitness
-// cache: Optimize returns the identical schedule with the cache on or
-// off, at any worker count, and reports its hit/miss counters.
+// TestCacheReproducible pins the fitness cache's counters at the
+// facade: an uncached schedule reports only the pruning pass's counters,
+// and a cached one at any worker count counts every sample. That the
+// schedules are identical with the cache on or off is
+// TestResultDigests' (its off, own and store columns).
 func TestCacheReproducible(t *testing.T) {
 	g := testGroup(t, Mix, 16)
 	base, err := Optimize(g, PlatformS2(), Options{Budget: 150, Seed: 6, Workers: 1})
@@ -140,10 +129,6 @@ func TestCacheReproducible(t *testing.T) {
 		s, err := Optimize(g, PlatformS2(), Options{Budget: 150, Seed: 6, Workers: workers, Cache: true})
 		if err != nil {
 			t.Fatalf("Optimize cached workers=%d: %v", workers, err)
-		}
-		if s.Fitness != base.Fitness || s.MakespanCycles != base.MakespanCycles {
-			t.Errorf("cached workers=%d: schedule differs from uncached (fitness %v vs %v)",
-				workers, s.Fitness, base.Fitness)
 		}
 		if total := s.Cache.Hits + s.Cache.Deduped + s.Cache.Misses + s.Cache.Invalid; total != 150 {
 			t.Errorf("cached workers=%d: counters cover %d samples, want 150", workers, total)

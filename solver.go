@@ -67,7 +67,7 @@ type Solver struct {
 // NewSolver builds a long-lived Solver.
 func NewSolver(o SolverOptions) *Solver {
 	return &Solver{
-		eng:  engine.New(engine.Config{MaxProblems: o.MaxProblems, CacheSize: o.CacheSize}),
+		eng:  engine.New(engine.Config{MaxProblems: o.MaxProblems, StoreSize: o.CacheSize}),
 		warm: NewWarmStore(o.WarmLimit),
 	}
 }
@@ -142,13 +142,11 @@ func (s *Solver) optimizeHandle(ctx context.Context, h *engine.ProblemHandle, g 
 			seeder.Seed(seeds)
 		}
 	}
-	res, err := h.RunCtx(ctx, opt, m3e.Options{
-		Budget:    opts.Budget,
-		Workers:   opts.Workers,
-		Cache:     opts.Cache,
-		CacheSize: opts.CacheSize,
-		Observer:  opts.Progress,
-	}, opts.Seed)
+	ro := m3e.Options{Budget: opts.Budget, Workers: opts.Workers, Observer: opts.Progress}
+	if opts.Cache {
+		ro.Store = h.Store()
+	}
+	res, err := h.RunCtx(ctx, opt, ro, opts.Seed)
 	if err != nil {
 		return Schedule{}, err
 	}
@@ -308,6 +306,9 @@ func (s *Solver) OptimizeStreamCtx(ctx context.Context, wl Workload, p Platform,
 		if floor := 20 * len(g.Jobs); budget < floor {
 			budget = floor
 		}
+		// CacheSize stays behind: it bounds the store of the Solver the
+		// stream runs on, and a group given it without Cache would fail
+		// its own validation.
 		o := Options{
 			Mapper:    opts.Mapper,
 			Objective: opts.Objective,
@@ -315,7 +316,6 @@ func (s *Solver) OptimizeStreamCtx(ctx context.Context, wl Workload, p Platform,
 			Seed:      opts.Seed + int64(gi),
 			Workers:   opts.Workers,
 			Cache:     opts.Cache,
-			CacheSize: opts.CacheSize,
 		}
 		if opts.Progress != nil {
 			gi := gi
@@ -401,7 +401,7 @@ func (s *Solver) TuneCtx(ctx context.Context, g Group, p Platform, budget int, t
 		// The cache is pure wall-clock savings here: trials repeat the
 		// identical problem, so the Solver's shared store answers most
 		// of a trial's evaluations from its predecessors.
-		res, err := h.RunCtx(ctx, optmagma.New(cfg), m3e.Options{Budget: budget, Cache: true}, seed)
+		res, err := h.RunCtx(ctx, optmagma.New(cfg), m3e.Options{Budget: budget, Store: h.Store()}, seed)
 		if err != nil {
 			mu.Lock()
 			if firstErr == nil {

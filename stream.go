@@ -19,13 +19,14 @@ type StreamOptions struct {
 	// search (0 = all cores). Groups themselves stay sequential: warm
 	// starting chains each group on its predecessors' schedules.
 	Workers int
-	// Cache enables the schedule-fingerprint fitness cache per group
-	// search (results are bit-identical either way; see Options.Cache).
-	// With a long-lived Solver the cache additionally persists across
-	// groups and calls (StreamResult.Cache.CrossHits counts that reuse).
+	// Cache runs every group search on the Solver's fitness stores
+	// (results are bit-identical either way; see Options.Cache). Groups
+	// of identical content share a store, and with a long-lived Solver
+	// the stores persist across calls (StreamResult.Cache.CrossHits
+	// counts that reuse).
 	Cache bool
-	// CacheSize bounds each group's cache in entries (0 = default).
-	// Ignored when a Solver supplies its shared store.
+	// CacheSize bounds the private Solver's stores in entries (0 =
+	// default). Ignored when a Solver supplies its shared stores.
 	CacheSize int
 	// WarmStart chains groups: each group's search is seeded with the
 	// best schedules of earlier groups of the same task type (§V-C).
@@ -57,8 +58,9 @@ type StreamResult struct {
 	TotalSeconds float64
 	// ThroughputGFLOPs is the aggregate stream throughput.
 	ThroughputGFLOPs float64
-	// Cache aggregates the fitness-cache counters across all group
-	// searches (zero unless StreamOptions.Cache).
+	// Cache aggregates the fitness-cache and pruning counters across all
+	// group searches (the pruning pass's alone unless
+	// StreamOptions.Cache).
 	Cache CacheStats
 	// Phases aggregates the per-phase wall-clock breakdown across all
 	// group searches (see Schedule.Phases).

@@ -28,6 +28,35 @@ func TestOptimizeStream(t *testing.T) {
 	}
 }
 
+// TestOptimizeStreamValidOptionsRunEveryGroup: StreamOptions that pass
+// Validate must pass every group's validation too. With a Solver,
+// CacheSize is valid without Cache (it is the Solver's concern), but it
+// once reached each group's Options, which have no Solver, and failed
+// group 0 with "CacheSize set without Cache". The bound is ignored, so
+// the stream equals one without it.
+func TestOptimizeStreamValidOptionsRunEveryGroup(t *testing.T) {
+	wl, err := GenerateWorkload(WorkloadConfig{Task: Mix, NumJobs: 32, GroupSize: 16, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := StreamOptions{BudgetPerGroup: 100, Seed: 1, Solver: NewSolver(SolverOptions{}), CacheSize: 64}
+	if err := opts.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	got, err := OptimizeStream(wl, PlatformS2(), opts)
+	if err != nil {
+		t.Fatalf("OptimizeStream: %v", err)
+	}
+	want, err := OptimizeStream(wl, PlatformS2(), StreamOptions{BudgetPerGroup: 100, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Schedules) != len(wl.Groups) || got.ThroughputGFLOPs != want.ThroughputGFLOPs {
+		t.Errorf("stream scheduled %d of %d groups at %v GFLOP/s, want all at %v",
+			len(got.Schedules), len(wl.Groups), got.ThroughputGFLOPs, want.ThroughputGFLOPs)
+	}
+}
+
 func TestOptimizeStreamHeuristic(t *testing.T) {
 	wl, err := GenerateWorkload(WorkloadConfig{Task: Vision, NumJobs: 32, GroupSize: 16, Seed: 10})
 	if err != nil {
