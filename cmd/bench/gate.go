@@ -16,7 +16,6 @@ import (
 type gate struct {
 	report string // "eval" or "serve": the report the gate checks
 	when   string // section the gate needs; it is skipped when absent
-	cores  int    // the report's gomaxprocs the gate needs; skipped below
 	path   string
 	op     string // ">", ">=", "<=", or "true" for a boolean
 	bound  float64
@@ -46,13 +45,6 @@ var gates = []gate{
 	// Pruned generations are no slower than unpruned ones (1.05 absorbs
 	// runner noise).
 	{report: "eval", path: "bound.on_ns_per_gen", op: "<=", bound: 1.05, ref: "bound.off_ns_per_gen"},
-	// Parallel evidence needs four cores: a serial phase row and one at
-	// four or more workers, parallel breeding no slower than serial,
-	// and the pool's fan-out speedup.
-	{report: "eval", cores: 4, path: "phase_breakdown.rows.0.workers", op: "<=", bound: 1},
-	{report: "eval", cores: 4, path: "phase_breakdown.rows.1.workers", op: ">=", bound: 4},
-	{report: "eval", cores: 4, path: "phase_breakdown.tell_speedup", op: ">=", bound: 0.95},
-	{report: "eval", cores: 4, path: "speedup_vs_serial", op: ">", bound: 1.2},
 
 	{report: "serve", path: "cross_request_hit_rate", op: ">", bound: 0},
 	{report: "serve", path: "requests_per_sec", op: ">", bound: 0},
@@ -94,15 +86,11 @@ func check(w io.Writer, report string, doc map[string]any) error {
 		if g.report != report {
 			continue
 		}
-		skip, err := g.skip(doc)
-		if err == nil && skip != "" {
+		if skip := g.skip(doc); skip != "" {
 			fmt.Fprintf(w, "gate skip %s (%s)\n", g, skip)
 			continue
 		}
-		if err == nil {
-			err = g.eval(doc)
-		}
-		if err != nil {
+		if err := g.eval(doc); err != nil {
 			fmt.Fprintf(w, "gate FAIL %s: %v\n", g, err)
 			failed = append(failed, g.String())
 			continue
@@ -116,18 +104,11 @@ func check(w io.Writer, report string, doc map[string]any) error {
 }
 
 // skip says why g does not apply to doc, or "" when it does.
-func (g gate) skip(doc map[string]any) (string, error) {
+func (g gate) skip(doc map[string]any) string {
 	if _, err := lookup(doc, g.when); g.when != "" && err != nil {
-		return "no " + g.when + " section", nil
+		return "no " + g.when + " section"
 	}
-	if g.cores == 0 {
-		return "", nil
-	}
-	procs, err := number(doc, "gomaxprocs")
-	if err != nil || procs >= float64(g.cores) {
-		return "", err
-	}
-	return fmt.Sprintf("needs gomaxprocs ≥ %d, report has %g", g.cores, procs), nil
+	return ""
 }
 
 // eval applies g to every value its path selects.

@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"os"
 	"os/exec"
 	"reflect"
@@ -138,10 +137,6 @@ type Report struct {
 	CPU          string        `json:"cpu"` // as go test reports it
 	GroupSize    int           `json:"group_size"`
 	Measurements []Measurement `json:"measurements"`
-	// SpeedupVsSerial is BenchmarkMAGMAGeneration's workers=1 time over
-	// its best parallel width's: the pool fanning out over a full,
-	// unpruned batch, not the shipped pruned generation.
-	SpeedupVsSerial float64 `json:"speedup_vs_serial"`
 	// KernelSpeedup is BenchmarkKernel's v1 oracle time over the shipped
 	// kernel's at 100 jobs on 16 cores.
 	KernelSpeedup float64 `json:"kernel_speedup"`
@@ -155,11 +150,11 @@ type Report struct {
 	CacheHitRate         float64            `json:"cache_hit_rate"`
 	CacheHitRateByMapper map[string]float64 `json:"cache_hit_rate_by_mapper"`
 	// CachedSpeedup is the uncached shipped generation (bound.on_ns_per_gen)
-	// over the cached one (phase_breakdown's workers=1 row): what the
-	// cache buys inside one search.
+	// over the cached one (phase_breakdown's row): what the cache buys
+	// inside one search.
 	CachedSpeedup float64 `json:"cached_speedup"`
 	// PhaseBreakdown times the phases of a full cached MAGMA search as
-	// cmd/serve ships it, at workers=1 and at GOMAXPROCS.
+	// cmd/serve ships it.
 	PhaseBreakdown PhaseBreakdown `json:"phase_breakdown"`
 	// BoundPruneRate is the fraction of missed candidates the runner's
 	// analytical bound kept from the simulator over a full MAGMA search
@@ -182,7 +177,7 @@ type BoundReport struct {
 	Pruned  uint64 `json:"pruned"`
 	// OffNsPerGen / OnNsPerGen are full-generation wall clocks (ask +
 	// fingerprint + bound + simulate + tell) without and with pruning,
-	// both serial and uncached; GenSpeedup is their ratio.
+	// both uncached; GenSpeedup is their ratio.
 	OffNsPerGen float64 `json:"off_ns_per_gen"`
 	OnNsPerGen  float64 `json:"on_ns_per_gen"`
 	GenSpeedup  float64 `json:"gen_speedup"`
@@ -192,21 +187,17 @@ type BoundReport struct {
 	PruneRateByGroupSize map[string]float64 `json:"prune_rate_by_group_size"`
 }
 
-// PhaseBreakdown compares per-phase wall clocks across worker counts
-// (results are bit-identical; only the timings move).
+// PhaseBreakdown holds the per-phase wall clocks of one search, as its
+// only row.
 type PhaseBreakdown struct {
 	Mapper    string     `json:"mapper"`
 	GroupSize int        `json:"group_size"`
 	Budget    int        `json:"budget"`
 	Rows      []PhaseRow `json:"rows"`
-	// TellSpeedup is serial tell-phase ns/gen divided by the best
-	// parallel row's — the parallel-breeding payoff (1.0 on one core).
-	TellSpeedup float64 `json:"tell_speedup"`
 }
 
 // PhaseRow is one search's per-generation phase timings.
 type PhaseRow struct {
-	Workers             int     `json:"workers"`
 	Generations         int     `json:"generations"`
 	NsPerGen            float64 `json:"ns_per_gen"`
 	AskNsPerGen         float64 `json:"ask_ns_per_gen"`
@@ -266,32 +257,14 @@ func evalReport(benchtime string) (*Report, error) {
 	if virtual := ns["magma/internal/sim.VirtualMakespan/jobs=100/accels=4/virtual"]; virtual > 0 {
 		rep.VirtualSpeedup = ns["magma/internal/sim.VirtualMakespan/jobs=100/accels=4/run"] / virtual
 	}
-	best := math.Inf(1) // the fastest parallel width
-	for _, w := range []int{2, 4, 8} {
-		if t := ns[fmt.Sprintf("magma/internal/m3e.MAGMAGeneration/workers=%d", w)]; t > 0 {
-			best = min(best, t)
-		}
-	}
-	rep.SpeedupVsSerial = ns["magma/internal/m3e.MAGMAGeneration/workers=1"] / best
 
 	var ss searches
 	prob := ss.problem(groupSize, 51)
 	newMAGMA := func() m3e.Optimizer { return optmagma.New(optmagma.Config{}) }
 
 	// Phase breakdown: the shipped cached search, timed by the runner.
-	pb := &rep.PhaseBreakdown
-	*pb = PhaseBreakdown{Mapper: "MAGMA", GroupSize: groupSize, Budget: m3e.DefaultBudget, TellSpeedup: 1}
-	workers := []int{1}
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		workers = append(workers, n)
-	}
-	for _, w := range workers {
-		_, row := ss.run(prob, newMAGMA(), m3e.Options{Workers: w, Store: m3e.NewCacheStore(0)}, 6)
-		pb.Rows = append(pb.Rows, row)
-	}
-	if last := pb.Rows[len(pb.Rows)-1]; len(pb.Rows) > 1 && last.TellNsPerGen > 0 {
-		pb.TellSpeedup = pb.Rows[0].TellNsPerGen / last.TellNsPerGen
-	}
+	_, row := ss.run(prob, newMAGMA(), m3e.Options{Store: m3e.NewCacheStore(0)}, 6)
+	rep.PhaseBreakdown = PhaseBreakdown{Mapper: "MAGMA", GroupSize: groupSize, Budget: m3e.DefaultBudget, Rows: []PhaseRow{row}}
 
 	// Each optimizer's duplicate rate over one full cached search.
 	rep.CacheHitRateByMapper = map[string]float64{}
@@ -312,11 +285,10 @@ func evalReport(benchtime string) (*Report, error) {
 	}
 	rep.CacheHitRate = rep.CacheHitRateByMapper["MAGMA"]
 
-	// Analytical pruning against the unpruned reference, both serial
-	// (the wrapper also hides the breeding hook); the searches must be
-	// bit-identical.
-	off, offRow := ss.run(prob, unpruned{newMAGMA()}, m3e.Options{Workers: 1}, 6)
-	on, onRow := ss.run(prob, newMAGMA(), m3e.Options{Workers: 1}, 6)
+	// Analytical pruning against the unpruned reference; the searches
+	// must be bit-identical.
+	off, offRow := ss.run(prob, unpruned{newMAGMA()}, m3e.Options{}, 6)
+	on, onRow := ss.run(prob, newMAGMA(), m3e.Options{}, 6)
 	if on.BestFitness != off.BestFitness || !reflect.DeepEqual(on.Curve, off.Curve) {
 		return nil, errors.New("bound pruning changed the search: best/curve diverged from the unpruned run")
 	}
@@ -333,7 +305,7 @@ func evalReport(benchtime string) (*Report, error) {
 		BoundNsPerGen:        onRow.BoundNsPerGen,
 		PruneRateByGroupSize: map[string]float64{fmt.Sprint(groupSize): rep.BoundPruneRate},
 	}
-	rep.CachedSpeedup = onRow.NsPerGen / pb.Rows[0].NsPerGen
+	rep.CachedSpeedup = onRow.NsPerGen / row.NsPerGen
 	for _, gs := range []int{16, 48} {
 		res, _ := ss.run(ss.problem(gs, 51), newMAGMA(), m3e.Options{}, 6)
 		rep.Bound.PruneRateByGroupSize[fmt.Sprint(gs)] = res.Cache.BoundPruneRate()
@@ -381,7 +353,6 @@ func (ss *searches) run(prob *m3e.Problem, opt m3e.Optimizer, o m3e.Options, see
 	gens := float64(ph.Generations)
 	total := ph.AskNs + ph.FingerprintNs + ph.BoundNs + ph.SimulateNs + ph.TellNs
 	row := PhaseRow{
-		Workers:             o.Workers,
 		Generations:         ph.Generations,
 		NsPerGen:            float64(total) / gens,
 		AskNsPerGen:         float64(ph.AskNs) / gens,

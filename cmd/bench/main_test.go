@@ -98,12 +98,10 @@ func passing(t *testing.T) map[string]map[string]any {
 		CacheHitRate:         0.1,
 		CacheHitRateByMapper: map[string]float64{"MAGMA": 0.1},
 		CachedSpeedup:        0.8,
-		SpeedupVsSerial:      2,
 		KernelSpeedup:        2.3,
 		VirtualSpeedup:       3,
-		PhaseBreakdown: PhaseBreakdown{TellSpeedup: 1.9, Rows: []PhaseRow{
-			{Workers: 1, Generations: 100, Reasks: 990},
-			{Workers: 4, Generations: 100, Reasks: 990},
+		PhaseBreakdown: PhaseBreakdown{Rows: []PhaseRow{
+			{Generations: 100, Reasks: 990},
 		}},
 		BoundPruneRate: 0.8,
 		Bound:          BoundReport{Pruned: 5000, OnNsPerGen: 300, OffNsPerGen: 900},
@@ -209,36 +207,40 @@ func wantFailure(t *testing.T, g gate, doc map[string]any, how string) {
 		if h.report != g.report || h == g || h.path == g.path || h.ref == g.path {
 			continue
 		}
-		skip, err := h.skip(doc)
-		if err == nil && skip == "" {
-			err = h.eval(doc)
+		if h.skip(doc) != "" {
+			continue
 		}
-		if err != nil {
+		if err := h.eval(doc); err != nil {
 			t.Errorf("%s gate %s also failed %s, which does not read its field: %v", how, g, h, err)
 		}
 	}
 }
 
-// TestFourCoreGatesFollowTheReport pins that the parallel gates apply
-// by the report's own gomaxprocs: skipped below four, applied at four.
-func TestFourCoreGatesFollowTheReport(t *testing.T) {
-	doc := passing(t)["eval"]
-	doc["speedup_vs_serial"] = 1.0
-	doc["gomaxprocs"] = 2.0
+// TestSectionGatesFollowTheReport pins that a gate with a section
+// applies by the report's own sections: skipped when the section is
+// absent, applied when it is present.
+func TestSectionGatesFollowTheReport(t *testing.T) {
+	sectioned := 0
+	for _, g := range gates {
+		if g.report == "serve" && g.when != "" {
+			sectioned++
+		}
+	}
+	doc := passing(t)["serve"]
+	chaos, fleet := doc["chaos"], doc["fleet"]
+	delete(doc, "chaos")
+	delete(doc, "fleet")
 	var out strings.Builder
-	if err := check(&out, "eval", doc); err != nil {
-		t.Fatalf("2-core report: %v", err)
+	if err := check(&out, "serve", doc); err != nil {
+		t.Fatalf("report without sections: %v", err)
 	}
-	if got := strings.Count(out.String(), "gate skip"); got != 4 {
-		t.Errorf("2-core report skipped %d gates, want the 4 four-core gates:\n%s", got, out.String())
+	if got := strings.Count(out.String(), "gate skip"); got != sectioned {
+		t.Errorf("report without sections skipped %d gates, want the %d sectioned ones:\n%s", got, sectioned, out.String())
 	}
-	doc["gomaxprocs"] = 4.0
-	if err := check(io.Discard, "eval", doc); err == nil {
-		t.Error("4-core report passed with speedup_vs_serial 1.0")
-	}
-	delete(doc, "gomaxprocs")
-	if err := check(io.Discard, "eval", doc); err == nil {
-		t.Error("report without gomaxprocs passed its four-core gates")
+	doc["chaos"], doc["fleet"] = chaos, fleet
+	set(t, doc, "chaos.succeeded", 0.0)
+	if err := check(io.Discard, "serve", doc); err == nil {
+		t.Error("report with a chaos section passed with chaos.succeeded 0")
 	}
 }
 

@@ -26,14 +26,13 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment id (fig7..fig17, tab5) or 'all'")
-		list    = flag.Bool("list", false, "list available experiments and exit")
-		full    = flag.Bool("full", false, "paper-scale settings (budget 10000, group 100, 128-wide RL)")
-		budget  = flag.Int("budget", 0, "override sampling budget per method")
-		group   = flag.Int("group", 0, "override group size")
-		hidden  = flag.Int("rl-hidden", 0, "override RL MLP width")
-		seed    = flag.Int64("seed", 0, "override base seed")
-		workers = flag.Int("workers", 0, "parallel evaluation goroutines (0 = all cores; results are seed-reproducible at any worker count)")
+		exp    = flag.String("exp", "all", "experiment id (fig7..fig17, tab5) or 'all'")
+		list   = flag.Bool("list", false, "list available experiments and exit")
+		full   = flag.Bool("full", false, "paper-scale settings (budget 10000, group 100, 128-wide RL)")
+		budget = flag.Int("budget", 0, "override sampling budget per method")
+		group  = flag.Int("group", 0, "override group size")
+		hidden = flag.Int("rl-hidden", 0, "override RL MLP width")
+		seed   = flag.Int64("seed", 0, "override base seed")
 	)
 	flag.Parse()
 
@@ -59,9 +58,6 @@ func main() {
 	}
 	if *seed != 0 {
 		cfg.Seed = *seed
-	}
-	if *workers > 0 {
-		cfg.Workers = *workers
 	}
 
 	// Ctrl-C cancels the suite's context: the in-flight search stops at

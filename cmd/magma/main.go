@@ -35,7 +35,6 @@ func main() {
 		budget     = flag.Int("budget", 10000, "sampling budget for search mappers")
 		objective  = flag.String("objective", "throughput", "throughput | latency | energy | edp")
 		seed       = flag.Int64("seed", 1, "random seed")
-		workers    = flag.Int("workers", 0, "parallel evaluation goroutines (0 = all cores; results are seed-reproducible at any worker count)")
 		cache      = flag.Bool("cache", true, "schedule-fingerprint fitness cache (results are bit-identical on or off)")
 		cacheSize  = flag.Int("cachesize", 0, "fitness cache bound in entries (0 = default)")
 		gantt      = flag.Bool("gantt", false, "render the found schedule")
@@ -72,7 +71,7 @@ func main() {
 	}
 	opts := magma.Options{
 		Mapper: *mapper, Objective: obj, Budget: *budget, Seed: *seed,
-		Workers: *workers, Cache: *cache, CacheSize: *cacheSize,
+		Cache: *cache, CacheSize: *cacheSize,
 	}
 
 	fmt.Printf("platform: %s\n", pf)

@@ -1,59 +1,13 @@
-// Command serve exposes the library as an HTTP service backed by one
-// long-lived, shared magma.Solver: concurrent requests reuse analysis
-// tables, evaluator pools and the cross-run schedule cache, and the
-// JSON responses report the reuse (engine.cross_request_hit_rate).
-//
-// Usage:
-//
-//	serve                      # listen on :8080
-//	serve -addr :9000 -maxproblems 128 -cachesize 131072
-//	serve -jobtimeout 2m -maxjobs 512
-//	serve -snapshot-dir /var/lib/magma -snapshot-interval 30s
-//	serve -addr :8080 -shards http://127.0.0.1:8081,http://127.0.0.1:8082
-//	serve -pprof localhost:6060     # net/http/pprof side listener
-//
-// With -shards the process is a fleet *router* instead of a shard: it
-// owns no Solver and forwards every /optimize to the shard that owns
-// each group's TableIdentity under rendezvous hashing (multi-group
-// requests fan out per group and merge bit-identically), aggregates
-// /stats across the fleet, and retries a shedding or briefly
-// unreachable shard before failing the request with a 502. Shard
-// elements are "url" or "name=url"; names are the stable hash
-// identities, so keep them fixed across restarts (see internal/fleet).
-// All solver flags (-maxproblems, -snapshot-dir, ...) apply to shard
-// processes and are rejected in router mode.
-//
-// With -snapshot-dir the server is crash-safe: it periodically writes
-// the Solver's warm state (schedule-cache entries and warm-start seeds)
-// to an atomically-replaced snapshot file, writes a final snapshot on
-// graceful shutdown, and restores the newest snapshot on boot — so a
-// restarted server answers a repeated request mix with cross-request
-// cache hits from its first generation. A corrupt or version-mismatched
-// snapshot is rejected whole and logged; the server boots cold instead
-// of crashing.
-//
-// Endpoints:
-//
-//	POST /optimize   {"generate":{"task":"Mix","num_jobs":32,"group_size":16,"seed":1},
-//	                  "platform":"S2","options":{"budget_per_group":400,"seed":1}}
-//	                 or {"workload":{...jobgen document...},...}
-//	                 synchronous; aborts with the client disconnect and
-//	                 honors "timeout_ms" (capped by -jobtimeout)
-//	POST /jobs       same body, asynchronous; returns {"id": ...}
-//	GET  /jobs/{id}  status + live progress (+ result when finished;
-//	                 HTTP 499 once cancelled)
-//	DELETE /jobs/{id}       cancel; the job keeps its best-so-far result
-//	GET  /jobs/{id}/events  SSE progress stream (one event per generation)
-//	GET  /jobs       list retained jobs
-//	GET  /stats      engine lifetime counters
-//	GET  /healthz    liveness probe
 package main
 
 import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
+	"io"
 	"log"
+	"net"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on the -pprof listener
 	"os"
@@ -68,28 +22,45 @@ import (
 )
 
 func main() {
-	var (
-		addr        = flag.String("addr", ":8080", "listen address")
-		maxProblems = flag.Int("maxproblems", 0, "cached problems bound (0 = default 64)")
-		cacheSize   = flag.Int("cachesize", 0, "per-problem fitness store bound in entries (0 = default)")
-		warmLimit   = flag.Int("warmlimit", 0, "shared warm-store schedules per task (0 = default 8)")
-		jobTimeout  = flag.Duration("jobtimeout", 10*time.Minute, "per-search wall-clock cap for /optimize and /jobs; request timeout_ms can only shorten it (0 = no cap)")
-		maxJobs     = flag.Int("maxjobs", 0, "retained finished jobs bound (0 = default 256)")
-		maxRunning  = flag.Int("maxrunning", 0, "concurrently running async jobs bound; excess submissions get 429 (0 = default 2x GOMAXPROCS, min 4)")
-		snapDir     = flag.String("snapshot-dir", "", "directory for durable warm-state snapshots; empty disables snapshotting")
-		snapEvery   = flag.Duration("snapshot-interval", time.Minute, "period between background snapshots (with -snapshot-dir)")
-		shardSpec   = flag.String("shards", "", "run as a fleet router over this comma-separated shard list (url or name=url); solver flags do not apply")
-		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this side listener (e.g. localhost:6060); empty disables")
-	)
-	flag.Parse()
-	log.SetFlags(log.LstdFlags | log.Lmicroseconds)
-	log.SetPrefix("serve: ")
-	startPprof(*pprofAddr)
-
-	if *shardSpec != "" {
-		runRouter(*addr, *shardSpec)
-		return
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:], os.Stderr); err != nil {
+		if !errors.Is(err, flag.ErrHelp) {
+			fmt.Fprintln(os.Stderr, "serve:", err)
+		}
+		os.Exit(2)
 	}
+}
+
+// run parses args, serves a shard (or, with -shards, a router) until
+// ctx is cancelled, and then stops gracefully: in-flight requests get up
+// to 30 s to finish, and a shard with -snapshot-dir writes a final
+// snapshot. It logs to stderr. A flag error, a flag that does not apply
+// to the mode, or a listener that cannot start is returned.
+func run(ctx context.Context, args []string, stderr io.Writer) error {
+	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		addr        = fs.String("addr", ":8080", "listen address")
+		maxProblems = fs.Int("maxproblems", 0, "cached problems bound (0 = default 64)")
+		cacheSize   = fs.Int("cachesize", 0, "per-problem fitness store bound in entries (0 = default)")
+		warmLimit   = fs.Int("warmlimit", 0, "shared warm-store schedules per task (0 = default 8)")
+		jobTimeout  = fs.Duration("jobtimeout", 10*time.Minute, "per-search wall-clock cap for /optimize and /jobs; request timeout_ms can only shorten it (0 = no cap)")
+		maxJobs     = fs.Int("maxjobs", 0, "retained finished jobs bound (0 = default 256)")
+		maxRunning  = fs.Int("maxrunning", 0, "concurrently running async jobs bound; excess submissions get 429 (0 = default 2x GOMAXPROCS, min 4)")
+		snapDir     = fs.String("snapshot-dir", "", "directory for durable warm-state snapshots; empty disables snapshotting")
+		snapEvery   = fs.Duration("snapshot-interval", time.Minute, "period between background snapshots (with -snapshot-dir)")
+		shardSpec   = fs.String("shards", "", "run as a fleet router over this comma-separated shard list (url or name=url); solver flags do not apply")
+		pprofAddr   = fs.String("pprof", "", "serve net/http/pprof on this side listener (e.g. localhost:6060); empty disables")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	logger := log.New(stderr, "serve: ", log.LstdFlags|log.Lmicroseconds)
+	if *shardSpec != "" {
+		return runRouter(ctx, logger, fs, *addr, *shardSpec, *pprofAddr)
+	}
+	startPprof(logger, *pprofAddr)
 
 	solver := magma.NewSolver(magma.SolverOptions{
 		MaxProblems: *maxProblems,
@@ -100,12 +71,12 @@ func main() {
 	stopSnapshots := func() {}
 	if *snapDir != "" {
 		snapPath = filepath.Join(*snapDir, "solver.snap")
-		restoreSnapshot(solver, snapPath)
-		stopSnapshots = startSnapshots(solver, snapPath, *snapEvery)
+		restoreSnapshot(logger, solver, snapPath)
+		stopSnapshots = startSnapshots(logger, solver, snapPath, *snapEvery)
 	}
 	srv := &http.Server{
 		Addr: *addr,
-		Handler: logRequests(serve.NewWith(solver, serve.Config{
+		Handler: logRequests(logger, serve.NewWith(solver, serve.Config{
 			JobTimeout: *jobTimeout,
 			MaxJobs:    *maxJobs,
 			MaxRunning: *maxRunning,
@@ -114,85 +85,86 @@ func main() {
 		// read so a stuck client cannot pin a connection pre-request.
 		ReadHeaderTimeout: 10 * time.Second,
 	}
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
-		log.Print("shutting down")
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			log.Printf("shutdown: %v", err)
+	err := serveUntil(ctx, logger, srv, "listening", "shared solver: one engine for all requests")
+	// A last snapshot after the listener drains, so warm state built by
+	// the final requests survives the restart.
+	stopSnapshots()
+	if snapPath != "" && err == nil {
+		if err := solver.SnapshotFile(snapPath); err != nil {
+			logger.Printf("final snapshot: %v", err)
+		} else {
+			logger.Printf("final snapshot written to %s", snapPath)
 		}
-		// A last snapshot after the listener drains, so warm state built
-		// by the final requests survives the restart.
-		stopSnapshots()
-		if snapPath != "" {
-			if err := solver.SnapshotFile(snapPath); err != nil {
-				log.Printf("final snapshot: %v", err)
-			} else {
-				log.Printf("final snapshot written to %s", snapPath)
-			}
-		}
-	}()
-
-	log.Printf("listening on %s (shared solver: one engine for all requests)", *addr)
-	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Fatal(err)
 	}
-	<-done
+	return err
 }
 
 // runRouter serves the fleet front end: no Solver in this process, just
-// rendezvous routing, per-group fan-out and fleet-wide stats. The
-// solver flags are shard-process configuration; accepting them here and
-// silently ignoring them would hide a misconfigured deployment, so any
-// that were set are fatal.
-func runRouter(addr, shardSpec string) {
-	flag.Visit(func(f *flag.Flag) {
+// rendezvous routing, per-group fan-out and fleet-wide stats. The solver
+// flags are shard-process configuration; accepting them here and
+// silently ignoring them would hide a misconfigured deployment, so the
+// first one set in fs is returned as an error before anything starts.
+func runRouter(ctx context.Context, logger *log.Logger, fs *flag.FlagSet, addr, shardSpec, pprofAddr string) error {
+	var misplaced error
+	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "addr", "shards", "pprof":
 		default:
-			log.Fatalf("-%s configures a shard process; it does not apply with -shards (start shards as separate serve processes)", f.Name)
+			if misplaced == nil {
+				misplaced = fmt.Errorf("-%s configures a shard process; it does not apply with -shards (start shards as separate serve processes)", f.Name)
+			}
 		}
 	})
+	if misplaced != nil {
+		return misplaced
+	}
+	startPprof(logger, pprofAddr)
 	shards, err := fleet.ParseShards(shardSpec)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	router, err := fleet.NewRouter(shards, fleet.Config{})
 	if err != nil {
-		log.Fatal(err)
+		return err
+	}
+	for _, sh := range shards {
+		logger.Printf("shard %s -> %s", sh.Name, sh.URL)
 	}
 	srv := &http.Server{
 		Addr:              addr,
-		Handler:           logRequests(router.Handler()),
+		Handler:           logRequests(logger, router.Handler()),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
-		log.Print("router shutting down")
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			log.Printf("shutdown: %v", err)
-		}
-	}()
-	for _, sh := range shards {
-		log.Printf("shard %s -> %s", sh.Name, sh.URL)
+	return serveUntil(ctx, logger, srv, "routing", fmt.Sprintf("%d shards, rendezvous-hashed by TableIdentity", len(shards)))
+}
+
+// serveUntil serves srv on its address until ctx is cancelled, then
+// shuts it down, giving in-flight requests up to 30 s to finish. The
+// line "<verb> on <bound address> (<detail>)" is logged once the
+// listener is open.
+func serveUntil(ctx context.Context, logger *log.Logger, srv *http.Server, verb, detail string) error {
+	ln, err := net.Listen("tcp", srv.Addr)
+	if err != nil {
+		return err
 	}
-	log.Printf("routing on %s (%d shards, rendezvous-hashed by TableIdentity)", addr, len(shards))
-	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Fatal(err)
+	logger.Printf("%s on %s (%s)", verb, ln.Addr(), detail)
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
 	}
-	<-done
+	logger.Print("shutting down")
+	sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(sctx); err != nil {
+		logger.Printf("shutdown: %v", err)
+	}
+	if err := <-served; !errors.Is(err, http.ErrServerClosed) {
+		return err
+	}
+	return nil
 }
 
 // startPprof exposes net/http/pprof on a side listener so a hot-path
@@ -201,15 +173,15 @@ func runRouter(addr, shardSpec string) {
 // service address: profiling must never be reachable from service
 // traffic, and a wedged service handler cannot take the profiler with
 // it.
-func startPprof(addr string) {
+func startPprof(logger *log.Logger, addr string) {
 	if addr == "" {
 		return
 	}
 	go func() {
-		log.Printf("pprof listening on http://%s/debug/pprof/", addr)
+		logger.Printf("pprof listening on http://%s/debug/pprof/", addr)
 		// DefaultServeMux carries the net/http/pprof registrations.
 		if err := http.ListenAndServe(addr, nil); err != nil {
-			log.Printf("pprof listener: %v", err)
+			logger.Printf("pprof listener: %v", err)
 		}
 	}()
 }
@@ -218,23 +190,23 @@ func startPprof(addr string) {
 // survivable: a missing file is the ordinary first boot, and a corrupt
 // or version-mismatched snapshot is rejected whole by the persist layer
 // — log it and boot cold, never crash on bad bytes from disk.
-func restoreSnapshot(solver *magma.Solver, path string) {
+func restoreSnapshot(logger *log.Logger, solver *magma.Solver, path string) {
 	switch err := solver.RestoreFile(path); {
 	case err == nil:
 		st := solver.Stats()
-		log.Printf("restored %d problems (%d cache entries) from %s",
+		logger.Printf("restored %d problems (%d cache entries) from %s",
 			st.ProblemsRestored, st.EntriesRestored, path)
 	case os.IsNotExist(err):
-		log.Printf("no snapshot at %s: cold start", path)
+		logger.Printf("no snapshot at %s: cold start", path)
 	default:
-		log.Printf("snapshot %s rejected (%v): cold start", path, err)
+		logger.Printf("snapshot %s rejected (%v): cold start", path, err)
 	}
 }
 
 // startSnapshots writes a snapshot every interval on a background
 // goroutine; the returned stop waits for any in-flight write, so the
 // caller can safely take the final shutdown snapshot after it.
-func startSnapshots(solver *magma.Solver, path string, interval time.Duration) (stop func()) {
+func startSnapshots(logger *log.Logger, solver *magma.Solver, path string, interval time.Duration) (stop func()) {
 	if interval <= 0 {
 		return func() {}
 	}
@@ -253,7 +225,7 @@ func startSnapshots(solver *magma.Solver, path string, interval time.Duration) (
 					// Transient disk trouble must not kill the server; the
 					// next tick retries and the previous snapshot is intact
 					// (writes are atomic temp+rename).
-					log.Printf("snapshot: %v", err)
+					logger.Printf("snapshot: %v", err)
 				}
 			}
 		}
@@ -265,12 +237,12 @@ func startSnapshots(solver *magma.Solver, path string, interval time.Duration) (
 }
 
 // logRequests logs one line per request: method, path, status, elapsed.
-func logRequests(next http.Handler) http.Handler {
+func logRequests(logger *log.Logger, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		next.ServeHTTP(sw, r)
-		log.Printf("%s %s -> %d (%s)", r.Method, r.URL.Path, sw.status, time.Since(start))
+		logger.Printf("%s %s -> %d (%s)", r.Method, r.URL.Path, sw.status, time.Since(start))
 	})
 }
 

@@ -12,8 +12,8 @@ import (
 
 // TestCancellationDeterminism pins the abort contract: a run cancelled
 // at generation k returns exactly the best-so-far state a full run's
-// curve shows after the same number of samples — for every worker count
-// and with the cache on or off.
+// curve shows after the same number of samples, with the cache on or
+// off.
 func TestCancellationDeterminism(t *testing.T) {
 	g := testGroup(t, Mix, 16)
 	pf := PlatformS2()
@@ -21,59 +21,57 @@ func TestCancellationDeterminism(t *testing.T) {
 	const abortAt = 7  // cancel once generation 7 completed
 
 	for _, cache := range []bool{false, true} {
-		for _, workers := range []int{1, 2, 8} {
-			opts := Options{Budget: budget, Seed: 3, Workers: workers, Cache: cache}
+		opts := Options{Budget: budget, Seed: 3, Cache: cache}
 
-			// Full run, recording the cumulative samples at generation k.
-			samplesAtK := 0
-			full := opts
-			full.Progress = func(p Progress) {
-				if p.Generation == abortAt {
-					samplesAtK = p.Samples
-				}
+		// Full run, recording the cumulative samples at generation k.
+		samplesAtK := 0
+		full := opts
+		full.Progress = func(p Progress) {
+			if p.Generation == abortAt {
+				samplesAtK = p.Samples
 			}
-			want, err := Optimize(g, pf, full)
-			if err != nil {
-				t.Fatalf("full Optimize(workers=%d,cache=%v): %v", workers, cache, err)
-			}
-			if samplesAtK == 0 {
-				t.Fatalf("observer never saw generation %d", abortAt)
-			}
+		}
+		want, err := Optimize(g, pf, full)
+		if err != nil {
+			t.Fatalf("full Optimize(cache=%v): %v", cache, err)
+		}
+		if samplesAtK == 0 {
+			t.Fatalf("observer never saw generation %d", abortAt)
+		}
 
-			// Aborted run: cancel from the generation-k progress callback.
-			ctx, cancel := context.WithCancel(context.Background())
-			part := opts
-			part.Progress = func(p Progress) {
-				if p.Generation == abortAt {
-					cancel()
-				}
+		// Aborted run: cancel from the generation-k progress callback.
+		ctx, cancel := context.WithCancel(context.Background())
+		part := opts
+		part.Progress = func(p Progress) {
+			if p.Generation == abortAt {
+				cancel()
 			}
-			got, err := OptimizeCtx(ctx, g, pf, part)
-			cancel()
-			if err != nil {
-				t.Fatalf("aborted Optimize(workers=%d,cache=%v): %v", workers, cache, err)
+		}
+		got, err := OptimizeCtx(ctx, g, pf, part)
+		cancel()
+		if err != nil {
+			t.Fatalf("aborted Optimize(cache=%v): %v", cache, err)
+		}
+		if !got.Partial {
+			t.Fatalf("cache=%v: aborted schedule not marked Partial", cache)
+		}
+		if got.Samples != samplesAtK {
+			t.Errorf("cache=%v: aborted at %d samples, want %d", cache, got.Samples, samplesAtK)
+		}
+		if got.Fitness != want.Curve[samplesAtK-1] {
+			t.Errorf("cache=%v: aborted best %v != full curve at k %v",
+				cache, got.Fitness, want.Curve[samplesAtK-1])
+		}
+		if len(got.Curve) != samplesAtK {
+			t.Fatalf("cache=%v: aborted curve %d samples, want %d", cache, len(got.Curve), samplesAtK)
+		}
+		for i, v := range got.Curve {
+			if v != want.Curve[i] {
+				t.Fatalf("cache=%v: curve diverges at sample %d: %v != %v", cache, i, v, want.Curve[i])
 			}
-			if !got.Partial {
-				t.Fatalf("workers=%d cache=%v: aborted schedule not marked Partial", workers, cache)
-			}
-			if got.Samples != samplesAtK {
-				t.Errorf("workers=%d cache=%v: aborted at %d samples, want %d", workers, cache, got.Samples, samplesAtK)
-			}
-			if got.Fitness != want.Curve[samplesAtK-1] {
-				t.Errorf("workers=%d cache=%v: aborted best %v != full curve at k %v",
-					workers, cache, got.Fitness, want.Curve[samplesAtK-1])
-			}
-			if len(got.Curve) != samplesAtK {
-				t.Fatalf("workers=%d cache=%v: aborted curve %d samples, want %d", workers, cache, len(got.Curve), samplesAtK)
-			}
-			for i, v := range got.Curve {
-				if v != want.Curve[i] {
-					t.Fatalf("workers=%d cache=%v: curve diverges at sample %d: %v != %v", workers, cache, i, v, want.Curve[i])
-				}
-			}
-			if err := got.Mapping.Validate(len(g.Jobs), pf.NumAccels()); err != nil {
-				t.Errorf("aborted schedule mapping invalid: %v", err)
-			}
+		}
+		if err := got.Mapping.Validate(len(g.Jobs), pf.NumAccels()); err != nil {
+			t.Errorf("aborted schedule mapping invalid: %v", err)
 		}
 	}
 }
@@ -92,10 +90,10 @@ func TestCompareCtxCancelKeepsFinishedMappers(t *testing.T) {
 	g := testGroup(t, Mix, 16)
 	ctx, cancel := context.WithCancel(context.Background())
 	var once sync.Once
-	opts := Options{Budget: 20000, Seed: 1, Workers: 1, Progress: func(p Progress) {
+	opts := Options{Budget: 20000, Seed: 1, Progress: func(p Progress) {
 		// Let every mapper get some generations in before cancelling
-		// (Workers=1 runs them sequentially, so later mappers are
-		// dropped — the leaderboard keeps whoever produced samples).
+		// (mappers still waiting for a CPU are dropped — the leaderboard
+		// keeps whoever produced samples).
 		if p.Generation >= 3 {
 			once.Do(cancel)
 		}
@@ -288,11 +286,10 @@ func TestOptionsValidate(t *testing.T) {
 	}{
 		{"negative budget", Options{Budget: -5}, []string{"Budget -5"}},
 		{"unknown objective", Options{Objective: Objective(9)}, []string{"Objective 9"}},
-		{"negative workers", Options{Workers: -1}, []string{"Workers -1"}},
 		{"negative cachesize", Options{CacheSize: -2}, []string{"CacheSize -2"}},
 		{"cachesize without cache", Options{CacheSize: 64}, []string{"CacheSize set without Cache"}},
-		{"everything at once", Options{Mapper: "nope", Budget: -1, Workers: -1},
-			[]string{"nope", "Budget -1", "Workers -1"}},
+		{"everything at once", Options{Mapper: "nope", Budget: -1, Objective: Objective(9)},
+			[]string{"nope", "Budget -1", "Objective 9"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -20,7 +20,6 @@ import (
 
 var (
 	updateDigests = flag.Bool("update", false, "regenerate testdata/digests.json from the current code")
-	digestWorkers = []int{1, 2, 8}
 	digestsPath   = filepath.Join("testdata", "digests.json")
 	digestMappers = []string{"MAGMA", "stdGA"}
 	digestJobs    = []int{16, 30}
@@ -87,9 +86,10 @@ func digestConstants() map[string]int {
 // stdGA) bit for bit on every objective, two group sizes and two
 // platforms, and of every other registered mapper on Throughput at J16
 // on S2@16. Each cell runs uncached, with a cache of its own (no
-// store), and with one Solver's store shared across the cell's runs (so
-// later runs read entries earlier ones wrote), at workers 1, 2 and 8.
-// All runs of a cell must reproduce the one committed digest.
+// store), and on one Solver shared by every cell, so a cell reads the
+// entries that earlier cells of the same problem (the other mappers on
+// its group, platform and objective) wrote. All runs of a cell must
+// reproduce the one committed digest.
 //
 // The file also records digestConstants. A constant that moved is a
 // declared break: the test fails until the file is regenerated. A digest
@@ -126,32 +126,30 @@ func TestResultDigests(t *testing.T) {
 		}
 	}
 	got := map[string]string{}
+	solver := NewSolver(SolverOptions{})
 	runCell := func(g Group, pf Platform, setting, mapper string, obj Objective) {
 		cell := fmt.Sprintf("%s/%s/J%d/%s", mapper, obj, len(g.Jobs), setting)
-		solver := NewSolver(SolverOptions{})
 		for _, cache := range []string{"off", "own", "store"} {
-			for _, w := range digestWorkers {
-				opts := Options{Mapper: mapper, Objective: obj, Budget: digestBudget, Seed: 7, Workers: w}
-				switch cache {
-				case "own":
-					opts.Cache = true
-				case "store":
-					opts.Cache, opts.Solver = true, solver
-				}
-				s, err := Optimize(g, pf, opts)
-				if err != nil {
-					t.Fatalf("%s: %v", cell, err)
-				}
-				d := resultDigest(s)
-				run := fmt.Sprintf("%s (cache=%s workers=%d)", cell, cache, w)
-				if prev, ok := got[cell]; ok && prev != d {
-					t.Errorf("%s: digest %s differs from the cell's first run %s", run, d, prev)
-					continue
-				}
-				got[cell] = d
-				if !*updateDigests && want.Cells[cell] != d {
-					t.Errorf("%s: digest %s, committed %q; %s", run, d, want.Cells[cell], undeclared)
-				}
+			opts := Options{Mapper: mapper, Objective: obj, Budget: digestBudget, Seed: 7}
+			switch cache {
+			case "own":
+				opts.Cache = true
+			case "store":
+				opts.Cache, opts.Solver = true, solver
+			}
+			s, err := Optimize(g, pf, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", cell, err)
+			}
+			d := resultDigest(s)
+			run := fmt.Sprintf("%s (cache=%s)", cell, cache)
+			if prev, ok := got[cell]; ok && prev != d {
+				t.Errorf("%s: digest %s differs from the cell's first run %s", run, d, prev)
+				continue
+			}
+			got[cell] = d
+			if !*updateDigests && want.Cells[cell] != d {
+				t.Errorf("%s: digest %s, committed %q; %s", run, d, want.Cells[cell], undeclared)
 			}
 		}
 	}

@@ -96,8 +96,8 @@ func Decode(g Genome, nAccels int) sim.Mapping {
 // DecodeInto decodes the genome into m, reusing m's queue buffers. It
 // produces exactly the mapping Decode returns, but steady-state — once
 // the queues have grown to the genome's per-core occupancy — it performs
-// zero heap allocations, which makes it the decode step of the parallel
-// evaluation engine (one scratch Mapping per worker).
+// zero heap allocations, which makes it the decode step of the
+// evaluation engine (one scratch Mapping per search).
 //
 // The decode sorts all jobs once (sortJobs) and deals them out to their
 // cores in that order, so each queue comes out sorted. The sort's

@@ -30,7 +30,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync"
 
 	"magma/internal/encoding"
@@ -46,10 +45,10 @@ import (
 // predictable.
 const DefaultMaxProblems = 64
 
-// maxPooledPerWidth caps each problem's free-list of evaluation pools
-// per worker count; beyond it, returned pools are dropped for GC. It
-// only binds when a concurrency spike recedes.
-const maxPooledPerWidth = 16
+// maxPooled caps each problem's free-list of evaluation pools; beyond
+// it, returned pools are dropped for GC. It only binds when a
+// concurrency spike recedes.
+const maxPooled = 16
 
 // Config tunes a long-lived engine.
 type Config struct {
@@ -135,7 +134,7 @@ type problemState struct {
 	store *m3e.CacheStore
 
 	mu    sync.Mutex
-	pools map[int][]*m3e.Pool // worker count -> free pools
+	pools []*m3e.Pool // free pools
 }
 
 // Engine is the concurrency-safe, long-lived solver core. The zero
@@ -226,7 +225,6 @@ func (e *Engine) Problem(g workload.Group, pf platform.Platform, obj m3e.Objecti
 			tab:   ts,
 			obj:   obj,
 			store: store,
-			pools: make(map[int][]*m3e.Pool),
 		}
 		e.problems[key] = st
 		e.order = append(e.order, key)
@@ -316,15 +314,12 @@ func (h *ProblemHandle) Prob() *m3e.Problem { return h.st.prob }
 func (h *ProblemHandle) Store() *m3e.CacheStore { return h.st.store }
 
 // getPool checks a pool out of the free-list, or builds one.
-func (h *ProblemHandle) getPool(workers int) *m3e.Pool {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+func (h *ProblemHandle) getPool() *m3e.Pool {
 	st := h.st
 	st.mu.Lock()
-	if l := st.pools[workers]; len(l) > 0 {
-		p := l[len(l)-1]
-		st.pools[workers] = l[:len(l)-1]
+	if n := len(st.pools); n > 0 {
+		p := st.pools[n-1]
+		st.pools = st.pools[:n-1]
 		st.mu.Unlock()
 		h.eng.mu.Lock()
 		h.eng.stats.PoolsReused++
@@ -335,7 +330,7 @@ func (h *ProblemHandle) getPool(workers int) *m3e.Pool {
 	h.eng.mu.Lock()
 	h.eng.stats.PoolsBuilt++
 	h.eng.mu.Unlock()
-	return m3e.NewPool(st.prob, workers)
+	return m3e.NewPool(st.prob)
 }
 
 // putPool returns a pool to the free-list (dropped past the cap).
@@ -343,8 +338,8 @@ func (h *ProblemHandle) putPool(p *m3e.Pool) {
 	st := h.st
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if l := st.pools[p.Workers()]; len(l) < maxPooledPerWidth {
-		st.pools[p.Workers()] = append(l, p)
+	if len(st.pools) < maxPooled {
+		st.pools = append(st.pools, p)
 	}
 }
 
@@ -364,7 +359,7 @@ func (h *ProblemHandle) Run(opt m3e.Optimizer, o m3e.Options, seed int64) (m3e.R
 // with Aborted set (not an error). Aborted runs still count toward the
 // engine's Searches/Cache stats — their evaluations happened.
 func (h *ProblemHandle) RunCtx(ctx context.Context, opt m3e.Optimizer, o m3e.Options, seed int64) (m3e.Result, error) {
-	pool := h.getPool(o.Workers)
+	pool := h.getPool()
 	defer h.putPool(pool)
 	o.Pool = pool
 	o.Context = ctx

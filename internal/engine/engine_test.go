@@ -67,7 +67,7 @@ func TestEngineRunMatchesPlainRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := m3e.Run(prob, optmagma.New(optmagma.Config{}), m3e.Options{Budget: 200, Workers: 1}, 3)
+	cold, err := m3e.Run(prob, optmagma.New(optmagma.Config{}), m3e.Options{Budget: 200}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestEngineRunMatchesPlainRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	for rep := 0; rep < 2; rep++ {
-		res, err := h.Run(optmagma.New(optmagma.Config{}), m3e.Options{Budget: 200, Workers: 1, Store: h.Store()}, 3)
+		res, err := h.Run(optmagma.New(optmagma.Config{}), m3e.Options{Budget: 200, Store: h.Store()}, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +195,7 @@ func TestEngineConcurrentAcquire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := m3e.Run(prob, optmagma.New(optmagma.Config{}), m3e.Options{Budget: 120, Workers: 1}, 4)
+	cold, err := m3e.Run(prob, optmagma.New(optmagma.Config{}), m3e.Options{Budget: 120}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestEngineConcurrentAcquire(t *testing.T) {
 				return
 			}
 			results[c], errs[c] = h.Run(optmagma.New(optmagma.Config{}),
-				m3e.Options{Budget: 120, Workers: 1, Store: h.Store()}, 4)
+				m3e.Options{Budget: 120, Store: h.Store()}, 4)
 		}(c)
 	}
 	wg.Wait()
@@ -244,7 +244,7 @@ func TestEngineCacheScratchReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := m3e.Options{Budget: 150, Workers: 1, Store: h.Store()}
+	opts := m3e.Options{Budget: 150, Store: h.Store()}
 	first, err := h.Run(optmagma.New(optmagma.Config{}), opts, 9)
 	if err != nil {
 		t.Fatal(err)

@@ -24,7 +24,7 @@ func TestEngineExportRestoreWarmFromBoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ha.Run(optmagma.New(optmagma.Config{}), m3e.Options{Budget: 200, Workers: 1, Store: ha.Store()}, 3)
+	want, err := ha.Run(optmagma.New(optmagma.Config{}), m3e.Options{Budget: 200, Store: ha.Store()}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestEngineExportRestoreWarmFromBoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := hb.Run(optmagma.New(optmagma.Config{}), m3e.Options{Budget: 200, Workers: 1, Store: hb.Store()}, 3)
+	got, err := hb.Run(optmagma.New(optmagma.Config{}), m3e.Options{Budget: 200, Store: hb.Store()}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestEngineRestoreKeepsLiveStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Run(optmagma.New(optmagma.Config{}), m3e.Options{Budget: 100, Workers: 1, Store: h.Store()}, 1); err != nil {
+	if _, err := h.Run(optmagma.New(optmagma.Config{}), m3e.Options{Budget: 100, Store: h.Store()}, 1); err != nil {
 		t.Fatal(err)
 	}
 	snap := e.Export()
@@ -95,7 +95,7 @@ func TestEngineMapperPanicIsolated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := hb.Run(optmagma.New(optmagma.Config{}), m3e.Options{Budget: 150, Workers: 1, Store: hb.Store()}, 5)
+	want, err := hb.Run(optmagma.New(optmagma.Config{}), m3e.Options{Budget: 150, Store: hb.Store()}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestEngineMapperPanicIsolated(t *testing.T) {
 	fault.Enable(fault.M3EAsk, fault.Every(2, func() error {
 		panic("injected mapper panic")
 	}))
-	_, err = h.Run(optmagma.New(optmagma.Config{}), m3e.Options{Budget: 150, Workers: 1, Store: h.Store()}, 5)
+	_, err = h.Run(optmagma.New(optmagma.Config{}), m3e.Options{Budget: 150, Store: h.Store()}, 5)
 	fault.Reset()
 	var mpe *m3e.MapperPanicError
 	if !errors.As(err, &mpe) {
@@ -126,7 +126,7 @@ func TestEngineMapperPanicIsolated(t *testing.T) {
 	// The panicked run left entries in the shared store (its completed
 	// generations are valid memo state) and returned its pool/scratch;
 	// a clean same-seed run must still match the baseline bit-for-bit.
-	got, err := h.Run(optmagma.New(optmagma.Config{}), m3e.Options{Budget: 150, Workers: 1, Store: h.Store()}, 5)
+	got, err := h.Run(optmagma.New(optmagma.Config{}), m3e.Options{Budget: 150, Store: h.Store()}, 5)
 	if err != nil {
 		t.Fatalf("run after panic: %v", err)
 	}

@@ -32,7 +32,6 @@ type Config struct {
 	GroupSize int   // jobs per group (paper: 100)
 	RLHidden  int   // MLP width for the RL mappers (paper: 128)
 	Seed      int64 // base RNG seed
-	Workers   int   // parallel evaluation goroutines (0 = all cores)
 	// Context, when non-nil, makes every search of the suite
 	// cancellable: cmd/experiments wires SIGINT to it, so Ctrl-C stops
 	// the in-flight search at a generation boundary instead of killing
@@ -45,11 +44,10 @@ type Config struct {
 // repeatedly — a mapper comparison, an operator ablation, a repetition
 // sweep — pass one store per problem, so later runs answer schedules
 // earlier runs evaluated; every other search gets a store of its own
-// (newStore). Worker count and the fitness cache change wall-clock
-// only, never results (fitness is a pure function of the decoded
-// schedule), so the artifacts are reproducible at any parallelism.
+// (newStore). The fitness cache changes wall-clock only, never results
+// (fitness is a pure function of the decoded schedule).
 func (c Config) runOpts(budget int, store *m3e.CacheStore) m3e.Options {
-	return m3e.Options{Budget: budget, Workers: c.Workers, Store: store, Context: c.Context}
+	return m3e.Options{Budget: budget, Store: store, Context: c.Context}
 }
 
 // newStore builds a fitness store for one problem's searches.

@@ -50,8 +50,10 @@ func runFig12(c Config, w io.Writer) error {
 			t.Headers = append(t.Headers, fmt.Sprintf("BW=%g", bw))
 		}
 		results := map[string][]float64{}
-		for bi, bw := range sw.bws {
-			prob, err := c.problem(models.Mix, sw.base.WithBW(bw), 1200+int64(si*10+bi))
+		for _, bw := range sw.bws {
+			// One group per sweep, so the columns differ in bandwidth
+			// alone, not in workload too.
+			prob, err := c.problem(models.Mix, sw.base.WithBW(bw), 1200+int64(si*10))
 			if err != nil {
 				return err
 			}

@@ -23,6 +23,12 @@ import (
 // maxBody mirrors the shard's request-body bound.
 const maxBody = 16 << 20
 
+// maxFanOut bounds the sub-requests one fanned-out request keeps in
+// flight. A small body can generate thousands of groups; without a bound
+// each would hold its own connection at once. It matches the pooled
+// connections per shard, so the forwards reuse them instead of dialing.
+const maxFanOut = 64
+
 // Config tunes the router.
 type Config struct {
 	// MaxAttempts bounds how often one forwarded sub-request is tried
@@ -109,7 +115,7 @@ func NewRouter(shards []Shard, cfg Config) (*Router, error) {
 		// connections per shard covers heavy concurrency without
 		// per-request dials.
 		t.MaxIdleConns = 256
-		t.MaxIdleConnsPerHost = 64
+		t.MaxIdleConnsPerHost = maxFanOut
 		t.IdleConnTimeout = 90 * time.Second
 		transport = t
 	}
@@ -355,6 +361,7 @@ func (rt *Router) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	}
 	results := make([]forwardResult, len(wl.Groups))
 	var wg sync.WaitGroup
+	slots := make(chan struct{}, maxFanOut)
 	for gi, g := range wl.Groups {
 		sub := req
 		sub.Generate = nil
@@ -373,8 +380,9 @@ func (rt *Router) handleOptimize(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		wg.Add(1)
+		slots <- struct{}{}
 		go func(gi int, sh Shard, body []byte) {
-			defer wg.Done()
+			defer func() { <-slots; wg.Done() }()
 			rt.forwarded.Add(1)
 			results[gi] = rt.forward(r.Context(), sh, "/optimize", body)
 		}(gi, rt.shards[owners[gi]], subBody)
@@ -399,7 +407,16 @@ func (rt *Router) handleOptimize(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, rt.merge(wl.Name, owners, subs, start))
+	merged, err := json.MarshalIndent(rt.merge(wl.Name, owners, subs, start), "", "  ")
+	if err != nil {
+		// Totals summed past the float range leave a response JSON
+		// cannot carry: the shards' replies were bad, not the request.
+		writeErr(w, http.StatusBadGateway, "merging shard replies: %v", err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(append(merged, '\n'))
 }
 
 // merge reassembles per-group shard replies into one response: groups

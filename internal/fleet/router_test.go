@@ -71,16 +71,20 @@ func ownersOf(t *testing.T, shards []Shard, body string) []int {
 }
 
 // TestRouterRejectsRemovedBoundOption: the router decodes requests as
-// strictly as a shard, so the removed options.bound field is a 400
-// naming the field before anything is forwarded.
+// strictly as a shard, so each removed option (options.bound and
+// options.workers) is a 400 naming the field before anything is
+// forwarded.
 func TestRouterRejectsRemovedBoundOption(t *testing.T) {
 	_, _, rts := newFleet(t, 2, Config{})
-	resp, raw := postOptimize(t, rts.URL, `{"generate":{"task":"Mix","num_jobs":32,"group_size":16,"seed":1},"options":{"bound":false}}`)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400 (%s)", resp.StatusCode, raw)
-	}
-	if !bytes.Contains(raw, []byte(`unknown field \"bound\"`)) {
-		t.Errorf("error %q does not name the bound field", raw)
+	for _, field := range []string{"bound", "workers"} {
+		body := fmt.Sprintf(`{"generate":{"task":"Mix","num_jobs":32,"group_size":16,"seed":1},"options":{%q:1}}`, field)
+		resp, raw := postOptimize(t, rts.URL, body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400 (%s)", field, resp.StatusCode, raw)
+		}
+		if !bytes.Contains(raw, []byte(fmt.Sprintf(`unknown field \"%s\"`, field))) {
+			t.Errorf("error %q does not name the %s field", raw, field)
+		}
 	}
 }
 
@@ -473,5 +477,42 @@ func TestRouterHealthzAndJobs(t *testing.T) {
 	}
 	if h.OK || h.Healthy != 1 {
 		t.Fatalf("degraded health body %+v", h)
+	}
+}
+
+// TestRouterFanOutBoundsInFlight: a 60-byte body can generate hundreds
+// of groups, and the router fans each out as its own sub-request. Fake
+// shards that hold every forward for a moment record how many overlap:
+// never more than maxFanOut, yet every group is forwarded.
+func TestRouterFanOutBoundsInFlight(t *testing.T) {
+	var inFlight, peak, served atomic.Int64
+	shards := make([]Shard, 3)
+	for i := range shards {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			io.Copy(io.Discard, r.Body)
+			n := inFlight.Add(1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			time.Sleep(2 * time.Millisecond)
+			inFlight.Add(-1)
+			served.Add(1)
+			w.WriteHeader(http.StatusServiceUnavailable)
+		}))
+		t.Cleanup(ts.Close)
+		shards[i] = Shard{Name: fmt.Sprintf("shard%d", i), URL: ts.URL}
+	}
+	rt, err := NewRouter(shards, Config{MaxAttempts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rts := httptest.NewServer(rt.Handler())
+	t.Cleanup(rts.Close)
+	const groups = 4 * maxFanOut
+	postOptimize(t, rts.URL, fmt.Sprintf(`{"generate":{"task":"Mix","num_jobs":%d,"group_size":2,"seed":1}}`, 2*groups))
+	if got := served.Load(); got != groups {
+		t.Errorf("shards served %d forwards, want one per group = %d", got, groups)
+	}
+	if got := peak.Load(); got > maxFanOut {
+		t.Errorf("%d forwards in flight at once, want at most %d", got, maxFanOut)
 	}
 }

@@ -1,13 +1,11 @@
 package m3e_test
 
 import (
-	"fmt"
 	"testing"
 
 	"magma/internal/encoding"
 	"magma/internal/m3e"
 	"magma/internal/models"
-	optmagma "magma/internal/opt/magma"
 	"magma/internal/platform"
 	"magma/internal/rng"
 	"magma/internal/workload"
@@ -30,7 +28,7 @@ func benchProblem(b *testing.B) *m3e.Problem {
 
 // BenchmarkEvaluate measures single-mapping fitness evaluation — the
 // unit of the 10K-sample budget — on the steady-state hot path: one
-// reused Evaluator, as each worker of the parallel engine runs it.
+// reused Evaluator, as a search's Pool runs it.
 // Target: 0 allocs/op (see DESIGN.md "Hot path").
 func BenchmarkEvaluate(b *testing.B) {
 	prob := benchProblem(b)
@@ -77,34 +75,5 @@ func BenchmarkAnalyzerBuild(b *testing.B) {
 		if _, err := m3e.NewProblem(w.Groups[0], p, m3e.Throughput); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkMAGMAGeneration measures one MAGMA generation at the paper's
-// group size — Ask, the pool scoring the full batch, and Tell breeding
-// on the same workers — across pool widths. It skips the runner's
-// pruning pass and the cache, so every genome is simulated: the route
-// that shows the pool's fan-out. workers=1 is the serial baseline, and
-// cmd/bench reports the best parallel width's speedup over it as
-// speedup_vs_serial (bounded by the machine's core count).
-func BenchmarkMAGMAGeneration(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			prob := benchProblem(b)
-			opt := optmagma.New(optmagma.Config{})
-			if err := opt.Init(prob, rng.New(2)); err != nil {
-				b.Fatal(err)
-			}
-			pool := m3e.NewPool(prob, workers)
-			opt.SetBreeder(pool) // Tell breeds on the same worker set
-			fit := make([]float64, 100)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				pop := opt.Ask()
-				pool.Evaluate(pop, fit[:len(pop)])
-				opt.Tell(pop, fit[:len(pop)])
-			}
-		})
 	}
 }

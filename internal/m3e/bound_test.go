@@ -84,9 +84,9 @@ func (c *reaskCounter) Tell(g []encoding.Genome, fit []float64) {
 }
 
 // TestRunBoundDeterminism is the analytical-pruning contract: for every
-// elitist mapper, at every worker count, with the cache off and on,
-// Run returns bit-identical Results — best genome, best fitness,
-// convergence curve, samples — to the serial unpruned reference, and
+// elitist mapper, with the cache off and on, Run returns bit-identical
+// Results — best genome, best fitness, convergence curve, samples — to
+// the unpruned reference, and
 // no pruned value ever enters the store. MAGMA's hits exceed what its
 // elites alone can earn, so its settled repeat children are exercised.
 func TestRunBoundDeterminism(t *testing.T) {
@@ -103,13 +103,13 @@ func TestRunBoundDeterminism(t *testing.T) {
 	same := func(t *testing.T, label string, got, want m3e.Result) {
 		t.Helper()
 		if got.BestFitness != want.BestFitness {
-			t.Errorf("%s: BestFitness %v != unpruned serial %v", label, got.BestFitness, want.BestFitness)
+			t.Errorf("%s: BestFitness %v != unpruned %v", label, got.BestFitness, want.BestFitness)
 		}
 		if !reflect.DeepEqual(got.Best, want.Best) {
-			t.Errorf("%s: Best genome differs from unpruned serial", label)
+			t.Errorf("%s: Best genome differs from unpruned", label)
 		}
 		if !reflect.DeepEqual(got.Curve, want.Curve) {
-			t.Errorf("%s: convergence curve differs from unpruned serial", label)
+			t.Errorf("%s: convergence curve differs from unpruned", label)
 		}
 		if got.Samples != want.Samples {
 			t.Errorf("%s: samples %d != %d", label, got.Samples, want.Samples)
@@ -117,7 +117,7 @@ func TestRunBoundDeterminism(t *testing.T) {
 	}
 	for _, m := range mappers {
 		t.Run(m.name, func(t *testing.T) {
-			base, err := m3e.Run(prob, unpruned{m.mk()}, m3e.Options{Budget: budget, Workers: 1}, 5)
+			base, err := m3e.Run(prob, unpruned{m.mk()}, m3e.Options{Budget: budget}, 5)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,7 +128,7 @@ func TestRunBoundDeterminism(t *testing.T) {
 			// schedule the search ever asks; a pruned run asks the same
 			// genomes, so its store must be a subset with equal values.
 			refStore := m3e.NewCacheStore(0)
-			if _, err := m3e.Run(prob, unpruned{m.mk()}, m3e.Options{Budget: budget, Workers: 1, Store: refStore}, 5); err != nil {
+			if _, err := m3e.Run(prob, unpruned{m.mk()}, m3e.Options{Budget: budget, Store: refStore}, 5); err != nil {
 				t.Fatal(err)
 			}
 			exact := map[encoding.Fingerprint]float64{}
@@ -137,50 +137,48 @@ func TestRunBoundDeterminism(t *testing.T) {
 			}
 			var prunedTotal uint64
 			for _, cache := range []bool{false, true} {
-				for _, workers := range []int{1, 2, 8} {
-					label := fmt.Sprintf("workers=%d cache=%v", workers, cache)
-					store := m3e.NewCacheStore(0)
-					o := m3e.Options{Budget: budget, Workers: workers}
-					if cache {
-						o.Store = store
+				label := fmt.Sprintf("cache=%v", cache)
+				store := m3e.NewCacheStore(0)
+				o := m3e.Options{Budget: budget}
+				if cache {
+					o.Store = store
+				}
+				opt := m.mk()
+				got, err := m3e.Run(prob, opt, o, 5)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				same(t, label, got, base)
+				st := got.Cache
+				prunedTotal += st.BoundPruned
+				if m.name == "MAGMA" {
+					// Elites alone are settled at most nElite times per
+					// generation; more hits mean bred children that repeat
+					// a parent's schedule were settled too.
+					nElite := opt.(m3e.EliteSelector).EliteCount(prob.NumJobs())
+					if gens := got.Phases.Generations; st.Hits <= uint64(gens*nElite) {
+						t.Errorf("%s: %d hits over %d generations of %d elites: no repeated child was settled",
+							label, st.Hits, gens, nElite)
 					}
-					opt := m.mk()
-					got, err := m3e.Run(prob, opt, o, 5)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
+				}
+				if m.name == "CMA" && !cache {
+					// Not a ReaskTracker: no pass runs, so no layer counts.
+					if st != (m3e.CacheStats{}) {
+						t.Errorf("%s: CMA is never pruned, yet reports counters %+v", label, st)
 					}
-					same(t, label, got, base)
-					st := got.Cache
-					prunedTotal += st.BoundPruned
-					if m.name == "MAGMA" {
-						// Elites alone are settled at most nElite times per
-						// generation; more hits mean bred children that repeat
-						// a parent's schedule were settled too.
-						nElite := opt.(m3e.EliteSelector).EliteCount(prob.NumJobs())
-						if gens := got.Phases.Generations; st.Hits <= uint64(gens*nElite) {
-							t.Errorf("%s: %d hits over %d generations of %d elites: no repeated child was settled",
-								label, st.Hits, gens, nElite)
-						}
-					}
-					if m.name == "CMA" && !cache {
-						// Not a ReaskTracker: no pass runs, so no layer counts.
-						if st != (m3e.CacheStats{}) {
-							t.Errorf("%s: CMA is never pruned, yet reports counters %+v", label, st)
-						}
-					} else {
-						checkCounters(t, label, st, got.Asked)
-					}
-					if !cache {
-						continue
-					}
-					if got, want := store.Len(), int(st.Misses-st.BoundPruned); got != want {
-						t.Errorf("%s: store holds %d entries, want Misses−BoundPruned = %d", label, got, want)
-					}
-					for _, e := range store.Export() {
-						if want, ok := exact[e.FP]; !ok || e.Fitness != want {
-							t.Fatalf("%s: store entry %v = %v, want exact %v (a bound leaked into the store)",
-								label, e.FP, e.Fitness, want)
-						}
+				} else {
+					checkCounters(t, label, st, got.Asked)
+				}
+				if !cache {
+					continue
+				}
+				if got, want := store.Len(), int(st.Misses-st.BoundPruned); got != want {
+					t.Errorf("%s: store holds %d entries, want Misses−BoundPruned = %d", label, got, want)
+				}
+				for _, e := range store.Export() {
+					if want, ok := exact[e.FP]; !ok || e.Fitness != want {
+						t.Fatalf("%s: store entry %v = %v, want exact %v (a bound leaked into the store)",
+							label, e.FP, e.Fitness, want)
 					}
 				}
 			}
@@ -267,7 +265,7 @@ func TestFitnessCacheBoundPrunedExcludedFromStore(t *testing.T) {
 	store := m3e.NewCacheStore(0)
 	var observed int
 	res, err := m3e.Run(prob, opt, m3e.Options{
-		Budget: len(good) + len(second), Workers: 4, Store: store,
+		Budget: len(good) + len(second), Store: store,
 		Observer: func(p m3e.Progress) {
 			observed++
 			if got, want := store.Len(), int(p.Cache.Misses-p.Cache.BoundPruned); got != want {
@@ -298,7 +296,7 @@ func TestFitnessCacheBoundPrunedExcludedFromStore(t *testing.T) {
 	// A pruned schedule evaluated on the same store without pruning must
 	// miss and come back exact — the store never serves a bound.
 	refit := make([]float64, 1)
-	if got := m3e.CachedEval(m3e.NewPool(prob, 1), prob, store)(pile[:1], refit).Misses; got != 1 {
+	if got := m3e.CachedEval(m3e.NewPool(prob), prob, store)(pile[:1], refit).Misses; got != 1 {
 		t.Errorf("re-submitted pruned schedule missed %d times, want 1 (was its bound stored?)", got)
 	}
 	want, err := prob.Evaluate(pile[0])
@@ -313,49 +311,6 @@ func TestFitnessCacheBoundPrunedExcludedFromStore(t *testing.T) {
 	}
 }
 
-// TestPruneCountersIndependentOfWorkers: the virtual-time stage runs
-// serially in a fixed order, so under every objective, cache off and
-// on, a pruned MAGMA run at workers 2 and 8 returns the result and
-// every counter of the run at workers 1, the result that of the
-// unpruned run.
-func TestPruneCountersIndependentOfWorkers(t *testing.T) {
-	w, err := workload.Generate(workload.Config{NumJobs: 30, GroupSize: 30, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for obj := m3e.Throughput; obj <= m3e.EDP; obj++ {
-		prob, err := m3e.NewProblem(w.Groups[0], platform.S2().WithBW(16), obj)
-		if err != nil {
-			t.Fatal(err)
-		}
-		base, err := m3e.Run(prob, unpruned{optmagma.New(optmagma.Config{})}, m3e.Options{Budget: 1500, Workers: 1}, 6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, cache := range []bool{false, true} {
-			var first m3e.CacheStats
-			for _, workers := range []int{1, 2, 8} {
-				label := fmt.Sprintf("%s cache=%v workers=%d", obj, cache, workers)
-				got, err := m3e.Run(prob, optmagma.New(optmagma.Config{}), m3e.Options{Budget: 1500, Workers: workers, Store: storeIf(cache)}, 6)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				if got.BestFitness != base.BestFitness || !reflect.DeepEqual(got.Curve, base.Curve) || !reflect.DeepEqual(got.Best, base.Best) {
-					t.Errorf("%s: result differs from the unpruned run", label)
-				}
-				if workers == 1 {
-					first = got.Cache
-					if first.VirtualPruned == 0 {
-						t.Errorf("%s: the virtual-time stage settled nothing: %+v", label, first)
-					}
-				} else if got.Cache != first {
-					t.Errorf("%s: counters %+v, at workers 1 %+v", label, got.Cache, first)
-				}
-			}
-		}
-	}
-}
-
 // TestRunPruneCountersUncached pins the uncached meaning of the
 // counters: Hits are the clean elite re-asks answered from the previous
 // batch, Misses every other valid genome, Deduped and the fingerprint
@@ -363,7 +318,7 @@ func TestPruneCountersIndependentOfWorkers(t *testing.T) {
 func TestRunPruneCountersUncached(t *testing.T) {
 	prob := parallelProblem(t)
 	res, err := m3e.Run(prob, optmagma.New(optmagma.Config{}), m3e.Options{
-		Budget: 600, Workers: 1,
+		Budget:   600,
 		Observer: func(p m3e.Progress) { checkCounters(t, "progress", p.Cache, p.Asked) },
 	}, 9)
 	if err != nil {

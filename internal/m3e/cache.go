@@ -32,7 +32,7 @@ type CacheStats struct {
 	// Deduped are in-batch duplicates folded onto a representative
 	// evaluated in the same batch.
 	Deduped uint64
-	// Misses are evaluations actually dispatched to the worker pool.
+	// Misses are evaluations actually dispatched to the evaluator.
 	Misses uint64
 	// Invalid are genomes that failed validation (scored -Inf without
 	// being decoded or dispatched).
@@ -279,15 +279,15 @@ func (s *CacheStore) push(ring *[]encoding.Fingerprint, next *int, fp encoding.F
 }
 
 // fitnessCache memoizes genome fitness by schedule fingerprint and
-// dedups Ask batches before they reach the worker pool. It exploits the
+// dedups Ask batches before they reach the evaluator. It exploits the
 // two redundancies of the search stream: optimizers re-Ask schedules
 // they already evaluated (MAGMA re-submits its elites verbatim every
 // generation), and the continuous priority genome collapses to per-core
 // rank order, so distinct genomes frequently decode to the identical
 // mapping.
 //
-// Results are bit-identical to the uncached path at any worker count:
-// evaluation is a pure function of the decoded schedule, so a cached
+// Results are bit-identical to the uncached path: evaluation is a pure
+// function of the decoded schedule, so a cached
 // float64 equals a recomputed one, and fitness is still written at its
 // batch index.
 //
@@ -355,12 +355,11 @@ func (pl *Pool) cacheFor(p *Problem, store *CacheStore) *fitnessCache {
 // but dispatches only one representative per schedule-equivalence class
 // and none for schedules already stored. Three phases:
 //
-//  1. parallel: validate + fingerprint every genome (index-addressed,
-//     so deterministic at any worker count) by a full decode and hash,
+//  1. validate + fingerprint every genome by a full decode and hash,
 //     leaving maps[i] holding the decoded schedule;
-//  2. serial: group by fingerprint — store hit, in-batch duplicate, or
-//     new representative (one store read-lock spans the whole scan);
-//  3. parallel: simulate the representatives from their already-decoded
+//  2. group by fingerprint — store hit, in-batch duplicate, or new
+//     representative (one store read-lock spans the whole scan);
+//  3. simulate the representatives from their already-decoded
 //     mappings, then scatter fitness to every class member and insert
 //     the new results into the store (one write-lock for the batch).
 //
@@ -381,7 +380,7 @@ func (pl *Pool) cacheFor(p *Problem, store *CacheStore) *fitnessCache {
 // caller's next clock read closes the simulate phase.
 func (c *fitnessCache) evaluate(pool *Pool, batch []encoding.Genome, fit []float64, pre []uint8, pn *pruner, start time.Time) time.Time {
 	c.grow(len(batch))
-	c.fingerprintBatch(pool, batch, pre)
+	c.fingerprintBatch(batch, pre)
 
 	staged := pn != nil && pn.virtual
 	c.lookup(fit, staged, pn)
@@ -407,7 +406,7 @@ func (c *fitnessCache) evaluate(pool *Pool, batch []encoding.Genome, fit []float
 		}
 	}
 	if len(c.todo) > 0 {
-		pool.simulate(c.todo, fit, func(_ *Evaluator, k int) *sim.Mapping { return &c.maps[c.todo[k]] })
+		pool.simulate(c.todo, fit, func(k int) *sim.Mapping { return &c.maps[c.todo[k]] })
 	}
 	for i := range batch {
 		if slot := c.class[i]; slot >= 0 {
@@ -424,7 +423,7 @@ func (c *fitnessCache) evaluate(pool *Pool, batch []encoding.Genome, fit []float
 	return tSim
 }
 
-// lookup is phase 2: the serial grouping scan of the batch under one
+// lookup is phase 2: the grouping scan of the batch under one
 // store read lock. Each fingerprinted genome becomes a store hit, an
 // in-batch duplicate of an earlier representative, or a new
 // representative (fresh, or topped when the store holds its bracket top
@@ -504,7 +503,7 @@ func (c *fitnessCache) insert(fit []float64, staged bool, pn *pruner) {
 // floor on that top. evaluate hands each representative's state and
 // bracket to the rest of its class.
 func (c *fitnessCache) settle(pool *Pool, fit []float64, pn *pruner) {
-	c.stats.VirtualPriced += uint64(pn.settle(pool.evs[0], nil, fit, c.fresh, c.weight, c.hits, c.maps))
+	c.stats.VirtualPriced += uint64(pn.settle(pool.ev, nil, fit, c.fresh, c.weight, c.hits, c.maps))
 	floor := pn.floor()
 	for _, i := range c.topped {
 		if pn.hi[i] < floor {
@@ -520,24 +519,22 @@ func (c *fitnessCache) settle(pool *Pool, fit []float64, pn *pruner) {
 }
 
 // fingerprintBatch is phase 1: validate, decode and fingerprint every
-// genome across the pool. Every output (maps, fps, mode) is written at
-// its batch index by exactly one worker, so the result is independent
-// of worker scheduling.
-func (c *fitnessCache) fingerprintBatch(pool *Pool, batch []encoding.Genome, pre []uint8) {
+// genome, writing maps, fps and mode at its batch index.
+func (c *fitnessCache) fingerprintBatch(batch []encoding.Genome, pre []uint8) {
 	nJobs, nAccels := c.p.NumJobs(), c.p.NumAccels()
-	pool.each(len(batch), func(_ *Evaluator, i int) {
+	for i, g := range batch {
 		if pre != nil {
 			if pre[i] != slotOpen {
 				c.mode[i] = fpSettled
-				return
+				continue
 			}
-		} else if err := batch[i].Validate(nJobs, nAccels); err != nil {
+		} else if err := g.Validate(nJobs, nAccels); err != nil {
 			c.mode[i] = fpInvalid
-			return
+			continue
 		}
-		c.fps[i] = batch[i].FingerprintInto(nAccels, &c.maps[i])
+		c.fps[i] = g.FingerprintInto(nAccels, &c.maps[i])
 		c.mode[i] = fpFull
-	})
+	}
 }
 
 // grow sizes the batch scratch for n genomes.

@@ -1,7 +1,6 @@
 package m3e_test
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -46,36 +45,34 @@ func TestRunCacheDeterminism(t *testing.T) {
 	}
 	for _, m := range mappers {
 		t.Run(m.name, func(t *testing.T) {
-			for _, workers := range []int{1, 2, 8} {
-				opt := m.mk()
-				var counter *reaskCounter
-				if p, ok := opt.(prunable); ok {
-					counter = &reaskCounter{prunable: p}
-					opt = counter
+			opt := m.mk()
+			var counter *reaskCounter
+			if p, ok := opt.(prunable); ok {
+				counter = &reaskCounter{prunable: p}
+				opt = counter
+			}
+			got, err := m3e.Run(prob, opt, m3e.Options{Budget: budget, Store: m3e.NewCacheStore(0)}, 5)
+			if err != nil {
+				t.Fatalf("cache=on: %v", err)
+			}
+			if got.Samples != budget {
+				t.Errorf("cache=on: samples %d != %d (cache hits must still consume budget)",
+					got.Samples, budget)
+			}
+			st := got.Cache
+			if st.Hits+st.Deduped+st.Misses+st.Invalid != uint64(got.Samples) {
+				t.Errorf("counters %+v don't add up to %d samples", st, got.Samples)
+			}
+			if m.name == "MAGMA" && st.Hits == 0 {
+				t.Error("MAGMA re-Asks its elites every generation; expected cache hits > 0")
+			}
+			if counter != nil {
+				if counter.reasks == 0 {
+					t.Errorf("%s re-asks its elites every generation; counted none", m.name)
 				}
-				got, err := m3e.Run(prob, opt, m3e.Options{Budget: budget, Workers: workers, Store: m3e.NewCacheStore(0)}, 5)
-				if err != nil {
-					t.Fatalf("workers=%d cache=on: %v", workers, err)
-				}
-				if got.Samples != budget {
-					t.Errorf("workers=%d cache=on: samples %d != %d (cache hits must still consume budget)",
-						workers, got.Samples, budget)
-				}
-				st := got.Cache
-				if st.Hits+st.Deduped+st.Misses+st.Invalid != uint64(got.Samples) {
-					t.Errorf("workers=%d: counters %+v don't add up to %d samples", workers, st, got.Samples)
-				}
-				if m.name == "MAGMA" && st.Hits == 0 {
-					t.Error("MAGMA re-Asks its elites every generation; expected cache hits > 0")
-				}
-				if counter != nil {
-					if counter.reasks == 0 {
-						t.Errorf("workers=%d: %s re-asks its elites every generation; counted none", workers, m.name)
-					}
-					checkSettled(t, fmt.Sprintf("workers=%d", workers), st, got.Asked, counter.reasks)
-				} else {
-					checkSettled(t, fmt.Sprintf("workers=%d", workers), st, got.Asked, 0)
-				}
+				checkSettled(t, m.name, st, got.Asked, counter.reasks)
+			} else {
+				checkSettled(t, m.name, st, got.Asked, 0)
 			}
 		})
 	}
@@ -87,7 +84,7 @@ func TestRunCacheDeterminism(t *testing.T) {
 func TestFitnessCacheMatchesPool(t *testing.T) {
 	prob := parallelProblem(t)
 	r := rand.New(rand.NewSource(17))
-	pool := m3e.NewPool(prob, 4)
+	pool := m3e.NewPool(prob)
 	eval := m3e.CachedEval(pool, prob, m3e.NewCacheStore(0))
 	var st m3e.CacheStats
 	recurring := encoding.Random(prob.NumJobs(), prob.NumAccels(), r)
@@ -108,7 +105,7 @@ func TestFitnessCacheMatchesPool(t *testing.T) {
 		got := make([]float64, len(batch))
 		st = eval(batch, got)
 		want := make([]float64, len(batch))
-		m3e.NewPool(prob, 1).Evaluate(batch, want)
+		m3e.NewPool(prob).Evaluate(batch, want)
 		for i := range want {
 			if got[i] != want[i] && !(math.IsInf(got[i], -1) && math.IsInf(want[i], -1)) {
 				t.Fatalf("round %d: fit[%d] = %v, want %v", round, i, got[i], want[i])
@@ -133,7 +130,7 @@ func TestFitnessCacheMatchesPool(t *testing.T) {
 func TestFitnessCacheReusedFitBuffer(t *testing.T) {
 	prob := parallelProblem(t)
 	r := rand.New(rand.NewSource(31))
-	pool := m3e.NewPool(prob, 1)
+	pool := m3e.NewPool(prob)
 	eval := m3e.CachedEval(pool, prob, m3e.NewCacheStore(0))
 	fit := make([]float64, 2)
 
@@ -166,7 +163,7 @@ func TestFitnessCacheEviction(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	const capEntries = 4
 	store := m3e.NewCacheStore(capEntries)
-	eval := m3e.CachedEval(m3e.NewPool(prob, 1), prob, store)
+	eval := m3e.CachedEval(m3e.NewPool(prob), prob, store)
 
 	batch := make([]encoding.Genome, 12)
 	for i := range batch {
@@ -199,7 +196,7 @@ func TestFitnessCacheEviction(t *testing.T) {
 func TestRunCachedBatchBufferReuse(t *testing.T) {
 	prob := parallelProblem(t)
 	res, err := m3e.Run(prob, optmagma.New(optmagma.Config{}),
-		m3e.Options{Budget: 400, Workers: 1, Store: m3e.NewCacheStore(0)}, 11)
+		m3e.Options{Budget: 400, Store: m3e.NewCacheStore(0)}, 11)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,10 +13,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"runtime/debug"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"magma/internal/analyzer"
@@ -126,12 +122,11 @@ func (p *Problem) Evaluate(g encoding.Genome) (float64, error) {
 // Evaluator is the reusable genome→fitness pipeline: it owns a decode
 // scratch Mapping and a sim.Simulator, so repeated Evaluate calls on the
 // same problem perform zero steady-state heap allocations. Evaluators
-// are not safe for concurrent use — the parallel runner gives each
-// worker its own.
+// are not safe for concurrent use; each Pool owns one.
 type Evaluator struct {
 	p       *Problem
 	sim     *sim.Simulator
-	m       sim.Mapping        // decode scratch, also of the pruning pass's serial loop
+	m       sim.Mapping        // decode scratch, also of the pruning pass's loop
 	cycles  []float64          // per-core scratch of sim.Bounds.GenomeRoofline
 	virtual sim.VirtualScratch // scratch of sim.Bounds.Virtual
 }
@@ -144,7 +139,7 @@ func (p *Problem) NewEvaluator() *Evaluator {
 
 // Evaluate decodes and simulates one individual, returning its fitness.
 // Equal genomes produce bit-identical fitness regardless of which
-// Evaluator runs them — the determinism the parallel runner relies on.
+// Evaluator runs them, so a leased pool never moves a result.
 func (e *Evaluator) Evaluate(g encoding.Genome) (float64, error) {
 	if err := g.Validate(e.p.NumJobs(), e.p.NumAccels()); err != nil {
 		return 0, err
@@ -189,8 +184,8 @@ type Optimizer interface {
 	// analysis table (the RL methods build their observation features
 	// from it) but must not evaluate mappings. The stream is the run's
 	// root RNG (layout v2): sequential optimizers draw from it directly,
-	// splittable ones derive per-(generation, slot) sub-streams so their
-	// variation step parallelizes without losing determinism.
+	// splittable ones derive per-(generation, slot) sub-streams, so each
+	// child's draws depend on its slot alone.
 	Init(p *Problem, rng *rng.Stream) error
 	// Ask returns the next batch of candidates to evaluate.
 	Ask() []encoding.Genome
@@ -204,25 +199,6 @@ type Optimizer interface {
 // (§V-C): individuals injected into the initial population.
 type Seeder interface {
 	Seed(genomes []encoding.Genome)
-}
-
-// Breeder fans an index-addressed variation task across workers: it
-// runs f(i) for every i in [0, n), in unspecified order, possibly
-// concurrently, and returns when all calls complete. f must touch only
-// state owned by index i (plus read-only shared state) — the same
-// discipline the evaluation pool enforces. Pool implements Breeder.
-type Breeder interface {
-	Breed(n int, f func(i int))
-}
-
-// PoolBreeder is implemented by optimizers whose Tell fans per-child
-// variation out across workers. Run hands such optimizers the batch's
-// evaluation pool right after Init, so breeding shares the worker set
-// evaluation already owns. Optimizers must stay bit-identical with and
-// without a breeder at any worker count (per-child RNG streams make
-// this free); a nil-breeder optimizer simply breeds serially.
-type PoolBreeder interface {
-	SetBreeder(b Breeder)
 }
 
 // ReaskTracker is implemented by optimizers that re-ask schedules of
@@ -268,8 +244,7 @@ type Result struct {
 	Cache       CacheStats  // hit/miss and pruning counters (see CacheStats)
 	// Phases breaks the run's wall-clock down per generation phase
 	// (ask / bound / fingerprint / simulate / tell), so callers can see
-	// where a generation's time goes — e.g. whether parallel breeding
-	// actually shrank the tell phase. Always recorded; the cost is one
+	// where a generation's time goes. Always recorded; the cost is one
 	// clock read per phase boundary.
 	Phases PhaseTimings
 	// Aborted reports that the run's context was cancelled (deadline or
@@ -286,12 +261,11 @@ type Result struct {
 // the previous generation, so the phases tile the run's loop: their sum
 // never exceeds the run's wall time. Ask is candidate generation (with
 // the generation-boundary checks), Bound the runner's pruning pass (see
-// BoundNs), Fingerprint the cache's parallel validate+decode+hash pass
-// plus its serial dedup scan (zero when the cache is off), Simulate the
-// worker-pool evaluation of the batch (or of the deduped
-// representatives) with the bracket check, and Tell the runner's
-// best-so-far bookkeeping, the optimizer's selection and breeding, and
-// the Observer call.
+// BoundNs), Fingerprint the cache's validate+decode+hash pass plus its
+// dedup scan (zero when the cache is off), Simulate the evaluation of
+// the batch (or of the deduped representatives) with the bracket check,
+// and Tell the runner's best-so-far bookkeeping, the optimizer's
+// selection and breeding, and the Observer call.
 type PhaseTimings struct {
 	AskNs         int64 `json:"ask_ns"`
 	FingerprintNs int64 `json:"fingerprint_ns"`
@@ -339,10 +313,6 @@ type Progress struct {
 type Options struct {
 	Budget        int  // sampling budget (default 10000, §VI-B)
 	RecordSamples bool // keep every sampled vector (Fig. 10 PCA)
-	// Workers is the number of evaluation goroutines per Ask batch.
-	// 0 means GOMAXPROCS; 1 runs strictly serial. Results are
-	// bit-identical for every worker count (see Run).
-	Workers int
 	// Store, when non-nil, makes the run cached: each Ask batch is
 	// deduplicated by decoded-schedule fingerprint, and genomes whose
 	// schedule is in the store are answered from it instead of the
@@ -356,11 +326,10 @@ type Options struct {
 	// fresh NewCacheStore(0).
 	Store *CacheStore
 	// Pool optionally supplies a prebuilt evaluation pool bound to this
-	// problem (Workers is then ignored). A pool's evaluators keep their
-	// grown scratch across runs, so a long-lived engine reuses pools
-	// instead of re-growing simulator buffers per request; the pool also
-	// keeps the fitness cache's batch scratch for its cached runs. A Pool
-	// serves one run at a time.
+	// problem. A pool's evaluator keeps its grown scratch across runs, so
+	// a long-lived engine reuses pools instead of re-growing simulator
+	// buffers per request; the pool also keeps the fitness cache's batch
+	// scratch for its cached runs. A Pool serves one run at a time.
 	Pool *Pool
 	// Context, when non-nil, makes the run cancellable: the loop checks
 	// it once per generation (between Tell and the next Ask), so a
@@ -378,127 +347,40 @@ type Options struct {
 	narrow func(lo, hi float64) (float64, float64)
 }
 
-// Pool evaluates batches of genomes across a fixed set of workers, each
-// owning its own Evaluator (simulator + decode scratch). Fitness is
-// written by batch index, so the output order is independent of worker
-// scheduling; invalid genomes score -Inf, mirroring constraint-violating
-// samples.
+// Pool is the evaluation scratch one search runs on: an Evaluator
+// (simulator + decode scratch) and the fitness cache's batch scratch.
+// A search runs on its caller's goroutine, so a Pool serves one run at a
+// time; a long-lived engine leases pools so that their grown buffers
+// outlive the run. Fitness is written by batch index; invalid genomes
+// score -Inf, mirroring constraint-violating samples.
 type Pool struct {
-	evs   []*Evaluator
+	ev    *Evaluator
 	cache *fitnessCache // built by the pool's first cached run (see cacheFor)
 }
 
-// NewPool builds a pool of `workers` evaluators for the problem
-// (workers <= 0 means GOMAXPROCS).
-func NewPool(p *Problem, workers int) *Pool {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	evs := make([]*Evaluator, workers)
-	for i := range evs {
-		evs[i] = p.NewEvaluator()
-	}
-	return &Pool{evs: evs}
-}
+// NewPool builds a pool for the problem.
+func NewPool(p *Problem) *Pool { return &Pool{ev: p.NewEvaluator()} }
 
-// Workers returns the pool's worker count.
-func (pl *Pool) Workers() int { return len(pl.evs) }
-
-// Breed implements Breeder: it runs f(i) for every i in [0, n) across
-// the pool's workers (order unspecified, one call per index). The
-// evaluators themselves are untouched — the pool only lends its worker
-// fan-out, so optimizers can parallelize variation on the same worker
-// set that evaluates their batches. When each would run serially, f
-// runs inline, so a one-worker pool breeds without allocating.
-func (pl *Pool) Breed(n int, f func(i int)) {
-	if len(pl.evs) <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	pl.each(n, func(_ *Evaluator, i int) { f(i) })
-}
-
-// Evaluate scores batch[i] into fit[i] for every i. Workers pull batch
-// indices from a shared counter, so load balances even when evaluation
-// cost varies across genomes.
+// Evaluate scores batch[i] into fit[i] for every i.
 func (pl *Pool) Evaluate(batch []encoding.Genome, fit []float64) {
-	pl.each(len(batch), func(ev *Evaluator, i int) {
-		f, err := ev.Evaluate(batch[i])
+	for i, g := range batch {
+		f, err := pl.ev.Evaluate(g)
 		if err != nil {
 			f = math.Inf(-1)
 		}
 		fit[i] = f
-	})
+	}
 }
 
 // simulate scores the decoded schedule of batch index idx[k], which
-// mapping(ev, k) returns on the worker running ev, into fit[idx[k]] for
-// every k. Each k is touched by exactly one worker.
-func (pl *Pool) simulate(idx []int, fit []float64, mapping func(ev *Evaluator, k int) *sim.Mapping) {
-	pl.each(len(idx), func(ev *Evaluator, k int) {
-		i := idx[k]
-		f, err := ev.EvaluateMapping(mapping(ev, k))
+// mapping(k) returns, into fit[idx[k]] for every k.
+func (pl *Pool) simulate(idx []int, fit []float64, mapping func(k int) *sim.Mapping) {
+	for k, i := range idx {
+		f, err := pl.ev.EvaluateMapping(mapping(k))
 		if err != nil {
 			f = math.Inf(-1)
 		}
 		fit[i] = f
-	})
-}
-
-// each runs f(worker, i) for every i in [0, n), fanning out across the
-// pool's evaluators. Workers pull indices from a shared atomic counter;
-// f must write results only at index-addressed locations.
-//
-// A panic in f on a worker goroutine would be unrecoverable by the
-// caller (killing the process), so workers recover it and each re-
-// panics the first one — value and worker stack intact, as a
-// *workerPanic — on the calling goroutine once the batch drains, where
-// the run loop's guard converts it into a MapperPanicError. Remaining
-// workers finish their indices normally; fitness slots past the panic
-// are simply abandoned along with the failed run.
-func (pl *Pool) each(n int, f func(ev *Evaluator, i int)) {
-	w := len(pl.evs)
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			f(pl.evs[0], i)
-		}
-		return
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	var pmu sync.Mutex
-	var wp *workerPanic
-	wg.Add(w)
-	for k := 0; k < w; k++ {
-		go func(ev *Evaluator) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					stack := debug.Stack()
-					pmu.Lock()
-					if wp == nil {
-						wp = &workerPanic{value: r, stack: stack}
-					}
-					pmu.Unlock()
-				}
-			}()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				f(ev, i)
-			}
-		}(pl.evs[k])
-	}
-	wg.Wait()
-	if wp != nil {
-		panic(wp)
 	}
 }
 
@@ -509,16 +391,14 @@ const DefaultBudget = 10000
 // exhausted (§IV-E). Candidates that fail validation count against the
 // budget with -Inf fitness, mirroring constraint-violating samples.
 //
-// Each Ask batch is evaluated by a worker pool (Options.Workers), but
-// the Result is bit-identical for every worker count: evaluation is a
-// pure function of the genome, fitness lands at its batch index, and the
-// best/curve bookkeeping below replays the batch strictly in Ask order —
-// exactly the sequence the serial loop would have produced.
+// The run executes on the caller's goroutine. Evaluation is a pure
+// function of the genome, fitness lands at its batch index, and the
+// best/curve bookkeeping below replays the batch strictly in Ask order.
 //
 // A run handed an Options.Store additionally routes batches through the
-// schedule-fingerprint fitness cache, which preserves the same contract:
-// cached and deduplicated fitness values are the ones the pool would
-// have recomputed, so cache on/off is also bit-identical.
+// schedule-fingerprint fitness cache: cached and deduplicated fitness
+// values are the ones the evaluator would have recomputed, so cache
+// on/off is bit-identical.
 //
 // For optimizers that implement both EliteSelector and ReaskTracker a
 // pruning pass runs ahead of evaluation (see pruner): elite re-asks
@@ -548,10 +428,7 @@ func Run(p *Problem, opt Optimizer, o Options, seed int64) (Result, error) {
 	}
 	pool := o.Pool
 	if pool == nil {
-		pool = NewPool(p, o.Workers)
-	}
-	if pb, ok := opt.(PoolBreeder); ok {
-		pb.SetBreeder(pool)
+		pool = NewPool(p)
 	}
 	var cache *fitnessCache
 	res := Result{Method: opt.Name(), BestFitness: math.Inf(-1)}
@@ -569,9 +446,9 @@ func Run(p *Problem, opt Optimizer, o Options, seed int64) (Result, error) {
 	es, isES := opt.(EliteSelector)
 	rt, isRT := opt.(ReaskTracker)
 	if isES && isRT {
-		// The bound constants are memoized on the first worker's simulator,
-		// so a leased pool carries them warm across runs.
-		pn = newPruner(p, pool.evs[0].sim.Bounds(p.Table), es, rt, cache != nil)
+		// The bound constants are memoized on the pool's simulator, so a
+		// leased pool carries them warm across runs.
+		pn = newPruner(p, pool.ev.sim.Bounds(p.Table), es, rt, cache != nil)
 		pn.narrow = o.narrow
 	}
 	stats := func() CacheStats {

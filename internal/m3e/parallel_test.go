@@ -23,8 +23,8 @@ func parallelProblem(t testing.TB) *m3e.Problem {
 	return prob
 }
 
-// TestPoolScoresInvalidGenomes checks the pool mirrors the serial rule:
-// constraint-violating samples score -Inf at their batch index.
+// TestPoolScoresInvalidGenomes checks the pool mirrors the one-shot
+// rule: constraint-violating samples score -Inf at their batch index.
 func TestPoolScoresInvalidGenomes(t *testing.T) {
 	prob := parallelProblem(t)
 	r := rand.New(rand.NewSource(3))
@@ -34,7 +34,7 @@ func TestPoolScoresInvalidGenomes(t *testing.T) {
 	}
 	batch[2] = encoding.Genome{Accel: []int{0}, Prio: []float64{0.5}} // wrong size
 	fit := make([]float64, len(batch))
-	m3e.NewPool(prob, 4).Evaluate(batch, fit)
+	m3e.NewPool(prob).Evaluate(batch, fit)
 	for i, f := range fit {
 		if i == 2 {
 			if !isNegInf(f) {
@@ -77,7 +77,7 @@ func TestEvaluatorMatchesProblemEvaluate(t *testing.T) {
 }
 
 // TestEvaluatorZeroAlloc asserts the genome→fitness hot path — decode,
-// simulate, score — stops allocating once per-worker scratch is warm.
+// simulate, score — stops allocating once its scratch is warm.
 func TestEvaluatorZeroAlloc(t *testing.T) {
 	prob := parallelProblem(t)
 	ev := prob.NewEvaluator()

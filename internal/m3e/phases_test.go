@@ -23,7 +23,7 @@ func TestPhasesTileTheRun(t *testing.T) {
 				opt = unpruned{opt}
 			}
 			start := time.Now()
-			res, err := m3e.Run(prob, opt, m3e.Options{Budget: 600, Workers: 2, Store: storeIf(cache)}, 5)
+			res, err := m3e.Run(prob, opt, m3e.Options{Budget: 600, Store: storeIf(cache)}, 5)
 			wall := time.Since(start).Nanoseconds()
 			if err != nil {
 				t.Fatal(err)

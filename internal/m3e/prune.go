@@ -29,7 +29,7 @@ const (
 //  1. Roofline. The floor is the k-th best re-ask value (k =
 //     EliteCount) capped at the best so far; every other genome whose
 //     roofline fitness bound falls below it gets that bound, undecoded.
-//  2. Virtual time (settle). One serial loop visits the survivors in
+//  2. Virtual time (settle). One loop visits the survivors in
 //     descending roofline bound against a running floor: the k-th best
 //     of the re-ask values, the exact store hits and the lower ends of
 //     the brackets finished so far, capped at the best so far. A
@@ -138,32 +138,31 @@ func (pr *pruner) prune(pool *Pool, batch []encoding.Genome, fit []float64, best
 	priced := !math.IsInf(floor, -1)
 	pr.virtual = priced && pr.bounds.HasVirtual()
 	energy := pr.p.Objective == Energy || pr.p.Objective == EDP
-	pool.each(n, func(ev *Evaluator, i int) {
+	for i, g := range batch {
 		if pr.state[i] != slotOpen {
-			return
+			continue
 		}
-		g := batch[i]
 		if !priced {
 			if g.Validate(nJobs, nAccels) != nil {
 				pr.state[i] = slotInvalid
 			}
-			return
+			continue
 		}
 		// One walk over the genes both validates them and sums the
 		// roofline, so a priced genome is never walked twice.
-		r, ok := pr.bounds.GenomeRoofline(ev.cycles, g.Accel, g.Prio, energy)
+		r, ok := pr.bounds.GenomeRoofline(pool.ev.cycles, g.Accel, g.Prio, energy)
 		if !ok {
 			pr.state[i] = slotInvalid
-			return
+			continue
 		}
 		bf := pr.p.Fitness(pr.bounds.RooflineResult(r))
 		if bf < floor {
 			pr.state[i] = slotPruned
 			fit[i] = bf
-			return
+			continue
 		}
 		pr.roof[i], pr.bound[i] = r, bf
-	})
+	}
 
 	pr.open = pr.open[:0]
 	for i, s := range pr.state {
@@ -190,7 +189,7 @@ func (pr *pruner) prune(pool *Pool, batch []encoding.Genome, fit []float64, best
 	if pr.cached || !pr.virtual {
 		return pr.state
 	}
-	pr.stats.VirtualPriced += uint64(pr.settle(pool.evs[0], batch, fit, pr.open, nil, nil, nil))
+	pr.stats.VirtualPriced += uint64(pr.settle(pool.ev, batch, fit, pr.open, nil, nil, nil))
 	for _, i := range pr.order {
 		if pr.state[i] == slotFiltered {
 			pr.stats.BoundPruned++
@@ -201,22 +200,22 @@ func (pr *pruner) prune(pool *Pool, batch []encoding.Genome, fit []float64, best
 }
 
 // simulate scores the genomes prune left open (uncached): from the
-// schedules the virtual-time stage kept, or decoded afresh by each
-// worker when the stage did not run.
+// schedules the virtual-time stage kept, or decoded afresh into the
+// evaluator's scratch when the stage did not run.
 func (pr *pruner) simulate(pool *Pool, batch []encoding.Genome, fit []float64) {
 	if pr.virtual {
-		pool.simulate(pr.open, fit, func(_ *Evaluator, k int) *sim.Mapping { return &pr.maps[k] })
+		pool.simulate(pr.open, fit, func(k int) *sim.Mapping { return &pr.maps[k] })
 		return
 	}
-	nAccels := pr.p.NumAccels()
-	pool.simulate(pr.open, fit, func(ev *Evaluator, k int) *sim.Mapping {
-		encoding.DecodeInto(batch[pr.open[k]], nAccels, &ev.m)
-		return &ev.m
+	nAccels, m := pr.p.NumAccels(), &pool.ev.m
+	pool.simulate(pr.open, fit, func(k int) *sim.Mapping {
+		encoding.DecodeInto(batch[pr.open[k]], nAccels, m)
+		return m
 	})
 }
 
 // settle is the virtual-time stage, for both the uncached pass and the
-// fitness cache, run serially on ev. cands are the batch indices left to
+// fitness cache, run on ev. cands are the batch indices left to
 // settle, none priced yet, each standing for weight[i] batch slots (1
 // each when weight is nil: the cache's in-batch duplicates share their
 // representative's bracket); exact are the batch indices whose fit holds

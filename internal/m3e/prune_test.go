@@ -30,7 +30,7 @@ func (f fixedSelection) Reasks() []int      { return f.reasks }
 func TestPruneScoresInvalidGenomes(t *testing.T) {
 	const n, k = 12, 2
 	prob := testProblem(t, models.Mix, n, platform.S2(), Throughput)
-	pool := NewPool(prob, 1)
+	pool := NewPool(prob)
 	st := rng.New(8)
 	edits := []func(g *encoding.Genome){
 		func(g *encoding.Genome) { g.Accel[3] = prob.NumAccels() },
@@ -55,7 +55,7 @@ func TestPruneScoresInvalidGenomes(t *testing.T) {
 		if priced {
 			sel.reasks = []int{0, 1}
 		}
-		pr := newPruner(prob, pool.evs[0].sim.Bounds(prob.Table), sel, sel, false)
+		pr := newPruner(prob, pool.ev.sim.Bounds(prob.Table), sel, sel, false)
 		pr.prevFit = []float64{2, 1}
 		fit := make([]float64, len(batch))
 		state := pr.prune(pool, batch, fit, 2)
@@ -90,7 +90,7 @@ func TestPruneScoresInvalidGenomes(t *testing.T) {
 func TestCachedDuplicatesShareSettlement(t *testing.T) {
 	const n, pairs = 16, 30
 	prob := testProblem(t, models.Mix, n, platform.S2().WithBW(16), Throughput)
-	pool := NewPool(prob, 1)
+	pool := NewPool(prob)
 	st := rng.New(6)
 	batch := make([]encoding.Genome, 2, 2+2*pairs)
 	var exact []float64
@@ -107,7 +107,7 @@ func TestCachedDuplicatesShareSettlement(t *testing.T) {
 	slices.Sort(exact)
 	median := exact[pairs/2]
 	sel := fixedSelection{k: 2, reasks: []int{0, 1}}
-	pr := newPruner(prob, pool.evs[0].sim.Bounds(prob.Table), sel, sel, true)
+	pr := newPruner(prob, pool.ev.sim.Bounds(prob.Table), sel, sel, true)
 	pr.prevFit = []float64{median, median}
 	cache := pool.cacheFor(prob, NewCacheStore(0))
 	fit := make([]float64, len(batch))
@@ -148,7 +148,7 @@ func TestCachedDuplicatesShareSettlement(t *testing.T) {
 func BenchmarkPrune(b *testing.B) {
 	const n, k = 100, 10
 	prob := testProblem(b, models.Mix, n, platform.S2().WithBW(16), Throughput)
-	pool := NewPool(prob, 1)
+	pool := NewPool(prob)
 	st := rng.New(4)
 	batch := make([]encoding.Genome, n)
 	sel := fixedSelection{k: k, reasks: make([]int, n)}
@@ -159,7 +159,7 @@ func BenchmarkPrune(b *testing.B) {
 			sel.reasks[i] = i
 		}
 	}
-	pr := newPruner(prob, pool.evs[0].sim.Bounds(prob.Table), sel, sel, false)
+	pr := newPruner(prob, pool.ev.sim.Bounds(prob.Table), sel, sel, false)
 	pr.prevFit = make([]float64, n)
 	for i := range pr.prevFit {
 		pr.prevFit[i] = float64(i)

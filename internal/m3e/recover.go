@@ -43,41 +43,22 @@ func AbortRun(err error) {
 	panic(runAbort{err: err})
 }
 
-// workerPanic carries a panic out of a Pool worker goroutine: the
-// worker recovers, records the first panic's value and stack, and the
-// pool re-panics it on the calling goroutine after the batch drains —
-// so a panic in a parallel evaluation or breed callback surfaces to the
-// caller's guard exactly like a serial one, stack intact, instead of
-// killing the process from an unrecoverable goroutine.
-type workerPanic struct {
-	value any
-	stack []byte
-}
-
 // guard runs one mapper callback, converting panics into errors: a
 // runAbort (from AbortRun) becomes its wrapped error; anything else
 // becomes a *MapperPanicError carrying the mapper name, the callback
-// name and the stack captured at the panic site (for pool workers, the
-// worker goroutine's stack). A plain error return passes through
-// untouched.
+// name and the stack captured at the panic site. A plain error return
+// passes through untouched.
 func guard(mapper, op string, f func() error) (err error) {
 	defer func() {
 		r := recover()
 		if r == nil {
 			return
 		}
-		var stack []byte
-		if wp, ok := r.(*workerPanic); ok {
-			stack = wp.stack
-			r = wp.value
-		} else {
-			stack = debug.Stack()
-		}
 		if a, ok := r.(runAbort); ok {
 			err = fmt.Errorf("m3e: %s %s: %w", mapper, op, a.err)
 			return
 		}
-		err = &MapperPanicError{Mapper: mapper, Op: op, Value: r, Stack: stack}
+		err = &MapperPanicError{Mapper: mapper, Op: op, Value: r, Stack: debug.Stack()}
 	}()
 	return f()
 }

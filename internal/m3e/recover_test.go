@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -74,23 +73,53 @@ func TestPanicInInitBecomesMapperPanicError(t *testing.T) {
 	}
 }
 
+// TestPanicMidRunKeepsPartialResult panics in the third generation,
+// once in the mapper's Ask and once in the simulator while the runner
+// evaluates the batch: either way the run fails with a MapperPanicError
+// naming the callback, its stack reaches the panic site, and the partial
+// result holds the two completed generations.
 func TestPanicMidRunKeepsPartialResult(t *testing.T) {
 	prob := testProblem(t, models.Vision, 12, platform.S1(), Throughput)
-	res, err := Run(prob, &panickyOpt{stubOpt: stubOpt{batch: 5}, panicIn: "Ask", atGen: 3}, Options{Budget: 100}, 1)
-	var mpe *MapperPanicError
-	if !errors.As(err, &mpe) {
-		t.Fatalf("mid-run panic surfaced as %v, want *MapperPanicError", err)
-	}
-	if mpe.Op != "Ask" {
-		t.Errorf("op = %s, want Ask", mpe.Op)
-	}
-	// Two generations completed before the blow-up; the partial result
-	// holds their best-so-far state.
-	if res.Samples != 10 {
-		t.Errorf("partial result has %d samples, want 10", res.Samples)
-	}
-	if math.IsInf(res.BestFitness, -1) {
-		t.Error("partial result lost its best fitness")
+	for _, tc := range []struct {
+		op    string
+		opt   Optimizer
+		frame string
+	}{
+		{"Ask", &panickyOpt{stubOpt: stubOpt{batch: 5}, panicIn: "Ask", atGen: 3}, "panickyOpt"},
+		{"Evaluate", &stubOpt{batch: 5}, "EvaluateMapping"},
+	} {
+		t.Run(tc.op, func(t *testing.T) {
+			fault.Reset()
+			defer fault.Reset()
+			if tc.op == "Evaluate" {
+				sims := 0
+				fault.Enable(fault.M3ESimulate, func() error {
+					if sims++; sims > 10 {
+						panic("simulator blew up")
+					}
+					return nil
+				})
+			}
+			res, err := Run(prob, tc.opt, Options{Budget: 100}, 1)
+			var mpe *MapperPanicError
+			if !errors.As(err, &mpe) {
+				t.Fatalf("mid-run panic surfaced as %v, want *MapperPanicError", err)
+			}
+			if mpe.Op != tc.op {
+				t.Errorf("op = %s, want %s", mpe.Op, tc.op)
+			}
+			if !bytes.Contains(mpe.Stack, []byte(tc.frame)) {
+				t.Errorf("stack does not reach the panic site %s", tc.frame)
+			}
+			// Two generations completed before the blow-up; the partial
+			// result holds their best-so-far state.
+			if res.Samples != 10 {
+				t.Errorf("partial result has %d samples, want 10", res.Samples)
+			}
+			if math.IsInf(res.BestFitness, -1) {
+				t.Error("partial result lost its best fitness")
+			}
+		})
 	}
 }
 
@@ -113,33 +142,6 @@ func TestAbortRunUnwrapsToPlainError(t *testing.T) {
 	var mpe *MapperPanicError
 	if errors.As(err, &mpe) {
 		t.Fatal("AbortRun must not be reported as a mapper panic")
-	}
-}
-
-// TestWorkerPanicRecovered injects a panic inside the parallel
-// evaluation pool (a worker goroutine) and checks it surfaces as a
-// MapperPanicError on the caller instead of killing the process.
-func TestWorkerPanicRecovered(t *testing.T) {
-	fault.Reset()
-	defer fault.Reset()
-	var hits atomic.Int64
-	fault.Enable(fault.M3ESimulate, func() error {
-		if hits.Add(1) > 12 {
-			panic("simulator blew up")
-		}
-		return nil
-	})
-	prob := testProblem(t, models.Vision, 12, platform.S1(), Throughput)
-	_, err := Run(prob, &stubOpt{batch: 8}, Options{Budget: 40, Workers: 4}, 1)
-	var mpe *MapperPanicError
-	if !errors.As(err, &mpe) {
-		t.Fatalf("worker panic surfaced as %v, want *MapperPanicError", err)
-	}
-	if mpe.Op != "Evaluate" {
-		t.Errorf("op = %s, want Evaluate", mpe.Op)
-	}
-	if !bytes.Contains(mpe.Stack, []byte("Evaluate")) {
-		t.Error("stack does not reach the worker's evaluation frame")
 	}
 }
 
@@ -199,7 +201,7 @@ func TestPanicUnderStoreLockReleasesIt(t *testing.T) {
 	}{
 		// Assigning to the nil dedup map panics inside the lookup scan.
 		{"lookup", func(store *CacheStore, o *Options) {
-			o.Pool = NewPool(prob, 1)
+			o.Pool = NewPool(prob)
 			o.Pool.cacheFor(prob, store).inBatch = nil
 		}},
 		// Reading a nil map is fine, so the scan passes and inserting
@@ -208,7 +210,7 @@ func TestPanicUnderStoreLockReleasesIt(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			store := NewCacheStore(0)
-			o := Options{Budget: 20, Workers: 1, Store: store}
+			o := Options{Budget: 20, Store: store}
 			tc.corrupt(store, &o)
 			_, err := Run(prob, &stubOpt{batch: 5}, o, 1)
 			var mpe *MapperPanicError
@@ -218,7 +220,7 @@ func TestPanicUnderStoreLockReleasesIt(t *testing.T) {
 			store.entries = map[encoding.Fingerprint]storeEntry{}
 			done := make(chan error, 1)
 			go func() {
-				_, err := Run(prob, &stubOpt{batch: 5}, Options{Budget: 20, Workers: 1, Store: store}, 1)
+				_, err := Run(prob, &stubOpt{batch: 5}, Options{Budget: 20, Store: store}, 1)
 				done <- err
 			}()
 			select {

@@ -16,14 +16,14 @@ import (
 func TestCacheStoreCrossRun(t *testing.T) {
 	prob := parallelProblem(t)
 	const budget = 300
-	cold, err := m3e.Run(prob, optmagma.New(optmagma.Config{}), m3e.Options{Budget: budget, Workers: 1}, 5)
+	cold, err := m3e.Run(prob, optmagma.New(optmagma.Config{}), m3e.Options{Budget: budget}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	store := m3e.NewCacheStore(0)
 	first, err := m3e.Run(prob, optmagma.New(optmagma.Config{}),
-		m3e.Options{Budget: budget, Workers: 1, Store: store}, 5)
+		m3e.Options{Budget: budget, Store: store}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestCacheStoreCrossRun(t *testing.T) {
 	// Identical seed → identical Ask stream → every decodable sample of
 	// the repeat is already stored.
 	second, err := m3e.Run(prob, optmagma.New(optmagma.Config{}),
-		m3e.Options{Budget: budget, Workers: 1, Store: store}, 5)
+		m3e.Options{Budget: budget, Store: store}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,8 +77,8 @@ func TestPoolScratchRebindsToEachStore(t *testing.T) {
 		}
 		return res
 	}
-	fresh := run(m3e.Options{Workers: 2, Store: m3e.NewCacheStore(0)})
-	pool := m3e.NewPool(prob, 2)
+	fresh := run(m3e.Options{Store: m3e.NewCacheStore(0)})
+	pool := m3e.NewPool(prob)
 	a, b := m3e.NewCacheStore(0), m3e.NewCacheStore(0)
 	onA := run(m3e.Options{Pool: pool, Store: a})
 	scratch := m3e.PoolScratch(pool)
@@ -121,7 +121,7 @@ func TestCacheStoreConcurrentRuns(t *testing.T) {
 	seeds := []int64{3, 4, 5, 6}
 	cold := make([]m3e.Result, len(seeds))
 	for i, seed := range seeds {
-		res, err := m3e.Run(prob, optmagma.New(optmagma.Config{}), m3e.Options{Budget: budget, Workers: 1}, seed)
+		res, err := m3e.Run(prob, optmagma.New(optmagma.Config{}), m3e.Options{Budget: budget}, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +137,7 @@ func TestCacheStoreConcurrentRuns(t *testing.T) {
 		go func(i int, seed int64) {
 			defer wg.Done()
 			got[i], errs[i] = m3e.Run(prob, optmagma.New(optmagma.Config{}),
-				m3e.Options{Budget: budget, Workers: 2, Store: store}, seed)
+				m3e.Options{Budget: budget, Store: store}, seed)
 		}(i, seed)
 	}
 	wg.Wait()
@@ -162,7 +162,7 @@ func TestCacheStoreBounded(t *testing.T) {
 	store := m3e.NewCacheStore(8)
 	for seed := int64(1); seed <= 3; seed++ {
 		if _, err := m3e.Run(prob, optmagma.New(optmagma.Config{}),
-			m3e.Options{Budget: 120, Workers: 1, Store: store}, seed); err != nil {
+			m3e.Options{Budget: 120, Store: store}, seed); err != nil {
 			t.Fatal(err)
 		}
 		if store.Len() > 8 {

@@ -55,34 +55,38 @@ func TestVirtualBracketHoldsFitness(t *testing.T) {
 }
 
 // TestVirtualStageSettles checks the second pruning stage fires on a
-// pruned search, cache off and on, without moving the result, and that
-// its counters nest: VirtualPruned ≤ BoundPruned, and uncached every
-// priced genome is either settled or simulated.
+// pruned search under every objective, cache off and on, without moving
+// the result, and that its counters nest: VirtualPruned ≤ BoundPruned,
+// and uncached every priced genome is either settled or simulated.
 func TestVirtualStageSettles(t *testing.T) {
-	prob := parallelProblem(t)
+	table := parallelProblem(t).Table
 	const budget = 1000
-	base, err := m3e.Run(prob, unpruned{optmagma.New(optmagma.Config{})}, m3e.Options{Budget: budget, Workers: 1}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cache := range []bool{false, true} {
-		got, err := m3e.Run(prob, optmagma.New(optmagma.Config{}), m3e.Options{Budget: budget, Workers: 2, Store: storeIf(cache)}, 3)
+	for obj := m3e.Throughput; obj <= m3e.EDP; obj++ {
+		prob := m3e.ProblemFromTable(table, obj)
+		base, err := m3e.Run(prob, unpruned{optmagma.New(optmagma.Config{})}, m3e.Options{Budget: budget}, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.BestFitness != base.BestFitness || !reflect.DeepEqual(got.Curve, base.Curve) {
-			t.Fatalf("cache=%v: result differs from the unpruned run", cache)
-		}
-		st := got.Cache
-		checkCounters(t, fmt.Sprintf("cache=%v", cache), st, got.Asked)
-		if st.VirtualPriced == 0 || st.VirtualPruned == 0 {
-			t.Errorf("cache=%v: virtual stage idle: %+v", cache, st)
-		}
-		if st.VirtualPruned > st.BoundPruned {
-			t.Errorf("cache=%v: VirtualPruned %d exceeds BoundPruned %d", cache, st.VirtualPruned, st.BoundPruned)
-		}
-		if !cache && st.VirtualPriced > st.Misses-(st.BoundPruned-st.VirtualPruned) {
-			t.Errorf("cache=false: priced %d genomes, more than the %d that passed the roofline", st.VirtualPriced, st.Misses-(st.BoundPruned-st.VirtualPruned))
+		for _, cache := range []bool{false, true} {
+			label := fmt.Sprintf("%s cache=%v", obj, cache)
+			got, err := m3e.Run(prob, optmagma.New(optmagma.Config{}), m3e.Options{Budget: budget, Store: storeIf(cache)}, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.BestFitness != base.BestFitness || !reflect.DeepEqual(got.Curve, base.Curve) || !reflect.DeepEqual(got.Best, base.Best) {
+				t.Fatalf("%s: result differs from the unpruned run", label)
+			}
+			st := got.Cache
+			checkCounters(t, label, st, got.Asked)
+			if st.VirtualPriced == 0 || st.VirtualPruned == 0 {
+				t.Errorf("%s: virtual stage idle: %+v", label, st)
+			}
+			if st.VirtualPruned > st.BoundPruned {
+				t.Errorf("%s: VirtualPruned %d exceeds BoundPruned %d", label, st.VirtualPruned, st.BoundPruned)
+			}
+			if !cache && st.VirtualPriced > st.Misses-(st.BoundPruned-st.VirtualPruned) {
+				t.Errorf("%s: priced %d genomes, more than the %d that passed the roofline", label, st.VirtualPriced, st.Misses-(st.BoundPruned-st.VirtualPruned))
+			}
 		}
 	}
 }
@@ -98,14 +102,14 @@ func TestBracketMissFailsLoudly(t *testing.T) {
 		return v, v
 	}
 	for _, cache := range []bool{false, true} {
-		o := m3e.WithBrackets(m3e.Options{Budget: 1000, Workers: 2, Store: storeIf(cache)}, above)
+		o := m3e.WithBrackets(m3e.Options{Budget: 1000, Store: storeIf(cache)}, above)
 		_, err := m3e.Run(prob, optmagma.New(optmagma.Config{}), o, 3)
 		if err == nil || !strings.Contains(err.Error(), "batch index") || !strings.Contains(err.Error(), "bracket") {
 			t.Errorf("cache=%v: narrowed bracket gave error %v, want a bracket miss naming the batch index", cache, err)
 		}
 	}
 	// The identity hook changes nothing.
-	o := m3e.WithBrackets(m3e.Options{Budget: 1000, Workers: 2}, func(lo, hi float64) (float64, float64) { return lo, hi })
+	o := m3e.WithBrackets(m3e.Options{Budget: 1000}, func(lo, hi float64) (float64, float64) { return lo, hi })
 	if _, err := m3e.Run(prob, optmagma.New(optmagma.Config{}), o, 3); err != nil {
 		t.Errorf("identity bracket hook: %v", err)
 	}
@@ -136,7 +140,7 @@ func TestStoreBracketTops(t *testing.T) {
 	} {
 		name := mk().Name()
 		refStore := m3e.NewCacheStore(0)
-		if _, err := m3e.Run(prob, unpruned{mk()}, m3e.Options{Budget: budget, Workers: 1, Store: refStore}, 11); err != nil {
+		if _, err := m3e.Run(prob, unpruned{mk()}, m3e.Options{Budget: budget, Store: refStore}, 11); err != nil {
 			t.Fatal(err)
 		}
 		exact := map[encoding.Fingerprint]float64{}
@@ -145,7 +149,7 @@ func TestStoreBracketTops(t *testing.T) {
 		}
 
 		store := m3e.NewCacheStore(0)
-		first, err := m3e.Run(prob, mk(), m3e.Options{Budget: budget, Workers: 1, Store: store}, 11)
+		first, err := m3e.Run(prob, mk(), m3e.Options{Budget: budget, Store: store}, 11)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +168,7 @@ func TestStoreBracketTops(t *testing.T) {
 		}
 
 		full := m3e.NewCacheStore(sims)
-		if _, err := m3e.Run(prob, mk(), m3e.Options{Budget: budget, Workers: 1, Store: full}, 11); err != nil {
+		if _, err := m3e.Run(prob, mk(), m3e.Options{Budget: budget, Store: full}, 11); err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(full.Export(), exported) {
@@ -179,7 +183,7 @@ func TestStoreBracketTops(t *testing.T) {
 		}{{"warm", store}, {"full", full}, {"restored", restored}} {
 			label := name + " repeat on the " + c.label + " store"
 			counter := &reaskCounter{prunable: mk()}
-			again, err := m3e.Run(prob, counter, m3e.Options{Budget: budget, Workers: 4, Store: c.store}, 11)
+			again, err := m3e.Run(prob, counter, m3e.Options{Budget: budget, Store: c.store}, 11)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -212,11 +216,11 @@ func TestStoreBracketTops(t *testing.T) {
 		// A top is only an upper bound: loosened to +Inf, none settles
 		// its genome, and those genomes are simulated instead.
 		loose := m3e.NewCacheStore(0)
-		if _, err := m3e.Run(prob, mk(), m3e.Options{Budget: budget, Workers: 1, Store: loose}, 11); err != nil {
+		if _, err := m3e.Run(prob, mk(), m3e.Options{Budget: budget, Store: loose}, 11); err != nil {
 			t.Fatal(err)
 		}
 		m3e.MapTops(loose, func(float64) float64 { return math.Inf(1) })
-		again, err := m3e.Run(prob, mk(), m3e.Options{Budget: budget, Workers: 2, Store: loose}, 11)
+		again, err := m3e.Run(prob, mk(), m3e.Options{Budget: budget, Store: loose}, 11)
 		if err != nil {
 			t.Fatalf("%s repeat on loosened tops: %v", name, err)
 		}
@@ -229,11 +233,11 @@ func TestStoreBracketTops(t *testing.T) {
 		}
 
 		// Another seed meets tops it did not price.
-		want, err := m3e.Run(prob, unpruned{mk()}, m3e.Options{Budget: budget, Workers: 1}, 12)
+		want, err := m3e.Run(prob, unpruned{mk()}, m3e.Options{Budget: budget}, 12)
 		if err != nil {
 			t.Fatal(err)
 		}
-		other, err := m3e.Run(prob, mk(), m3e.Options{Budget: budget, Workers: 2, Store: store}, 12)
+		other, err := m3e.Run(prob, mk(), m3e.Options{Budget: budget, Store: store}, 12)
 		if err != nil {
 			t.Fatalf("%s seed 12 on the warm store: %v", name, err)
 		}

@@ -29,7 +29,7 @@ type Optimizer struct {
 	nAccels int
 	// root is the run's RNG root; Ask derives one stream per
 	// (ask-round, candidate) cell, so candidate sampling is independent
-	// of evaluation order and could fan out across workers.
+	// of evaluation order.
 	root rng.Stream
 	asks uint64
 

@@ -20,9 +20,8 @@
 //     (rate 0.05).
 //
 // Breeding is order-free: every child derives its own RNG stream from
-// the run root keyed by (generation, slot), so Tell can fan the
-// operator pipeline across the evaluation pool's workers (m3e.Breeder)
-// with populations bit-identical at any worker count. Tell also records
+// the run root keyed by (generation, slot), so a child's draws depend
+// on its slot alone (rng.Layout 2, DrawLayout). Tell also records
 // which slots re-ask an elite's schedule (m3e.ReaskTracker): the elites
 // it carries over verbatim, and every bred child that decodes to its
 // dad's or its mom's schedule (encoding.SameSchedule). The runner
@@ -93,14 +92,13 @@ func (c Config) withDefaults(groupSize int) Config {
 }
 
 // Optimizer is the MAGMA search state. It implements m3e.Optimizer,
-// m3e.Seeder, m3e.PoolBreeder, m3e.ReaskTracker and m3e.EliteSelector.
+// m3e.Seeder, m3e.ReaskTracker and m3e.EliteSelector.
 type Optimizer struct {
 	cfg     Config
 	nJobs   int
 	nAccels int
 	root    rng.Stream // run root; every draw comes from an At(gen, slot) sub-stream
 	gen     uint64     // completed breeding rounds (0 = initial population)
-	breeder m3e.Breeder
 	pop     []encoding.Genome
 	seeds   []encoding.Genome
 	inited  bool
@@ -111,21 +109,18 @@ type Optimizer struct {
 	// no steady-state allocations: top holds the told indices of the
 	// elites, best first, elites the cloned parents, spare the retired
 	// population whose gene arrays the next generation is written into
-	// (see Tell for the aliasing rules), next the population being bred
-	// (set only during Tell), and breedFn the breeding callback handed to
-	// the breeder, bound once.
-	top     []int
-	elites  []encoding.Genome
-	spare   []encoding.Genome
-	next    []encoding.Genome
-	breedFn func(k int)
-	// Per-slot variation state. reasks[i] is the index in the previously
-	// told batch of the elite whose schedule pop[i] re-asks, or -1 (see
-	// Reasks); fromMom[i] is slot i's crossoverAccel transplant marker
-	// (per-job). Per-slot ownership is what makes concurrent breeding
-	// race-free.
+	// (see Tell for the aliasing rules), and next the population being
+	// bred (set only during Tell).
+	top    []int
+	elites []encoding.Genome
+	spare  []encoding.Genome
+	next   []encoding.Genome
+	// reasks[i] is the index in the previously told batch of the elite
+	// whose schedule pop[i] re-asks, or -1 (see Reasks); fromMom is
+	// crossoverAccel's per-job transplant marker, written in full before
+	// it is read, so every child shares it.
 	reasks     []int
-	fromMom    [][]bool
+	fromMom    []bool
 	haveReasks bool
 }
 
@@ -142,12 +137,6 @@ func (o *Optimizer) Seed(genomes []encoding.Genome) {
 		o.seeds = append(o.seeds, g.Clone())
 	}
 }
-
-// SetBreeder implements m3e.PoolBreeder: Tell fans child breeding
-// across b. Nil (the default) breeds serially; either way populations
-// are bit-identical, because every child draws from its own
-// (generation, slot) stream.
-func (o *Optimizer) SetBreeder(b m3e.Breeder) { o.breeder = b }
 
 // Reasks implements m3e.ReaskTracker: for each slot of the current
 // population, the index in the previously told batch of the elite
@@ -207,8 +196,7 @@ func (o *Optimizer) Init(p *m3e.Problem, rng *rng.Stream) error {
 // Ask implements m3e.Optimizer: it returns the current generation. The
 // genomes alias the optimizer's population — safe, because Tell never
 // mutates told genomes in place (elites and children are cloned before
-// breeding touches them) — which keeps the serial Ask step off the
-// parallel evaluation engine's critical path.
+// breeding touches them) — so Ask copies nothing.
 func (o *Optimizer) Ask() []encoding.Genome { return o.pop }
 
 // Tell implements m3e.Optimizer: it selects elites and breeds the next
@@ -221,13 +209,10 @@ func (o *Optimizer) Ask() []encoding.Genome { return o.pop }
 // buffer is safe to overwrite — the runner clones anything it keeps
 // (Result.Best) before Tell returns, and the current batch being told
 // is a different slice. Steady-state, a whole generation breeds without
-// heap allocation, serially or on a one-worker pool.
+// heap allocation.
 //
-// Breeding runs per child slot on the breeder (the evaluation pool's
-// workers) when one is set: each child reads only the shared elites and
-// writes only its own slot's genome and scratch, drawing
-// from its own (generation, slot) RNG stream — so the population is
-// bit-identical in any breeding order, at any worker count.
+// Each child draws from its own (generation, slot) RNG stream and reads
+// only the elites, so its genes depend on its slot alone.
 func (o *Optimizer) Tell(genomes []encoding.Genome, fitness []float64) {
 	nElite := o.EliteCount(len(genomes))
 	o.top = topK(o.top, fitness[:len(genomes)], nElite)
@@ -243,15 +228,8 @@ func (o *Optimizer) Tell(genomes []encoding.Genome, fitness []float64) {
 		copyGenome(&o.next[i], o.elites[i])
 		o.reasks[i] = idx // verbatim elite re-ask
 	}
-	if o.breedFn == nil {
-		o.breedFn = o.breedSlot // one closure per optimizer, not per generation
-	}
-	if n := len(o.next) - nElite; o.breeder != nil {
-		o.breeder.Breed(n, o.breedFn)
-	} else {
-		for k := 0; k < n; k++ {
-			o.breedSlot(k)
-		}
+	for k := 0; k < len(o.next)-nElite; k++ {
+		o.breedSlot(k)
 	}
 	o.haveReasks = true
 	o.spare = o.pop
@@ -271,7 +249,7 @@ func (o *Optimizer) breedSlot(k int) {
 	mom := st.Intn(nElite)
 	child := o.next[slot]
 	copyGenome(&child, o.elites[dad])
-	o.cross(child, o.elites[mom], &st, o.fromMom[slot])
+	o.cross(child, o.elites[mom], &st, o.fromMom)
 	switch {
 	case encoding.SameSchedule(child, o.elites[dad]):
 		o.reasks[slot] = o.top[dad]
@@ -308,22 +286,16 @@ func topK(top []int, fitness []float64, k int) []int {
 	return top
 }
 
-// growSlots sizes the per-slot variation state for n individuals.
+// growSlots sizes the variation state for n individuals.
 func (o *Optimizer) growSlots(n int) {
 	if cap(o.reasks) < n {
 		o.reasks = make([]int, n)
-		fromMom := make([][]bool, n)
-		copy(fromMom, o.fromMom)
-		o.fromMom = fromMom
 	}
 	o.reasks = o.reasks[:n]
-	o.fromMom = o.fromMom[:n]
-	for i := 0; i < n; i++ {
-		if cap(o.fromMom[i]) < o.nJobs {
-			o.fromMom[i] = make([]bool, o.nJobs)
-		}
-		o.fromMom[i] = o.fromMom[i][:o.nJobs]
+	if cap(o.fromMom) < o.nJobs {
+		o.fromMom = make([]bool, o.nJobs)
 	}
+	o.fromMom = o.fromMom[:o.nJobs]
 }
 
 // growGenomes resizes a genome scratch slice to n individuals of nJobs
@@ -474,7 +446,6 @@ func (o *Optimizer) crossoverAccel(child, mom encoding.Genome, st *rng.Stream, f
 var (
 	_ m3e.Optimizer     = (*Optimizer)(nil)
 	_ m3e.Seeder        = (*Optimizer)(nil)
-	_ m3e.PoolBreeder   = (*Optimizer)(nil)
 	_ m3e.ReaskTracker  = (*Optimizer)(nil)
 	_ m3e.EliteSelector = (*Optimizer)(nil)
 )

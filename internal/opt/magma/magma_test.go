@@ -376,28 +376,22 @@ func TestTellScratchReuse(t *testing.T) {
 }
 
 // TestTellSteadyStateAllocs pins that, once the scratch buffers are
-// warm, a whole selection and breeding step allocates nothing, breeding
-// serially (nil breeder) or through a one-worker pool.
+// warm, a whole selection and breeding step allocates nothing.
 func TestTellSteadyStateAllocs(t *testing.T) {
-	for _, pooled := range []bool{false, true} {
-		o := newInited(t, Config{Population: 24}, 20)
-		if pooled {
-			o.SetBreeder(m3e.NewPool(opttest.Problem(t, models.Mix, 20, platform.S2()), 1))
+	o := newInited(t, Config{Population: 24}, 20)
+	r := rand.New(rand.NewSource(29))
+	fit := make([]float64, 24)
+	for warm := 0; warm < 3; warm++ { // grow top/elites/spare
+		for i := range fit {
+			fit[i] = r.Float64()
 		}
-		r := rand.New(rand.NewSource(29))
-		fit := make([]float64, 24)
-		for warm := 0; warm < 3; warm++ { // grow top/elites/spare
-			for i := range fit {
-				fit[i] = r.Float64()
-			}
-			o.Tell(o.Ask(), fit)
-		}
-		allocs := testing.AllocsPerRun(20, func() {
-			o.Tell(o.Ask(), fit)
-		})
-		if allocs != 0 {
-			t.Errorf("pooled=%v: steady-state Tell allocates %.1f times, want 0", pooled, allocs)
-		}
+		o.Tell(o.Ask(), fit)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		o.Tell(o.Ask(), fit)
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state Tell allocates %.1f times, want 0", allocs)
 	}
 }
 
@@ -444,64 +438,6 @@ func TestQuickBreedValidity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-// serialBreeder runs the breeding hook inline — a stand-in breeder that
-// exercises the SetBreeder path without goroutines.
-type serialBreeder struct{ calls int }
-
-func (b *serialBreeder) Breed(n int, f func(int)) {
-	b.calls++
-	for i := n - 1; i >= 0; i-- { // reverse order: breeding must be order-free
-		f(i)
-	}
-}
-
-// TestBreederOrderIndependence pins the tentpole's determinism claim at
-// the optimizer level: populations are bit-identical whether Tell
-// breeds serially, through a breeder in reverse order, or on a real
-// worker pool — because every child draws from its own (generation,
-// slot) stream.
-func TestBreederOrderIndependence(t *testing.T) {
-	prob := opttest.Problem(t, models.Mix, 20, platform.S2())
-	run := func(setup func(o *Optimizer)) [][]encoding.Genome {
-		o := New(Config{Population: 16})
-		if err := o.Init(prob, rng.New(3)); err != nil {
-			t.Fatal(err)
-		}
-		setup(o)
-		r := rand.New(rand.NewSource(7))
-		var gens [][]encoding.Genome
-		for gen := 0; gen < 5; gen++ {
-			pop := o.Ask()
-			snap := make([]encoding.Genome, len(pop))
-			fit := make([]float64, len(pop))
-			for i, g := range pop {
-				snap[i] = g.Clone()
-				fit[i] = r.Float64()
-			}
-			gens = append(gens, snap)
-			o.Tell(pop, fit)
-		}
-		return gens
-	}
-	serial := run(func(o *Optimizer) {})
-	reversed := run(func(o *Optimizer) { o.SetBreeder(&serialBreeder{}) })
-	pooled := run(func(o *Optimizer) { o.SetBreeder(m3e.NewPool(prob, 4)) })
-	for gen := range serial {
-		for i := range serial[gen] {
-			for j := range serial[gen][i].Accel {
-				if serial[gen][i].Accel[j] != reversed[gen][i].Accel[j] ||
-					serial[gen][i].Prio[j] != reversed[gen][i].Prio[j] {
-					t.Fatalf("gen %d individual %d: reverse-order breeding diverged", gen, i)
-				}
-				if serial[gen][i].Accel[j] != pooled[gen][i].Accel[j] ||
-					serial[gen][i].Prio[j] != pooled[gen][i].Prio[j] {
-					t.Fatalf("gen %d individual %d: pooled breeding diverged", gen, i)
-				}
-			}
-		}
 	}
 }
 

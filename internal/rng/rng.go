@@ -2,14 +2,13 @@
 // (RNG layout v2): a counter-based SplitMix64 generator with cheap,
 // key-derived stream splitting.
 //
-// The motivation is parallel breeding. A single shared generator makes
-// every draw order-dependent: children bred concurrently would consume
-// interleaved draws and the population would depend on goroutine
-// scheduling. A splittable counter-based PRNG removes the shared state
-// entirely — each unit of work derives its own independent stream from
-// a stable label (for MAGMA: the (generation, child-slot) pair), so
-// children can be bred in any order, on any number of workers, with
-// bit-identical results.
+// A single shared generator makes every draw order-dependent: a child's
+// genes would depend on how many draws every earlier child consumed. A
+// splittable counter-based PRNG removes the shared state entirely — each
+// unit of work derives its own independent stream from a stable label
+// (for MAGMA: the (generation, child-slot) pair), so a child's genes
+// depend on its label alone and the order of breeding cannot move a
+// result.
 //
 // Construction. A Stream is a key (its identity — the hash of its
 // derivation path) plus a draw counter; draw i outputs
@@ -80,8 +79,8 @@ func (s *Stream) Derive(label uint64) Stream {
 }
 
 // At returns the independent stream of one (generation, slot) work
-// cell — the two-label form of Derive used by the parallel variation
-// pipeline. Allocation-free.
+// cell — the two-label form of Derive used by the variation pipeline.
+// Allocation-free.
 func (s *Stream) At(gen, slot uint64) Stream {
 	return Stream{key: fold(fold(s.key, gen), slot)}
 }

@@ -1,7 +1,7 @@
 package serve
 
 import (
-	"runtime"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -13,9 +13,9 @@ import (
 // bodies. Every error it returns is one the handlers answer with 400, so
 // the property is that it never panics and returns either an error or a
 // runSpec a search can start from: options that validate and are cached
-// on the shard's store, a worker count within GOMAXPROCS, and a timeout
-// that is never negative and, under a server-wide cap, within it. Seed
-// corpus:
+// on the shard's store, and a timeout that is never negative and, under
+// a server-wide cap, within it. A body naming a removed option (bound,
+// cache, effective_budget, workers) is always refused. Seed corpus:
 // internal/serve/testdata/fuzz/FuzzParseRequest. Explore beyond it with
 //
 //	go test -run=NONE -fuzz=FuzzParseRequest -fuzztime=10s ./internal/serve/
@@ -41,8 +41,8 @@ func FuzzParseRequest(f *testing.F) {
 			if !spec.opts.Cache {
 				t.Fatalf("parseRequest(%q) built an uncached search; every served search runs on the shard's store", body)
 			}
-			if w := spec.opts.Workers; w < 0 || w > runtime.GOMAXPROCS(0) {
-				t.Fatalf("parseRequest(%q) kept %d workers", body, w)
+			if name := removedOption(body); name != "" {
+				t.Fatalf("parseRequest(%q) accepted the removed option %q", body, name)
 			}
 			if spec.timeout < 0 || (s.cfg.JobTimeout > 0 && (spec.timeout == 0 || spec.timeout > s.cfg.JobTimeout)) {
 				t.Fatalf("parseRequest(%q) set timeout %v under a server cap of %v", body, spec.timeout, s.cfg.JobTimeout)
@@ -50,4 +50,21 @@ func FuzzParseRequest(f *testing.F) {
 			keyFor(spec)
 		}
 	})
+}
+
+// removedOption returns the first removed wire option body names in its
+// options object, or "" when it names none or is not a JSON object.
+func removedOption(body string) string {
+	var req struct {
+		Options map[string]json.RawMessage `json:"options"`
+	}
+	if json.Unmarshal([]byte(body), &req) != nil {
+		return ""
+	}
+	for _, name := range []string{"bound", "cache", "effective_budget", "workers"} {
+		if _, ok := req.Options[name]; ok {
+			return name
+		}
+	}
+	return ""
 }

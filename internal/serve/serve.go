@@ -67,7 +67,6 @@ type RequestOptions struct {
 	Objective      string `json:"objective,omitempty"` // throughput | latency | energy | edp
 	BudgetPerGroup int    `json:"budget_per_group,omitempty"`
 	Seed           int64  `json:"seed,omitempty"`
-	Workers        int    `json:"workers,omitempty"`
 	WarmStart      bool   `json:"warm_start,omitempty"`
 	SharedWarm     bool   `json:"shared_warm,omitempty"`
 }
@@ -429,7 +428,6 @@ func (s *Server) parseRequest(body io.Reader) (*runSpec, error) {
 			Objective:      obj,
 			BudgetPerGroup: req.Options.BudgetPerGroup,
 			Seed:           req.Options.Seed,
-			Workers:        req.Options.Workers,
 			Cache:          true, // every search runs on the shard's store
 			WarmStart:      req.Options.WarmStart,
 			SharedWarm:     req.Options.SharedWarm,
@@ -440,12 +438,6 @@ func (s *Server) parseRequest(body io.Reader) (*runSpec, error) {
 	// (unknown mapper, negative budget, warm sharing without warm start).
 	if err := spec.opts.Validate(); err != nil {
 		return nil, err
-	}
-	// Results never depend on the worker count, but every worker is an
-	// evaluator the engine builds, and it keeps pools per width, so a
-	// request gets at most the workers the process can run at once.
-	if limit := runtime.GOMAXPROCS(0); spec.opts.Workers > limit {
-		spec.opts.Workers = limit
 	}
 	if req.TimeoutMS < 0 {
 		return nil, fmt.Errorf("options: negative timeout_ms %d", req.TimeoutMS)

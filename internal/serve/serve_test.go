@@ -209,6 +209,9 @@ func TestServeBadRequests(t *testing.T) {
 		// Every served search runs on the shard's store, so the request
 		// option that once switched the cache is gone too.
 		{"cache is an unknown field", `{"generate":{"task":"Mix","num_jobs":16,"group_size":16,"seed":1},"options":{"cache":true}}`, http.StatusBadRequest},
+		// A search runs on one goroutine, so the option that sized its
+		// worker fan-out is gone as well, even at an absurd width.
+		{"workers is an unknown field", `{"generate":{"task":"Mix","num_jobs":16,"group_size":16,"seed":1},"options":{"workers":1073741824}}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -16,9 +16,7 @@ import (
 // requests with equal keys are guaranteed bit-identical responses, so
 // the server runs the search once and fans the result out.
 //
-// Workers is deliberately excluded — it changes wall-clock, never
-// schedules — so requests that differ only in parallelism still
-// coalesce. Requests with SharedWarm never get a key (see coalescible):
+// Requests with SharedWarm never get a key (see coalescible):
 // they mutate the Solver's cross-request warm store, so each must run.
 type flightKey [sha256.Size]byte
 

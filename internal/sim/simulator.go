@@ -14,7 +14,7 @@ import (
 // the JobRuns/BusyCycles/Frames of the Result — lives in scratch
 // buffers owned by the Simulator, so Run performs zero heap allocations
 // once the buffers have grown to the problem size. That makes one
-// Simulator per worker the unit of parallel fitness evaluation.
+// Simulator per search the unit of fitness evaluation.
 //
 // Ownership rule: the slices inside a returned Result alias the
 // Simulator's scratch and are only valid until the next Run call on the

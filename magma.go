@@ -128,11 +128,6 @@ type Options struct {
 	Budget int
 	// Seed drives all randomness; equal seeds reproduce runs exactly.
 	Seed int64
-	// Workers is the number of parallel evaluation goroutines (0 means
-	// all cores, 1 strictly serial). Results are bit-identical for every
-	// worker count, so parallelism never costs reproducibility. Compare
-	// uses the same bound to run mappers concurrently.
-	Workers int
 	// Cache runs the search on the Solver's fitness store for the
 	// problem (a private Solver's when Solver is nil): duplicate and
 	// schedule-equivalent genomes inside and across generations are
@@ -261,12 +256,11 @@ func finishSchedule(prob *m3e.Problem, mapping sim.Mapping, genome encoding.Geno
 // every built-in Table IV method. CompareCtx with context.Background().
 //
 // The job-analysis table is built once and shared (it is read-only
-// during search), and the mappers run concurrently, up to Options.
-// Workers at a time (0 = all cores); each mapper's inner evaluation
-// loop then runs serial to keep the machine exactly Workers-wide. Every
-// mapper keeps the seed it would get from a serial sweep (opts.Seed+i),
-// so the returned schedules are identical for any worker count. A thin
-// wrapper over Solver.Compare (opts.Solver or a private one).
+// during search), and the mappers run concurrently, up to GOMAXPROCS at
+// a time, each search on its own goroutine. Every mapper keeps the seed
+// it would get from a serial sweep (opts.Seed+i), so each schedule is
+// the one its own Optimize returns. A thin wrapper over Solver.Compare
+// (opts.Solver or a private one).
 func Compare(g Group, p Platform, mappers []string, opts Options) ([]Schedule, error) {
 	return CompareCtx(context.Background(), g, p, mappers, opts)
 }

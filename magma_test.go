@@ -2,6 +2,8 @@ package magma
 
 import (
 	"bytes"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -86,37 +88,43 @@ func TestCompareSortsByFitness(t *testing.T) {
 	}
 }
 
-// TestWorkersReproducible pins the facade-level determinism contract of
-// Compare: it returns identical leaderboards at any worker count. That
-// Optimize does is TestResultDigests' (every cell runs at workers 1, 2
-// and 8).
+// TestWorkersReproducible pins the facade-level contract of Compare:
+// its mappers run concurrently, yet each returns exactly the schedule
+// its own Optimize returns at the seed a serial sweep would give it
+// (opts.Seed+i).
 func TestWorkersReproducible(t *testing.T) {
 	g := testGroup(t, Mix, 16)
 	mappers := []string{"Herald-like", "MAGMA", "stdGA", "Random"}
-	serial, err := Compare(g, PlatformS2(), mappers, Options{Budget: 100, Seed: 6, Workers: 1})
+	opts := Options{Budget: 100, Seed: 6}
+	board, err := Compare(g, PlatformS2(), mappers, opts)
 	if err != nil {
-		t.Fatalf("Compare serial: %v", err)
+		t.Fatalf("Compare: %v", err)
 	}
-	parallel, err := Compare(g, PlatformS2(), mappers, Options{Budget: 100, Seed: 6, Workers: 4})
-	if err != nil {
-		t.Fatalf("Compare parallel: %v", err)
+	if len(board) != len(mappers) {
+		t.Fatalf("Compare returned %d schedules, want %d", len(board), len(mappers))
 	}
-	for i := range serial {
-		if serial[i].Mapper != parallel[i].Mapper || serial[i].Fitness != parallel[i].Fitness {
-			t.Errorf("rank %d: serial (%s, %v) != parallel (%s, %v)", i,
-				serial[i].Mapper, serial[i].Fitness, parallel[i].Mapper, parallel[i].Fitness)
+	for _, s := range board {
+		o := opts
+		o.Mapper = s.Mapper
+		o.Seed = opts.Seed + int64(slices.Index(mappers, s.Mapper))
+		own, err := Optimize(g, PlatformS2(), o)
+		if err != nil {
+			t.Fatalf("Optimize %s: %v", s.Mapper, err)
+		}
+		if s.Fitness != own.Fitness || !slices.Equal(s.Curve, own.Curve) || !reflect.DeepEqual(s.Genome, own.Genome) {
+			t.Errorf("%s: Compare's schedule (%v) differs from its own Optimize (%v)", s.Mapper, s.Fitness, own.Fitness)
 		}
 	}
 }
 
 // TestCacheReproducible pins the fitness cache's counters at the
 // facade: an uncached schedule reports only the pruning pass's counters,
-// and a cached one at any worker count counts every sample. That the
-// schedules are identical with the cache on or off is
-// TestResultDigests' (its off, own and store columns).
+// and a cached one counts every sample. That the schedules are identical
+// with the cache on or off is TestResultDigests' (its off, own and store
+// columns).
 func TestCacheReproducible(t *testing.T) {
 	g := testGroup(t, Mix, 16)
-	base, err := Optimize(g, PlatformS2(), Options{Budget: 150, Seed: 6, Workers: 1})
+	base, err := Optimize(g, PlatformS2(), Options{Budget: 150, Seed: 6})
 	if err != nil {
 		t.Fatalf("Optimize uncached: %v", err)
 	}
@@ -125,14 +133,12 @@ func TestCacheReproducible(t *testing.T) {
 		st.Hits+st.Misses+st.Invalid != uint64(base.Asked) {
 		t.Errorf("uncached schedule reports cache counters: %+v", st)
 	}
-	for _, workers := range []int{1, 4} {
-		s, err := Optimize(g, PlatformS2(), Options{Budget: 150, Seed: 6, Workers: workers, Cache: true})
-		if err != nil {
-			t.Fatalf("Optimize cached workers=%d: %v", workers, err)
-		}
-		if total := s.Cache.Hits + s.Cache.Deduped + s.Cache.Misses + s.Cache.Invalid; total != 150 {
-			t.Errorf("cached workers=%d: counters cover %d samples, want 150", workers, total)
-		}
+	s, err := Optimize(g, PlatformS2(), Options{Budget: 150, Seed: 6, Cache: true})
+	if err != nil {
+		t.Fatalf("Optimize cached: %v", err)
+	}
+	if total := s.Cache.Hits + s.Cache.Deduped + s.Cache.Misses + s.Cache.Invalid; total != 150 {
+		t.Errorf("cached: counters cover %d samples, want 150", total)
 	}
 }
 

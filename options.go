@@ -22,7 +22,7 @@ func (o Options) validateFor(mappers []string) error {
 	if o.Budget < 0 {
 		problems = append(problems, fmt.Sprintf("negative Budget %d (0 means the default %d)", o.Budget, DefaultBudget))
 	}
-	problems = append(problems, sharedProblems(o.Objective, o.Workers, o.CacheSize, o.Cache, o.Solver != nil)...)
+	problems = append(problems, sharedProblems(o.Objective, o.CacheSize, o.Cache, o.Solver != nil)...)
 	return joinProblems("Options", problems)
 }
 
@@ -33,7 +33,7 @@ func (o StreamOptions) Validate() error {
 	if o.BudgetPerGroup < 0 {
 		problems = append(problems, fmt.Sprintf("negative BudgetPerGroup %d (0 means the default split)", o.BudgetPerGroup))
 	}
-	problems = append(problems, sharedProblems(o.Objective, o.Workers, o.CacheSize, o.Cache, o.Solver != nil)...)
+	problems = append(problems, sharedProblems(o.Objective, o.CacheSize, o.Cache, o.Solver != nil)...)
 	if o.SharedWarm && !o.WarmStart {
 		problems = append(problems, "SharedWarm set without WarmStart: the shared store would never be read or written")
 	}
@@ -54,13 +54,10 @@ func mapperProblems(mappers []string) []string {
 
 // sharedProblems holds the checks Options and StreamOptions have in
 // common, so a new rule lands in both entry points at once.
-func sharedProblems(obj Objective, workers, cacheSize int, cache, hasSolver bool) []string {
+func sharedProblems(obj Objective, cacheSize int, cache, hasSolver bool) []string {
 	var problems []string
 	if obj > EDP {
 		problems = append(problems, fmt.Sprintf("unknown Objective %d (want Throughput, Latency, Energy or EDP)", obj))
-	}
-	if workers < 0 {
-		problems = append(problems, fmt.Sprintf("negative Workers %d (0 means all cores)", workers))
 	}
 	if cacheSize < 0 {
 		problems = append(problems, fmt.Sprintf("negative CacheSize %d (0 means the default)", cacheSize))

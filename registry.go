@@ -31,9 +31,9 @@ type Mapper = m3e.Optimizer
 // RNG is the run's root random stream handed to Mapper.Init (RNG layout
 // v2): a splittable, counter-based SplitMix64 generator. Sequential
 // mappers draw from it directly (Intn/Float64/NormFloat64); mappers
-// that parallelize their variation step derive one independent
-// sub-stream per work item with At(generation, slot), which keeps
-// results bit-identical at any worker count. See internal/rng.
+// that breed per slot derive one independent sub-stream per work item
+// with At(generation, slot), so each item's draws depend on its label
+// alone. See internal/rng.
 type RNG = rng.Stream
 
 // MapperFactory builds a fresh Mapper instance for one search.

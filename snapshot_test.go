@@ -19,7 +19,7 @@ import (
 func TestSolverSnapshotRestoreRoundTrip(t *testing.T) {
 	wl := testWorkload(t, Mix, 16, 16, 31)
 	pf := PlatformS2()
-	opts := Options{Budget: 300, Seed: 9, Workers: 1, Cache: true}
+	opts := Options{Budget: 300, Seed: 9, Cache: true}
 
 	a := NewSolver(SolverOptions{})
 	want, err := a.Optimize(wl.Groups[0], pf, opts)
@@ -66,7 +66,7 @@ func TestSolverSnapshotWriterRoundTrip(t *testing.T) {
 	wl := testWorkload(t, Vision, 16, 16, 32)
 	pf := PlatformS1()
 	a := NewSolver(SolverOptions{})
-	if _, err := a.Optimize(wl.Groups[0], pf, Options{Budget: 150, Seed: 2, Workers: 1, Cache: true}); err != nil {
+	if _, err := a.Optimize(wl.Groups[0], pf, Options{Budget: 150, Seed: 2, Cache: true}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -77,7 +77,7 @@ func TestSolverSnapshotWriterRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := b.Optimize(wl.Groups[0], pf, Options{Budget: 150, Seed: 2, Workers: 1, Cache: true})
+	sched, err := b.Optimize(wl.Groups[0], pf, Options{Budget: 150, Seed: 2, Cache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestSnapshotExcludesBoundAssignedFitness(t *testing.T) {
 	// Compute-dominated bandwidth: the per-core roofline discriminates
 	// placements, so the pass actually prunes (see internal/m3e).
 	pf := PlatformS2().WithBW(1e4)
-	opts := Options{Budget: 800, Seed: 7, Workers: 1, Cache: true}
+	opts := Options{Budget: 800, Seed: 7, Cache: true}
 
 	a := NewSolver(SolverOptions{})
 	pruned, err := a.Optimize(wl.Groups[0], pf, opts)
@@ -151,7 +151,7 @@ func TestSolverRestoreRejectsCorruptSnapshot(t *testing.T) {
 	wl := testWorkload(t, Vision, 16, 16, 33)
 	pf := PlatformS1()
 	a := NewSolver(SolverOptions{})
-	if _, err := a.Optimize(wl.Groups[0], pf, Options{Budget: 100, Seed: 1, Workers: 1, Cache: true}); err != nil {
+	if _, err := a.Optimize(wl.Groups[0], pf, Options{Budget: 100, Seed: 1, Cache: true}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -183,7 +183,7 @@ func TestSolverRestoreRejectsCorruptSnapshot(t *testing.T) {
 			t.Errorf("version bump rejected as %v, want *persist.VersionError", err)
 		}
 		// Cold boot still works.
-		if _, err := s.Optimize(wl.Groups[0], pf, Options{Budget: 60, Seed: 1, Workers: 1, Cache: true}); err != nil {
+		if _, err := s.Optimize(wl.Groups[0], pf, Options{Budget: 60, Seed: 1, Cache: true}); err != nil {
 			t.Fatalf("solver unusable after rejected %s snapshot: %v", name, err)
 		}
 		if st := s.Stats(); st.ProblemsRestored != 0 {
@@ -217,7 +217,7 @@ func TestSolverSnapshotDuringConcurrentRuns(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 3; i++ {
 				if _, err := s.Optimize(wl.Groups[0], pf, Options{
-					Budget: 120, Seed: int64(w*10 + i), Workers: 1, Cache: true,
+					Budget: 120, Seed: int64(w*10 + i), Cache: true,
 				}); err != nil {
 					t.Errorf("optimize: %v", err)
 					return

@@ -142,7 +142,7 @@ func (s *Solver) optimizeHandle(ctx context.Context, h *engine.ProblemHandle, g 
 			seeder.Seed(seeds)
 		}
 	}
-	ro := m3e.Options{Budget: opts.Budget, Workers: opts.Workers, Observer: opts.Progress}
+	ro := m3e.Options{Budget: opts.Budget, Observer: opts.Progress}
 	if opts.Cache {
 		ro.Store = h.Store()
 	}
@@ -192,13 +192,7 @@ func (s *Solver) CompareCtx(ctx context.Context, g Group, p Platform, mappers []
 	if err != nil {
 		return nil, err
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(mappers) {
-		workers = len(mappers)
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(mappers))
 	if opts.Progress != nil {
 		// Mappers run concurrently, but Options.Progress promises its
 		// caller a non-overlapping callback — serialize it here so a
@@ -225,7 +219,6 @@ func (s *Solver) CompareCtx(ctx context.Context, g Group, p Platform, mappers []
 			o := opts
 			o.Mapper = name
 			o.Seed = opts.Seed + int64(i)
-			o.Workers = 1
 			sched, err := s.optimizeHandle(ctx, h, g, o)
 			switch {
 			case err == nil:
@@ -314,7 +307,6 @@ func (s *Solver) OptimizeStreamCtx(ctx context.Context, wl Workload, p Platform,
 			Objective: opts.Objective,
 			Budget:    budget,
 			Seed:      opts.Seed + int64(gi),
-			Workers:   opts.Workers,
 			Cache:     opts.Cache,
 		}
 		if opts.Progress != nil {

@@ -15,10 +15,6 @@ type StreamOptions struct {
 	BudgetPerGroup int
 	// Seed drives all randomness.
 	Seed int64
-	// Workers is the number of parallel evaluation goroutines per group
-	// search (0 = all cores). Groups themselves stay sequential: warm
-	// starting chains each group on its predecessors' schedules.
-	Workers int
 	// Cache runs every group search on the Solver's fitness stores
 	// (results are bit-identical either way; see Options.Cache). Groups
 	// of identical content share a store, and with a long-lived Solver
