@@ -88,8 +88,10 @@ func digestConstants() map[string]int {
 // on S2@16. Each cell runs uncached, with a cache of its own (no
 // store), and on one Solver shared by every cell, so a cell reads the
 // entries that earlier cells of the same problem (the other mappers on
-// its group, platform and objective) wrote. All runs of a cell must
-// reproduce the one committed digest.
+// its group, platform and objective) wrote. A search cell then repeats
+// its Solver run, which its problem's memo of finished searches answers
+// without simulating. All runs of a cell must reproduce the one
+// committed digest.
 //
 // The file also records digestConstants. A constant that moved is a
 // declared break: the test fails until the file is regenerated. A digest
@@ -129,20 +131,29 @@ func TestResultDigests(t *testing.T) {
 	solver := NewSolver(SolverOptions{})
 	runCell := func(g Group, pf Platform, setting, mapper string, obj Objective) {
 		cell := fmt.Sprintf("%s/%s/J%d/%s", mapper, obj, len(g.Jobs), setting)
-		for _, cache := range []string{"off", "own", "store"} {
+		for _, cache := range []string{"off", "own", "store", "repeat"} {
 			opts := Options{Mapper: mapper, Objective: obj, Budget: digestBudget, Seed: 7}
 			switch cache {
 			case "own":
 				opts.Cache = true
-			case "store":
+			case "store", "repeat":
 				opts.Cache, opts.Solver = true, solver
 			}
+			memoHits := solver.Stats().MemoHits
 			s, err := Optimize(g, pf, opts)
 			if err != nil {
 				t.Fatalf("%s: %v", cell, err)
 			}
 			d := resultDigest(s)
 			run := fmt.Sprintf("%s (cache=%s)", cell, cache)
+			if cache == "repeat" && heuristicFor(mapper) == nil {
+				if got := solver.Stats().MemoHits - memoHits; got != 1 {
+					t.Errorf("%s: %d memo hits, want 1", run, got)
+				}
+				if sims := s.Cache.Misses - s.Cache.BoundPruned; sims != 0 || s.Phases.Generations != 0 {
+					t.Errorf("%s: %d simulations over %d generations, want none", run, sims, s.Phases.Generations)
+				}
+			}
 			if prev, ok := got[cell]; ok && prev != d {
 				t.Errorf("%s: digest %s differs from the cell's first run %s", run, d, prev)
 				continue

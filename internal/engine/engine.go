@@ -19,17 +19,22 @@
 //     bit-identical to a cold run because fitness is a pure function of
 //     the decoded schedule;
 //   - evaluation pools are checked out per run and returned, keeping
-//     their grown simulator and fitness-cache scratch warm.
+//     their grown simulator and fitness-cache scratch warm;
+//   - each problem keeps a small memo of finished searches (Recall,
+//     Remember), so an exact repeat of a search — same mapper, budget
+//     and seed — is answered without running it again.
 //
 // Memory is bounded: the problem map is FIFO-bounded (Config.
 // MaxProblems), every fitness store is capacity-bounded, and pool
-// free-lists are capped. Eviction only drops the engine's references —
-// in-flight runs keep working on their handles.
+// free-lists and memos are capped. Eviction only drops the engine's
+// references — in-flight runs keep working on their handles, and a
+// problem's memo goes with its entry.
 package engine
 
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 
 	"magma/internal/encoding"
@@ -50,6 +55,11 @@ const DefaultMaxProblems = 64
 // concurrency spike recedes.
 const maxPooled = 16
 
+// memoCap caps each problem's memo of finished searches; past it the
+// oldest entry is dropped. An entry is one schedule of a few KB, so a
+// full engine's memos stay a few MB at DefaultMaxProblems.
+const memoCap = 16
+
 // Config tunes a long-lived engine.
 type Config struct {
 	// MaxProblems bounds the number of cached (table identity ×
@@ -64,8 +74,12 @@ type Config struct {
 // Stats reports what the engine reused versus rebuilt. Counters only
 // grow; read them via Engine.Stats.
 type Stats struct {
-	// Searches counts completed ProblemHandle.Run calls.
+	// Searches counts completed ProblemHandle.Run calls and memo hits
+	// (Recall).
 	Searches uint64
+	// MemoHits counts the searches answered from a problem's memo of
+	// finished searches instead of being run.
+	MemoHits uint64
 	// TablesBuilt / TablesReused count job-analysis profiling passes
 	// actually run versus skipped by the identity-keyed cache.
 	TablesBuilt  uint64
@@ -80,7 +94,8 @@ type Stats struct {
 	PoolsReused uint64
 	// Cache aggregates the per-run fitness-cache counters of every
 	// completed run; Cache.CrossHits is the shared-across-runs payoff
-	// (hits on entries a different run inserted).
+	// (hits on entries a different run inserted). A memo hit counts
+	// every genome its remembered search asked as a cross-run hit.
 	Cache m3e.CacheStats
 	// SnapshotsTaken counts successful warm-state snapshot
 	// serializations (Solver.Snapshot and the periodic snapshotter call
@@ -135,6 +150,25 @@ type problemState struct {
 
 	mu    sync.Mutex
 	pools []*m3e.Pool // free pools
+	memo  []memoEntry // finished searches, oldest first
+}
+
+// MemoKey names one finished search on a problem: with the problem's
+// content and objective it fixes the result, because a search is a
+// pure function of (problem, mapper, budget, seed). Mapper is the
+// resolved registry name and Budget the resolved sampling budget.
+type MemoKey struct {
+	Mapper string
+	Budget int
+	Seed   int64
+}
+
+// memoEntry is one remembered search: the caller's frozen result and
+// the genomes its search asked.
+type memoEntry struct {
+	key   MemoKey
+	val   any
+	asked int
 }
 
 // Engine is the concurrency-safe, long-lived solver core. The zero
@@ -341,6 +375,56 @@ func (h *ProblemHandle) putPool(p *m3e.Pool) {
 	if len(st.pools) < maxPooled {
 		st.pools = append(st.pools, p)
 	}
+}
+
+// Recall looks k up in the problem's memo of finished searches. On a
+// hit it returns the value Remember stored and the fitness-cache
+// counters the hit reports — every asked genome a cross-run hit — and
+// counts one search, one memo hit and those counters in the engine's
+// Stats. The value is shared: callers copy it and never mutate it.
+func (h *ProblemHandle) Recall(k MemoKey) (any, m3e.CacheStats, bool) {
+	st := h.st
+	st.mu.Lock()
+	i := st.memoIndex(k)
+	var e memoEntry
+	if i >= 0 {
+		e = st.memo[i]
+	}
+	st.mu.Unlock()
+	if i < 0 {
+		return nil, m3e.CacheStats{}, false
+	}
+	cache := m3e.CacheStats{Hits: uint64(e.asked), CrossHits: uint64(e.asked)}
+	h.eng.mu.Lock()
+	h.eng.stats.Searches++
+	h.eng.stats.MemoHits++
+	h.eng.stats.Cache.Add(cache)
+	h.eng.mu.Unlock()
+	return e.val, cache, true
+}
+
+// memoIndex returns the position of k in the memo, or -1. Caller holds
+// st.mu.
+func (st *problemState) memoIndex(k MemoKey) int {
+	return slices.IndexFunc(st.memo, func(m memoEntry) bool { return m.key == k })
+}
+
+// Remember stores the result of a finished, unaborted search under k,
+// dropping the problem's oldest entry past memoCap. v must not be
+// mutated afterwards. A key already remembered (two identical searches
+// that finished together) keeps its first value; both are equal.
+func (h *ProblemHandle) Remember(k MemoKey, v any, asked int) {
+	st := h.st
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.memoIndex(k) >= 0 {
+		return
+	}
+	if len(st.memo) == memoCap {
+		copy(st.memo, st.memo[1:])
+		st.memo = st.memo[:memoCap-1]
+	}
+	st.memo = append(st.memo, memoEntry{key: k, val: v, asked: asked})
 }
 
 // Run executes one search over the cached problem on a pooled evaluator

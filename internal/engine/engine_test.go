@@ -269,3 +269,51 @@ func TestEngineCacheScratchReuse(t *testing.T) {
 		t.Errorf("rebound cache counters %+v don't add up to %d samples", second.Cache, second.Samples)
 	}
 }
+
+// TestEngineMemoCapAndEviction: a problem's memo keeps its 16 newest
+// finished searches, dropping the oldest first, and goes with its
+// problem entry when the FIFO evicts it.
+func TestEngineMemoCapAndEviction(t *testing.T) {
+	e := engine.New(engine.Config{MaxProblems: 1})
+	g, pf := engGroup(t, 3), platform.S2()
+	h, err := e.Problem(g, pf, m3e.Throughput)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := func(seed int64) engine.MemoKey { return engine.MemoKey{Mapper: "MAGMA", Budget: 100, Seed: seed} }
+	const entries = 17
+	for seed := int64(0); seed < entries; seed++ {
+		h.Remember(key(seed), seed, 100)
+	}
+	if _, _, ok := h.Recall(key(0)); ok {
+		t.Error("the oldest of 17 entries survived a memo of 16")
+	}
+	for seed := int64(1); seed < entries; seed++ {
+		v, cache, ok := h.Recall(key(seed))
+		if !ok || v.(int64) != seed {
+			t.Fatalf("seed %d: recalled %v, %v; want %d", seed, v, ok, seed)
+		}
+		if want := (m3e.CacheStats{Hits: 100, CrossHits: 100}); cache != want {
+			t.Errorf("seed %d: hit counters %+v, want %+v", seed, cache, want)
+		}
+	}
+	if _, _, ok := h.Recall(engine.MemoKey{Mapper: "MAGMA", Budget: 200, Seed: 1}); ok {
+		t.Error("another budget recalled seed 1's entry")
+	}
+	st := e.Stats()
+	if st.MemoHits != entries-1 || st.Searches != entries-1 || st.Cache.CrossHits != 100*(entries-1) {
+		t.Errorf("stats after %d hits: %+v", entries-1, st)
+	}
+
+	// A second problem evicts the first; the first comes back empty.
+	if _, err := e.Problem(engGroup(t, 4), pf, m3e.Throughput); err != nil {
+		t.Fatal(err)
+	}
+	back, err := e.Problem(g, pf, m3e.Throughput)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := back.Recall(key(entries - 1)); ok {
+		t.Error("an evicted problem's memo survived its eviction")
+	}
+}

@@ -487,6 +487,7 @@ func aggregateEngine(views []serve.EngineJSON) serve.EngineJSON {
 		agg.EntriesRestored += v.EntriesRestored
 		agg.MapperPanics += v.MapperPanics
 		agg.Coalesced += v.Coalesced
+		agg.MemoHits += v.MemoHits
 		cache.Add(cacheStatsOf(v.Cache))
 	}
 	agg.Cache = serve.CacheJSONOf(cache)

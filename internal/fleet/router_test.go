@@ -88,6 +88,43 @@ func TestRouterRejectsRemovedBoundOption(t *testing.T) {
 	}
 }
 
+// TestRouterRefusesTinyGroups: a generated request whose groups have
+// fewer jobs than the platform has cores is a 400 before any forward;
+// every shard would refuse each group, so fanning 65536 one-job groups
+// out would cost 65536 sub-requests for nothing.
+func TestRouterRefusesTinyGroups(t *testing.T) {
+	var served atomic.Int64
+	shards := make([]Shard, 3)
+	for i := range shards {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			io.Copy(io.Discard, r.Body)
+			served.Add(1)
+			w.WriteHeader(http.StatusServiceUnavailable)
+		}))
+		t.Cleanup(ts.Close)
+		shards[i] = Shard{Name: fmt.Sprintf("shard%d", i), URL: ts.URL}
+	}
+	rt, err := NewRouter(shards, Config{MaxAttempts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rts := httptest.NewServer(rt.Handler())
+	t.Cleanup(rts.Close)
+	resp, raw := postOptimize(t, rts.URL, `{"generate":{"task":"Mix","num_jobs":65536,"group_size":1}}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400 (%s)", resp.StatusCode, raw)
+	}
+	if !bytes.Contains(raw, []byte("fewer than the 4 cores")) {
+		t.Errorf("error %q does not name the core count", raw)
+	}
+	if n := served.Load(); n != 0 {
+		t.Errorf("shards served %d forwards, want 0", n)
+	}
+	if st := rt.Stats(); st.Forwarded != 0 || st.FanOuts != 0 {
+		t.Errorf("router stats %+v, want no forward and no fan-out", st)
+	}
+}
+
 // TestRouterFanOutBitIdentical: a multi-group request split across
 // shards must merge to exactly the answer one shard gives for the whole
 // request — same schedules, same ordering, same totals. This is the
@@ -403,6 +440,11 @@ func TestRouterStatsAggregation(t *testing.T) {
 	if stats.Aggregate.CrossRequestHitRate <= 0 {
 		t.Errorf("repeat mix produced no cross-request hits: %+v", stats.Aggregate)
 	}
+	// Each spec is one group, and its repeat is answered by its owner's
+	// memo of finished searches.
+	if stats.Aggregate.MemoHits != uint64(len(specs)) {
+		t.Errorf("aggregate memo hits %d, want one per repeated spec = %d", stats.Aggregate.MemoHits, len(specs))
+	}
 	sum := 0
 	for _, st := range stats.PerShard {
 		if st.Stats != nil {
@@ -508,7 +550,7 @@ func TestRouterFanOutBoundsInFlight(t *testing.T) {
 	rts := httptest.NewServer(rt.Handler())
 	t.Cleanup(rts.Close)
 	const groups = 4 * maxFanOut
-	postOptimize(t, rts.URL, fmt.Sprintf(`{"generate":{"task":"Mix","num_jobs":%d,"group_size":2,"seed":1}}`, 2*groups))
+	postOptimize(t, rts.URL, fmt.Sprintf(`{"generate":{"task":"Mix","num_jobs":%d,"group_size":4,"seed":1}}`, 4*groups))
 	if got := served.Load(); got != groups {
 		t.Errorf("shards served %d forwards, want one per group = %d", got, groups)
 	}

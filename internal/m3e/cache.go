@@ -16,7 +16,11 @@ import (
 const DefaultCacheSize = 1 << 16
 
 // CacheStats counts how the fitness cache and the runner's pruning pass
-// resolved evaluations.
+// resolved evaluations. A search answered from its problem's memo of
+// finished searches (engine.ProblemHandle.Recall) runs neither: it
+// reports every genome its remembered search asked as both a Hit and a
+// CrossHit, and every other counter zero, so the identities below hold
+// for it too.
 type CacheStats struct {
 	// Hits are evaluations answered with an already-known exact fitness
 	// instead of a simulation: exact store hits, plus the re-asks the

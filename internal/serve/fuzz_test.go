@@ -15,7 +15,8 @@ import (
 // runSpec a search can start from: options that validate and are cached
 // on the shard's store, and a timeout that is never negative and, under
 // a server-wide cap, within it. A body naming a removed option (bound,
-// cache, effective_budget, workers) is always refused. Seed corpus:
+// cache, effective_budget, workers) or a group with fewer jobs than the
+// platform has cores is always refused. Seed corpus:
 // internal/serve/testdata/fuzz/FuzzParseRequest. Explore beyond it with
 //
 //	go test -run=NONE -fuzz=FuzzParseRequest -fuzztime=10s ./internal/serve/
@@ -43,6 +44,11 @@ func FuzzParseRequest(f *testing.F) {
 			}
 			if name := removedOption(body); name != "" {
 				t.Fatalf("parseRequest(%q) accepted the removed option %q", body, name)
+			}
+			for gi, g := range spec.wl.Groups {
+				if len(g.Jobs) < spec.pf.NumAccels() {
+					t.Fatalf("parseRequest(%q) accepted group %d of %d jobs on %d cores", body, gi, len(g.Jobs), spec.pf.NumAccels())
+				}
 			}
 			if spec.timeout < 0 || (s.cfg.JobTimeout > 0 && (spec.timeout == 0 || spec.timeout > s.cfg.JobTimeout)) {
 				t.Fatalf("parseRequest(%q) set timeout %v under a server cap of %v", body, spec.timeout, s.cfg.JobTimeout)

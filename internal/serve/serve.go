@@ -174,6 +174,9 @@ type EngineJSON struct {
 	EntriesRestored  uint64 `json:"entries_restored"`
 	MapperPanics     uint64 `json:"mapper_panics"`
 	Coalesced        uint64 `json:"coalesced"`
+	// MemoHits counts group searches answered from their problem's memo
+	// of finished searches: exact repeats that ran no generation.
+	MemoHits uint64 `json:"memo_hits"`
 }
 
 func engineJSON(s magma.SolverStats) EngineJSON {
@@ -187,6 +190,7 @@ func engineJSON(s magma.SolverStats) EngineJSON {
 		ProblemsRestored:    s.ProblemsRestored,
 		EntriesRestored:     s.EntriesRestored,
 		MapperPanics:        s.MapperPanics,
+		MemoHits:            s.MemoHits,
 	}
 }
 
@@ -374,7 +378,10 @@ func workloadFor(req *OptimizeRequest) (magma.Workload, error) {
 // ResolveTarget resolves an OptimizeRequest's workload and platform —
 // the prefix of request parsing the fleet router shares with the shard:
 // computing each group's TableIdentity needs the concrete groups and
-// the platform configuration but none of the search options.
+// the platform configuration but none of the search options. A group
+// with fewer jobs than the platform has cores can never be searched,
+// so such a request is refused here, before the router fans it out or
+// the shard builds a table.
 func ResolveTarget(req *OptimizeRequest) (magma.Workload, magma.Platform, error) {
 	wl, err := workloadFor(req)
 	if err != nil {
@@ -390,6 +397,12 @@ func ResolveTarget(req *OptimizeRequest) (magma.Workload, magma.Platform, error)
 	}
 	if req.BW > 0 {
 		pf = pf.WithBW(req.BW)
+	}
+	for gi, g := range wl.Groups {
+		if len(g.Jobs) < pf.NumAccels() {
+			return magma.Workload{}, magma.Platform{}, fmt.Errorf("workload: group %d has %d jobs, fewer than the %d cores of platform %s",
+				gi, len(g.Jobs), pf.NumAccels(), setting)
+		}
 	}
 	return wl, pf, nil
 }

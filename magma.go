@@ -133,6 +133,11 @@ type Options struct {
 	// schedule-equivalent genomes inside and across generations are
 	// answered without re-simulating. Results are bit-identical with the
 	// cache on or off; Schedule.Cache reports the hit/miss counters.
+	// A cached search without WarmStart seeds or a Progress observer
+	// that a Solver already ran to the end on the same problem, mapper,
+	// budget and seed is answered from the problem's memo of finished
+	// searches without running: the same schedule, with every asked
+	// genome counted a cross-run hit and no Phases.
 	Cache bool
 	// CacheSize bounds the private Solver's store in entries (0 =
 	// implementation default). An explicit Solver keeps its own
@@ -202,7 +207,8 @@ type Schedule struct {
 	// Phases is the search's per-phase wall-clock breakdown (ask /
 	// bound / fingerprint / simulate / tell across all generations) — the
 	// observability behind cmd/bench's phase report. Zero for the manual
-	// heuristics, which have no generations.
+	// heuristics, which have no generations, and for a search a Solver
+	// answered from its memo of finished searches (see Options.Cache).
 	Phases PhaseTimings
 	// Partial reports that the search was aborted by its context
 	// (deadline, cancel, client disconnect) before the budget ran out.

@@ -119,9 +119,7 @@ func MapperNames() []string {
 // newOptimizer resolves a mapper name against the registry. Empty means
 // MAGMA (the paper's default).
 func newOptimizer(name string) (m3e.Optimizer, error) {
-	if name == "" {
-		name = "MAGMA"
-	}
+	name = mapperName(name)
 	registry.RLock()
 	f, ok := registry.factories[name]
 	registry.RUnlock()
@@ -130,6 +128,15 @@ func newOptimizer(name string) (m3e.Optimizer, error) {
 			name, strings.Join(MapperNames(), ", "))
 	}
 	return f(), nil
+}
+
+// mapperName resolves the empty Options.Mapper to MAGMA, the paper's
+// default.
+func mapperName(name string) string {
+	if name == "" {
+		return "MAGMA"
+	}
+	return name
 }
 
 // heuristicFor resolves a manual-baseline name, or nil when the name is

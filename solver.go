@@ -31,7 +31,8 @@ type SolverOptions struct {
 }
 
 // SolverStats reports what a Solver reused versus rebuilt: completed
-// searches, analysis tables built/reused, pool reuse, FIFO evictions,
+// searches (MemoHits of them answered from a memo of finished
+// searches), analysis tables built/reused, pool reuse, FIFO evictions,
 // and the aggregated fitness-cache counters — Cache.CrossHits is the
 // cross-run payoff (evaluations answered by an entry a different
 // search inserted).
@@ -48,6 +49,9 @@ type SolverStats = engine.Stats
 //     schedule evaluated for any request answers the same schedule in
 //     every later — or concurrent — request on that problem;
 //   - pooled evaluators/simulators whose grown scratch stays warm;
+//   - a memo of finished searches per problem, so an exact repeat of a
+//     cached search (same mapper, budget and seed) is answered without
+//     running it (Options.Cache);
 //   - a shared warm-start store (§V-C) for callers that opt into
 //     cross-request seeding.
 //
@@ -127,6 +131,20 @@ func (s *Solver) optimizeHandle(ctx context.Context, h *engine.ProblemHandle, g 
 		}
 		return finishSchedule(prob, mapping, encoding.Genome{}, nil, mapper.Name(), opts.Objective)
 	}
+	// A cached search with nothing outside its key to steer or watch it
+	// (no warm-start seeds, no observer) is a pure function of its
+	// problem and key, so an exact repeat is answered from the
+	// problem's memo of finished searches.
+	memo := opts.Cache && len(opts.WarmStart) == 0 && opts.Progress == nil
+	key := engine.MemoKey{Mapper: mapperName(opts.Mapper), Budget: opts.Budget, Seed: opts.Seed}
+	if key.Budget <= 0 {
+		key.Budget = m3e.DefaultBudget
+	}
+	if memo {
+		if v, cache, ok := h.Recall(key); ok {
+			return v.(*finished).thaw(prob.NumAccels(), cache), nil
+		}
+	}
 	opt, err := newOptimizer(opts.Mapper)
 	if err != nil {
 		return Schedule{}, err
@@ -164,6 +182,9 @@ func (s *Solver) optimizeHandle(ctx context.Context, h *engine.ProblemHandle, g 
 	sched.Asked = res.Asked
 	sched.Phases = res.Phases
 	sched.Partial = res.Aborted
+	if memo && !res.Aborted {
+		h.Remember(key, freeze(sched), sched.Asked)
+	}
 	return sched, nil
 }
 
