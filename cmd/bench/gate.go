@@ -47,6 +47,8 @@ var gates = []gate{
 	{report: "eval", path: "bound.on_ns_per_gen", op: "<=", bound: 1.05, ref: "bound.off_ns_per_gen"},
 
 	{report: "serve", path: "cross_request_hit_rate", op: ">", bound: 0},
+	// Like the cache counters, memo hits are only required to be there.
+	{report: "serve", path: "memo_hits", op: ">=", bound: 0},
 	{report: "serve", path: "requests_per_sec", op: ">", bound: 0},
 	{report: "serve", when: "chaos", path: "chaos.mapper_panics", op: ">", bound: 0},
 	{report: "serve", when: "chaos", path: "chaos.succeeded", op: ">", bound: 0},

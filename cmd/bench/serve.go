@@ -45,6 +45,7 @@ type ServeReport struct {
 	PoolsBuilt          uint64  `json:"pools_built"`
 	PoolsReused         uint64  `json:"pools_reused"`
 	Coalesced           uint64  `json:"coalesced"` // requests answered by an in-flight twin's search
+	MemoHits            uint64  `json:"memo_hits"` // group searches answered from their problem's memo of finished searches
 	// Latency is per-request wall time as the load generator saw it.
 	Latency *LatencyJSON `json:"latency_ms,omitempty"`
 	Chaos   *ChaosReport `json:"chaos,omitempty"` // -chaos only
@@ -250,6 +251,7 @@ func newServeReport(requests, clients int, res mixResult, st serve.EngineJSON) *
 		PoolsBuilt:          st.PoolsBuilt,
 		PoolsReused:         st.PoolsReused,
 		Coalesced:           st.Coalesced,
+		MemoHits:            st.MemoHits,
 		Latency:             latencyOf(res.latencies),
 	}
 }

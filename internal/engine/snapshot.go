@@ -53,16 +53,11 @@ func (e *Engine) Export() []persist.Problem {
 	// per store and must not stall Problem()/Stats() while it runs.
 	out := make([]persist.Problem, 0, len(cuts))
 	for _, c := range cuts {
-		entries := c.store.Export()
-		p := persist.Problem{
+		out = append(out, persist.Problem{
 			Table:     c.key.table,
 			Objective: uint8(c.key.obj),
-			Entries:   make([]persist.Entry, len(entries)),
-		}
-		for i, en := range entries {
-			p.Entries[i] = persist.Entry{FP: en.FP, Fitness: en.Fitness}
-		}
-		out = append(out, p)
+			Entries:   c.store.Export(),
+		})
 	}
 	return out
 }
@@ -82,11 +77,7 @@ func (e *Engine) Restore(problems []persist.Problem) {
 	for _, p := range problems {
 		key := problemKey{table: p.Table, obj: m3e.Objective(p.Objective)}
 		store := m3e.NewCacheStore(e.cfg.StoreSize)
-		entries := make([]m3e.ExportedEntry, len(p.Entries))
-		for i, en := range p.Entries {
-			entries[i] = m3e.ExportedEntry{FP: en.FP, Fitness: en.Fitness}
-		}
-		store.Import(entries)
+		store.Import(p.Entries)
 
 		e.mu.Lock()
 		if _, live := e.problems[key]; !live {

@@ -68,15 +68,14 @@ type CacheStats struct {
 	BoundChecked uint64
 	BoundPruned  uint64
 	// VirtualPriced counts the virtual-time walks the pruning pass
-	// started, finished or stopped at their cut: one per genome that
-	// survived the roofline stage, whose roofline bound still reached the
-	// running floor when its turn came, and for which the store held
-	// neither a fitness nor a bracket top (with the cache on, one per
-	// in-batch duplicate class). VirtualPruned is the subset of
-	// BoundPruned the virtual-time stage settled, on its roofline bound, a
-	// stopped walk's partial top, a finished bracket's top or a stored
-	// top. Those genomes were never simulated; with the cache on they
-	// were fingerprinted first.
+	// started, whether they finished or halted at their cut: one per
+	// genome that survived the roofline stage, whose roofline bound still
+	// reached the running floor when its turn came, and whose fitness the
+	// store did not hold (with the cache on, one per in-batch duplicate
+	// class). VirtualPruned is the subset of BoundPruned the virtual-time
+	// stage settled, on its roofline bound, a halted walk's partial top
+	// or a finished bracket's top. Those genomes were never simulated;
+	// with the cache on they were fingerprinted first.
 	VirtualPriced uint64
 	VirtualPruned uint64
 }
@@ -142,16 +141,11 @@ func (s *CacheStats) Add(o CacheStats) {
 }
 
 // storeEntry is one memoized fitness plus the id of the run that
-// inserted it (for cross-run hit accounting), or a bracket top, whose
-// run is topRun.
+// inserted it (for cross-run hit accounting).
 type storeEntry struct {
 	fit float64
 	run uint64
 }
-
-// topRun marks a bracket top. beginRun counts up from 1 and never
-// reaches it.
-const topRun = math.MaxUint64
 
 // CacheStore is the sharable storage behind the fitness cache: a bounded
 // fingerprint→fitness map that may outlive any single run and be shared
@@ -164,16 +158,9 @@ const topRun = math.MaxUint64
 // table and objective (internal/engine keys stores by table identity ×
 // objective for exactly this reason).
 //
-// Beside the exact values a store keeps bracket tops: for a schedule
-// the pruning pass's virtual-time stage settled, the value it was told,
-// an upper bound on its fitness (its roofline bound, a stopped walk's
-// partial top or its bracket's top; see pruner). A later pruned batch
-// that meets the schedule again uses the top instead of pricing it. Tops
-// share the map, so one lookup finds either kind, but have their own
-// ring of the same capacity, so they never evict an exact value. An
-// exact value replaces a top in place; a top never replaces an exact
-// value. Tops are never hits, never answer an unpruned run, and neither
-// Len nor Export sees them.
+// A store holds exact fitness values only: a value the pruning pass
+// settled is an upper bound, never a fitness, so it never enters one
+// (see pruner).
 //
 // All methods are safe for concurrent use. Eviction is FIFO over
 // insertion order; under concurrency the interleaving of inserts can
@@ -184,24 +171,17 @@ type CacheStore struct {
 	mu       sync.RWMutex
 	capacity int
 	entries  map[encoding.Fingerprint]storeEntry
-	// fifo is the eviction ring of the exact entries: once it holds
-	// capacity of them the oldest insertion is dropped. FIFO keeps
-	// eviction deterministic (map iteration order never leaks into
+	// fifo is the eviction ring, holding every key of entries once: once
+	// it holds capacity of them the oldest insertion is dropped. FIFO
+	// keeps eviction deterministic (map iteration order never leaks into
 	// behavior) and O(1).
 	fifo []encoding.Fingerprint
 	next int
 	runs uint64 // run-id allocator for cross-run hit accounting
-
-	// topFIFO is the eviction ring of the bracket tops, of which
-	// entries holds nTops. A slot whose top an exact value replaced
-	// evicts nothing.
-	topFIFO []encoding.Fingerprint
-	topNext int
-	nTops   int
 }
 
-// NewCacheStore builds a store bounded to capacity entries, and as many
-// bracket tops (<= 0 means DefaultCacheSize).
+// NewCacheStore builds a store bounded to capacity fitness values (<= 0
+// means DefaultCacheSize).
 func NewCacheStore(capacity int) *CacheStore {
 	if capacity <= 0 {
 		capacity = DefaultCacheSize
@@ -215,12 +195,11 @@ func NewCacheStore(capacity int) *CacheStore {
 	}
 }
 
-// Len returns the number of cached fitness values (bounded by
-// capacity).
+// Len returns the number of cached fitness values, at most capacity.
 func (s *CacheStore) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.entries) - s.nTops
+	return len(s.entries)
 }
 
 // beginRun allocates a run id, distinguishing this run's insertions
@@ -237,49 +216,20 @@ func (s *CacheStore) beginRun() uint64 {
 // already present keeps its original slot in the ring (the incoming
 // value is bit-identical by purity).
 func (s *CacheStore) insertLocked(fp encoding.Fingerprint, v float64, run uint64) {
-	if e, ok := s.entries[fp]; ok {
-		if e.run != topRun {
-			return
-		}
-		s.nTops--
-	}
-	if old, full := s.push(&s.fifo, &s.next, fp); full {
-		delete(s.entries, old)
-	}
-	s.entries[fp] = storeEntry{fit: v, run: run}
-}
-
-// insertTopLocked stores the bracket top of a fingerprint with no entry,
-// evicting the oldest top at capacity. The caller holds s.mu.
-func (s *CacheStore) insertTopLocked(fp encoding.Fingerprint, top float64) {
 	if _, ok := s.entries[fp]; ok {
 		return
 	}
-	if old, full := s.push(&s.topFIFO, &s.topNext, fp); full {
-		if e, ok := s.entries[old]; ok && e.run == topRun {
-			delete(s.entries, old)
-			s.nTops--
+	if len(s.fifo) < s.capacity {
+		s.fifo = append(s.fifo, fp)
+	} else {
+		delete(s.entries, s.fifo[s.next])
+		s.fifo[s.next] = fp
+		s.next++
+		if s.next == len(s.fifo) {
+			s.next = 0
 		}
 	}
-	s.entries[fp] = storeEntry{fit: top, run: topRun}
-	s.nTops++
-}
-
-// push records fp in a FIFO ring of at most capacity fingerprints whose
-// oldest sits at *next once it is full. It returns the fingerprint it
-// overwrote, and whether it overwrote one.
-func (s *CacheStore) push(ring *[]encoding.Fingerprint, next *int, fp encoding.Fingerprint) (encoding.Fingerprint, bool) {
-	if len(*ring) < s.capacity {
-		*ring = append(*ring, fp)
-		return encoding.Fingerprint{}, false
-	}
-	old := (*ring)[*next]
-	(*ring)[*next] = fp
-	*next++
-	if *next == len(*ring) {
-		*next = 0
-	}
-	return old, true
+	s.entries[fp] = storeEntry{fit: v, run: run}
 }
 
 // fitnessCache memoizes genome fitness by schedule fingerprint and
@@ -328,8 +278,6 @@ type fitnessCache struct {
 	inBatch map[encoding.Fingerprint]int // fingerprint -> representative slot
 
 	hits   []int // batch indices answered by the store
-	fresh  []int // representatives the store holds no top for (settle walks them)
-	topped []int // representatives with a stored top
 	weight []int // representative's batch index -> batch slots in its class
 	todo   []int // batch indices to simulate
 }
@@ -364,8 +312,8 @@ func (pl *Pool) cacheFor(p *Problem, store *CacheStore) *fitnessCache {
 //  2. group by fingerprint — store hit, in-batch duplicate, or new
 //     representative (one store read-lock spans the whole scan);
 //  3. simulate the representatives from their already-decoded
-//     mappings, then scatter fitness to every class member and insert
-//     the new results into the store (one write-lock for the batch).
+//     mappings, insert their fitness into the store (one write-lock
+//     for the batch), then scatter it to every class member.
 //
 // pn is the runner's pruning pass (nil without one). A nil pre means
 // nothing is known about the batch.
@@ -374,8 +322,8 @@ func (pl *Pool) cacheFor(p *Problem, store *CacheStore) *fitnessCache {
 // genomes) keeps the fitness the pass wrote and is neither
 // fingerprinted, counted nor stored, and the open slots skip
 // re-validation. When the pass runs its virtual-time stage, every
-// genome the store does not answer goes through settle before any is
-// simulated.
+// representative goes through settle before any is simulated, and only
+// those it leaves open are simulated and stored.
 //
 // With a phases hook set (Run's), start is the instant the call began:
 // evaluate reads the clock when the lookup ends and, when it settles,
@@ -386,15 +334,14 @@ func (c *fitnessCache) evaluate(pool *Pool, batch []encoding.Genome, fit []float
 	c.grow(len(batch))
 	c.fingerprintBatch(batch, pre)
 
-	staged := pn != nil && pn.virtual
-	c.lookup(fit, staged, pn)
+	c.lookup(fit)
 	tSim := start
 	if c.phases != nil {
 		tSim = time.Now() //magmalint:allow detrand -- per-phase timing telemetry (Phases); never reaches result bytes
 		c.phases.FingerprintNs += tSim.Sub(start).Nanoseconds()
 	}
 
-	c.todo = c.todo[:0]
+	staged := pn != nil && pn.virtual
 	if staged {
 		c.settle(pool, fit, pn)
 		if c.phases != nil {
@@ -404,6 +351,7 @@ func (c *fitnessCache) evaluate(pool *Pool, batch []encoding.Genome, fit []float
 		}
 	}
 
+	c.todo = c.todo[:0]
 	for _, i := range c.reps {
 		if !staged || pn.state[i] == slotOpen {
 			c.todo = append(c.todo, i)
@@ -411,6 +359,7 @@ func (c *fitnessCache) evaluate(pool *Pool, batch []encoding.Genome, fit []float
 	}
 	if len(c.todo) > 0 {
 		pool.simulate(c.todo, fit, func(k int) *sim.Mapping { return &c.maps[c.todo[k]] })
+		c.insert(fit)
 	}
 	for i := range batch {
 		if slot := c.class[i]; slot >= 0 {
@@ -421,20 +370,15 @@ func (c *fitnessCache) evaluate(pool *Pool, batch []encoding.Genome, fit []float
 			}
 		}
 	}
-	if len(c.todo) > 0 || (staged && len(c.fresh) > 0) {
-		c.insert(fit, staged, pn)
-	}
 	return tSim
 }
 
 // lookup is phase 2: the grouping scan of the batch under one
 // store read lock. Each fingerprinted genome becomes a store hit, an
 // in-batch duplicate of an earlier representative, or a new
-// representative (fresh, or topped when the store holds its bracket top
-// and the pruning pass is staged).
-func (c *fitnessCache) lookup(fit []float64, staged bool, pn *pruner) {
+// representative.
+func (c *fitnessCache) lookup(fit []float64) {
 	c.reps, c.hits = c.reps[:0], c.hits[:0]
-	c.fresh, c.topped = c.fresh[:0], c.topped[:0]
 	clear(c.inBatch)
 	c.store.mu.RLock()
 	defer c.store.mu.RUnlock()
@@ -450,8 +394,7 @@ func (c *fitnessCache) lookup(fit []float64, staged bool, pn *pruner) {
 		}
 		c.stats.FullFP++
 		fp := c.fps[i]
-		e, stored := c.store.entries[fp]
-		if stored && e.run != topRun {
+		if e, ok := c.store.entries[fp]; ok {
 			fit[i] = e.fit
 			c.stats.Hits++
 			if e.run != c.run {
@@ -460,60 +403,38 @@ func (c *fitnessCache) lookup(fit []float64, staged bool, pn *pruner) {
 			c.hits = append(c.hits, i)
 			continue
 		}
-		if stored && staged {
-			// A schedule with a stored top skips the in-batch dedup: its
-			// copies are rare, and the map costs a repeated search more.
-			pn.lo[i], pn.hi[i] = math.Inf(-1), e.fit
-			c.topped = append(c.topped, i)
-		} else {
-			if slot, ok := c.inBatch[fp]; ok {
-				c.class[i] = slot
-				c.weight[c.reps[slot]]++
-				c.stats.Deduped++
-				continue
-			}
-			c.inBatch[fp] = len(c.reps)
-			c.weight[i] = 1
-			c.fresh = append(c.fresh, i)
+		if slot, ok := c.inBatch[fp]; ok {
+			c.class[i] = slot
+			c.weight[c.reps[slot]]++
+			c.stats.Deduped++
+			continue
 		}
+		c.inBatch[fp] = len(c.reps)
 		c.class[i] = len(c.reps)
+		c.weight[i] = 1
 		c.reps = append(c.reps, i)
 		c.stats.Misses++
 	}
 }
 
-// insert stores, under one store write lock, the fitness of every
-// simulated representative and, when the pruning pass is staged, the
-// bracket top of every fresh representative it settled.
-func (c *fitnessCache) insert(fit []float64, staged bool, pn *pruner) {
+// insert stores the fitness of every simulated representative under one
+// store write lock.
+func (c *fitnessCache) insert(fit []float64) {
 	c.store.mu.Lock()
 	defer c.store.mu.Unlock()
 	for _, i := range c.todo {
 		c.store.insertLocked(c.fps[i], fit[i], c.run)
 	}
-	for _, i := range c.fresh {
-		if staged && pn.state[i] == slotFiltered {
-			c.store.insertTopLocked(c.fps[i], fit[i])
-		}
-	}
 }
 
 // settle is the pruning pass's virtual-time stage on the cache path,
-// run after the store lookup so no store hit is priced. It hands the
-// representatives the store holds nothing for to pruner.settle, each
-// weighted by its class size so the floor counts batch slots as the
-// uncached stage does, with the store hits as exact values; then it
-// settles every representative whose stored top falls below the final
-// floor on that top. evaluate hands each representative's state and
-// bracket to the rest of its class.
+// run after the store lookup so no store hit is priced. It hands every
+// representative to pruner.settle, each weighted by its class size so
+// the floor counts batch slots as the uncached stage does, with the
+// store hits as exact values. evaluate hands each representative's
+// state and bracket to the rest of its class.
 func (c *fitnessCache) settle(pool *Pool, fit []float64, pn *pruner) {
-	c.stats.VirtualPriced += uint64(pn.settle(pool.ev, nil, fit, c.fresh, c.weight, c.hits, c.maps))
-	floor := pn.floor()
-	for _, i := range c.topped {
-		if pn.hi[i] < floor {
-			pn.state[i], fit[i] = slotFiltered, pn.hi[i]
-		}
-	}
+	c.stats.VirtualPriced += uint64(pn.settle(pool.ev, nil, fit, c.reps, c.weight, c.hits, c.maps))
 	for _, i := range c.reps {
 		if pn.state[i] == slotFiltered {
 			c.stats.BoundPruned++

@@ -14,18 +14,6 @@ func WithBrackets(o Options, narrow func(lo, hi float64) (float64, float64)) Opt
 	return o
 }
 
-// MapTops replaces every bracket top s holds by f(top), so a test can
-// loosen them.
-func MapTops(s *CacheStore, f func(float64) float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for fp, e := range s.entries {
-		if e.run == topRun {
-			s.entries[fp] = storeEntry{fit: f(e.fit), run: topRun}
-		}
-	}
-}
-
 // CachedEval binds pool's fitness cache to store, as a cached run on p
 // would, and returns a function that scores one batch through it on the
 // pool (no pruning pass) and returns the run's counters so far.

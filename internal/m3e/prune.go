@@ -51,18 +51,16 @@ const (
 // curve are bit-identical to the unpruned run. A value below the
 // running floor could not have raised it, so the final floor is the one
 // pricing every survivor in full would reach. A settled value is not a
-// fitness, so it is never reused as a parent's exact value; it enters a
-// CacheStore only as a top, apart from the fitness values (see
-// CacheStore).
+// fitness, so it is never reused as a parent's exact value and never
+// enters a CacheStore.
 //
 // The second stage runs only when the first set a floor and the table
 // has a virtual-time makespan (no bandwidth-free entry). Without a
 // cache the loop decodes each survivor it walks into the walking
 // evaluator's scratch mapping and keeps only the schedules still above
 // the floor when their walk ends; with one, the cache fingerprints and
-// looks up the survivors first, hands settle the representatives the
-// store holds nothing for, and holds those with a stored top against
-// the final floor itself.
+// looks up the survivors first and hands settle one representative of
+// each schedule the store does not hold.
 type pruner struct {
 	p      *Problem
 	bounds *sim.Bounds
@@ -299,11 +297,11 @@ func (pr *pruner) settle(ev *Evaluator, batch []encoding.Genome, fit []float64, 
 // returns the fitness of VirtualCut's pessimistic Result as the low end
 // and of its optimistic one as the high end. Every objective's fitness
 // falls as the makespan and the energy grow, so the bracket holds the
-// exact fitness. A stopped walk whose top rounding kept at the floor
-// returns (-Inf, top]: still a bracket, like a stored top's.
+// exact fitness. A halted walk whose top rounding kept at the floor
+// returns (-Inf, top]: still a bracket, with no lower end to offer.
 func (pr *pruner) walk(ev *Evaluator, m *sim.Mapping, r sim.Roofline, floor float64) (lo, hi float64) {
-	best, worst, stopped := pr.bounds.VirtualCut(&ev.virtual, m, r, pr.cutSpan(floor, r))
-	if hi = pr.p.Fitness(best); stopped {
+	best, worst, halted := pr.bounds.VirtualCut(&ev.virtual, m, r, pr.cutSpan(floor, r))
+	if hi = pr.p.Fitness(best); halted {
 		return math.Inf(-1), hi
 	}
 	lo = pr.p.Fitness(worst)

@@ -1,45 +1,24 @@
 package m3e
 
-import "magma/internal/encoding"
+import "magma/internal/persist"
 
-// ExportedEntry is one memoized fitness leaving or entering a
-// CacheStore: the schedule fingerprint and its score. Run provenance is
-// deliberately not exported — run ids only distinguish insertions
-// within one process lifetime.
-type ExportedEntry struct {
-	FP      encoding.Fingerprint
-	Fitness float64
-}
-
-// Export returns the store's entries in FIFO insertion order, oldest
-// first — the order that, replayed through Import, reproduces the
-// store's eviction behavior. Safe for concurrent use: the snapshot is
-// taken under the store's read lock, so it is a consistent cut even
-// while runs keep inserting (entries landing after the cut simply
-// belong to the next snapshot).
-func (s *CacheStore) Export() []ExportedEntry {
+// Export returns the store's entries as snapshot entries in FIFO
+// insertion order, oldest first — the order that, replayed through
+// Import, reproduces the store's eviction behavior. Run provenance is
+// deliberately left out: run ids only distinguish insertions within one
+// process lifetime. Safe for concurrent use: the snapshot is taken
+// under the store's read lock, so it is a consistent cut even while
+// runs keep inserting (entries landing after the cut simply belong to
+// the next snapshot).
+func (s *CacheStore) Export() []persist.Entry {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]ExportedEntry, 0, len(s.entries))
-	emit := func(fp encoding.Fingerprint) {
-		if e, ok := s.entries[fp]; ok {
-			out = append(out, ExportedEntry{FP: fp, Fitness: e.fit})
-		}
-	}
-	if len(s.fifo) < s.capacity {
-		// The ring has never wrapped: fifo is already oldest-first.
-		for _, fp := range s.fifo {
-			emit(fp)
-		}
-		return out
-	}
-	// Wrapped ring: the oldest entry sits at next (the slot the next
-	// insertion would evict).
-	for _, fp := range s.fifo[s.next:] {
-		emit(fp)
-	}
-	for _, fp := range s.fifo[:s.next] {
-		emit(fp)
+	out := make([]persist.Entry, len(s.fifo))
+	for k := range out {
+		// The oldest entry sits at next, which stays 0 until the ring
+		// wraps.
+		fp := s.fifo[(s.next+k)%len(s.fifo)]
+		out[k] = persist.Entry{FP: fp, Fitness: s.entries[fp].fit}
 	}
 	return out
 }
@@ -51,7 +30,7 @@ func (s *CacheStore) Export() []ExportedEntry {
 // entries exceed this store's capacity the oldest are evicted first,
 // preserving the bound invariant. Safe for concurrent use, though it is
 // normally called on a fresh store before any run binds to it.
-func (s *CacheStore) Import(entries []ExportedEntry) {
+func (s *CacheStore) Import(entries []persist.Entry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, e := range entries {

@@ -1,11 +1,16 @@
 package m3e
 
 import (
+	"cmp"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"magma/internal/encoding"
+	"magma/internal/models"
+	"magma/internal/platform"
+	"magma/internal/rng"
 )
 
 func fp(i int) encoding.Fingerprint {
@@ -170,36 +175,80 @@ func TestExportDuringConcurrentMutation(t *testing.T) {
 	wg.Wait()
 }
 
-// TestStoreTopsKeepTheirOwnRing pins how bracket tops share the map but
-// not the ring: tops never evict a fitness value, an exact value
-// replaces a top in place and a top never replaces one, a top's stale
-// ring slot evicts nothing, and neither Len nor Export sees a top.
-func TestStoreTopsKeepTheirOwnRing(t *testing.T) {
-	s := NewCacheStore(2)
-	s.mu.Lock()
-	s.insertLocked(fp(0), 0, 1)
-	s.insertLocked(fp(1), 1, 1)
-	for i := 2; i < 5; i++ {
-		s.insertTopLocked(fp(i), float64(10*i)) // fp(2) leaves the tops ring
-	}
-	s.insertTopLocked(fp(1), 99) // a fitness value stays
-	s.insertLocked(fp(3), 3, 2)  // replaces the top; fp(0) leaves the ring
-	s.insertTopLocked(fp(5), 50) // takes fp(3)'s stale slot, evicting nothing
-	s.mu.Unlock()
-	if got := s.Len(); got != 2 {
-		t.Errorf("Len = %d, want 2 fitness values", got)
-	}
-	want := []ExportedEntry{{fp(1), 1}, {fp(3), 3}}
-	if got := s.Export(); !reflect.DeepEqual(got, want) {
-		t.Errorf("Export = %+v, want %+v", got, want)
-	}
-	tops := map[encoding.Fingerprint]float64{}
-	for k, e := range s.entries {
-		if e.run == topRun {
-			tops[k] = e.fit
+// elitist is a minimal optimizer the runner prunes: each batch re-asks
+// the k best genomes of the last one verbatim and fills the rest with
+// random genomes.
+type elitist struct {
+	p      *Problem
+	r      *rng.Stream
+	k, n   int
+	elite  []encoding.Genome // the k best genomes of the last told batch
+	from   []int             // their indices in it
+	reasks []int
+}
+
+func (e *elitist) Name() string                         { return "elitist" }
+func (e *elitist) Init(p *Problem, r *rng.Stream) error { e.p, e.r = p, r; return nil }
+func (e *elitist) EliteCount(int) int                   { return e.k }
+func (e *elitist) Reasks() []int                        { return e.reasks }
+
+func (e *elitist) Ask() []encoding.Genome {
+	batch := make([]encoding.Genome, e.n)
+	e.reasks = append(e.reasks[:0], e.from...)
+	for i := range batch {
+		if i < len(e.elite) {
+			batch[i] = e.elite[i].Clone()
+		} else {
+			batch[i] = encoding.Random(e.p.NumJobs(), e.p.NumAccels(), e.r)
 		}
 	}
-	if wantTops := map[encoding.Fingerprint]float64{fp(4): 40, fp(5): 50}; !reflect.DeepEqual(tops, wantTops) || s.nTops != 2 {
-		t.Errorf("tops = %v (nTops %d), want %v", tops, s.nTops, wantTops)
+	return batch
+}
+
+func (e *elitist) Tell(gs []encoding.Genome, fit []float64) {
+	order := make([]int, len(gs))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(fit[b], fit[a]) })
+	e.from, e.elite = order[:min(e.k, len(order))], e.elite[:0]
+	for _, i := range e.from {
+		e.elite = append(e.elite, gs[i].Clone())
+	}
+}
+
+// TestStoreRingMatchesMap pins that a store's FIFO ring and its map
+// hold the same fingerprints, each once, so Len is the size of both and
+// never exceeds capacity. Pruned runs of several seeds wrap a small
+// store's ring many times while the virtual-time stage settles genomes,
+// none of which may enter the map.
+func TestStoreRingMatchesMap(t *testing.T) {
+	prob := testProblem(t, models.Mix, 16, platform.S2().WithBW(16), Throughput)
+	const capacity = 64
+	s := NewCacheStore(capacity)
+	var settled, sims uint64
+	for seed := int64(1); seed <= 4; seed++ {
+		res, err := Run(prob, &elitist{k: 4, n: 32}, Options{Budget: 1000, Store: s}, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		settled += res.Cache.VirtualPruned
+		sims += res.Cache.Misses - res.Cache.BoundPruned
+	}
+	if settled == 0 || sims <= 2*capacity {
+		t.Fatalf("the runs settled %d genomes and simulated %d; want some settled and the ring wrapped", settled, sims)
+	}
+	n := s.Len()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if len(s.fifo) != len(s.entries) || n != len(s.entries) || n > capacity {
+		t.Fatalf("ring holds %d fingerprints, map %d, Len %d; want all equal and at most %d", len(s.fifo), len(s.entries), n, capacity)
+	}
+	seen := make(map[encoding.Fingerprint]bool, len(s.fifo))
+	for _, fp := range s.fifo {
+		if _, ok := s.entries[fp]; !ok || seen[fp] {
+			t.Fatalf("ring fingerprint %v is missing from the map or repeated", fp)
+		}
+		seen[fp] = true
 	}
 }

@@ -115,23 +115,17 @@ func TestBracketMissFailsLoudly(t *testing.T) {
 	}
 }
 
-// TestStoreBracketTops pins the store side of the virtual-time stage.
-// A pruned run stores the exact fitness of every genome it simulates,
-// and the bracket top of every genome the stage settles in a separate
-// ring that Len and Export never see. A repeat run then returns the
-// identical result and simulates nothing, on three stores:
-//
-//   - the warm store: every settled genome finds its top, so nothing
-//     is priced, and no top counts as a hit;
-//   - a store whose exact ring the first run filled to capacity: the
-//     tops overflow their own ring, never the exact one;
-//   - a store restored from the snapshot, which holds no tops: the
-//     settled genomes are priced again and all settle again, because
-//     the exact hits only raise the floor that settled them.
-//
-// Loosened tops change nothing but the work done, and a run with
-// another seed on the warm store matches its unpruned run.
-func TestStoreBracketTops(t *testing.T) {
+// TestStoreHoldsOnlyExactValues pins the store side of the pruning
+// pass. A pruned run stores the exact fitness of every genome it
+// simulates and nothing for a genome the pass settles, whose value is
+// only an upper bound. A repeat run then returns the identical result,
+// simulates nothing and reports identical counters on three stores: the
+// warm store, a store the first run filled to capacity, and a store
+// restored from the warm one's snapshot. On each the genomes the first
+// run settled are priced again and all settle again, because the exact
+// hits only raise the floor that settled them. A run with another seed
+// on the warm store matches its unpruned run.
+func TestStoreHoldsOnlyExactValues(t *testing.T) {
 	prob := parallelProblem(t)
 	const budget = 1000
 	for _, mk := range []func() prunable{
@@ -172,11 +166,12 @@ func TestStoreBracketTops(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(full.Export(), exported) {
-			t.Fatalf("%s: a store at capacity %d lost exact entries to the first run's tops", name, sims)
+			t.Fatalf("%s: a store at capacity %d does not hold the first run's exact entries", name, sims)
 		}
 		restored := m3e.NewCacheStore(0)
 		restored.Import(exported)
 
+		var warm m3e.CacheStats
 		for _, c := range []struct {
 			label string
 			store *m3e.CacheStore
@@ -196,43 +191,23 @@ func TestStoreBracketTops(t *testing.T) {
 			if st.Misses != st.BoundPruned {
 				t.Errorf("%s: simulated %d genomes, want none", label, st.Misses-st.BoundPruned)
 			}
-			if st.VirtualPruned == 0 || st.VirtualPriced > st.VirtualPruned {
-				t.Errorf("%s: priced %d genomes and settled %d, want every priced genome settled", label, st.VirtualPriced, st.VirtualPruned)
-			}
-			if c.store == store && st.VirtualPriced != 0 {
-				t.Errorf("%s: priced %d genomes, want none: every settled genome has a top", label, st.VirtualPriced)
-			}
-			if c.store == restored && st.VirtualPriced == 0 {
-				t.Errorf("%s: priced nothing, but a snapshot carries no tops", label)
+			if st.VirtualPriced == 0 || st.VirtualPriced > st.VirtualPruned {
+				t.Errorf("%s: priced %d genomes and settled %d, want the settled genomes priced and settled again", label, st.VirtualPriced, st.VirtualPruned)
 			}
 			if st.CrossHits != st.Hits-uint64(counter.reasks) {
-				t.Errorf("%s: CrossHits %d, want every store hit (%d hits − %d re-asks): a top counted as a hit?", label, st.CrossHits, st.Hits, counter.reasks)
+				t.Errorf("%s: CrossHits %d, want every store hit (%d hits − %d re-asks)", label, st.CrossHits, st.Hits, counter.reasks)
+			}
+			if c.store == store {
+				warm = st
+			} else if st != warm {
+				t.Errorf("%s: counters %+v, want the warm store's %+v", label, st, warm)
 			}
 			if !reflect.DeepEqual(c.store.Export(), exported) {
 				t.Errorf("%s: the exact entries changed", label)
 			}
 		}
 
-		// A top is only an upper bound: loosened to +Inf, none settles
-		// its genome, and those genomes are simulated instead.
-		loose := m3e.NewCacheStore(0)
-		if _, err := m3e.Run(prob, mk(), m3e.Options{Budget: budget, Store: loose}, 11); err != nil {
-			t.Fatal(err)
-		}
-		m3e.MapTops(loose, func(float64) float64 { return math.Inf(1) })
-		again, err := m3e.Run(prob, mk(), m3e.Options{Budget: budget, Store: loose}, 11)
-		if err != nil {
-			t.Fatalf("%s repeat on loosened tops: %v", name, err)
-		}
-		if again.BestFitness != first.BestFitness || !reflect.DeepEqual(again.Curve, first.Curve) {
-			t.Errorf("%s repeat on loosened tops: result differs from the first run", name)
-		}
-		if st := again.Cache; st.VirtualPriced != 0 || st.Misses == st.BoundPruned {
-			t.Errorf("%s repeat on loosened tops: priced %d and simulated %d genomes, want none priced and some simulated",
-				name, st.VirtualPriced, st.Misses-st.BoundPruned)
-		}
-
-		// Another seed meets tops it did not price.
+		// Another seed meets a store it did not fill.
 		want, err := m3e.Run(prob, unpruned{mk()}, m3e.Options{Budget: budget}, 12)
 		if err != nil {
 			t.Fatal(err)

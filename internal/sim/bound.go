@@ -331,14 +331,14 @@ func (b *Bounds) Virtual(s *VirtualScratch, m *Mapping) (best, worst Result, ok 
 // than virtual time; the bytes not yet moved need at least their
 // transfer time at the full system bandwidth. The bound never falls
 // along the walk. Slacked like best's makespan, once it exceeds cut the
-// walk stops: stopped is true, best is the optimistic Result at that
+// walk stops: halted is true, best is the optimistic Result at that
 // bound — at most the full walk's makespan and above cut — and worst is
 // zero. A walk that never exceeds cut returns exactly what the uncut
 // walk (cut +Inf, as Virtual runs it) returns for the same r.
-func (b *Bounds) VirtualCut(s *VirtualScratch, m *Mapping, r Roofline, cut float64) (best, worst Result, stopped bool) {
-	span, stopped := b.virtual(s, m, r, cut)
+func (b *Bounds) VirtualCut(s *VirtualScratch, m *Mapping, r Roofline, cut float64) (best, worst Result, halted bool) {
+	span, halted := b.virtual(s, m, r, cut)
 	best = b.result(b.bestSpan(span), r.Energy*(1-virtualSlackRel))
-	if stopped {
+	if halted {
 		return best, Result{}, true
 	}
 	worst = b.result(span*(1+virtualSlackRel)+b.spanSlack, r.Energy*(1+virtualSlackRel))
@@ -365,7 +365,7 @@ func (b *Bounds) EnergyLine(r Roofline) (base, perCycle float64) {
 // zero-length step in between. A core that drains gives its slot to the
 // last one. When the slacked lower bound of VirtualCut exceeds cut at a
 // boundary before the last, it returns that bound and true instead.
-func (b *Bounds) virtual(s *VirtualScratch, m *Mapping, r Roofline, cut float64) (span float64, stopped bool) {
+func (b *Bounds) virtual(s *VirtualScratch, m *Mapping, r Roofline, cut float64) (span float64, halted bool) {
 	nA := b.nAccels
 	s.end, s.req = grow(s.end, nA), grow(s.req, nA)
 	s.core, s.next = grow(s.core, nA), grow(s.next, nA)

@@ -193,8 +193,8 @@ func FuzzVirtualCut(f *testing.F) {
 		full, _ := b.virtual(s, &m, roof, math.Inf(1))
 		wantBest, wantWorst, _ := b.Virtual(s, &m)
 		cut := frac * full
-		best, worst, stopped := b.VirtualCut(s, &m, roof, cut)
-		if !stopped {
+		best, worst, halted := b.VirtualCut(s, &m, roof, cut)
+		if !halted {
 			for _, c := range []struct{ got, want Result }{{best, wantBest}, {worst, wantWorst}} {
 				if !sameResult(c.got, c.want) {
 					t.Fatalf("cut %v never reached, but the walk returned %+v, the uncut walk %+v", cut, c.got, c.want)
@@ -203,20 +203,20 @@ func FuzzVirtualCut(f *testing.F) {
 			return
 		}
 		if !(best.TotalCycles > cut) {
-			t.Fatalf("walk stopped at optimistic makespan %v, not above its cut %v", best.TotalCycles, cut)
+			t.Fatalf("walk halted at optimistic makespan %v, not above its cut %v", best.TotalCycles, cut)
 		}
 		if best.TotalCycles > full {
-			t.Fatalf("walk stopped at optimistic makespan %v, above the full walk's %v", best.TotalCycles, full)
+			t.Fatalf("walk halted at optimistic makespan %v, above the full walk's %v", best.TotalCycles, full)
 		}
 		run, err := Run(tab, m, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if best.TotalCycles > run.TotalCycles {
-			t.Fatalf("walk stopped at optimistic makespan %v, above Run's %v", best.TotalCycles, run.TotalCycles)
+			t.Fatalf("walk halted at optimistic makespan %v, above Run's %v", best.TotalCycles, run.TotalCycles)
 		}
 		if !sameResult(worst, Result{}) {
-			t.Fatalf("stopped walk returned worst %+v, want zero", worst)
+			t.Fatalf("halted walk returned worst %+v, want zero", worst)
 		}
 	})
 }
