@@ -220,6 +220,7 @@ var benchPackages = []string{
 	"magma/internal/encoding",
 	"magma/internal/sim",
 	"magma/internal/opt/magma",
+	"magma/internal/workload",
 }
 
 // groupSize is the paper's group size (§VI-B), the standard problem of

@@ -15,6 +15,7 @@ package models
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"magma/internal/layer"
@@ -109,15 +110,27 @@ func Names() []string {
 	return out
 }
 
-// Pool returns the models of one task class, sorted by name.
-// For Mix it returns the union of all three pools.
-func Pool(t Task) []layer.Model {
-	var out []layer.Model
-	for n, m := range registry {
-		if t == Mix || taskOf[n] == t {
-			out = append(out, m)
+// pools holds each task's name-sorted pool, built once at init from the
+// registry that the package-level model variables fill.
+var pools [Mix + 1][]layer.Model
+
+func init() {
+	for _, t := range Tasks() {
+		for n, m := range registry {
+			if t == Mix || taskOf[n] == t {
+				pools[t] = append(pools[t], m)
+			}
 		}
+		sort.Slice(pools[t], func(i, j int) bool { return pools[t][i].Name < pools[t][j].Name })
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+}
+
+// Pool returns the models of one task class, sorted by name; for Mix,
+// the union of all three pools, and for an unknown task, nil. The slice
+// is the caller's: changing it does not change the next call's result.
+func Pool(t Task) []layer.Model {
+	if int(t) >= len(pools) {
+		return nil
+	}
+	return slices.Clone(pools[t])
 }

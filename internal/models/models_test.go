@@ -1,6 +1,9 @@
 package models
 
 import (
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"magma/internal/layer"
@@ -56,6 +59,26 @@ func TestPools(t *testing.T) {
 		if task, _ := TaskOf(m.Name); task != Vision {
 			t.Errorf("model %s in vision pool has task %v", m.Name, task)
 		}
+	}
+}
+
+func TestPoolIsSortedAndOwned(t *testing.T) {
+	for _, task := range Tasks() {
+		a, b := Pool(task), Pool(task)
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("%v: two calls returned different pools", task)
+		}
+		if !slices.IsSortedFunc(a, func(x, y layer.Model) int { return strings.Compare(x.Name, y.Name) }) {
+			t.Errorf("%v: pool not sorted by name", task)
+		}
+		slices.Reverse(a)
+		a[0] = layer.Model{Name: "changed"}
+		if c := Pool(task); !reflect.DeepEqual(b, c) {
+			t.Errorf("%v: changing a returned pool changed the next call's result", task)
+		}
+	}
+	if p := Pool(Mix + 1); p != nil {
+		t.Errorf("unknown task pool = %v, want nil", p)
 	}
 }
 

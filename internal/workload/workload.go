@@ -127,6 +127,10 @@ func batchFor(t models.Task, r *rand.Rand) int {
 // task's pool, enqueues all of that model's layers as jobs (a batched
 // inference stream), shuffles the pool of queued jobs (multi-tenancy
 // makes them dependency-free, §III), and chops them into groups.
+//
+// The queue holds small references rather than jobs: the shuffle's draws
+// do not depend on what it swaps, so shuffling references yields the
+// same permutation, and only the jobs the trim keeps are ever built.
 func Generate(cfg Config) (Workload, error) {
 	if cfg.NumJobs <= 0 {
 		return Workload{}, fmt.Errorf("workload: NumJobs = %d", cfg.NumJobs)
@@ -145,48 +149,60 @@ func Generate(cfg Config) (Workload, error) {
 	// instances even when few jobs are requested, then sample the group
 	// from the shuffled pool.
 	const minStreams = 4
-	var jobs []Job
+	maxLayers := 0
+	for _, m := range pool {
+		maxLayers = max(maxLayers, len(m.Layers))
+	}
+	// The draw stops once both conditions hold, so its last model starts
+	// below one of these lengths; the queue never outgrows its capacity.
+	refs := make([]jobRef, 0, max(cfg.NumJobs-1, (minStreams-1)*maxLayers)+maxLayers)
 	streams := 0
-	for len(jobs) < cfg.NumJobs || streams < minStreams {
-		m := pool[r.Intn(len(pool))]
-		task, err := models.TaskOf(m.Name)
+	for len(refs) < cfg.NumJobs || streams < minStreams {
+		mi := r.Intn(len(pool))
+		task, err := models.TaskOf(pool[mi].Name)
 		if err != nil {
 			return Workload{}, err
 		}
 		batch := batchFor(task, r)
-		for _, l := range m.Layers {
-			jobs = append(jobs, Job{Model: m.Name, Task: task, Layer: l, Batch: batch})
+		for li := range pool[mi].Layers {
+			refs = append(refs, jobRef{model: int32(mi), layer: int32(li), batch: int32(batch), task: task})
 		}
 		streams++
 	}
-	r.Shuffle(len(jobs), func(i, j int) { jobs[i], jobs[j] = jobs[j], jobs[i] })
-	if len(jobs) > cfg.NumJobs && cfg.NumJobs >= cfg.GroupSize {
+	r.Shuffle(len(refs), func(i, j int) { refs[i], refs[j] = refs[j], refs[i] })
+	if len(refs) > cfg.NumJobs && cfg.NumJobs >= cfg.GroupSize {
 		// Trim the shuffled pool to whole groups' worth of jobs, keeping
 		// the requested total.
-		jobs = jobs[:cfg.NumJobs]
+		refs = refs[:cfg.NumJobs]
 	}
 
 	w := Workload{
 		Name: fmt.Sprintf("%s-n%d-g%d-s%d", cfg.Task, cfg.NumJobs, cfg.GroupSize, cfg.Seed),
 		Task: cfg.Task,
 	}
-	for start := 0; start+cfg.GroupSize <= len(jobs); start += cfg.GroupSize {
-		g := Group{Index: len(w.Groups)}
-		for i, j := range jobs[start : start+cfg.GroupSize] {
-			j.ID = i
-			g.Jobs = append(g.Jobs, j)
-		}
-		w.Groups = append(w.Groups, g)
+	size, n := cfg.GroupSize, len(refs)/cfg.GroupSize
+	if n == 0 { // fewer jobs than one group: keep what we have
+		size, n = len(refs), 1
 	}
-	if len(w.Groups) == 0 { // fewer jobs than one group: keep what we have
-		g := Group{Index: 0}
-		for i, j := range jobs {
-			j.ID = i
-			g.Jobs = append(g.Jobs, j)
-		}
-		w.Groups = []Group{g}
+	jobs := make([]Job, size*n)
+	for i, ref := range refs[:len(jobs)] {
+		m := &pool[ref.model]
+		jobs[i] = Job{ID: i % size, Model: m.Name, Task: ref.task, Layer: m.Layers[ref.layer], Batch: int(ref.batch)}
+	}
+	w.Groups = make([]Group, n)
+	for g := range w.Groups {
+		// A full slice expression, so an append to one group's jobs
+		// never writes into the next group's.
+		w.Groups[g] = Group{Index: g, Jobs: jobs[g*size : (g+1)*size : (g+1)*size]}
 	}
 	return w, nil
+}
+
+// jobRef is one queued job before it is built: a layer of a pool model
+// and the batch its stream drew.
+type jobRef struct {
+	model, layer, batch int32
+	task                models.Task
 }
 
 // jobJSON is the interchange form mirroring the paper's "description of

@@ -54,11 +54,15 @@ func (f *finished) thaw(nAccels int, cache CacheStats) Schedule {
 	s := f.sched
 	s.Genome = f.sched.Genome.Clone()
 	s.Mapping = encoding.Decode(s.Genome, nAccels)
-	s.Curve = make([]float64, 0, s.Samples)
+	// A search appends one curve sample per consumed sample, so the
+	// runs add up to Samples.
+	s.Curve = make([]float64, s.Samples)
+	rest := s.Curve
 	for _, r := range f.curve {
-		for i := 0; i < r.n; i++ {
-			s.Curve = append(s.Curve, r.v)
+		for i := range rest[:r.n] {
+			rest[i] = r.v
 		}
+		rest = rest[r.n:]
 	}
 	s.Cache = cache
 	return s
