@@ -155,16 +155,8 @@ func (rt *Router) Handler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
 func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
+	serve.WriteJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
 func (rt *Router) handleJobs(w http.ResponseWriter, r *http.Request) {
@@ -173,7 +165,7 @@ func (rt *Router) handleJobs(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleShards(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"shards": rt.shards})
+	serve.WriteJSON(w, http.StatusOK, map[string]any{"shards": rt.shards})
 }
 
 // forwardResult is one completed sub-request: a shard's verbatim reply,
@@ -287,7 +279,7 @@ func (rt *Router) writeForwarded(w http.ResponseWriter, r *http.Request, res for
 			writeErr(w, serve.StatusClientClosedRequest, "client closed request: %v", res.err)
 			return
 		}
-		writeJSON(w, http.StatusBadGateway, map[string]any{
+		serve.WriteJSON(w, http.StatusBadGateway, map[string]any{
 			"error": fmt.Sprintf("shard %s unreachable after %d attempts: %v", res.shard.Name, rt.cfg.MaxAttempts, res.err),
 			"code":  "shard_unavailable",
 			"shard": res.shard.Name,
@@ -407,7 +399,7 @@ func (rt *Router) handleOptimize(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	merged, err := json.MarshalIndent(rt.merge(wl.Name, owners, subs, start), "", "  ")
+	merged, err := json.Marshal(rt.merge(wl.Name, owners, subs, start))
 	if err != nil {
 		// Totals summed past the float range leave a response JSON
 		// cannot carry: the shards' replies were bad, not the request.
@@ -565,7 +557,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	writeJSON(w, http.StatusOK, rt.collectStats(r.Context()))
+	serve.WriteJSON(w, http.StatusOK, rt.collectStats(r.Context()))
 }
 
 // handleHealthz probes every shard: 200 only when the whole fleet is
@@ -607,7 +599,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if healthy < len(rt.shards) {
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, map[string]any{
+	serve.WriteJSON(w, code, map[string]any{
 		"ok":      healthy == len(rt.shards),
 		"shards":  len(rt.shards),
 		"healthy": healthy,

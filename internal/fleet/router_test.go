@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -556,5 +557,55 @@ func TestRouterFanOutBoundsInFlight(t *testing.T) {
 	}
 	if got := peak.Load(); got > maxFanOut {
 		t.Errorf("%d forwards in flight at once, want at most %d", got, maxFanOut)
+	}
+}
+
+// TestResponsesAreCompact pins the wire form of the router's own
+// bodies: the merged /optimize reply and /stats are compact JSON, one
+// value per line, the bytes of json.Marshal of what they decode to plus
+// '\n'.
+func TestResponsesAreCompact(t *testing.T) {
+	shards, rt, rts := newFleet(t, 3, Config{})
+	split, groups := splitRequest(t, shards)
+	body := strings.TrimSuffix(split, "}") + `,"options":{"budget_per_group":100,"seed":1}}`
+	resp, raw := postOptimize(t, rts.URL, body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, raw)
+	}
+	if rt.Stats().FanOuts != 1 {
+		t.Fatalf("request was not fanned out: %+v", rt.Stats())
+	}
+	var merged serve.OptimizeResponse
+	requireCompact(t, "merged optimize", raw, &merged)
+	if len(merged.Groups) != groups {
+		t.Errorf("merged %d groups, want %d", len(merged.Groups), groups)
+	}
+
+	st, err := http.Get(rts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err = io.ReadAll(st.Body)
+	st.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireCompact(t, "stats", raw, new(StatsResponse))
+}
+
+func requireCompact(t *testing.T, name string, body []byte, v any) {
+	t.Helper()
+	if !json.Valid(body) || bytes.Count(body, []byte("\n")) != 1 || !bytes.HasSuffix(body, []byte("\n")) {
+		t.Fatalf("%s: body is not one JSON line: %q", name, body)
+	}
+	if err := json.Unmarshal(body, v); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	want, err := json.Marshal(v)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if !bytes.Equal(body, append(want, '\n')) {
+		t.Errorf("%s: body is not compact:\n got %q\nwant %q", name, body, want)
 	}
 }

@@ -299,7 +299,7 @@ func newJobID() string {
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		writeJSON(w, http.StatusOK, map[string]any{"jobs": s.jobs.list()})
+		WriteJSON(w, http.StatusOK, map[string]any{"jobs": s.jobs.list()})
 	case http.MethodPost:
 		s.handleJobSubmit(w, r)
 	default:
@@ -343,7 +343,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.jobs.add(j)
 	go s.runJob(ctx, cancel, j, spec, deadline)
-	writeJSON(w, http.StatusAccepted, map[string]any{
+	WriteJSON(w, http.StatusAccepted, map[string]any{
 		"id":     j.id,
 		"status": JobRunning,
 		"groups": len(spec.wl.Groups),
@@ -434,13 +434,13 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		if v.Status == JobCancelled {
 			code = StatusClientClosedRequest
 		}
-		writeJSON(w, code, v)
+		WriteJSON(w, code, v)
 	case r.Method == http.MethodDelete:
 		if j.requestCancel() {
-			writeJSON(w, http.StatusAccepted, map[string]string{"id": j.id, "status": "cancelling"})
+			WriteJSON(w, http.StatusAccepted, map[string]string{"id": j.id, "status": "cancelling"})
 			return
 		}
-		writeJSON(w, http.StatusOK, j.view())
+		WriteJSON(w, http.StatusOK, j.view())
 	default:
 		writeErr(w, http.StatusMethodNotAllowed, "use GET or DELETE")
 	}

@@ -280,16 +280,24 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON answers code with v as compact JSON: one value and a
+// trailing newline, the bytes of json.Marshal(v) plus '\n'. v is
+// marshalled before the status line goes out, so a value JSON cannot
+// carry (a NaN or ±Inf float) is a 500 with an error body, never a
+// status with an empty body.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		body, _ = json.Marshal(map[string]string{"error": "encoding response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // the status line is already out; nothing to recover
+	_, _ = w.Write(append(body, '\n'))
 }
 
 func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
+	WriteJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
 // retryAfter is the backoff the server suggests when shedding load. One
@@ -304,7 +312,7 @@ const retryAfter = time.Second
 // documents the retry contract.
 func writeOverloaded(w http.ResponseWriter, running, limit int, detail string) {
 	w.Header().Set("Retry-After", fmt.Sprintf("%d", int(retryAfter/time.Second)))
-	writeJSON(w, http.StatusTooManyRequests, map[string]any{
+	WriteJSON(w, http.StatusTooManyRequests, map[string]any{
 		"error":          detail,
 		"code":           "overloaded",
 		"retry_after_ms": retryAfter.Milliseconds(),
@@ -314,7 +322,7 @@ func writeOverloaded(w http.ResponseWriter, running, limit int, detail string) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
+	WriteJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -322,7 +330,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	writeJSON(w, http.StatusOK, s.engineView())
+	WriteJSON(w, http.StatusOK, s.engineView())
 }
 
 // parseTask maps the wire task names onto models.Task (empty means the
@@ -566,5 +574,5 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, "optimize: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }

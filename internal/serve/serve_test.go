@@ -3,6 +3,8 @@ package serve_test
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -337,5 +339,106 @@ func TestServeOverloadRetryContract(t *testing.T) {
 	}
 	if body.Code != "overloaded" || body.RetryAfterMS <= 0 || body.Running != 1 || body.Limit != 1 || body.Error == "" {
 		t.Errorf("429 body missing retry contract fields: %+v", body)
+	}
+}
+
+// TestWriteJSONRefusesUnencodable: a value JSON cannot carry is
+// marshalled before the status line goes out, so it is answered 500 with
+// a decodable error body instead of the promised status with an empty
+// body.
+func TestWriteJSONRefusesUnencodable(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		rec := httptest.NewRecorder()
+		serve.WriteJSON(rec, http.StatusOK, serve.GroupSchedule{Fitness: v})
+		if rec.Code != http.StatusInternalServerError {
+			t.Errorf("fitness %v: status %d, want 500 (%q)", v, rec.Code, rec.Body)
+		}
+		var body struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body.Error == "" {
+			t.Errorf("fitness %v: body %q is not an error object (%v)", v, rec.Body, err)
+		}
+	}
+}
+
+// requireCompact fails unless body is one compact JSON value and its
+// newline: the bytes of json.Marshal of the value it decodes to into v,
+// plus '\n'.
+func requireCompact(t *testing.T, name string, body []byte, v any) {
+	t.Helper()
+	if !json.Valid(body) || bytes.Count(body, []byte("\n")) != 1 || !bytes.HasSuffix(body, []byte("\n")) {
+		t.Fatalf("%s: body is not one JSON line: %q", name, body)
+	}
+	if err := json.Unmarshal(body, v); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	want, err := json.Marshal(v)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if !bytes.Equal(body, append(want, '\n')) {
+		t.Errorf("%s: body is not compact:\n got %q\nwant %q", name, body, want)
+	}
+}
+
+func fetch(t *testing.T, method, url, body string) (int, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, raw
+}
+
+// TestResponsesAreCompact pins the wire form of every body the shard
+// writes: compact JSON, one value per line.
+func TestResponsesAreCompact(t *testing.T) {
+	ts, _ := newTestServer(t)
+	var fresh, hit serve.OptimizeResponse
+	for _, out := range []*serve.OptimizeResponse{&fresh, &hit} {
+		code, raw := fetch(t, http.MethodPost, ts.URL+"/optimize", genReq)
+		if code != http.StatusOK {
+			t.Fatalf("optimize: status %d: %s", code, raw)
+		}
+		requireCompact(t, "optimize", raw, out)
+	}
+	if hit.Engine.MemoHits == fresh.Engine.MemoHits || !reflect.DeepEqual(hit.Groups, fresh.Groups) {
+		t.Errorf("repeat was not a memo hit with the fresh groups: memo_hits %d → %d",
+			fresh.Engine.MemoHits, hit.Engine.MemoHits)
+	}
+
+	_, raw := fetch(t, http.MethodGet, ts.URL+"/stats", "")
+	requireCompact(t, "stats", raw, new(serve.EngineJSON))
+	_, raw = fetch(t, http.MethodGet, ts.URL+"/healthz", "")
+	requireCompact(t, "healthz", raw, new(map[string]bool))
+	code, raw := fetch(t, http.MethodPost, ts.URL+"/optimize", `{"platform":"S2"}`)
+	if code != http.StatusBadRequest {
+		t.Fatalf("bad request: status %d: %s", code, raw)
+	}
+	requireCompact(t, "400", raw, new(map[string]string))
+
+	code, raw = fetch(t, http.MethodPost, ts.URL+"/jobs", jobRequest(64))
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status %d: %s", code, raw)
+	}
+	var submitted map[string]any
+	requireCompact(t, "job submit", raw, &submitted)
+	id, _ := submitted["id"].(string)
+	waitJob(t, ts.URL, id)
+	_, raw = fetch(t, http.MethodGet, ts.URL+"/jobs/"+id, "")
+	var view serve.JobView
+	requireCompact(t, "job view", raw, &view)
+	if view.Status != serve.JobDone || view.Result == nil {
+		t.Errorf("job view %s", raw)
 	}
 }

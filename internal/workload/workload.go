@@ -228,7 +228,8 @@ type workloadJSON struct {
 	Groups []groupJSON `json:"groups"`
 }
 
-// WriteJSON serializes the workload as the job-description format.
+// WriteJSON serializes the workload as the job-description format: one
+// compact JSON value and a newline.
 func (w Workload) WriteJSON(out io.Writer) error {
 	doc := workloadJSON{Name: w.Name, Task: w.Task.String()}
 	for _, g := range w.Groups {
@@ -243,9 +244,7 @@ func (w Workload) WriteJSON(out io.Writer) error {
 		}
 		doc.Groups = append(doc.Groups, gj)
 	}
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
+	return json.NewEncoder(out).Encode(doc)
 }
 
 // ReadJSON parses a workload previously written by WriteJSON.
