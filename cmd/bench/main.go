@@ -40,13 +40,7 @@ import (
 
 	"magma/internal/m3e"
 	"magma/internal/models"
-	"magma/internal/opt/cmaes"
-	"magma/internal/opt/de"
-	"magma/internal/opt/ga"
 	optmagma "magma/internal/opt/magma"
-	"magma/internal/opt/pso"
-	"magma/internal/opt/random"
-	"magma/internal/opt/tbpsa"
 	"magma/internal/platform"
 	"magma/internal/workload"
 )
@@ -144,17 +138,9 @@ type Report struct {
 	// virtual-time makespan's at 100 jobs on 4 cores: what pricing a
 	// schedule saves the pruning pass against simulating it.
 	VirtualSpeedup float64 `json:"virtual_speedup"`
-	// CacheHitRateByMapper is the fitness cache's hit rate over one full
-	// cached search per optimizer (DESIGN.md's "Redundancy in the search
-	// stream"); CacheHitRate is MAGMA's.
-	CacheHitRate         float64            `json:"cache_hit_rate"`
-	CacheHitRateByMapper map[string]float64 `json:"cache_hit_rate_by_mapper"`
-	// CachedSpeedup is the uncached shipped generation (bound.on_ns_per_gen)
-	// over the cached one (phase_breakdown's row): what the cache buys
-	// inside one search.
-	CachedSpeedup float64 `json:"cached_speedup"`
-	// PhaseBreakdown times the phases of a full cached MAGMA search as
-	// cmd/serve ships it.
+	// PhaseBreakdown times the phases of a full MAGMA search as the
+	// library and cmd/serve ship it: pruned, on the one evaluation path
+	// (the bound report's pruned run).
 	PhaseBreakdown PhaseBreakdown `json:"phase_breakdown"`
 	// BoundPruneRate is the fraction of missed candidates the runner's
 	// analytical bound kept from the simulator over a full MAGMA search
@@ -176,8 +162,8 @@ type BoundReport struct {
 	Checked uint64 `json:"checked"`
 	Pruned  uint64 `json:"pruned"`
 	// OffNsPerGen / OnNsPerGen are full-generation wall clocks (ask +
-	// fingerprint + bound + simulate + tell) without and with pruning,
-	// both uncached; GenSpeedup is their ratio.
+	// bound + simulate + tell) without and with pruning; GenSpeedup is
+	// their ratio.
 	OffNsPerGen float64 `json:"off_ns_per_gen"`
 	OnNsPerGen  float64 `json:"on_ns_per_gen"`
 	GenSpeedup  float64 `json:"gen_speedup"`
@@ -198,18 +184,15 @@ type PhaseBreakdown struct {
 
 // PhaseRow is one search's per-generation phase timings.
 type PhaseRow struct {
-	Generations         int     `json:"generations"`
-	NsPerGen            float64 `json:"ns_per_gen"`
-	AskNsPerGen         float64 `json:"ask_ns_per_gen"`
-	FingerprintNsPerGen float64 `json:"fingerprint_ns_per_gen"`
-	BoundNsPerGen       float64 `json:"bound_ns_per_gen"`
-	SimulateNsPerGen    float64 `json:"simulate_ns_per_gen"`
-	TellNsPerGen        float64 `json:"tell_ns_per_gen"`
-	TellShare           float64 `json:"tell_share"` // tell's fraction of the generation
-	FPFull              uint64  `json:"fp_full"`    // genomes the cache fingerprinted
-	// Reasks counts the re-asks the runner settled, never fingerprinted:
-	// Asked − FPFull − (BoundPruned − VirtualPruned) − Invalid (the
-	// virtual-time stage settles genomes after their fingerprint).
+	Generations      int     `json:"generations"`
+	NsPerGen         float64 `json:"ns_per_gen"`
+	AskNsPerGen      float64 `json:"ask_ns_per_gen"`
+	BoundNsPerGen    float64 `json:"bound_ns_per_gen"`
+	SimulateNsPerGen float64 `json:"simulate_ns_per_gen"`
+	TellNsPerGen     float64 `json:"tell_ns_per_gen"`
+	TellShare        float64 `json:"tell_share"` // tell's fraction of the generation
+	// Reasks counts the re-asks the runner settled from the previous
+	// batch's exact fitness (CacheStats.Hits).
 	Reasks uint64 `json:"reasks"`
 }
 
@@ -263,31 +246,9 @@ func evalReport(benchtime string) (*Report, error) {
 	prob := ss.problem(groupSize, 51)
 	newMAGMA := func() m3e.Optimizer { return optmagma.New(optmagma.Config{}) }
 
-	// Phase breakdown: the shipped cached search, timed by the runner.
-	_, row := ss.run(prob, newMAGMA(), m3e.Options{Store: m3e.NewCacheStore(0)}, 6)
-	rep.PhaseBreakdown = PhaseBreakdown{Mapper: "MAGMA", GroupSize: groupSize, Budget: m3e.DefaultBudget, Rows: []PhaseRow{row}}
-
-	// Each optimizer's duplicate rate over one full cached search.
-	rep.CacheHitRateByMapper = map[string]float64{}
-	for _, m := range []struct {
-		name string
-		opt  m3e.Optimizer
-	}{
-		{"MAGMA", newMAGMA()},
-		{"stdGA", ga.New(ga.Config{})},
-		{"DE", de.New(de.Config{})},
-		{"CMA", cmaes.New(cmaes.Config{})},
-		{"TBPSA", tbpsa.New(tbpsa.Config{})},
-		{"PSO", pso.New(pso.Config{})},
-		{"Random", random.New(0)},
-	} {
-		res, _ := ss.run(prob, m.opt, m3e.Options{Store: m3e.NewCacheStore(0)}, 3)
-		rep.CacheHitRateByMapper[m.name] = res.Cache.HitRate()
-	}
-	rep.CacheHitRate = rep.CacheHitRateByMapper["MAGMA"]
-
 	// Analytical pruning against the unpruned reference; the searches
-	// must be bit-identical.
+	// must be bit-identical. The pruned run is the shipped search, so
+	// its row is also the phase breakdown.
 	off, offRow := ss.run(prob, unpruned{newMAGMA()}, m3e.Options{}, 6)
 	on, onRow := ss.run(prob, newMAGMA(), m3e.Options{}, 6)
 	if on.BestFitness != off.BestFitness || !reflect.DeepEqual(on.Curve, off.Curve) {
@@ -306,7 +267,7 @@ func evalReport(benchtime string) (*Report, error) {
 		BoundNsPerGen:        onRow.BoundNsPerGen,
 		PruneRateByGroupSize: map[string]float64{fmt.Sprint(groupSize): rep.BoundPruneRate},
 	}
-	rep.CachedSpeedup = onRow.NsPerGen / row.NsPerGen
+	rep.PhaseBreakdown = PhaseBreakdown{Mapper: "MAGMA", GroupSize: groupSize, Budget: m3e.DefaultBudget, Rows: []PhaseRow{onRow}}
 	for _, gs := range []int{16, 48} {
 		res, _ := ss.run(ss.problem(gs, 51), newMAGMA(), m3e.Options{}, 6)
 		rep.Bound.PruneRateByGroupSize[fmt.Sprint(gs)] = res.Cache.BoundPruneRate()
@@ -352,18 +313,16 @@ func (ss *searches) run(prob *m3e.Problem, opt m3e.Optimizer, o m3e.Options, see
 	}
 	ph := res.Phases
 	gens := float64(ph.Generations)
-	total := ph.AskNs + ph.FingerprintNs + ph.BoundNs + ph.SimulateNs + ph.TellNs
+	total := ph.AskNs + ph.BoundNs + ph.SimulateNs + ph.TellNs
 	row := PhaseRow{
-		Generations:         ph.Generations,
-		NsPerGen:            float64(total) / gens,
-		AskNsPerGen:         float64(ph.AskNs) / gens,
-		FingerprintNsPerGen: float64(ph.FingerprintNs) / gens,
-		BoundNsPerGen:       float64(ph.BoundNs) / gens,
-		SimulateNsPerGen:    float64(ph.SimulateNs) / gens,
-		TellNsPerGen:        float64(ph.TellNs) / gens,
-		TellShare:           float64(ph.TellNs) / float64(total),
-		FPFull:              res.Cache.FullFP,
-		Reasks:              uint64(res.Asked) - res.Cache.FullFP - (res.Cache.BoundPruned - res.Cache.VirtualPruned) - res.Cache.Invalid,
+		Generations:      ph.Generations,
+		NsPerGen:         float64(total) / gens,
+		AskNsPerGen:      float64(ph.AskNs) / gens,
+		BoundNsPerGen:    float64(ph.BoundNs) / gens,
+		SimulateNsPerGen: float64(ph.SimulateNs) / gens,
+		TellNsPerGen:     float64(ph.TellNs) / gens,
+		TellShare:        float64(ph.TellNs) / float64(total),
+		Reasks:           res.Cache.Hits,
 	}
 	return res, row
 }

@@ -94,12 +94,9 @@ func decode(t *testing.T, rep any) map[string]any {
 // kind, with every section present so no gate is skipped.
 func passing(t *testing.T) map[string]map[string]any {
 	eval := Report{
-		GOMAXPROCS:           4,
-		CacheHitRate:         0.1,
-		CacheHitRateByMapper: map[string]float64{"MAGMA": 0.1},
-		CachedSpeedup:        0.8,
-		KernelSpeedup:        2.3,
-		VirtualSpeedup:       3,
+		GOMAXPROCS:     4,
+		KernelSpeedup:  2.3,
+		VirtualSpeedup: 3,
 		PhaseBreakdown: PhaseBreakdown{Rows: []PhaseRow{
 			{Generations: 100, Reasks: 990},
 		}},

@@ -35,8 +35,8 @@ type ServeReport struct {
 	DistinctWLs    int     `json:"distinct_workloads"`
 	Seconds        float64 `json:"seconds"`
 	RequestsPerSec float64 `json:"requests_per_sec"`
-	// CrossRequestHitRate is the fraction of evaluations answered from
-	// an entry a *different* search inserted.
+	// CrossRequestHitRate is the fraction of evaluations answered by a
+	// *different* search: the genomes of every memo answer.
 	CrossRequestHitRate float64 `json:"cross_request_hit_rate"`
 	CacheHitRate        float64 `json:"cache_hit_rate"`
 	Searches            uint64  `json:"searches"`
@@ -272,7 +272,7 @@ func getJSON(client *http.Client, url string, v any) error {
 // serveMixSpecs is the repeated-workload request mix every serve-mode
 // run fires: three distinct workloads cycling through the stream, so
 // every request beyond the first three re-asks a problem the serving
-// engine already holds and repeats hit the cross-run cache.
+// engine already holds and repeats are answered from its memo.
 func serveMixSpecs() []string {
 	return []string{
 		`{"generate":{"task":"Mix","num_jobs":32,"group_size":16,"seed":11},"platform":"S2","options":{"budget_per_group":300,"seed":1}}`,

@@ -35,8 +35,7 @@ func main() {
 		budget     = flag.Int("budget", 10000, "sampling budget for search mappers")
 		objective  = flag.String("objective", "throughput", "throughput | latency | energy | edp")
 		seed       = flag.Int64("seed", 1, "random seed")
-		cache      = flag.Bool("cache", true, "schedule-fingerprint fitness cache (results are bit-identical on or off)")
-		cacheSize  = flag.Int("cachesize", 0, "fitness cache bound in entries (0 = default)")
+		cache      = flag.Bool("cache", true, "answer from and record in the memo of finished searches (results are bit-identical on or off)")
 		gantt      = flag.Bool("gantt", false, "render the found schedule")
 		compare    = flag.Bool("compare", false, "run every Table IV mapper and print a leaderboard")
 		listMap    = flag.Bool("mappers", false, "list mapper names and exit")
@@ -71,7 +70,7 @@ func main() {
 	}
 	opts := magma.Options{
 		Mapper: *mapper, Objective: obj, Budget: *budget, Seed: *seed,
-		Cache: *cache, CacheSize: *cacheSize,
+		Cache: *cache,
 	}
 
 	fmt.Printf("platform: %s\n", pf)
@@ -126,9 +125,9 @@ func main() {
 	fmt.Printf("throughput: %.1f GFLOP/s\n", sched.ThroughputGFLOPs)
 	fmt.Printf("makespan:   %.4g cycles\n", sched.MakespanCycles)
 	fmt.Printf("energy:     %.4g units\n", sched.EnergyUnits)
-	if st := sched.Cache; *cache && st.Hits+st.Deduped+st.Misses > 0 {
-		fmt.Printf("cache:      %.1f%% hit rate (%d hits, %d deduped, %d missed)\n",
-			100*st.HitRate(), st.Hits, st.Deduped, st.Misses)
+	if st := sched.Cache; st.Hits+st.Misses > 0 {
+		fmt.Printf("cache:      %.1f%% hit rate (%d hits, %d missed)\n",
+			100*st.HitRate(), st.Hits, st.Misses)
 	}
 	if st := sched.Cache; st.BoundChecked > 0 {
 		fmt.Printf("bound:      %.1f%% of missed candidates settled by a bound (%d of %d; %d of them in the virtual-time stage)\n",

@@ -43,7 +43,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	var (
 		addr        = fs.String("addr", ":8080", "listen address")
 		maxProblems = fs.Int("maxproblems", 0, "cached problems bound (0 = default 64)")
-		cacheSize   = fs.Int("cachesize", 0, "per-problem fitness store bound in entries (0 = default)")
 		warmLimit   = fs.Int("warmlimit", 0, "shared warm-store schedules per task (0 = default 8)")
 		jobTimeout  = fs.Duration("jobtimeout", 10*time.Minute, "per-search wall-clock cap for /optimize and /jobs; request timeout_ms can only shorten it (0 = no cap)")
 		maxJobs     = fs.Int("maxjobs", 0, "retained finished jobs bound (0 = default 256)")
@@ -64,7 +63,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 
 	solver := magma.NewSolver(magma.SolverOptions{
 		MaxProblems: *maxProblems,
-		CacheSize:   *cacheSize,
 		WarmLimit:   *warmLimit,
 	})
 	var snapPath string
@@ -194,7 +192,7 @@ func restoreSnapshot(logger *log.Logger, solver *magma.Solver, path string) {
 	switch err := solver.RestoreFile(path); {
 	case err == nil:
 		st := solver.Stats()
-		logger.Printf("restored %d problems (%d cache entries) from %s",
+		logger.Printf("restored %d problems (%d memo entries) from %s",
 			st.ProblemsRestored, st.EntriesRestored, path)
 	case os.IsNotExist(err):
 		logger.Printf("no snapshot at %s: cold start", path)

@@ -78,7 +78,6 @@ func start(t *testing.T, args ...string) (url string, logs *logBuffer, stop func
 func TestRunRejectsShardFlagsWithShards(t *testing.T) {
 	for _, flag := range [][]string{
 		{"-maxproblems", "8"},
-		{"-cachesize", "64"},
 		{"-warmlimit", "2"},
 		{"-jobtimeout", "1s"},
 		{"-maxjobs", "4"},

@@ -286,8 +286,6 @@ func TestOptionsValidate(t *testing.T) {
 	}{
 		{"negative budget", Options{Budget: -5}, []string{"Budget -5"}},
 		{"unknown objective", Options{Objective: Objective(9)}, []string{"Objective 9"}},
-		{"negative cachesize", Options{CacheSize: -2}, []string{"CacheSize -2"}},
-		{"cachesize without cache", Options{CacheSize: 64}, []string{"CacheSize set without Cache"}},
 		{"everything at once", Options{Mapper: "nope", Budget: -1, Objective: Objective(9)},
 			[]string{"nope", "Budget -1", "Objective 9"}},
 	}
@@ -308,7 +306,7 @@ func TestOptionsValidate(t *testing.T) {
 	if err := (Options{}).Validate(); err != nil {
 		t.Errorf("zero Options invalid: %v", err)
 	}
-	if err := (Options{Cache: true, CacheSize: 64}).Validate(); err != nil {
+	if err := (Options{Cache: true}).Validate(); err != nil {
 		t.Errorf("cache options invalid: %v", err)
 	}
 	if err := (StreamOptions{BudgetPerGroup: -3}).Validate(); err == nil {

@@ -11,9 +11,11 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	optmagma "magma/internal/opt/magma"
+	"magma/internal/persist"
 	"magma/internal/rng"
 	"magma/internal/sim"
 )
@@ -71,33 +73,40 @@ type digestFile struct {
 	Cells     map[string]string `json:"cells"`
 }
 
+// resultsLayout names persist.ResultsLayout among digestConstants.
+const resultsLayout = "persist.ResultsLayout"
+
 // digestConstants are the version constants a change that means to move
-// results bumps: the seed→stream layout, MAGMA's draw order and the
-// simulator's arithmetic.
+// results bumps: the seed→stream layout, MAGMA's draw order, the
+// simulator's arithmetic, and the results layout a snapshot's memo is
+// checked against, which moves with every one of them.
 func digestConstants() map[string]int {
 	return map[string]int{
 		"rng.Layout":          rng.Layout,
 		"optmagma.DrawLayout": optmagma.DrawLayout,
 		"sim.KernelVersion":   sim.KernelVersion,
+		resultsLayout:         persist.ResultsLayout,
 	}
 }
 
 // TestResultDigests pins the result of the pruned mappers (MAGMA and
 // stdGA) bit for bit on every objective, two group sizes and two
 // platforms, and of every other registered mapper on Throughput at J16
-// on S2@16. Each cell runs uncached, with a cache of its own (no
-// store), and on one Solver shared by every cell, so a cell reads the
-// entries that earlier cells of the same problem (the other mappers on
-// its group, platform and objective) wrote. A search cell then repeats
-// its Solver run, which its problem's memo of finished searches answers
-// without simulating. All runs of a cell must reproduce the one
+// on S2@16. Each cell runs uncached, cached on a private Solver, and
+// cached on one Solver shared by every cell. A search cell then repeats
+// its shared-Solver run, which its problem's memo of finished searches
+// answers without simulating. All runs of a cell must reproduce the one
 // committed digest.
 //
 // The file also records digestConstants. A constant that moved is a
-// declared break: the test fails until the file is regenerated. A digest
-// that moved while every constant holds is a break nobody declared, and
-// its failure says so. A change that means to move results bumps the
-// constant behind it, regenerates the file with
+// declared break: the test fails until the file is regenerated. Only
+// persist.ResultsLayout declares a moved digest, so any other constant
+// that moves without it fails too: a snapshot written before the break
+// would otherwise restore memo entries the new code no longer returns.
+// A digest that moved while ResultsLayout holds is a break nobody
+// declared, and its failure says so. A change that means to move
+// results bumps the constant behind it and ResultsLayout, regenerates
+// the file with
 //
 //	go test -run TestResultDigests -update .
 //
@@ -108,7 +117,7 @@ func TestResultDigests(t *testing.T) {
 		t.Skipf("result digests are defined on amd64; this is %s", runtime.GOARCH)
 	}
 	var want digestFile
-	undeclared := "no break was declared: the recorded rng.Layout, optmagma.DrawLayout and sim.KernelVersion equal the code's"
+	undeclared := "no break was declared: the recorded " + resultsLayout + " equals the code's"
 	if !*updateDigests {
 		raw, err := os.ReadFile(digestsPath)
 		if err != nil {
@@ -117,11 +126,18 @@ func TestResultDigests(t *testing.T) {
 		if err := json.Unmarshal(raw, &want); err != nil {
 			t.Fatalf("%s: %v", digestsPath, err)
 		}
+		var moved []string
 		for name, v := range digestConstants() {
 			if rec, ok := want.Constants[name]; !ok || rec != v {
 				t.Errorf("%s is %d, %s records %d: a declared break; regenerate the file with -update", name, v, digestsPath, rec)
-				undeclared = "a break was declared (see the constants above)"
+				moved = append(moved, name)
 			}
+		}
+		switch {
+		case slices.Contains(moved, resultsLayout):
+			undeclared = "a break was declared (see the constants above)"
+		case len(moved) > 0:
+			t.Errorf("%v moved but %s did not: bump it with any declared break", moved, resultsLayout)
 		}
 		if len(want.Constants) != len(digestConstants()) {
 			t.Errorf("%s records constants %v, want exactly %v", digestsPath, want.Constants, digestConstants())
@@ -131,12 +147,12 @@ func TestResultDigests(t *testing.T) {
 	solver := NewSolver(SolverOptions{})
 	runCell := func(g Group, pf Platform, setting, mapper string, obj Objective) {
 		cell := fmt.Sprintf("%s/%s/J%d/%s", mapper, obj, len(g.Jobs), setting)
-		for _, cache := range []string{"off", "own", "store", "repeat"} {
+		for _, cache := range []string{"off", "own", "shared", "repeat"} {
 			opts := Options{Mapper: mapper, Objective: obj, Budget: digestBudget, Seed: 7}
 			switch cache {
 			case "own":
 				opts.Cache = true
-			case "store", "repeat":
+			case "shared", "repeat":
 				opts.Cache, opts.Solver = true, solver
 			}
 			memoHits := solver.Stats().MemoHits

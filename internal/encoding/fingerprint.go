@@ -7,8 +7,7 @@ import "magma/internal/sim"
 // decode to the same mapping always produce the same fingerprint;
 // distinct mappings collide with probability ~2^-128, which at the
 // paper's 10K-sample budgets is negligible. Unlike Key it allocates
-// nothing and is directly usable as a map key, so it is the identity
-// the evaluation engine's fitness cache runs on.
+// nothing and is directly usable as a map key.
 //
 // Layout (v2): each core's queue is hashed independently into a
 // per-core lane pair (hashQueue), and the per-core hashes are
@@ -19,20 +18,12 @@ import "magma/internal/sim"
 //
 // Fingerprints are identities only comparable within one problem (same
 // group and platform): the hash covers the queue contents, not the
-// dimensions. The layout may change across versions, so any durable
-// artifact carrying fingerprints (internal/persist solver snapshots)
-// records FingerprintLayout in its header and is rejected on mismatch
-// rather than mixing incompatible hashes.
+// dimensions. No durable artifact carries them, so the layout may
+// change freely; TestFingerprintStable pins it so it moves only on
+// purpose.
 type Fingerprint struct {
 	A, B uint64
 }
-
-// FingerprintLayout is the fingerprint layout version number (v2:
-// per-core lane hashes folded in core order, PR 5). Bump it whenever
-// hashQueue or CombineCoreHashes changes so persisted fingerprints from
-// the old layout are rejected instead of silently missing (or worse,
-// colliding with) the new hashes.
-const FingerprintLayout = 2
 
 // The two lanes use distinct odd multipliers and offsets so a collision
 // in one lane is uncorrelated with the other: lane A is standard 64-bit
@@ -93,8 +84,7 @@ func FingerprintMapping(m sim.Mapping) Fingerprint {
 // FingerprintInto decodes the genome into the scratch mapping (exactly
 // like DecodeInto) and returns the schedule fingerprint. Steady-state it
 // performs zero heap allocations; the decoded mapping is left in scratch
-// so callers can reuse it (the fitness cache feeds it straight to the
-// simulator, making the fingerprint pass the *only* decode per genome).
+// so callers can reuse it.
 func (g Genome) FingerprintInto(nAccels int, scratch *sim.Mapping) Fingerprint {
 	DecodeInto(g, nAccels, scratch)
 	return FingerprintMapping(*scratch)

@@ -121,11 +121,10 @@ func TestQuickFingerprintIntoMatchesCores(t *testing.T) {
 	}
 }
 
-// TestFingerprintStable pins one golden schedule fingerprint. Solver
-// snapshots persist these hashes under FingerprintLayout, so the value
-// must not move without a deliberate layout bump (update the golden and
-// FingerprintLayout together). The genome occupies all four cores and
-// includes a priority tie (jobs 2 and 7 on core 1).
+// TestFingerprintStable pins one golden schedule fingerprint, so the
+// layout moves only deliberately (re-derive the golden with it). The
+// genome occupies all four cores and includes a priority tie (jobs 2
+// and 7 on core 1).
 func TestFingerprintStable(t *testing.T) {
 	g := Genome{
 		Accel: []int{0, 2, 1, 0, 2, 2, 3, 1},
@@ -135,11 +134,8 @@ func TestFingerprintStable(t *testing.T) {
 	got := g.FingerprintInto(4, &scratch)
 	want := Fingerprint{A: 0xb052428cc7a81423, B: 0x8e7e9cb8c941e78b}
 	if got != want {
-		t.Fatalf("golden fingerprint moved: got %#x/%#x, want %#x/%#x — only acceptable with a FingerprintLayout bump",
+		t.Fatalf("golden fingerprint moved: got %#x/%#x, want %#x/%#x — only acceptable with a deliberate layout change",
 			got.A, got.B, want.A, want.B)
-	}
-	if FingerprintLayout != 2 {
-		t.Fatalf("FingerprintLayout = %d: re-derive the golden fingerprint for the new layout", FingerprintLayout)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 //
 // The key is computable *without* building the table — that is the
 // point: a long-lived engine hashes an incoming request and reuses the
-// cached table (and, per objective, the cross-run fitness store keyed
+// cached table (and, per objective, the memo of finished searches keyed
 // on it) when the identity matches, skipping the profiling pass
 // entirely. It is stable across process runs: no pointers, no map
 // iteration order, no addresses — content only. Human-readable names

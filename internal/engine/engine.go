@@ -1,34 +1,31 @@
 // Package engine is the long-lived core behind the public magma.Solver:
 // the state worth keeping between searches, made concurrency-safe.
 //
-// A per-call facade rebuilds three things on every request and throws
-// them away: the job-analysis table (the §IV-E profiling pass — by far
-// the most expensive setup step), the evaluator/simulator pools with
-// their grown scratch, and the schedule-fingerprint fitness cache. A
-// server embedding the library, the OptimizeStream deployment loop and
-// the hyper-parameter tuner all repeat problems — the same platform,
-// often the same group content — so the engine keys all three by a
-// stable problem identity and shares them across runs:
+// A per-call facade rebuilds its state on every request and throws it
+// away. A server embedding the library, the OptimizeStream deployment
+// loop and the hyper-parameter tuner all repeat problems — the same
+// platform, often the same group content — so the engine keys that
+// state by a stable problem identity and shares it across runs:
 //
 //   - tables are cached by encoding.TableIdentity (content hash of the
 //     group's layers/batches and the platform configuration — stable
-//     across process runs, computable without building the table);
-//   - each (table identity × objective) problem owns one shared
-//     m3e.CacheStore, so a fitness computed for one request answers the
-//     same schedule in any later (or concurrent) request — results stay
-//     bit-identical to a cold run because fitness is a pure function of
-//     the decoded schedule;
+//     across process runs, computable without building the table), so
+//     a repeated problem skips the job-analysis profiling pass (§IV-E),
+//     by far the most expensive setup step;
 //   - evaluation pools are checked out per run and returned, keeping
-//     their grown simulator and fitness-cache scratch warm;
-//   - each problem keeps a small memo of finished searches (Recall,
-//     Remember), so an exact repeat of a search — same mapper, budget
-//     and seed — is answered without running it again.
+//     their grown simulator scratch warm;
+//   - each (table identity × objective) problem keeps a small memo of
+//     finished searches (Recall, Remember), so an exact repeat of a
+//     search — same mapper, budget and seed — is answered without
+//     running it again. The memo is the only reuse of results across
+//     requests, and the durable state a snapshot carries (Export,
+//     Restore). Every search that does run takes the one evaluation
+//     path of m3e.Run, so its result is bit-identical to a cold run.
 //
 // Memory is bounded: the problem map is FIFO-bounded (Config.
-// MaxProblems), every fitness store is capacity-bounded, and pool
-// free-lists and memos are capped. Eviction only drops the engine's
-// references — in-flight runs keep working on their handles, and a
-// problem's memo goes with its entry.
+// MaxProblems), and pool free-lists and memos are capped. Eviction only
+// drops the engine's references — in-flight runs keep working on their
+// handles, and a problem's memo goes with its entry.
 package engine
 
 import (
@@ -39,15 +36,15 @@ import (
 
 	"magma/internal/encoding"
 	"magma/internal/m3e"
+	"magma/internal/persist"
 	"magma/internal/platform"
 	"magma/internal/workload"
 )
 
 // DefaultMaxProblems bounds the cached problems when Config.MaxProblems
-// is zero. A problem entry is a table (shared across objectives) plus a
-// bounded fitness store and a few pools — tens of MB at the default
-// store size, so a small default keeps a busy multi-tenant server
-// predictable.
+// is zero. A problem entry is a table (shared across objectives), a few
+// pools and a memo of a few schedules, so a small default keeps a busy
+// multi-tenant server predictable.
 const DefaultMaxProblems = 64
 
 // maxPooled caps each problem's free-list of evaluation pools; beyond
@@ -66,9 +63,6 @@ type Config struct {
 	// objective) problems; 0 means DefaultMaxProblems. Oldest-created
 	// entries are evicted first.
 	MaxProblems int
-	// StoreSize bounds each problem's shared fingerprint→fitness store
-	// in entries; 0 means m3e.DefaultCacheSize.
-	StoreSize int
 }
 
 // Stats reports what the engine reused versus rebuilt. Counters only
@@ -87,24 +81,23 @@ type Stats struct {
 	// ProblemsEvicted counts FIFO evictions from the problem cache.
 	ProblemsEvicted uint64
 	// PoolsBuilt / PoolsReused count evaluation-pool constructions
-	// versus free-list checkouts. A reused pool keeps its evaluators'
-	// grown scratch and its fitness cache's batch scratch (the decoded
-	// mappings) warm across runs.
+	// versus free-list checkouts. A reused pool keeps its evaluator's
+	// grown scratch warm across runs.
 	PoolsBuilt  uint64
 	PoolsReused uint64
-	// Cache aggregates the per-run fitness-cache counters of every
-	// completed run; Cache.CrossHits is the shared-across-runs payoff
-	// (hits on entries a different run inserted). A memo hit counts
-	// every genome its remembered search asked as a cross-run hit.
+	// Cache aggregates the evaluation counters of every completed run
+	// and memo hit. Cache.CrossHits is the shared-across-runs payoff: a
+	// memo hit counts every genome its remembered search asked as a
+	// cross-run hit, and a run that searches counts none.
 	Cache m3e.CacheStats
 	// SnapshotsTaken counts successful warm-state snapshot
 	// serializations (Solver.Snapshot and the periodic snapshotter call
 	// NoteSnapshot after each durable write).
 	SnapshotsTaken uint64
 	// ProblemsRestored / EntriesRestored count what Restore loaded from
-	// a snapshot: problem stores handed to the engine and the fitness
-	// entries inside them. Restored stores answer requests from
-	// generation one — every hit on them counts in Cache.CrossHits.
+	// a snapshot: problems with a memo, and the memo entries inside
+	// them. A restored entry answers its first exact repeat as a memo
+	// hit, with every genome counted in Cache.CrossHits.
 	ProblemsRestored uint64
 	EntriesRestored  uint64
 	// MapperPanics counts runs failed by a panic recovered from a mapper
@@ -138,38 +131,24 @@ type tableState struct {
 	refs int // problem entries referencing this table (under Engine.mu)
 }
 
-// problemState is one cached problem with its shareable run state.
+// problemState is one cached problem with its shareable run state. A
+// problem Restore loaded has a memo but no Problem until the first
+// request with its identity builds one (once).
 type problemState struct {
 	tab *tableState
 	obj m3e.Objective
 
-	once  sync.Once
-	prob  *m3e.Problem
-	err   error
-	store *m3e.CacheStore
+	once sync.Once
+	prob *m3e.Problem
+	err  error
 
 	mu    sync.Mutex
-	pools []*m3e.Pool // free pools
-	memo  []memoEntry // finished searches, oldest first
+	pools []*m3e.Pool         // free pools
+	memo  []persist.MemoEntry // finished searches, oldest first
 }
 
-// MemoKey names one finished search on a problem: with the problem's
-// content and objective it fixes the result, because a search is a
-// pure function of (problem, mapper, budget, seed). Mapper is the
-// resolved registry name and Budget the resolved sampling budget.
-type MemoKey struct {
-	Mapper string
-	Budget int
-	Seed   int64
-}
-
-// memoEntry is one remembered search: the caller's frozen result and
-// the genomes its search asked.
-type memoEntry struct {
-	key   MemoKey
-	val   any
-	asked int
-}
+// MemoKey names one finished search on a problem (see persist.MemoKey).
+type MemoKey = persist.MemoKey
 
 // Engine is the concurrency-safe, long-lived solver core. The zero
 // value is not usable; call New.
@@ -181,13 +160,6 @@ type Engine struct {
 	problems map[problemKey]*problemState
 	order    []problemKey // FIFO eviction order of problems
 	stats    Stats
-	// restored holds snapshot-loaded fitness stores awaiting adoption:
-	// the engine cannot rebuild an analysis table from its content hash
-	// alone, so a restored store waits here until a request with the
-	// matching (table identity × objective) arrives and Problem adopts it
-	// as that entry's store. Pending stores are included in Export, so a
-	// restart before adoption does not lose them.
-	restored map[problemKey]*m3e.CacheStore
 }
 
 // New builds an engine.
@@ -199,7 +171,6 @@ func New(cfg Config) *Engine {
 		cfg:      cfg,
 		tables:   make(map[encoding.TableKey]*tableState),
 		problems: make(map[problemKey]*problemState),
-		restored: make(map[problemKey]*m3e.CacheStore),
 	}
 }
 
@@ -222,7 +193,9 @@ type ProblemHandle struct {
 
 // Problem resolves (group, platform, objective) to a cached problem,
 // building the analysis table only when the content identity is new.
-// Concurrent requests for the same identity share one build.
+// Concurrent requests for the same identity share one build. The first
+// request for a problem Restore loaded builds its table and keeps the
+// restored memo entries that fit the problem.
 func (e *Engine) Problem(g workload.Group, pf platform.Platform, obj m3e.Objective) (*ProblemHandle, error) {
 	// Validate on every acquisition, not just cold builds: TableIdentity
 	// deliberately excludes analyzer-invisible fields (job/core ID
@@ -239,37 +212,15 @@ func (e *Engine) Problem(g workload.Group, pf platform.Platform, obj m3e.Objecti
 
 	e.mu.Lock()
 	st, ok := e.problems[key]
-	tableReused := ok
 	if !ok {
-		ts, tok := e.tables[key.table]
-		tableReused = tok // a new objective can still reuse the table
-		if !tok {
-			ts = &tableState{}
-			e.tables[key.table] = ts
-		}
-		ts.refs++
-		store := m3e.NewCacheStore(e.cfg.StoreSize)
-		if rs, restored := e.restored[key]; restored {
-			// Adopt the snapshot-loaded store: this problem's first run
-			// starts with the previous process's memoized fitness entries.
-			store = rs
-			delete(e.restored, key)
-		}
-		st = &problemState{
-			tab:   ts,
-			obj:   obj,
-			store: store,
-		}
-		e.problems[key] = st
-		e.order = append(e.order, key)
-		for len(e.order) > e.cfg.MaxProblems {
-			e.evictOldestLocked()
-		}
+		st = e.addLocked(key)
 	}
 	e.mu.Unlock()
 
+	tableReused := true
 	st.once.Do(func() {
 		st.tab.once.Do(func() {
+			tableReused = false
 			st.tab.prob, st.tab.err = m3e.NewProblem(g, pf, obj)
 			e.mu.Lock()
 			e.stats.TablesBuilt++
@@ -284,6 +235,7 @@ func (e *Engine) Problem(g workload.Group, pf platform.Platform, obj m3e.Objecti
 		} else {
 			st.prob = m3e.ProblemFromTable(p.Table, obj)
 		}
+		st.keepFitting()
 	})
 	if st.err != nil {
 		// Drop the failed entry: caching errors would let a stream of
@@ -299,6 +251,37 @@ func (e *Engine) Problem(g workload.Group, pf platform.Platform, obj m3e.Objecti
 		e.mu.Unlock()
 	}
 	return &ProblemHandle{eng: e, st: st}, nil
+}
+
+// addLocked installs an empty problem entry for key, sharing the
+// table state of any other objective on the same table, and evicts the
+// oldest entries past MaxProblems. Caller holds e.mu.
+func (e *Engine) addLocked(key problemKey) *problemState {
+	ts, ok := e.tables[key.table]
+	if !ok {
+		ts = &tableState{}
+		e.tables[key.table] = ts
+	}
+	ts.refs++
+	st := &problemState{tab: ts, obj: key.obj}
+	e.problems[key] = st
+	e.order = append(e.order, key)
+	for len(e.order) > e.cfg.MaxProblems {
+		e.evictOldestLocked()
+	}
+	return st
+}
+
+// keepFitting drops the memo entries whose genome does not fit the
+// just-built problem: only a snapshot can hold such an entry, and
+// answering with it would decode a schedule of another shape.
+func (st *problemState) keepFitting() {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	nJobs, nAccels := st.prob.NumJobs(), st.prob.NumAccels()
+	st.memo = slices.DeleteFunc(st.memo, func(m persist.MemoEntry) bool {
+		return m.Genome.Validate(nJobs, nAccels) != nil
+	})
 }
 
 // dropFailed removes one specific problem entry (takes and releases
@@ -344,9 +327,6 @@ func (e *Engine) evictOldestLocked() {
 // search).
 func (h *ProblemHandle) Prob() *m3e.Problem { return h.st.prob }
 
-// Store returns the problem's shared cross-run fitness store.
-func (h *ProblemHandle) Store() *m3e.CacheStore { return h.st.store }
-
 // getPool checks a pool out of the free-list, or builds one.
 func (h *ProblemHandle) getPool() *m3e.Pool {
 	st := h.st
@@ -378,62 +358,60 @@ func (h *ProblemHandle) putPool(p *m3e.Pool) {
 }
 
 // Recall looks k up in the problem's memo of finished searches. On a
-// hit it returns the value Remember stored and the fitness-cache
-// counters the hit reports — every asked genome a cross-run hit — and
-// counts one search, one memo hit and those counters in the engine's
-// Stats. The value is shared: callers copy it and never mutate it.
-func (h *ProblemHandle) Recall(k MemoKey) (any, m3e.CacheStats, bool) {
+// hit it returns the entry Remember stored and the counters the hit
+// reports — every asked genome a cross-run hit — and counts one search,
+// one memo hit and those counters in the engine's Stats. The entry's
+// genome and curve are shared: callers copy them and never mutate them.
+func (h *ProblemHandle) Recall(k MemoKey) (persist.MemoEntry, m3e.CacheStats, bool) {
 	st := h.st
 	st.mu.Lock()
 	i := st.memoIndex(k)
-	var e memoEntry
+	var e persist.MemoEntry
 	if i >= 0 {
 		e = st.memo[i]
 	}
 	st.mu.Unlock()
 	if i < 0 {
-		return nil, m3e.CacheStats{}, false
+		return e, m3e.CacheStats{}, false
 	}
-	cache := m3e.CacheStats{Hits: uint64(e.asked), CrossHits: uint64(e.asked)}
+	cache := m3e.CacheStats{Hits: uint64(e.Asked), CrossHits: uint64(e.Asked)}
 	h.eng.mu.Lock()
 	h.eng.stats.Searches++
 	h.eng.stats.MemoHits++
 	h.eng.stats.Cache.Add(cache)
 	h.eng.mu.Unlock()
-	return e.val, cache, true
+	return e, cache, true
 }
 
 // memoIndex returns the position of k in the memo, or -1. Caller holds
 // st.mu.
 func (st *problemState) memoIndex(k MemoKey) int {
-	return slices.IndexFunc(st.memo, func(m memoEntry) bool { return m.key == k })
+	return slices.IndexFunc(st.memo, func(m persist.MemoEntry) bool { return m.Key == k })
 }
 
-// Remember stores the result of a finished, unaborted search under k,
-// dropping the problem's oldest entry past memoCap. v must not be
-// mutated afterwards. A key already remembered (two identical searches
-// that finished together) keeps its first value; both are equal.
-func (h *ProblemHandle) Remember(k MemoKey, v any, asked int) {
+// Remember stores the result of a finished, unaborted search under
+// e.Key, dropping the problem's oldest entry past memoCap. e's genome
+// and curve must not be mutated afterwards. A key already remembered
+// (two identical searches that finished together) keeps its first
+// entry; both are equal.
+func (h *ProblemHandle) Remember(e persist.MemoEntry) {
 	st := h.st
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.memoIndex(k) >= 0 {
+	if st.memoIndex(e.Key) >= 0 {
 		return
 	}
 	if len(st.memo) == memoCap {
 		copy(st.memo, st.memo[1:])
 		st.memo = st.memo[:memoCap-1]
 	}
-	st.memo = append(st.memo, memoEntry{key: k, val: v, asked: asked})
+	st.memo = append(st.memo, e)
 }
 
-// Run executes one search over the cached problem on a pooled evaluator
-// set. The run is cached when o.Store is set, which callers do by
-// passing the problem's shared cross-run store (Store). Results are
-// bit-identical to an uncached, un-pooled m3e.Run with the same options
-// and seed: pools and stores change wall-clock, never values. Safe for
-// concurrent use; each call leases its own pool, and the store is
-// concurrency-safe.
+// Run executes one search over the cached problem on a pooled evaluator.
+// Results are bit-identical to an un-pooled m3e.Run with the same
+// options and seed: pools change wall-clock, never values. Safe for
+// concurrent use; each call leases its own pool.
 func (h *ProblemHandle) Run(opt m3e.Optimizer, o m3e.Options, seed int64) (m3e.Result, error) {
 	return h.RunCtx(context.Background(), opt, o, seed)
 }

@@ -9,6 +9,7 @@ import (
 	"magma/internal/m3e"
 	"magma/internal/models"
 	optmagma "magma/internal/opt/magma"
+	"magma/internal/persist"
 	"magma/internal/platform"
 	"magma/internal/workload"
 )
@@ -59,8 +60,8 @@ func TestEngineTableReuse(t *testing.T) {
 	}
 }
 
-// TestEngineRunMatchesPlainRun: a pooled, store-backed engine run is
-// bit-identical to a plain m3e.Run, and repeats register cross-run hits.
+// TestEngineRunMatchesPlainRun: a pooled engine run is bit-identical
+// to a plain m3e.Run, and a repeat reuses the first run's pool.
 func TestEngineRunMatchesPlainRun(t *testing.T) {
 	g, pf := engGroup(t, 7), platform.S2()
 	prob, err := m3e.NewProblem(g, pf, m3e.Throughput)
@@ -78,16 +79,13 @@ func TestEngineRunMatchesPlainRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	for rep := 0; rep < 2; rep++ {
-		res, err := h.Run(optmagma.New(optmagma.Config{}), m3e.Options{Budget: 200, Store: h.Store()}, 3)
+		res, err := h.Run(optmagma.New(optmagma.Config{}), m3e.Options{Budget: 200}, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.BestFitness != cold.BestFitness || !reflect.DeepEqual(res.Best, cold.Best) ||
-			!reflect.DeepEqual(res.Curve, cold.Curve) {
+			!reflect.DeepEqual(res.Curve, cold.Curve) || res.Cache != cold.Cache {
 			t.Errorf("rep %d: engine run differs from plain run", rep)
-		}
-		if rep == 1 && res.Cache.CrossHits == 0 {
-			t.Error("repeat run reports no cross-run hits")
 		}
 	}
 	st := e.Stats()
@@ -98,8 +96,8 @@ func TestEngineRunMatchesPlainRun(t *testing.T) {
 		t.Errorf("pools built/reused = %d/%d, want 1/1 (sequential runs share one pool)",
 			st.PoolsBuilt, st.PoolsReused)
 	}
-	if st.Cache.CrossHits == 0 {
-		t.Error("engine stats aggregate no cross-run hits")
+	if want := cold.Cache; st.Cache.Misses != 2*want.Misses || st.Cache.CrossHits != 0 {
+		t.Errorf("engine stats aggregate %+v, want twice %+v and no cross-run hits", st.Cache, want)
 	}
 }
 
@@ -215,7 +213,7 @@ func TestEngineConcurrentAcquire(t *testing.T) {
 				return
 			}
 			results[c], errs[c] = h.Run(optmagma.New(optmagma.Config{}),
-				m3e.Options{Budget: 120, Store: h.Store()}, 4)
+				m3e.Options{Budget: 120}, 4)
 		}(c)
 	}
 	wg.Wait()
@@ -232,44 +230,6 @@ func TestEngineConcurrentAcquire(t *testing.T) {
 	}
 }
 
-// TestEngineCacheScratchReuse: sequential cached runs on one problem
-// lease the same evaluation pool, and with it the pool's fitness-cache
-// scratch, instead of rebuilding it, with results bit-identical to the
-// first run (the pool rebinds the scratch per run, so counters and
-// provenance never leak across runs).
-func TestEngineCacheScratchReuse(t *testing.T) {
-	e := engine.New(engine.Config{})
-	g, pf := engGroup(t, 5), platform.S2()
-	h, err := e.Problem(g, pf, m3e.Throughput)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := m3e.Options{Budget: 150, Store: h.Store()}
-	first, err := h.Run(optmagma.New(optmagma.Config{}), opts, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := h.Run(optmagma.New(optmagma.Config{}), opts, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := e.Stats()
-	if st.PoolsBuilt != 1 || st.PoolsReused != 1 {
-		t.Errorf("pools built/reused = %d/%d, want 1/1", st.PoolsBuilt, st.PoolsReused)
-	}
-	if first.BestFitness != second.BestFitness || !reflect.DeepEqual(first.Curve, second.Curve) {
-		t.Error("reused cache scratch changed results")
-	}
-	// The second run answers from the shared store (cross-run hits), but
-	// its run-local counters start fresh: hits cannot exceed samples.
-	if second.Cache.CrossHits == 0 {
-		t.Error("second run should hit entries the first run inserted")
-	}
-	if second.Cache.Hits+second.Cache.Deduped+second.Cache.Misses+second.Cache.Invalid != uint64(second.Samples) {
-		t.Errorf("rebound cache counters %+v don't add up to %d samples", second.Cache, second.Samples)
-	}
-}
-
 // TestEngineMemoCapAndEviction: a problem's memo keeps its 16 newest
 // finished searches, dropping the oldest first, and goes with its
 // problem entry when the FIFO evicts it.
@@ -283,15 +243,15 @@ func TestEngineMemoCapAndEviction(t *testing.T) {
 	key := func(seed int64) engine.MemoKey { return engine.MemoKey{Mapper: "MAGMA", Budget: 100, Seed: seed} }
 	const entries = 17
 	for seed := int64(0); seed < entries; seed++ {
-		h.Remember(key(seed), seed, 100)
+		h.Remember(persist.MemoEntry{Key: key(seed), Asked: 100, Fitness: float64(seed)})
 	}
 	if _, _, ok := h.Recall(key(0)); ok {
 		t.Error("the oldest of 17 entries survived a memo of 16")
 	}
 	for seed := int64(1); seed < entries; seed++ {
 		v, cache, ok := h.Recall(key(seed))
-		if !ok || v.(int64) != seed {
-			t.Fatalf("seed %d: recalled %v, %v; want %d", seed, v, ok, seed)
+		if !ok || v.Fitness != float64(seed) {
+			t.Fatalf("seed %d: recalled %+v, %v; want fitness %d", seed, v, ok, seed)
 		}
 		if want := (m3e.CacheStats{Hits: 100, CrossHits: 100}); cache != want {
 			t.Errorf("seed %d: hit counters %+v, want %+v", seed, cache, want)

@@ -1,91 +1,64 @@
 package engine
 
 import (
-	"sort"
-
 	"magma/internal/m3e"
 	"magma/internal/persist"
 )
 
-// Export captures every problem's durable warm state — its stable table
-// identity, objective and fingerprint→fitness entries in FIFO order —
-// as the problem section of a persist.Snapshot. Snapshot-loaded stores
-// still awaiting adoption (no matching request arrived yet) are
-// exported too, so a restart-before-use never loses restored state.
+// Export captures every problem's memo of finished searches — keyed by
+// its stable table identity and objective, problems oldest first — as
+// the problem section of a persist.Snapshot. Problems with an empty
+// memo carry nothing a restart could use and are left out. A problem
+// Restore loaded is exported like any other, whether or not a request
+// has built its table yet.
 //
-// The export is a consistent cut per store, not across stores: runs may
-// keep inserting while it is taken (each store is read-locked for its
-// own copy), which only means late entries land in the next snapshot.
-// Exported fitness is a pure function of the schedule, so whatever cut
-// is captured restores to bit-identical answers.
+// The export is a consistent cut per problem, not across problems:
+// searches may keep finishing while it is taken, which only means late
+// entries land in the next snapshot. Memo entries are never mutated
+// once remembered, so the cut shares them instead of copying.
 func (e *Engine) Export() []persist.Problem {
 	e.mu.Lock()
-	type cut struct {
-		key   problemKey
-		store *m3e.CacheStore
+	keys := append([]problemKey(nil), e.order...)
+	states := make([]*problemState, len(keys))
+	for i, key := range keys {
+		states[i] = e.problems[key]
 	}
-	cuts := make([]cut, 0, len(e.order)+len(e.restored))
-	for _, key := range e.order {
-		if st, ok := e.problems[key]; ok {
-			cuts = append(cuts, cut{key: key, store: st.store})
-		}
-	}
-	// The not-yet-adopted restored stores have no arrival order, so
-	// sort them by identity: the snapshot bytes must not depend on map
-	// iteration order (two exports of the same state stay identical).
-	adopted := len(cuts)
-	for key, store := range e.restored {
-		cuts = append(cuts, cut{key: key, store: store})
-	}
-	sort.Slice(cuts[adopted:], func(i, j int) bool {
-		a, b := cuts[adopted+i].key, cuts[adopted+j].key
-		if a.table != b.table {
-			if a.table.A != b.table.A {
-				return a.table.A < b.table.A
-			}
-			return a.table.B < b.table.B
-		}
-		return a.obj < b.obj
-	})
 	e.mu.Unlock()
 
-	// Copy the stores outside the engine lock: an export is O(entries)
-	// per store and must not stall Problem()/Stats() while it runs.
-	out := make([]persist.Problem, 0, len(cuts))
-	for _, c := range cuts {
-		out = append(out, persist.Problem{
-			Table:     c.key.table,
-			Objective: uint8(c.key.obj),
-			Entries:   c.store.Export(),
-		})
+	var out []persist.Problem
+	for i, st := range states {
+		st.mu.Lock()
+		memo := append([]persist.MemoEntry(nil), st.memo...)
+		st.mu.Unlock()
+		if len(memo) > 0 {
+			out = append(out, persist.Problem{Table: keys[i].table, Objective: uint8(keys[i].obj), Memo: memo})
+		}
 	}
 	return out
 }
 
-// Restore loads snapshot problems into the pending-adoption map: each
-// becomes a capacity-bounded CacheStore (entries replayed oldest-first,
-// so overflow evicts exactly as live FIFO would) waiting for the first
-// request with the matching table identity and objective. Restored
-// entries carry run id 0, so every hit on them counts as a cross-run
-// hit — a restarted server answering its repeat mix shows a nonzero
-// cross-request hit rate from generation one.
+// Restore installs each snapshot problem with a memo as a problem entry
+// whose analysis table is built by the first request with its table
+// identity and objective. Until then the entry only holds its memo, at
+// most the newest memoCap entries, and counts toward MaxProblems like
+// any other; Export carries it over to the next snapshot. A restored
+// entry answers its first exact repeat as a memo hit.
 //
 // Restore is meant for boot, before traffic, but is safe at any time;
-// a key that already has a live problem keeps the live store (the
-// snapshot's entries for it are dropped — the live store is newer).
+// a problem that is already live keeps its own memo (the snapshot's
+// entries for it are dropped — the live memo is newer).
 func (e *Engine) Restore(problems []persist.Problem) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	for _, p := range problems {
 		key := problemKey{table: p.Table, obj: m3e.Objective(p.Objective)}
-		store := m3e.NewCacheStore(e.cfg.StoreSize)
-		store.Import(p.Entries)
-
-		e.mu.Lock()
-		if _, live := e.problems[key]; !live {
-			e.restored[key] = store
-			e.stats.ProblemsRestored++
-			e.stats.EntriesRestored += uint64(store.Len())
+		if _, live := e.problems[key]; live || len(p.Memo) == 0 {
+			continue
 		}
-		e.mu.Unlock()
+		memo := p.Memo[max(0, len(p.Memo)-memoCap):]
+		e.addLocked(key).memo = append([]persist.MemoEntry(nil), memo...)
+		e.stats.ProblemsRestored++
+		e.stats.EntriesRestored += uint64(len(memo))
 	}
 }
 

@@ -40,18 +40,10 @@ type Config struct {
 }
 
 // runOpts returns the m3e runner options for one search at the given
-// budget, cached on store. Experiments that search the *same problem*
-// repeatedly — a mapper comparison, an operator ablation, a repetition
-// sweep — pass one store per problem, so later runs answer schedules
-// earlier runs evaluated; every other search gets a store of its own
-// (newStore). The fitness cache changes wall-clock only, never results
-// (fitness is a pure function of the decoded schedule).
-func (c Config) runOpts(budget int, store *m3e.CacheStore) m3e.Options {
-	return m3e.Options{Budget: budget, Store: store, Context: c.Context}
+// budget under the suite's context.
+func (c Config) runOpts(budget int) m3e.Options {
+	return m3e.Options{Budget: budget, Context: c.Context}
 }
-
-// newStore builds a fitness store for one problem's searches.
-func newStore() *m3e.CacheStore { return m3e.NewCacheStore(0) }
 
 // runSearch is m3e.Run with the suite's cancellation contract: an
 // aborted (Ctrl-C'd) search returns the context's error instead of a

@@ -88,7 +88,7 @@ func runFig14(c Config, w io.Writer) error {
 					if err != nil {
 						return 0, err
 					}
-					res, err := runSearch(prob, optmagma.New(optmagma.Config{}), c.runOpts(c.Budget, newStore()), c.Seed)
+					res, err := runSearch(prob, optmagma.New(optmagma.Config{}), c.runOpts(c.Budget), c.Seed)
 					if err != nil {
 						return 0, err
 					}
@@ -130,7 +130,7 @@ func runFig15(c Config, w io.Writer) error {
 		return err
 	}
 	// MAGMA schedule.
-	mres, err := runSearch(prob, optmagma.New(optmagma.Config{}), c.runOpts(c.Budget, newStore()), c.Seed)
+	mres, err := runSearch(prob, optmagma.New(optmagma.Config{}), c.runOpts(c.Budget), c.Seed)
 	if err != nil {
 		return err
 	}

@@ -58,15 +58,12 @@ func runFig16(c Config, w io.Writer) error {
 			t.Headers = append(t.Headers, fmt.Sprintf("@%d", int(f*float64(c.Budget))))
 		}
 		// Identical seeds across variants (same initial populations) so
-		// differences isolate the operators; averaged over repeats. One
-		// shared fitness store spans variants × repeats on this problem:
-		// same-seed variants re-walk largely overlapping schedule sets.
-		store := newStore()
+		// differences isolate the operators; averaged over repeats.
 		const repeats = 3
 		for _, v := range variants {
 			sum := make([]float64, len(checkFracs))
 			for rep := 0; rep < repeats; rep++ {
-				res, err := runSearch(prob, optmagma.New(v.cfg), c.runOpts(c.Budget, store), c.Seed+int64(rep))
+				res, err := runSearch(prob, optmagma.New(v.cfg), c.runOpts(c.Budget), c.Seed+int64(rep))
 				if err != nil {
 					return err
 				}
@@ -142,7 +139,7 @@ func runFig17(c Config, w io.Writer) error {
 			if err != nil {
 				return err
 			}
-			res, err := runSearch(prob, optmagma.New(optmagma.Config{}), c.runOpts(budgetPer, newStore()), c.Seed)
+			res, err := runSearch(prob, optmagma.New(optmagma.Config{}), c.runOpts(budgetPer), c.Seed)
 			if err != nil {
 				return err
 			}

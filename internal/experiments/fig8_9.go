@@ -29,11 +29,8 @@ func methodComparison(c Config, task models.Task, p platform.Platform, seedOffse
 		return nil, err
 	}
 	out := make(map[string]float64)
-	// All mappers search the identical problem: one shared fitness store
-	// lets every method after the first reuse evaluated schedules.
-	store := newStore()
 	for mi, m := range Methods(c) {
-		fit, _, err := RunMethod(prob, m, c.runOpts(c.Budget, store), c.Seed+int64(mi))
+		fit, _, err := RunMethod(prob, m, c.runOpts(c.Budget), c.Seed+int64(mi))
 		if err != nil {
 			return nil, err
 		}

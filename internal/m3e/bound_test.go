@@ -1,7 +1,6 @@
 package m3e_test
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -12,6 +11,7 @@ import (
 	"magma/internal/opt/cmaes"
 	"magma/internal/opt/ga"
 	optmagma "magma/internal/opt/magma"
+	"magma/internal/opt/random"
 	"magma/internal/platform"
 	"magma/internal/rng"
 	"magma/internal/sim"
@@ -34,27 +34,6 @@ func checkCounters(t *testing.T, label string, st m3e.CacheStats, asked int) {
 	}
 	if st.BoundPruned > st.BoundChecked {
 		t.Errorf("%s: BoundPruned %d exceeds BoundChecked %d", label, st.BoundPruned, st.BoundChecked)
-	}
-}
-
-// checkSettled asserts the one-route fingerprint contract on a cached
-// run: the retired incremental and clean-copy counters stay 0, and no
-// genome the pruning pass settled before the cache is fingerprinted, so
-// every asked genome is exactly one of fingerprinted, roofline-pruned,
-// invalid or a settled re-ask:
-// FullFP+(BoundPruned−VirtualPruned)+Invalid+reasks == asked. (The
-// virtual-time stage settles genomes after their fingerprint.)
-func checkSettled(t *testing.T, label string, st m3e.CacheStats, asked, reasks int) {
-	t.Helper()
-	if st.IncrementalFP != 0 || st.CleanFP != 0 {
-		t.Errorf("%s: retired fingerprint routes fired: IncrementalFP %d, CleanFP %d", label, st.IncrementalFP, st.CleanFP)
-	}
-	if st.VirtualPruned > st.BoundPruned {
-		t.Fatalf("%s: VirtualPruned %d exceeds BoundPruned %d", label, st.VirtualPruned, st.BoundPruned)
-	}
-	if got := st.FullFP + st.BoundPruned - st.VirtualPruned + st.Invalid + uint64(reasks); got != uint64(asked) {
-		t.Errorf("%s: FullFP %d + BoundPruned %d − VirtualPruned %d + Invalid %d + re-asks %d = %d, want %d asked",
-			label, st.FullFP, st.BoundPruned, st.VirtualPruned, st.Invalid, reasks, got, asked)
 	}
 }
 
@@ -84,11 +63,10 @@ func (c *reaskCounter) Tell(g []encoding.Genome, fit []float64) {
 }
 
 // TestRunBoundDeterminism is the analytical-pruning contract: for every
-// elitist mapper, with the cache off and on, Run returns bit-identical
-// Results — best genome, best fitness, convergence curve, samples — to
-// the unpruned reference, and
-// no pruned value ever enters the store. MAGMA's hits exceed what its
-// elites alone can earn, so its settled repeat children are exercised.
+// elitist mapper, Run returns bit-identical Results — best genome, best
+// fitness, convergence curve, samples — to the unpruned reference.
+// MAGMA's hits exceed what its elites alone can earn, so its settled
+// repeat children are exercised.
 func TestRunBoundDeterminism(t *testing.T) {
 	prob := parallelProblem(t)
 	const budget = 800
@@ -100,91 +78,50 @@ func TestRunBoundDeterminism(t *testing.T) {
 		{"stdGA", func() m3e.Optimizer { return ga.New(ga.Config{}) }},
 		{"CMA", func() m3e.Optimizer { return cmaes.New(cmaes.Config{}) }},
 	}
-	same := func(t *testing.T, label string, got, want m3e.Result) {
-		t.Helper()
-		if got.BestFitness != want.BestFitness {
-			t.Errorf("%s: BestFitness %v != unpruned %v", label, got.BestFitness, want.BestFitness)
-		}
-		if !reflect.DeepEqual(got.Best, want.Best) {
-			t.Errorf("%s: Best genome differs from unpruned", label)
-		}
-		if !reflect.DeepEqual(got.Curve, want.Curve) {
-			t.Errorf("%s: convergence curve differs from unpruned", label)
-		}
-		if got.Samples != want.Samples {
-			t.Errorf("%s: samples %d != %d", label, got.Samples, want.Samples)
-		}
-	}
 	for _, m := range mappers {
 		t.Run(m.name, func(t *testing.T) {
 			base, err := m3e.Run(prob, unpruned{m.mk()}, m3e.Options{Budget: budget}, 5)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if base.Cache != (m3e.CacheStats{}) {
-				t.Errorf("unpruned uncached reference reports counters %+v", base.Cache)
+			// The unpruned reference simulates every valid genome.
+			checkCounters(t, "unpruned", base.Cache, base.Asked)
+			if st := base.Cache; st.Hits != 0 || st.BoundChecked != 0 {
+				t.Errorf("unpruned reference reports settled genomes: %+v", st)
 			}
-			// The unpruned cached run stores the exact fitness of every
-			// schedule the search ever asks; a pruned run asks the same
-			// genomes, so its store must be a subset with equal values.
-			refStore := m3e.NewCacheStore(0)
-			if _, err := m3e.Run(prob, unpruned{m.mk()}, m3e.Options{Budget: budget, Store: refStore}, 5); err != nil {
+			opt := m.mk()
+			got, err := m3e.Run(prob, opt, m3e.Options{Budget: budget}, 5)
+			if err != nil {
 				t.Fatal(err)
 			}
-			exact := map[encoding.Fingerprint]float64{}
-			for _, e := range refStore.Export() {
-				exact[e.FP] = e.Fitness
+			if got.BestFitness != base.BestFitness {
+				t.Errorf("BestFitness %v != unpruned %v", got.BestFitness, base.BestFitness)
 			}
-			var prunedTotal uint64
-			for _, cache := range []bool{false, true} {
-				label := fmt.Sprintf("cache=%v", cache)
-				store := m3e.NewCacheStore(0)
-				o := m3e.Options{Budget: budget}
-				if cache {
-					o.Store = store
-				}
-				opt := m.mk()
-				got, err := m3e.Run(prob, opt, o, 5)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				same(t, label, got, base)
-				st := got.Cache
-				prunedTotal += st.BoundPruned
-				if m.name == "MAGMA" {
-					// Elites alone are settled at most nElite times per
-					// generation; more hits mean bred children that repeat
-					// a parent's schedule were settled too.
-					nElite := opt.(m3e.EliteSelector).EliteCount(prob.NumJobs())
-					if gens := got.Phases.Generations; st.Hits <= uint64(gens*nElite) {
-						t.Errorf("%s: %d hits over %d generations of %d elites: no repeated child was settled",
-							label, st.Hits, gens, nElite)
-					}
-				}
-				if m.name == "CMA" && !cache {
-					// Not a ReaskTracker: no pass runs, so no layer counts.
-					if st != (m3e.CacheStats{}) {
-						t.Errorf("%s: CMA is never pruned, yet reports counters %+v", label, st)
-					}
-				} else {
-					checkCounters(t, label, st, got.Asked)
-				}
-				if !cache {
-					continue
-				}
-				if got, want := store.Len(), int(st.Misses-st.BoundPruned); got != want {
-					t.Errorf("%s: store holds %d entries, want Misses−BoundPruned = %d", label, got, want)
-				}
-				for _, e := range store.Export() {
-					if want, ok := exact[e.FP]; !ok || e.Fitness != want {
-						t.Fatalf("%s: store entry %v = %v, want exact %v (a bound leaked into the store)",
-							label, e.FP, e.Fitness, want)
-					}
+			if !reflect.DeepEqual(got.Best, base.Best) {
+				t.Error("Best genome differs from unpruned")
+			}
+			if !reflect.DeepEqual(got.Curve, base.Curve) {
+				t.Error("convergence curve differs from unpruned")
+			}
+			if got.Samples != base.Samples {
+				t.Errorf("samples %d != %d", got.Samples, base.Samples)
+			}
+			st := got.Cache
+			checkCounters(t, "pruned", st, got.Asked)
+			if m.name == "MAGMA" {
+				// Elites alone are settled at most nElite times per
+				// generation; more hits mean bred children that repeat
+				// a parent's schedule were settled too.
+				nElite := opt.(m3e.EliteSelector).EliteCount(prob.NumJobs())
+				if gens := got.Phases.Generations; st.Hits <= uint64(gens*nElite) {
+					t.Errorf("%d hits over %d generations of %d elites: no repeated child was settled",
+						st.Hits, gens, nElite)
 				}
 			}
-			t.Logf("%s: %d pruned across runs", m.name, prunedTotal)
-			if m.name != "CMA" && prunedTotal == 0 {
-				t.Errorf("%s never pruned a candidate; the fast path is dead", m.name)
+			t.Logf("%s: %d pruned", m.name, st.BoundPruned)
+			if pruned := st.BoundPruned > 0; pruned != (m.name != "CMA") {
+				// CMA is not a ReaskTracker, so no pass runs on it.
+				t.Errorf("%s pruned %d candidates", m.name, st.BoundPruned)
 			}
 		})
 	}
@@ -223,13 +160,12 @@ func (s *scripted) Reasks() []int {
 	return reasks
 }
 
-// TestFitnessCacheBoundPrunedExcludedFromStore pins the store-side
-// invariant of pruning: a pruned genome's assigned bound never enters
-// the backing store, so the store only ever holds exact fitness —
-// Len() == Misses − BoundPruned, checked after every generation — and
-// a later unpruned evaluation of a pruned schedule misses the store and
-// gets the exact value.
-func TestFitnessCacheBoundPrunedExcludedFromStore(t *testing.T) {
+// TestRooflinePrunesPileUps pins the roofline stage on a scripted
+// batch: genomes that serialize every job on one core are settled with
+// a finite bound strictly above their exact fitness, and never
+// simulated, with the counter identities holding after every
+// generation.
+func TestRooflinePrunesPileUps(t *testing.T) {
 	// Ample bandwidth keeps the problem compute-dominated, so the
 	// serialized pile-up's bound (sum of all latencies on one core) is
 	// unambiguously below the floor set by spread schedules (max per-core
@@ -244,7 +180,7 @@ func TestFitnessCacheBoundPrunedExcludedFromStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(41))
-	// Batch 0: spread random genomes populate the store. Batch 1
+	// Batch 0: spread random genomes are simulated. Batch 1
 	// re-asks them verbatim (clean, forming the elite floor) and adds
 	// pile-ups that serialize every job on the slowest core, whose
 	// roofline bound cannot reach the floor.
@@ -262,15 +198,11 @@ func TestFitnessCacheBoundPrunedExcludedFromStore(t *testing.T) {
 	}
 	second := append(append([]encoding.Genome{}, good...), pile...)
 	opt := &scripted{batches: [][]encoding.Genome{good, second}, clean: len(good), k: 2}
-	store := m3e.NewCacheStore(0)
 	var observed int
 	res, err := m3e.Run(prob, opt, m3e.Options{
-		Budget: len(good) + len(second), Store: store,
+		Budget: len(good) + len(second),
 		Observer: func(p m3e.Progress) {
 			observed++
-			if got, want := store.Len(), int(p.Cache.Misses-p.Cache.BoundPruned); got != want {
-				t.Errorf("generation %d: store holds %d entries, want Misses−BoundPruned = %d", p.Generation, got, want)
-			}
 			checkCounters(t, "progress", p.Cache, p.Asked)
 		},
 	}, 1)
@@ -290,31 +222,23 @@ func TestFitnessCacheBoundPrunedExcludedFromStore(t *testing.T) {
 	if rate := st.BoundPruneRate(); rate <= 0 || rate > 1 {
 		t.Errorf("BoundPruneRate = %v, want in (0, 1]", rate)
 	}
-	// The re-asks are settled by the runner, never fingerprinted.
-	checkSettled(t, "result", st, res.Asked, len(good))
-
-	// A pruned schedule evaluated on the same store without pruning must
-	// miss and come back exact — the store never serves a bound.
-	refit := make([]float64, 1)
-	if got := m3e.CachedEval(m3e.NewPool(prob), prob, store)(pile[:1], refit).Misses; got != 1 {
-		t.Errorf("re-submitted pruned schedule missed %d times, want 1 (was its bound stored?)", got)
+	if st.Hits != uint64(len(good)) {
+		t.Errorf("%d hits, want the %d re-asks", st.Hits, len(good))
 	}
 	want, err := prob.Evaluate(pile[0])
 	if err != nil {
 		t.Fatal(err)
-	}
-	if refit[0] != want {
-		t.Errorf("re-evaluated pruned schedule scored %v, want exact %v", refit[0], want)
 	}
 	if assigned := opt.told[len(good)]; assigned == want || assigned < want || math.IsInf(assigned, 0) {
 		t.Errorf("assigned bound %v vs exact %v: want a finite bound strictly above the exact fitness, or the test is vacuous", assigned, want)
 	}
 }
 
-// TestRunPruneCountersUncached pins the uncached meaning of the
-// counters: Hits are the clean elite re-asks answered from the previous
-// batch, Misses every other valid genome, Deduped and the fingerprint
-// counters zero — and the identities hold at every generation.
+// TestRunPruneCountersUncached pins the meaning of the counters on a
+// pruned run: Hits are the clean elite re-asks answered from the
+// previous batch, Misses every other valid genome, Deduped, CrossHits
+// and the fingerprint counters zero — and the identities hold at every
+// generation.
 func TestRunPruneCountersUncached(t *testing.T) {
 	prob := parallelProblem(t)
 	res, err := m3e.Run(prob, optmagma.New(optmagma.Config{}), m3e.Options{
@@ -330,7 +254,7 @@ func TestRunPruneCountersUncached(t *testing.T) {
 		t.Errorf("MAGMA uncached: %+v, want clean re-asks answered and genomes pruned", st)
 	}
 	if st.Deduped != 0 || st.FullFP+st.IncrementalFP+st.CleanFP != 0 || st.CrossHits != 0 {
-		t.Errorf("uncached run reports cache-only counters: %+v", st)
+		t.Errorf("run reports counters only a memo answer or the retired store kept: %+v", st)
 	}
 }
 
@@ -373,5 +297,58 @@ func TestBoundFitnessNeverBeatsSimulation(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRunCacheDeterminism pins Run's counters on the one evaluation
+// path: a run consumes its whole budget and its counters account for
+// every sample, pruned mapper or not. For a pruned mapper the hits are
+// exactly the re-asks it named; an unpruned one simulates every valid
+// genome. No run reports a cross-run hit, a dedup or a fingerprint.
+// That the results are identical with Solver.Cache on or off is
+// TestResultDigests'.
+func TestRunCacheDeterminism(t *testing.T) {
+	prob := parallelProblem(t)
+	const budget = 200
+	mappers := []struct {
+		name string
+		mk   func() m3e.Optimizer
+	}{
+		{"MAGMA", func() m3e.Optimizer { return optmagma.New(optmagma.Config{}) }},
+		{"stdGA", func() m3e.Optimizer { return ga.New(ga.Config{}) }},
+		{"CMA", func() m3e.Optimizer { return cmaes.New(cmaes.Config{}) }},
+		{"Random", func() m3e.Optimizer { return random.New(32) }},
+	}
+	for _, m := range mappers {
+		t.Run(m.name, func(t *testing.T) {
+			opt := m.mk()
+			var counter *reaskCounter
+			if p, ok := opt.(prunable); ok {
+				counter = &reaskCounter{prunable: p}
+				opt = counter
+			}
+			got, err := m3e.Run(prob, opt, m3e.Options{Budget: budget}, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Samples != budget {
+				t.Errorf("samples %d != %d", got.Samples, budget)
+			}
+			st := got.Cache
+			checkCounters(t, m.name, st, got.Asked)
+			if st.CrossHits+st.Deduped+st.FullFP+st.IncrementalFP+st.CleanFP != 0 {
+				t.Errorf("counters %+v: a run reports no cross-run hit, dedup or fingerprint", st)
+			}
+			reasks := 0
+			if counter != nil {
+				if counter.reasks == 0 {
+					t.Errorf("%s re-asks its elites every generation; counted none", m.name)
+				}
+				reasks = counter.reasks
+			}
+			if st.Hits != uint64(reasks) {
+				t.Errorf("%d hits, want the %d re-asks the mapper named", st.Hits, reasks)
+			}
+		})
 	}
 }

@@ -149,9 +149,9 @@ func (e *Evaluator) Evaluate(g encoding.Genome) (float64, error) {
 }
 
 // EvaluateMapping scores an already-decoded mapping without re-decoding
-// or re-validating a genome. The pruning pass and the fitness cache use
-// it to simulate each genome straight from the mapping they decoded, so
-// a simulated genome still pays for exactly one decode.
+// or re-validating a genome. The pruning pass uses it to simulate each
+// genome straight from the mapping it decoded, so a simulated genome
+// still pays for exactly one decode.
 func (e *Evaluator) EvaluateMapping(m *sim.Mapping) (float64, error) {
 	if err := fault.Hit(fault.M3ESimulate); err != nil {
 		return 0, err
@@ -261,20 +261,18 @@ type Result struct {
 // the previous generation, so the phases tile the run's loop: their sum
 // never exceeds the run's wall time. Ask is candidate generation (with
 // the generation-boundary checks), Bound the runner's pruning pass (see
-// BoundNs), Fingerprint the cache's validate+decode+hash pass plus its
-// dedup scan (zero when the cache is off), Simulate the evaluation of
-// the batch (or of the deduped representatives) with the bracket check,
-// and Tell the runner's best-so-far bookkeeping, the optimizer's
-// selection and breeding, and the Observer call.
+// BoundNs), Simulate the evaluation of the batch with the bracket
+// check, and Tell the runner's best-so-far bookkeeping, the optimizer's
+// selection and breeding, and the Observer call. FingerprintNs always
+// reads 0; it stays for wire and benchmark compatibility.
 type PhaseTimings struct {
 	AskNs         int64 `json:"ask_ns"`
 	FingerprintNs int64 `json:"fingerprint_ns"`
 	// BoundNs is the runner's pruning pass (optimizers it prunes only):
 	// validation, the genome roofline bounds, and the virtual-time loop
 	// that settles or walks the survivors, with the decode of each one it
-	// walks (uncached; with the cache the decode is in FingerprintNs).
-	// When that loop does not run (no floor, or a bandwidth-free table),
-	// the survivors are decoded in SimulateNs.
+	// walks. When that loop does not run (no floor, or a bandwidth-free
+	// table), the survivors are decoded in SimulateNs.
 	BoundNs    int64 `json:"bound_ns"`
 	SimulateNs int64 `json:"simulate_ns"`
 	TellNs     int64 `json:"tell_ns"`
@@ -305,7 +303,7 @@ type Progress struct {
 	Budget int
 	// BestFitness is the best fitness found so far.
 	BestFitness float64
-	// Cache holds the fitness-cache and pruning counters so far.
+	// Cache holds the evaluation and pruning counters so far.
 	Cache CacheStats
 }
 
@@ -313,23 +311,10 @@ type Progress struct {
 type Options struct {
 	Budget        int  // sampling budget (default 10000, §VI-B)
 	RecordSamples bool // keep every sampled vector (Fig. 10 PCA)
-	// Store, when non-nil, makes the run cached: each Ask batch is
-	// deduplicated by decoded-schedule fingerprint, and genomes whose
-	// schedule is in the store are answered from it instead of the
-	// simulator. Results stay bit-identical to an uncached run —
-	// evaluation is pure, so a stored fitness equals a recomputed one —
-	// and Result.Cache reports the hit/miss counters. The store must be
-	// dedicated to this problem's identity (same group content, platform
-	// and objective) and may be shared across sequential or concurrent
-	// runs: entries inserted by one run answer lookups of another
-	// (Result.Cache.CrossHits counts these). A run of its own gets a
-	// fresh NewCacheStore(0).
-	Store *CacheStore
 	// Pool optionally supplies a prebuilt evaluation pool bound to this
 	// problem. A pool's evaluator keeps its grown scratch across runs, so
 	// a long-lived engine reuses pools instead of re-growing simulator
-	// buffers per request; the pool also keeps the fitness cache's batch
-	// scratch for its cached runs. A Pool serves one run at a time.
+	// buffers per request. A Pool serves one run at a time.
 	Pool *Pool
 	// Context, when non-nil, makes the run cancellable: the loop checks
 	// it once per generation (between Tell and the next Ask), so a
@@ -348,28 +333,37 @@ type Options struct {
 }
 
 // Pool is the evaluation scratch one search runs on: an Evaluator
-// (simulator + decode scratch) and the fitness cache's batch scratch.
-// A search runs on its caller's goroutine, so a Pool serves one run at a
-// time; a long-lived engine leases pools so that their grown buffers
-// outlive the run. Fitness is written by batch index; invalid genomes
-// score -Inf, mirroring constraint-violating samples.
+// (simulator + decode scratch). A search runs on its caller's
+// goroutine, so a Pool serves one run at a time; a long-lived engine
+// leases pools so that their grown buffers outlive the run. Fitness is
+// written by batch index; invalid genomes score -Inf, mirroring
+// constraint-violating samples.
 type Pool struct {
-	ev    *Evaluator
-	cache *fitnessCache // built by the pool's first cached run (see cacheFor)
+	ev *Evaluator
 }
 
 // NewPool builds a pool for the problem.
 func NewPool(p *Problem) *Pool { return &Pool{ev: p.NewEvaluator()} }
 
-// Evaluate scores batch[i] into fit[i] for every i.
-func (pl *Pool) Evaluate(batch []encoding.Genome, fit []float64) {
+// Evaluate scores batch[i] into fit[i] for every i and returns how many
+// genomes it simulated and how many failed validation.
+func (pl *Pool) Evaluate(batch []encoding.Genome, fit []float64) (simulated, invalid int) {
+	p := pl.ev.p
 	for i, g := range batch {
-		f, err := pl.ev.Evaluate(g)
+		if g.Validate(p.NumJobs(), p.NumAccels()) != nil {
+			fit[i] = math.Inf(-1)
+			invalid++
+			continue
+		}
+		encoding.DecodeInto(g, p.NumAccels(), &pl.ev.m)
+		f, err := pl.ev.EvaluateMapping(&pl.ev.m)
 		if err != nil {
 			f = math.Inf(-1)
 		}
 		fit[i] = f
+		simulated++
 	}
+	return simulated, invalid
 }
 
 // simulate scores the decoded schedule of batch index idx[k], which
@@ -395,16 +389,11 @@ const DefaultBudget = 10000
 // function of the genome, fitness lands at its batch index, and the
 // best/curve bookkeeping below replays the batch strictly in Ask order.
 //
-// A run handed an Options.Store additionally routes batches through the
-// schedule-fingerprint fitness cache: cached and deduplicated fitness
-// values are the ones the evaluator would have recomputed, so cache
-// on/off is bit-identical.
-//
 // For optimizers that implement both EliteSelector and ReaskTracker a
 // pruning pass runs ahead of evaluation (see pruner): elite re-asks
-// reuse the previous batch's exact fitness, with or without the
-// cache; genomes whose roofline fitness bound already misses the elite
-// floor get the bound instead of being decoded and simulated; and the
+// reuse the previous batch's exact fitness; genomes whose roofline
+// fitness bound already misses the elite floor get the bound instead of
+// being decoded and simulated; and the
 // survivors that a best-first virtual-time loop proves below the floor
 // it raises as it goes get their proven top instead of being
 // simulated. That too is
@@ -430,36 +419,23 @@ func Run(p *Problem, opt Optimizer, o Options, seed int64) (Result, error) {
 	if pool == nil {
 		pool = NewPool(p)
 	}
-	var cache *fitnessCache
 	res := Result{Method: opt.Name(), BestFitness: math.Inf(-1)}
 	res.Curve = make([]float64, 0, o.Budget)
-	if o.Store != nil {
-		cache = pool.cacheFor(p, o.Store)
-		cache.phases = &res.Phases
-		// Drop the per-run hook on every exit path (including error
-		// returns): a leased pool may sit on the engine's free-list
-		// indefinitely, and its cache would otherwise pin the finished
-		// run's Result (curve, samples) in memory.
-		defer func() { cache.phases = nil }()
-	}
 	var pn *pruner
 	es, isES := opt.(EliteSelector)
 	rt, isRT := opt.(ReaskTracker)
 	if isES && isRT {
 		// The bound constants are memoized on the pool's simulator, so a
 		// leased pool carries them warm across runs.
-		pn = newPruner(p, pool.ev.sim.Bounds(p.Table), es, rt, cache != nil)
+		pn = newPruner(p, pool.ev.sim.Bounds(p.Table), es, rt)
 		pn.narrow = o.narrow
 	}
-	stats := func() CacheStats {
-		var st CacheStats
-		if cache != nil {
-			st = cache.stats
-		}
-		if pn != nil {
-			st.Add(pn.stats)
-		}
-		return st
+	// st is the run's counters: the pruning pass keeps them for the
+	// optimizers it prunes, Run for every other.
+	var plain CacheStats
+	st := &plain
+	if pn != nil {
+		st = &pn.stats
 	}
 	var fit []float64 // reused across batches
 	generation := 0
@@ -506,29 +482,21 @@ func Run(p *Problem, opt Optimizer, o Options, seed int64) (Result, error) {
 		}
 		fit = fit[:len(batch)]
 		if err := guard(opt.Name(), "Evaluate", func() error {
-			var pre []uint8 // slot states from the pruning pass, nil without one
-			if pn != nil {
-				pre = pn.prune(pool, batch, fit, res.BestFitness)
-				lap(&res.Phases.BoundNs)
+			if pn == nil {
+				simulated, invalid := pool.Evaluate(batch, fit)
+				st.Misses += uint64(simulated)
+				st.Invalid += uint64(invalid)
+				lap(&res.Phases.SimulateNs)
+				return nil
 			}
-			switch {
-			case cache != nil:
-				// The cache adds its fingerprint and bound time to
-				// res.Phases itself and returns the instant it began
-				// simulating.
-				now = cache.evaluate(pool, batch, fit, pre, pn, now)
-			case pn != nil:
-				pn.simulate(pool, batch, fit)
-			default:
-				pool.Evaluate(batch, fit)
-			}
+			pn.prune(pool, batch, fit, res.BestFitness)
+			lap(&res.Phases.BoundNs)
+			pn.simulate(pool, batch, fit)
 			lap(&res.Phases.SimulateNs)
-			if pn != nil {
-				if err := pn.check(fit); err != nil {
-					return fmt.Errorf("m3e: generation %d: %w", generation+1, err)
-				}
-				pn.commit(fit)
+			if err := pn.check(fit); err != nil {
+				return fmt.Errorf("m3e: generation %d: %w", generation+1, err)
 			}
+			pn.commit(fit)
 			return nil
 		}); err != nil {
 			return res, err
@@ -560,13 +528,13 @@ func Run(p *Problem, opt Optimizer, o Options, seed int64) (Result, error) {
 				Asked:       res.Asked,
 				Budget:      o.Budget,
 				BestFitness: res.BestFitness,
-				Cache:       stats(),
+				Cache:       *st,
 			}
 			o.Observer(pr)
 		}
 		lap(&res.Phases.TellNs)
 	}
-	res.Cache = stats()
+	res.Cache = *st
 	return res, nil
 }
 

@@ -198,3 +198,13 @@ func TestObjectiveStrings(t *testing.T) {
 		}
 	}
 }
+
+func TestCacheStatsAddIncludesCrossHits(t *testing.T) {
+	a := CacheStats{Hits: 2, CrossHits: 1, Deduped: 3, Misses: 4, Invalid: 5}
+	b := CacheStats{Hits: 10, CrossHits: 10, Deduped: 10, Misses: 10, Invalid: 10}
+	b.Add(a)
+	want := CacheStats{Hits: 12, CrossHits: 11, Deduped: 13, Misses: 14, Invalid: 15}
+	if b != want {
+		t.Errorf("Add = %+v, want %+v", b, want)
+	}
+}

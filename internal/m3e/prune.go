@@ -31,51 +31,45 @@ const (
 //     roofline fitness bound falls below it gets that bound, undecoded.
 //  2. Virtual time (settle). One loop visits the survivors in
 //     descending roofline bound against a running floor: the k-th best
-//     of the re-ask values, the exact store hits and the lower ends of
-//     the brackets finished so far, capped at the best so far. A
-//     survivor whose roofline bound is already below it gets the bound;
-//     any other is walked in virtual time (sim.Bounds.VirtualCut), and
-//     the walk stops once its optimistic fitness falls below the floor,
-//     which settles the survivor on that partial top. A walk that
-//     finishes brackets the fitness, and its lower end joins the floor.
-//     After the loop every bracket whose top falls below the final
-//     floor is settled on that top.
+//     of the re-ask values and the lower ends of the brackets finished
+//     so far, capped at the best so far. A survivor whose roofline
+//     bound is already below it gets the bound; any other is walked in
+//     virtual time (sim.Bounds.VirtualCut), and the walk stops once its
+//     optimistic fitness falls below the floor, which settles the
+//     survivor on that partial top. A walk that finishes brackets the
+//     fitness, and its lower end joins the floor. After the loop every
+//     bracket whose top falls below the final floor is settled on that
+//     top.
 //
 // Every value that sets a floor ends as an exact told value at or above
-// it: a re-ask or store hit is exact, and a genome whose lower end
-// reaches the final floor has its top there too, so it is simulated,
-// and its exact fitness is checked to lie inside its bracket (check). A
-// settled genome's true fitness never exceeds its value, which is below
+// it: a re-ask is exact, and a genome whose lower end reaches the final
+// floor has its top there too, so it is simulated, and its exact
+// fitness is checked to lie inside its bracket (check). A settled
+// genome's true fitness never exceeds its value, which is below
 // a running floor that never exceeds the final one, so it can reach
 // neither the top k nor the best so far: selection and the convergence
 // curve are bit-identical to the unpruned run. A value below the
 // running floor could not have raised it, so the final floor is the one
 // pricing every survivor in full would reach. A settled value is not a
-// fitness, so it is never reused as a parent's exact value and never
-// enters a CacheStore.
+// fitness, so it is never reused as a parent's exact value.
 //
 // The second stage runs only when the first set a floor and the table
-// has a virtual-time makespan (no bandwidth-free entry). Without a
-// cache the loop decodes each survivor it walks into the walking
-// evaluator's scratch mapping and keeps only the schedules still above
-// the floor when their walk ends; with one, the cache fingerprints and
-// looks up the survivors first and hands settle one representative of
-// each schedule the store does not hold.
+// has a virtual-time makespan (no bandwidth-free entry). The loop
+// decodes each survivor it walks into the walking evaluator's scratch
+// mapping and keeps only the schedules still above the floor when their
+// walk ends.
 type pruner struct {
 	p      *Problem
 	bounds *sim.Bounds
 	es     EliteSelector
 	rt     ReaskTracker
-	cached bool // a fitnessCache evaluates the open slots and counts their Misses itself
 	flops  float64
 
 	// narrow, when set, replaces every finished bracket (tests only: it
 	// feeds the bracket check a deliberately wrong bracket).
 	narrow func(lo, hi float64) (float64, float64)
 
-	// stats holds the counts the cache does not keep: Invalid, the
-	// re-ask Hits, pruned Misses and the bound counters, plus every Miss
-	// when uncached.
+	// stats holds the run's counters (see CacheStats).
 	stats CacheStats
 
 	state  []uint8        // batch index -> slot state
@@ -83,8 +77,8 @@ type pruner struct {
 	bound  []float64      // batch index -> roofline fitness bound of a survivor
 	lo, hi []float64      // batch index -> virtual-time fitness bracket, NaN where unpriced
 	order  []int          // settle's candidates, best-first
-	open   []int          // batch indices left for the simulator (uncached)
-	maps   []sim.Mapping  // maps[k] is the decoded schedule of open[k] (uncached, virtual stage)
+	open   []int          // batch indices left for the simulator
+	maps   []sim.Mapping  // maps[k] is the decoded schedule of open[k] (virtual stage)
 
 	elite   []float64 // min-heap of the k best values offered for the floor
 	prevFit []float64 // previous batch's fitness, NaN where it was not exact
@@ -97,15 +91,14 @@ type pruner struct {
 }
 
 // newPruner builds the pass for problem p over the bound constants b.
-func newPruner(p *Problem, b *sim.Bounds, es EliteSelector, rt ReaskTracker, cached bool) *pruner {
-	return &pruner{p: p, bounds: b, es: es, rt: rt, cached: cached, flops: float64(p.Group.TotalFLOPs())}
+func newPruner(p *Problem, b *sim.Bounds, es EliteSelector, rt ReaskTracker) *pruner {
+	return &pruner{p: p, bounds: b, es: es, rt: rt, flops: float64(p.Group.TotalFLOPs())}
 }
 
 // prune runs the pass over batch, writing the fitness of every genome
-// it settles into fit, and returns the slot states. best is the run's
-// best fitness before this batch. Uncached, the genomes left open are
-// those in pr.open, for simulate.
-func (pr *pruner) prune(pool *Pool, batch []encoding.Genome, fit []float64, best float64) []uint8 {
+// it settles into fit. best is the run's best fitness before this
+// batch. The genomes left open are those in pr.open, for simulate.
+func (pr *pruner) prune(pool *Pool, batch []encoding.Genome, fit []float64, best float64) {
 	n := len(batch)
 	pr.grow(n)
 	nJobs, nAccels := pr.p.NumJobs(), pr.p.NumAccels()
@@ -127,7 +120,7 @@ func (pr *pruner) prune(pool *Pool, batch []encoding.Genome, fit []float64, best
 			}
 			pr.state[i] = slotReask
 			fit[i] = pr.prevFit[p]
-			pr.offer(fit[i], 1)
+			pr.offer(fit[i])
 		}
 	}
 	// The roofline floor depends only on the re-asks, so it is known
@@ -178,26 +171,23 @@ func (pr *pruner) prune(pool *Pool, batch []encoding.Genome, fit []float64, best
 			if priced {
 				pr.stats.BoundChecked++
 			}
-			if !pr.cached {
-				pr.stats.Misses++
-				pr.open = append(pr.open, i)
-			}
+			pr.stats.Misses++
+			pr.open = append(pr.open, i)
 		}
 	}
-	if pr.cached || !pr.virtual {
-		return pr.state
+	if !pr.virtual {
+		return
 	}
-	pr.stats.VirtualPriced += uint64(pr.settle(pool.ev, batch, fit, pr.open, nil, nil, nil))
+	pr.stats.VirtualPriced += uint64(pr.settle(pool.ev, batch, fit))
 	for _, i := range pr.order {
 		if pr.state[i] == slotFiltered {
 			pr.stats.BoundPruned++
 			pr.stats.VirtualPruned++
 		}
 	}
-	return pr.state
 }
 
-// simulate scores the genomes prune left open (uncached): from the
+// simulate scores the genomes prune left open: from the
 // schedules the virtual-time stage kept, or decoded afresh into the
 // evaluator's scratch when the stage did not run.
 func (pr *pruner) simulate(pool *Pool, batch []encoding.Genome, fit []float64) {
@@ -212,25 +202,15 @@ func (pr *pruner) simulate(pool *Pool, batch []encoding.Genome, fit []float64) {
 	})
 }
 
-// settle is the virtual-time stage, for both the uncached pass and the
-// fitness cache, run on ev. cands are the batch indices left to
-// settle, none priced yet, each standing for weight[i] batch slots (1
-// each when weight is nil: the cache's in-batch duplicates share their
-// representative's bracket); exact are the batch indices whose fit holds
-// an exact value the re-asks did not supply (store hits). The floor the
-// loop ends at stays in pr.elite (floor) for the caller.
-//
-// maps holds the candidates' decoded schedules by batch index (the
-// cache decoded them); when it is nil settle decodes each walked genome
-// from batch into ev's scratch mapping, and a walk that finishes with
-// its top at or above the floor swaps that mapping into pr.maps, so at
-// the end pr.maps[k] is the schedule of pr.open[k], the candidates left
-// open, in the order visited. settle returns the number of walks.
-func (pr *pruner) settle(ev *Evaluator, batch []encoding.Genome, fit []float64, cands, weight, exact []int, maps []sim.Mapping) (walks int) {
-	for _, i := range exact {
-		pr.offer(fit[i], 1)
-	}
-	pr.order = append(pr.order[:0], cands...)
+// settle is the virtual-time stage, run on ev over the batch indices
+// in pr.open, none priced yet. It decodes each walked genome from batch
+// into ev's scratch mapping, and a walk that finishes with its top at
+// or above the floor swaps that mapping into pr.maps, so at the end
+// pr.maps[k] is the schedule of pr.open[k], the candidates left open,
+// in the order visited. The floor the loop ends at stays in pr.elite
+// (floor). settle returns the number of walks.
+func (pr *pruner) settle(ev *Evaluator, batch []encoding.Genome, fit []float64) (walks int) {
+	pr.order = append(pr.order[:0], pr.open...)
 	slices.SortFunc(pr.order, func(a, b int) int {
 		if c := cmp.Compare(pr.bound[b], pr.bound[a]); c != 0 {
 			return c
@@ -245,48 +225,36 @@ func (pr *pruner) settle(ev *Evaluator, batch []encoding.Genome, fit []float64, 
 			pr.state[i], fit[i] = slotFiltered, pr.bound[i]
 			continue
 		}
-		m := &ev.m
-		if maps != nil {
-			m = &maps[i]
-		} else {
-			encoding.DecodeInto(batch[i], nAccels, m)
-		}
+		encoding.DecodeInto(batch[i], nAccels, &ev.m)
 		walks++
-		lo, hi := pr.walk(ev, m, pr.roof[i], floor)
+		lo, hi := pr.walk(ev, &ev.m, pr.roof[i], floor)
 		if hi < floor {
 			pr.state[i], fit[i] = slotFiltered, hi
 			continue
 		}
 		pr.lo[i], pr.hi[i] = lo, hi
-		w := 1
-		if weight != nil {
-			w = weight[i]
-		}
-		pr.offer(lo, w)
+		pr.offer(lo)
 		floor = pr.floor()
-		if k := len(pr.open); maps == nil {
-			if k == len(pr.maps) {
-				pr.maps = append(pr.maps, sim.Mapping{})
-			}
-			pr.maps[k], ev.m = ev.m, pr.maps[k]
-			pr.open = append(pr.open, i)
+		k := len(pr.open)
+		if k == len(pr.maps) {
+			pr.maps = append(pr.maps, sim.Mapping{})
 		}
+		pr.maps[k], ev.m = ev.m, pr.maps[k]
+		pr.open = append(pr.open, i)
 	}
 	for _, i := range pr.order {
 		if pr.state[i] == slotOpen && pr.hi[i] < floor {
 			pr.state[i], fit[i] = slotFiltered, pr.hi[i]
 		}
 	}
-	if maps == nil {
-		open := pr.open[:0]
-		for k, i := range pr.open {
-			if pr.state[i] == slotOpen {
-				pr.maps[len(open)], pr.maps[k] = pr.maps[k], pr.maps[len(open)]
-				open = append(open, i)
-			}
+	open := pr.open[:0]
+	for k, i := range pr.open {
+		if pr.state[i] == slotOpen {
+			pr.maps[len(open)], pr.maps[k] = pr.maps[k], pr.maps[len(open)]
+			open = append(open, i)
 		}
-		pr.open = open
 	}
+	pr.open = open
 	return walks
 }
 
@@ -346,46 +314,44 @@ func (pr *pruner) cutSpan(floor float64, r sim.Roofline) float64 {
 	return math.Inf(1)
 }
 
-// offer adds value v, w times, to the values the floor is the k-th best
-// of, keeping only the k best in a min-heap.
-func (pr *pruner) offer(v float64, w int) {
+// offer adds value v to the values the floor is the k-th best of,
+// keeping only the k best in a min-heap.
+func (pr *pruner) offer(v float64) {
 	if pr.k <= 0 || math.IsInf(v, -1) {
 		return
 	}
 	h := pr.elite
-	for ; w > 0; w-- {
-		if len(h) < pr.k {
-			h = append(h, v)
-			for c := len(h) - 1; c > 0; {
-				p := (c - 1) / 2
-				if !(h[c] < h[p]) {
-					break
-				}
-				h[c], h[p] = h[p], h[c]
-				c = p
-			}
-			continue
-		}
-		if !(v > h[0]) {
-			break
-		}
-		h[0] = v
-		for p := 0; ; {
-			c := 2*p + 1
-			if c >= len(h) {
-				break
-			}
-			if c+1 < len(h) && h[c+1] < h[c] {
-				c++
-			}
+	if len(h) < pr.k {
+		h = append(h, v)
+		for c := len(h) - 1; c > 0; {
+			p := (c - 1) / 2
 			if !(h[c] < h[p]) {
 				break
 			}
 			h[c], h[p] = h[p], h[c]
-			p = c
+			c = p
 		}
+		pr.elite = h
+		return
 	}
-	pr.elite = h
+	if !(v > h[0]) {
+		return
+	}
+	h[0] = v
+	for p := 0; ; {
+		c := 2*p + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1] < h[c] {
+			c++
+		}
+		if !(h[c] < h[p]) {
+			break
+		}
+		h[c], h[p] = h[p], h[c]
+		p = c
+	}
 }
 
 // floor returns the k-th best of the values offered capped at the best

@@ -2,9 +2,7 @@ package m3e
 
 import (
 	"math"
-	"slices"
 	"testing"
-	"time"
 
 	"magma/internal/encoding"
 	"magma/internal/models"
@@ -55,10 +53,11 @@ func TestPruneScoresInvalidGenomes(t *testing.T) {
 		if priced {
 			sel.reasks = []int{0, 1}
 		}
-		pr := newPruner(prob, pool.ev.sim.Bounds(prob.Table), sel, sel, false)
+		pr := newPruner(prob, pool.ev.sim.Bounds(prob.Table), sel, sel)
 		pr.prevFit = []float64{2, 1}
 		fit := make([]float64, len(batch))
-		state := pr.prune(pool, batch, fit, 2)
+		pr.prune(pool, batch, fit, 2)
+		state := pr.state
 		var invalid uint64
 		for i, g := range batch {
 			want := g.Validate(n, prob.NumAccels()) != nil
@@ -78,64 +77,6 @@ func TestPruneScoresInvalidGenomes(t *testing.T) {
 		if priced && pr.stats.BoundChecked == 0 {
 			t.Errorf("priced batch checked no bound")
 		}
-	}
-}
-
-// TestCachedDuplicatesShareSettlement: behind the cache the
-// virtual-time stage walks one representative per in-batch duplicate
-// class, and every copy must end in its representative's state — a
-// copy of a settled genome left open would be committed as an exact
-// parent value. The batch holds two re-asks at the median exact
-// fitness, so the stage settles some classes and leaves others open.
-func TestCachedDuplicatesShareSettlement(t *testing.T) {
-	const n, pairs = 16, 30
-	prob := testProblem(t, models.Mix, n, platform.S2().WithBW(16), Throughput)
-	pool := NewPool(prob)
-	st := rng.New(6)
-	batch := make([]encoding.Genome, 2, 2+2*pairs)
-	var exact []float64
-	for i := 0; i < pairs; i++ {
-		g := encoding.Random(n, prob.NumAccels(), st)
-		f, err := prob.Evaluate(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exact = append(exact, f)
-		batch = append(batch, g, g.Clone())
-	}
-	batch[0], batch[1] = batch[2], batch[4]
-	slices.Sort(exact)
-	median := exact[pairs/2]
-	sel := fixedSelection{k: 2, reasks: []int{0, 1}}
-	pr := newPruner(prob, pool.ev.sim.Bounds(prob.Table), sel, sel, true)
-	pr.prevFit = []float64{median, median}
-	cache := pool.cacheFor(prob, NewCacheStore(0))
-	fit := make([]float64, len(batch))
-	state := pr.prune(pool, batch, fit, math.Inf(1))
-	cache.evaluate(pool, batch, fit, state, pr, time.Time{})
-	pr.commit(fit)
-	var settled, open int
-	for i := 2; i < len(batch); i += 2 {
-		if pr.state[i] != pr.state[i+1] || math.Float64bits(fit[i]) != math.Float64bits(fit[i+1]) {
-			t.Fatalf("genomes %d and %d share a schedule but ended in states %d and %d, fitness %v and %v",
-				i, i+1, pr.state[i], pr.state[i+1], fit[i], fit[i+1])
-		}
-		exactCopy := !math.IsNaN(pr.prevFit[i+1])
-		switch pr.state[i] {
-		case slotFiltered:
-			settled++
-			if exactCopy {
-				t.Errorf("genome %d: the copy of a settled genome was committed as exact parent value %v", i+1, pr.prevFit[i+1])
-			}
-		case slotOpen:
-			open++
-			if !exactCopy {
-				t.Errorf("genome %d: the copy of a simulated genome lost its exact value", i+1)
-			}
-		}
-	}
-	if settled == 0 || open == 0 {
-		t.Fatalf("the stage settled %d classes and left %d open; the batch must exercise both", settled, open)
 	}
 }
 
@@ -159,7 +100,7 @@ func BenchmarkPrune(b *testing.B) {
 			sel.reasks[i] = i
 		}
 	}
-	pr := newPruner(prob, pool.ev.sim.Bounds(prob.Table), sel, sel, false)
+	pr := newPruner(prob, pool.ev.sim.Bounds(prob.Table), sel, sel)
 	pr.prevFit = make([]float64, n)
 	for i := range pr.prevFit {
 		pr.prevFit[i] = float64(i)

@@ -7,7 +7,6 @@ import (
 	"math"
 	"reflect"
 	"testing"
-	"time"
 
 	"magma/internal/encoding"
 	"magma/internal/fault"
@@ -185,52 +184,5 @@ func TestFaultInjectedAskPanicAtGeneration(t *testing.T) {
 	}
 	if res.Phases.Generations != 2 {
 		t.Errorf("completed %d generations before the injected panic, want 2", res.Phases.Generations)
-	}
-}
-
-// TestPanicUnderStoreLockReleasesIt panics while the fitness cache holds
-// its store's lock, once in the lookup scan (read lock) and once in the
-// insert (write lock). The run must fail with a MapperPanicError and
-// leave the store unlocked, so a second run on the same store completes
-// instead of blocking in beginRun.
-func TestPanicUnderStoreLockReleasesIt(t *testing.T) {
-	prob := testProblem(t, models.Vision, 12, platform.S1(), Throughput)
-	for _, tc := range []struct {
-		name    string
-		corrupt func(store *CacheStore, o *Options)
-	}{
-		// Assigning to the nil dedup map panics inside the lookup scan.
-		{"lookup", func(store *CacheStore, o *Options) {
-			o.Pool = NewPool(prob)
-			o.Pool.cacheFor(prob, store).inBatch = nil
-		}},
-		// Reading a nil map is fine, so the scan passes and inserting
-		// the first simulated fitness panics.
-		{"insert", func(store *CacheStore, _ *Options) { store.entries = nil }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			store := NewCacheStore(0)
-			o := Options{Budget: 20, Store: store}
-			tc.corrupt(store, &o)
-			_, err := Run(prob, &stubOpt{batch: 5}, o, 1)
-			var mpe *MapperPanicError
-			if !errors.As(err, &mpe) || mpe.Op != "Evaluate" {
-				t.Fatalf("panic under the store lock surfaced as %v, want an Evaluate *MapperPanicError", err)
-			}
-			store.entries = map[encoding.Fingerprint]storeEntry{}
-			done := make(chan error, 1)
-			go func() {
-				_, err := Run(prob, &stubOpt{batch: 5}, Options{Budget: 20, Store: store}, 1)
-				done <- err
-			}()
-			select {
-			case err := <-done:
-				if err != nil {
-					t.Fatalf("second run on the store: %v", err)
-				}
-			case <-time.After(10 * time.Second):
-				t.Fatal("second run on the store blocked: the panicking run left it locked")
-			}
-		})
 	}
 }

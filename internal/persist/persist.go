@@ -1,20 +1,18 @@
 // Package persist is the durable snapshot format behind the crash-safe
 // Solver: a versioned, checksummed binary serialization of the warm
-// state a long-lived engine accumulates — per-problem fingerprint→
-// fitness entries keyed by encoding.TableKey, and the warm-start seed
-// genomes — so a restarted server answers the repeat mix with a nonzero
-// cross-request hit rate from generation one.
+// state a long-lived engine accumulates — each problem's memo of
+// finished searches, keyed by encoding.TableKey and objective, and the
+// warm-start seed genomes — so a restarted server answers its first
+// exact repeat from the memo instead of searching again.
 //
 // The format is deliberately conservative about what it trusts:
 //
 //   - the header carries the format version, the RNG layout version,
-//     the fingerprint layout version and the simulator kernel version.
-//     A snapshot written under an older layout is *rejected*
-//     (VersionError), never reinterpreted: a fingerprint hashed under a
-//     different layout would silently miss — or worse, collide with —
-//     current hashes, and a fitness memo computed by a different
-//     simulator kernel differs in low-order bits from a recomputed one,
-//     breaking the restored-equals-recomputed invariant;
+//     the simulator kernel version and the results layout version
+//     (ResultsLayout). A snapshot written under any other version is
+//     *rejected* (VersionError), never reinterpreted: a memo entry is a
+//     search's result, and a build whose searches return different
+//     results must not answer with the old ones;
 //   - the body ends in an FNV-64a checksum over everything before it.
 //     Torn or truncated files (a crash mid-write, a corrupted disk)
 //     fail the checksum or hit unexpected EOF and are rejected, so a
@@ -23,10 +21,11 @@
 //     crash during snapshotting leaves the previous snapshot intact —
 //     the destination path never holds a half-written file.
 //
-// Only pure-function memo state is persisted. Fitness is a pure
-// function of the decoded schedule, so restored entries are
-// bit-identical to recomputed ones; nothing about in-flight runs, pools
-// or scratch is (or needs to be) saved.
+// Only results that are a pure function of their key are persisted: a
+// search is a pure function of its problem, mapper, budget and seed,
+// so a restored memo entry is bit-identical to the search it stands
+// for. Nothing about in-flight runs, pools or scratch is (or needs to
+// be) saved.
 package persist
 
 import (
@@ -47,10 +46,18 @@ import (
 
 // FormatVersion is the snapshot container version. Bump on any change
 // to the byte layout below. Version 2 added the simulator kernel
-// version to the header when kernel v2 changed the numeric behaviour
-// of fitness — v1 snapshots are rejected whole at the format check,
-// exactly like the RNG layout v2 break before it.
-const FormatVersion = 2
+// version to the header; version 3 replaced each problem's fitness
+// entries with its memo of finished searches and the fingerprint
+// layout with ResultsLayout. Older files are rejected whole at the
+// format check.
+const FormatVersion = 3
+
+// ResultsLayout versions the results every built-in mapper returns for
+// a given problem, mapper, budget and seed. Bump it with any change
+// that moves one (TestResultDigests fails a declared break that leaves
+// it in place), so a snapshot's memo never answers for code whose
+// searches now return something else.
+const ResultsLayout = 1
 
 // magic identifies a solver snapshot file.
 var magic = [8]byte{'M', 'A', 'G', 'M', 'A', 'S', 'N', 'P'}
@@ -64,7 +71,10 @@ var magic = [8]byte{'M', 'A', 'G', 'M', 'A', 'S', 'N', 'P'}
 const (
 	preallocCap      = 1 << 12
 	maxProblems      = 1 << 20
-	maxEntries       = 1 << 26
+	maxMemoEntries   = 1 << 16
+	maxNameLen       = 1 << 8
+	maxSamples       = 1 << 31
+	maxCurveRuns     = 1 << 26
 	maxWarmTasks     = 1 << 16
 	maxSeedsPerTask  = 1 << 16
 	maxGenesPerSeed  = 1 << 20
@@ -80,7 +90,7 @@ var ErrCorrupt = errors.New("persist: corrupt snapshot")
 // or layout version. It is a rejection, not corruption: the file is
 // intact but its contents cannot be safely interpreted.
 type VersionError struct {
-	Field     string // "format" | "rng layout" | "fingerprint layout" | "sim kernel"
+	Field     string // "format" | "rng layout" | "sim kernel" | "results layout"
 	Got, Want uint32
 }
 
@@ -89,21 +99,51 @@ func (e *VersionError) Error() string {
 		e.Field, e.Got, e.Want)
 }
 
-// Entry is one memoized fitness: a schedule fingerprint and its score.
-type Entry struct {
-	FP      encoding.Fingerprint
-	Fitness float64
+// MemoKey names one finished search on a problem: with the problem's
+// content and objective it fixes the result, because a search is a
+// pure function of (problem, mapper, budget, seed). Mapper is the
+// resolved registry name and Budget the resolved sampling budget.
+type MemoKey struct {
+	Mapper string
+	Budget int
+	Seed   int64
 }
 
-// Problem is one problem's durable cache state: the stable content
-// identity it is keyed by (recomputable from any future request with
-// the same group/platform content) and its fingerprint→fitness entries
-// in FIFO insertion order, oldest first — so a bounded store restored
-// from them reproduces the original eviction order.
+// CurveRun is N consecutive best-so-far curve samples of value V. A
+// best-so-far curve steps only when the search improves, so a curve of
+// thousands of samples keeps a few dozen runs.
+type CurveRun struct {
+	V float64
+	N int
+}
+
+// MemoEntry is one finished search as a problem's memo keeps it: the
+// schedule's genome and evaluation without its decoded mapping (the
+// genome decodes to it again), and the convergence curve run-length
+// encoded. Method is the name the mapper reported (the Schedule's
+// Mapper), Asked the genomes the search asked.
+type MemoEntry struct {
+	Key    MemoKey
+	Method string
+	Asked  int
+
+	ThroughputGFLOPs float64
+	MakespanCycles   float64
+	EnergyUnits      float64
+	Fitness          float64
+
+	Genome encoding.Genome
+	Curve  []CurveRun
+}
+
+// Problem is one problem's durable memo: the stable content identity
+// it is keyed by (recomputable from any future request with the same
+// group/platform content), its objective, and its finished searches,
+// oldest first.
 type Problem struct {
 	Table     encoding.TableKey
 	Objective uint8
-	Entries   []Entry
+	Memo      []MemoEntry
 }
 
 // WarmTask is one task type's warm-start seeds, oldest first.
@@ -155,6 +195,27 @@ func (x *hashWriter) u64(v uint64) {
 		x.buf[i] = byte(v >> (8 * i))
 	}
 	x.bytes(x.buf[:8])
+}
+
+func (x *hashWriter) str(v string) {
+	x.u32(uint32(len(v)))
+	x.bytes([]byte(v))
+}
+
+// genome writes the gene count, the accelerator genes and the priority
+// genes.
+func (x *hashWriter) genome(g encoding.Genome) error {
+	if len(g.Accel) != len(g.Prio) {
+		return fmt.Errorf("persist: genome with %d accel but %d prio genes", len(g.Accel), len(g.Prio))
+	}
+	x.u32(uint32(len(g.Accel)))
+	for _, a := range g.Accel {
+		x.u32(uint32(a))
+	}
+	for _, p := range g.Prio {
+		x.u64(math.Float64bits(p))
+	}
+	return nil
 }
 
 // sumThenWrite appends the checksum itself (not hashed).
@@ -213,6 +274,71 @@ func (x *hashReader) u64() (uint64, error) {
 	return v, nil
 }
 
+// count reads a u32 count, rejecting one above limit.
+func (x *hashReader) count(what string, limit uint32) (uint32, error) {
+	n, err := x.u32()
+	if err != nil {
+		return 0, err
+	}
+	if n > limit {
+		return 0, fmt.Errorf("%w: %d %s", ErrCorrupt, n, what)
+	}
+	return n, nil
+}
+
+// samples reads a u64 sample count, rejecting one above maxSamples.
+func (x *hashReader) samples(what string) (int, error) {
+	n, err := x.u64()
+	if err != nil {
+		return 0, err
+	}
+	if n > maxSamples {
+		return 0, fmt.Errorf("%w: %s of %d samples", ErrCorrupt, what, n)
+	}
+	return int(n), nil
+}
+
+func (x *hashReader) str() (string, error) {
+	n, err := x.count("name bytes", maxNameLen)
+	if err != nil {
+		return "", err
+	}
+	b := make([]byte, 0, n)
+	for range n {
+		c, err := x.bytes(1)
+		if err != nil {
+			return "", err
+		}
+		b = append(b, c[0])
+	}
+	return string(b), nil
+}
+
+// genome reads what hashWriter.genome wrote.
+func (x *hashReader) genome() (encoding.Genome, error) {
+	nGenes, err := x.count("genes", maxGenesPerSeed)
+	if err != nil {
+		return encoding.Genome{}, err
+	}
+	n := min(nGenes, preallocCap)
+	g := encoding.Genome{Accel: make([]int, 0, n), Prio: make([]float64, 0, n)}
+	for range nGenes {
+		a, err := x.u32()
+		if err != nil {
+			return encoding.Genome{}, err
+		}
+		g.Accel = append(g.Accel, int(a))
+	}
+	for range nGenes {
+		bits, err := x.u64()
+		if err != nil {
+			return encoding.Genome{}, err
+		}
+		g.Prio = append(g.Prio, math.Float64frombits(bits))
+	}
+	return g, nil
+}
+
 // checksum reads the trailing (unhashed) checksum, which must end the
 // input: bytes after it are covered by no checksum, so a snapshot
 // followed by anything is rejected.
@@ -249,19 +375,32 @@ func Write(w io.Writer, s *Snapshot) error {
 	x.bytes(magic[:])
 	x.u32(FormatVersion)
 	x.u32(rng.Layout)
-	x.u32(encoding.FingerprintLayout)
 	x.u32(sim.KernelVersion)
+	x.u32(ResultsLayout)
 
 	x.u32(uint32(len(s.Problems)))
 	for _, p := range s.Problems {
 		x.u64(p.Table.A)
 		x.u64(p.Table.B)
 		x.u32(uint32(p.Objective))
-		x.u32(uint32(len(p.Entries)))
-		for _, e := range p.Entries {
-			x.u64(e.FP.A)
-			x.u64(e.FP.B)
-			x.u64(math.Float64bits(e.Fitness))
+		x.u32(uint32(len(p.Memo)))
+		for _, e := range p.Memo {
+			x.str(e.Key.Mapper)
+			x.u64(uint64(e.Key.Budget))
+			x.u64(uint64(e.Key.Seed))
+			x.str(e.Method)
+			x.u64(uint64(e.Asked))
+			for _, v := range []float64{e.ThroughputGFLOPs, e.MakespanCycles, e.EnergyUnits, e.Fitness} {
+				x.u64(math.Float64bits(v))
+			}
+			if err := x.genome(e.Genome); err != nil {
+				return err
+			}
+			x.u32(uint32(len(e.Curve)))
+			for _, r := range e.Curve {
+				x.u64(math.Float64bits(r.V))
+				x.u64(uint64(r.N))
+			}
 		}
 	}
 	x.u32(uint32(len(s.Warm)))
@@ -269,15 +408,8 @@ func Write(w io.Writer, s *Snapshot) error {
 		x.u32(uint32(wt.Task))
 		x.u32(uint32(len(wt.Seeds)))
 		for _, g := range wt.Seeds {
-			if len(g.Accel) != len(g.Prio) {
-				return fmt.Errorf("persist: warm seed with %d accel but %d prio genes", len(g.Accel), len(g.Prio))
-			}
-			x.u32(uint32(len(g.Accel)))
-			for _, a := range g.Accel {
-				x.u32(uint32(a))
-			}
-			for _, p := range g.Prio {
-				x.u64(math.Float64bits(p))
+			if err := x.genome(g); err != nil {
+				return err
 			}
 		}
 	}
@@ -290,9 +422,10 @@ func Write(w io.Writer, s *Snapshot) error {
 
 // Read deserializes and validates a snapshot, which must span the whole
 // input. Any structural problem — wrong magic, truncation, checksum
-// failure, implausible counts, trailing bytes —
-// returns an error wrapping ErrCorrupt; an incompatible version field
-// returns a *VersionError. Either way the caller should boot cold.
+// failure, implausible counts, a curve that does not add up to its
+// search's samples, trailing bytes — returns an error wrapping
+// ErrCorrupt; an incompatible version field returns a *VersionError.
+// Either way the caller should boot cold.
 func Read(r io.Reader) (*Snapshot, error) {
 	x := newHashReader(r)
 	m, err := x.bytes(8)
@@ -308,8 +441,8 @@ func Read(r io.Reader) (*Snapshot, error) {
 	}{
 		{"format", FormatVersion},
 		{"rng layout", rng.Layout},
-		{"fingerprint layout", encoding.FingerprintLayout},
 		{"sim kernel", sim.KernelVersion},
+		{"results layout", ResultsLayout},
 	} {
 		got, err := x.u32()
 		if err != nil {
@@ -320,15 +453,12 @@ func Read(r io.Reader) (*Snapshot, error) {
 		}
 	}
 
-	nProblems, err := x.u32()
+	nProblems, err := x.count("problems", maxProblems)
 	if err != nil {
 		return nil, err
 	}
-	if nProblems > maxProblems {
-		return nil, fmt.Errorf("%w: %d problems", ErrCorrupt, nProblems)
-	}
 	s := &Snapshot{}
-	for pi := uint32(0); pi < nProblems; pi++ {
+	for range nProblems {
 		var p Problem
 		if p.Table.A, err = x.u64(); err != nil {
 			return nil, err
@@ -336,87 +466,45 @@ func Read(r io.Reader) (*Snapshot, error) {
 		if p.Table.B, err = x.u64(); err != nil {
 			return nil, err
 		}
-		obj, err := x.u32()
+		obj, err := x.count("objective", maxObjectiveWire-1)
 		if err != nil {
 			return nil, err
-		}
-		if obj >= maxObjectiveWire {
-			return nil, fmt.Errorf("%w: objective %d", ErrCorrupt, obj)
 		}
 		p.Objective = uint8(obj)
-		nEntries, err := x.u32()
+		nMemo, err := x.count("memo entries", maxMemoEntries)
 		if err != nil {
 			return nil, err
 		}
-		if nEntries > maxEntries {
-			return nil, fmt.Errorf("%w: %d entries", ErrCorrupt, nEntries)
-		}
-		p.Entries = make([]Entry, 0, min(nEntries, preallocCap))
-		for range nEntries {
-			var e Entry
-			if e.FP.A, err = x.u64(); err != nil {
-				return nil, err
-			}
-			if e.FP.B, err = x.u64(); err != nil {
-				return nil, err
-			}
-			bits, err := x.u64()
+		p.Memo = make([]MemoEntry, 0, min(nMemo, preallocCap))
+		for range nMemo {
+			e, err := x.memoEntry()
 			if err != nil {
 				return nil, err
 			}
-			e.Fitness = math.Float64frombits(bits)
-			p.Entries = append(p.Entries, e)
+			p.Memo = append(p.Memo, e)
 		}
 		s.Problems = append(s.Problems, p)
 	}
 
-	nWarm, err := x.u32()
+	nWarm, err := x.count("warm tasks", maxWarmTasks)
 	if err != nil {
 		return nil, err
 	}
-	if nWarm > maxWarmTasks {
-		return nil, fmt.Errorf("%w: %d warm tasks", ErrCorrupt, nWarm)
-	}
-	for wi := uint32(0); wi < nWarm; wi++ {
+	for range nWarm {
 		var wt WarmTask
-		task, err := x.u32()
+		task, err := x.count("task", maxObjectiveWire-1)
 		if err != nil {
 			return nil, err
-		}
-		if task >= maxObjectiveWire {
-			return nil, fmt.Errorf("%w: task %d", ErrCorrupt, task)
 		}
 		wt.Task = uint8(task)
-		nSeeds, err := x.u32()
+		nSeeds, err := x.count("seeds", maxSeedsPerTask)
 		if err != nil {
 			return nil, err
 		}
-		if nSeeds > maxSeedsPerTask {
-			return nil, fmt.Errorf("%w: %d seeds", ErrCorrupt, nSeeds)
-		}
-		for si := uint32(0); si < nSeeds; si++ {
-			nGenes, err := x.u32()
+		for range nSeeds {
+			g, err := x.genome()
 			if err != nil {
 				return nil, err
-			}
-			if nGenes > maxGenesPerSeed {
-				return nil, fmt.Errorf("%w: %d genes", ErrCorrupt, nGenes)
-			}
-			n := min(nGenes, preallocCap)
-			g := encoding.Genome{Accel: make([]int, 0, n), Prio: make([]float64, 0, n)}
-			for range nGenes {
-				a, err := x.u32()
-				if err != nil {
-					return nil, err
-				}
-				g.Accel = append(g.Accel, int(a))
-			}
-			for range nGenes {
-				bits, err := x.u64()
-				if err != nil {
-					return nil, err
-				}
-				g.Prio = append(g.Prio, math.Float64frombits(bits))
 			}
 			wt.Seeds = append(wt.Seeds, g)
 		}
@@ -426,6 +514,70 @@ func Read(r io.Reader) (*Snapshot, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// memoEntry reads one MemoEntry, whose curve runs must each be nonempty
+// and add up to its Asked samples, at most its Budget.
+func (x *hashReader) memoEntry() (MemoEntry, error) {
+	var e MemoEntry
+	var err error
+	if e.Key.Mapper, err = x.str(); err != nil {
+		return e, err
+	}
+	budget, err := x.samples("budget")
+	if err != nil {
+		return e, err
+	}
+	e.Key.Budget = budget
+	seed, err := x.u64()
+	if err != nil {
+		return e, err
+	}
+	e.Key.Seed = int64(seed)
+	if e.Method, err = x.str(); err != nil {
+		return e, err
+	}
+	if e.Asked, err = x.samples("asked"); err != nil {
+		return e, err
+	}
+	if e.Asked > e.Key.Budget {
+		return e, fmt.Errorf("%w: %d asked over a budget of %d", ErrCorrupt, e.Asked, e.Key.Budget)
+	}
+	for _, v := range []*float64{&e.ThroughputGFLOPs, &e.MakespanCycles, &e.EnergyUnits, &e.Fitness} {
+		bits, err := x.u64()
+		if err != nil {
+			return e, err
+		}
+		*v = math.Float64frombits(bits)
+	}
+	if e.Genome, err = x.genome(); err != nil {
+		return e, err
+	}
+	nRuns, err := x.count("curve runs", maxCurveRuns)
+	if err != nil {
+		return e, err
+	}
+	e.Curve = make([]CurveRun, 0, min(nRuns, preallocCap))
+	left := e.Asked
+	for range nRuns {
+		bits, err := x.u64()
+		if err != nil {
+			return e, err
+		}
+		n, err := x.samples("curve run")
+		if err != nil {
+			return e, err
+		}
+		if n == 0 || n > left {
+			return e, fmt.Errorf("%w: curve run of %d samples with %d of %d left", ErrCorrupt, n, left, e.Asked)
+		}
+		left -= n
+		e.Curve = append(e.Curve, CurveRun{V: math.Float64frombits(bits), N: n})
+	}
+	if left != 0 {
+		return e, fmt.Errorf("%w: curve runs cover %d of %d samples", ErrCorrupt, e.Asked-left, e.Asked)
+	}
+	return e, nil
 }
 
 // WriteAtomic durably writes the snapshot to path: write to a temp file

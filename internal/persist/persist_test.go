@@ -20,16 +20,27 @@ func sampleSnapshot() *Snapshot {
 			{
 				Table:     encoding.TableKey{A: 0x1122334455667788, B: 0x99aabbccddeeff00},
 				Objective: 0,
-				Entries: []Entry{
-					{FP: encoding.Fingerprint{A: 1, B: 2}, Fitness: 123.5},
-					{FP: encoding.Fingerprint{A: 3, B: 4}, Fitness: -7.25},
-					{FP: encoding.Fingerprint{A: 5, B: 6}, Fitness: 0},
+				Memo: []MemoEntry{
+					{
+						Key:    MemoKey{Mapper: "MAGMA", Budget: 5, Seed: 3},
+						Method: "MAGMA", Asked: 5,
+						ThroughputGFLOPs: 123.5, MakespanCycles: 4096, EnergyUnits: 7.25, Fitness: 123.5,
+						Genome: encoding.Genome{Accel: []int{1, 0, 2}, Prio: []float64{0.5, 0.25, 0.75}},
+						Curve:  []CurveRun{{V: 100, N: 2}, {V: 123.5, N: 3}},
+					},
+					{
+						Key:    MemoKey{Mapper: "stdGA", Budget: 2, Seed: -1},
+						Method: "stdGA", Asked: 2,
+						Fitness: -7.25,
+						Genome:  encoding.Genome{Accel: []int{0}, Prio: []float64{0.125}},
+						Curve:   []CurveRun{{V: -7.25, N: 2}},
+					},
 				},
 			},
 			{
 				Table:     encoding.TableKey{A: 42, B: 43},
 				Objective: 2,
-				Entries:   nil, // empty store snapshots round-trip too
+				Memo:      nil, // empty memos round-trip too
 			},
 		},
 		Warm: []WarmTask{
@@ -63,7 +74,7 @@ func TestRoundTrip(t *testing.T) {
 	for i := range want.Problems {
 		if got.Problems[i].Table != want.Problems[i].Table ||
 			got.Problems[i].Objective != want.Problems[i].Objective ||
-			!reflect.DeepEqual(append([]Entry{}, got.Problems[i].Entries...), append([]Entry{}, want.Problems[i].Entries...)) {
+			!reflect.DeepEqual(append([]MemoEntry{}, got.Problems[i].Memo...), append([]MemoEntry{}, want.Problems[i].Memo...)) {
 			t.Fatalf("problem %d round trip:\n got %+v\nwant %+v", i, got.Problems[i], want.Problems[i])
 		}
 	}
@@ -114,7 +125,7 @@ func TestVersionMismatchRejected(t *testing.T) {
 	}
 	full := buf.Bytes()
 	// The four version fields sit right after the 8-byte magic.
-	for i, field := range []string{"format", "rng layout", "fingerprint layout", "sim kernel"} {
+	for i, field := range []string{"format", "rng layout", "sim kernel", "results layout"} {
 		mut := append([]byte(nil), full...)
 		mut[8+4*i] += 1 // bump the little-endian low byte
 		_, err := Read(bytes.NewReader(mut))
@@ -152,24 +163,82 @@ func TestV1SnapshotRejected(t *testing.T) {
 	}
 }
 
-// TestHugeCountAllocatesLittle declares the largest entry and gene
-// counts Read accepts in a file that ends right after them: Read must
-// fail as truncated without first allocating the declared slices (1.5
-// GiB of entries, 16 MiB of genes).
-func TestHugeCountAllocatesLittle(t *testing.T) {
+// TestV2SnapshotRejected: a FormatVersion 2 file holds fingerprint→
+// fitness entries, which this format replaced with memo entries; it is
+// rejected whole with a *VersionError naming the format field.
+func TestV2SnapshotRejected(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzRead", "sample"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, ok := corpusBytes(data)
+	if !ok {
+		t.Fatalf("sample corpus entry is not one []byte: %q", data)
+	}
+	_, err = Read(bytes.NewReader(raw))
+	var ve *VersionError
+	if !errors.As(err, &ve) || ve.Field != "format" || ve.Got != 2 {
+		t.Fatalf("v2 snapshot: error %v, want a format VersionError for version 2", err)
+	}
+}
+
+// TestCurveMustCoverAsked: a memo entry's curve runs must be nonempty
+// and add up to its Asked samples, at most its budget, or thawing it
+// would build a curve of the wrong length.
+func TestCurveMustCoverAsked(t *testing.T) {
+	for name, edit := range map[string]func(e *MemoEntry){
+		"short":       func(e *MemoEntry) { e.Curve[1].N-- },
+		"long":        func(e *MemoEntry) { e.Curve[0].N++ },
+		"empty run":   func(e *MemoEntry) { e.Curve = append(e.Curve, CurveRun{V: 1}) },
+		"over budget": func(e *MemoEntry) { e.Key.Budget = 4 },
+		"no runs":     func(e *MemoEntry) { e.Curve = nil },
+	} {
+		s := sampleSnapshot()
+		edit(&s.Problems[0].Memo[0])
+		var buf bytes.Buffer
+		if err := Write(&buf, s); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Read(&buf); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: error %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
+// hugeCounts returns, per count Read bounds by a size, a file that
+// declares the largest such count Read accepts and ends right after it.
+func hugeCounts(t testing.TB) map[string][]byte {
 	var buf bytes.Buffer
 	if err := Write(&buf, &Snapshot{}); err != nil {
 		t.Fatal(err)
 	}
 	header := buf.Bytes()[:8+4*4]
 	le := binary.LittleEndian
-	entries := le.AppendUint32(append([]byte(nil), header...), 1)
-	entries = append(entries, make([]byte, 8+8+4)...) // table key, objective
-	entries = le.AppendUint32(entries, maxEntries)
+	problem := le.AppendUint32(append([]byte(nil), header...), 1)
+	problem = append(problem, make([]byte, 8+8+4)...) // table key, objective
+	memo := le.AppendUint32(append([]byte(nil), problem...), 1)
+	memo = le.AppendUint32(memo, 0)                           // mapper ""
+	memo = le.AppendUint64(le.AppendUint64(memo, 8), 0)       // budget, seed
+	memo = le.AppendUint32(memo, 0)                           // method ""
+	memo = le.AppendUint64(memo, 8)                           // asked
+	memo = append(memo, make([]byte, 4*8)...)                 // four scalars
+	curve := le.AppendUint32(append([]byte(nil), memo...), 0) // an empty genome
 	genes := le.AppendUint32(append([]byte(nil), header...), 0)
 	genes = le.AppendUint32(le.AppendUint32(genes, 1), 0) // one warm task
-	genes = le.AppendUint32(le.AppendUint32(genes, 1), maxGenesPerSeed)
-	for name, data := range map[string][]byte{"entries": entries, "genes": genes} {
+	return map[string][]byte{
+		"memo entries": le.AppendUint32(problem, maxMemoEntries),
+		"memo genes":   le.AppendUint32(memo, maxGenesPerSeed),
+		"curve runs":   le.AppendUint32(curve, maxCurveRuns),
+		"warm genes":   le.AppendUint32(le.AppendUint32(genes, 1), maxGenesPerSeed),
+	}
+}
+
+// TestHugeCountAllocatesLittle declares the largest memo entry, curve
+// run and gene counts Read accepts in a file that ends right after
+// them: Read must fail as truncated without first allocating the
+// declared slices (up to 1 GiB of curve runs).
+func TestHugeCountAllocatesLittle(t *testing.T) {
+	for name, data := range hugeCounts(t) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		_, err := Read(bytes.NewReader(data))

@@ -2,9 +2,9 @@
 // magma.Solver: JSON in (workload + platform setting + options), JSON
 // out (schedules + cache/engine stats). One Solver serves every
 // request concurrently, so repeated or similar requests reuse analysis
-// tables, evaluator pools and the cross-run fitness cache — the
-// response's engine stats make the reuse observable
-// (cross_request_hit_rate).
+// tables, evaluator pools and each problem's memo of finished searches
+// — the response's engine stats make the reuse observable
+// (cross_request_hit_rate, memo_hits).
 //
 // Endpoints:
 //
@@ -101,9 +101,10 @@ type GroupSchedule struct {
 	Queues           [][]int `json:"queues"`
 }
 
-// CacheJSON is the wire form of m3e.CacheStats. Hits include the
-// verbatim elite re-asks the runner settled from the previous batch's
-// fitness; those are never cross hits.
+// CacheJSON is the wire form of m3e.CacheStats. Hits are the verbatim
+// elite re-asks the runner settled from the previous batch's fitness,
+// plus every genome of a memo answer; only the latter are cross hits.
+// deduped always reads 0; it stays for wire compatibility.
 type CacheJSON struct {
 	Hits         uint64  `json:"hits"`
 	CrossHits    uint64  `json:"cross_hits"`
@@ -112,10 +113,8 @@ type CacheJSON struct {
 	Invalid      uint64  `json:"invalid"`
 	HitRate      float64 `json:"hit_rate"`
 	CrossHitRate float64 `json:"cross_hit_rate"`
-	// FPFull counts the genomes fingerprinted by a full decode and
-	// hash, the cache's only route. fp_incremental, fp_clean and
-	// fast_fp_rate always read 0: they counted two retired fast routes
-	// and stay for wire and benchmark compatibility.
+	// fp_full, fp_incremental, fp_clean and fast_fp_rate always read 0;
+	// they stay for wire and benchmark compatibility.
 	FPFull        uint64  `json:"fp_full"`
 	FPIncremental uint64  `json:"fp_incremental"`
 	FPClean       uint64  `json:"fp_clean"`
@@ -124,10 +123,8 @@ type CacheJSON struct {
 	// floor, the subset whose decode and simulation were replaced by
 	// their roofline bound, and the prune rate over misses. A pruned
 	// genome counts as a miss, so misses − bound_pruned is the number
-	// simulated; hits+deduped+misses+invalid is every genome asked. With
-	// cache false the pruning pass keeps the counters alone: hits are
-	// verbatim elite re-asks answered from the previous batch, misses
-	// every other valid genome (see m3e.CacheStats).
+	// simulated; hits+deduped+misses+invalid is every genome asked,
+	// whatever the mapper (see m3e.CacheStats).
 	BoundChecked   uint64  `json:"bound_checked"`
 	BoundPruned    uint64  `json:"bound_pruned"`
 	BoundPruneRate float64 `json:"bound_prune_rate"`
@@ -152,9 +149,9 @@ func cacheJSON(s m3e.CacheStats) CacheJSON {
 
 // EngineJSON is the wire form of magma.SolverStats: the shared engine's
 // lifetime counters. CrossRequestHitRate is the headline — the fraction
-// of all decodable evaluations answered by an entry a *different*
-// search inserted. Re-asks the runner settles never reach the store, so
-// they count in the denominator but never as cross hits.
+// of all decodable evaluations answered by a *different* search: the
+// genomes of every memo answer. Re-asks the runner settles count in the
+// denominator but never as cross hits.
 type EngineJSON struct {
 	Searches            uint64    `json:"searches"`
 	Problems            int       `json:"problems"`
@@ -166,9 +163,9 @@ type EngineJSON struct {
 	Cache               CacheJSON `json:"cache"`
 	CrossRequestHitRate float64   `json:"cross_request_hit_rate"`
 	// Crash-safety and robustness counters: durable snapshots written,
-	// problems/entries loaded back on boot, mapper panics recovered into
-	// failed requests, and requests answered by another request's
-	// in-flight search (singleflight).
+	// problems and memo entries loaded back on boot, mapper panics
+	// recovered into failed requests, and requests answered by another
+	// request's in-flight search (singleflight).
 	SnapshotsTaken   uint64 `json:"snapshots_taken"`
 	ProblemsRestored uint64 `json:"problems_restored"`
 	EntriesRestored  uint64 `json:"entries_restored"`
@@ -449,7 +446,7 @@ func (s *Server) parseRequest(body io.Reader) (*runSpec, error) {
 			Objective:      obj,
 			BudgetPerGroup: req.Options.BudgetPerGroup,
 			Seed:           req.Options.Seed,
-			Cache:          true, // every search runs on the shard's store
+			Cache:          true, // every search is answered from and recorded in the shard's memo
 			WarmStart:      req.Options.WarmStart,
 			SharedWarm:     req.Options.SharedWarm,
 		},

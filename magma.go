@@ -110,8 +110,8 @@ type Genome = encoding.Genome
 type SearchProblem = m3e.Problem
 
 // Progress is the per-generation snapshot handed to Options.Progress:
-// samples consumed, genomes asked, best fitness so far and the fitness-
-// cache counters.
+// samples consumed, genomes asked, best fitness so far and the
+// evaluation counters.
 type Progress = m3e.Progress
 
 // Options configures one mapping search.
@@ -128,26 +128,21 @@ type Options struct {
 	Budget int
 	// Seed drives all randomness; equal seeds reproduce runs exactly.
 	Seed int64
-	// Cache runs the search on the Solver's fitness store for the
-	// problem (a private Solver's when Solver is nil): duplicate and
-	// schedule-equivalent genomes inside and across generations are
-	// answered without re-simulating. Results are bit-identical with the
-	// cache on or off; Schedule.Cache reports the hit/miss counters.
-	// A cached search without WarmStart seeds or a Progress observer
-	// that a Solver already ran to the end on the same problem, mapper,
-	// budget and seed is answered from the problem's memo of finished
-	// searches without running: the same schedule, with every asked
-	// genome counted a cross-run hit and no Phases.
+	// Cache answers the search from, and records it in, the problem's
+	// memo of finished searches on the Solver (a private Solver's when
+	// Solver is nil, which no later call shares). A cached search
+	// without WarmStart seeds or a Progress observer that a Solver
+	// already ran to the end on the same problem, mapper, budget and
+	// seed is answered without running: the same schedule, with every
+	// asked genome counted a cross-run hit and no Phases. Every search
+	// that does run takes the same path, cached or not, so results are
+	// bit-identical with the cache on or off.
 	Cache bool
-	// CacheSize bounds the private Solver's store in entries (0 =
-	// implementation default). An explicit Solver keeps its own
-	// SolverOptions.CacheSize.
-	CacheSize int
 	// WarmStart seeds MAGMA's initial population with previously found
 	// schedules of the same group size (§V-C). Ignored by other mappers.
 	WarmStart []Schedule
 	// Solver, when non-nil, runs the search against a long-lived Solver:
-	// analysis tables, evaluator pools and the cross-run fitness cache
+	// analysis tables, evaluator pools and the memo of finished searches
 	// persist across calls (results stay bit-identical to per-call runs).
 	// Nil means a private single-use Solver — the historical facade
 	// behavior.
@@ -160,8 +155,11 @@ type Options struct {
 	Progress func(Progress)
 }
 
-// CacheStats reports how the fitness cache resolved evaluations (see
-// Options.Cache).
+// CacheStats reports how a search resolved its evaluations: re-asks
+// answered from the previous batch, genomes simulated or settled by a
+// bound, invalid genomes, and the genomes of a memo answer (see
+// Options.Cache). Hits+Deduped+Misses+Invalid equals Schedule.Asked on
+// every path.
 type CacheStats = m3e.CacheStats
 
 // MapperPanicError reports a panic recovered from a mapper callback
@@ -174,9 +172,8 @@ type CacheStats = m3e.CacheStats
 type MapperPanicError = m3e.MapperPanicError
 
 // PhaseTimings breaks a search's wall-clock down per generation phase:
-// candidate generation (ask), the runner's pruning pass (bound), the
-// cache's fingerprint pass, simulation, and selection+breeding (tell).
-// See Schedule.Phases.
+// candidate generation (ask), the runner's pruning pass (bound),
+// simulation, and selection+breeding (tell). See Schedule.Phases.
 type PhaseTimings = m3e.PhaseTimings
 
 // Schedule is a found global mapping together with its evaluation.
@@ -196,7 +193,7 @@ type Schedule struct {
 	Curve []float64
 	// Mapper names the algorithm that produced the schedule.
 	Mapper string
-	// Cache holds the fitness-cache and bound-pruning counters of the
+	// Cache holds the evaluation and bound-pruning counters of the
 	// search (see CacheStats; always zero for the manual heuristics).
 	Cache CacheStats
 	// Samples is the sampling budget actually consumed; Asked is the
@@ -205,7 +202,7 @@ type Schedule struct {
 	Samples int
 	Asked   int
 	// Phases is the search's per-phase wall-clock breakdown (ask /
-	// bound / fingerprint / simulate / tell across all generations) — the
+	// bound / simulate / tell across all generations) — the
 	// observability behind cmd/bench's phase report. Zero for the manual
 	// heuristics, which have no generations, and for a search a Solver
 	// answered from its memo of finished searches (see Options.Cache).
@@ -236,7 +233,7 @@ func Optimize(g Group, p Platform, opts Options) (Schedule, error) {
 // private single-use one (identical behavior to the historical per-call
 // facade).
 func OptimizeCtx(ctx context.Context, g Group, p Platform, opts Options) (Schedule, error) {
-	return solverFor(opts.Solver, opts.CacheSize).OptimizeCtx(ctx, g, p, opts)
+	return solverFor(opts.Solver).OptimizeCtx(ctx, g, p, opts)
 }
 
 func finishSchedule(prob *m3e.Problem, mapping sim.Mapping, genome encoding.Genome, curve []float64, mapper string, obj Objective) (Schedule, error) {
@@ -279,7 +276,7 @@ func Compare(g Group, p Platform, mappers []string, opts Options) ([]Schedule, e
 // context dies before any mapper evaluates anything does CompareCtx
 // return the context's error.
 func CompareCtx(ctx context.Context, g Group, p Platform, mappers []string, opts Options) ([]Schedule, error) {
-	return solverFor(opts.Solver, opts.CacheSize).CompareCtx(ctx, g, p, mappers, opts)
+	return solverFor(opts.Solver).CompareCtx(ctx, g, p, mappers, opts)
 }
 
 // RenderSchedule writes an ASCII Gantt-style visualization of a

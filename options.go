@@ -7,7 +7,7 @@ import (
 
 // Validate checks the Options for the mistakes that used to surface as
 // silent defaults or panics deep in the stack — a negative budget, an
-// unknown objective or mapper, a cache bound without the cache — and
+// unknown objective or mapper — and
 // returns one error naming every problem at once. Zero values stay
 // valid: they mean "use the default". Every Solver entry point calls it
 // up front, so callers normally never need to.
@@ -22,7 +22,7 @@ func (o Options) validateFor(mappers []string) error {
 	if o.Budget < 0 {
 		problems = append(problems, fmt.Sprintf("negative Budget %d (0 means the default %d)", o.Budget, DefaultBudget))
 	}
-	problems = append(problems, sharedProblems(o.Objective, o.CacheSize, o.Cache, o.Solver != nil)...)
+	problems = append(problems, objectiveProblems(o.Objective)...)
 	return joinProblems("Options", problems)
 }
 
@@ -33,7 +33,7 @@ func (o StreamOptions) Validate() error {
 	if o.BudgetPerGroup < 0 {
 		problems = append(problems, fmt.Sprintf("negative BudgetPerGroup %d (0 means the default split)", o.BudgetPerGroup))
 	}
-	problems = append(problems, sharedProblems(o.Objective, o.CacheSize, o.Cache, o.Solver != nil)...)
+	problems = append(problems, objectiveProblems(o.Objective)...)
 	if o.SharedWarm && !o.WarmStart {
 		problems = append(problems, "SharedWarm set without WarmStart: the shared store would never be read or written")
 	}
@@ -52,20 +52,13 @@ func mapperProblems(mappers []string) []string {
 	return problems
 }
 
-// sharedProblems holds the checks Options and StreamOptions have in
-// common, so a new rule lands in both entry points at once.
-func sharedProblems(obj Objective, cacheSize int, cache, hasSolver bool) []string {
-	var problems []string
+// objectiveProblems checks the objective Options and StreamOptions
+// share.
+func objectiveProblems(obj Objective) []string {
 	if obj > EDP {
-		problems = append(problems, fmt.Sprintf("unknown Objective %d (want Throughput, Latency, Energy or EDP)", obj))
+		return []string{fmt.Sprintf("unknown Objective %d (want Throughput, Latency, Energy or EDP)", obj)}
 	}
-	if cacheSize < 0 {
-		problems = append(problems, fmt.Sprintf("negative CacheSize %d (0 means the default)", cacheSize))
-	}
-	if cacheSize > 0 && !cache && !hasSolver {
-		problems = append(problems, "CacheSize set without Cache: the bound would silently apply to nothing")
-	}
-	return problems
+	return nil
 }
 
 // DefaultBudget is the sampling budget used when Options.Budget is zero

@@ -2,6 +2,7 @@ package magma
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -137,6 +138,14 @@ func mapperName(name string) string {
 		return "MAGMA"
 	}
 	return name
+}
+
+// builtinMapper reports whether name is one of the search mappers this
+// package registers itself.
+func builtinMapper(name string) bool {
+	registry.RLock()
+	defer registry.RUnlock()
+	return slices.Contains(registry.builtin, name)
 }
 
 // heuristicFor resolves a manual-baseline name, or nil when the name is

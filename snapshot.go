@@ -2,6 +2,7 @@ package magma
 
 import (
 	"io"
+	"slices"
 
 	"magma/internal/models"
 	optmagma "magma/internal/opt/magma"
@@ -9,17 +10,19 @@ import (
 )
 
 // Snapshot serializes the Solver's durable warm state — every cached
-// problem's fingerprint→fitness entries (keyed by stable table
-// identity × objective) and the shared warm-start seeds — in the
-// versioned, checksummed binary format of internal/persist. A Solver
-// restored from the snapshot answers a repeated request mix with a
-// nonzero cross-request hit rate from its very first generation, with
-// results bit-identical to a cold run (fitness is a pure function of
-// the schedule; only wall-clock changes).
+// problem's memo of finished searches (keyed by stable table identity
+// × objective) and the shared warm-start seeds — in the versioned,
+// checksummed binary format of internal/persist. A Solver restored
+// from the snapshot answers the first exact repeat of a remembered
+// search as a memo hit, with no simulation and a result bit-identical
+// to the search it stands for (a search is a pure function of its
+// problem, mapper, budget and seed).
 //
-// The snapshot is a consistent cut per problem store, safe to take
-// while searches run. Ephemeral state — evaluator pools, cache scratch,
-// in-flight runs, reuse counters — is deliberately not persisted.
+// Only searches of built-in mappers are written: a Registered name may
+// mean different code in the process that restores the snapshot. The
+// snapshot is a consistent cut per problem, safe to take while
+// searches run. Ephemeral state — evaluator pools, in-flight runs,
+// reuse counters — is deliberately not persisted.
 func (s *Solver) Snapshot(w io.Writer) error {
 	if err := persist.Write(w, s.buildSnapshot()); err != nil {
 		return err
@@ -41,7 +44,7 @@ func (s *Solver) SnapshotFile(path string) error {
 }
 
 func (s *Solver) buildSnapshot() *persist.Snapshot {
-	snap := &persist.Snapshot{Problems: s.eng.Export()}
+	snap := &persist.Snapshot{Problems: builtinMemos(s.eng.Export())}
 	for _, t := range s.warm.export() {
 		snap.Warm = append(snap.Warm, persist.WarmTask{Task: uint8(t.Task), Seeds: t.Seeds})
 	}
@@ -49,16 +52,19 @@ func (s *Solver) buildSnapshot() *persist.Snapshot {
 }
 
 // Restore loads a snapshot into the Solver, normally at boot before
-// traffic. Restored problem state waits keyed by table identity until a
-// request with matching content arrives, then serves its memoized
-// fitness entries from generation one (every hit counts as a cross-run
-// hit); warm-start seeds replay into the shared store oldest-first.
+// traffic. Each restored problem waits keyed by table identity until a
+// request with matching content builds its table; its memo then
+// answers exact repeats of the remembered searches (every asked genome
+// counts as a cross-run hit). Entries of mappers that are not built in
+// are dropped, so a Registered name is never answered with another
+// process's results. Warm-start seeds replay into the shared store
+// oldest-first.
 //
 // A snapshot that is corrupt (torn write, bad checksum — persist.
-// ErrCorrupt) or written under an incompatible format, RNG layout or
-// fingerprint layout (*persist.VersionError) is rejected whole and the
-// Solver is left exactly as it was: the caller should log and boot
-// cold. Stale layouts are never reinterpreted.
+// ErrCorrupt) or written under an incompatible format, RNG layout,
+// simulator kernel or results layout (*persist.VersionError) is
+// rejected whole and the Solver is left exactly as it was: the caller
+// should log and boot cold. Stale layouts are never reinterpreted.
 func (s *Solver) Restore(r io.Reader) error {
 	snap, err := persist.Read(r)
 	if err != nil {
@@ -81,7 +87,7 @@ func (s *Solver) RestoreFile(path string) error {
 }
 
 func (s *Solver) load(snap *persist.Snapshot) {
-	s.eng.Restore(snap.Problems)
+	s.eng.Restore(builtinMemos(snap.Problems))
 	tasks := make([]optmagma.ExportedTask, 0, len(snap.Warm))
 	for _, wt := range snap.Warm {
 		tasks = append(tasks, optmagma.ExportedTask{Task: models.Task(wt.Task), Seeds: wt.Seeds})
@@ -99,6 +105,17 @@ func RestoreSolver(r io.Reader, o SolverOptions) (*Solver, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// builtinMemos keeps, in place, the memo entries of built-in mappers
+// and the problems left with any.
+func builtinMemos(problems []persist.Problem) []persist.Problem {
+	for i := range problems {
+		problems[i].Memo = slices.DeleteFunc(problems[i].Memo, func(e persist.MemoEntry) bool {
+			return !builtinMapper(e.Key.Mapper)
+		})
+	}
+	return slices.DeleteFunc(problems, func(p persist.Problem) bool { return len(p.Memo) == 0 })
 }
 
 // export snapshots the warm store under its lock (deep copies).

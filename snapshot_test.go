@@ -14,8 +14,8 @@ import (
 
 // TestSolverSnapshotRestoreRoundTrip is the crash/restart contract end
 // to end: optimize, snapshot to disk, "restart" into a fresh Solver,
-// and answer the same request bit-identically with cross-request hits
-// from generation one.
+// and answer the same MAGMA request bit-identically as a memo hit that
+// runs no generation and simulates nothing.
 func TestSolverSnapshotRestoreRoundTrip(t *testing.T) {
 	wl := testWorkload(t, Mix, 16, 16, 31)
 	pf := PlatformS2()
@@ -40,19 +40,22 @@ func TestSolverSnapshotRestoreRoundTrip(t *testing.T) {
 	if err := b.RestoreFile(path); err != nil {
 		t.Fatal(err)
 	}
-	if st := b.Stats(); st.ProblemsRestored == 0 || st.EntriesRestored == 0 {
-		t.Fatalf("restore stats = %+v, want restored problems and entries", st)
+	if st := b.Stats(); st.ProblemsRestored != 1 || st.EntriesRestored != 1 {
+		t.Fatalf("restore stats = %+v, want 1 restored problem with 1 memo entry", st)
 	}
 	got, err := b.Optimize(wl.Groups[0], pf, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Fitness != want.Fitness || !reflect.DeepEqual(got.Genome, want.Genome) ||
-		!reflect.DeepEqual(got.Curve, want.Curve) {
+	if !identical(got, want) {
 		t.Error("restored Solver's schedule diverged from the original")
 	}
-	if got.Cache.CrossHits == 0 {
-		t.Error("restored Solver answered with zero cross-request hits")
+	if st := b.Stats(); st.MemoHits != 1 {
+		t.Errorf("restored Solver answered the repeat with %d memo hits, want 1", st.MemoHits)
+	}
+	if c := got.Cache; c.Misses != 0 || c.CrossHits != uint64(want.Asked) || got.Phases.Generations != 0 {
+		t.Errorf("restored memo answer reports %+v over %d generations, want %d cross hits and nothing run",
+			c, got.Phases.Generations, want.Asked)
 	}
 	if seeds := b.Warm().Seeds(Mix, 16); len(seeds) != 1 ||
 		!reflect.DeepEqual(seeds[0].Genome, want.Genome) {
@@ -88,10 +91,9 @@ func TestSolverSnapshotWriterRoundTrip(t *testing.T) {
 
 // TestSnapshotExcludesBoundAssignedFitness: genomes the pruning pass
 // settles get their analytical bound as fitness, never a simulation —
-// so those values must not be persisted as exact. The snapshot carries
-// only simulated entries (Misses − BoundPruned), and a restored Solver
-// answers the same request bit-identically to a cold run, proving no
-// bound ever comes back as a store hit.
+// so no such value may come back from a snapshot. A memo entry holds a
+// finished search's best schedule and best-so-far curve, which no bound
+// reaches, so the restored answer equals a cold run bit for bit.
 func TestSnapshotExcludesBoundAssignedFitness(t *testing.T) {
 	wl := testWorkload(t, Mix, 16, 16, 35)
 	// Compute-dominated bandwidth: the per-core roofline discriminates
@@ -116,10 +118,8 @@ func TestSnapshotExcludesBoundAssignedFitness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := pruned.Cache.Misses - pruned.Cache.BoundPruned
-	if st := b.Stats(); st.EntriesRestored != want {
-		t.Errorf("EntriesRestored = %d, want %d (Misses %d − BoundPruned %d): a bound-assigned fitness leaked into the snapshot",
-			st.EntriesRestored, want, pruned.Cache.Misses, pruned.Cache.BoundPruned)
+	if st := b.Stats(); st.EntriesRestored != 1 {
+		t.Errorf("EntriesRestored = %d, want the 1 finished search", st.EntriesRestored)
 	}
 
 	cold, err := NewSolver(SolverOptions{}).Optimize(wl.Groups[0], pf, opts)
@@ -130,17 +130,57 @@ func TestSnapshotExcludesBoundAssignedFitness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameSchedules(restored, cold) {
-		t.Error("the run on the restored Solver diverged from a cold run")
+	if !identical(restored, cold) {
+		t.Error("the memo answer on the restored Solver diverged from a cold run")
 	}
-	if sims := restored.Cache.Misses - restored.Cache.BoundPruned; sims != 0 {
-		t.Errorf("the restored Solver re-simulated %d schedules; every simulated one was snapshotted", sims)
+	if restored.Cache.Misses != 0 || restored.Phases.Generations != 0 {
+		t.Errorf("the restored Solver ran the search again: %+v", restored.Cache)
 	}
-	if restored.Cache.CrossHits == 0 {
-		t.Error("restored Solver answered with zero cross-request hits")
-	}
-	if !sameSchedules(pruned, cold) {
+	if !identical(pruned, cold) {
 		t.Error("the snapshotted run diverged from a cold run")
+	}
+}
+
+// TestSnapshotSkipsRegisteredMappers: a Registered name may mean other
+// code in the process that restores a snapshot, so a Registered
+// mapper's search is never written, and an entry under a name that is
+// not built in is never restored.
+func TestSnapshotSkipsRegisteredMappers(t *testing.T) {
+	registerUniform(t)
+	g, pf := testGroup(t, Mix, 16), PlatformS2()
+	a := NewSolver(SolverOptions{})
+	for _, mapper := range []string{"test-uniform", "MAGMA"} {
+		if _, err := a.Optimize(g, pf, Options{Mapper: mapper, Budget: 64, Seed: 1, Cache: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := a.buildSnapshot()
+	if len(snap.Problems) != 1 || len(snap.Problems[0].Memo) != 1 || snap.Problems[0].Memo[0].Key.Mapper != "MAGMA" {
+		t.Fatalf("snapshot problems %+v, want one problem with MAGMA's entry only", snap.Problems)
+	}
+
+	// A file that does hold a Registered mapper's entry, as another
+	// build might write it: only the built-in entry is restored.
+	forged := snap.Problems[0].Memo[0]
+	forged.Key.Mapper, forged.Method = "test-uniform", "test-uniform"
+	snap.Problems[0].Memo = append(snap.Problems[0].Memo, forged)
+	var buf bytes.Buffer
+	if err := persist.Write(&buf, snap); err != nil {
+		t.Fatal(err)
+	}
+	b, err := RestoreSolver(&buf, SolverOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := b.Stats(); st.EntriesRestored != 1 {
+		t.Errorf("EntriesRestored = %d, want only MAGMA's entry", st.EntriesRestored)
+	}
+	got, err := b.Optimize(g, pf, Options{Mapper: "test-uniform", Budget: 64, Seed: 1, Cache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Phases.Generations == 0 || b.Stats().MemoHits != 0 {
+		t.Error("a Registered mapper's search was answered from a restored entry")
 	}
 }
 

@@ -21,10 +21,6 @@ type SolverOptions struct {
 	// evicted first; memory stays bounded no matter how many distinct
 	// workloads a server sees.
 	MaxProblems int
-	// CacheSize bounds each problem's shared cross-run fitness store in
-	// entries (0 = default 64K). Per-call Options.CacheSize does not
-	// apply to a Solver's shared store.
-	CacheSize int
 	// WarmLimit bounds the Solver's shared warm-start store per task
 	// type (0 = default 8).
 	WarmLimit int
@@ -33,9 +29,8 @@ type SolverOptions struct {
 // SolverStats reports what a Solver reused versus rebuilt: completed
 // searches (MemoHits of them answered from a memo of finished
 // searches), analysis tables built/reused, pool reuse, FIFO evictions,
-// and the aggregated fitness-cache counters — Cache.CrossHits is the
-// cross-run payoff (evaluations answered by an entry a different
-// search inserted).
+// and the aggregated evaluation counters — Cache.CrossHits is the
+// cross-run payoff (the genomes of every memo answer).
 type SolverStats = engine.Stats
 
 // Solver is the long-lived, concurrency-safe entry point to the
@@ -45,20 +40,18 @@ type SolverStats = engine.Stats
 //   - a problem cache keyed by content identity (group layers/batches ×
 //     platform configuration × objective), so repeated requests skip
 //     the job-analysis profiling pass;
-//   - one shared cross-run fingerprint→fitness cache per problem, so a
-//     schedule evaluated for any request answers the same schedule in
-//     every later — or concurrent — request on that problem;
 //   - pooled evaluators/simulators whose grown scratch stays warm;
 //   - a memo of finished searches per problem, so an exact repeat of a
 //     cached search (same mapper, budget and seed) is answered without
-//     running it (Options.Cache);
+//     running it (Options.Cache). The memo is the only reuse of results
+//     across requests, and what Snapshot persists;
 //   - a shared warm-start store (§V-C) for callers that opt into
 //     cross-request seeding.
 //
 // Results are bit-identical to fresh per-call runs: everything shared
 // is either read-only during search (tables) or a pure-function memo
-// (fitness), so reuse changes wall-clock, never schedules. All methods
-// are safe for concurrent use.
+// (finished searches), so reuse changes wall-clock, never schedules.
+// All methods are safe for concurrent use.
 //
 // The package-level Optimize, OptimizeStream, Compare and Tune are thin
 // wrappers that run on a private single-use Solver unless the passed
@@ -71,7 +64,7 @@ type Solver struct {
 // NewSolver builds a long-lived Solver.
 func NewSolver(o SolverOptions) *Solver {
 	return &Solver{
-		eng:  engine.New(engine.Config{MaxProblems: o.MaxProblems, StoreSize: o.CacheSize}),
+		eng:  engine.New(engine.Config{MaxProblems: o.MaxProblems}),
 		warm: NewWarmStore(o.WarmLimit),
 	}
 }
@@ -88,19 +81,18 @@ func (s *Solver) Warm() *WarmStore { return s.warm }
 
 // solverFor returns the explicitly provided Solver, or a fresh private
 // one — which makes the package-level entry points behave exactly like
-// the historical per-call facade (no state survives the call). The
-// per-call cache bound carries over to the private solver's store; an
-// explicit Solver keeps its own SolverOptions.CacheSize instead.
-func solverFor(s *Solver, cacheSize int) *Solver {
+// the historical per-call facade (no state survives the call).
+func solverFor(s *Solver) *Solver {
 	if s != nil {
 		return s
 	}
-	return NewSolver(SolverOptions{CacheSize: cacheSize})
+	return NewSolver(SolverOptions{})
 }
 
 // Optimize searches for a mapping of the group onto the platform, as
 // the package-level Optimize, but against the Solver's cached problem
-// and shared fitness store. OptimizeCtx with context.Background().
+// and its memo of finished searches. OptimizeCtx with
+// context.Background().
 func (s *Solver) Optimize(g Group, p Platform, opts Options) (Schedule, error) {
 	return s.OptimizeCtx(context.Background(), g, p, opts)
 }
@@ -141,8 +133,8 @@ func (s *Solver) optimizeHandle(ctx context.Context, h *engine.ProblemHandle, g 
 		key.Budget = m3e.DefaultBudget
 	}
 	if memo {
-		if v, cache, ok := h.Recall(key); ok {
-			return v.(*finished).thaw(prob.NumAccels(), cache), nil
+		if e, cache, ok := h.Recall(key); ok {
+			return thaw(e, prob.NumAccels(), cache), nil
 		}
 	}
 	opt, err := newOptimizer(opts.Mapper)
@@ -160,11 +152,7 @@ func (s *Solver) optimizeHandle(ctx context.Context, h *engine.ProblemHandle, g 
 			seeder.Seed(seeds)
 		}
 	}
-	ro := m3e.Options{Budget: opts.Budget, Observer: opts.Progress}
-	if opts.Cache {
-		ro.Store = h.Store()
-	}
-	res, err := h.RunCtx(ctx, opt, ro, opts.Seed)
+	res, err := h.RunCtx(ctx, opt, m3e.Options{Budget: opts.Budget, Observer: opts.Progress}, opts.Seed)
 	if err != nil {
 		return Schedule{}, err
 	}
@@ -183,7 +171,7 @@ func (s *Solver) optimizeHandle(ctx context.Context, h *engine.ProblemHandle, g 
 	sched.Phases = res.Phases
 	sched.Partial = res.Aborted
 	if memo && !res.Aborted {
-		h.Remember(key, freeze(sched), sched.Asked)
+		h.Remember(freeze(key, sched))
 	}
 	return sched, nil
 }
@@ -196,10 +184,9 @@ func (s *Solver) Compare(g Group, p Platform, mappers []string, opts Options) ([
 }
 
 // CompareCtx is Compare under a context. The job-analysis table is
-// leased once from the Solver's cache; with Options.Cache set, every
-// mapper shares the problem's fitness store (bit-identical results — a
-// cached fitness equals a recomputed one — with cross-mapper hits
-// counted in each Schedule.Cache.CrossHits). On cancellation, mappers
+// leased once from the Solver's cache; with Options.Cache set, each
+// mapper's search is answered from and recorded in the problem's memo
+// of finished searches. On cancellation, mappers
 // that evaluated at least one sample return partial schedules; mappers
 // with nothing yet are omitted (see the package-level CompareCtx).
 func (s *Solver) CompareCtx(ctx context.Context, g Group, p Platform, mappers []string, opts Options) ([]Schedule, error) {
@@ -277,7 +264,8 @@ func (s *Solver) CompareCtx(ctx context.Context, g Group, p Platform, mappers []
 // OptimizeStream schedules every group of a workload in sequence, as
 // the package-level OptimizeStream, but against the Solver's caches.
 // Groups of identical content (and repeated requests for the same
-// workload) reuse analysis tables and fitness entries across runs —
+// workload) reuse analysis tables, and with StreamOptions.Cache a
+// repeated search is answered from its problem's memo —
 // StreamResult.Cache.CrossHits counts the reuse.
 //
 // Warm starting is per-call by default (each stream chains only on its
@@ -320,9 +308,6 @@ func (s *Solver) OptimizeStreamCtx(ctx context.Context, wl Workload, p Platform,
 		if floor := 20 * len(g.Jobs); budget < floor {
 			budget = floor
 		}
-		// CacheSize stays behind: it bounds the store of the Solver the
-		// stream runs on, and a group given it without Cache would fail
-		// its own validation.
 		o := Options{
 			Mapper:    opts.Mapper,
 			Objective: opts.Objective,
@@ -372,12 +357,10 @@ func (s *Solver) OptimizeStreamCtx(ctx context.Context, wl Workload, p Platform,
 }
 
 // Tune searches MAGMA's hyper-parameter space, as the package-level
-// Tune, against the Solver's caches. The tuner re-runs MAGMA on the
-// identical problem every trial — the most repetition-heavy loop in the
-// codebase — so the shared fitness store answers most of a trial's
-// evaluations from earlier trials. The first evaluation error aborts
-// the search and is returned (a silent zero would bias the tuner
-// toward broken configurations).
+// Tune, against the Solver's cached problem: every trial re-runs MAGMA
+// on the one analysis table, each on a leased pool. The first
+// evaluation error aborts the search and is returned (a silent zero
+// would bias the tuner toward broken configurations).
 func (s *Solver) Tune(g Group, p Platform, budget int, trials int, seed int64) ([]float64, float64, error) {
 	return s.TuneCtx(context.Background(), g, p, budget, trials, seed)
 }
@@ -411,10 +394,7 @@ func (s *Solver) TuneCtx(ctx context.Context, g Group, p Platform, budget int, t
 			CrossoverAccelRate: pt[3],
 			EliteRatio:         pt[4],
 		}
-		// The cache is pure wall-clock savings here: trials repeat the
-		// identical problem, so the Solver's shared store answers most
-		// of a trial's evaluations from its predecessors.
-		res, err := h.RunCtx(ctx, optmagma.New(cfg), m3e.Options{Budget: budget, Store: h.Store()}, seed)
+		res, err := h.RunCtx(ctx, optmagma.New(cfg), m3e.Options{Budget: budget}, seed)
 		if err != nil {
 			mu.Lock()
 			if firstErr == nil {

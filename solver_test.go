@@ -2,6 +2,7 @@ package magma
 
 import (
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -28,8 +29,9 @@ func sameSchedules(a, b Schedule) bool {
 
 // TestSolverCrossRunDeterminism is the acceptance contract of the
 // long-lived Solver: streams re-run on a reused Solver return schedules
-// bit-identical to fresh per-call runs, while the shared cache answers
-// repeat evaluations across runs (CrossHits > 0).
+// bit-identical to fresh per-call runs, while the memo answers the
+// repeated search it may (CrossHits > 0): the first group's, the one
+// search of the warm-started stream that no earlier group seeds.
 func TestSolverCrossRunDeterminism(t *testing.T) {
 	wl := testWorkload(t, Mix, 48, 16, 9)
 	opts := StreamOptions{BudgetPerGroup: 100, Seed: 1, Cache: true, WarmStart: true}
@@ -70,11 +72,10 @@ func TestSolverCrossRunDeterminism(t *testing.T) {
 	if second.Cache.CrossHits == 0 {
 		t.Error("repeated stream on the reused Solver reports no cross-run hits")
 	}
-	// Pruned genomes count as misses but are never simulated.
-	if sims := second.Cache.Misses - second.Cache.BoundPruned; sims != 0 {
-		t.Errorf("repeated identical stream re-simulated %d schedules, want 0", sims)
-	}
 	st := s.Stats()
+	if st.MemoHits != 1 {
+		t.Errorf("MemoHits = %d, want 1 (the unseeded first group)", st.MemoHits)
+	}
 	if st.TablesBuilt != uint64(len(wl.Groups)) {
 		t.Errorf("TablesBuilt = %d, want %d (one per distinct group)", st.TablesBuilt, len(wl.Groups))
 	}
@@ -161,7 +162,7 @@ func TestSolverOptimizeAndCompare(t *testing.T) {
 }
 
 // TestSolverTuneMatchesPackageTune: Tune through a reused Solver equals
-// the package-level form (the shared store only skips simulations).
+// the package-level form, every trial on the one analysis table.
 func TestSolverTuneMatchesPackageTune(t *testing.T) {
 	g := testGroup(t, Mix, 16)
 	bestA, scoreA, err := Tune(g, PlatformS2(), 48, 6, 1)
@@ -176,8 +177,8 @@ func TestSolverTuneMatchesPackageTune(t *testing.T) {
 	if scoreA != scoreB || !reflect.DeepEqual(bestA, bestB) {
 		t.Errorf("solver Tune (%v, %v) != package Tune (%v, %v)", bestB, scoreB, bestA, scoreA)
 	}
-	if st := s.Stats(); st.Cache.CrossHits == 0 {
-		t.Error("tuner trials repeat one problem; expected cross-trial hits")
+	if st := s.Stats(); st.TablesBuilt != 1 || st.PoolsReused == 0 || st.Cache.CrossHits != 0 {
+		t.Errorf("tuner stats %+v, want one table, reused pools and no cross-run hits", st)
 	}
 }
 
@@ -250,5 +251,37 @@ func TestWarmStoreSeedsSizeMismatch(t *testing.T) {
 	mixed := append(store.Seeds(Vision, 16), store.Seeds(Vision, 12)...)
 	if _, err := Optimize(g16, PlatformS2(), Options{Budget: 32, Seed: 3, WarmStart: mixed}); err != nil {
 		t.Errorf("Optimize with mixed-size warm seeds: %v", err)
+	}
+}
+
+// TestCacheStatsAddUpForEveryMapper: every built-in search mapper
+// reports counters that account for each genome it asked,
+// Hits+Deduped+Misses+Invalid == Asked, whether it runs uncached or
+// cached or is answered from the memo. Deduped and the fingerprint
+// counters stay zero, and only a memo answer has cross-run hits.
+func TestCacheStatsAddUpForEveryMapper(t *testing.T) {
+	const budget = 40
+	g, pf := testGroup(t, Mix, 16), PlatformS2()
+	registry.RLock()
+	mappers := slices.Clone(registry.builtin)
+	registry.RUnlock()
+	for _, name := range mappers {
+		s := NewSolver(SolverOptions{})
+		for _, run := range []string{"uncached", "cached", "memo"} {
+			got, err := Optimize(g, pf, Options{Mapper: name, Budget: budget, Seed: 2, Cache: run != "uncached", Solver: s})
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, run, err)
+			}
+			c := got.Cache
+			if got.Asked != budget || c.Hits+c.Deduped+c.Misses+c.Invalid != uint64(got.Asked) {
+				t.Errorf("%s %s: counters %+v don't add up to %d asked (budget %d)", name, run, c, got.Asked, budget)
+			}
+			if c.Deduped+c.FullFP+c.IncrementalFP+c.CleanFP != 0 {
+				t.Errorf("%s %s: retired counters fired: %+v", name, run, c)
+			}
+			if memo := run == "memo"; (c.CrossHits == uint64(got.Asked)) != memo || (c.Misses == 0) != memo {
+				t.Errorf("%s %s: counters %+v, want cross-run hits exactly on the memo answer", name, run, c)
+			}
+		}
 	}
 }

@@ -15,15 +15,12 @@ type StreamOptions struct {
 	BudgetPerGroup int
 	// Seed drives all randomness.
 	Seed int64
-	// Cache runs every group search on the Solver's fitness stores
-	// (results are bit-identical either way; see Options.Cache). Groups
-	// of identical content share a store, and with a long-lived Solver
-	// the stores persist across calls (StreamResult.Cache.CrossHits
-	// counts that reuse).
+	// Cache answers every group search from, and records it in, its
+	// problem's memo of finished searches (results are bit-identical
+	// either way; see Options.Cache). Groups of identical content share
+	// a memo, and with a long-lived Solver the memos persist across
+	// calls (StreamResult.Cache.CrossHits counts that reuse).
 	Cache bool
-	// CacheSize bounds the private Solver's stores in entries (0 =
-	// default). Ignored when a Solver supplies its shared stores.
-	CacheSize int
 	// WarmStart chains groups: each group's search is seeded with the
 	// best schedules of earlier groups of the same task type (§V-C).
 	// Only effective for MAGMA.
@@ -54,9 +51,8 @@ type StreamResult struct {
 	TotalSeconds float64
 	// ThroughputGFLOPs is the aggregate stream throughput.
 	ThroughputGFLOPs float64
-	// Cache aggregates the fitness-cache and pruning counters across all
-	// group searches (the pruning pass's alone unless
-	// StreamOptions.Cache).
+	// Cache aggregates the evaluation and pruning counters across all
+	// group searches, memo answers included (StreamOptions.Cache).
 	Cache CacheStats
 	// Phases aggregates the per-phase wall-clock breakdown across all
 	// group searches (see Schedule.Phases).
@@ -82,7 +78,7 @@ func OptimizeStream(wl Workload, p Platform, opts StreamOptions) (StreamResult, 
 // group contributes its best-so-far schedule) and sets StreamResult.
 // Partial; see Solver.OptimizeStreamCtx.
 func OptimizeStreamCtx(ctx context.Context, wl Workload, p Platform, opts StreamOptions) (StreamResult, error) {
-	return solverFor(opts.Solver, opts.CacheSize).OptimizeStreamCtx(ctx, wl, p, opts)
+	return solverFor(opts.Solver).OptimizeStreamCtx(ctx, wl, p, opts)
 }
 
 // clockHz exposes the platform clock for cycle-to-time conversion.

@@ -29,17 +29,15 @@ func TestOptimizeStream(t *testing.T) {
 }
 
 // TestOptimizeStreamValidOptionsRunEveryGroup: StreamOptions that pass
-// Validate must pass every group's validation too. With a Solver,
-// CacheSize is valid without Cache (it is the Solver's concern), but it
-// once reached each group's Options, which have no Solver, and failed
-// group 0 with "CacheSize set without Cache". The bound is ignored, so
-// the stream equals one without it.
+// Validate must pass every group's validation too (a stream-level
+// option once reached each group's Options and failed group 0). A
+// cached stream on a Solver equals an uncached private one.
 func TestOptimizeStreamValidOptionsRunEveryGroup(t *testing.T) {
 	wl, err := GenerateWorkload(WorkloadConfig{Task: Mix, NumJobs: 32, GroupSize: 16, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := StreamOptions{BudgetPerGroup: 100, Seed: 1, Solver: NewSolver(SolverOptions{}), CacheSize: 64}
+	opts := StreamOptions{BudgetPerGroup: 100, Seed: 1, Solver: NewSolver(SolverOptions{}), Cache: true}
 	if err := opts.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
