@@ -48,6 +48,10 @@ var gates = []gate{
 	{report: "serve", when: "chaos", path: "chaos.mapper_panics", op: ">", bound: 0},
 	{report: "serve", when: "chaos", path: "chaos.succeeded", op: ">", bound: 0},
 	{report: "serve", when: "chaos", path: "chaos.failed_500s", op: ">", bound: 0},
+	// The delay hooks must fire: a chaos report that claims delayed
+	// simulations and stalled kernel passes has to have injected some.
+	{report: "serve", when: "chaos", path: "chaos.delayed_simulations", op: ">", bound: 0},
+	{report: "serve", when: "chaos", path: "chaos.kernel_stalls", op: ">", bound: 0},
 	{report: "serve", when: "chaos", path: "chaos.snapshot_restore_ok", op: "true"},
 	{report: "serve", when: "fleet", path: "latency_ms.p99", op: ">", bound: 0},
 	{report: "serve", when: "fleet", path: "fleet.ownership_disjoint", op: "true"},

@@ -108,7 +108,8 @@ func passing(t *testing.T) map[string]map[string]any {
 		RequestsPerSec:      40,
 		CrossRequestHitRate: 0.3,
 		Latency:             &LatencyJSON{P50: 1, P95: 2, P99: 3, Max: 3},
-		Chaos:               &ChaosReport{MapperPanics: 2, Failed500s: 2, Succeeded: 10, SnapshotRestoreOK: true},
+		Chaos: &ChaosReport{MapperPanics: 2, Failed500s: 2, Succeeded: 10, SnapshotRestoreOK: true,
+			DelayedSimulations: 6, KernelStalls: 6},
 		Fleet: &FleetReport{
 			OwnershipDisjoint: true,
 			// The aggregate rate above sits exactly on the baseline; the

@@ -102,8 +102,9 @@ type ChaosReport struct {
 	MapperPanics uint64 `json:"mapper_panics"`
 	Failed500s   int64  `json:"failed_500s"`
 	Succeeded    int64  `json:"succeeded"`
-	// Batches and kernel passes slowed by the delay hooks, and passes
-	// through the sim.kernel fault point.
+	// Simulations and kernel passes slowed by the delay hooks, as each
+	// hook counts its own firings, and passes through the sim.kernel
+	// fault point.
 	DelayedSimulations uint64 `json:"delayed_simulations"`
 	KernelRuns         uint64 `json:"kernel_runs"`
 	KernelStalls       uint64 `json:"kernel_stalls"`
@@ -124,6 +125,7 @@ func serveLoadTest(requests, clients int, chaos bool) (*ServeReport, error) {
 	defer ts.Close()
 
 	var (
+		delayed, stalls            atomic.Uint64
 		snapAttempts, snapFailures int
 		snapPath                   string
 		stopSnaps                  = func() {}
@@ -145,12 +147,17 @@ func serveLoadTest(requests, clients int, chaos bool) (*ServeReport, error) {
 		fault.Enable(fault.M3EAsk, fault.Every(97, func() error {
 			panic("chaos: injected mapper panic")
 		}))
-		// Stalled batches and kernel passes (delays, not errors).
-		fault.Enable(fault.M3ESimulate, fault.Every(512, func() error {
+		// Stalled simulations and kernel passes (delays, not errors).
+		// The memo and the pruning pass leave a few hundred of each in a
+		// CI-sized run (-requests 24 -clients 4), so a period of 64 fires
+		// both several times.
+		fault.Enable(fault.M3ESimulate, fault.Every(64, func() error {
+			delayed.Add(1)
 			time.Sleep(2 * time.Millisecond)
 			return nil
 		}))
-		fault.Enable(fault.SimKernel, fault.Every(512, func() error {
+		fault.Enable(fault.SimKernel, fault.Every(64, func() error {
+			stalls.Add(1)
 			time.Sleep(time.Millisecond)
 			return nil
 		}))
@@ -211,9 +218,9 @@ func serveLoadTest(requests, clients int, chaos bool) (*ServeReport, error) {
 			MapperPanics:       st.MapperPanics,
 			Failed500s:         res.failed500s,
 			Succeeded:          res.succeeded,
-			DelayedSimulations: fault.Hits(fault.M3ESimulate) / 512,
+			DelayedSimulations: delayed.Load(),
 			KernelRuns:         fault.Hits(fault.SimKernel),
-			KernelStalls:       fault.Hits(fault.SimKernel) / 512,
+			KernelStalls:       stalls.Load(),
 			SnapshotAttempts:   snapAttempts,
 			SnapshotFailures:   snapFailures,
 			SnapshotsTaken:     st.SnapshotsTaken,

@@ -147,21 +147,19 @@ func main() {
 // printPartialCurve summarizes the truncated convergence curve of an
 // interrupted search: a handful of evenly spaced best-so-far points, so
 // the user sees how far along the run was when it stopped.
-func printPartialCurve(curve []float64) {
-	if len(curve) == 0 {
+func printPartialCurve(curve magma.Curve) {
+	n := curve.Len()
+	if n == 0 {
 		return
 	}
 	const points = 8
-	fmt.Printf("curve:      %d samples;", len(curve))
-	step := (len(curve) + points - 1) / points
-	if step < 1 {
-		step = 1
+	fmt.Printf("curve:      %d samples;", n)
+	step := (n + points - 1) / points
+	for i := step - 1; i < n; i += step {
+		fmt.Printf(" %.4g@%d", curve.At(i), i+1)
 	}
-	for i := step - 1; i < len(curve); i += step {
-		fmt.Printf(" %.4g@%d", curve[i], i+1)
-	}
-	if (len(curve)-1)%step != step-1 {
-		fmt.Printf(" %.4g@%d", curve[len(curve)-1], len(curve))
+	if (n-1)%step != step-1 {
+		fmt.Printf(" %.4g@%d", curve.At(n-1), n)
 	}
 	fmt.Println()
 }

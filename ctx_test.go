@@ -58,16 +58,16 @@ func TestCancellationDeterminism(t *testing.T) {
 		if got.Samples != samplesAtK {
 			t.Errorf("cache=%v: aborted at %d samples, want %d", cache, got.Samples, samplesAtK)
 		}
-		if got.Fitness != want.Curve[samplesAtK-1] {
+		if got.Fitness != want.Curve.At(samplesAtK-1) {
 			t.Errorf("cache=%v: aborted best %v != full curve at k %v",
-				cache, got.Fitness, want.Curve[samplesAtK-1])
+				cache, got.Fitness, want.Curve.At(samplesAtK-1))
 		}
-		if len(got.Curve) != samplesAtK {
-			t.Fatalf("cache=%v: aborted curve %d samples, want %d", cache, len(got.Curve), samplesAtK)
+		if got.Curve.Len() != samplesAtK {
+			t.Fatalf("cache=%v: aborted curve %d samples, want %d", cache, got.Curve.Len(), samplesAtK)
 		}
-		for i, v := range got.Curve {
-			if v != want.Curve[i] {
-				t.Fatalf("cache=%v: curve diverges at sample %d: %v != %v", cache, i, v, want.Curve[i])
+		for i := range samplesAtK {
+			if v := got.Curve.At(i); v != want.Curve.At(i) {
+				t.Fatalf("cache=%v: curve diverges at sample %d: %v != %v", cache, i, v, want.Curve.At(i))
 			}
 		}
 		if err := got.Mapping.Validate(len(g.Jobs), pf.NumAccels()); err != nil {

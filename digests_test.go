@@ -59,9 +59,11 @@ func resultDigest(s Schedule) string {
 	word(math.Float64bits(s.Fitness))
 	word(uint64(s.Samples))
 	word(uint64(s.Asked))
-	word(uint64(len(s.Curve)))
-	for _, f := range s.Curve {
-		word(math.Float64bits(f))
+	word(uint64(s.Curve.Len()))
+	for _, r := range s.Curve {
+		for range r.N {
+			word(math.Float64bits(r.V))
+		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

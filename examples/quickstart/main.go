@@ -41,7 +41,7 @@ func main() {
 	fmt.Printf("mapper:      %s\n", sched.Mapper)
 	fmt.Printf("throughput:  %.1f GFLOP/s\n", sched.ThroughputGFLOPs)
 	fmt.Printf("makespan:    %.3g cycles\n", sched.MakespanCycles)
-	fmt.Printf("first seen:  %.1f GFLOP/s (best of the initial population)\n", sched.Curve[99])
+	fmt.Printf("first seen:  %.1f GFLOP/s (best of the initial population)\n", sched.Curve.At(99))
 	fmt.Println()
 	if err := magma.RenderSchedule(os.Stdout, group, pf, sched, 100); err != nil {
 		log.Fatal(err)

@@ -22,7 +22,7 @@ func remember(t *testing.T, h *engine.ProblemHandle, key engine.MemoKey) persist
 		t.Fatal(err)
 	}
 	e := persist.MemoEntry{Key: key, Method: res.Method, Asked: res.Asked, Fitness: res.BestFitness,
-		Genome: res.Best, Curve: []persist.CurveRun{{V: res.BestFitness, N: res.Asked}}}
+		Genome: res.Best, Curve: m3e.Curve{{V: res.BestFitness, N: res.Asked}}}
 	h.Remember(e)
 	return e
 }

@@ -112,8 +112,8 @@ func TestRunMethodHeuristicVsSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fit <= 0 || len(curve) != cfg.Budget {
-		t.Errorf("search fit=%g curve len=%d want %d", fit, len(curve), cfg.Budget)
+	if fit <= 0 || curve.Len() != cfg.Budget {
+		t.Errorf("search fit=%g curve len=%d want %d", fit, curve.Len(), cfg.Budget)
 	}
 }
 

@@ -155,14 +155,7 @@ func runFig11(c Config, w io.Writer) error {
 			}
 			row := []string{m.Name}
 			for _, f := range checkFracs {
-				idx := int(f*float64(budget)) - 1
-				if idx < 0 {
-					idx = 0
-				}
-				if idx >= len(curve) {
-					idx = len(curve) - 1
-				}
-				row = append(row, fmtG(curve[idx]))
+				row = append(row, fmtG(curve.At(int(f*float64(budget))-1)))
 			}
 			t.Rows = append(t.Rows, row)
 		}

@@ -68,14 +68,7 @@ func runFig16(c Config, w io.Writer) error {
 					return err
 				}
 				for fi, f := range checkFracs {
-					idx := int(f*float64(c.Budget)) - 1
-					if idx < 0 {
-						idx = 0
-					}
-					if idx >= len(res.Curve) {
-						idx = len(res.Curve) - 1
-					}
-					sum[fi] += res.Curve[idx]
+					sum[fi] += res.Curve.At(int(f*float64(c.Budget)) - 1)
 				}
 			}
 			row := []string{v.name}

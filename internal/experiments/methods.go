@@ -57,7 +57,7 @@ func MethodNames(c Config) []string {
 // RunMethod evaluates one method on a problem and returns its best
 // fitness (throughput) and, for search methods, the best-so-far curve.
 // Heuristics ignore the runner options (they consume no budget).
-func RunMethod(prob *m3e.Problem, m Method, opts m3e.Options, seed int64) (float64, []float64, error) {
+func RunMethod(prob *m3e.Problem, m Method, opts m3e.Options, seed int64) (float64, m3e.Curve, error) {
 	if m.Heuristic != nil {
 		mapping, err := m.Heuristic.Map(prob.Table)
 		if err != nil {

@@ -40,11 +40,7 @@ func warmCheckpoints(prob *m3e.Problem, seeds []encoding.Genome, seed int64, c C
 	}
 	out := make(map[int]float64, len(warmEpochs))
 	for _, e := range warmEpochs {
-		idx := pop*(e+1) - 1
-		if idx >= len(res.Curve) {
-			idx = len(res.Curve) - 1
-		}
-		out[e] = res.Curve[idx]
+		out[e] = res.Curve.At(pop*(e+1) - 1)
 	}
 	return out, res.Best, nil
 }

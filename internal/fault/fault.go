@@ -42,10 +42,12 @@ const (
 	// hook surfaces as a *m3e.MapperPanicError, a non-nil error as a
 	// plain run error (mapper-panic-at-generation injection).
 	M3EAsk = "m3e.ask"
-	// M3ESimulate fires once per evaluated batch before the simulator
-	// pass; a sleeping hook models a slow evaluation (delay injection).
-	// Returned errors are ignored — simulation has no error path per
-	// batch — so use it for delays and panics only.
+	// M3ESimulate fires once per simulation, in
+	// m3e.Evaluator.EvaluateMapping before the simulator runs; a
+	// sleeping hook models a slow evaluation (delay injection). An error
+	// fails that evaluation: the runner scores the genome -Inf, and a
+	// pruned search whose bounds priced the genome fails its bracket
+	// check. Use it for delays and panics only.
 	M3ESimulate = "m3e.simulate"
 	// SimKernel fires at the entry of sim.Simulator.Run, the
 	// event-driven simulator kernel, once per simulation; an error

@@ -342,15 +342,11 @@ func (rt *Router) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	}
 	rt.fanOuts.Add(1)
 
-	// Per-group fan-out. Each sub-request re-derives exactly what the
+	// Per-group fan-out. Each sub-request carries exactly what the
 	// shard's own stream loop would have used for that group: the seed
-	// advances by group index and an unset budget resolves against the
-	// *original* group count — so the merged result is bit-identical to
-	// the same request answered by one shard.
-	budget := req.Options.BudgetPerGroup
-	if budget <= 0 {
-		budget = m3e.DefaultBudget / len(wl.Groups)
-	}
+	// advances by group index and the budget is magma.GroupBudget over
+	// the *original* group count — so the merged result is bit-identical
+	// to the same request answered by one shard.
 	results := make([]forwardResult, len(wl.Groups))
 	var wg sync.WaitGroup
 	slots := make(chan struct{}, maxFanOut)
@@ -358,7 +354,7 @@ func (rt *Router) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		sub := req
 		sub.Generate = nil
 		sub.Options.Seed = req.Options.Seed + int64(gi)
-		sub.Options.BudgetPerGroup = budget
+		sub.Options.BudgetPerGroup = magma.GroupBudget(req.Options.BudgetPerGroup, len(wl.Groups), len(g.Jobs))
 		var buf bytes.Buffer
 		gw := magma.Workload{Name: wl.Name, Task: wl.Task, Groups: []magma.Group{{Index: 0, Jobs: g.Jobs}}}
 		if err := gw.WriteJSON(&buf); err != nil {

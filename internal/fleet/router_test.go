@@ -560,6 +560,42 @@ func TestRouterFanOutBoundsInFlight(t *testing.T) {
 	}
 }
 
+// TestRouterFanOutBudgetPastDefault: with more groups than DefaultBudget
+// and no budget_per_group, each sub-request carries the floor of 20 ×
+// group size that one node's stream loop runs per group, not the 0 of
+// DefaultBudget / groups, which a shard reads as unset and searches at
+// the whole DefaultBudget.
+func TestRouterFanOutBudgetPastDefault(t *testing.T) {
+	const groups, size = magma.DefaultBudget + 16, 4
+	var served, wrong atomic.Int64
+	shards := make([]Shard, 3)
+	for i := range shards {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			var req serve.OptimizeRequest
+			if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Options.BudgetPerGroup != 20*size {
+				wrong.Add(1)
+			}
+			served.Add(1)
+			w.WriteHeader(http.StatusServiceUnavailable)
+		}))
+		t.Cleanup(ts.Close)
+		shards[i] = Shard{Name: fmt.Sprintf("shard%d", i), URL: ts.URL}
+	}
+	rt, err := NewRouter(shards, Config{MaxAttempts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rts := httptest.NewServer(rt.Handler())
+	t.Cleanup(rts.Close)
+	postOptimize(t, rts.URL, fmt.Sprintf(`{"generate":{"task":"Mix","num_jobs":%d,"group_size":%d,"seed":1}}`, groups*size, size))
+	if got := served.Load(); got != groups {
+		t.Fatalf("shards served %d forwards, want one per group = %d", got, groups)
+	}
+	if n := wrong.Load(); n != 0 {
+		t.Errorf("%d of %d sub-requests did not carry budget_per_group %d", n, groups, 20*size)
+	}
+}
+
 // TestResponsesAreCompact pins the wire form of the router's own
 // bodies: the merged /optimize reply and /stats are compact JSON, one
 // value per line, the bytes of json.Marshal of what they decode to plus

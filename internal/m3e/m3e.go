@@ -239,7 +239,7 @@ type Result struct {
 	BestFitness float64
 	Samples     int         // budget units consumed: one per genome processed
 	Asked       int         // genomes processed (always == Samples)
-	Curve       []float64   // best-so-far fitness after each consumed sample
+	Curve       Curve       // best-so-far fitness after each consumed sample
 	Explored    [][]float64 // sampled vectors (only when RecordSamples)
 	Cache       CacheStats  // hit/miss and pruning counters (see CacheStats)
 	// Phases breaks the run's wall-clock down per generation phase
@@ -253,6 +253,49 @@ type Result struct {
 	// completed generation — exactly the prefix a full run would have
 	// produced — so callers can use the partial schedule directly.
 	Aborted bool
+}
+
+// Curve is a search's best-so-far fitness after each consumed sample,
+// kept as runs of N consecutive samples of value V. The curve steps only
+// when the search improves, so thousands of samples keep a few dozen
+// runs. A curve that Run records has no empty run, and no two adjacent
+// runs whose values have equal bits.
+type Curve []struct {
+	V float64
+	N int
+}
+
+// add appends one sample of value v. It extends the last run when v's
+// bits equal that run's value, so a NaN sample and a -0 stay themselves.
+func (c Curve) add(v float64) Curve {
+	if n := len(c); n > 0 && math.Float64bits(c[n-1].V) == math.Float64bits(v) {
+		c[n-1].N++
+		return c
+	}
+	return append(c, Curve{{V: v, N: 1}}...)
+}
+
+// Len returns the number of samples the curve covers.
+func (c Curve) Len() int {
+	n := 0
+	for _, r := range c {
+		n += r.N
+	}
+	return n
+}
+
+// At returns the value after sample i, counted from 0. An index below 0
+// reads the first sample and one past the end the last, so a checkpoint
+// beyond a short run reads where the run stopped. At panics on an empty
+// curve.
+func (c Curve) At(i int) float64 {
+	for _, r := range c {
+		if i < r.N {
+			return r.V
+		}
+		i -= r.N
+	}
+	return c[len(c)-1].V
 }
 
 // PhaseTimings accumulates wall-clock per runner phase across a run.
@@ -420,7 +463,6 @@ func Run(p *Problem, opt Optimizer, o Options, seed int64) (Result, error) {
 		pool = NewPool(p)
 	}
 	res := Result{Method: opt.Name(), BestFitness: math.Inf(-1)}
-	res.Curve = make([]float64, 0, o.Budget)
 	var pn *pruner
 	es, isES := opt.(EliteSelector)
 	rt, isRT := opt.(ReaskTracker)
@@ -508,7 +550,7 @@ func Run(p *Problem, opt Optimizer, o Options, seed int64) (Result, error) {
 				res.BestFitness = fit[i]
 				res.Best = g.Clone()
 			}
-			res.Curve = append(res.Curve, res.BestFitness)
+			res.Curve = res.Curve.add(res.BestFitness)
 			if o.RecordSamples {
 				res.Explored = append(res.Explored, g.ToVector(p.NumAccels()))
 			}

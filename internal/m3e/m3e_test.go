@@ -115,8 +115,8 @@ func TestRunConsumesExactBudget(t *testing.T) {
 	if res.Samples != 23 {
 		t.Errorf("Samples = %d, want 23", res.Samples)
 	}
-	if len(res.Curve) != 23 {
-		t.Errorf("curve length = %d, want 23", len(res.Curve))
+	if res.Curve.Len() != 23 {
+		t.Errorf("curve length = %d, want 23", res.Curve.Len())
 	}
 	if opt.told != 23 {
 		t.Errorf("Tell saw %d evaluations, want 23", opt.told)
@@ -132,12 +132,12 @@ func TestRunCurveMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i < len(res.Curve); i++ {
-		if res.Curve[i] < res.Curve[i-1] {
-			t.Fatalf("best-so-far decreased at %d: %g -> %g", i, res.Curve[i-1], res.Curve[i])
+	for i := 1; i < res.Curve.Len(); i++ {
+		if res.Curve.At(i) < res.Curve.At(i-1) {
+			t.Fatalf("best-so-far decreased at %d: %g -> %g", i, res.Curve.At(i-1), res.Curve.At(i))
 		}
 	}
-	if res.BestFitness != res.Curve[len(res.Curve)-1] {
+	if res.BestFitness != res.Curve.At(res.Curve.Len()-1) {
 		t.Error("BestFitness disagrees with curve tail")
 	}
 	if err := res.Best.Validate(prob.NumJobs(), prob.NumAccels()); err != nil {

@@ -50,8 +50,8 @@ func TestRunContextAbortMidSearch(t *testing.T) {
 	if res.Samples != 24 {
 		t.Fatalf("aborted after %d samples, want 24 (3 generations of 8)", res.Samples)
 	}
-	if len(res.Curve) != res.Samples {
-		t.Fatalf("curve %d entries, samples %d", len(res.Curve), res.Samples)
+	if res.Curve.Len() != res.Samples {
+		t.Fatalf("curve %d entries, samples %d", res.Curve.Len(), res.Samples)
 	}
 	if res.Best.NumJobs() == 0 {
 		t.Fatal("aborted run lost its best genome")

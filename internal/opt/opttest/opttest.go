@@ -1,10 +1,12 @@
 // Package opttest provides the shared test battery for optimization
 // algorithms: every mapper must drive a small search, respect the
-// sampling budget, behave deterministically under a fixed seed, and
-// clearly beat the average random sample (i.e. actually optimize).
+// sampling budget with a canonical convergence curve, behave
+// deterministically under a fixed seed, and clearly beat the average
+// random sample (i.e. actually optimize).
 package opttest
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -45,6 +47,28 @@ func RandomMean(t testing.TB, prob *m3e.Problem, n int, seed int64) float64 {
 	return sum / float64(n)
 }
 
+// checkCurve requires res.Curve to be canonical: it covers every
+// consumed sample, no run is empty, no two adjacent runs hold values
+// with equal bits, and the last run's value is the best fitness.
+func checkCurve(t *testing.T, res m3e.Result) {
+	t.Helper()
+	c := res.Curve
+	if n := c.Len(); n != res.Samples {
+		t.Errorf("curve covers %d samples, want %d", n, res.Samples)
+	}
+	for i, r := range c {
+		if r.N <= 0 {
+			t.Errorf("curve run %d of %d samples", i, r.N)
+		}
+		if i > 0 && math.Float64bits(r.V) == math.Float64bits(c[i-1].V) {
+			t.Errorf("curve runs %d and %d both hold %v", i-1, i, r.V)
+		}
+	}
+	if len(c) == 0 || math.Float64bits(c[len(c)-1].V) != math.Float64bits(res.BestFitness) {
+		t.Errorf("curve %v does not end at the best fitness %v", c, res.BestFitness)
+	}
+}
+
 // Battery runs the standard conformance checks against an optimizer
 // constructor. improvementFactor is the required ratio of the found
 // best to the random mean (1.0 = must at least match random).
@@ -60,9 +84,7 @@ func Battery(t *testing.T, mk func() m3e.Optimizer, budget int, improvementFacto
 		if res.Samples != budget {
 			t.Errorf("samples = %d, want %d", res.Samples, budget)
 		}
-		if len(res.Curve) != budget {
-			t.Errorf("curve length = %d, want %d", len(res.Curve), budget)
-		}
+		checkCurve(t, res)
 		if err := res.Best.Validate(prob.NumJobs(), prob.NumAccels()); err != nil {
 			t.Errorf("best genome invalid: %v", err)
 		}

@@ -21,16 +21,18 @@ func corpusBytes(file []byte) ([]byte, bool) {
 }
 
 // FuzzRead feeds Read arbitrary bytes, the restore path's view of a
-// snapshot file. It never panics, and it either rejects the input whole
-// — a *VersionError or an error wrapping ErrCorrupt, with no snapshot —
-// or returns a snapshot that Write encodes back to exactly the input.
-// Seed corpus: internal/persist/testdata/fuzz/FuzzRead (no bytes, a
-// truncated magic, a v1 file, and a v2 snapshot with truncated,
-// bit-flipped and extended copies, all rejected at the format field),
-// plus one seed per rejection path of the current format added below:
-// the round-trip snapshot, a results-layout mismatch, each huge count,
-// a torn tail, a trailing byte and a flipped checksum. Explore beyond
-// them with
+// snapshot file, and the same bytes as the body of a file with this
+// build's header and a valid checksum, so the body parser is fuzzed
+// past the checksum check. Read never panics, and it either rejects an
+// input whole — a *VersionError or an error wrapping ErrCorrupt, with
+// no snapshot — or returns a snapshot that Write encodes back to
+// exactly the input. Seed corpus: internal/persist/testdata/fuzz/FuzzRead
+// (no bytes, a truncated magic, a v1 file, and a v2 snapshot with
+// truncated, bit-flipped and extended copies, all rejected at the
+// format field), plus one seed per rejection path of the current format
+// added below: the round-trip snapshot and its body, a results-layout
+// mismatch, each huge count and its body, a torn tail, a trailing byte
+// and a flipped checksum. Explore beyond them with
 //
 //	go test -run=NONE -fuzz=FuzzRead -fuzztime=10s ./internal/persist/
 func FuzzRead(f *testing.F) {
@@ -40,11 +42,13 @@ func FuzzRead(f *testing.F) {
 	}
 	sample := buf.Bytes()
 	f.Add(sample)
+	f.Add(sample[headerLen : len(sample)-8])
 	layout := bytes.Clone(sample)
 	binary.LittleEndian.PutUint32(layout[8+3*4:], ResultsLayout+1)
 	f.Add(layout)
 	for _, data := range hugeCounts(f) {
 		f.Add(data)
+		f.Add(data[headerLen:])
 	}
 	f.Add(sample[:len(sample)-3])
 	f.Add(append(bytes.Clone(sample), 0))
@@ -53,23 +57,25 @@ func FuzzRead(f *testing.F) {
 	f.Add(flipped)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := Read(bytes.NewReader(data))
-		if err != nil {
-			var ve *VersionError
-			if !errors.Is(err, ErrCorrupt) && !errors.As(err, &ve) {
-				t.Fatalf("Read rejected %x with %v, neither ErrCorrupt nor a VersionError", data, err)
+		for _, data := range [][]byte{data, frame(data)} {
+			s, err := Read(bytes.NewReader(data))
+			if err != nil {
+				var ve *VersionError
+				if !errors.Is(err, ErrCorrupt) && !errors.As(err, &ve) {
+					t.Fatalf("Read rejected %x with %v, neither ErrCorrupt nor a VersionError", data, err)
+				}
+				if s != nil {
+					t.Fatalf("Read returned a snapshot with error %v", err)
+				}
+				continue
 			}
-			if s != nil {
-				t.Fatalf("Read returned a snapshot with error %v", err)
+			var buf bytes.Buffer
+			if err := Write(&buf, s); err != nil {
+				t.Fatalf("Write of a snapshot Read accepted: %v", err)
 			}
-			return
-		}
-		var buf bytes.Buffer
-		if err := Write(&buf, s); err != nil {
-			t.Fatalf("Write of a snapshot Read accepted: %v", err)
-		}
-		if !bytes.Equal(buf.Bytes(), data) {
-			t.Fatalf("Read accepted %x but Write re-encodes it as %x", data, buf.Bytes())
+			if !bytes.Equal(buf.Bytes(), data) {
+				t.Fatalf("Read accepted %x but Write re-encodes it as %x", data, buf.Bytes())
+			}
 		}
 	})
 }

@@ -14,8 +14,8 @@
 //     search's result, and a build whose searches return different
 //     results must not answer with the old ones;
 //   - the body ends in an FNV-64a checksum over everything before it.
-//     Torn or truncated files (a crash mid-write, a corrupted disk)
-//     fail the checksum or hit unexpected EOF and are rejected, so a
+//     Read checks it before it parses the body, so torn or truncated
+//     files (a crash mid-write, a corrupted disk) are rejected and a
 //     restoring server boots cold instead of loading garbage;
 //   - WriteAtomic goes write-to-temp-then-rename (with fsync), so a
 //     crash during snapshotting leaves the previous snapshot intact —
@@ -29,9 +29,9 @@
 package persist
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"hash/fnv"
 	"io"
 	"math"
@@ -40,6 +40,7 @@ import (
 
 	"magma/internal/encoding"
 	"magma/internal/fault"
+	"magma/internal/m3e"
 	"magma/internal/rng"
 	"magma/internal/sim"
 )
@@ -62,14 +63,11 @@ const ResultsLayout = 1
 // magic identifies a solver snapshot file.
 var magic = [8]byte{'M', 'A', 'G', 'M', 'A', 'S', 'N', 'P'}
 
-// Sanity bounds on deserialized counts: a corrupted length field must
-// fail fast instead of allocating gigabytes before the checksum check
-// has a chance to reject the file. Read also never preallocates more
-// than preallocCap elements on a count's word alone: past that a slice
-// grows only as its elements are actually read, so a short file with a
-// huge count fails at its end instead of allocating the whole count.
+// Sanity bounds on deserialized counts. Read parses a body only once
+// its checksum holds, and a count whose items cannot fit in the bytes
+// left after it fails too (cursor.count), so no count allocates more
+// than the input holds.
 const (
-	preallocCap      = 1 << 12
 	maxProblems      = 1 << 20
 	maxMemoEntries   = 1 << 16
 	maxNameLen       = 1 << 8
@@ -109,19 +107,11 @@ type MemoKey struct {
 	Seed   int64
 }
 
-// CurveRun is N consecutive best-so-far curve samples of value V. A
-// best-so-far curve steps only when the search improves, so a curve of
-// thousands of samples keeps a few dozen runs.
-type CurveRun struct {
-	V float64
-	N int
-}
-
 // MemoEntry is one finished search as a problem's memo keeps it: the
 // schedule's genome and evaluation without its decoded mapping (the
-// genome decodes to it again), and the convergence curve run-length
-// encoded. Method is the name the mapper reported (the Schedule's
-// Mapper), Asked the genomes the search asked.
+// genome decodes to it again), and the convergence curve in the runs
+// the search recorded. Method is the name the mapper reported (the
+// Schedule's Mapper), Asked the genomes the search asked.
 type MemoEntry struct {
 	Key    MemoKey
 	Method string
@@ -133,7 +123,7 @@ type MemoEntry struct {
 	Fitness          float64
 
 	Genome encoding.Genome
-	Curve  []CurveRun
+	Curve  m3e.Curve
 }
 
 // Problem is one problem's durable memo: the stable content identity
@@ -158,266 +148,94 @@ type Snapshot struct {
 	Warm     []WarmTask
 }
 
-// hashWriter writes through an FNV-64a accumulator so the trailing
-// checksum covers every byte of header and body.
-type hashWriter struct {
-	w   io.Writer
-	h   hash.Hash64
-	buf [8]byte
-	err error
+// versions lists the header's version fields in file order, with the
+// value this build writes and accepts.
+var versions = [...]struct {
+	field string
+	want  uint32
+}{
+	{"format", FormatVersion},
+	{"rng layout", rng.Layout},
+	{"sim kernel", sim.KernelVersion},
+	{"results layout", ResultsLayout},
 }
 
-func newHashWriter(w io.Writer) *hashWriter {
-	return &hashWriter{w: w, h: fnv.New64a()}
-}
+// headerLen is the magic plus the four version fields.
+const headerLen = len(magic) + 4*len(versions)
 
-func (x *hashWriter) bytes(b []byte) {
-	if x.err != nil {
-		return
+var le = binary.LittleEndian
+
+// Write serializes the snapshot into one buffer — header (magic and the
+// four version fields), body, and an FNV-64a checksum of everything
+// before it — and writes that buffer in one call.
+func Write(w io.Writer, s *Snapshot) error {
+	b := append([]byte(nil), magic[:]...)
+	for _, v := range versions {
+		b = le.AppendUint32(b, v.want)
 	}
-	if _, err := x.w.Write(b); err != nil {
-		x.err = err
-		return
+	b = le.AppendUint32(b, uint32(len(s.Problems)))
+	for _, p := range s.Problems {
+		b = le.AppendUint64(b, p.Table.A)
+		b = le.AppendUint64(b, p.Table.B)
+		b = le.AppendUint32(b, uint32(p.Objective))
+		b = le.AppendUint32(b, uint32(len(p.Memo)))
+		for _, e := range p.Memo {
+			b = appendString(b, e.Key.Mapper)
+			b = le.AppendUint64(b, uint64(e.Key.Budget))
+			b = le.AppendUint64(b, uint64(e.Key.Seed))
+			b = appendString(b, e.Method)
+			b = le.AppendUint64(b, uint64(e.Asked))
+			for _, v := range []float64{e.ThroughputGFLOPs, e.MakespanCycles, e.EnergyUnits, e.Fitness} {
+				b = le.AppendUint64(b, math.Float64bits(v))
+			}
+			var err error
+			if b, err = appendGenome(b, e.Genome); err != nil {
+				return err
+			}
+			b = le.AppendUint32(b, uint32(len(e.Curve)))
+			for _, r := range e.Curve {
+				b = le.AppendUint64(b, math.Float64bits(r.V))
+				b = le.AppendUint64(b, uint64(r.N))
+			}
+		}
 	}
-	x.h.Write(b)
-}
-
-func (x *hashWriter) u32(v uint32) {
-	x.buf[0] = byte(v)
-	x.buf[1] = byte(v >> 8)
-	x.buf[2] = byte(v >> 16)
-	x.buf[3] = byte(v >> 24)
-	x.bytes(x.buf[:4])
-}
-
-func (x *hashWriter) u64(v uint64) {
-	for i := 0; i < 8; i++ {
-		x.buf[i] = byte(v >> (8 * i))
+	b = le.AppendUint32(b, uint32(len(s.Warm)))
+	for _, wt := range s.Warm {
+		b = le.AppendUint32(b, uint32(wt.Task))
+		b = le.AppendUint32(b, uint32(len(wt.Seeds)))
+		for _, g := range wt.Seeds {
+			var err error
+			if b, err = appendGenome(b, g); err != nil {
+				return err
+			}
+		}
 	}
-	x.bytes(x.buf[:8])
+	h := fnv.New64a()
+	h.Write(b)
+	if _, err := w.Write(le.AppendUint64(b, h.Sum64())); err != nil {
+		return fmt.Errorf("persist: writing snapshot: %w", err)
+	}
+	return nil
 }
 
-func (x *hashWriter) str(v string) {
-	x.u32(uint32(len(v)))
-	x.bytes([]byte(v))
+func appendString(b []byte, v string) []byte {
+	return append(le.AppendUint32(b, uint32(len(v))), v...)
 }
 
-// genome writes the gene count, the accelerator genes and the priority
-// genes.
-func (x *hashWriter) genome(g encoding.Genome) error {
+// appendGenome appends the gene count, the accelerator genes and the
+// priority genes.
+func appendGenome(b []byte, g encoding.Genome) ([]byte, error) {
 	if len(g.Accel) != len(g.Prio) {
-		return fmt.Errorf("persist: genome with %d accel but %d prio genes", len(g.Accel), len(g.Prio))
+		return b, fmt.Errorf("persist: genome with %d accel but %d prio genes", len(g.Accel), len(g.Prio))
 	}
-	x.u32(uint32(len(g.Accel)))
+	b = le.AppendUint32(b, uint32(len(g.Accel)))
 	for _, a := range g.Accel {
-		x.u32(uint32(a))
+		b = le.AppendUint32(b, uint32(a))
 	}
 	for _, p := range g.Prio {
-		x.u64(math.Float64bits(p))
+		b = le.AppendUint64(b, math.Float64bits(p))
 	}
-	return nil
-}
-
-// sumThenWrite appends the checksum itself (not hashed).
-func (x *hashWriter) sumThenWrite() {
-	if x.err != nil {
-		return
-	}
-	sum := x.h.Sum64()
-	for i := 0; i < 8; i++ {
-		x.buf[i] = byte(sum >> (8 * i))
-	}
-	_, x.err = x.w.Write(x.buf[:8])
-}
-
-// hashReader mirrors hashWriter: every read is hashed except the final
-// raw checksum read.
-type hashReader struct {
-	r   io.Reader
-	h   hash.Hash64
-	buf [8]byte
-}
-
-func newHashReader(r io.Reader) *hashReader {
-	return &hashReader{r: r, h: fnv.New64a()}
-}
-
-func (x *hashReader) bytes(n int) ([]byte, error) {
-	b := x.buf[:n]
-	if _, err := io.ReadFull(x.r, b); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, fmt.Errorf("%w: truncated (%v)", ErrCorrupt, err)
-	}
-	x.h.Write(b)
 	return b, nil
-}
-
-func (x *hashReader) u32() (uint32, error) {
-	b, err := x.bytes(4)
-	if err != nil {
-		return 0, err
-	}
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24, nil
-}
-
-func (x *hashReader) u64() (uint64, error) {
-	b, err := x.bytes(8)
-	if err != nil {
-		return 0, err
-	}
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v, nil
-}
-
-// count reads a u32 count, rejecting one above limit.
-func (x *hashReader) count(what string, limit uint32) (uint32, error) {
-	n, err := x.u32()
-	if err != nil {
-		return 0, err
-	}
-	if n > limit {
-		return 0, fmt.Errorf("%w: %d %s", ErrCorrupt, n, what)
-	}
-	return n, nil
-}
-
-// samples reads a u64 sample count, rejecting one above maxSamples.
-func (x *hashReader) samples(what string) (int, error) {
-	n, err := x.u64()
-	if err != nil {
-		return 0, err
-	}
-	if n > maxSamples {
-		return 0, fmt.Errorf("%w: %s of %d samples", ErrCorrupt, what, n)
-	}
-	return int(n), nil
-}
-
-func (x *hashReader) str() (string, error) {
-	n, err := x.count("name bytes", maxNameLen)
-	if err != nil {
-		return "", err
-	}
-	b := make([]byte, 0, n)
-	for range n {
-		c, err := x.bytes(1)
-		if err != nil {
-			return "", err
-		}
-		b = append(b, c[0])
-	}
-	return string(b), nil
-}
-
-// genome reads what hashWriter.genome wrote.
-func (x *hashReader) genome() (encoding.Genome, error) {
-	nGenes, err := x.count("genes", maxGenesPerSeed)
-	if err != nil {
-		return encoding.Genome{}, err
-	}
-	n := min(nGenes, preallocCap)
-	g := encoding.Genome{Accel: make([]int, 0, n), Prio: make([]float64, 0, n)}
-	for range nGenes {
-		a, err := x.u32()
-		if err != nil {
-			return encoding.Genome{}, err
-		}
-		g.Accel = append(g.Accel, int(a))
-	}
-	for range nGenes {
-		bits, err := x.u64()
-		if err != nil {
-			return encoding.Genome{}, err
-		}
-		g.Prio = append(g.Prio, math.Float64frombits(bits))
-	}
-	return g, nil
-}
-
-// checksum reads the trailing (unhashed) checksum, which must end the
-// input: bytes after it are covered by no checksum, so a snapshot
-// followed by anything is rejected.
-func (x *hashReader) checksum() (uint64, error) {
-	sum := x.h.Sum64() // capture before the raw read
-	b := x.buf[:8]
-	if _, err := io.ReadFull(x.r, b); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return 0, fmt.Errorf("%w: truncated checksum (%v)", ErrCorrupt, err)
-	}
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	if v != sum {
-		return 0, fmt.Errorf("%w: checksum mismatch (file %#x, computed %#x)", ErrCorrupt, v, sum)
-	}
-	switch _, err := io.ReadFull(x.r, b[:1]); err {
-	case io.EOF:
-		return v, nil
-	case nil:
-		return 0, fmt.Errorf("%w: trailing data after the checksum", ErrCorrupt)
-	default:
-		return 0, fmt.Errorf("%w: reading past the checksum (%v)", ErrCorrupt, err)
-	}
-}
-
-// Write serializes the snapshot: header (magic + four version fields),
-// body, trailing checksum.
-func Write(w io.Writer, s *Snapshot) error {
-	x := newHashWriter(w)
-	x.bytes(magic[:])
-	x.u32(FormatVersion)
-	x.u32(rng.Layout)
-	x.u32(sim.KernelVersion)
-	x.u32(ResultsLayout)
-
-	x.u32(uint32(len(s.Problems)))
-	for _, p := range s.Problems {
-		x.u64(p.Table.A)
-		x.u64(p.Table.B)
-		x.u32(uint32(p.Objective))
-		x.u32(uint32(len(p.Memo)))
-		for _, e := range p.Memo {
-			x.str(e.Key.Mapper)
-			x.u64(uint64(e.Key.Budget))
-			x.u64(uint64(e.Key.Seed))
-			x.str(e.Method)
-			x.u64(uint64(e.Asked))
-			for _, v := range []float64{e.ThroughputGFLOPs, e.MakespanCycles, e.EnergyUnits, e.Fitness} {
-				x.u64(math.Float64bits(v))
-			}
-			if err := x.genome(e.Genome); err != nil {
-				return err
-			}
-			x.u32(uint32(len(e.Curve)))
-			for _, r := range e.Curve {
-				x.u64(math.Float64bits(r.V))
-				x.u64(uint64(r.N))
-			}
-		}
-	}
-	x.u32(uint32(len(s.Warm)))
-	for _, wt := range s.Warm {
-		x.u32(uint32(wt.Task))
-		x.u32(uint32(len(wt.Seeds)))
-		for _, g := range wt.Seeds {
-			if err := x.genome(g); err != nil {
-				return err
-			}
-		}
-	}
-	x.sumThenWrite()
-	if x.err != nil {
-		return fmt.Errorf("persist: writing snapshot: %w", x.err)
-	}
-	return nil
 }
 
 // Read deserializes and validates a snapshot, which must span the whole
@@ -427,157 +245,188 @@ func Write(w io.Writer, s *Snapshot) error {
 // ErrCorrupt; an incompatible version field returns a *VersionError.
 // Either way the caller should boot cold.
 func Read(r io.Reader) (*Snapshot, error) {
-	x := newHashReader(r)
-	m, err := x.bytes(8)
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: reading (%v)", ErrCorrupt, err)
 	}
-	if [8]byte(m) != magic {
+	// The magic and the version fields first, then the checksum over
+	// every byte before the last 8, and only then the body.
+	c := &cursor{b: data}
+	if m := c.take(len(magic)); c.err == nil && [8]byte(m) != magic {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, m)
 	}
-	for _, v := range []struct {
-		field string
-		want  uint32
-	}{
-		{"format", FormatVersion},
-		{"rng layout", rng.Layout},
-		{"sim kernel", sim.KernelVersion},
-		{"results layout", ResultsLayout},
-	} {
-		got, err := x.u32()
-		if err != nil {
-			return nil, err
-		}
-		if got != v.want {
+	for _, v := range versions {
+		if got := c.u32(); c.err == nil && got != v.want {
 			return nil, &VersionError{Field: v.field, Got: got, Want: v.want}
 		}
 	}
-
-	nProblems, err := x.count("problems", maxProblems)
-	if err != nil {
-		return nil, err
+	if c.err != nil {
+		return nil, c.err
 	}
-	s := &Snapshot{}
-	for range nProblems {
-		var p Problem
-		if p.Table.A, err = x.u64(); err != nil {
-			return nil, err
-		}
-		if p.Table.B, err = x.u64(); err != nil {
-			return nil, err
-		}
-		obj, err := x.count("objective", maxObjectiveWire-1)
-		if err != nil {
-			return nil, err
-		}
-		p.Objective = uint8(obj)
-		nMemo, err := x.count("memo entries", maxMemoEntries)
-		if err != nil {
-			return nil, err
-		}
-		p.Memo = make([]MemoEntry, 0, min(nMemo, preallocCap))
-		for range nMemo {
-			e, err := x.memoEntry()
-			if err != nil {
-				return nil, err
-			}
-			p.Memo = append(p.Memo, e)
-		}
-		s.Problems = append(s.Problems, p)
+	end := len(data) - 8
+	if end < headerLen {
+		return nil, fmt.Errorf("%w: truncated checksum", ErrCorrupt)
 	}
-
-	nWarm, err := x.count("warm tasks", maxWarmTasks)
-	if err != nil {
-		return nil, err
+	h := fnv.New64a()
+	h.Write(data[:end])
+	if got, want := le.Uint64(data[end:]), h.Sum64(); got != want {
+		return nil, fmt.Errorf("%w: checksum mismatch (file %#x, computed %#x)", ErrCorrupt, got, want)
 	}
-	for range nWarm {
-		var wt WarmTask
-		task, err := x.count("task", maxObjectiveWire-1)
-		if err != nil {
-			return nil, err
-		}
-		wt.Task = uint8(task)
-		nSeeds, err := x.count("seeds", maxSeedsPerTask)
-		if err != nil {
-			return nil, err
-		}
-		for range nSeeds {
-			g, err := x.genome()
-			if err != nil {
-				return nil, err
-			}
-			wt.Seeds = append(wt.Seeds, g)
-		}
-		s.Warm = append(s.Warm, wt)
+	c.b = data[headerLen:end]
+	s := c.snapshot()
+	if c.err == nil && len(c.b) > 0 {
+		c.fail("%d bytes after the body", len(c.b))
 	}
-	if _, err := x.checksum(); err != nil {
-		return nil, err
+	if c.err != nil {
+		return nil, c.err
 	}
 	return s, nil
 }
 
+// cursor reads little-endian fields off the front of b. The first
+// failure is kept in err; after it every read returns zero values and
+// every count 0, and each loop over a count stops at the first item that
+// fails.
+type cursor struct {
+	b   []byte
+	err error
+}
+
+func (c *cursor) fail(format string, args ...any) {
+	if c.err == nil {
+		c.err = fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
+	}
+	c.b = nil
+}
+
+func (c *cursor) take(n int) []byte {
+	if c.err != nil {
+		return nil
+	}
+	if n > len(c.b) {
+		c.fail("truncated")
+		return nil
+	}
+	v := c.b[:n]
+	c.b = c.b[n:]
+	return v
+}
+
+func (c *cursor) u32() uint32 {
+	if b := c.take(4); b != nil {
+		return le.Uint32(b)
+	}
+	return 0
+}
+
+func (c *cursor) u64() uint64 {
+	if b := c.take(8); b != nil {
+		return le.Uint64(b)
+	}
+	return 0
+}
+
+// count reads a u32 count of items that take at least size bytes each
+// (the sum of their fixed fields), rejecting one above limit or one
+// whose items cannot fit in the bytes left, so no count allocates more
+// than the input holds. Size 0 reads a plain value bounded by limit.
+func (c *cursor) count(what string, limit uint32, size int) int {
+	n := c.u32()
+	if c.err != nil {
+		return 0
+	}
+	if n > limit || int(n)*size > len(c.b) {
+		c.fail("%d %s with %d bytes left", n, what, len(c.b))
+		return 0
+	}
+	return int(n)
+}
+
+// samples reads a u64 sample count, rejecting one above maxSamples.
+func (c *cursor) samples(what string) int {
+	n := c.u64()
+	if n > maxSamples {
+		c.fail("%s of %d samples", what, n)
+		return 0
+	}
+	return int(n)
+}
+
+func (c *cursor) str() string {
+	return string(c.take(c.count("name bytes", maxNameLen, 1)))
+}
+
+// genome reads what appendGenome wrote. The gene count is bounded by the
+// bytes left, so both gene loops read only bytes that are there.
+func (c *cursor) genome() encoding.Genome {
+	n := c.count("genes", maxGenesPerSeed, 4+8)
+	g := encoding.Genome{Accel: make([]int, n), Prio: make([]float64, n)}
+	for i := range g.Accel {
+		g.Accel[i] = int(c.u32())
+	}
+	for i := range g.Prio {
+		g.Prio[i] = math.Float64frombits(c.u64())
+	}
+	return g
+}
+
+// snapshot parses a checksum-verified body. Every loop stops at the
+// first item that fails.
+func (c *cursor) snapshot() *Snapshot {
+	s := &Snapshot{}
+	for n := c.count("problems", maxProblems, 8+8+4+4); n > 0 && c.err == nil; n-- {
+		p := Problem{Table: encoding.TableKey{A: c.u64(), B: c.u64()}}
+		p.Objective = uint8(c.count("objective", maxObjectiveWire-1, 0))
+		nMemo := c.count("memo entries", maxMemoEntries, 4+8+8+4+8+4*8+4+4)
+		p.Memo = make([]MemoEntry, 0, nMemo)
+		for ; nMemo > 0 && c.err == nil; nMemo-- {
+			p.Memo = append(p.Memo, c.memoEntry())
+		}
+		s.Problems = append(s.Problems, p)
+	}
+	for n := c.count("warm tasks", maxWarmTasks, 4+4); n > 0 && c.err == nil; n-- {
+		wt := WarmTask{Task: uint8(c.count("task", maxObjectiveWire-1, 0))}
+		for k := c.count("seeds", maxSeedsPerTask, 4); k > 0 && c.err == nil; k-- {
+			wt.Seeds = append(wt.Seeds, c.genome())
+		}
+		s.Warm = append(s.Warm, wt)
+	}
+	return s
+}
+
 // memoEntry reads one MemoEntry, whose curve runs must each be nonempty
 // and add up to its Asked samples, at most its Budget.
-func (x *hashReader) memoEntry() (MemoEntry, error) {
+func (c *cursor) memoEntry() MemoEntry {
 	var e MemoEntry
-	var err error
-	if e.Key.Mapper, err = x.str(); err != nil {
-		return e, err
-	}
-	budget, err := x.samples("budget")
-	if err != nil {
-		return e, err
-	}
-	e.Key.Budget = budget
-	seed, err := x.u64()
-	if err != nil {
-		return e, err
-	}
-	e.Key.Seed = int64(seed)
-	if e.Method, err = x.str(); err != nil {
-		return e, err
-	}
-	if e.Asked, err = x.samples("asked"); err != nil {
-		return e, err
-	}
+	e.Key.Mapper = c.str()
+	e.Key.Budget = c.samples("budget")
+	e.Key.Seed = int64(c.u64())
+	e.Method = c.str()
+	e.Asked = c.samples("asked")
 	if e.Asked > e.Key.Budget {
-		return e, fmt.Errorf("%w: %d asked over a budget of %d", ErrCorrupt, e.Asked, e.Key.Budget)
+		c.fail("%d asked over a budget of %d", e.Asked, e.Key.Budget)
 	}
 	for _, v := range []*float64{&e.ThroughputGFLOPs, &e.MakespanCycles, &e.EnergyUnits, &e.Fitness} {
-		bits, err := x.u64()
-		if err != nil {
-			return e, err
-		}
-		*v = math.Float64frombits(bits)
+		*v = math.Float64frombits(c.u64())
 	}
-	if e.Genome, err = x.genome(); err != nil {
-		return e, err
-	}
-	nRuns, err := x.count("curve runs", maxCurveRuns)
-	if err != nil {
-		return e, err
-	}
-	e.Curve = make([]CurveRun, 0, min(nRuns, preallocCap))
+	e.Genome = c.genome()
+	nRuns := c.count("curve runs", maxCurveRuns, 8+8)
+	e.Curve = make(m3e.Curve, nRuns)
 	left := e.Asked
-	for range nRuns {
-		bits, err := x.u64()
-		if err != nil {
-			return e, err
+	for i := range e.Curve {
+		r := &e.Curve[i]
+		r.V = math.Float64frombits(c.u64())
+		r.N = c.samples("curve run")
+		if r.N == 0 || r.N > left {
+			c.fail("curve run of %d samples with %d of %d left", r.N, left, e.Asked)
+			return e
 		}
-		n, err := x.samples("curve run")
-		if err != nil {
-			return e, err
-		}
-		if n == 0 || n > left {
-			return e, fmt.Errorf("%w: curve run of %d samples with %d of %d left", ErrCorrupt, n, left, e.Asked)
-		}
-		left -= n
-		e.Curve = append(e.Curve, CurveRun{V: math.Float64frombits(bits), N: n})
+		left -= r.N
 	}
 	if left != 0 {
-		return e, fmt.Errorf("%w: curve runs cover %d of %d samples", ErrCorrupt, e.Asked-left, e.Asked)
+		c.fail("curve runs cover %d of %d samples", e.Asked-left, e.Asked)
 	}
-	return e, nil
+	return e
 }
 
 // WriteAtomic durably writes the snapshot to path: write to a temp file

@@ -3,15 +3,19 @@ package persist
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"magma/internal/encoding"
 	"magma/internal/fault"
+	"magma/internal/m3e"
 )
 
 func sampleSnapshot() *Snapshot {
@@ -26,14 +30,14 @@ func sampleSnapshot() *Snapshot {
 						Method: "MAGMA", Asked: 5,
 						ThroughputGFLOPs: 123.5, MakespanCycles: 4096, EnergyUnits: 7.25, Fitness: 123.5,
 						Genome: encoding.Genome{Accel: []int{1, 0, 2}, Prio: []float64{0.5, 0.25, 0.75}},
-						Curve:  []CurveRun{{V: 100, N: 2}, {V: 123.5, N: 3}},
+						Curve:  m3e.Curve{{V: 100, N: 2}, {V: 123.5, N: 3}},
 					},
 					{
 						Key:    MemoKey{Mapper: "stdGA", Budget: 2, Seed: -1},
 						Method: "stdGA", Asked: 2,
 						Fitness: -7.25,
 						Genome:  encoding.Genome{Accel: []int{0}, Prio: []float64{0.125}},
-						Curve:   []CurveRun{{V: -7.25, N: 2}},
+						Curve:   m3e.Curve{{V: -7.25, N: 2}},
 					},
 				},
 			},
@@ -53,6 +57,41 @@ func sampleSnapshot() *Snapshot {
 			},
 		},
 	}
+}
+
+// TestWriteMatchesGolden pins Write's bytes for sampleSnapshot to
+// testdata/sample.hex, which the streaming encoder that preceded the
+// one-buffer one wrote: the format-3 bytes never moved, and moving them
+// needs a FormatVersion bump.
+func TestWriteMatchesGolden(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "sample.hex"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := hex.DecodeString(strings.TrimSpace(string(golden)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, sampleSnapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("Write encodes sampleSnapshot as\n%x\nwant the golden\n%x", buf.Bytes(), want)
+	}
+}
+
+// frame wraps body in this build's header and a valid checksum, so Read
+// parses it past the checksum check.
+func frame(body []byte) []byte {
+	b := append([]byte(nil), magic[:]...)
+	for _, v := range versions {
+		b = binary.LittleEndian.AppendUint32(b, v.want)
+	}
+	b = append(b, body...)
+	h := fnv.New64a()
+	h.Write(b)
+	return binary.LittleEndian.AppendUint64(b, h.Sum64())
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -189,7 +228,7 @@ func TestCurveMustCoverAsked(t *testing.T) {
 	for name, edit := range map[string]func(e *MemoEntry){
 		"short":       func(e *MemoEntry) { e.Curve[1].N-- },
 		"long":        func(e *MemoEntry) { e.Curve[0].N++ },
-		"empty run":   func(e *MemoEntry) { e.Curve = append(e.Curve, CurveRun{V: 1}) },
+		"empty run":   func(e *MemoEntry) { e.Curve = append(e.Curve, m3e.Curve{{V: 1}}...) },
 		"over budget": func(e *MemoEntry) { e.Key.Budget = 4 },
 		"no runs":     func(e *MemoEntry) { e.Curve = nil },
 	} {
@@ -235,19 +274,22 @@ func hugeCounts(t testing.TB) map[string][]byte {
 
 // TestHugeCountAllocatesLittle declares the largest memo entry, curve
 // run and gene counts Read accepts in a file that ends right after
-// them: Read must fail as truncated without first allocating the
+// them, once as is and once closed by a valid checksum so the body
+// parser reads the count: Read must fail without first allocating the
 // declared slices (up to 1 GiB of curve runs).
 func TestHugeCountAllocatesLittle(t *testing.T) {
 	for name, data := range hugeCounts(t) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, err := Read(bytes.NewReader(data))
-		runtime.ReadMemStats(&after)
-		if !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("%s: error %v, want ErrCorrupt", name, err)
-		}
-		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
-			t.Errorf("%s: Read allocated %d bytes for a %d-byte file", name, n, len(data))
+		for kind, data := range map[string][]byte{"torn": data, "checksummed": frame(data[headerLen:])} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := Read(bytes.NewReader(data))
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s %s: error %v, want ErrCorrupt", kind, name, err)
+			}
+			if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+				t.Errorf("%s %s: Read allocated %d bytes for a %d-byte file", kind, name, n, len(data))
+			}
 		}
 	}
 }

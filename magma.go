@@ -176,6 +176,12 @@ type MapperPanicError = m3e.MapperPanicError
 // simulation, and selection+breeding (tell). See Schedule.Phases.
 type PhaseTimings = m3e.PhaseTimings
 
+// Curve is a search's best-so-far convergence curve (Figs. 10, 11, 16):
+// the best fitness after each consumed sample, kept as runs of N equal
+// samples of value V. Len is its sample count and At(i) the value after
+// sample i. See Schedule.Curve.
+type Curve = m3e.Curve
+
 // Schedule is a found global mapping together with its evaluation.
 type Schedule struct {
 	// Mapping holds the per-core ordered job queues.
@@ -188,9 +194,10 @@ type Schedule struct {
 	EnergyUnits      float64
 	// Fitness is the score under the requested objective.
 	Fitness float64
-	// Curve is the best-so-far fitness per consumed sample (empty for
-	// the manual heuristics).
-	Curve []float64
+	// Curve is the best-so-far fitness per consumed sample, one run per
+	// improvement: Curve.Len() == Samples and Curve.At(i) is the best
+	// after sample i (empty for the manual heuristics).
+	Curve Curve
 	// Mapper names the algorithm that produced the schedule.
 	Mapper string
 	// Cache holds the evaluation and bound-pruning counters of the
@@ -236,7 +243,7 @@ func OptimizeCtx(ctx context.Context, g Group, p Platform, opts Options) (Schedu
 	return solverFor(opts.Solver).OptimizeCtx(ctx, g, p, opts)
 }
 
-func finishSchedule(prob *m3e.Problem, mapping sim.Mapping, genome encoding.Genome, curve []float64, mapper string, obj Objective) (Schedule, error) {
+func finishSchedule(prob *m3e.Problem, mapping sim.Mapping, genome encoding.Genome, curve Curve, mapper string, obj Objective) (Schedule, error) {
 	fit, simRes, err := prob.EvaluateMapping(mapping)
 	if err != nil {
 		return Schedule{}, err

@@ -29,8 +29,8 @@ func TestOptimizeDefaultIsMAGMA(t *testing.T) {
 	if s.ThroughputGFLOPs <= 0 || s.MakespanCycles <= 0 || s.EnergyUnits <= 0 {
 		t.Errorf("degenerate schedule: %+v", s)
 	}
-	if len(s.Curve) != 200 {
-		t.Errorf("curve = %d samples, want 200", len(s.Curve))
+	if s.Curve.Len() != 200 {
+		t.Errorf("curve = %d samples, want 200", s.Curve.Len())
 	}
 	if err := s.Mapping.Validate(20, PlatformS2().NumAccels()); err != nil {
 		t.Errorf("invalid mapping: %v", err)

@@ -57,7 +57,8 @@ func TestSolverMemoRepeat(t *testing.T) {
 		hit.Genome.Accel[0] = -1
 		hit.Genome.Prio[0] = -1
 		hit.Mapping.Queues[0] = append(hit.Mapping.Queues[0][:0], -1)
-		hit.Curve[0] = -1
+		hit.Curve[0].V = -1
+		hit.Curve[0].N++
 	}
 	st := s.Stats()
 	if st.MemoHits != 2 || st.Searches != before.Searches+2 {
@@ -222,7 +223,8 @@ func TestSolverMemoConcurrentRepeats(t *testing.T) {
 					return
 				}
 				got.Genome.Accel[0] = -1 // the caller's copy
-				got.Curve[0] = -1
+				got.Curve[0].V = -1
+				got.Curve[0].N++
 			}
 		}()
 	}

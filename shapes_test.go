@@ -83,7 +83,7 @@ func TestShapeMAGMAImprovesOverInit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		initBest := s.Curve[len(g.Jobs)-1] // best of the initial population
+		initBest := s.Curve.At(len(g.Jobs) - 1) // best of the initial population
 		ratio += s.Fitness / initBest
 	}
 	ratio /= 3

@@ -63,6 +63,34 @@ func TestSolverSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSolverRestoresCommittedSnapshot restores testdata/format3.snap,
+// which the streaming snapshot encoder that preceded the one-buffer one
+// wrote after one search (Budget 300, Seed 9, the 16-job Mix group of
+// seed 31 on S2): the format-3 bytes did not move, so it restores, and
+// its first repeat is a memo hit bit-identical to a fresh search.
+func TestSolverRestoresCommittedSnapshot(t *testing.T) {
+	g, pf := testWorkload(t, Mix, 16, 16, 31).Groups[0], PlatformS2()
+	opts := Options{Budget: 300, Seed: 9, Cache: true}
+	want, err := Optimize(g, pf, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSolver(SolverOptions{})
+	if err := s.RestoreFile(filepath.Join("testdata", "format3.snap")); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Optimize(g, pf, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.MemoHits != 1 || got.Phases.Generations != 0 {
+		t.Errorf("repeat after restore: %d memo hits, %d generations; want 1 and 0", st.MemoHits, got.Phases.Generations)
+	}
+	if !identical(got, want) {
+		t.Error("restored memo answer differs from a fresh search")
+	}
+}
+
 // TestSolverSnapshotWriterRoundTrip drives the io.Writer/Reader API
 // (Snapshot/Restore/RestoreSolver) rather than the file helpers.
 func TestSolverSnapshotWriterRoundTrip(t *testing.T) {

@@ -299,19 +299,10 @@ func (s *Solver) OptimizeStreamCtx(ctx context.Context, wl Workload, p Platform,
 			res.Partial = true
 			break
 		}
-		budget := opts.BudgetPerGroup
-		if budget <= 0 {
-			budget = m3e.DefaultBudget / len(wl.Groups)
-		}
-		// Floor: at least 20 generations' worth of samples per group
-		// (population = group size), overriding a too-small BudgetPerGroup.
-		if floor := 20 * len(g.Jobs); budget < floor {
-			budget = floor
-		}
 		o := Options{
 			Mapper:    opts.Mapper,
 			Objective: opts.Objective,
-			Budget:    budget,
+			Budget:    GroupBudget(opts.BudgetPerGroup, len(wl.Groups), len(g.Jobs)),
 			Seed:      opts.Seed + int64(gi),
 			Cache:     opts.Cache,
 		}

@@ -2,6 +2,19 @@ package magma
 
 import "context"
 
+// GroupBudget is the sampling budget OptimizeStream spends on one
+// group of jobs jobs in a workload of groups groups: BudgetPerGroup
+// perGroup, or DefaultBudget split over the groups when perGroup is 0,
+// and at least 20 generations' worth of samples (population = group
+// size). A router that splits a stream into one request per group
+// sends each group this budget, so each runs the search one node would.
+func GroupBudget(perGroup, groups, jobs int) int {
+	if perGroup <= 0 {
+		perGroup = DefaultBudget / groups
+	}
+	return max(perGroup, 20*jobs)
+}
+
 // StreamOptions configures OptimizeStream.
 type StreamOptions struct {
 	// Mapper as in Options (default MAGMA).

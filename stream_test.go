@@ -80,8 +80,8 @@ func TestOptimizeStreamEmpty(t *testing.T) {
 // TestOptimizeStreamBudgetFloor pins the per-group floor: the budget is
 // at least 20 generations (20 × group size samples), overriding a
 // smaller explicit BudgetPerGroup; an explicit budget above the floor
-// is honored exactly. Curve has one point per consumed sample, so its
-// length is the consumed budget.
+// is honored exactly. Curve covers one point per consumed sample, so
+// its Len is the consumed budget.
 func TestOptimizeStreamBudgetFloor(t *testing.T) {
 	wl, err := GenerateWorkload(WorkloadConfig{Task: Mix, NumJobs: 32, GroupSize: 16, Seed: 9})
 	if err != nil {
@@ -99,9 +99,9 @@ func TestOptimizeStreamBudgetFloor(t *testing.T) {
 			t.Fatalf("BudgetPerGroup=%d: %v", tc.perGroup, err)
 		}
 		for gi, s := range res.Schedules {
-			if len(s.Curve) != tc.want {
+			if s.Curve.Len() != tc.want {
 				t.Errorf("BudgetPerGroup=%d group %d: consumed %d samples, want %d",
-					tc.perGroup, gi, len(s.Curve), tc.want)
+					tc.perGroup, gi, s.Curve.Len(), tc.want)
 			}
 		}
 	}
