@@ -83,7 +83,7 @@ func main() {
 	defer stop()
 
 	// One reused validator re-checks every schedule before it is
-	// printed or rendered: the pooled scratch makes the -compare
+	// printed or rendered: its reused scratch makes the -compare
 	// leaderboard loop allocation-free, and a mapping that fails here
 	// is a solver bug worth a loud exit over a quietly bogus printout.
 	var validator sim.Validator

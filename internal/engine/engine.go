@@ -12,20 +12,19 @@
 //     across process runs, computable without building the table), so
 //     a repeated problem skips the job-analysis profiling pass (§IV-E),
 //     by far the most expensive setup step;
-//   - evaluation pools are checked out per run and returned, keeping
-//     their grown simulator scratch warm;
 //   - each (table identity × objective) problem keeps a small memo of
 //     finished searches (Recall, Remember), so an exact repeat of a
 //     search — same mapper, budget and seed — is answered without
 //     running it again. The memo is the only reuse of results across
 //     requests, and the durable state a snapshot carries (Export,
 //     Restore). Every search that does run takes the one evaluation
-//     path of m3e.Run, so its result is bit-identical to a cold run.
+//     path of m3e.Run, on an evaluator that lives as long as the run,
+//     so its result is bit-identical to a cold run.
 //
 // Memory is bounded: the problem map is FIFO-bounded (Config.
-// MaxProblems), and pool free-lists and memos are capped. Eviction only
-// drops the engine's references — in-flight runs keep working on their
-// handles, and a problem's memo goes with its entry.
+// MaxProblems), and memos are capped. Eviction only drops the engine's
+// references — in-flight runs keep working on their handles, and a
+// problem's memo goes with its entry.
 package engine
 
 import (
@@ -42,15 +41,10 @@ import (
 )
 
 // DefaultMaxProblems bounds the cached problems when Config.MaxProblems
-// is zero. A problem entry is a table (shared across objectives), a few
-// pools and a memo of a few schedules, so a small default keeps a busy
-// multi-tenant server predictable.
+// is zero. A problem entry is a table (shared across objectives) and a
+// memo of a few schedules, so a small default keeps a busy multi-tenant
+// server predictable.
 const DefaultMaxProblems = 64
-
-// maxPooled caps each problem's free-list of evaluation pools; beyond
-// it, returned pools are dropped for GC. It only binds when a
-// concurrency spike recedes.
-const maxPooled = 16
 
 // memoCap caps each problem's memo of finished searches; past it the
 // oldest entry is dropped. An entry is one schedule of a few KB, so a
@@ -68,7 +62,7 @@ type Config struct {
 // Stats reports what the engine reused versus rebuilt. Counters only
 // grow; read them via Engine.Stats.
 type Stats struct {
-	// Searches counts completed ProblemHandle.Run calls and memo hits
+	// Searches counts completed ProblemHandle.RunCtx calls and memo hits
 	// (Recall).
 	Searches uint64
 	// MemoHits counts the searches answered from a problem's memo of
@@ -80,9 +74,9 @@ type Stats struct {
 	TablesReused uint64
 	// ProblemsEvicted counts FIFO evictions from the problem cache.
 	ProblemsEvicted uint64
-	// PoolsBuilt / PoolsReused count evaluation-pool constructions
-	// versus free-list checkouts. A reused pool keeps its evaluator's
-	// grown scratch warm across runs.
+	// PoolsBuilt and PoolsReused always read 0: each run builds its own
+	// evaluator, and the engine keeps none between runs. They stay for
+	// wire and benchmark compatibility.
 	PoolsBuilt  uint64
 	PoolsReused uint64
 	// Cache aggregates the evaluation counters of every completed run
@@ -102,7 +96,7 @@ type Stats struct {
 	EntriesRestored  uint64
 	// MapperPanics counts runs failed by a panic recovered from a mapper
 	// callback (m3e.MapperPanicError). The engine itself stays
-	// consistent — leased pools are returned on the panic path — so
+	// consistent — a run holds no engine state but its handle — so
 	// the counter growing while Searches also grows is the expected
 	// shape of a misbehaving registered mapper.
 	MapperPanics uint64
@@ -131,9 +125,9 @@ type tableState struct {
 	refs int // problem entries referencing this table (under Engine.mu)
 }
 
-// problemState is one cached problem with its shareable run state. A
-// problem Restore loaded has a memo but no Problem until the first
-// request with its identity builds one (once).
+// problemState is one cached problem with its memo. A problem Restore
+// loaded has a memo but no Problem until the first request with its
+// identity builds one (once).
 type problemState struct {
 	tab *tableState
 	obj m3e.Objective
@@ -142,9 +136,8 @@ type problemState struct {
 	prob *m3e.Problem
 	err  error
 
-	mu    sync.Mutex
-	pools []*m3e.Pool         // free pools
-	memo  []persist.MemoEntry // finished searches, oldest first
+	mu   sync.Mutex
+	memo []persist.MemoEntry // finished searches, oldest first
 }
 
 // MemoKey names one finished search on a problem (see persist.MemoKey).
@@ -327,36 +320,6 @@ func (e *Engine) evictOldestLocked() {
 // search).
 func (h *ProblemHandle) Prob() *m3e.Problem { return h.st.prob }
 
-// getPool checks a pool out of the free-list, or builds one.
-func (h *ProblemHandle) getPool() *m3e.Pool {
-	st := h.st
-	st.mu.Lock()
-	if n := len(st.pools); n > 0 {
-		p := st.pools[n-1]
-		st.pools = st.pools[:n-1]
-		st.mu.Unlock()
-		h.eng.mu.Lock()
-		h.eng.stats.PoolsReused++
-		h.eng.mu.Unlock()
-		return p
-	}
-	st.mu.Unlock()
-	h.eng.mu.Lock()
-	h.eng.stats.PoolsBuilt++
-	h.eng.mu.Unlock()
-	return m3e.NewPool(st.prob)
-}
-
-// putPool returns a pool to the free-list (dropped past the cap).
-func (h *ProblemHandle) putPool(p *m3e.Pool) {
-	st := h.st
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if len(st.pools) < maxPooled {
-		st.pools = append(st.pools, p)
-	}
-}
-
 // Recall looks k up in the problem's memo of finished searches. On a
 // hit it returns the entry Remember stored and the counters the hit
 // reports — every asked genome a cross-run hit — and counts one search,
@@ -408,22 +371,13 @@ func (h *ProblemHandle) Remember(e persist.MemoEntry) {
 	st.memo = append(st.memo, e)
 }
 
-// Run executes one search over the cached problem on a pooled evaluator.
-// Results are bit-identical to an un-pooled m3e.Run with the same
-// options and seed: pools change wall-clock, never values. Safe for
-// concurrent use; each call leases its own pool.
-func (h *ProblemHandle) Run(opt m3e.Optimizer, o m3e.Options, seed int64) (m3e.Result, error) {
-	return h.RunCtx(context.Background(), opt, o, seed)
-}
-
-// RunCtx is Run under a context: a deadline or cancel aborts the search
-// at the next generation boundary and returns the best-so-far Result
-// with Aborted set (not an error). Aborted runs still count toward the
-// engine's Searches/Cache stats — their evaluations happened.
+// RunCtx executes one search over the cached problem under a context:
+// m3e.Run with the same options and seed, so the result is the same. A
+// deadline or cancel aborts the search at the next generation boundary
+// and returns the best-so-far Result with Aborted set (not an error).
+// Aborted runs still count toward the engine's Searches/Cache stats —
+// their evaluations happened. Safe for concurrent use.
 func (h *ProblemHandle) RunCtx(ctx context.Context, opt m3e.Optimizer, o m3e.Options, seed int64) (m3e.Result, error) {
-	pool := h.getPool()
-	defer h.putPool(pool)
-	o.Pool = pool
 	o.Context = ctx
 	res, err := m3e.Run(h.st.prob, opt, o, seed)
 	h.eng.mu.Lock()

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -60,8 +61,9 @@ func TestEngineTableReuse(t *testing.T) {
 	}
 }
 
-// TestEngineRunMatchesPlainRun: a pooled engine run is bit-identical
-// to a plain m3e.Run, and a repeat reuses the first run's pool.
+// TestEngineRunMatchesPlainRun: an engine run is bit-identical to a
+// plain m3e.Run, a repeat on the same handle is too, and the engine
+// keeps no evaluation scratch between them.
 func TestEngineRunMatchesPlainRun(t *testing.T) {
 	g, pf := engGroup(t, 7), platform.S2()
 	prob, err := m3e.NewProblem(g, pf, m3e.Throughput)
@@ -79,7 +81,7 @@ func TestEngineRunMatchesPlainRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	for rep := 0; rep < 2; rep++ {
-		res, err := h.Run(optmagma.New(optmagma.Config{}), m3e.Options{Budget: 200}, 3)
+		res, err := h.RunCtx(context.Background(), optmagma.New(optmagma.Config{}), m3e.Options{Budget: 200}, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,8 +94,8 @@ func TestEngineRunMatchesPlainRun(t *testing.T) {
 	if st.Searches != 2 {
 		t.Errorf("Searches = %d, want 2", st.Searches)
 	}
-	if st.PoolsBuilt != 1 || st.PoolsReused != 1 {
-		t.Errorf("pools built/reused = %d/%d, want 1/1 (sequential runs share one pool)",
+	if st.PoolsBuilt != 0 || st.PoolsReused != 0 {
+		t.Errorf("pools built/reused = %d/%d, want 0/0 (each run builds its own evaluator)",
 			st.PoolsBuilt, st.PoolsReused)
 	}
 	if want := cold.Cache; st.Cache.Misses != 2*want.Misses || st.Cache.CrossHits != 0 {
@@ -212,7 +214,7 @@ func TestEngineConcurrentAcquire(t *testing.T) {
 				errs[c] = err
 				return
 			}
-			results[c], errs[c] = h.Run(optmagma.New(optmagma.Config{}),
+			results[c], errs[c] = h.RunCtx(context.Background(), optmagma.New(optmagma.Config{}),
 				m3e.Options{Budget: 120}, 4)
 		}(c)
 	}

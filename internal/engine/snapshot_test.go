@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -17,7 +18,7 @@ import (
 // remember runs one MAGMA search on h and remembers it under key.
 func remember(t *testing.T, h *engine.ProblemHandle, key engine.MemoKey) persist.MemoEntry {
 	t.Helper()
-	res, err := h.Run(optmagma.New(optmagma.Config{}), m3e.Options{Budget: key.Budget}, key.Seed)
+	res, err := h.RunCtx(context.Background(), optmagma.New(optmagma.Config{}), m3e.Options{Budget: key.Budget}, key.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +135,8 @@ func TestEngineRestoreKeepsLiveMemo(t *testing.T) {
 
 // TestEngineMapperPanicIsolated: an injected mapper panic fails its own
 // run with MapperPanicError (counted in stats), while the next run on
-// the same handle — reusing the returned pool — is bit-identical to an
-// undisturbed baseline.
+// the same handle is bit-identical to an undisturbed baseline and is
+// the one search the engine counts.
 func TestEngineMapperPanicIsolated(t *testing.T) {
 	g, pf := engGroup(t, 13), platform.S2()
 
@@ -145,7 +146,7 @@ func TestEngineMapperPanicIsolated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := hb.Run(optmagma.New(optmagma.Config{}), m3e.Options{Budget: 150}, 5)
+	want, err := hb.RunCtx(context.Background(), optmagma.New(optmagma.Config{}), m3e.Options{Budget: 150}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestEngineMapperPanicIsolated(t *testing.T) {
 	fault.Enable(fault.M3EAsk, fault.Every(2, func() error {
 		panic("injected mapper panic")
 	}))
-	_, err = h.Run(optmagma.New(optmagma.Config{}), m3e.Options{Budget: 150}, 5)
+	_, err = h.RunCtx(context.Background(), optmagma.New(optmagma.Config{}), m3e.Options{Budget: 150}, 5)
 	fault.Reset()
 	var mpe *m3e.MapperPanicError
 	if !errors.As(err, &mpe) {
@@ -173,16 +174,17 @@ func TestEngineMapperPanicIsolated(t *testing.T) {
 		t.Errorf("panicked run counted as a completed search (Searches = %d)", st.Searches)
 	}
 
-	// The panicked run returned its pool; a clean same-seed run must
-	// still match the baseline bit-for-bit.
-	got, err := h.Run(optmagma.New(optmagma.Config{}), m3e.Options{Budget: 150}, 5)
+	// A clean same-seed run on the same handle must still match the
+	// baseline bit-for-bit.
+	got, err := h.RunCtx(context.Background(), optmagma.New(optmagma.Config{}), m3e.Options{Budget: 150}, 5)
 	if err != nil {
 		t.Fatalf("run after panic: %v", err)
 	}
 	if got.BestFitness != want.BestFitness || !reflect.DeepEqual(got.Curve, want.Curve) {
 		t.Error("run after a mapper panic diverged from the baseline")
 	}
-	if st := e.Stats(); st.PoolsReused == 0 {
-		t.Error("pool leased by the panicked run was not returned to the free-list")
+	if st := e.Stats(); st.Searches != 1 || st.MapperPanics != 1 {
+		t.Errorf("after the clean run: Searches = %d, MapperPanics = %d; want 1 and 1",
+			st.Searches, st.MapperPanics)
 	}
 }

@@ -39,7 +39,7 @@ var (
 	// panicIsolated lists the packages that run inside the m3e mapper
 	// recover boundary: a raw panic here must be m3e.AbortRun (or a
 	// registered fault hook) so it surfaces as *m3e.MapperPanicError
-	// instead of killing the worker pool or the serving process.
+	// instead of killing the search or the serving process.
 	panicIsolated = []string{
 		"magma/internal/nn",
 		"magma/internal/opt/...",

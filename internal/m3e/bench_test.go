@@ -28,7 +28,7 @@ func benchProblem(b *testing.B) *m3e.Problem {
 
 // BenchmarkEvaluate measures single-mapping fitness evaluation — the
 // unit of the 10K-sample budget — on the steady-state hot path: one
-// reused Evaluator, as a search's Pool runs it.
+// reused Evaluator, as a search runs it.
 // Target: 0 allocs/op (see DESIGN.md "Hot path").
 func BenchmarkEvaluate(b *testing.B) {
 	prob := benchProblem(b)

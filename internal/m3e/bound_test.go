@@ -68,7 +68,7 @@ func (c *reaskCounter) Tell(g []encoding.Genome, fit []float64) {
 // MAGMA's hits exceed what its elites alone can earn, so its settled
 // repeat children are exercised.
 func TestRunBoundDeterminism(t *testing.T) {
-	prob := parallelProblem(t)
+	prob := evaluatorProblem(t)
 	const budget = 800
 	mappers := []struct {
 		name string
@@ -240,7 +240,7 @@ func TestRooflinePrunesPileUps(t *testing.T) {
 // and the fingerprint counters zero — and the identities hold at every
 // generation.
 func TestRunPruneCountersUncached(t *testing.T) {
-	prob := parallelProblem(t)
+	prob := evaluatorProblem(t)
 	res, err := m3e.Run(prob, optmagma.New(optmagma.Config{}), m3e.Options{
 		Budget:   600,
 		Observer: func(p m3e.Progress) { checkCounters(t, "progress", p.Cache, p.Asked) },
@@ -308,7 +308,7 @@ func TestBoundFitnessNeverBeatsSimulation(t *testing.T) {
 // That the results are identical with Solver.Cache on or off is
 // TestResultDigests'.
 func TestRunCacheDeterminism(t *testing.T) {
-	prob := parallelProblem(t)
+	prob := evaluatorProblem(t)
 	const budget = 200
 	mappers := []struct {
 		name string

@@ -10,7 +10,7 @@ import (
 	"magma/internal/workload"
 )
 
-func parallelProblem(t testing.TB) *m3e.Problem {
+func evaluatorProblem(t testing.TB) *m3e.Problem {
 	t.Helper()
 	w, err := workload.Generate(workload.Config{NumJobs: 16, GroupSize: 16, Seed: 21})
 	if err != nil {
@@ -23,10 +23,11 @@ func parallelProblem(t testing.TB) *m3e.Problem {
 	return prob
 }
 
-// TestPoolScoresInvalidGenomes checks the pool mirrors the one-shot
-// rule: constraint-violating samples score -Inf at their batch index.
-func TestPoolScoresInvalidGenomes(t *testing.T) {
-	prob := parallelProblem(t)
+// TestEvaluatorScoresInvalidGenomes checks the batch loop mirrors the
+// one-shot rule: constraint-violating samples score -Inf at their batch
+// index, and the counts name what was simulated and what was refused.
+func TestEvaluatorScoresInvalidGenomes(t *testing.T) {
+	prob := evaluatorProblem(t)
 	r := rand.New(rand.NewSource(3))
 	batch := make([]encoding.Genome, 6)
 	for i := range batch {
@@ -34,7 +35,10 @@ func TestPoolScoresInvalidGenomes(t *testing.T) {
 	}
 	batch[2] = encoding.Genome{Accel: []int{0}, Prio: []float64{0.5}} // wrong size
 	fit := make([]float64, len(batch))
-	m3e.NewPool(prob).Evaluate(batch, fit)
+	simulated, invalid := prob.NewEvaluator().EvaluateBatch(batch, fit)
+	if simulated != len(batch)-1 || invalid != 1 {
+		t.Errorf("EvaluateBatch counted %d simulated / %d invalid, want %d / 1", simulated, invalid, len(batch)-1)
+	}
 	for i, f := range fit {
 		if i == 2 {
 			if !isNegInf(f) {
@@ -57,7 +61,7 @@ func isNegInf(f float64) bool { return f < 0 && f*2 == f }
 // TestEvaluatorMatchesProblemEvaluate checks the scratch-reusing
 // evaluator computes exactly what the allocating path computes.
 func TestEvaluatorMatchesProblemEvaluate(t *testing.T) {
-	prob := parallelProblem(t)
+	prob := evaluatorProblem(t)
 	ev := prob.NewEvaluator()
 	r := rand.New(rand.NewSource(7))
 	for i := 0; i < 50; i++ {
@@ -79,7 +83,7 @@ func TestEvaluatorMatchesProblemEvaluate(t *testing.T) {
 // TestEvaluatorZeroAlloc asserts the genome→fitness hot path — decode,
 // simulate, score — stops allocating once its scratch is warm.
 func TestEvaluatorZeroAlloc(t *testing.T) {
-	prob := parallelProblem(t)
+	prob := evaluatorProblem(t)
 	ev := prob.NewEvaluator()
 	g := encoding.Random(prob.NumJobs(), prob.NumAccels(), rand.New(rand.NewSource(8)))
 	if _, err := ev.Evaluate(g); err != nil { // warm up

@@ -122,7 +122,8 @@ func (p *Problem) Evaluate(g encoding.Genome) (float64, error) {
 // Evaluator is the reusable genome→fitness pipeline: it owns a decode
 // scratch Mapping and a sim.Simulator, so repeated Evaluate calls on the
 // same problem perform zero steady-state heap allocations. Evaluators
-// are not safe for concurrent use; each Pool owns one.
+// are not safe for concurrent use; each Run builds its own and drops it
+// when the run ends.
 type Evaluator struct {
 	p       *Problem
 	sim     *sim.Simulator
@@ -139,7 +140,7 @@ func (p *Problem) NewEvaluator() *Evaluator {
 
 // Evaluate decodes and simulates one individual, returning its fitness.
 // Equal genomes produce bit-identical fitness regardless of which
-// Evaluator runs them, so a leased pool never moves a result.
+// Evaluator runs them.
 func (e *Evaluator) Evaluate(g encoding.Genome) (float64, error) {
 	if err := g.Validate(e.p.NumJobs(), e.p.NumAccels()); err != nil {
 		return 0, err
@@ -161,6 +162,40 @@ func (e *Evaluator) EvaluateMapping(m *sim.Mapping) (float64, error) {
 		return 0, err
 	}
 	return e.p.Fitness(res), nil
+}
+
+// EvaluateBatch scores batch[i] into fit[i] for every i and returns how
+// many genomes it simulated and how many failed validation. Invalid
+// genomes score -Inf, mirroring constraint-violating samples.
+func (e *Evaluator) EvaluateBatch(batch []encoding.Genome, fit []float64) (simulated, invalid int) {
+	nJobs, nAccels := e.p.NumJobs(), e.p.NumAccels()
+	for i, g := range batch {
+		if g.Validate(nJobs, nAccels) != nil {
+			fit[i] = math.Inf(-1)
+			invalid++
+			continue
+		}
+		encoding.DecodeInto(g, nAccels, &e.m)
+		f, err := e.EvaluateMapping(&e.m)
+		if err != nil {
+			f = math.Inf(-1)
+		}
+		fit[i] = f
+		simulated++
+	}
+	return simulated, invalid
+}
+
+// simulate scores the decoded schedule of batch index idx[k], which
+// mapping(k) returns, into fit[idx[k]] for every k.
+func (e *Evaluator) simulate(idx []int, fit []float64, mapping func(k int) *sim.Mapping) {
+	for k, i := range idx {
+		f, err := e.EvaluateMapping(mapping(k))
+		if err != nil {
+			f = math.Inf(-1)
+		}
+		fit[i] = f
+	}
 }
 
 // EvaluateMapping scores an already-decoded mapping (used for the
@@ -354,11 +389,6 @@ type Progress struct {
 type Options struct {
 	Budget        int  // sampling budget (default 10000, §VI-B)
 	RecordSamples bool // keep every sampled vector (Fig. 10 PCA)
-	// Pool optionally supplies a prebuilt evaluation pool bound to this
-	// problem. A pool's evaluator keeps its grown scratch across runs, so
-	// a long-lived engine reuses pools instead of re-growing simulator
-	// buffers per request. A Pool serves one run at a time.
-	Pool *Pool
 	// Context, when non-nil, makes the run cancellable: the loop checks
 	// it once per generation (between Tell and the next Ask), so a
 	// deadline or cancel aborts within one generation's evaluation cost
@@ -375,52 +405,6 @@ type Options struct {
 	narrow func(lo, hi float64) (float64, float64)
 }
 
-// Pool is the evaluation scratch one search runs on: an Evaluator
-// (simulator + decode scratch). A search runs on its caller's
-// goroutine, so a Pool serves one run at a time; a long-lived engine
-// leases pools so that their grown buffers outlive the run. Fitness is
-// written by batch index; invalid genomes score -Inf, mirroring
-// constraint-violating samples.
-type Pool struct {
-	ev *Evaluator
-}
-
-// NewPool builds a pool for the problem.
-func NewPool(p *Problem) *Pool { return &Pool{ev: p.NewEvaluator()} }
-
-// Evaluate scores batch[i] into fit[i] for every i and returns how many
-// genomes it simulated and how many failed validation.
-func (pl *Pool) Evaluate(batch []encoding.Genome, fit []float64) (simulated, invalid int) {
-	p := pl.ev.p
-	for i, g := range batch {
-		if g.Validate(p.NumJobs(), p.NumAccels()) != nil {
-			fit[i] = math.Inf(-1)
-			invalid++
-			continue
-		}
-		encoding.DecodeInto(g, p.NumAccels(), &pl.ev.m)
-		f, err := pl.ev.EvaluateMapping(&pl.ev.m)
-		if err != nil {
-			f = math.Inf(-1)
-		}
-		fit[i] = f
-		simulated++
-	}
-	return simulated, invalid
-}
-
-// simulate scores the decoded schedule of batch index idx[k], which
-// mapping(k) returns, into fit[idx[k]] for every k.
-func (pl *Pool) simulate(idx []int, fit []float64, mapping func(k int) *sim.Mapping) {
-	for k, i := range idx {
-		f, err := pl.ev.EvaluateMapping(mapping(k))
-		if err != nil {
-			f = math.Inf(-1)
-		}
-		fit[i] = f
-	}
-}
-
 // DefaultBudget is the evaluation's sampling budget (§VI-B).
 const DefaultBudget = 10000
 
@@ -428,8 +412,9 @@ const DefaultBudget = 10000
 // exhausted (§IV-E). Candidates that fail validation count against the
 // budget with -Inf fitness, mirroring constraint-violating samples.
 //
-// The run executes on the caller's goroutine. Evaluation is a pure
-// function of the genome, fitness lands at its batch index, and the
+// The run executes on the caller's goroutine, on an Evaluator it builds
+// for itself and drops when it returns. Evaluation is a pure function of
+// the genome, fitness lands at its batch index, and the
 // best/curve bookkeeping below replays the batch strictly in Ask order.
 //
 // For optimizers that implement both EliteSelector and ReaskTracker a
@@ -458,18 +443,13 @@ func Run(p *Problem, opt Optimizer, o Options, seed int64) (Result, error) {
 	}); err != nil {
 		return Result{}, fmt.Errorf("m3e: init %s: %w", opt.Name(), err)
 	}
-	pool := o.Pool
-	if pool == nil {
-		pool = NewPool(p)
-	}
+	ev := p.NewEvaluator()
 	res := Result{Method: opt.Name(), BestFitness: math.Inf(-1)}
 	var pn *pruner
 	es, isES := opt.(EliteSelector)
 	rt, isRT := opt.(ReaskTracker)
 	if isES && isRT {
-		// The bound constants are memoized on the pool's simulator, so a
-		// leased pool carries them warm across runs.
-		pn = newPruner(p, pool.ev.sim.Bounds(p.Table), es, rt)
+		pn = newPruner(p, sim.NewBounds(p.Table), es, rt)
 		pn.narrow = o.narrow
 	}
 	// st is the run's counters: the pruning pass keeps them for the
@@ -525,15 +505,15 @@ func Run(p *Problem, opt Optimizer, o Options, seed int64) (Result, error) {
 		fit = fit[:len(batch)]
 		if err := guard(opt.Name(), "Evaluate", func() error {
 			if pn == nil {
-				simulated, invalid := pool.Evaluate(batch, fit)
+				simulated, invalid := ev.EvaluateBatch(batch, fit)
 				st.Misses += uint64(simulated)
 				st.Invalid += uint64(invalid)
 				lap(&res.Phases.SimulateNs)
 				return nil
 			}
-			pn.prune(pool, batch, fit, res.BestFitness)
+			pn.prune(ev, batch, fit, res.BestFitness)
 			lap(&res.Phases.BoundNs)
-			pn.simulate(pool, batch, fit)
+			pn.simulate(ev, batch, fit)
 			lap(&res.Phases.SimulateNs)
 			if err := pn.check(fit); err != nil {
 				return fmt.Errorf("m3e: generation %d: %w", generation+1, err)

@@ -14,7 +14,7 @@ import (
 // not, sum to at most the wall time around Run, and only the phases the
 // run has take time.
 func TestPhasesTileTheRun(t *testing.T) {
-	prob := parallelProblem(t)
+	prob := evaluatorProblem(t)
 	for _, pruned := range []bool{false, true} {
 		label := fmt.Sprintf("pruned=%v", pruned)
 		var opt m3e.Optimizer = optmagma.New(optmagma.Config{})

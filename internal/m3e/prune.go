@@ -98,7 +98,7 @@ func newPruner(p *Problem, b *sim.Bounds, es EliteSelector, rt ReaskTracker) *pr
 // prune runs the pass over batch, writing the fitness of every genome
 // it settles into fit. best is the run's best fitness before this
 // batch. The genomes left open are those in pr.open, for simulate.
-func (pr *pruner) prune(pool *Pool, batch []encoding.Genome, fit []float64, best float64) {
+func (pr *pruner) prune(ev *Evaluator, batch []encoding.Genome, fit []float64, best float64) {
 	n := len(batch)
 	pr.grow(n)
 	nJobs, nAccels := pr.p.NumJobs(), pr.p.NumAccels()
@@ -141,7 +141,7 @@ func (pr *pruner) prune(pool *Pool, batch []encoding.Genome, fit []float64, best
 		}
 		// One walk over the genes both validates them and sums the
 		// roofline, so a priced genome is never walked twice.
-		r, ok := pr.bounds.GenomeRoofline(pool.ev.cycles, g.Accel, g.Prio, energy)
+		r, ok := pr.bounds.GenomeRoofline(ev.cycles, g.Accel, g.Prio, energy)
 		if !ok {
 			pr.state[i] = slotInvalid
 			continue
@@ -178,7 +178,7 @@ func (pr *pruner) prune(pool *Pool, batch []encoding.Genome, fit []float64, best
 	if !pr.virtual {
 		return
 	}
-	pr.stats.VirtualPriced += uint64(pr.settle(pool.ev, batch, fit))
+	pr.stats.VirtualPriced += uint64(pr.settle(ev, batch, fit))
 	for _, i := range pr.order {
 		if pr.state[i] == slotFiltered {
 			pr.stats.BoundPruned++
@@ -190,13 +190,13 @@ func (pr *pruner) prune(pool *Pool, batch []encoding.Genome, fit []float64, best
 // simulate scores the genomes prune left open: from the
 // schedules the virtual-time stage kept, or decoded afresh into the
 // evaluator's scratch when the stage did not run.
-func (pr *pruner) simulate(pool *Pool, batch []encoding.Genome, fit []float64) {
+func (pr *pruner) simulate(ev *Evaluator, batch []encoding.Genome, fit []float64) {
 	if pr.virtual {
-		pool.simulate(pr.open, fit, func(k int) *sim.Mapping { return &pr.maps[k] })
+		ev.simulate(pr.open, fit, func(k int) *sim.Mapping { return &pr.maps[k] })
 		return
 	}
-	nAccels, m := pr.p.NumAccels(), &pool.ev.m
-	pool.simulate(pr.open, fit, func(k int) *sim.Mapping {
+	nAccels, m := pr.p.NumAccels(), &ev.m
+	ev.simulate(pr.open, fit, func(k int) *sim.Mapping {
 		encoding.DecodeInto(batch[pr.open[k]], nAccels, m)
 		return m
 	})

@@ -8,6 +8,7 @@ import (
 	"magma/internal/models"
 	"magma/internal/platform"
 	"magma/internal/rng"
+	"magma/internal/sim"
 )
 
 // fixedSelection is the EliteSelector and ReaskTracker of a batch whose
@@ -28,7 +29,7 @@ func (f fixedSelection) Reasks() []int      { return f.reasks }
 func TestPruneScoresInvalidGenomes(t *testing.T) {
 	const n, k = 12, 2
 	prob := testProblem(t, models.Mix, n, platform.S2(), Throughput)
-	pool := NewPool(prob)
+	ev := prob.NewEvaluator()
 	st := rng.New(8)
 	edits := []func(g *encoding.Genome){
 		func(g *encoding.Genome) { g.Accel[3] = prob.NumAccels() },
@@ -53,10 +54,10 @@ func TestPruneScoresInvalidGenomes(t *testing.T) {
 		if priced {
 			sel.reasks = []int{0, 1}
 		}
-		pr := newPruner(prob, pool.ev.sim.Bounds(prob.Table), sel, sel)
+		pr := newPruner(prob, sim.NewBounds(prob.Table), sel, sel)
 		pr.prevFit = []float64{2, 1}
 		fit := make([]float64, len(batch))
-		pr.prune(pool, batch, fit, 2)
+		pr.prune(ev, batch, fit, 2)
 		state := pr.state
 		var invalid uint64
 		for i, g := range batch {
@@ -89,7 +90,7 @@ func TestPruneScoresInvalidGenomes(t *testing.T) {
 func BenchmarkPrune(b *testing.B) {
 	const n, k = 100, 10
 	prob := testProblem(b, models.Mix, n, platform.S2().WithBW(16), Throughput)
-	pool := NewPool(prob)
+	ev := prob.NewEvaluator()
 	st := rng.New(4)
 	batch := make([]encoding.Genome, n)
 	sel := fixedSelection{k: k, reasks: make([]int, n)}
@@ -100,7 +101,7 @@ func BenchmarkPrune(b *testing.B) {
 			sel.reasks[i] = i
 		}
 	}
-	pr := newPruner(prob, pool.ev.sim.Bounds(prob.Table), sel, sel)
+	pr := newPruner(prob, sim.NewBounds(prob.Table), sel, sel)
 	pr.prevFit = make([]float64, n)
 	for i := range pr.prevFit {
 		pr.prevFit[i] = float64(i)
@@ -109,6 +110,6 @@ func BenchmarkPrune(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pr.prune(pool, batch, fit, float64(n))
+		pr.prune(ev, batch, fit, float64(n))
 	}
 }

@@ -9,9 +9,9 @@ import (
 // callback — Init, Ask, Tell, or an evaluation it drove. The run loop
 // converts such panics into this error at the Run boundary so one
 // misbehaving mapper (including third-party registry mappers) fails its
-// own run instead of killing the process; the engine's pools and cache
-// scratch unwind through their normal defers and stay consistent, so
-// subsequent runs on the same problem are unaffected.
+// own run instead of killing the process; the run's evaluator goes with
+// it and the engine holds nothing the run was writing, so subsequent
+// runs on the same problem are unaffected.
 type MapperPanicError struct {
 	Mapper string // optimizer name (Optimizer.Name)
 	Op     string // callback that panicked: "Init" | "Ask" | "Evaluate" | "Tell"

@@ -57,7 +57,7 @@ func TestVirtualBracketHoldsFitness(t *testing.T) {
 // that its counters nest: VirtualPruned ≤ BoundPruned, and every priced
 // genome is either settled or simulated.
 func TestVirtualStageSettles(t *testing.T) {
-	table := parallelProblem(t).Table
+	table := evaluatorProblem(t).Table
 	const budget = 1000
 	for obj := m3e.Throughput; obj <= m3e.EDP; obj++ {
 		prob := m3e.ProblemFromTable(table, obj)
@@ -92,7 +92,7 @@ func TestVirtualStageSettles(t *testing.T) {
 // misses it, and Run must return an error naming the batch index
 // instead of pruning on a wrong bracket.
 func TestBracketMissFailsLoudly(t *testing.T) {
-	prob := parallelProblem(t)
+	prob := evaluatorProblem(t)
 	above := func(lo, hi float64) (float64, float64) {
 		v := hi + math.Abs(hi)*1e-3 + 1
 		return v, v

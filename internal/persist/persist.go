@@ -24,8 +24,8 @@
 // Only results that are a pure function of their key are persisted: a
 // search is a pure function of its problem, mapper, budget and seed,
 // so a restored memo entry is bit-identical to the search it stands
-// for. Nothing about in-flight runs, pools or scratch is (or needs to
-// be) saved.
+// for. Nothing about in-flight runs or scratch is (or needs to be)
+// saved.
 package persist
 
 import (

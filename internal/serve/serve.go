@@ -2,7 +2,7 @@
 // magma.Solver: JSON in (workload + platform setting + options), JSON
 // out (schedules + cache/engine stats). One Solver serves every
 // request concurrently, so repeated or similar requests reuse analysis
-// tables, evaluator pools and each problem's memo of finished searches
+// tables and each problem's memo of finished searches
 // — the response's engine stats make the reuse observable
 // (cross_request_hit_rate, memo_hits).
 //
@@ -33,8 +33,6 @@ import (
 	"runtime"
 	"strings"
 	"time"
-
-	"sync"
 
 	"magma"
 	"magma/internal/m3e"
@@ -151,7 +149,8 @@ func cacheJSON(s m3e.CacheStats) CacheJSON {
 // lifetime counters. CrossRequestHitRate is the headline — the fraction
 // of all decodable evaluations answered by a *different* search: the
 // genomes of every memo answer. Re-asks the runner settles count in the
-// denominator but never as cross hits.
+// denominator but never as cross hits. pools_built and pools_reused
+// always read 0; they stay for wire compatibility.
 type EngineJSON struct {
 	Searches            uint64    `json:"searches"`
 	Problems            int       `json:"problems"`
@@ -237,11 +236,6 @@ type Server struct {
 	cfg     Config
 	jobs    *jobSet
 	flights *flightGroup
-
-	// validators pools sim.Validator scratch for the response-assembly
-	// schedule check: concurrent requests each lease one, so validating
-	// every served mapping costs no per-request allocation.
-	validators sync.Pool
 }
 
 // New wraps a Solver with default Config. Every request runs against it
@@ -471,18 +465,11 @@ func (s *Server) parseRequest(body io.Reader) (*runSpec, error) {
 	return spec, nil
 }
 
-// validator leases a pooled Mapping validator (put it back when done).
-func (s *Server) validator() *sim.Validator {
-	if v, ok := s.validators.Get().(*sim.Validator); ok {
-		return v
-	}
-	return new(sim.Validator)
-}
-
 // response assembles the wire reply from a stream result. Every served
 // schedule is re-validated against its group before the Queues go on
 // the wire — a corrupted mapping must fail the request, not leak to a
-// client — using pooled validator scratch, never a per-call allocation.
+// client — with one sim.Validator for the response, so its scratch is
+// grown once per response, not once per group.
 func (s *Server) response(spec *runSpec, res magma.StreamResult, start time.Time) (OptimizeResponse, error) {
 	resp := OptimizeResponse{
 		Workload:         spec.wl.Name,
@@ -495,8 +482,7 @@ func (s *Server) response(spec *runSpec, res magma.StreamResult, start time.Time
 		ElapsedMS:        float64(time.Since(start).Microseconds()) / 1e3,
 		Partial:          res.Partial,
 	}
-	v := s.validator()
-	defer s.validators.Put(v)
+	var v sim.Validator
 	nAccels := spec.pf.NumAccels()
 	for gi, sched := range res.Schedules {
 		if err := v.Validate(sched.Mapping, len(spec.wl.Groups[gi].Jobs), nAccels); err != nil {

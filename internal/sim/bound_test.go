@@ -236,22 +236,3 @@ func TestGenomeResultChecksGenes(t *testing.T) {
 		t.Error("GenomeRoofline refused in-range genes")
 	}
 }
-
-// TestSimulatorBoundsMemoized pins the Simulator-side memo: repeated
-// calls on one table share a Bounds, and a table change rebuilds it.
-func TestSimulatorBoundsMemoized(t *testing.T) {
-	tabA := buildTable(t, models.Mix, 12, platform.S1())
-	tabB := buildTable(t, models.Vision, 12, platform.S2())
-	s := NewSimulator(Options{})
-	b1 := s.Bounds(tabA)
-	if b2 := s.Bounds(tabA); b2 != b1 {
-		t.Error("same table rebuilt its Bounds")
-	}
-	b3 := s.Bounds(tabB)
-	if b3 == b1 {
-		t.Error("table change kept the stale Bounds")
-	}
-	if b3.NumAccels() != tabB.NumAccels() {
-		t.Errorf("rebuilt Bounds has %d accels, want %d", b3.NumAccels(), tabB.NumAccels())
-	}
-}

@@ -239,7 +239,7 @@ func TestKernelFaultPoint(t *testing.T) {
 	}
 }
 
-// TestValidatorMatchesValidate drives the pooled Validator against the
+// TestValidatorMatchesValidate drives a reused Validator against the
 // allocating Mapping.Validate across valid and invalid mappings and
 // checks reuse never leaks marker state.
 func TestValidatorMatchesValidate(t *testing.T) {
@@ -260,10 +260,10 @@ func TestValidatorMatchesValidate(t *testing.T) {
 		got := v.Validate(c.m, c.nJobs, c.nAccels)
 		want := c.m.Validate(c.nJobs, c.nAccels)
 		if (got == nil) != (want == nil) {
-			t.Fatalf("case %d: pooled %v, one-shot %v", i, got, want)
+			t.Fatalf("case %d: reused %v, one-shot %v", i, got, want)
 		}
 		if got != nil && want != nil && got.Error() != want.Error() {
-			t.Fatalf("case %d: pooled %q, one-shot %q", i, got, want)
+			t.Fatalf("case %d: reused %q, one-shot %q", i, got, want)
 		}
 	}
 	m := roundRobin(40, 4)

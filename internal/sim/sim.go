@@ -35,8 +35,8 @@ func (m Mapping) Validate(nJobs, nAccels int) error {
 // paths that validate many mappings (the HTTP server, the CLI compare
 // loop) can amortize it to zero steady-state allocations — the same
 // discipline the Simulator applies to its own validate pass. A
-// Validator must not be shared between goroutines; pool them (one per
-// request, or sync.Pool) instead.
+// Validator must not be shared between goroutines; build one per
+// request instead.
 type Validator struct {
 	seen []bool
 }

@@ -46,7 +46,6 @@ type Simulator struct {
 	memoTable  *analyzer.Table
 	totalFLOPs float64
 	totalPEs   float64
-	memoBounds *Bounds
 	soa        soaTable
 }
 
@@ -132,7 +131,6 @@ func (s *Simulator) tableConstants(t *analyzer.Table) (totalFLOPs, totalPEs floa
 			pes += float64(sa.Config.PEs())
 		}
 		s.memoTable, s.totalFLOPs, s.totalPEs = t, float64(t.Group.TotalFLOPs()), pes
-		s.memoBounds = nil
 		s.buildSoA(t)
 	}
 	return s.totalFLOPs, s.totalPEs
@@ -158,17 +156,6 @@ func (s *Simulator) buildSoA(t *analyzer.Table) {
 			s.soa.energy[base+a] = e.Energy
 		}
 	}
-}
-
-// Bounds returns the memoized analytical-bound constants for the table,
-// built on first use and refreshed alongside the other per-table memos
-// when the simulator is pointed at a different table.
-func (s *Simulator) Bounds(t *analyzer.Table) *Bounds {
-	s.tableConstants(t)
-	if s.memoBounds == nil {
-		s.memoBounds = NewBounds(t)
-	}
-	return s.memoBounds
 }
 
 // NewSimulator builds a reusable simulator with the given options.

@@ -142,8 +142,8 @@ type Options struct {
 	// schedules of the same group size (§V-C). Ignored by other mappers.
 	WarmStart []Schedule
 	// Solver, when non-nil, runs the search against a long-lived Solver:
-	// analysis tables, evaluator pools and the memo of finished searches
-	// persist across calls (results stay bit-identical to per-call runs).
+	// analysis tables and the memo of finished searches persist across
+	// calls (results stay bit-identical to per-call runs).
 	// Nil means a private single-use Solver — the historical facade
 	// behavior.
 	Solver *Solver

@@ -40,6 +40,9 @@ func TestSolverMemoRepeat(t *testing.T) {
 	if before.MemoHits != 0 {
 		t.Fatalf("first search reports %d memo hits", before.MemoHits)
 	}
+	// Count the optimizer's Asks across the repeats: a hit runs no search.
+	fault.Enable(fault.M3EAsk, func() error { return nil })
+	defer fault.Reset()
 	for rep := 0; rep < 2; rep++ {
 		hit, err := Optimize(g, pf, opts)
 		if err != nil {
@@ -67,8 +70,8 @@ func TestSolverMemoRepeat(t *testing.T) {
 	if got := st.Cache.CrossHits - before.Cache.CrossHits; got != uint64(2*first.Asked) {
 		t.Errorf("repeats added %d cross hits to the engine, want %d", got, 2*first.Asked)
 	}
-	if st.PoolsBuilt+st.PoolsReused != before.PoolsBuilt+before.PoolsReused {
-		t.Error("a memo hit leased an evaluation pool")
+	if asks := fault.Hits(fault.M3EAsk); asks != 0 {
+		t.Errorf("two memo hits asked the optimizer %d times, want 0 (a hit runs no search)", asks)
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 // Only searches of built-in mappers are written: a Registered name may
 // mean different code in the process that restores the snapshot. The
 // snapshot is a consistent cut per problem, safe to take while
-// searches run. Ephemeral state — evaluator pools, in-flight runs,
+// searches run. Ephemeral state — analysis tables, in-flight runs,
 // reuse counters — is deliberately not persisted.
 func (s *Solver) Snapshot(w io.Writer) error {
 	if err := persist.Write(w, s.buildSnapshot()); err != nil {

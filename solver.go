@@ -28,8 +28,8 @@ type SolverOptions struct {
 
 // SolverStats reports what a Solver reused versus rebuilt: completed
 // searches (MemoHits of them answered from a memo of finished
-// searches), analysis tables built/reused, pool reuse, FIFO evictions,
-// and the aggregated evaluation counters — Cache.CrossHits is the
+// searches), analysis tables built/reused, FIFO evictions, and the
+// aggregated evaluation counters — Cache.CrossHits is the
 // cross-run payoff (the genomes of every memo answer).
 type SolverStats = engine.Stats
 
@@ -40,7 +40,6 @@ type SolverStats = engine.Stats
 //   - a problem cache keyed by content identity (group layers/batches ×
 //     platform configuration × objective), so repeated requests skip
 //     the job-analysis profiling pass;
-//   - pooled evaluators/simulators whose grown scratch stays warm;
 //   - a memo of finished searches per problem, so an exact repeat of a
 //     cached search (same mapper, budget and seed) is answered without
 //     running it (Options.Cache). The memo is the only reuse of results
@@ -51,6 +50,8 @@ type SolverStats = engine.Stats
 // Results are bit-identical to fresh per-call runs: everything shared
 // is either read-only during search (tables) or a pure-function memo
 // (finished searches), so reuse changes wall-clock, never schedules.
+// Each search that runs builds its own evaluator and drops it when it
+// ends; nothing of a run's scratch outlives it.
 // All methods are safe for concurrent use.
 //
 // The package-level Optimize, OptimizeStream, Compare and Tune are thin
@@ -349,7 +350,7 @@ func (s *Solver) OptimizeStreamCtx(ctx context.Context, wl Workload, p Platform,
 
 // Tune searches MAGMA's hyper-parameter space, as the package-level
 // Tune, against the Solver's cached problem: every trial re-runs MAGMA
-// on the one analysis table, each on a leased pool. The first
+// on the one analysis table. The first
 // evaluation error aborts the search and is returned (a silent zero
 // would bias the tuner toward broken configurations).
 func (s *Solver) Tune(g Group, p Platform, budget int, trials int, seed int64) ([]float64, float64, error) {

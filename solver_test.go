@@ -177,8 +177,8 @@ func TestSolverTuneMatchesPackageTune(t *testing.T) {
 	if scoreA != scoreB || !reflect.DeepEqual(bestA, bestB) {
 		t.Errorf("solver Tune (%v, %v) != package Tune (%v, %v)", bestB, scoreB, bestA, scoreA)
 	}
-	if st := s.Stats(); st.TablesBuilt != 1 || st.PoolsReused == 0 || st.Cache.CrossHits != 0 {
-		t.Errorf("tuner stats %+v, want one table, reused pools and no cross-run hits", st)
+	if st := s.Stats(); st.TablesBuilt != 1 || st.TablesReused != 0 || st.Searches == 0 || st.Cache.CrossHits != 0 {
+		t.Errorf("tuner stats %+v, want one table built, searches run and no cross-run hits", st)
 	}
 }
 
