@@ -42,9 +42,6 @@ type ServeReport struct {
 	Searches            uint64  `json:"searches"`
 	TablesBuilt         uint64  `json:"tables_built"`
 	TablesReused        uint64  `json:"tables_reused"`
-	PoolsBuilt          uint64  `json:"pools_built"`
-	PoolsReused         uint64  `json:"pools_reused"`
-	Coalesced           uint64  `json:"coalesced"` // requests answered by an in-flight twin's search
 	MemoHits            uint64  `json:"memo_hits"` // group searches answered from their problem's memo of finished searches
 	// Latency is per-request wall time as the load generator saw it.
 	Latency *LatencyJSON `json:"latency_ms,omitempty"`
@@ -97,8 +94,8 @@ type BaselineBench struct {
 // ChaosReport counts what the fault-injection run survived.
 type ChaosReport struct {
 	// MapperPanics counts recovered mapper panics, Failed500s the
-	// requests that saw one (coalesced followers share a panic), and
-	// Succeeded the requests that still completed.
+	// requests that saw one, and Succeeded the requests that still
+	// completed.
 	MapperPanics uint64 `json:"mapper_panics"`
 	Failed500s   int64  `json:"failed_500s"`
 	Succeeded    int64  `json:"succeeded"`
@@ -255,9 +252,6 @@ func newServeReport(requests, clients int, res mixResult, st serve.EngineJSON) *
 		Searches:            st.Searches,
 		TablesBuilt:         st.TablesBuilt,
 		TablesReused:        st.TablesReused,
-		PoolsBuilt:          st.PoolsBuilt,
-		PoolsReused:         st.PoolsReused,
-		Coalesced:           st.Coalesced,
 		MemoHits:            st.MemoHits,
 		Latency:             latencyOf(res.latencies),
 	}

@@ -267,6 +267,21 @@ func TestEngineMemoCapAndEviction(t *testing.T) {
 		t.Errorf("stats after %d hits: %+v", entries-1, st)
 	}
 
+	// Concurrent identical searches each remember their result; the
+	// first entry stays, and a later one neither replaces it nor pushes
+	// an older entry out.
+	last := key(entries - 1)
+	h.Remember(persist.MemoEntry{Key: last, Asked: 100, Fitness: -1})
+	if memo := e.Export()[0].Memo; len(memo) != 16 {
+		t.Errorf("memo holds %d entries after a repeated Remember, want 16", len(memo))
+	}
+	if v, _, ok := h.Recall(last); !ok || v.Fitness != float64(entries-1) {
+		t.Errorf("repeated Remember: recalled %+v, %v; want the first entry's fitness %d", v, ok, entries-1)
+	}
+	if _, _, ok := h.Recall(key(1)); !ok {
+		t.Error("a repeated Remember evicted the oldest entry")
+	}
+
 	// A second problem evicts the first; the first comes back empty.
 	if _, err := e.Problem(engGroup(t, 4), pf, m3e.Throughput); err != nil {
 		t.Fatal(err)

@@ -474,7 +474,6 @@ func aggregateEngine(views []serve.EngineJSON) serve.EngineJSON {
 		agg.ProblemsRestored += v.ProblemsRestored
 		agg.EntriesRestored += v.EntriesRestored
 		agg.MapperPanics += v.MapperPanics
-		agg.Coalesced += v.Coalesced
 		agg.MemoHits += v.MemoHits
 		cache.Add(cacheStatsOf(v.Cache))
 	}
@@ -504,39 +503,57 @@ type StatsResponse struct {
 	Router    RouterStats      `json:"router"`
 }
 
-// collectStats fetches every shard's /stats concurrently.
-func (rt *Router) collectStats(ctx context.Context) StatsResponse {
-	out := StatsResponse{Shards: len(rt.shards), Router: rt.Stats()}
-	out.PerShard = make([]ShardStatus, len(rt.shards))
-	ctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+// probe GETs path on every shard concurrently under one timeout and
+// returns a row per shard. A shard is healthy only when it answers 200
+// and read accepts the body; any other answer is the row's Error.
+func (rt *Router) probe(ctx context.Context, path string, timeout time.Duration, read func(io.Reader, *ShardStatus) error) []ShardStatus {
+	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
+	rows := make([]ShardStatus, len(rt.shards))
 	var wg sync.WaitGroup
 	for i, sh := range rt.shards {
+		rows[i] = ShardStatus{Name: sh.Name, URL: sh.URL}
 		wg.Add(1)
-		go func(i int, sh Shard) {
+		go func(st *ShardStatus) {
 			defer wg.Done()
-			st := ShardStatus{Name: sh.Name, URL: sh.URL}
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, sh.URL+"/stats", nil)
-			if err == nil {
-				var resp *http.Response
-				resp, err = rt.client.Do(req)
-				if err == nil {
-					var ej serve.EngineJSON
-					err = json.NewDecoder(io.LimitReader(resp.Body, maxBody)).Decode(&ej)
-					resp.Body.Close()
-					if err == nil {
-						st.Healthy = true
-						st.Stats = &ej
-					}
-				}
-			}
-			if err != nil {
+			if err := rt.probeShard(ctx, st, path, read); err != nil {
 				st.Error = err.Error()
+				return
 			}
-			out.PerShard[i] = st
-		}(i, sh)
+			st.Healthy = true
+		}(&rows[i])
 	}
 	wg.Wait()
+	return rows
+}
+
+func (rt *Router) probeShard(ctx context.Context, st *ShardStatus, path string, read func(io.Reader, *ShardStatus) error) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, st.URL+path, nil)
+	if err != nil {
+		return err
+	}
+	resp, err := rt.client.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("GET %s: status %d", path, resp.StatusCode)
+	}
+	return read(io.LimitReader(resp.Body, maxBody), st)
+}
+
+// collectStats fetches every shard's /stats and sums the healthy ones.
+func (rt *Router) collectStats(ctx context.Context) StatsResponse {
+	out := StatsResponse{Shards: len(rt.shards), Router: rt.Stats()}
+	out.PerShard = rt.probe(ctx, "/stats", 5*time.Second, func(body io.Reader, st *ShardStatus) error {
+		var ej serve.EngineJSON
+		if err := json.NewDecoder(body).Decode(&ej); err != nil {
+			return err
+		}
+		st.Stats = &ej
+		return nil
+	})
 	var views []serve.EngineJSON
 	for _, st := range out.PerShard {
 		if st.Healthy {
@@ -559,32 +576,10 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 // handleHealthz probes every shard: 200 only when the whole fleet is
 // reachable (readiness), 503 with the per-shard detail otherwise.
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := context.WithTimeout(r.Context(), 2*time.Second)
-	defer cancel()
-	statuses := make([]ShardStatus, len(rt.shards))
-	var wg sync.WaitGroup
-	for i, sh := range rt.shards {
-		wg.Add(1)
-		go func(i int, sh Shard) {
-			defer wg.Done()
-			st := ShardStatus{Name: sh.Name, URL: sh.URL}
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, sh.URL+"/healthz", nil)
-			if err == nil {
-				var resp *http.Response
-				resp, err = rt.client.Do(req)
-				if err == nil {
-					io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-					resp.Body.Close()
-					st.Healthy = resp.StatusCode == http.StatusOK
-				}
-			}
-			if err != nil {
-				st.Error = err.Error()
-			}
-			statuses[i] = st
-		}(i, sh)
-	}
-	wg.Wait()
+	statuses := rt.probe(r.Context(), "/healthz", 2*time.Second, func(body io.Reader, _ *ShardStatus) error {
+		_, err := io.Copy(io.Discard, io.LimitReader(body, 4096))
+		return err
+	})
 	healthy := 0
 	for _, st := range statuses {
 		if st.Healthy {

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -468,6 +469,27 @@ func TestRouterStatsAggregation(t *testing.T) {
 		if st.Stats != nil && st.Stats.Problems != ownedBy[i] {
 			t.Errorf("shard %d holds %d problems, owns %d identities", i, st.Stats.Problems, ownedBy[i])
 		}
+	}
+
+	// A shard that answers /stats with a 500 and a JSON error body is
+	// unhealthy and left out of the aggregate, although the body decodes.
+	failing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		serve.WriteJSON(w, http.StatusInternalServerError, map[string]string{"error": "boom"})
+	}))
+	defer failing.Close()
+	rt, err := NewRouter(append(shards[:len(shards):len(shards)], Shard{Name: "failing", URL: failing.URL}), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	withFailing := rt.collectStats(context.Background())
+	if withFailing.Healthy != 3 || withFailing.Shards != 4 {
+		t.Errorf("fleet health with a failing shard %d/%d, want 3/4", withFailing.Healthy, withFailing.Shards)
+	}
+	if row := withFailing.PerShard[3]; row.Healthy || row.Stats != nil || row.Error == "" {
+		t.Errorf("failing shard's row %+v, want unhealthy with an error and no stats", row)
+	}
+	if withFailing.Aggregate != stats.Aggregate {
+		t.Errorf("aggregate with a failing shard %+v, want the healthy shards' %+v", withFailing.Aggregate, stats.Aggregate)
 	}
 }
 

@@ -53,7 +53,6 @@ func FuzzParseRequest(f *testing.F) {
 			if spec.timeout < 0 || (s.cfg.JobTimeout > 0 && (spec.timeout == 0 || spec.timeout > s.cfg.JobTimeout)) {
 				t.Fatalf("parseRequest(%q) set timeout %v under a server cap of %v", body, spec.timeout, s.cfg.JobTimeout)
 			}
-			keyFor(spec)
 		}
 	})
 }

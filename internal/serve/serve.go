@@ -162,14 +162,12 @@ type EngineJSON struct {
 	Cache               CacheJSON `json:"cache"`
 	CrossRequestHitRate float64   `json:"cross_request_hit_rate"`
 	// Crash-safety and robustness counters: durable snapshots written,
-	// problems and memo entries loaded back on boot, mapper panics
-	// recovered into failed requests, and requests answered by another
-	// request's in-flight search (singleflight).
+	// problems and memo entries loaded back on boot, and mapper panics
+	// recovered into failed requests.
 	SnapshotsTaken   uint64 `json:"snapshots_taken"`
 	ProblemsRestored uint64 `json:"problems_restored"`
 	EntriesRestored  uint64 `json:"entries_restored"`
 	MapperPanics     uint64 `json:"mapper_panics"`
-	Coalesced        uint64 `json:"coalesced"`
 	// MemoHits counts group searches answered from their problem's memo
 	// of finished searches: exact repeats that ran no generation.
 	MemoHits uint64 `json:"memo_hits"`
@@ -188,13 +186,6 @@ func engineJSON(s magma.SolverStats) EngineJSON {
 		MapperPanics:        s.MapperPanics,
 		MemoHits:            s.MemoHits,
 	}
-}
-
-// engineView is engineJSON plus the serve-level coalescing counter.
-func (s *Server) engineView() EngineJSON {
-	v := engineJSON(s.solver.Stats())
-	v.Coalesced = s.flights.Coalesced()
-	return v
 }
 
 // OptimizeResponse is the POST /optimize reply (and the result payload
@@ -232,10 +223,9 @@ type Config struct {
 
 // Server is the HTTP facade over one shared Solver.
 type Server struct {
-	solver  *magma.Solver
-	cfg     Config
-	jobs    *jobSet
-	flights *flightGroup
+	solver *magma.Solver
+	cfg    Config
+	jobs   *jobSet
 }
 
 // New wraps a Solver with default Config. Every request runs against it
@@ -253,7 +243,7 @@ func NewWith(solver *magma.Solver, cfg Config) *Server {
 			cfg.MaxRunning = 4
 		}
 	}
-	return &Server{solver: solver, cfg: cfg, jobs: newJobSet(cfg.MaxJobs), flights: newFlightGroup()}
+	return &Server{solver: solver, cfg: cfg, jobs: newJobSet(cfg.MaxJobs)}
 }
 
 // Solver returns the shared solver (the load generator reads its stats
@@ -321,7 +311,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	WriteJSON(w, http.StatusOK, s.engineView())
+	WriteJSON(w, http.StatusOK, engineJSON(s.solver.Stats()))
 }
 
 // parseTask maps the wire task names onto models.Task (empty means the
@@ -478,7 +468,7 @@ func (s *Server) response(spec *runSpec, res magma.StreamResult, start time.Time
 		TotalSeconds:     res.TotalSeconds,
 		ThroughputGFLOPs: res.ThroughputGFLOPs,
 		Cache:            cacheJSON(res.Cache),
-		Engine:           s.engineView(),
+		Engine:           engineJSON(s.solver.Stats()),
 		ElapsedMS:        float64(time.Since(start).Microseconds()) / 1e3,
 		Partial:          res.Partial,
 	}
@@ -512,30 +502,16 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// run executes the search under a context owned by its flight (the
-	// request context when uncoalesced). The per-request timeout wraps
-	// that context: a dropped connection or the deadline aborts the
-	// search within one generation and returns the best-so-far prefix.
-	run := func(ctx context.Context) (magma.StreamResult, error) {
-		if spec.timeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, spec.timeout)
-			defer cancel()
-		}
-		return s.solver.OptimizeStreamCtx(ctx, spec.wl, spec.pf, spec.opts)
+	// The search runs under the request context, capped by the
+	// per-request timeout: a dropped connection or the deadline aborts
+	// it within one generation and returns the best-so-far prefix.
+	ctx := r.Context()
+	if spec.timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, spec.timeout)
+		defer cancel()
 	}
-	var res magma.StreamResult
-	if coalescible(spec) {
-		// Identical in-flight requests share one search: the first runs,
-		// the rest attach and reuse its result (responses are guaranteed
-		// bit-identical — the flight key covers everything that affects
-		// the answer). The search survives until its last client leaves.
-		res, err, _ = s.flights.do(r.Context(), keyFor(spec), run)
-	} else {
-		// SharedWarm mutates the Solver's cross-request warm store; each
-		// such request must run (and record) on its own.
-		res, err = run(r.Context())
-	}
+	res, err := s.solver.OptimizeStreamCtx(ctx, spec.wl, spec.pf, spec.opts)
 	if err != nil {
 		var mpe *magma.MapperPanicError
 		code := http.StatusUnprocessableEntity

@@ -144,10 +144,10 @@ func TestServeConcurrentClients(t *testing.T) {
 			t.Errorf("client %d schedules differ from client 0", c)
 		}
 	}
-	// The concurrent burst alone can coalesce into a single search
-	// (singleflight), which legitimately produces zero cross-request
-	// hits; a sequential repeat afterwards is always a fresh search
-	// against the stored entries, so reuse must show deterministically.
+	// Each client of the cold burst may run its own search before any
+	// of them is remembered, so the burst alone can produce zero
+	// cross-request hits; a sequential repeat afterwards is always
+	// answered from the problem's memo, so reuse must show.
 	resp, _, raw := post(t, ts.URL, genReq)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("sequential repeat: status %d: %s", resp.StatusCode, raw)
