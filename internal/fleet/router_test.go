@@ -619,11 +619,13 @@ func TestRouterFanOutBudgetPastDefault(t *testing.T) {
 }
 
 // TestResponsesAreCompact pins the wire form of the router's own
-// bodies: the merged /optimize reply and /stats are compact JSON, one
-// value per line, the bytes of json.Marshal of what they decode to plus
-// '\n'.
+// bodies: the merged /optimize reply, /stats, /healthz and the /jobs
+// refusal are compact JSON, one value per line, the bytes of
+// json.Marshal of what they decode to plus '\n', with the key paths and
+// value types of testdata/wire.golden.
 func TestResponsesAreCompact(t *testing.T) {
 	shards, rt, rts := newFleet(t, 3, Config{})
+	wire := wireGolden{}
 	split, groups := splitRequest(t, shards)
 	body := strings.TrimSuffix(split, "}") + `,"options":{"budget_per_group":100,"seed":1}}`
 	resp, raw := postOptimize(t, rts.URL, body)
@@ -635,20 +637,41 @@ func TestResponsesAreCompact(t *testing.T) {
 	}
 	var merged serve.OptimizeResponse
 	requireCompact(t, "merged optimize", raw, &merged)
+	wire.add(t, "optimize", raw)
 	if len(merged.Groups) != groups {
 		t.Errorf("merged %d groups, want %d", len(merged.Groups), groups)
 	}
 
-	st, err := http.Get(rts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		path string
+		code int
+		v    any
+	}{
+		{"/stats", http.StatusOK, new(StatsResponse)},
+		{"/healthz", http.StatusOK, new(struct {
+			Detail  []ShardStatus `json:"detail"`
+			Healthy int           `json:"healthy"`
+			OK      bool          `json:"ok"`
+			Shards  int           `json:"shards"`
+		})},
+		{"/jobs", http.StatusNotImplemented, new(map[string]string)},
+	} {
+		resp, err := http.Get(rts.URL + c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err = io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != c.code {
+			t.Fatalf("%s: status %d, want %d: %s", c.path, resp.StatusCode, c.code, raw)
+		}
+		requireCompact(t, c.path, raw, c.v)
+		wire.add(t, strings.TrimPrefix(c.path, "/"), raw)
 	}
-	raw, err = io.ReadAll(st.Body)
-	st.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireCompact(t, "stats", raw, new(StatsResponse))
+	wire.check(t, "testdata/wire.golden")
 }
 
 func requireCompact(t *testing.T, name string, body []byte, v any) {

@@ -76,6 +76,58 @@ func waitJob(t *testing.T, url, id string) (int, serve.JobView) {
 	return 0, serve.JobView{}
 }
 
+// waitProgress polls until the job has run at least two generations.
+func waitProgress(t *testing.T, url, id string) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		if _, v := getJob(t, url, id); v.Progress.Generation >= 2 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("job never progressed")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// sseEvent is one Server-Sent Event of a job's progress stream.
+type sseEvent struct{ name, data string }
+
+// readEvents opens the job's event stream and reads until the server
+// closes it, or until max events when max > 0.
+func readEvents(t *testing.T, url, id string, max int) []sseEvent {
+	t.Helper()
+	resp, err := http.Get(url + "/jobs/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
+		t.Fatalf("content type %q", ct)
+	}
+	var events []sseEvent
+	var ev sseEvent
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		switch {
+		case strings.HasPrefix(line, "event: "):
+			ev.name = strings.TrimPrefix(line, "event: ")
+		case strings.HasPrefix(line, "data: "):
+			ev.data = strings.TrimPrefix(line, "data: ")
+		case line == "" && ev.name != "":
+			events = append(events, ev)
+			ev = sseEvent{}
+			if len(events) == max {
+				return events
+			}
+		}
+	}
+	return events
+}
+
 func TestJobLifecycleDone(t *testing.T) {
 	ts, _ := newTestServer(t)
 	id := submitJob(t, ts.URL, jobRequest(200))
@@ -103,18 +155,7 @@ func TestJobCancelMidRunKeepsBestSoFar(t *testing.T) {
 	// cancels long before it finishes.
 	id := submitJob(t, ts.URL, jobRequest(2_000_000))
 
-	// Wait until the search demonstrably produced progress.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		_, v := getJob(t, ts.URL, id)
-		if v.Progress.Generation >= 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job never progressed")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitProgress(t, ts.URL, id)
 
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/jobs/"+id, nil)
 	resp, err := http.DefaultClient.Do(req)
@@ -216,38 +257,35 @@ func TestJobUnknownAndList(t *testing.T) {
 func TestJobEventsSSE(t *testing.T) {
 	ts, _ := newTestServer(t)
 	id := submitJob(t, ts.URL, jobRequest(400))
-	resp, err := http.Get(ts.URL + "/jobs/" + id + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("content type %q", ct)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	var events, doneEvents int
-	var lastData string
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "event: progress"):
-			events++
-		case strings.HasPrefix(line, "event: done"):
-			doneEvents++
-		case strings.HasPrefix(line, "data: "):
-			lastData = strings.TrimPrefix(line, "data: ")
+	requireDone := func(events []sseEvent) {
+		t.Helper()
+		if len(events) == 0 || events[len(events)-1].name != "done" {
+			t.Fatalf("stream did not end on a done event: %+v", events)
+		}
+		for _, ev := range events[:len(events)-1] {
+			if ev.name != "progress" {
+				t.Fatalf("event %q before done, want progress", ev.name)
+			}
+		}
+		var v serve.JobView
+		last := events[len(events)-1].data
+		if err := json.Unmarshal([]byte(last), &v); err != nil {
+			t.Fatalf("final event payload: %v (%s)", err, last)
+		}
+		if v.Status != serve.JobDone || v.Result == nil {
+			t.Fatalf("final event %+v", v)
 		}
 	}
-	if doneEvents != 1 {
-		t.Fatalf("saw %d done events, want 1 (progress events: %d)", doneEvents, events)
+	requireDone(readEvents(t, ts.URL, id, 0))
+
+	// A stream opened after the job finished gets exactly one event: the
+	// done event carrying the result.
+	waitJob(t, ts.URL, id)
+	late := readEvents(t, ts.URL, id, 0)
+	if len(late) != 1 {
+		t.Fatalf("stream of a finished job has %d events, want 1: %+v", len(late), late)
 	}
-	var v serve.JobView
-	if err := json.Unmarshal([]byte(lastData), &v); err != nil {
-		t.Fatalf("final event payload: %v (%s)", err, lastData)
-	}
-	if v.Status != serve.JobDone || v.Result == nil {
-		t.Fatalf("final event %+v", v)
-	}
+	requireDone(late)
 }
 
 // serveUniform is a downstream Mapper registered from outside the

@@ -401,9 +401,13 @@ func fetch(t *testing.T, method, url, body string) (int, []byte) {
 }
 
 // TestResponsesAreCompact pins the wire form of every body the shard
-// writes: compact JSON, one value per line.
+// writes: compact JSON, one value per line, with the key paths and value
+// types of testdata/wire.golden. It covers each job state and the SSE
+// payloads, so the server admits one running job.
 func TestResponsesAreCompact(t *testing.T) {
-	ts, _ := newTestServer(t)
+	ts := httptest.NewServer(serve.NewWith(magma.NewSolver(magma.SolverOptions{}), serve.Config{MaxRunning: 1}).Handler())
+	t.Cleanup(ts.Close)
+	wire := wireGolden{}
 	var fresh, hit serve.OptimizeResponse
 	for _, out := range []*serve.OptimizeResponse{&fresh, &hit} {
 		code, raw := fetch(t, http.MethodPost, ts.URL+"/optimize", genReq)
@@ -411,6 +415,7 @@ func TestResponsesAreCompact(t *testing.T) {
 			t.Fatalf("optimize: status %d: %s", code, raw)
 		}
 		requireCompact(t, "optimize", raw, out)
+		wire.add(t, "optimize", raw)
 	}
 	if hit.Engine.MemoHits == fresh.Engine.MemoHits || !reflect.DeepEqual(hit.Groups, fresh.Groups) {
 		t.Errorf("repeat was not a memo hit with the fresh groups: memo_hits %d → %d",
@@ -419,13 +424,16 @@ func TestResponsesAreCompact(t *testing.T) {
 
 	_, raw := fetch(t, http.MethodGet, ts.URL+"/stats", "")
 	requireCompact(t, "stats", raw, new(serve.EngineJSON))
+	wire.add(t, "stats", raw)
 	_, raw = fetch(t, http.MethodGet, ts.URL+"/healthz", "")
 	requireCompact(t, "healthz", raw, new(map[string]bool))
+	wire.add(t, "healthz", raw)
 	code, raw := fetch(t, http.MethodPost, ts.URL+"/optimize", `{"platform":"S2"}`)
 	if code != http.StatusBadRequest {
 		t.Fatalf("bad request: status %d: %s", code, raw)
 	}
 	requireCompact(t, "400", raw, new(map[string]string))
+	wire.add(t, "optimize-400", raw)
 
 	code, raw = fetch(t, http.MethodPost, ts.URL+"/jobs", jobRequest(64))
 	if code != http.StatusAccepted {
@@ -433,12 +441,48 @@ func TestResponsesAreCompact(t *testing.T) {
 	}
 	var submitted map[string]any
 	requireCompact(t, "job submit", raw, &submitted)
+	wire.add(t, "jobs-submit", raw)
 	id, _ := submitted["id"].(string)
 	waitJob(t, ts.URL, id)
 	_, raw = fetch(t, http.MethodGet, ts.URL+"/jobs/"+id, "")
 	var view serve.JobView
 	requireCompact(t, "job view", raw, &view)
+	wire.add(t, "job-done", raw)
 	if view.Status != serve.JobDone || view.Result == nil {
 		t.Errorf("job view %s", raw)
 	}
+	for _, ev := range readEvents(t, ts.URL, id, 0) {
+		wire.add(t, "event-"+ev.name, []byte(ev.data))
+	}
+
+	// A long job fills the one running slot: a second submit is shed, its
+	// stream opens on a progress event, and DELETE cancels it.
+	long := submitJob(t, ts.URL, jobRequest(2_000_000))
+	waitProgress(t, ts.URL, long)
+	code, raw = fetch(t, http.MethodPost, ts.URL+"/jobs", jobRequest(64))
+	if code != http.StatusTooManyRequests {
+		t.Fatalf("submit past cap: status %d: %s", code, raw)
+	}
+	requireCompact(t, "429", raw, new(map[string]any))
+	wire.add(t, "jobs-submit-429", raw)
+	for _, ev := range readEvents(t, ts.URL, long, 1) {
+		wire.add(t, "event-"+ev.name, []byte(ev.data))
+	}
+	code, raw = fetch(t, http.MethodDelete, ts.URL+"/jobs/"+long, "")
+	if code != http.StatusAccepted {
+		t.Fatalf("cancel: status %d: %s", code, raw)
+	}
+	requireCompact(t, "cancel", raw, new(map[string]string))
+	wire.add(t, "job-delete", raw)
+	waitJob(t, ts.URL, long)
+	code, raw = fetch(t, http.MethodGet, ts.URL+"/jobs/"+long, "")
+	if code != serve.StatusClientClosedRequest {
+		t.Fatalf("cancelled job: status %d: %s", code, raw)
+	}
+	requireCompact(t, "cancelled job view", raw, new(serve.JobView))
+	wire.add(t, "job-cancelled", raw)
+	_, raw = fetch(t, http.MethodGet, ts.URL+"/jobs", "")
+	requireCompact(t, "job list", raw, new(map[string][]serve.JobView))
+	wire.add(t, "jobs-list", raw)
+	wire.check(t, "testdata/wire.golden")
 }
