@@ -380,22 +380,22 @@ func (rt *Router) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	// All-or-nothing: the first failing group (in group order) decides
 	// the reply, so the client sees the same single-error contract a
 	// shard gives — not a half-merged schedule.
-	subs := make([]serve.OptimizeResponse, len(results))
+	replies := make([]serve.OptimizeResponse, len(results))
 	for gi, res := range results {
 		if res.err != nil || res.status != http.StatusOK {
 			rt.writeForwarded(w, r, res)
 			return
 		}
-		if err := json.Unmarshal(res.body, &subs[gi]); err != nil {
+		if err := json.Unmarshal(res.body, &replies[gi]); err != nil {
 			writeErr(w, http.StatusBadGateway, "shard %s: undecodable response for group %d: %v", res.shard.Name, gi, err)
 			return
 		}
-		if len(subs[gi].Groups) != 1 {
-			writeErr(w, http.StatusBadGateway, "shard %s: %d groups in single-group response for group %d", res.shard.Name, len(subs[gi].Groups), gi)
+		if len(replies[gi].Groups) != 1 {
+			writeErr(w, http.StatusBadGateway, "shard %s: %d groups in single-group response for group %d", res.shard.Name, len(replies[gi].Groups), gi)
 			return
 		}
 	}
-	merged, err := json.Marshal(rt.merge(wl.Name, owners, subs, start))
+	merged, err := json.Marshal(rt.merge(wl.Name, owners, replies, start))
 	if err != nil {
 		// Totals summed past the float range leave a response JSON
 		// cannot carry: the shards' replies were bad, not the request.
@@ -411,11 +411,11 @@ func (rt *Router) handleOptimize(w http.ResponseWriter, r *http.Request) {
 // in original order, totals summed, cache counters aggregated with the
 // rates recomputed over the sums, and the engine section aggregated
 // over the distinct shards involved.
-func (rt *Router) merge(name string, owners []int, subs []serve.OptimizeResponse, start time.Time) serve.OptimizeResponse {
-	out := serve.OptimizeResponse{Workload: name, Platform: subs[0].Platform}
+func (rt *Router) merge(name string, owners []int, replies []serve.OptimizeResponse, start time.Time) serve.OptimizeResponse {
+	out := serve.OptimizeResponse{Workload: name, Platform: replies[0].Platform}
 	var cache m3e.CacheStats
 	engines := map[int]serve.EngineJSON{}
-	for gi, sub := range subs {
+	for gi, sub := range replies {
 		g := sub.Groups[0]
 		g.Index = gi
 		out.Groups = append(out.Groups, g)

@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -63,38 +64,42 @@ type JobView struct {
 	CancelLatencyMS float64 `json:"cancel_latency_ms,omitempty"`
 }
 
+// errCancelled is the cause a DELETE cancels a job's context with: a
+// job reads "cancel" exactly when its context's cause is errCancelled,
+// and "timeout" when the deadline fired first.
+var errCancelled = errors.New("job cancelled by DELETE")
+
 // job is one asynchronous search: a runSpec executing on its own
 // goroutine under a cancellable context.
 type job struct {
 	id      string
 	created time.Time
-	cancel  context.CancelFunc
+	cancel  context.CancelCauseFunc
 
 	mu         sync.Mutex
 	status     string
 	reason     string // "cancel" or "timeout" for cancelled jobs
-	partial    bool
 	progress   JobProgress
 	result     *OptimizeResponse
 	errMsg     string
-	cancelAt   time.Time
+	cancelAt   time.Time // the DELETE, or the deadline on a timeout
 	finishedAt time.Time
-	subs       map[chan JobView]struct{}
+	// changed is closed and replaced at every update: each SSE stream
+	// waits on it, then reads the latest view, so a slow consumer skips
+	// frames and the terminal view, which persists, is never missed.
+	changed chan struct{}
 }
 
-// view snapshots the job for the wire. Caller must not hold j.mu.
-func (j *job) view() JobView {
+// watch snapshots the job for the wire, with the channel its next
+// update closes. Caller must not hold j.mu.
+func (j *job) watch() (JobView, <-chan struct{}) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.viewLocked()
-}
-
-func (j *job) viewLocked() JobView {
 	v := JobView{
 		ID:       j.id,
 		Status:   j.status,
 		Reason:   j.reason,
-		Partial:  j.partial,
+		Partial:  j.status == JobCancelled,
 		Progress: j.progress,
 		Result:   j.result,
 		Error:    j.errMsg,
@@ -104,84 +109,30 @@ func (j *job) viewLocked() JobView {
 		end = time.Now()
 	}
 	v.ElapsedMS = float64(end.Sub(j.created).Microseconds()) / 1e3
-	if !j.cancelAt.IsZero() && !j.finishedAt.IsZero() {
-		lat := j.finishedAt.Sub(j.cancelAt)
-		if lat < 0 {
-			lat = 0
-		}
-		v.CancelLatencyMS = float64(lat.Microseconds()) / 1e3
+	if j.status == JobCancelled {
+		v.CancelLatencyMS = float64(max(j.finishedAt.Sub(j.cancelAt), 0).Microseconds()) / 1e3
 	}
+	return v, j.changed
+}
+
+func (j *job) view() JobView {
+	v, _ := j.watch()
 	return v
 }
 
-// publishLocked fans the current view out to SSE subscribers without
-// blocking: a slow consumer just misses intermediate frames (it always
-// gets the final one — finish closes the channels after a last send).
-func (j *job) publishLocked() {
-	v := j.viewLocked()
-	for ch := range j.subs {
-		select {
-		case ch <- v:
-		default:
-		}
-	}
+// notifyLocked wakes every watcher of the job. Caller holds j.mu.
+func (j *job) notifyLocked() {
+	close(j.changed)
+	j.changed = make(chan struct{})
 }
 
-// subscribe registers an SSE listener; the returned cancel must be
-// called exactly once. A finished job still delivers one final view.
-func (j *job) subscribe() (<-chan JobView, func()) {
-	ch := make(chan JobView, 16)
+// finish records the terminal state and wakes every watcher.
+func (j *job) finish(status, reason string, result *OptimizeResponse, errMsg string) {
 	j.mu.Lock()
-	if j.subs == nil {
-		j.subs = make(map[chan JobView]struct{})
-	}
-	j.subs[ch] = struct{}{}
-	ch <- j.viewLocked() // initial snapshot; buffer is empty, never blocks
-	if j.status != JobRunning {
-		delete(j.subs, ch)
-		j.mu.Unlock()
-		close(ch)
-		return ch, func() {}
-	}
-	j.mu.Unlock()
-	return ch, func() {
-		j.mu.Lock()
-		if _, ok := j.subs[ch]; ok {
-			delete(j.subs, ch)
-			close(ch)
-		}
-		j.mu.Unlock()
-	}
-}
-
-// finish records the terminal state and closes every subscriber after a
-// final guaranteed delivery.
-func (j *job) finish(status, reason string, partial bool, result *OptimizeResponse, errMsg string) {
-	j.mu.Lock()
-	j.status = status
-	j.reason = reason
-	j.partial = partial
-	j.result = result
-	j.errMsg = errMsg
+	defer j.mu.Unlock()
+	j.status, j.reason, j.result, j.errMsg = status, reason, result, errMsg
 	j.finishedAt = time.Now()
-	v := j.viewLocked()
-	subs := j.subs
-	j.subs = nil
-	j.mu.Unlock()
-	for ch := range subs {
-		// Guaranteed final frame: drain one stale entry if the buffer is
-		// full, then send and close.
-		select {
-		case ch <- v:
-		default:
-			select {
-			case <-ch:
-			default:
-			}
-			ch <- v
-		}
-		close(ch)
-	}
+	j.notifyLocked()
 }
 
 // isRunning reports whether the job has not reached a terminal state.
@@ -191,32 +142,34 @@ func (j *job) isRunning() bool {
 	return j.status == JobRunning
 }
 
-// requestCancel marks the job cancelled-by-client and tears down its
-// context. Idempotent; reports whether the job was still running.
+// requestCancel cancels the job's context with errCancelled. Idempotent;
+// reports whether the job was still running.
 func (j *job) requestCancel() bool {
 	j.mu.Lock()
 	running := j.status == JobRunning
 	if running && j.cancelAt.IsZero() {
 		j.cancelAt = time.Now()
-		j.reason = "cancel"
 	}
 	j.mu.Unlock()
 	if running {
-		j.cancel()
+		j.cancel(errCancelled)
 	}
 	return running
 }
 
-// jobSet is the server's bounded job table.
+// jobSet is the server's bounded job table. Admission and the running
+// count share its one lock.
 type jobSet struct {
-	mu    sync.Mutex
-	max   int
-	jobs  map[string]*job
-	order []string // creation order, for finished-job eviction
+	mu         sync.Mutex
+	max        int // retained jobs
+	maxRunning int
+	running    int // jobs whose search has not returned
+	jobs       map[string]*job
+	order      []string // creation order, for finished-job eviction
 }
 
-func newJobSet(max int) *jobSet {
-	return &jobSet{max: max, jobs: make(map[string]*job)}
+func newJobSet(max, maxRunning int) *jobSet {
+	return &jobSet{max: max, maxRunning: maxRunning, jobs: make(map[string]*job)}
 }
 
 func (s *jobSet) get(id string) *job {
@@ -225,17 +178,23 @@ func (s *jobSet) get(id string) *job {
 	return s.jobs[id]
 }
 
-// add inserts a new job, evicting the oldest finished jobs past the
-// bound. Running jobs are never evicted, so a burst of long searches can
-// transiently exceed max by the number of running jobs.
-func (s *jobSet) add(j *job) {
+// add admits j when fewer than maxRunning searches run, evicting the
+// oldest finished jobs past the bound; at the cap it adds nothing and
+// returns false with the running count. Running jobs are never evicted,
+// so a burst of long searches can transiently exceed max by the number
+// of running jobs.
+func (s *jobSet) add(j *job) (running int, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.running >= s.maxRunning {
+		return s.running, false
+	}
+	s.running++
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	excess := len(s.jobs) - s.max
 	if excess <= 0 {
-		return
+		return s.running, true
 	}
 	kept := s.order[:0]
 	for _, id := range s.order {
@@ -248,25 +207,14 @@ func (s *jobSet) add(j *job) {
 		kept = append(kept, id)
 	}
 	s.order = kept
+	return s.running, true
 }
 
-// running counts jobs that have not reached a terminal state.
-func (s *jobSet) running() int {
+// release frees the running slot of a job whose search has returned.
+func (s *jobSet) release() {
 	s.mu.Lock()
-	jobs := make([]*job, 0, len(s.jobs))
-	for _, id := range s.order {
-		if j, ok := s.jobs[id]; ok {
-			jobs = append(jobs, j)
-		}
-	}
-	s.mu.Unlock()
-	n := 0
-	for _, j := range jobs {
-		if j.isRunning() {
-			n++
-		}
-	}
-	return n
+	defer s.mu.Unlock()
+	s.running--
 }
 
 // list snapshots every retained job, newest first.
@@ -313,25 +261,10 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if running := s.jobs.running(); running >= s.cfg.MaxRunning {
-		// Each running job is a CPU-bound search goroutine; past the cap
-		// we shed load instead of letting submissions starve the server.
-		writeOverloaded(w, running, s.cfg.MaxRunning,
-			fmt.Sprintf("%d jobs already running (limit %d): retry later or raise -maxrunning", running, s.cfg.MaxRunning))
-		return
-	}
 	// The job's context deliberately does NOT descend from r.Context():
 	// the submit request ends immediately while the search runs on. Only
 	// DELETE /jobs/{id} or the timeout cancel it.
-	var ctx context.Context
-	var cancel context.CancelFunc
-	var deadline time.Time
-	if spec.timeout > 0 {
-		ctx, cancel = context.WithTimeout(context.Background(), spec.timeout)
-		deadline, _ = ctx.Deadline()
-	} else {
-		ctx, cancel = context.WithCancel(context.Background())
-	}
+	ctx, cancel := context.WithCancelCause(context.Background())
 	j := &job{
 		id:      newJobID(),
 		created: time.Now(),
@@ -340,9 +273,17 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		progress: JobProgress{
 			Groups: len(spec.wl.Groups),
 		},
+		changed: make(chan struct{}),
 	}
-	s.jobs.add(j)
-	go s.runJob(ctx, cancel, j, spec, deadline)
+	if running, ok := s.jobs.add(j); !ok {
+		cancel(nil)
+		// Each running job is a CPU-bound search goroutine; past the cap
+		// we shed load instead of letting submissions starve the server.
+		writeOverloaded(w, running, s.cfg.MaxRunning,
+			fmt.Sprintf("%d jobs already running (limit %d): retry later or raise -maxrunning", running, s.cfg.MaxRunning))
+		return
+	}
+	go s.runJob(ctx, j, spec)
 	WriteJSON(w, http.StatusAccepted, map[string]any{
 		"id":     j.id,
 		"status": JobRunning,
@@ -350,15 +291,21 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// runJob executes one async search and records its terminal state.
-// deadline is the job's timeout instant (zero when untimed), used to
-// measure how long the abort took when the deadline fires.
-func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *job, spec *runSpec, deadline time.Time) {
-	defer cancel()
+// runJob executes one async search under the job's timeout, frees its
+// running slot as soon as the search returns, and records its terminal
+// state.
+func (s *Server) runJob(ctx context.Context, j *job, spec *runSpec) {
+	defer j.cancel(nil)
+	if spec.timeout > 0 {
+		var stop context.CancelFunc
+		ctx, stop = context.WithTimeout(ctx, spec.timeout)
+		defer stop()
+	}
 	start := time.Now()
 	opts := spec.opts
 	opts.Progress = func(group int, p magma.Progress) {
 		j.mu.Lock()
+		defer j.mu.Unlock()
 		j.progress.Group = group
 		j.progress.GroupsDone = group // groups before the current one are done
 		j.progress.Generation = p.Generation
@@ -367,32 +314,29 @@ func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *job, 
 		j.progress.Budget = p.Budget
 		j.progress.BestFitness = p.BestFitness
 		j.progress.Cache = cacheJSON(p.Cache)
-		j.publishLocked()
-		j.mu.Unlock()
+		j.notifyLocked()
 	}
 	res, err := s.solver.OptimizeStreamCtx(ctx, spec.wl, spec.pf, opts)
-	aborted := ctx.Err() != nil
+	s.jobs.release()
 	reason := ""
-	if aborted {
+	if ctx.Err() != nil {
 		reason = "timeout"
-		j.mu.Lock()
-		if !j.cancelAt.IsZero() {
+		if errors.Is(context.Cause(ctx), errCancelled) {
 			reason = "cancel"
-		} else if !deadline.IsZero() {
-			// The deadline fired: the cancel moment is the deadline
-			// itself, so cancel_latency_ms measures the real unwind time
-			// (deadline → finish), not the ~0 gap between these lines.
-			j.cancelAt = deadline
 		} else {
-			j.cancelAt = time.Now()
+			// The deadline is the cancel moment, so cancel_latency_ms
+			// measures the unwind (deadline → finish), also when a DELETE
+			// landed after the deadline fired.
+			j.mu.Lock()
+			j.cancelAt, _ = ctx.Deadline()
+			j.mu.Unlock()
 		}
-		j.mu.Unlock()
 	}
 	switch {
 	case err == nil:
 		resp, rerr := s.response(spec, res, start)
 		if rerr != nil {
-			j.finish(JobFailed, "", false, nil, rerr.Error())
+			j.finish(JobFailed, "", nil, rerr.Error())
 			return
 		}
 		j.mu.Lock()
@@ -402,15 +346,15 @@ func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *job, 
 		}
 		j.mu.Unlock()
 		if res.Partial {
-			j.finish(JobCancelled, reason, true, &resp, "")
+			j.finish(JobCancelled, reason, &resp, "")
 		} else {
-			j.finish(JobDone, "", false, &resp, "")
+			j.finish(JobDone, "", &resp, "")
 		}
-	case aborted:
+	case reason != "":
 		// Cancelled before anything was scheduled: no result to keep.
-		j.finish(JobCancelled, reason, true, nil, err.Error())
+		j.finish(JobCancelled, reason, nil, err.Error())
 	default:
-		j.finish(JobFailed, "", false, nil, err.Error())
+		j.finish(JobFailed, "", nil, err.Error())
 	}
 }
 
@@ -446,52 +390,43 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleJobEvents streams the job's progress as Server-Sent Events: one
-// `progress` event per search generation (slow consumers skip frames)
-// and a final `done` event with the terminal view, then closes.
+// handleJobEvents streams the job's progress as Server-Sent Events: a
+// `progress` event per update it keeps up with (a slow consumer skips
+// frames) and a final `done` event with the terminal view, then closes.
+// A stream opened after the job finished gets the `done` event alone.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request, j *job) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		writeErr(w, http.StatusNotImplemented, "streaming unsupported by this connection")
 		return
 	}
-	ch, unsub := j.subscribe()
-	defer unsub()
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
 	h.Set("Cache-Control", "no-cache")
 	h.Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
-	writeEvent := func(name string, v JobView) bool {
+	for {
+		v, changed := j.watch()
+		name := "progress"
+		if v.Status != JobRunning {
+			name = "done"
+		}
 		data, err := json.Marshal(v)
 		if err != nil {
-			return false
+			return
 		}
 		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", name, data); err != nil {
-			return false
+			return
 		}
 		fl.Flush()
-		return true
-	}
-	for {
+		if name == "done" {
+			return
+		}
 		select {
+		case <-changed:
 		case <-r.Context().Done():
 			return
-		case v, open := <-ch:
-			if !open {
-				return
-			}
-			name := "progress"
-			if v.Status != JobRunning {
-				name = "done"
-			}
-			if !writeEvent(name, v) {
-				return
-			}
-			if name == "done" {
-				return
-			}
 		}
 	}
 }

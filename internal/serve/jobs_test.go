@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -204,6 +205,34 @@ func TestJobCancelMidRunKeepsBestSoFar(t *testing.T) {
 	}
 }
 
+// cancelJob sends DELETE /jobs/{id} and returns its status code.
+func cancelJob(t *testing.T, url, id string) int {
+	t.Helper()
+	code, _ := fetch(t, http.MethodDelete, url+"/jobs/"+id, "")
+	return code
+}
+
+// TestJobCancelBeforeDeadline: a DELETE of a job with a timeout, which
+// runs under a timed child of the job's context, still reads "cancel",
+// with its latency measured from the DELETE.
+func TestJobCancelBeforeDeadline(t *testing.T) {
+	ts, _ := newTestServer(t)
+	body := `{"generate":{"task":"Mix","num_jobs":32,"group_size":16,"seed":1},
+		"platform":"S2","options":{"budget_per_group":2000000,"seed":1},"timeout_ms":600000}`
+	id := submitJob(t, ts.URL, body)
+	waitProgress(t, ts.URL, id)
+	if code := cancelJob(t, ts.URL, id); code != http.StatusAccepted {
+		t.Fatalf("cancel: status %d", code)
+	}
+	code, v := waitJob(t, ts.URL, id)
+	if code != serve.StatusClientClosedRequest || v.Status != serve.JobCancelled || v.Reason != "cancel" {
+		t.Fatalf("cancelled timed job: code %d status %q reason %q", code, v.Status, v.Reason)
+	}
+	if v.CancelLatencyMS <= 0 || v.CancelLatencyMS > 5000 {
+		t.Errorf("cancel latency %.1fms, want within (0, 5000]", v.CancelLatencyMS)
+	}
+}
+
 func TestJobTimeout(t *testing.T) {
 	ts, _ := newTestServer(t)
 	body := fmt.Sprintf(`{"generate":{"task":"Mix","num_jobs":32,"group_size":16,"seed":1},
@@ -361,5 +390,55 @@ func TestJobSubmitShedsLoadPastRunningCap(t *testing.T) {
 	id2 := submitJob(t, ts.URL, jobRequest(200))
 	if _, v := waitJob(t, ts.URL, id2); v.Status != serve.JobDone {
 		t.Fatalf("post-cap job: %q", v.Status)
+	}
+}
+
+// TestJobAdmissionUnderConcurrency: submits that race for the one free
+// running slot admit exactly one job; every other submit is shed with
+// 429, whatever the interleaving.
+func TestJobAdmissionUnderConcurrency(t *testing.T) {
+	ts := httptest.NewServer(serve.NewWith(magma.NewSolver(magma.SolverOptions{}), serve.Config{MaxRunning: 1}).Handler())
+	t.Cleanup(ts.Close)
+	const rounds, submitters = 50, 8
+	for round := 0; round < rounds; round++ {
+		codes := make([]int, submitters)
+		ids := make([]string, submitters)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range codes {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(jobRequest(2_000_000)))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer resp.Body.Close()
+				var out struct {
+					ID string `json:"id"`
+				}
+				_ = json.NewDecoder(resp.Body).Decode(&out)
+				codes[i], ids[i] = resp.StatusCode, out.ID
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		admitted := 0
+		for i, code := range codes {
+			switch code {
+			case http.StatusAccepted:
+				admitted++
+				cancelJob(t, ts.URL, ids[i])
+				waitJob(t, ts.URL, ids[i])
+			case http.StatusTooManyRequests:
+			default:
+				t.Fatalf("round %d: submit answered %d", round, code)
+			}
+		}
+		if admitted != 1 {
+			t.Errorf("round %d: %d of %d concurrent submits admitted at MaxRunning 1, want 1", round, admitted, submitters)
+		}
 	}
 }

@@ -243,7 +243,7 @@ func NewWith(solver *magma.Solver, cfg Config) *Server {
 			cfg.MaxRunning = 4
 		}
 	}
-	return &Server{solver: solver, cfg: cfg, jobs: newJobSet(cfg.MaxJobs)}
+	return &Server{solver: solver, cfg: cfg, jobs: newJobSet(cfg.MaxJobs, cfg.MaxRunning)}
 }
 
 // Solver returns the shared solver (the load generator reads its stats
