@@ -468,8 +468,6 @@ func aggregateEngine(views []serve.EngineJSON) serve.EngineJSON {
 		agg.TablesBuilt += v.TablesBuilt
 		agg.TablesReused += v.TablesReused
 		agg.ProblemsEvicted += v.ProblemsEvicted
-		agg.PoolsBuilt += v.PoolsBuilt
-		agg.PoolsReused += v.PoolsReused
 		agg.SnapshotsTaken += v.SnapshotsTaken
 		agg.ProblemsRestored += v.ProblemsRestored
 		agg.EntriesRestored += v.EntriesRestored

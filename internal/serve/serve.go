@@ -149,16 +149,13 @@ func cacheJSON(s m3e.CacheStats) CacheJSON {
 // lifetime counters. CrossRequestHitRate is the headline — the fraction
 // of all decodable evaluations answered by a *different* search: the
 // genomes of every memo answer. Re-asks the runner settles count in the
-// denominator but never as cross hits. pools_built and pools_reused
-// always read 0; they stay for wire compatibility.
+// denominator but never as cross hits.
 type EngineJSON struct {
 	Searches            uint64    `json:"searches"`
 	Problems            int       `json:"problems"`
 	TablesBuilt         uint64    `json:"tables_built"`
 	TablesReused        uint64    `json:"tables_reused"`
 	ProblemsEvicted     uint64    `json:"problems_evicted"`
-	PoolsBuilt          uint64    `json:"pools_built"`
-	PoolsReused         uint64    `json:"pools_reused"`
 	Cache               CacheJSON `json:"cache"`
 	CrossRequestHitRate float64   `json:"cross_request_hit_rate"`
 	// Crash-safety and robustness counters: durable snapshots written,
@@ -177,7 +174,7 @@ func engineJSON(s magma.SolverStats) EngineJSON {
 	return EngineJSON{
 		Searches: s.Searches, Problems: s.Problems,
 		TablesBuilt: s.TablesBuilt, TablesReused: s.TablesReused,
-		ProblemsEvicted: s.ProblemsEvicted, PoolsBuilt: s.PoolsBuilt, PoolsReused: s.PoolsReused,
+		ProblemsEvicted:     s.ProblemsEvicted,
 		Cache:               cacheJSON(s.Cache),
 		CrossRequestHitRate: s.Cache.CrossHitRate(),
 		SnapshotsTaken:      s.SnapshotsTaken,
