@@ -84,9 +84,10 @@ type job struct {
 	errMsg     string
 	cancelAt   time.Time // the DELETE, or the deadline on a timeout
 	finishedAt time.Time
-	// changed is closed and replaced at every update: each SSE stream
-	// waits on it, then reads the latest view, so a slow consumer skips
-	// frames and the terminal view, which persists, is never missed.
+	// changed is closed at the next update: each SSE stream waits on it,
+	// then reads the latest view, so a slow consumer skips frames and the
+	// terminal view, which persists, is never missed. It is made only
+	// when watched, so an unwatched job's generations allocate nothing.
 	changed chan struct{}
 }
 
@@ -112,6 +113,9 @@ func (j *job) watch() (JobView, <-chan struct{}) {
 	if j.status == JobCancelled {
 		v.CancelLatencyMS = float64(max(j.finishedAt.Sub(j.cancelAt), 0).Microseconds()) / 1e3
 	}
+	if j.changed == nil {
+		j.changed = make(chan struct{})
+	}
 	return v, j.changed
 }
 
@@ -122,8 +126,10 @@ func (j *job) view() JobView {
 
 // notifyLocked wakes every watcher of the job. Caller holds j.mu.
 func (j *job) notifyLocked() {
-	close(j.changed)
-	j.changed = make(chan struct{})
+	if j.changed != nil {
+		close(j.changed)
+		j.changed = nil
+	}
 }
 
 // finish records the terminal state and wakes every watcher.
@@ -273,7 +279,6 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		progress: JobProgress{
 			Groups: len(spec.wl.Groups),
 		},
-		changed: make(chan struct{}),
 	}
 	if running, ok := s.jobs.add(j); !ok {
 		cancel(nil)
@@ -291,9 +296,10 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// runJob executes one async search under the job's timeout, frees its
-// running slot as soon as the search returns, and records its terminal
-// state.
+// runJob executes one async search under the job's timeout and records
+// its terminal state. The running slot is freed as soon as the search
+// returns, before that state, so a client that has seen the job finish
+// can submit the next one.
 func (s *Server) runJob(ctx context.Context, j *job, spec *runSpec) {
 	defer j.cancel(nil)
 	if spec.timeout > 0 {

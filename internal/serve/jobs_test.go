@@ -150,58 +150,51 @@ func TestJobLifecycleDone(t *testing.T) {
 	}
 }
 
+// TestJobCancelMidRunKeepsBestSoFar cancels a job without a timeout and
+// one with a timeout, whose search runs under a timed child of the
+// job's context: both read "cancel", with the latency measured from the
+// DELETE.
 func TestJobCancelMidRunKeepsBestSoFar(t *testing.T) {
-	ts, _ := newTestServer(t)
-	// A budget this size runs for many seconds on one core — the test
-	// cancels long before it finishes.
-	id := submitJob(t, ts.URL, jobRequest(2_000_000))
+	for _, c := range []struct{ name, timeout string }{{"untimed", ""}, {"timed", `,"timeout_ms":600000`}} {
+		t.Run(c.name, func(t *testing.T) {
+			ts, _ := newTestServer(t)
+			// A budget this size runs for many seconds on one core — the
+			// test cancels long before it finishes.
+			id := submitJob(t, ts.URL, strings.TrimSuffix(jobRequest(2_000_000), "}")+c.timeout+"}")
+			waitProgress(t, ts.URL, id)
+			if code := cancelJob(t, ts.URL, id); code != http.StatusAccepted {
+				t.Fatalf("cancel: status %d", code)
+			}
 
-	waitProgress(t, ts.URL, id)
+			code, v := waitJob(t, ts.URL, id)
+			if code != serve.StatusClientClosedRequest {
+				t.Fatalf("cancelled job: code %d, want %d", code, serve.StatusClientClosedRequest)
+			}
+			if v.Status != serve.JobCancelled || v.Reason != "cancel" || !v.Partial {
+				t.Fatalf("cancelled job view: status %q reason %q partial %v", v.Status, v.Reason, v.Partial)
+			}
+			if v.Result == nil || len(v.Result.Groups) == 0 {
+				t.Fatal("cancelled job lost its best-so-far schedules")
+			}
+			if !v.Result.Partial {
+				t.Error("cancelled job result not marked partial")
+			}
+			if v.CancelLatencyMS <= 0 {
+				t.Errorf("cancel latency not measured: %v", v.CancelLatencyMS)
+			}
+			// Cancellation must land within one generation's evaluation
+			// budget — generations here are 16 genomes of a 16-job group,
+			// far under a second even on one core; 5s allows for a heavily
+			// loaded CI box.
+			if v.CancelLatencyMS > 5000 {
+				t.Errorf("cancel latency %.1fms exceeds the one-generation bound", v.CancelLatencyMS)
+			}
 
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/jobs/"+id, nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("cancel: status %d", resp.StatusCode)
-	}
-
-	code, v := waitJob(t, ts.URL, id)
-	if code != serve.StatusClientClosedRequest {
-		t.Fatalf("cancelled job: code %d, want %d", code, serve.StatusClientClosedRequest)
-	}
-	if v.Status != serve.JobCancelled || v.Reason != "cancel" || !v.Partial {
-		t.Fatalf("cancelled job view: status %q reason %q partial %v", v.Status, v.Reason, v.Partial)
-	}
-	if v.Result == nil || len(v.Result.Groups) == 0 {
-		t.Fatal("cancelled job lost its best-so-far schedules")
-	}
-	if !v.Result.Partial {
-		t.Error("cancelled job result not marked partial")
-	}
-	if v.CancelLatencyMS <= 0 {
-		t.Errorf("cancel latency not measured: %v", v.CancelLatencyMS)
-	}
-	// Cancellation must land within one generation's evaluation budget —
-	// generations here are 16 genomes of a 16-job group, far under a
-	// second even on one core; 5s allows for a heavily loaded CI box.
-	if v.CancelLatencyMS > 5000 {
-		t.Errorf("cancel latency %.1fms exceeds the one-generation bound", v.CancelLatencyMS)
-	}
-
-	// DELETE on a finished job is idempotent.
-	req, _ = http.NewRequest(http.MethodDelete, ts.URL+"/jobs/"+id, nil)
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("re-cancel: status %d", resp.StatusCode)
+			// DELETE on a finished job is idempotent.
+			if code := cancelJob(t, ts.URL, id); code != http.StatusOK {
+				t.Fatalf("re-cancel: status %d", code)
+			}
+		})
 	}
 }
 
@@ -210,27 +203,6 @@ func cancelJob(t *testing.T, url, id string) int {
 	t.Helper()
 	code, _ := fetch(t, http.MethodDelete, url+"/jobs/"+id, "")
 	return code
-}
-
-// TestJobCancelBeforeDeadline: a DELETE of a job with a timeout, which
-// runs under a timed child of the job's context, still reads "cancel",
-// with its latency measured from the DELETE.
-func TestJobCancelBeforeDeadline(t *testing.T) {
-	ts, _ := newTestServer(t)
-	body := `{"generate":{"task":"Mix","num_jobs":32,"group_size":16,"seed":1},
-		"platform":"S2","options":{"budget_per_group":2000000,"seed":1},"timeout_ms":600000}`
-	id := submitJob(t, ts.URL, body)
-	waitProgress(t, ts.URL, id)
-	if code := cancelJob(t, ts.URL, id); code != http.StatusAccepted {
-		t.Fatalf("cancel: status %d", code)
-	}
-	code, v := waitJob(t, ts.URL, id)
-	if code != serve.StatusClientClosedRequest || v.Status != serve.JobCancelled || v.Reason != "cancel" {
-		t.Fatalf("cancelled timed job: code %d status %q reason %q", code, v.Status, v.Reason)
-	}
-	if v.CancelLatencyMS <= 0 || v.CancelLatencyMS > 5000 {
-		t.Errorf("cancel latency %.1fms, want within (0, 5000]", v.CancelLatencyMS)
-	}
 }
 
 func TestJobTimeout(t *testing.T) {
