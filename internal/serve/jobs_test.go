@@ -351,13 +351,7 @@ func TestJobSubmitShedsLoadPastRunningCap(t *testing.T) {
 	}
 
 	// Cancelling the running job frees the slot.
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/jobs/"+id, nil)
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
+	cancelJob(t, ts.URL, id)
 	waitJob(t, ts.URL, id)
 	id2 := submitJob(t, ts.URL, jobRequest(200))
 	if _, v := waitJob(t, ts.URL, id2); v.Status != serve.JobDone {
