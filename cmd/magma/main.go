@@ -35,7 +35,6 @@ func main() {
 		budget     = flag.Int("budget", 10000, "sampling budget for search mappers")
 		objective  = flag.String("objective", "throughput", "throughput | latency | energy | edp")
 		seed       = flag.Int64("seed", 1, "random seed")
-		cache      = flag.Bool("cache", true, "answer from and record in the memo of finished searches (results are bit-identical on or off)")
 		gantt      = flag.Bool("gantt", false, "render the found schedule")
 		compare    = flag.Bool("compare", false, "run every Table IV mapper and print a leaderboard")
 		listMap    = flag.Bool("mappers", false, "list mapper names and exit")
@@ -70,7 +69,6 @@ func main() {
 	}
 	opts := magma.Options{
 		Mapper: *mapper, Objective: obj, Budget: *budget, Seed: *seed,
-		Cache: *cache,
 	}
 
 	fmt.Printf("platform: %s\n", pf)

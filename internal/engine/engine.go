@@ -7,19 +7,20 @@
 // platform, often the same group content — so the engine keys that
 // state by a stable problem identity and shares it across runs:
 //
-//   - tables are cached by encoding.TableIdentity (content hash of the
-//     group's layers/batches and the platform configuration — stable
-//     across process runs, computable without building the table), so
-//     a repeated problem skips the job-analysis profiling pass (§IV-E),
-//     by far the most expensive setup step;
-//   - each (table identity × objective) problem keeps a small memo of
-//     finished searches (Recall, Remember), so an exact repeat of a
-//     search — same mapper, budget and seed — is answered without
-//     running it again. The memo is the only reuse of results across
-//     requests, and the durable state a snapshot carries (Export,
-//     Restore). Every search that does run takes the one evaluation
-//     path of m3e.Run, on an evaluator that lives as long as the run,
-//     so its result is bit-identical to a cold run.
+//   - problems are cached by encoding.TableIdentity (content hash of
+//     the group's layers/batches and the platform configuration —
+//     stable across process runs, computable without building the
+//     table) and objective, so a repeated problem skips the
+//     job-analysis profiling pass (§IV-E), by far the most expensive
+//     setup step;
+//   - each problem keeps a small memo of finished searches (Recall,
+//     Remember), so an exact repeat of a search — same mapper, budget
+//     and seed — is answered without running it again. The memo is
+//     the only reuse of results across requests, and the durable state
+//     a snapshot carries (Export, Restore). Every search that does run
+//     takes the one evaluation path of m3e.Run, on an evaluator that
+//     lives as long as the run, so its result is bit-identical to a
+//     cold run.
 //
 // Memory is bounded: the problem map is FIFO-bounded (Config.
 // MaxProblems), and memos are capped. Eviction only drops the engine's
@@ -41,9 +42,8 @@ import (
 )
 
 // DefaultMaxProblems bounds the cached problems when Config.MaxProblems
-// is zero. A problem entry is a table (shared across objectives) and a
-// memo of a few schedules, so a small default keeps a busy multi-tenant
-// server predictable.
+// is zero. A problem entry is a table and a memo of a few schedules, so
+// a small default keeps a busy multi-tenant server predictable.
 const DefaultMaxProblems = 64
 
 // memoCap caps each problem's memo of finished searches; past it the
@@ -68,8 +68,8 @@ type Stats struct {
 	// MemoHits counts the searches answered from a problem's memo of
 	// finished searches instead of being run.
 	MemoHits uint64
-	// TablesBuilt / TablesReused count job-analysis profiling passes
-	// actually run versus skipped by the identity-keyed cache.
+	// TablesBuilt counts job-analysis profiling passes run; TablesReused
+	// counts acquisitions that found their problem already built.
 	TablesBuilt  uint64
 	TablesReused uint64
 	// ProblemsEvicted counts FIFO evictions from the problem cache.
@@ -115,23 +115,12 @@ type problemKey struct {
 	obj   m3e.Objective
 }
 
-// tableState memoizes one profiling pass. Builds run outside the engine
-// lock (they are expensive); sync.Once collapses concurrent requests
-// for the same identity onto a single build.
-type tableState struct {
-	once sync.Once
-	prob *m3e.Problem // the first problem built on this table
-	err  error
-	refs int // problem entries referencing this table (under Engine.mu)
-}
-
 // problemState is one cached problem with its memo. A problem Restore
 // loaded has a memo but no Problem until the first request with its
-// identity builds one (once).
+// identity builds one. Builds run outside the engine lock (they are
+// expensive); once collapses concurrent requests for the same identity
+// onto a single build.
 type problemState struct {
-	tab *tableState
-	obj m3e.Objective
-
 	once sync.Once
 	prob *m3e.Problem
 	err  error
@@ -149,7 +138,6 @@ type Engine struct {
 	cfg Config
 
 	mu       sync.Mutex
-	tables   map[encoding.TableKey]*tableState
 	problems map[problemKey]*problemState
 	order    []problemKey // FIFO eviction order of problems
 	stats    Stats
@@ -162,7 +150,6 @@ func New(cfg Config) *Engine {
 	}
 	return &Engine{
 		cfg:      cfg,
-		tables:   make(map[encoding.TableKey]*tableState),
 		problems: make(map[problemKey]*problemState),
 	}
 }
@@ -210,25 +197,16 @@ func (e *Engine) Problem(g workload.Group, pf platform.Platform, obj m3e.Objecti
 	}
 	e.mu.Unlock()
 
-	tableReused := true
+	reused := true
 	st.once.Do(func() {
-		st.tab.once.Do(func() {
-			tableReused = false
-			st.tab.prob, st.tab.err = m3e.NewProblem(g, pf, obj)
-			e.mu.Lock()
-			e.stats.TablesBuilt++
-			e.mu.Unlock()
-		})
-		if st.tab.err != nil {
-			st.err = st.tab.err
-			return
+		reused = false
+		st.prob, st.err = m3e.NewProblem(g, pf, obj)
+		e.mu.Lock()
+		e.stats.TablesBuilt++
+		e.mu.Unlock()
+		if st.err == nil {
+			st.keepFitting()
 		}
-		if p := st.tab.prob; p.Objective == obj {
-			st.prob = p // first objective on this table: reuse as-is
-		} else {
-			st.prob = m3e.ProblemFromTable(p.Table, obj)
-		}
-		st.keepFitting()
 	})
 	if st.err != nil {
 		// Drop the failed entry: caching errors would let a stream of
@@ -238,7 +216,7 @@ func (e *Engine) Problem(g workload.Group, pf platform.Platform, obj m3e.Objecti
 		e.dropFailed(key, st)
 		return nil, st.err
 	}
-	if tableReused {
+	if reused {
 		e.mu.Lock()
 		e.stats.TablesReused++
 		e.mu.Unlock()
@@ -246,17 +224,10 @@ func (e *Engine) Problem(g workload.Group, pf platform.Platform, obj m3e.Objecti
 	return &ProblemHandle{eng: e, st: st}, nil
 }
 
-// addLocked installs an empty problem entry for key, sharing the
-// table state of any other objective on the same table, and evicts the
+// addLocked installs an empty problem entry for key and evicts the
 // oldest entries past MaxProblems. Caller holds e.mu.
 func (e *Engine) addLocked(key problemKey) *problemState {
-	ts, ok := e.tables[key.table]
-	if !ok {
-		ts = &tableState{}
-		e.tables[key.table] = ts
-	}
-	ts.refs++
-	st := &problemState{tab: ts, obj: key.obj}
+	st := &problemState{}
 	e.problems[key] = st
 	e.order = append(e.order, key)
 	for len(e.order) > e.cfg.MaxProblems {
@@ -287,10 +258,6 @@ func (e *Engine) dropFailed(key problemKey, st *problemState) {
 		return
 	}
 	delete(e.problems, key)
-	st.tab.refs--
-	if st.tab.refs == 0 {
-		delete(e.tables, key.table)
-	}
 	for i, k := range e.order {
 		if k == key {
 			e.order = append(e.order[:i], e.order[i+1:]...)
@@ -299,20 +266,14 @@ func (e *Engine) dropFailed(key problemKey, st *problemState) {
 	}
 }
 
-// evictOldestLocked drops the oldest problem entry (and its table once
-// no other objective references it). Caller holds e.mu.
+// evictOldestLocked drops the oldest problem entry. Caller holds e.mu.
 func (e *Engine) evictOldestLocked() {
 	key := e.order[0]
 	e.order = e.order[1:]
-	st, ok := e.problems[key]
-	if !ok {
+	if _, ok := e.problems[key]; !ok {
 		return
 	}
 	delete(e.problems, key)
-	st.tab.refs--
-	if st.tab.refs == 0 {
-		delete(e.tables, key.table)
-	}
 	e.stats.ProblemsEvicted++
 }
 

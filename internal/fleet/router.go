@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,10 +39,6 @@ type Config struct {
 	// RetryBackoff is the delay after a transport-level failure before
 	// the next attempt, doubling per attempt; 0 means 100ms.
 	RetryBackoff time.Duration
-	// MaxRetryAfter caps how long the router honors one 429 Retry-After
-	// wait before retrying; 0 means 2s. Waits are also bounded by the
-	// client's context.
-	MaxRetryAfter time.Duration
 	// Transport overrides the forwarding transport. The default is a
 	// keep-alive transport sized for a small fleet (idle connections per
 	// shard stay pooled instead of re-dialing per forward).
@@ -61,12 +56,15 @@ type RouterStats struct {
 	// FanOuts counts requests split across shards per group.
 	FanOuts uint64 `json:"fan_outs"`
 	// Retries counts transport-level retry attempts (dial failures,
-	// injected shard-down faults); Retried429 the retries honoring a
-	// shard's 429 Retry-After; ShardErrors the sub-requests that
-	// exhausted their attempts and failed 502.
+	// injected shard-down faults) — the only retries the router makes;
+	// ShardErrors the sub-requests that exhausted their attempts and
+	// failed 502.
 	Retries     uint64 `json:"retries"`
-	Retried429  uint64 `json:"retried_429"`
 	ShardErrors uint64 `json:"shard_errors"`
+	// Retried429 always reads 0 and is not on the wire: the router
+	// relays every shard reply, a 429 included, without retrying. It
+	// stays for the benchmark harness, which compiles against it.
+	Retried429 uint64 `json:"-"`
 }
 
 // Router is the fleet's HTTP front end: it owns no Solver, only the
@@ -80,7 +78,6 @@ type Router struct {
 	forwarded   atomic.Uint64
 	fanOuts     atomic.Uint64
 	retries     atomic.Uint64
-	retried429  atomic.Uint64
 	shardErrors atomic.Uint64
 }
 
@@ -105,9 +102,6 @@ func NewRouter(shards []Shard, cfg Config) (*Router, error) {
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = 100 * time.Millisecond
 	}
-	if cfg.MaxRetryAfter <= 0 {
-		cfg.MaxRetryAfter = 2 * time.Second
-	}
 	transport := cfg.Transport
 	if transport == nil {
 		t := http.DefaultTransport.(*http.Transport).Clone()
@@ -126,9 +120,6 @@ func NewRouter(shards []Shard, cfg Config) (*Router, error) {
 	}, nil
 }
 
-// Shards returns the topology.
-func (rt *Router) Shards() []Shard { return append([]Shard(nil), rt.shards...) }
-
 // Stats snapshots the router's own counters.
 func (rt *Router) Stats() RouterStats {
 	return RouterStats{
@@ -136,7 +127,6 @@ func (rt *Router) Stats() RouterStats {
 		Forwarded:   rt.forwarded.Load(),
 		FanOuts:     rt.fanOuts.Load(),
 		Retries:     rt.retries.Load(),
-		Retried429:  rt.retried429.Load(),
 		ShardErrors: rt.shardErrors.Load(),
 	}
 }
@@ -149,7 +139,6 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("/optimize", rt.handleOptimize)
 	mux.HandleFunc("/stats", rt.handleStats)
 	mux.HandleFunc("/healthz", rt.handleHealthz)
-	mux.HandleFunc("/shards", rt.handleShards)
 	mux.HandleFunc("/jobs", rt.handleJobs)
 	mux.HandleFunc("/jobs/", rt.handleJobs)
 	return mux
@@ -162,10 +151,6 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 func (rt *Router) handleJobs(w http.ResponseWriter, r *http.Request) {
 	writeErr(w, http.StatusNotImplemented,
 		"async jobs are shard-local and not routed; POST /optimize on the router, or submit jobs to a shard directly")
-}
-
-func (rt *Router) handleShards(w http.ResponseWriter, r *http.Request) {
-	serve.WriteJSON(w, http.StatusOK, map[string]any{"shards": rt.shards})
 }
 
 // forwardResult is one completed sub-request: a shard's verbatim reply,
@@ -190,29 +175,10 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// retryAfterOf extracts a 429's suggested backoff: the standard
-// Retry-After header (seconds), falling back to the machine-readable
-// retry_after_ms of the shard's JSON body, falling back to one second.
-func retryAfterOf(header http.Header, body []byte) time.Duration {
-	if v := header.Get("Retry-After"); v != "" {
-		if secs, err := strconv.Atoi(v); err == nil && secs >= 0 {
-			return time.Duration(secs) * time.Second
-		}
-	}
-	var shed struct {
-		RetryAfterMS int64 `json:"retry_after_ms"`
-	}
-	if json.Unmarshal(body, &shed) == nil && shed.RetryAfterMS > 0 {
-		return time.Duration(shed.RetryAfterMS) * time.Millisecond
-	}
-	return time.Second
-}
-
 // forward POSTs body to the shard's path with bounded retries: transport
-// failures (and injected shard-down faults) back off and retry; a 429
-// waits out the shard's Retry-After (capped by MaxRetryAfter) and
-// retries per the load-shedding contract. Any other response — success
-// or error — is the shard's answer and is returned verbatim.
+// failures (and injected shard-down faults) back off and retry. Any
+// response, whatever its status, is the shard's answer and is returned
+// verbatim.
 func (rt *Router) forward(ctx context.Context, sh Shard, path string, body []byte) forwardResult {
 	var lastErr error
 	for attempt := 1; attempt <= rt.cfg.MaxAttempts; attempt++ {
@@ -252,17 +218,6 @@ func (rt *Router) forward(ctx context.Context, sh Shard, path string, body []byt
 			lastErr = err
 			continue
 		}
-		if resp.StatusCode == http.StatusTooManyRequests && attempt < rt.cfg.MaxAttempts {
-			wait := retryAfterOf(resp.Header, respBody)
-			if wait > rt.cfg.MaxRetryAfter {
-				wait = rt.cfg.MaxRetryAfter
-			}
-			rt.retried429.Add(1)
-			if err := sleepCtx(ctx, wait); err != nil {
-				return forwardResult{err: err, shard: sh}
-			}
-			continue
-		}
 		return forwardResult{status: resp.StatusCode, header: resp.Header, body: respBody, shard: sh}
 	}
 	rt.shardErrors.Add(1)
@@ -288,9 +243,6 @@ func (rt *Router) writeForwarded(w http.ResponseWriter, r *http.Request, res for
 	}
 	if ct := res.header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
-	}
-	if ra := res.header.Get("Retry-After"); ra != "" {
-		w.Header().Set("Retry-After", ra)
 	}
 	w.WriteHeader(res.status)
 	_, _ = w.Write(res.body)
@@ -450,9 +402,8 @@ func (rt *Router) merge(name string, owners []int, replies []serve.OptimizeRespo
 // re-derive correct rates.
 func cacheStatsOf(c serve.CacheJSON) m3e.CacheStats {
 	return m3e.CacheStats{
-		Hits: c.Hits, CrossHits: c.CrossHits, Deduped: c.Deduped,
+		Hits: c.Hits, CrossHits: c.CrossHits,
 		Misses: c.Misses, Invalid: c.Invalid,
-		FullFP: c.FPFull, IncrementalFP: c.FPIncremental, CleanFP: c.FPClean,
 		BoundChecked: c.BoundChecked, BoundPruned: c.BoundPruned,
 	}
 }

@@ -219,69 +219,47 @@ func TestRouterSingleOwnerForwards(t *testing.T) {
 	}
 }
 
-// TestRouter429Retry: a shard shedding load with the PR 6 contract
-// (429 + Retry-After) is retried, and the retry's success is the
-// client's answer.
-func TestRouter429Retry(t *testing.T) {
-	var calls atomic.Int64
-	shed := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			w.Header().Set("Retry-After", "1")
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusTooManyRequests)
-			fmt.Fprint(w, `{"error":"shedding","code":"overloaded","retry_after_ms":10}`)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprint(w, `{"workload":"ok","groups":[{"index":0,"queues":[[0]]}]}`)
-	}))
-	defer shed.Close()
-	rt, err := NewRouter([]Shard{{Name: "only", URL: shed.URL}}, Config{MaxRetryAfter: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rts := httptest.NewServer(rt.Handler())
-	defer rts.Close()
-	body := `{"generate":{"task":"Mix","num_jobs":16,"group_size":16,"seed":1},"platform":"S2","options":{"seed":1}}`
-	resp, b := postOptimize(t, rts.URL, body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d after shed-retry: %s", resp.StatusCode, b)
-	}
-	if got := rt.Stats().Retried429; got != 1 {
-		t.Fatalf("retried_429 = %d, want 1", got)
-	}
-	if calls.Load() != 2 {
-		t.Fatalf("shard saw %d calls, want 2", calls.Load())
-	}
-}
-
-// TestRouter429Exhausted: a shard that never stops shedding propagates
-// its 429 — body and Retry-After header intact — once the router's
-// retry budget runs out.
-func TestRouter429Exhausted(t *testing.T) {
-	shed := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Retry-After", "1")
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusTooManyRequests)
-		fmt.Fprint(w, `{"error":"shedding","code":"overloaded","retry_after_ms":5}`)
-	}))
-	defer shed.Close()
-	rt, err := NewRouter([]Shard{{Name: "only", URL: shed.URL}}, Config{MaxAttempts: 2, MaxRetryAfter: 20 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rts := httptest.NewServer(rt.Handler())
-	defer rts.Close()
-	body := `{"generate":{"task":"Mix","num_jobs":16,"group_size":16,"seed":1},"platform":"S2","options":{"seed":1}}`
-	resp, b := postOptimize(t, rts.URL, body)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status %d, want 429: %s", resp.StatusCode, b)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("Retry-After header not propagated")
-	}
-	if !bytes.Contains(b, []byte(`"overloaded"`)) {
-		t.Fatalf("shed body not propagated: %s", b)
+// TestRouterRelaysShardErrors: any shard reply is the answer. A 429, a
+// 422 or a 500 reaches the client with its status and body verbatim
+// after exactly one forward; the router retries only a shard it cannot
+// reach.
+func TestRouterRelaysShardErrors(t *testing.T) {
+	for _, tc := range []struct {
+		status int
+		body   string
+	}{
+		{http.StatusTooManyRequests, `{"error":"shedding","code":"overloaded","retry_after_ms":10}`},
+		{http.StatusUnprocessableEntity, `{"error":"bad schedule"}`},
+		{http.StatusInternalServerError, `{"error":"boom"}`},
+	} {
+		t.Run(fmt.Sprint(tc.status), func(t *testing.T) {
+			var calls atomic.Int64
+			shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				calls.Add(1)
+				w.Header().Set("Retry-After", "1")
+				w.Header().Set("Content-Type", "application/json")
+				w.WriteHeader(tc.status)
+				fmt.Fprint(w, tc.body)
+			}))
+			defer shard.Close()
+			rt, err := NewRouter([]Shard{{Name: "only", URL: shard.URL}}, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rts := httptest.NewServer(rt.Handler())
+			defer rts.Close()
+			body := `{"generate":{"task":"Mix","num_jobs":16,"group_size":16,"seed":1},"platform":"S2","options":{"seed":1}}`
+			resp, b := postOptimize(t, rts.URL, body)
+			if resp.StatusCode != tc.status || string(b) != tc.body {
+				t.Errorf("relayed %d %s, want %d %s", resp.StatusCode, b, tc.status, tc.body)
+			}
+			if n := calls.Load(); n != 1 {
+				t.Errorf("shard saw %d calls, want 1", n)
+			}
+			if st := rt.Stats(); st.Retries != 0 || st.ShardErrors != 0 {
+				t.Errorf("retries %d, shard errors %d; want 0, 0", st.Retries, st.ShardErrors)
+			}
+		})
 	}
 }
 

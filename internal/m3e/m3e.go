@@ -81,15 +81,6 @@ func NewProblem(g workload.Group, p platform.Platform, obj Objective) (*Problem,
 	return &Problem{Table: tab, Objective: obj, Group: g, Platform: p}, nil
 }
 
-// ProblemFromTable wraps an already-built analysis table under an
-// objective. The table is read-only during search, so one table may
-// back any number of Problems (one per objective) concurrently — the
-// reuse a long-lived engine exploits to skip re-profiling a repeated
-// (group, platform) pair.
-func ProblemFromTable(t *analyzer.Table, obj Objective) *Problem {
-	return &Problem{Table: t, Objective: obj, Group: t.Group, Platform: t.Platform}
-}
-
 // NumJobs returns the group size.
 func (p *Problem) NumJobs() int { return len(p.Group.Jobs) }
 

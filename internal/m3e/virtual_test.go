@@ -57,10 +57,10 @@ func TestVirtualBracketHoldsFitness(t *testing.T) {
 // that its counters nest: VirtualPruned ≤ BoundPruned, and every priced
 // genome is either settled or simulated.
 func TestVirtualStageSettles(t *testing.T) {
-	table := evaluatorProblem(t).Table
+	shared := evaluatorProblem(t)
 	const budget = 1000
 	for obj := m3e.Throughput; obj <= m3e.EDP; obj++ {
-		prob := m3e.ProblemFromTable(table, obj)
+		prob := &m3e.Problem{Table: shared.Table, Objective: obj, Group: shared.Group, Platform: shared.Platform}
 		base, err := m3e.Run(prob, unpruned{optmagma.New(optmagma.Config{})}, m3e.Options{Budget: budget}, 3)
 		if err != nil {
 			t.Fatal(err)

@@ -150,19 +150,6 @@ func (o *Optimizer) Ask() []encoding.Genome {
 	return out
 }
 
-// EliteCount implements m3e.EliteSelector: Tell consumes fitness only
-// through the ranks of the μ best candidates (mean shift, evolution
-// paths and the rank-μ covariance term all draw from idx[0..μ)), so
-// values strictly below the μ-th best — which cannot enter or reorder
-// that prefix under argsortDesc's strict comparison — never influence
-// the update.
-func (o *Optimizer) EliteCount(told int) int {
-	if o.mu < told {
-		return o.mu
-	}
-	return told
-}
-
 // Tell implements m3e.Optimizer: the standard CMA-ES update.
 func (o *Optimizer) Tell(_ []encoding.Genome, fitness []float64) {
 	idx := argsortDesc(fitness)
@@ -292,7 +279,4 @@ func argsortDesc(xs []float64) []int {
 	return idx
 }
 
-var (
-	_ m3e.Optimizer     = (*Optimizer)(nil)
-	_ m3e.EliteSelector = (*Optimizer)(nil)
-)
+var _ m3e.Optimizer = (*Optimizer)(nil)

@@ -102,27 +102,27 @@ type GroupSchedule struct {
 // CacheJSON is the wire form of m3e.CacheStats. Hits are the verbatim
 // elite re-asks the runner settled from the previous batch's fitness,
 // plus every genome of a memo answer; only the latter are cross hits.
-// deduped always reads 0; it stays for wire compatibility.
 type CacheJSON struct {
 	Hits         uint64  `json:"hits"`
 	CrossHits    uint64  `json:"cross_hits"`
-	Deduped      uint64  `json:"deduped"`
 	Misses       uint64  `json:"misses"`
 	Invalid      uint64  `json:"invalid"`
 	HitRate      float64 `json:"hit_rate"`
 	CrossHitRate float64 `json:"cross_hit_rate"`
-	// fp_full, fp_incremental, fp_clean and fast_fp_rate always read 0;
-	// they stay for wire and benchmark compatibility.
-	FPFull        uint64  `json:"fp_full"`
-	FPIncremental uint64  `json:"fp_incremental"`
-	FPClean       uint64  `json:"fp_clean"`
-	FastFPRate    float64 `json:"fast_fp_rate"`
+	// Deduped, FPFull, FPIncremental, FPClean and FastFPRate always read
+	// 0 and are not on the wire; the benchmark harness compiles against
+	// them.
+	Deduped       uint64  `json:"-"`
+	FPFull        uint64  `json:"-"`
+	FPIncremental uint64  `json:"-"`
+	FPClean       uint64  `json:"-"`
+	FastFPRate    float64 `json:"-"`
 	// Analytical-pruning counters: genomes tested against the elite
 	// floor, the subset whose decode and simulation were replaced by
 	// their roofline bound, and the prune rate over misses. A pruned
 	// genome counts as a miss, so misses − bound_pruned is the number
-	// simulated; hits+deduped+misses+invalid is every genome asked,
-	// whatever the mapper (see m3e.CacheStats).
+	// simulated; hits+misses+invalid is every genome asked, whatever
+	// the mapper (see m3e.CacheStats).
 	BoundChecked   uint64  `json:"bound_checked"`
 	BoundPruned    uint64  `json:"bound_pruned"`
 	BoundPruneRate float64 `json:"bound_prune_rate"`
@@ -135,11 +135,9 @@ func CacheJSONOf(s m3e.CacheStats) CacheJSON { return cacheJSON(s) }
 
 func cacheJSON(s m3e.CacheStats) CacheJSON {
 	return CacheJSON{
-		Hits: s.Hits, CrossHits: s.CrossHits, Deduped: s.Deduped,
+		Hits: s.Hits, CrossHits: s.CrossHits,
 		Misses: s.Misses, Invalid: s.Invalid,
 		HitRate: s.HitRate(), CrossHitRate: s.CrossHitRate(),
-		FPFull: s.FullFP, FPIncremental: s.IncrementalFP, FPClean: s.CleanFP,
-		FastFPRate:   s.FastFPRate(),
 		BoundChecked: s.BoundChecked, BoundPruned: s.BoundPruned,
 		BoundPruneRate: s.BoundPruneRate(),
 	}
@@ -242,10 +240,6 @@ func NewWith(solver *magma.Solver, cfg Config) *Server {
 	}
 	return &Server{solver: solver, cfg: cfg, jobs: newJobSet(cfg.MaxJobs, cfg.MaxRunning)}
 }
-
-// Solver returns the shared solver (the load generator reads its stats
-// directly).
-func (s *Server) Solver() *magma.Solver { return s.solver }
 
 // Handler returns the route mux.
 func (s *Server) Handler() http.Handler {
