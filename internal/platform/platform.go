@@ -6,6 +6,7 @@ package platform
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"magma/internal/maestro"
@@ -115,11 +116,11 @@ func (p Platform) String() string {
 }
 
 // sub builds one sub-accelerator with PE-array height h and the given
-// dataflow and SG buffer size (KB).
+// dataflow and SG buffer size (KB), named "<dataflow>-<h>" (e.g. "HB-128").
 func sub(id, h int, df maestro.Dataflow, sgKB int) SubAccel {
 	return SubAccel{
 		ID:   id,
-		Name: fmt.Sprintf("%s-%d", df, h),
+		Name: df.String() + "-" + strconv.Itoa(h),
 		Config: maestro.Config{
 			H: h, W: Width,
 			SGBytes:  int64(sgKB) << 10,

@@ -175,3 +175,30 @@ func TestHomogeneousEmptyPlatform(t *testing.T) {
 		t.Error("single-core platform should be homogeneous")
 	}
 }
+
+// TestPresetNames pins every Table III preset's sub-accelerator names,
+// "<dataflow>-<PE-array height>" in core order.
+func TestPresetNames(t *testing.T) {
+	want := map[string]string{
+		"S1": "HB-32 HB-32 HB-32 HB-32",
+		"S2": "HB-32 HB-32 HB-32 LB-32",
+		"S3": "HB-128 HB-128 HB-128 HB-128 HB-128 HB-128 HB-128 HB-128",
+		"S4": "HB-128 HB-128 HB-128 HB-128 HB-128 HB-128 HB-128 LB-128",
+		"S5": "HB-128 HB-128 HB-128 LB-128 HB-64 HB-64 HB-64 LB-64",
+		"S6": "HB-128 HB-128 HB-128 HB-128 HB-128 HB-128 HB-128 LB-128 " +
+			"HB-64 HB-64 HB-64 HB-64 HB-64 HB-64 HB-64 LB-64",
+	}
+	for _, id := range Settings() {
+		p, err := BySetting(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, s := range p.SubAccels {
+			got = append(got, s.Name)
+		}
+		if g := strings.Join(got, " "); g != want[id] {
+			t.Errorf("%s names = %q, want %q", id, g, want[id])
+		}
+	}
+}

@@ -31,6 +31,7 @@ import (
 	"math"
 	"net/http"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -330,7 +331,8 @@ func parseObjective(name string) (magma.Objective, error) {
 }
 
 // workloadFor resolves the request's workload: inline document or
-// generator spec.
+// generator spec. A spec's workload comes from the memo of generated
+// workloads, so a repeated spec is generated once.
 func workloadFor(req *OptimizeRequest) (magma.Workload, error) {
 	switch {
 	case len(req.Workload) > 0 && req.Generate != nil:
@@ -345,7 +347,7 @@ func workloadFor(req *OptimizeRequest) (magma.Workload, error) {
 		if err != nil {
 			return magma.Workload{}, err
 		}
-		return magma.GenerateWorkload(magma.WorkloadConfig{
+		return generated.workload(magma.WorkloadConfig{
 			Task:      task,
 			NumJobs:   req.Generate.NumJobs,
 			GroupSize: req.Generate.GroupSize,
@@ -476,10 +478,29 @@ func (s *Server) response(spec *runSpec, res magma.StreamResult, start time.Time
 			ThroughputGFLOPs: sched.ThroughputGFLOPs,
 			MakespanCycles:   sched.MakespanCycles,
 			EnergyUnits:      sched.EnergyUnits,
-			Queues:           sched.Mapping.Queues,
+			Queues:           wireQueues(sched.Mapping.Queues),
 		})
 	}
 	return resp, nil
+}
+
+// wireQueues returns queues with every idle core's queue non-nil, so it
+// goes on the wire as [] rather than null (the mapping decoder leaves an
+// empty queue nil). The schedule's own slice is not written: it may be
+// a memo answer's.
+func wireQueues(queues [][]int) [][]int {
+	for a, q := range queues {
+		if q == nil {
+			out := slices.Clone(queues)
+			for b := a; b < len(out); b++ {
+				if out[b] == nil {
+					out[b] = []int{}
+				}
+			}
+			return out
+		}
+	}
+	return queues
 }
 
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
