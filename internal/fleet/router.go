@@ -259,11 +259,9 @@ func (rt *Router) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "reading request: %v", err)
 		return
 	}
-	var req serve.OptimizeRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "decoding request: %v", err)
+	req, err := serve.DecodeRequest(body)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	// Resolve the workload and platform exactly as the shard will: the

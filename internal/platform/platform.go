@@ -84,19 +84,24 @@ func (p Platform) Homogeneous() bool {
 
 // WithBW returns a copy of the platform at a different system bandwidth.
 func (p Platform) WithBW(gbs float64) Platform {
-	q := p
+	q := p.clone()
 	q.SystemBWGBs = gbs
-	q.SubAccels = append([]SubAccel(nil), p.SubAccels...)
 	return q
+}
+
+// clone returns a copy with its own SubAccels. A SubAccel holds only
+// values, so the copy is deep.
+func (p Platform) clone() Platform {
+	p.SubAccels = append([]SubAccel(nil), p.SubAccels...)
+	return p
 }
 
 // WithFlexible returns a copy whose sub-accelerators use the §VI-F
 // flexible PE-array shape search. Per the paper's flexible setting,
 // each PE holds a 1 KB SL and each sub-accelerator a 2 MB SG.
 func (p Platform) WithFlexible() Platform {
-	q := p
+	q := p.clone()
 	q.Name = p.Name + "-flex"
-	q.SubAccels = append([]SubAccel(nil), p.SubAccels...)
 	for i := range q.SubAccels {
 		q.SubAccels[i].Config.Flexible = true
 		q.SubAccels[i].Config.SLBytes = 1 << 10
@@ -152,47 +157,47 @@ type spec = struct {
 	sgKB int
 }
 
-// S1 is Table III "Small Homog": 4× (32, HB, 146KB). Default BW 16 GB/s.
-func S1() Platform {
-	return build("S1-SmallHomog", "S1", 16, []spec{{4, 32, maestro.HB, 146}})
+// presets holds the Table III platforms S1–S6, built once. Every
+// accessor hands out a clone, so no caller can alter what the next one
+// receives.
+var presets = [...]Platform{
+	build("S1-SmallHomog", "S1", 16, []spec{{4, 32, maestro.HB, 146}}),
+	build("S2-SmallHetero", "S2", 16, []spec{
+		{3, 32, maestro.HB, 146}, {1, 32, maestro.LB, 110},
+	}),
+	build("S3-LargeHomog", "S3", 256, []spec{{8, 128, maestro.HB, 580}}),
+	build("S4-LargeHetero", "S4", 256, []spec{
+		{7, 128, maestro.HB, 580}, {1, 128, maestro.LB, 434},
+	}),
+	build("S5-BigLittle", "S5", 256, []spec{
+		{3, 128, maestro.HB, 580}, {1, 128, maestro.LB, 434},
+		{3, 64, maestro.HB, 291}, {1, 64, maestro.LB, 218},
+	}),
+	build("S6-ScaleUp", "S6", 256, []spec{
+		{7, 128, maestro.HB, 580}, {1, 128, maestro.LB, 434},
+		{7, 64, maestro.HB, 291}, {1, 64, maestro.LB, 218},
+	}),
 }
+
+// S1 is Table III "Small Homog": 4× (32, HB, 146KB). Default BW 16 GB/s.
+func S1() Platform { return presets[0].clone() }
 
 // S2 is Table III "Small Hetero": 3× (32, HB, 146KB) + 1× (32, LB, 110KB).
-func S2() Platform {
-	return build("S2-SmallHetero", "S2", 16, []spec{
-		{3, 32, maestro.HB, 146}, {1, 32, maestro.LB, 110},
-	})
-}
+func S2() Platform { return presets[1].clone() }
 
 // S3 is Table III "Large Homog": 8× (128, HB, 580KB). Default BW 256 GB/s.
-func S3() Platform {
-	return build("S3-LargeHomog", "S3", 256, []spec{{8, 128, maestro.HB, 580}})
-}
+func S3() Platform { return presets[2].clone() }
 
 // S4 is Table III "Large Hetero": 7× (128, HB, 580KB) + 1× (128, LB, 434KB).
-func S4() Platform {
-	return build("S4-LargeHetero", "S4", 256, []spec{
-		{7, 128, maestro.HB, 580}, {1, 128, maestro.LB, 434},
-	})
-}
+func S4() Platform { return presets[3].clone() }
 
 // S5 is Table III "Large Hetero BigLittle": 3× (128,HB,580) + 1× (128,LB,434)
 // + 3× (64,HB,291) + 1× (64,LB,218).
-func S5() Platform {
-	return build("S5-BigLittle", "S5", 256, []spec{
-		{3, 128, maestro.HB, 580}, {1, 128, maestro.LB, 434},
-		{3, 64, maestro.HB, 291}, {1, 64, maestro.LB, 218},
-	})
-}
+func S5() Platform { return presets[4].clone() }
 
 // S6 is Table III "Large Scale-up": 7× (128,HB,580) + 1× (128,LB,434)
 // + 7× (64,HB,291) + 1× (64,LB,218) — 16 cores.
-func S6() Platform {
-	return build("S6-ScaleUp", "S6", 256, []spec{
-		{7, 128, maestro.HB, 580}, {1, 128, maestro.LB, 434},
-		{7, 64, maestro.HB, 291}, {1, 64, maestro.LB, 218},
-	})
-}
+func S6() Platform { return presets[5].clone() }
 
 // BySetting returns the Table III platform with the given id ("S1".."S6").
 func BySetting(id string) (Platform, error) {

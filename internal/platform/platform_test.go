@@ -1,6 +1,8 @@
 package platform
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -199,6 +201,34 @@ func TestPresetNames(t *testing.T) {
 		}
 		if g := strings.Join(got, " "); g != want[id] {
 			t.Errorf("%s names = %q, want %q", id, g, want[id])
+		}
+	}
+}
+
+// TestPresetsAreCopies: the presets are built once, so a caller that
+// edits a returned preset's cores must not change what the next call
+// returns, through the constructor or BySetting.
+func TestPresetsAreCopies(t *testing.T) {
+	ctors := map[string]func() Platform{"S1": S1, "S2": S2, "S3": S3, "S4": S4, "S5": S5, "S6": S6}
+	for _, id := range Settings() {
+		bySetting := func() Platform {
+			p, err := BySetting(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}
+		for _, get := range []func() Platform{ctors[id], bySetting} {
+			edited := get()
+			want := edited
+			want.SubAccels = slices.Clone(edited.SubAccels)
+			for i := range edited.SubAccels {
+				edited.SubAccels[i].Name = "edited"
+				edited.SubAccels[i].Config.H = 1
+			}
+			if got := get(); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s changed after a caller edited a returned copy: %+v", id, got)
+			}
 		}
 	}
 }

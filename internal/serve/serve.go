@@ -39,6 +39,7 @@ import (
 	"magma/internal/m3e"
 	"magma/internal/models"
 	"magma/internal/sim"
+	"magma/internal/workload"
 )
 
 // maxBody bounds request bodies (a 100-job group is ~100 KB of JSON;
@@ -338,7 +339,7 @@ func workloadFor(req *OptimizeRequest) (magma.Workload, error) {
 	case len(req.Workload) > 0 && req.Generate != nil:
 		return magma.Workload{}, fmt.Errorf("set either workload or generate, not both")
 	case len(req.Workload) > 0:
-		return magma.ReadWorkloadJSON(bytes.NewReader(req.Workload))
+		return workload.DecodeJSON(req.Workload)
 	case req.Generate != nil:
 		if n := req.Generate.NumJobs; n > maxGenerateJobs {
 			return magma.Workload{}, fmt.Errorf("num_jobs %d exceeds the limit of %d", n, maxGenerateJobs)
@@ -377,6 +378,9 @@ func ResolveTarget(req *OptimizeRequest) (magma.Workload, magma.Platform, error)
 	if err != nil {
 		return magma.Workload{}, magma.Platform{}, fmt.Errorf("platform: %w", err)
 	}
+	if req.BW < 0 {
+		return magma.Workload{}, magma.Platform{}, fmt.Errorf("bw: %g GB/s is negative (0 means the setting's default)", req.BW)
+	}
 	if req.BW > 0 {
 		pf = pf.WithBW(req.BW)
 	}
@@ -397,15 +401,41 @@ type runSpec struct {
 	timeout time.Duration // 0 = no cap
 }
 
-// parseRequest decodes and resolves an OptimizeRequest body into a
-// runSpec (shared by the sync /optimize and async /jobs paths). Errors
-// are client errors (HTTP 400).
-func (s *Server) parseRequest(body io.Reader) (*runSpec, error) {
+// DecodeRequest decodes an /optimize or /jobs body: the shard and the
+// fleet router both read bodies through it. A body spelled as
+// json.Marshal writes an OptimizeRequest, with an inline workload as
+// Workload.WriteJSON writes it, is read in one pass (scanRequest); any
+// other spelling, and every error, comes from encoding/json, which
+// refuses unknown fields and ignores bytes after the first value.
+func DecodeRequest(body []byte) (OptimizeRequest, error) {
+	if req, ok := scanRequest(body); ok {
+		return req, nil
+	}
+	return decodeRequestReflect(body)
+}
+
+// decodeRequestReflect is DecodeRequest's encoding/json path.
+func decodeRequestReflect(body []byte) (OptimizeRequest, error) {
 	var req OptimizeRequest
-	dec := json.NewDecoder(body)
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("decoding request: %w", err)
+		return OptimizeRequest{}, fmt.Errorf("decoding request: %w", err)
+	}
+	return req, nil
+}
+
+// parseRequest reads, decodes and resolves an OptimizeRequest body into
+// a runSpec (shared by the sync /optimize and async /jobs paths).
+// Errors are client errors (HTTP 400).
+func (s *Server) parseRequest(body io.Reader) (*runSpec, error) {
+	data, err := io.ReadAll(body)
+	if err != nil {
+		return nil, fmt.Errorf("reading request: %w", err)
+	}
+	req, err := DecodeRequest(data)
+	if err != nil {
+		return nil, err
 	}
 	wl, pf, err := ResolveTarget(&req)
 	if err != nil {

@@ -7,6 +7,7 @@
 package workload
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,6 +15,7 @@ import (
 
 	"magma/internal/layer"
 	"magma/internal/models"
+	"magma/internal/strictjson"
 )
 
 // Job is one schedulable unit: a mini-batch of a single DNN layer.
@@ -247,10 +249,39 @@ func (w Workload) WriteJSON(out io.Writer) error {
 	return json.NewEncoder(out).Encode(doc)
 }
 
-// ReadJSON parses a workload previously written by WriteJSON.
+// ReadJSON parses a workload previously written by WriteJSON. It reads
+// in to its end and decodes the bytes with DecodeJSON.
 func ReadJSON(in io.Reader) (Workload, error) {
+	data, err := io.ReadAll(in)
+	if err != nil {
+		return Workload{}, fmt.Errorf("workload: reading JSON: %w", err)
+	}
+	return DecodeJSON(data)
+}
+
+// DecodeJSON parses the first JSON value of data as a workload. A
+// document spelled as WriteJSON writes it is read in one pass
+// (scanDocument); any other spelling, and every error, comes from
+// encoding/json, which ignores bytes after the first value.
+func DecodeJSON(data []byte) (Workload, error) {
+	if w, ok := scanDocument(data); ok {
+		return w, nil
+	}
+	return decodeReflect(data)
+}
+
+// scanDocument reads data as one document that only whitespace
+// follows, in WriteJSON's spelling.
+func scanDocument(data []byte) (Workload, bool) {
+	s := strictjson.New(data)
+	w, ok := ScanJSON(s)
+	return w, ok && s.End()
+}
+
+// decodeReflect is DecodeJSON's encoding/json path.
+func decodeReflect(data []byte) (Workload, error) {
 	var doc workloadJSON
-	if err := json.NewDecoder(in).Decode(&doc); err != nil {
+	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&doc); err != nil {
 		return Workload{}, fmt.Errorf("workload: decoding JSON: %w", err)
 	}
 	task, err := models.ParseTask(doc.Task)
@@ -292,4 +323,105 @@ func ReadJSON(in io.Reader) (Workload, error) {
 		return Workload{}, err
 	}
 	return w, nil
+}
+
+// The key orders of the job-description format, as the struct tags of
+// workloadJSON, groupJSON and jobJSON give them.
+var (
+	workloadKeys = []string{"name", "task", "groups"}
+	groupKeys    = []string{"index", "jobs"}
+	jobKeys      = []string{"id", "model", "task", "kind", "layer", "shape", "batch"}
+)
+
+// ScanJSON reads a workload object at s's position in the spelling
+// WriteJSON gives it (see package strictjson), every key present. It
+// declines, reporting false, at the first byte outside that spelling
+// and on any document decodeReflect would refuse: a task or layer kind
+// WriteJSON never writes, a shape of other than seven dimensions, or a
+// workload that fails Validate. What it accepts decodes to the value
+// decodeReflect gives, sharing no memory with the input.
+func ScanJSON(s *strictjson.Scanner) (Workload, bool) {
+	var w Workload
+	ok := s.Record(workloadKeys, func(i int) bool {
+		var ok bool
+		switch i {
+		case 0:
+			w.Name, ok = s.String()
+		case 1:
+			w.Task, ok = scanName(s, models.Tasks()...)
+		case 2:
+			ok = s.Array(func() bool {
+				g, ok := scanGroup(s)
+				w.Groups = append(w.Groups, g)
+				return ok
+			})
+		}
+		return ok
+	})
+	return w, ok && w.Validate() == nil
+}
+
+func scanGroup(s *strictjson.Scanner) (Group, bool) {
+	var g Group
+	ok := s.Record(groupKeys, func(i int) bool {
+		if i == 0 {
+			var ok bool
+			g.Index, ok = s.Int()
+			return ok
+		}
+		return s.Array(func() bool {
+			j, ok := scanJob(s)
+			g.Jobs = append(g.Jobs, j)
+			return ok
+		})
+	})
+	return g, ok
+}
+
+func scanJob(s *strictjson.Scanner) (Job, bool) {
+	var j Job
+	ok := s.Record(jobKeys, func(i int) bool {
+		var ok bool
+		switch i {
+		case 0:
+			j.ID, ok = s.Int()
+		case 1:
+			j.Model, ok = s.String()
+		case 2:
+			j.Task, ok = scanName(s, models.Tasks()...)
+		case 3:
+			j.Layer.Kind, ok = scanName(s, layer.Conv2D, layer.DepthwiseConv, layer.FC)
+		case 4:
+			j.Layer.Name, ok = s.String()
+		case 5:
+			dims := [...]*int{&j.Layer.K, &j.Layer.C, &j.Layer.Y, &j.Layer.X, &j.Layer.R, &j.Layer.S, &j.Layer.Stride}
+			n := 0
+			ok = s.Array(func() bool {
+				if n == len(dims) {
+					return false
+				}
+				var ok bool
+				*dims[n], ok = s.Int()
+				n++
+				return ok
+			}) && n == len(dims)
+		case 6:
+			j.Batch, ok = s.Int()
+		}
+		return ok
+	})
+	return j, ok
+}
+
+// scanName reads a string and returns the value of values whose String
+// method spells it.
+func scanName[T fmt.Stringer](s *strictjson.Scanner, values ...T) (T, bool) {
+	name, ok := s.Text()
+	for _, v := range values {
+		if ok && string(name) == v.String() {
+			return v, true
+		}
+	}
+	var zero T
+	return zero, false
 }
