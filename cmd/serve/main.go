@@ -43,7 +43,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	var (
 		addr        = fs.String("addr", ":8080", "listen address")
 		maxProblems = fs.Int("maxproblems", 0, "cached problems bound (0 = default 64)")
-		warmLimit   = fs.Int("warmlimit", 0, "shared warm-store schedules per task (0 = default 8)")
 		jobTimeout  = fs.Duration("jobtimeout", 10*time.Minute, "per-search wall-clock cap for /optimize and /jobs; request timeout_ms can only shorten it (0 = no cap)")
 		maxJobs     = fs.Int("maxjobs", 0, "retained finished jobs bound (0 = default 256)")
 		maxRunning  = fs.Int("maxrunning", 0, "concurrently running async jobs bound; excess submissions get 429 (0 = default 2x GOMAXPROCS, min 4)")
@@ -61,10 +60,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	}
 	startPprof(logger, *pprofAddr)
 
-	solver := magma.NewSolver(magma.SolverOptions{
-		MaxProblems: *maxProblems,
-		WarmLimit:   *warmLimit,
-	})
+	solver := magma.NewSolver(magma.SolverOptions{MaxProblems: *maxProblems})
 	var snapPath string
 	stopSnapshots := func() {}
 	if *snapDir != "" {

@@ -5,10 +5,10 @@
 // Requests are routed by encoding.TableIdentity — the stable 128-bit
 // content hash of a (group, platform) pair the engine already keys its
 // problem cache on — so every problem is owned by exactly one shard and
-// that shard's fingerprint stores, warm stores and snapshots accumulate
-// all of the problem's reuse. There is no coordination on the hot path:
-// the router's only job is to compute identities (cheap, no table
-// build) and forward.
+// that shard's table, memo of finished searches and snapshots
+// accumulate all of the problem's reuse. There is no coordination on
+// the hot path: the router's only job is to compute identities (cheap,
+// no table build) and forward.
 //
 // Ownership uses rendezvous (highest-random-weight) hashing rather than
 // a ring: every shard scores every key and the highest score wins, so

@@ -85,7 +85,7 @@ func FuzzRouterOptimize(f *testing.F) {
 		f.Cleanup(ts.Close)
 		shards[i] = Shard{Name: fmt.Sprintf("shard%d", i), URL: ts.URL}
 	}
-	rt, err := NewRouter(shards, Config{MaxAttempts: 1})
+	rt, err := NewRouter(shards, Config{})
 	if err != nil {
 		f.Fatal(err)
 	}

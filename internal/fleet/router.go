@@ -28,17 +28,20 @@ const maxBody = 16 << 20
 // connections per shard, so the forwards reuse them instead of dialing.
 const maxFanOut = 64
 
+// The router's retry policy: a forwarded sub-request is tried at most
+// maxAttempts times against its owning shard, and only after a
+// transport-level failure, waiting retryBackoff before the second try
+// and doubling the wait before each later one. Ownership never moves on
+// failure — a dead shard fails its own requests with 502 while every
+// other shard keeps serving — because rerouting would split a problem's
+// memo across shards.
+const (
+	maxAttempts  = 3
+	retryBackoff = 100 * time.Millisecond
+)
+
 // Config tunes the router.
 type Config struct {
-	// MaxAttempts bounds how often one forwarded sub-request is tried
-	// against its owning shard (first attempt + retries); 0 means 3.
-	// Ownership never moves on failure — a dead shard fails its own
-	// requests with 502 while every other shard keeps serving — because
-	// rerouting would split a problem's cache state across shards.
-	MaxAttempts int
-	// RetryBackoff is the delay after a transport-level failure before
-	// the next attempt, doubling per attempt; 0 means 100ms.
-	RetryBackoff time.Duration
 	// Transport overrides the forwarding transport. The default is a
 	// keep-alive transport sized for a small fleet (idle connections per
 	// shard stay pooled instead of re-dialing per forward).
@@ -71,7 +74,6 @@ type RouterStats struct {
 // shard topology and a shared forwarding client.
 type Router struct {
 	shards []Shard
-	cfg    Config
 	client *http.Client
 
 	requests    atomic.Uint64
@@ -96,12 +98,6 @@ func NewRouter(shards []Shard, cfg Config) (*Router, error) {
 		}
 		seen[sh.Name] = true
 	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 3
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 100 * time.Millisecond
-	}
 	transport := cfg.Transport
 	if transport == nil {
 		t := http.DefaultTransport.(*http.Transport).Clone()
@@ -115,7 +111,6 @@ func NewRouter(shards []Shard, cfg Config) (*Router, error) {
 	}
 	return &Router{
 		shards: append([]Shard(nil), shards...),
-		cfg:    cfg,
 		client: &http.Client{Transport: transport},
 	}, nil
 }
@@ -181,10 +176,10 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // verbatim.
 func (rt *Router) forward(ctx context.Context, sh Shard, path string, body []byte) forwardResult {
 	var lastErr error
-	for attempt := 1; attempt <= rt.cfg.MaxAttempts; attempt++ {
+	for attempt := 1; attempt <= maxAttempts; attempt++ {
 		if attempt > 1 {
 			rt.retries.Add(1)
-			if err := sleepCtx(ctx, rt.cfg.RetryBackoff<<(attempt-2)); err != nil {
+			if err := sleepCtx(ctx, retryBackoff<<(attempt-2)); err != nil {
 				return forwardResult{err: err, shard: sh}
 			}
 		}
@@ -235,7 +230,7 @@ func (rt *Router) writeForwarded(w http.ResponseWriter, r *http.Request, res for
 			return
 		}
 		serve.WriteJSON(w, http.StatusBadGateway, map[string]any{
-			"error": fmt.Sprintf("shard %s unreachable after %d attempts: %v", res.shard.Name, rt.cfg.MaxAttempts, res.err),
+			"error": fmt.Sprintf("shard %s unreachable after %d attempts: %v", res.shard.Name, maxAttempts, res.err),
 			"code":  "shard_unavailable",
 			"shard": res.shard.Name,
 		})

@@ -73,19 +73,24 @@ func ownersOf(t *testing.T, shards []Shard, body string) []int {
 }
 
 // TestRouterRejectsRemovedBoundOption: the router decodes requests as
-// strictly as a shard, so each removed option (options.bound and
-// options.workers) is a 400 naming the field before anything is
+// strictly as a shard, so each removed option (options.bound,
+// options.workers and options.shared_warm, with either value) is a 400
+// naming the field at a shard and at the router, before anything is
 // forwarded.
 func TestRouterRejectsRemovedBoundOption(t *testing.T) {
-	_, _, rts := newFleet(t, 2, Config{})
-	for _, field := range []string{"bound", "workers"} {
-		body := fmt.Sprintf(`{"generate":{"task":"Mix","num_jobs":32,"group_size":16,"seed":1},"options":{%q:1}}`, field)
-		resp, raw := postOptimize(t, rts.URL, body)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: status %d, want 400 (%s)", field, resp.StatusCode, raw)
-		}
-		if !bytes.Contains(raw, []byte(fmt.Sprintf(`unknown field \"%s\"`, field))) {
-			t.Errorf("error %q does not name the %s field", raw, field)
+	shards, _, rts := newFleet(t, 2, Config{})
+	for _, target := range []struct{ name, url string }{{"shard", shards[0].URL}, {"router", rts.URL}} {
+		for _, opt := range []struct{ field, value string }{
+			{"bound", "1"}, {"workers", "1"}, {"shared_warm", "true"}, {"shared_warm", "false"},
+		} {
+			body := fmt.Sprintf(`{"generate":{"task":"Mix","num_jobs":32,"group_size":16,"seed":1},"options":{"warm_start":true,%q:%s}}`, opt.field, opt.value)
+			resp, raw := postOptimize(t, target.url, body)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s, %s %s: status %d, want 400 (%s)", target.name, opt.field, opt.value, resp.StatusCode, raw)
+			}
+			if !bytes.Contains(raw, []byte(fmt.Sprintf(`unknown field \"%s\"`, opt.field))) {
+				t.Errorf("%s, %s %s: error %q does not name the field", target.name, opt.field, opt.value, raw)
+			}
 		}
 	}
 }
@@ -106,7 +111,7 @@ func TestRouterRefusesTinyGroups(t *testing.T) {
 		t.Cleanup(ts.Close)
 		shards[i] = Shard{Name: fmt.Sprintf("shard%d", i), URL: ts.URL}
 	}
-	rt, err := NewRouter(shards, Config{MaxAttempts: 1})
+	rt, err := NewRouter(shards, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +278,7 @@ func TestRouterDeadShard(t *testing.T) {
 	dead.Close() // nothing listens here anymore
 
 	shards := []Shard{{Name: "live", URL: live.URL}, {Name: "dead", URL: deadURL}}
-	rt, err := NewRouter(shards, Config{MaxAttempts: 2, RetryBackoff: time.Millisecond})
+	rt, err := NewRouter(shards, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +326,7 @@ func TestRouterDeadShard(t *testing.T) {
 // forwards fail like dial errors; the router's bounded retries ride out
 // a transient outage.
 func TestRouterShardDownFault(t *testing.T) {
-	_, rt, rts := newFleet(t, 1, Config{MaxAttempts: 3, RetryBackoff: time.Millisecond})
+	_, rt, rts := newFleet(t, 1, Config{})
 	fault.Reset()
 	defer fault.Reset()
 	var calls atomic.Int64
@@ -544,7 +549,7 @@ func TestRouterFanOutBoundsInFlight(t *testing.T) {
 		t.Cleanup(ts.Close)
 		shards[i] = Shard{Name: fmt.Sprintf("shard%d", i), URL: ts.URL}
 	}
-	rt, err := NewRouter(shards, Config{MaxAttempts: 1})
+	rt, err := NewRouter(shards, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -581,7 +586,7 @@ func TestRouterFanOutBudgetPastDefault(t *testing.T) {
 		t.Cleanup(ts.Close)
 		shards[i] = Shard{Name: fmt.Sprintf("shard%d", i), URL: ts.URL}
 	}
-	rt, err := NewRouter(shards, Config{MaxAttempts: 1})
+	rt, err := NewRouter(shards, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

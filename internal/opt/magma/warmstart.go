@@ -52,38 +52,3 @@ func (w *WarmStore) SeedsFor(task models.Task, groupSize int) []encoding.Genome 
 // Known reports whether the store holds any solution for the task type
 // (i.e. whether the warm-start engine takes over from random init).
 func (w *WarmStore) Known(task models.Task) bool { return len(w.byTask[task]) > 0 }
-
-// ExportedTask is one task type's stored seed genomes, oldest first —
-// the snapshot form a crash-safe Solver persists.
-type ExportedTask struct {
-	Task  models.Task
-	Seeds []encoding.Genome
-}
-
-// Export returns every task's stored genomes, oldest first within each
-// task, in stable task order. The genomes are deep copies.
-func (w *WarmStore) Export() []ExportedTask {
-	var out []ExportedTask
-	for task := models.Vision; task <= models.Mix; task++ {
-		stored := w.byTask[task]
-		if len(stored) == 0 {
-			continue
-		}
-		seeds := make([]encoding.Genome, len(stored))
-		for i, g := range stored {
-			seeds[i] = g.Clone()
-		}
-		out = append(out, ExportedTask{Task: task, Seeds: seeds})
-	}
-	return out
-}
-
-// Import replays exported seeds through Record, oldest first, so the
-// per-task limit evicts exactly as if the seeds had been recorded live.
-func (w *WarmStore) Import(tasks []ExportedTask) {
-	for _, t := range tasks {
-		for _, g := range t.Seeds {
-			w.Record(t.Task, g)
-		}
-	}
-}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"strconv"
 	"strings"
 	"testing"
@@ -29,10 +30,12 @@ func corpusBytes(file []byte) ([]byte, bool) {
 // exactly the input. Seed corpus: internal/persist/testdata/fuzz/FuzzRead
 // (no bytes, a truncated magic, a v1 file, and a v2 snapshot with
 // truncated, bit-flipped and extended copies, all rejected at the
-// format field), plus one seed per rejection path of the current format
-// added below: the round-trip snapshot and its body, a results-layout
-// mismatch, each huge count and its body, a torn tail, a trailing byte
-// and a flipped checksum. Explore beyond them with
+// format field, and the v4 sample snapshot, accepted), plus one seed per
+// rejection path of the current format added below: the round-trip
+// snapshot and its body, a results-layout mismatch, each huge count and
+// its body, a torn tail, a trailing byte, a flipped checksum, and a body
+// that still ends in format 3's warm section, alone and as a v3 file.
+// Explore beyond them with
 //
 //	go test -run=NONE -fuzz=FuzzRead -fuzztime=10s ./internal/persist/
 func FuzzRead(f *testing.F) {
@@ -55,6 +58,18 @@ func FuzzRead(f *testing.F) {
 	flipped := bytes.Clone(sample)
 	flipped[len(flipped)-1] ^= 1
 	f.Add(flipped)
+	// The body followed by the empty warm-seed section format 3 ended
+	// in, as a body (framed below with this build's header, it leaves
+	// bytes after the body) and under a format-3 header: the file a
+	// shard that never seeded across requests wrote.
+	warm := binary.LittleEndian.AppendUint32(bytes.Clone(sample[headerLen:len(sample)-8]), 0)
+	f.Add(warm)
+	v3 := frame(warm)
+	binary.LittleEndian.PutUint32(v3[8:], 3)
+	h := fnv.New64a()
+	h.Write(v3[:len(v3)-8])
+	binary.LittleEndian.PutUint64(v3[len(v3)-8:], h.Sum64())
+	f.Add(v3)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, data := range [][]byte{data, frame(data)} {

@@ -1,9 +1,9 @@
 // Package persist is the durable snapshot format behind the crash-safe
-// Solver: a versioned, checksummed binary serialization of the warm
-// state a long-lived engine accumulates — each problem's memo of
-// finished searches, keyed by encoding.TableKey and objective, and the
-// warm-start seed genomes — so a restarted server answers its first
-// exact repeat from the memo instead of searching again.
+// Solver: a versioned, checksummed binary serialization of the state a
+// long-lived engine accumulates — each problem's memo of finished
+// searches, keyed by encoding.TableKey and objective — so a restarted
+// server answers its first exact repeat from the memo instead of
+// searching again.
 //
 // The format is deliberately conservative about what it trusts:
 //
@@ -49,9 +49,10 @@ import (
 // to the byte layout below. Version 2 added the simulator kernel
 // version to the header; version 3 replaced each problem's fitness
 // entries with its memo of finished searches and the fingerprint
-// layout with ResultsLayout. Older files are rejected whole at the
-// format check.
-const FormatVersion = 3
+// layout with ResultsLayout; version 4 dropped the warm-start seed
+// section that followed the problems. Older files are rejected whole
+// at the format check.
+const FormatVersion = 4
 
 // ResultsLayout versions the results every built-in mapper returns for
 // a given problem, mapper, budget and seed. Bump it with any change
@@ -73,9 +74,7 @@ const (
 	maxNameLen       = 1 << 8
 	maxSamples       = 1 << 31
 	maxCurveRuns     = 1 << 26
-	maxWarmTasks     = 1 << 16
-	maxSeedsPerTask  = 1 << 16
-	maxGenesPerSeed  = 1 << 20
+	maxGenes         = 1 << 20
 	maxObjectiveWire = 1 << 8
 )
 
@@ -136,16 +135,9 @@ type Problem struct {
 	Memo      []MemoEntry
 }
 
-// WarmTask is one task type's warm-start seeds, oldest first.
-type WarmTask struct {
-	Task  uint8
-	Seeds []encoding.Genome
-}
-
-// Snapshot is the full durable warm state of a Solver.
+// Snapshot is the full durable state of a Solver.
 type Snapshot struct {
 	Problems []Problem
-	Warm     []WarmTask
 }
 
 // versions lists the header's version fields in file order, with the
@@ -196,17 +188,6 @@ func Write(w io.Writer, s *Snapshot) error {
 			for _, r := range e.Curve {
 				b = le.AppendUint64(b, math.Float64bits(r.V))
 				b = le.AppendUint64(b, uint64(r.N))
-			}
-		}
-	}
-	b = le.AppendUint32(b, uint32(len(s.Warm)))
-	for _, wt := range s.Warm {
-		b = le.AppendUint32(b, uint32(wt.Task))
-		b = le.AppendUint32(b, uint32(len(wt.Seeds)))
-		for _, g := range wt.Seeds {
-			var err error
-			if b, err = appendGenome(b, g); err != nil {
-				return err
 			}
 		}
 	}
@@ -359,7 +340,7 @@ func (c *cursor) str() string {
 // genome reads what appendGenome wrote. The gene count is bounded by the
 // bytes left, so both gene loops read only bytes that are there.
 func (c *cursor) genome() encoding.Genome {
-	n := c.count("genes", maxGenesPerSeed, 4+8)
+	n := c.count("genes", maxGenes, 4+8)
 	g := encoding.Genome{Accel: make([]int, n), Prio: make([]float64, n)}
 	for i := range g.Accel {
 		g.Accel[i] = int(c.u32())
@@ -383,13 +364,6 @@ func (c *cursor) snapshot() *Snapshot {
 			p.Memo = append(p.Memo, c.memoEntry())
 		}
 		s.Problems = append(s.Problems, p)
-	}
-	for n := c.count("warm tasks", maxWarmTasks, 4+4); n > 0 && c.err == nil; n-- {
-		wt := WarmTask{Task: uint8(c.count("task", maxObjectiveWire-1, 0))}
-		for k := c.count("seeds", maxSeedsPerTask, 4); k > 0 && c.err == nil; k-- {
-			wt.Seeds = append(wt.Seeds, c.genome())
-		}
-		s.Warm = append(s.Warm, wt)
 	}
 	return s
 }

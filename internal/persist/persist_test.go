@@ -47,22 +47,11 @@ func sampleSnapshot() *Snapshot {
 				Memo:      nil, // empty memos round-trip too
 			},
 		},
-		Warm: []WarmTask{
-			{
-				Task: 1,
-				Seeds: []encoding.Genome{
-					{Accel: []int{0, 1, 2}, Prio: []float64{0.25, 0.5, 0.75}},
-					{Accel: []int{3, 0}, Prio: []float64{0.125, 0.875}},
-				},
-			},
-		},
 	}
 }
 
 // TestWriteMatchesGolden pins Write's bytes for sampleSnapshot to
-// testdata/sample.hex, which the streaming encoder that preceded the
-// one-buffer one wrote: the format-3 bytes never moved, and moving them
-// needs a FormatVersion bump.
+// testdata/sample.hex: moving them needs a FormatVersion bump.
 func TestWriteMatchesGolden(t *testing.T) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "sample.hex"))
 	if err != nil {
@@ -103,9 +92,6 @@ func TestRoundTrip(t *testing.T) {
 	got, err := Read(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want.Warm, got.Warm) {
-		t.Fatalf("warm round trip:\n got %+v\nwant %+v", got.Warm, want.Warm)
 	}
 	if len(got.Problems) != len(want.Problems) {
 		t.Fatalf("got %d problems, want %d", len(got.Problems), len(want.Problems))
@@ -262,13 +248,10 @@ func hugeCounts(t testing.TB) map[string][]byte {
 	memo = le.AppendUint64(memo, 8)                           // asked
 	memo = append(memo, make([]byte, 4*8)...)                 // four scalars
 	curve := le.AppendUint32(append([]byte(nil), memo...), 0) // an empty genome
-	genes := le.AppendUint32(append([]byte(nil), header...), 0)
-	genes = le.AppendUint32(le.AppendUint32(genes, 1), 0) // one warm task
 	return map[string][]byte{
 		"memo entries": le.AppendUint32(problem, maxMemoEntries),
-		"memo genes":   le.AppendUint32(memo, maxGenesPerSeed),
+		"memo genes":   le.AppendUint32(memo, maxGenes),
 		"curve runs":   le.AppendUint32(curve, maxCurveRuns),
-		"warm genes":   le.AppendUint32(le.AppendUint32(genes, 1), maxGenesPerSeed),
 	}
 }
 

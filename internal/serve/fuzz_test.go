@@ -66,7 +66,7 @@ func removedOption(body string) string {
 	if json.Unmarshal([]byte(body), &req) != nil {
 		return ""
 	}
-	for _, name := range []string{"bound", "cache", "effective_budget", "workers"} {
+	for _, name := range []string{"bound", "cache", "effective_budget", "shared_warm", "workers"} {
 		if _, ok := req.Options[name]; ok {
 			return name
 		}

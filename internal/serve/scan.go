@@ -12,7 +12,7 @@ import (
 var (
 	requestKeys  = []string{"workload", "generate", "platform", "bw", "options", "timeout_ms"}
 	generateKeys = []string{"task", "num_jobs", "group_size", "seed"}
-	optionKeys   = []string{"mapper", "objective", "budget_per_group", "seed", "warm_start", "shared_warm"}
+	optionKeys   = []string{"mapper", "objective", "budget_per_group", "seed", "warm_start"}
 )
 
 // scanRequest reads body in the spelling json.Marshal gives an
@@ -82,8 +82,6 @@ func scanOptions(s *strictjson.Scanner, o *RequestOptions) bool {
 			o.Seed, ok = s.Int64()
 		case 4:
 			o.WarmStart, ok = s.Bool()
-		case 5:
-			o.SharedWarm, ok = s.Bool()
 		}
 		return ok
 	})

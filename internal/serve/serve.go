@@ -68,7 +68,6 @@ type RequestOptions struct {
 	BudgetPerGroup int    `json:"budget_per_group,omitempty"`
 	Seed           int64  `json:"seed,omitempty"`
 	WarmStart      bool   `json:"warm_start,omitempty"`
-	SharedWarm     bool   `json:"shared_warm,omitempty"`
 }
 
 // OptimizeRequest is the POST /optimize and POST /jobs body. Exactly
@@ -455,12 +454,11 @@ func (s *Server) parseRequest(body io.Reader) (*runSpec, error) {
 			Seed:           req.Options.Seed,
 			Cache:          true, // every search is answered from and recorded in the shard's memo
 			WarmStart:      req.Options.WarmStart,
-			SharedWarm:     req.Options.SharedWarm,
 		},
 		timeout: s.cfg.JobTimeout,
 	}
 	// Up-front validation turns deep-stack failures into immediate 400s
-	// (unknown mapper, negative budget, warm sharing without warm start).
+	// (unknown mapper, negative budget).
 	if err := spec.opts.Validate(); err != nil {
 		return nil, err
 	}

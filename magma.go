@@ -301,8 +301,9 @@ func RenderSchedule(w io.Writer, g Group, p Platform, s Schedule, cols int) erro
 }
 
 // WarmStore accumulates solved schedules per task type and seeds future
-// searches of the same type (§V-C). Safe for concurrent use, so a
-// Solver can share one across requests (Solver.Warm).
+// searches of the same type (§V-C). Safe for concurrent use, so one
+// caller can share a store across goroutines; OptimizeStream builds
+// its own per call.
 type WarmStore struct {
 	mu    sync.Mutex
 	inner *optmagma.WarmStore

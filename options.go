@@ -34,9 +34,6 @@ func (o StreamOptions) Validate() error {
 		problems = append(problems, fmt.Sprintf("negative BudgetPerGroup %d (0 means the default split)", o.BudgetPerGroup))
 	}
 	problems = append(problems, objectiveProblems(o.Objective)...)
-	if o.SharedWarm && !o.WarmStart {
-		problems = append(problems, "SharedWarm set without WarmStart: the shared store would never be read or written")
-	}
 	return joinProblems("StreamOptions", problems)
 }
 

@@ -4,19 +4,16 @@ import (
 	"io"
 	"slices"
 
-	"magma/internal/models"
-	optmagma "magma/internal/opt/magma"
 	"magma/internal/persist"
 )
 
-// Snapshot serializes the Solver's durable warm state — every cached
-// problem's memo of finished searches (keyed by stable table identity
-// × objective) and the shared warm-start seeds — in the versioned,
-// checksummed binary format of internal/persist. A Solver restored
-// from the snapshot answers the first exact repeat of a remembered
-// search as a memo hit, with no simulation and a result bit-identical
-// to the search it stands for (a search is a pure function of its
-// problem, mapper, budget and seed).
+// Snapshot serializes the Solver's durable state — every cached
+// problem's memo of finished searches, keyed by stable table identity
+// × objective — in the versioned, checksummed binary format of
+// internal/persist. A Solver restored from the snapshot answers the
+// first exact repeat of a remembered search as a memo hit, with no
+// simulation and a result bit-identical to the search it stands for (a
+// search is a pure function of its problem, mapper, budget and seed).
 //
 // Only searches of built-in mappers are written: a Registered name may
 // mean different code in the process that restores the snapshot. The
@@ -44,11 +41,7 @@ func (s *Solver) SnapshotFile(path string) error {
 }
 
 func (s *Solver) buildSnapshot() *persist.Snapshot {
-	snap := &persist.Snapshot{Problems: builtinMemos(s.eng.Export())}
-	for _, t := range s.warm.export() {
-		snap.Warm = append(snap.Warm, persist.WarmTask{Task: uint8(t.Task), Seeds: t.Seeds})
-	}
-	return snap
+	return &persist.Snapshot{Problems: builtinMemos(s.eng.Export())}
 }
 
 // Restore loads a snapshot into the Solver, normally at boot before
@@ -57,8 +50,7 @@ func (s *Solver) buildSnapshot() *persist.Snapshot {
 // answers exact repeats of the remembered searches (every asked genome
 // counts as a cross-run hit). Entries of mappers that are not built in
 // are dropped, so a Registered name is never answered with another
-// process's results. Warm-start seeds replay into the shared store
-// oldest-first.
+// process's results.
 //
 // A snapshot that is corrupt (torn write, bad checksum — persist.
 // ErrCorrupt) or written under an incompatible format, RNG layout,
@@ -70,7 +62,7 @@ func (s *Solver) Restore(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	s.load(snap)
+	s.eng.Restore(builtinMemos(snap.Problems))
 	return nil
 }
 
@@ -82,17 +74,8 @@ func (s *Solver) RestoreFile(path string) error {
 	if err != nil {
 		return err
 	}
-	s.load(snap)
-	return nil
-}
-
-func (s *Solver) load(snap *persist.Snapshot) {
 	s.eng.Restore(builtinMemos(snap.Problems))
-	tasks := make([]optmagma.ExportedTask, 0, len(snap.Warm))
-	for _, wt := range snap.Warm {
-		tasks = append(tasks, optmagma.ExportedTask{Task: models.Task(wt.Task), Seeds: wt.Seeds})
-	}
-	s.warm.import_(tasks)
+	return nil
 }
 
 // RestoreSolver builds a Solver and loads a snapshot into it — the
@@ -116,18 +99,4 @@ func builtinMemos(problems []persist.Problem) []persist.Problem {
 		})
 	}
 	return slices.DeleteFunc(problems, func(p persist.Problem) bool { return len(p.Memo) == 0 })
-}
-
-// export snapshots the warm store under its lock (deep copies).
-func (w *WarmStore) export() []optmagma.ExportedTask {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.inner.Export()
-}
-
-// import_ replays exported seeds under the lock, oldest first.
-func (w *WarmStore) import_(tasks []optmagma.ExportedTask) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.inner.Import(tasks)
 }

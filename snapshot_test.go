@@ -5,7 +5,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -26,7 +25,6 @@ func TestSolverSnapshotRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Warm().Record(Mix, want)
 
 	path := filepath.Join(t.TempDir(), "solver.snap")
 	if err := a.SnapshotFile(path); err != nil {
@@ -57,17 +55,12 @@ func TestSolverSnapshotRestoreRoundTrip(t *testing.T) {
 		t.Errorf("restored memo answer reports %+v over %d generations, want %d cross hits and nothing run",
 			c, got.Phases.Generations, want.Asked)
 	}
-	if seeds := b.Warm().Seeds(Mix, 16); len(seeds) != 1 ||
-		!reflect.DeepEqual(seeds[0].Genome, want.Genome) {
-		t.Error("warm-start seeds did not survive the snapshot round trip")
-	}
 }
 
-// TestSolverRestoresCommittedSnapshot restores testdata/format3.snap,
-// which the streaming snapshot encoder that preceded the one-buffer one
-// wrote after one search (Budget 300, Seed 9, the 16-job Mix group of
-// seed 31 on S2): the format-3 bytes did not move, so it restores, and
-// its first repeat is a memo hit bit-identical to a fresh search.
+// TestSolverRestoresCommittedSnapshot restores testdata/format4.snap,
+// written after one search (Budget 300, Seed 9, the 16-job Mix group of
+// seed 31 on S2): its first repeat is a memo hit bit-identical to a
+// fresh search.
 func TestSolverRestoresCommittedSnapshot(t *testing.T) {
 	g, pf := testWorkload(t, Mix, 16, 16, 31).Groups[0], PlatformS2()
 	opts := Options{Budget: 300, Seed: 9, Cache: true}
@@ -76,7 +69,7 @@ func TestSolverRestoresCommittedSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewSolver(SolverOptions{})
-	if err := s.RestoreFile(filepath.Join("testdata", "format3.snap")); err != nil {
+	if err := s.RestoreFile(filepath.Join("testdata", "format4.snap")); err != nil {
 		t.Fatal(err)
 	}
 	got, err := s.Optimize(g, pf, opts)
@@ -88,6 +81,22 @@ func TestSolverRestoresCommittedSnapshot(t *testing.T) {
 	}
 	if !identical(got, want) {
 		t.Error("restored memo answer differs from a fresh search")
+	}
+}
+
+// TestSolverRejectsFormat3Snapshot: testdata/format3.snap holds the same
+// search as format4.snap followed by a warm-start seed section, which
+// format 4 dropped. It is rejected whole at the format field, and the
+// Solver is left as it was, so the shard boots cold once.
+func TestSolverRejectsFormat3Snapshot(t *testing.T) {
+	s := NewSolver(SolverOptions{})
+	err := s.RestoreFile(filepath.Join("testdata", "format3.snap"))
+	var ve *persist.VersionError
+	if !errors.As(err, &ve) || *ve != (persist.VersionError{Field: "format", Got: 3, Want: 4}) {
+		t.Fatalf("format-3 snapshot: error %v, want a format VersionError 3 vs 4", err)
+	}
+	if st := s.Stats(); st != (SolverStats{}) {
+		t.Errorf("rejected snapshot left stats %+v, want zero", st)
 	}
 }
 

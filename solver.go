@@ -21,9 +21,6 @@ type SolverOptions struct {
 	// evicted first; memory stays bounded no matter how many distinct
 	// workloads a server sees.
 	MaxProblems int
-	// WarmLimit bounds the Solver's shared warm-start store per task
-	// type (0 = default 8).
-	WarmLimit int
 }
 
 // SolverStats reports what a Solver reused versus rebuilt: completed
@@ -43,13 +40,12 @@ type SolverStats = engine.Stats
 //   - a memo of finished searches per problem, so an exact repeat of a
 //     cached search (same mapper, budget and seed) is answered without
 //     running it (Options.Cache). The memo is the only reuse of results
-//     across requests, and what Snapshot persists;
-//   - a shared warm-start store (§V-C) for callers that opt into
-//     cross-request seeding.
+//     across requests, and what Snapshot persists.
 //
 // Results are bit-identical to fresh per-call runs: everything shared
 // is either read-only during search (tables) or a pure-function memo
-// (finished searches), so reuse changes wall-clock, never schedules.
+// (finished searches), so reuse changes wall-clock, never schedules,
+// and every answer is a function of its call alone.
 // Each search that runs builds its own evaluator and drops it when it
 // ends; nothing of a run's scratch outlives it.
 // All methods are safe for concurrent use.
@@ -58,27 +54,16 @@ type SolverStats = engine.Stats
 // wrappers that run on a private single-use Solver unless the passed
 // Options/StreamOptions carry an explicit one.
 type Solver struct {
-	eng  *engine.Engine
-	warm *WarmStore
+	eng *engine.Engine
 }
 
 // NewSolver builds a long-lived Solver.
 func NewSolver(o SolverOptions) *Solver {
-	return &Solver{
-		eng:  engine.New(engine.Config{MaxProblems: o.MaxProblems}),
-		warm: NewWarmStore(o.WarmLimit),
-	}
+	return &Solver{eng: engine.New(engine.Config{MaxProblems: o.MaxProblems})}
 }
 
 // Stats returns a snapshot of the Solver's reuse counters.
 func (s *Solver) Stats() SolverStats { return s.eng.Stats() }
-
-// Warm returns the Solver's shared warm-start store: concurrency-safe,
-// persistent across requests. OptimizeStream uses it only when
-// StreamOptions.SharedWarm is set (cross-request seeding changes search
-// trajectories, so it is opt-in); callers can also draw Seeds from it
-// explicitly into Options.WarmStart.
-func (s *Solver) Warm() *WarmStore { return s.warm }
 
 // solverFor returns the explicitly provided Solver, or a fresh private
 // one — which makes the package-level entry points behave exactly like
@@ -269,9 +254,8 @@ func (s *Solver) CompareCtx(ctx context.Context, g Group, p Platform, mappers []
 // repeated search is answered from its problem's memo —
 // StreamResult.Cache.CrossHits counts the reuse.
 //
-// Warm starting is per-call by default (each stream chains only on its
-// own groups, keeping repeated requests bit-identical); SharedWarm opts
-// into the Solver's cross-request store.
+// Warm starting is per call: each stream chains only on its own groups,
+// so repeated requests stay bit-identical.
 func (s *Solver) OptimizeStream(wl Workload, p Platform, opts StreamOptions) (StreamResult, error) {
 	return s.OptimizeStreamCtx(context.Background(), wl, p, opts)
 }
@@ -289,9 +273,9 @@ func (s *Solver) OptimizeStreamCtx(ctx context.Context, wl Workload, p Platform,
 	if err := opts.Validate(); err != nil {
 		return StreamResult{}, err
 	}
-	store := NewWarmStore(0)
-	if opts.SharedWarm {
-		store = s.warm
+	var store *WarmStore
+	if opts.WarmStart {
+		store = NewWarmStore(0)
 	}
 	var res StreamResult
 	var totalFLOPs int64

@@ -182,30 +182,6 @@ func TestSolverTuneMatchesPackageTune(t *testing.T) {
 	}
 }
 
-// TestSolverSharedWarm: SharedWarm chains warm starts across requests
-// through the Solver's store — the store must fill, and results remain
-// valid schedules (trajectories may legitimately differ from cold).
-func TestSolverSharedWarm(t *testing.T) {
-	wl := testWorkload(t, Recommendation, 32, 16, 4)
-	s := NewSolver(SolverOptions{})
-	opts := StreamOptions{BudgetPerGroup: 80, Seed: 3, WarmStart: true, SharedWarm: true, Solver: s}
-	res, err := OptimizeStream(wl, PlatformS2(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.Warm().Known(Recommendation) {
-		t.Error("SharedWarm stream did not record into the Solver's warm store")
-	}
-	for i, sched := range res.Schedules {
-		if err := sched.Mapping.Validate(len(wl.Groups[i].Jobs), PlatformS2().NumAccels()); err != nil {
-			t.Errorf("group %d: invalid mapping: %v", i, err)
-		}
-	}
-	if got := s.Warm().Seeds(Recommendation, 16); len(got) == 0 {
-		t.Error("no seeds retrievable for the recorded task/size")
-	}
-}
-
 // TestWarmStoreSeedsSizeMismatch pins the §V-C compatibility rule: the
 // store filters seeds by exact group size (the encoding is positional),
 // and mismatched sizes yield nothing rather than unusable genomes.

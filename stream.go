@@ -38,12 +38,6 @@ type StreamOptions struct {
 	// best schedules of earlier groups of the same task type (§V-C).
 	// Only effective for MAGMA.
 	WarmStart bool
-	// SharedWarm, with WarmStart and a long-lived Solver, seeds groups
-	// from (and records into) the Solver's cross-request warm store
-	// instead of a per-call one. Opt-in: cross-request seeding changes
-	// search trajectories, so repeated identical requests are no longer
-	// bit-identical.
-	SharedWarm bool
 	// Solver, when non-nil, runs every group against a long-lived
 	// Solver (see Options.Solver). Nil means a private single-use one.
 	Solver *Solver
